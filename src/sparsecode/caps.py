@@ -2,12 +2,14 @@
 
 Exceeding a cap is always an explicit error; there is no sampling fallback.
 The SPARSECODE_CAP environment variable overrides the subset/center caps
-globally (used by the CLI, honored everywhere).
+globally (used by the CLI, honored everywhere); it must be an integer >= 1.
 """
 
 from __future__ import annotations
 
 import os
+
+from .errors import DomainError
 
 DEFAULT_CODEWORD_CAP = 2**20
 DEFAULT_SUBSET_CAP = 10**7
@@ -20,22 +22,32 @@ def _env_cap() -> int | None:
     raw = os.environ.get(_ENV_VAR)
     if raw is None:
         return None
-    return int(raw)
+    message = f"{_ENV_VAR} must be an integer >= 1, got {raw!r}"
+    try:
+        value = int(raw)
+    except ValueError:
+        raise DomainError(message) from None
+    if value < 1:
+        raise DomainError(message)
+    return value
 
 
 def subset_cap(cap: int | None = None) -> int:
     if cap is not None:
         return cap
-    return _env_cap() or DEFAULT_SUBSET_CAP
+    env = _env_cap()
+    return DEFAULT_SUBSET_CAP if env is None else env
 
 
 def codeword_cap(cap: int | None = None) -> int:
     if cap is not None:
         return cap
-    return _env_cap() or DEFAULT_CODEWORD_CAP
+    env = _env_cap()
+    return DEFAULT_CODEWORD_CAP if env is None else env
 
 
 def center_cap(cap: int | None = None) -> int:
     if cap is not None:
         return cap
-    return _env_cap() or DEFAULT_CENTER_CAP
+    env = _env_cap()
+    return DEFAULT_CENTER_CAP if env is None else env

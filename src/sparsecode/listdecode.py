@@ -1,16 +1,18 @@
 """List-decodability certification and the distance <-> list-size lemmas.
 
-All certification is exhaustive over center words; radii are discretized as
-floor(rho * n).  The Johnson-type implication and its weak converse are
-encoded with the explicit constants extracted from their proofs and are
-required to hold with zero counterexamples on every checkable code.
+All certification is exhaustive over center words: the split-sum sweep in
+list_sizes_at_radii counts every codeword in the ball around every one of
+the q^n centers, it only groups the arithmetic into array blocks.  Radii
+are discretized as floor(rho * n).  The Johnson-type implication and its
+weak converse are encoded with the explicit constants extracted from their
+proofs and are required to hold with zero counterexamples on every
+checkable code.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -21,7 +23,10 @@ from .embeddings import sph_inverse_binary
 from .errors import DomainError, EnumerationCapError
 from .words import Word
 
-_CENTER_CHUNK = 4096
+# elements in one block of center-to-codeword distances (about 1 MB each for
+# the distances and their radius mask)
+_BLOCK_ELEMENTS = 1 << 20
+_MIN_PREFIXES = 16
 
 
 @dataclass(frozen=True)
@@ -79,33 +84,92 @@ def list_sizes_at_radii(
 
     Returns (max_list_size, first worst center) per radius, enumerating all
     q^n centers exhaustively.
+
+    Split-sum method: the n coordinates split into a high half of
+    hi = n - n//2 and a low half of lo = n//2 coordinates.  Hamming distance
+    is a sum over coordinates, so the distance from the center (x_hi, x_lo)
+    to codeword w is D_hi[x_hi, w] + D_lo[x_lo, w], where the two tables hold
+    the distances of every half-center to the matching half of every
+    codeword.  High prefixes are swept in ascending blocks; one broadcast
+    add gives a block's distances to a block of codewords, and the counts
+    within each radius are exact small integers.
+
+    Lex order: center index x_hi * q^lo + x_lo, read in base q with the most
+    significant digit first, enumerates centers in itertools.product order.
+    argmax returns the first maximum of a block and a later block replaces
+    the incumbent only on a strict >, so each worst center is the lex-first
+    one.
+
+    Memory: blocks cover both center prefixes and codewords, so the working
+    set stays within a fixed number of elements (_BLOCK_ELEMENTS) whatever
+    |C| and q^n are, up to q^n = _BLOCK_ELEMENTS^2, where one low-half table
+    alone would fill a block.  The center cap is checked before anything is
+    allocated.
     """
-    total = c.q**c.n
+    q, n = c.q, c.n
+    total = q**n
     limit = caps.center_cap(cap)
     if total > limit:
         raise EnumerationCapError(f"{total} centers exceed cap {limit}")
+    hi = n - n // 2
+    lo_size, hi_size = q ** (n // 2), q**hi
     words = c.array()
+    size = len(words)
+    # distances never exceed n, so thresholds up to n + 1 fit the dtype
+    dist_dtype = np.min_scalar_type(n + 1)
+    count_dtype = np.min_scalar_type(size)
+    thresholds = [min(max(r + 1, 0), n + 1) for r in radii]
+    # codeword blocks leave room for at least _MIN_PREFIXES prefixes per
+    # block, so recomputing the low table per block stays cheap
+    word_block = min(size, max(1, _BLOCK_ELEMENTS // (_MIN_PREFIXES * lo_size)))
+    prefix_block = min(hi_size, max(1, _BLOCK_ELEMENTS // (word_block * lo_size)))
+    lo_table = None
+    if word_block == size:
+        lo_table = _distance_table(q, 0, lo_size, words[:, hi:], dist_dtype)
     best = [-1] * len(radii)
-    witness: list[Word | None] = [None] * len(radii)
-    centers = product(range(c.q), repeat=c.n)
-    while True:
-        chunk = []
-        for _ in range(_CENTER_CHUNK):
-            nxt = next(centers, None)
-            if nxt is None:
-                break
-            chunk.append(nxt)
-        if not chunk:
-            break
-        arr = np.array(chunk, dtype=np.int64)
-        dists = (arr[:, None, :] != words[None, :, :]).sum(axis=2)
-        for ri, r in enumerate(radii):
-            counts = (dists <= r).sum(axis=1)
-            pos = int(np.argmax(counts))
-            if int(counts[pos]) > best[ri]:
-                best[ri] = int(counts[pos])
-                witness[ri] = Word(c.q, tuple(int(s) for s in arr[pos]))
-    return [(best[i], witness[i]) for i in range(len(radii))]
+    best_index = [0] * len(radii)
+    for h0 in range(0, hi_size, prefix_block):
+        h1 = min(h0 + prefix_block, hi_size)
+        counts = np.zeros((len(radii), (h1 - h0) * lo_size), dtype=count_dtype)
+        for w0 in range(0, size, word_block):
+            block = words[w0:w0 + word_block]
+            d_lo = lo_table
+            if d_lo is None:
+                d_lo = _distance_table(q, 0, lo_size, block[:, hi:], dist_dtype)
+            d_hi = _distance_table(q, h0, h1, block[:, :hi], dist_dtype)
+            # (words, prefixes, low halves): row-major order is center order
+            dists = (d_hi[:, :, None] + d_lo[:, None, :]).reshape(len(block), -1)
+            for ri, t in enumerate(thresholds):
+                counts[ri] += np.add.reduce(dists < t, axis=0, dtype=count_dtype)
+        for ri in range(len(radii)):
+            pos = int(np.argmax(counts[ri]))
+            if int(counts[ri, pos]) > best[ri]:
+                best[ri] = int(counts[ri, pos])
+                best_index[ri] = h0 * lo_size + pos
+    return [(best[i], _center_word(q, n, best_index[i])) for i in range(len(radii))]
+
+
+def _distance_table(
+    q: int, start: int, stop: int, part: np.ndarray, dtype: np.dtype
+) -> np.ndarray:
+    """Hamming distances between half-centers start..stop-1 and codeword halves.
+
+    Half-center x has the base-q digits of x, most significant first, over
+    the part.shape[1] coordinates of `part`; entry [w, x - start] is its
+    distance to row w of `part`.  With no coordinates every distance is 0.
+    """
+    k = part.shape[1]
+    index = np.arange(start, stop, dtype=np.int64)
+    table = np.zeros((len(part), stop - start), dtype=dtype)
+    for j in range(k):
+        digit = (index // q ** (k - 1 - j)) % q
+        table += digit[None, :] != part[:, j, None]
+    return table
+
+
+def _center_word(q: int, n: int, index: int) -> Word:
+    """The center at position `index` of itertools.product(range(q), repeat=n)."""
+    return Word(q, tuple((index // q ** (n - 1 - j)) % q for j in range(n)))
 
 
 def list_size_at_radius(c: Code, rho: float, cap: int | None = None) -> ListDecodingReport:

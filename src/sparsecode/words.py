@@ -89,10 +89,18 @@ def hamming_distance(a: Word, b: Word) -> int:
 
 
 def statistical_distance(p: Distribution, r: Distribution) -> float:
-    """Half the l1 distance between two distributions on the same alphabet."""
+    """Half the l1 distance between two distributions on the same alphabet.
+
+    The terms are added one at a time in symbol order (sum() compensates
+    float rounding from Python 3.12 on), so the value is the same on every
+    interpreter and codes.code_bias can reproduce it bit for bit.
+    """
     if p.q != r.q:
         raise DimensionMismatchError(f"alphabet mismatch: {p.q} vs {r.q}")
-    return 0.5 * sum(abs(x - y) for x, y in zip(p.masses, r.masses))
+    total = 0.0
+    for x, y in zip(p.masses, r.masses):
+        total += abs(x - y)
+    return 0.5 * total
 
 
 def empirical_distribution(c: Word) -> Distribution:

@@ -130,6 +130,31 @@ class TestVerify:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-5"])
+    def test_bad_env_cap_exits_2(self, capsys, tmp_path, monkeypatch, value):
+        code_path = tmp_path / "c.code"
+        code_path.write_text("2 2\n0 0\n1 1\n")
+        monkeypatch.setenv("SPARSECODE_CAP", value)
+        code, report, err = run(
+            capsys, "verify", "list-decode", "--input", str(code_path),
+            "--rho", "0.5",
+        )
+        assert code == 2
+        assert report is None
+        assert err.count("error:") == 1
+        assert "SPARSECODE_CAP" in err
+
+    def test_env_cap_is_honored(self, capsys, tmp_path, monkeypatch):
+        code_path = tmp_path / "c.code"
+        code_path.write_text("2 2\n0 0\n1 1\n")
+        monkeypatch.setenv("SPARSECODE_CAP", "3")
+        code, _, err = run(
+            capsys, "verify", "list-decode", "--input", str(code_path),
+            "--rho", "0.5",
+        )
+        assert code == 2
+        assert "4 centers exceed cap 3" in err
+
     def test_lwise_distance(self, capsys, tmp_path):
         code_path = tmp_path / "c.code"
         code_path.write_text("2 2\n0 0\n0 1\n1 1\n")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -208,6 +209,11 @@ class TestBalanceAndQuotient:
             quotient_by_ones(_code(2, (0, 0), (0, 1)))
 
 
+def _pairwise_code_bias(c):
+    """Reference code_bias: one Word difference and bias_of_word per pair."""
+    return max(bias_of_word(a.diff(b)) for a, b in combinations(c.words, 2))
+
+
 class TestCodeBias:
     def test_constant_difference(self):
         assert code_bias(_code(2, (0, 1), (1, 0))) == pytest.approx(0.5)
@@ -220,10 +226,45 @@ class TestCodeBias:
         rows = {tuple(int(s) for s in rng.integers(0, 3, size=6))
                 for _ in range(6)}
         c = _code(3, *rows)
-        expected = max(
-            bias_of_word(a.diff(b)) for a, b in combinations(c.words, 2)
-        )
-        assert code_bias(c) == pytest.approx(expected)
+        assert code_bias(c) == _pairwise_code_bias(c)
+
+    @pytest.mark.parametrize("q, k", [(5, 2), (7, 3), (11, 2)])
+    def test_reed_solomon_bit_identical(self, q, k):
+        c = reed_solomon(q, k)
+        assert code_bias(c) == _pairwise_code_bias(c)
+
+    # np.sum regroups the q terms pairwise from q = 9 on; q = 9, 13 catch it
+    @pytest.mark.parametrize("q", [2, 3, 8, 9, 13])
+    def test_random_codes_bit_identical(self, q):
+        rng = np.random.default_rng(900 + q)
+        for _ in range(6):
+            n = int(rng.integers(1, 25))
+            size = int(rng.integers(2, 60))
+            rows = {tuple(int(s) for s in rng.integers(0, q, size=n))
+                    for _ in range(size)}
+            if len(rows) < 2:
+                continue
+            c = _code(q, *rows)
+            assert code_bias(c) == _pairwise_code_bias(c)
+
+    def test_two_codewords_bit_identical(self):
+        c = _code(13, tuple(range(13)), tuple((3 * s) % 13 for s in range(13)))
+        assert code_bias(c) == _pairwise_code_bias(c)
+
+    def test_needs_two_codewords(self):
+        with pytest.raises(DomainError):
+            code_bias(_code(2, (0, 1)))
+
+    def test_memory_is_bounded(self):
+        # 885,115 pairs; the pair blocks use ~1 MB
+        c = reed_solomon(11, 3)
+        tracemalloc.start()
+        try:
+            code_bias(c)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestMinDistanceEpsilon:

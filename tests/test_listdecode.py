@@ -1,8 +1,13 @@
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sparsecode import listdecode
 
 from sparsecode.codes import Code, balance_closure, enumerate_codewords, random_linear_code_gv
 from sparsecode.embeddings import sph_code
@@ -11,6 +16,7 @@ from sparsecode.listdecode import (
     converse_check,
     johnson_check,
     list_size_at_radius,
+    list_sizes_at_radii,
     pipeline_epsilon_floor,
     rip_to_listdecoding_report,
 )
@@ -29,6 +35,105 @@ def _naive_list_size(c, radius):
         count = sum(hamming_distance(x, w) <= radius for w in c.words)
         best = max(best, count)
     return best
+
+
+def _chunked_list_sizes(c, radii, chunk=4096):
+    """Reference sweep: centers from itertools.product, compared in chunks."""
+    words = c.array()
+    best = [-1] * len(radii)
+    witness = [None] * len(radii)
+    centers = product(range(c.q), repeat=c.n)
+    while True:
+        block = []
+        for _ in range(chunk):
+            nxt = next(centers, None)
+            if nxt is None:
+                break
+            block.append(nxt)
+        if not block:
+            break
+        arr = np.array(block, dtype=np.int64)
+        dists = (arr[:, None, :] != words[None, :, :]).sum(axis=2)
+        for ri, r in enumerate(radii):
+            counts = (dists <= r).sum(axis=1)
+            pos = int(np.argmax(counts))
+            if int(counts[pos]) > best[ri]:
+                best[ri] = int(counts[pos])
+                witness[ri] = Word(c.q, tuple(int(s) for s in arr[pos]))
+    return [(best[i], witness[i]) for i in range(len(radii))]
+
+
+# largest n with q^n <= 4096, per alphabet
+_MAX_LENGTH = {2: 12, 3: 7, 4: 6, 5: 5, 7: 4}
+
+
+@st.composite
+def _small_codes(draw):
+    q = draw(st.sampled_from(sorted(_MAX_LENGTH)))
+    n = draw(st.integers(1, _MAX_LENGTH[q]))
+    word = st.tuples(*[st.integers(0, q - 1)] * n)
+    rows = draw(st.lists(word, min_size=1, max_size=24))
+    return _code(q, *rows)
+
+
+class TestSplitSumSweep:
+    """The split-sum sweep against the chunked itertools.product sweep."""
+
+    @pytest.mark.parametrize("block_elements", [listdecode._BLOCK_ELEMENTS, 8])
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(c=_small_codes())
+    def test_matches_chunked_sweep(self, c, block_elements):
+        # every radius 0..n in one call, plus radii past n and below 0
+        radii = list(range(-1, c.n + 3))
+        with pytest.MonkeyPatch.context() as mp:
+            # a tiny block budget puts the worst centers in later blocks
+            mp.setattr(listdecode, "_BLOCK_ELEMENTS", block_elements)
+            got = list_sizes_at_radii(c, radii)
+        assert got == _chunked_list_sizes(c, radii)
+
+    @pytest.mark.parametrize("q", [2, 3, 7])
+    def test_length_one(self, q):
+        c = _code(q, (q - 1,), (0,))
+        radii = [0, 1, 2]
+        assert list_sizes_at_radii(c, radii) == _chunked_list_sizes(c, radii)
+
+    def test_single_codeword(self):
+        c = _code(3, (2, 0, 1, 1, 2))
+        radii = list(range(7))
+        got = list_sizes_at_radii(c, radii)
+        assert got == _chunked_list_sizes(c, radii)
+        assert got[0] == (1, Word(3, (2, 0, 1, 1, 2)))
+
+    @pytest.mark.parametrize("q, n", [(2, 12), (3, 6), (5, 4)])
+    def test_full_space_code(self, q, n):
+        c = Code(Word(q, t) for t in product(range(q), repeat=n))
+        radii = list(range(n + 2))
+        got = list_sizes_at_radii(c, radii)
+        assert got == _chunked_list_sizes(c, radii)
+        assert got[-1] == (q**n, Word(q, (0,) * n))
+
+    def test_no_radii(self):
+        assert list_sizes_at_radii(_code(2, (0, 1)), []) == []
+
+    def test_cap_checked_first(self):
+        c = _code(2, (0,) * 40, (1,) * 40)
+        with pytest.raises(EnumerationCapError):
+            list_sizes_at_radii(c, [3])
+
+    @pytest.mark.parametrize("c", [
+        Code(Word(2, tuple(int(s) for s in row))
+             for row in np.random.default_rng(20).integers(0, 2, size=(16, 20))),
+        Code(Word(2, t) for t in product(range(2), repeat=12)),
+    ], ids=["n20-C16", "full-2^12"])
+    def test_memory_is_bounded(self, c):
+        # the blocks use ~2 MB; the 2^12 space unblocked would need ~32 MB
+        tracemalloc.start()
+        try:
+            list_sizes_at_radii(c, [c.n // 4, c.n // 2])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestListSize:
