@@ -10,7 +10,6 @@ at desk scale with explicit constants.
 from .words import (
     Word,
     Distribution,
-    FieldElement,
     hamming_distance,
     statistical_distance,
     empirical_distribution,

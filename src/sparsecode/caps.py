@@ -1,4 +1,5 @@
-"""Enumeration caps guarding exhaustive certifiers.
+"""Enumeration caps guarding exhaustive certifiers, and the subset enumerator
+they share.
 
 Exceeding a cap is always an explicit error; there is no sampling fallback.
 The SPARSECODE_CAP environment variable overrides the subset/center caps
@@ -7,7 +8,11 @@ globally (used by the CLI, honored everywhere); it must be an integer >= 1.
 
 from __future__ import annotations
 
+import math
 import os
+from itertools import chain, combinations
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -51,3 +56,18 @@ def center_cap(cap: int | None = None) -> int:
         return cap
     env = _env_cap()
     return DEFAULT_CENTER_CAP if env is None else env
+
+
+def subsets(n_items: int, size: int) -> np.ndarray:
+    """Every size-subset of range(n_items), one per row, in lexicographic order.
+
+    Row order is itertools.combinations order, which every lex-first witness
+    rests on.  Callers check their cap before asking for the rows.
+    """
+    count = math.comb(n_items, size)
+    flat = np.fromiter(
+        chain.from_iterable(combinations(range(n_items), size)),
+        dtype=np.int64,
+        count=count * size,
+    )
+    return flat.reshape(count, size)

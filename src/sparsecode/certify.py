@@ -4,18 +4,17 @@ Every certifier enumerates its subset space completely (guarded by caps,
 never sampled) and reports the exact extremal constant together with a
 witness.  Witness selection is deterministic: enumeration runs in size-
 ascending, then lexicographic order, and the first subset attaining the
-extremum wins, independent of how the range is partitioned across workers.
+extremum wins, independent of the block size the subsets are batched in.
 
 Extreme singular values are computed from batched Gram eigen-decompositions
-(LAPACK); the in-house Jacobi solver in `eigen` re-derives them as an
-independent cross-check in the test suite.
+(LAPACK); an in-house Jacobi solver in the test suite re-derives them as an
+independent cross-check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -24,6 +23,9 @@ from .errors import DomainError, EnumerationCapError, PreconditionError
 
 UNIT_NORM_TOL = 1e-9
 RANK_TOL = 1e-9
+
+# subsets per batched Gram/SVD call in rip2_profile and kernel_injectivity
+_SUBSET_BLOCK = 1 << 9
 
 # Pinned by the pre-build polarization oracle: for unit-column matrices the
 # flat constant at order L0 never exceeds twice the RIP-2 constant at order
@@ -164,20 +166,7 @@ def _subset_counts(n_cols: int, max_size: int, cap: int) -> int:
     return total
 
 
-def _subsets_of_size(n_cols: int, s: int) -> np.ndarray:
-    return np.array(list(combinations(range(n_cols), s)), dtype=np.int64)
-
-
-def _chunks(total: int, workers: int):
-    workers = max(1, workers)
-    step = max(1, -(-total // workers))
-    for lo in range(0, total, step):
-        yield lo, min(lo + step, total)
-
-
-def rip2_profile(
-    m: np.ndarray, L: int, cap: int | None = None, workers: int = 1
-) -> list[RipReport]:
+def rip2_profile(m: np.ndarray, L: int, cap: int | None = None) -> list[RipReport]:
     """RIP-2 reports for every order 1..L in one enumeration pass.
 
     The order-L constant is the running maximum of the per-size extremal
@@ -194,9 +183,9 @@ def rip2_profile(
     best_witness: tuple[int, ...] = ()
     checked = 0
     for s in range(1, L + 1):
-        idx = _subsets_of_size(n_cols, s)
-        for lo, hi in _chunks(len(idx), workers):
-            part = idx[lo:hi]
+        idx = caps.subsets(n_cols, s)
+        for lo in range(0, len(idx), _SUBSET_BLOCK):
+            part = idx[lo:lo + _SUBSET_BLOCK]
             cols = m[:, part]  # (n, K, s)
             gram = np.einsum("nks,nkt->kst", cols.conj(), cols)
             eigs = np.linalg.eigvalsh(gram)
@@ -211,15 +200,13 @@ def rip2_profile(
     return reports
 
 
-def rip2_constant(
-    m: np.ndarray, L: int, cap: int | None = None, workers: int = 1
-) -> RipReport:
+def rip2_constant(m: np.ndarray, L: int, cap: int | None = None) -> RipReport:
     """Exact RIP-2 constant of order L over all column subsets of size <= L."""
-    return rip2_profile(m, L, cap=cap, workers=workers)[-1]
+    return rip2_profile(m, L, cap=cap)[-1]
 
 
 def flat_rip_constant(
-    m: np.ndarray, L0: int, cap: int | None = None, workers: int = 1
+    m: np.ndarray, L0: int, cap: int | None = None
 ) -> FlatRipReport:
     """Smallest flat-RIP constant over disjoint equal-size set pairs up to L0."""
     m = _as_matrix(m)
@@ -240,7 +227,7 @@ def flat_rip_constant(
     witness = ((), ())
     checked = 0
     for s in range(1, L0 + 1):
-        idx = _subsets_of_size(n_cols, s)
+        idx = caps.subsets(n_cols, s)
         sums = m[:, idx].sum(axis=2).T  # (K, n)
         member = np.zeros((len(idx), n_cols), dtype=bool)
         member[np.arange(len(idx))[:, None], idx] = True
@@ -268,7 +255,6 @@ def kernel_injectivity(
     L: int,
     cap: int | None = None,
     tol: float = RANK_TOL,
-    workers: int = 1,
 ) -> KernelReport:
     """True iff every 2L-column submatrix has trivial right kernel."""
     m = _as_matrix(m)
@@ -280,14 +266,14 @@ def kernel_injectivity(
     limit = caps.subset_cap(cap)
     if count > limit:
         raise EnumerationCapError(f"{count} subsets exceed cap {limit}")
-    idx = _subsets_of_size(n_cols, s)
     if s > n_rows:
         # more columns than rows: rank deficiency is certain
-        return KernelReport(False, L, 0.0, tuple(int(i) for i in idx[0]), 1)
+        return KernelReport(False, L, 0.0, tuple(range(s)), 1)
+    idx = caps.subsets(n_cols, s)
     worst = math.inf
     worst_witness: tuple[int, ...] | None = None
-    for lo, hi in _chunks(len(idx), workers):
-        part = idx[lo:hi]
+    for lo in range(0, len(idx), _SUBSET_BLOCK):
+        part = idx[lo:lo + _SUBSET_BLOCK]
         cols = np.transpose(m[:, part], (1, 0, 2))  # (K, n, s)
         sv = np.linalg.svd(cols, compute_uv=False)
         mins = sv[:, -1]

@@ -12,18 +12,18 @@ import json
 import math
 import sys
 import time
-from itertools import combinations
+from itertools import chain, combinations
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from . import bounds as bounds_mod
 from . import certify, codes, group_testing, listdecode, matrixio, recovery
 from .embeddings import bool_code, sph_code
 from .errors import SparseCodeError
 from .group_testing import Design
 
-TOOL_VERSION = "0.1.0"
 EXHAUSTIVE_ROUNDTRIP_LIMIT = 10**5
 
 
@@ -39,7 +39,7 @@ def _summary(msg: str) -> None:
 
 def _write_provenance(path: Path, record: dict) -> None:
     meta = Path(str(path) + ".meta.json")
-    meta.write_text(json.dumps({"tool_version": TOOL_VERSION, **record}) + "\n")
+    meta.write_text(json.dumps({"tool_version": __version__, **record}) + "\n")
 
 
 # ---------------------------------------------------------------- build
@@ -114,20 +114,23 @@ def _cmd_verify(args) -> int:
     started = time.monotonic()
     prop = args.property
     threshold = args.threshold
+    _require(prop in ("rip2", "flat-rip", "kernel", "disjunct",
+                      "lwise-distance", "lwise-bias"), L=args.L)
+    _require(prop == "list-decode", rho=args.rho)
     ok = True
     if prop in ("rip2", "flat-rip", "coherence", "kernel"):
         m = matrixio.read_matrix(args.input)
         if prop == "rip2":
-            rep = certify.rip2_constant(m, args.L, cap=args.cap, workers=args.workers)
+            rep = certify.rip2_constant(m, args.L, cap=args.cap)
             value = rep.alpha
         elif prop == "flat-rip":
-            rep = certify.flat_rip_constant(m, args.L, cap=args.cap, workers=args.workers)
+            rep = certify.flat_rip_constant(m, args.L, cap=args.cap)
             value = rep.constant
         elif prop == "coherence":
             rep = certify.coherence(m)
             value = rep.value
         else:
-            rep = certify.kernel_injectivity(m, args.L, cap=args.cap, workers=args.workers)
+            rep = certify.kernel_injectivity(m, args.L, cap=args.cap)
             value = rep.min_singular_value
             ok = rep.injective
         report = rep.to_dict()
@@ -201,39 +204,47 @@ def _cmd_bounds(args) -> int:
 
 # ---------------------------------------------------------------- round trips
 
-def _cmd_gt_roundtrip(args) -> int:
-    started = time.monotonic()
-    m = matrixio.read_matrix(args.matrix)
-    n_cols = m.shape[1]
-    total = sum(math.comb(n_cols, w) for w in range(args.L + 1))
+def _supports_up_to(n_cols: int, L: int):
+    """Every support of weight 0..L, by weight, then in lex order."""
+    return chain.from_iterable(combinations(range(n_cols), w) for w in range(L + 1))
+
+
+def _roundtrips(m: np.ndarray, supports) -> tuple[int, int, list[int] | None]:
+    """Encode, cover-decode and compare each support.
+
+    Returns (passed, failed, first failing support).
+    """
     passed = failed = 0
     first_failure = None
-
-    def run_case(support):
-        nonlocal passed, failed, first_failure
-        x = np.zeros(n_cols, dtype=np.int64)
+    for support in supports:
+        x = np.zeros(m.shape[1], dtype=np.int64)
         x[list(support)] = 1
         y = group_testing.gt_encode(m, x)
-        got = group_testing.gt_decode_cover(m, y)
-        if np.array_equal(got, x):
+        if np.array_equal(group_testing.gt_decode_cover(m, y), x):
             passed += 1
         else:
             failed += 1
             if first_failure is None:
-                first_failure = list(int(i) for i in support)
+                first_failure = [int(i) for i in support]
+    return passed, failed, first_failure
 
+
+def _cmd_gt_roundtrip(args) -> int:
+    started = time.monotonic()
+    m = matrixio.read_matrix(args.matrix)
+    n_cols = m.shape[1]
+    if not (0 <= args.L <= n_cols):
+        raise SparseCodeError(f"need 0 <= L <= N, got L={args.L}, N={n_cols}")
+    total = sum(math.comb(n_cols, w) for w in range(args.L + 1))
     if total <= EXHAUSTIVE_ROUNDTRIP_LIMIT:
         mode = "exhaustive"
-        for w in range(args.L + 1):
-            for support in combinations(range(n_cols), w):
-                run_case(support)
+        supports = _supports_up_to(n_cols, args.L)
     else:
         mode = "random"
         rng = np.random.default_rng(args.seed)
-        for _ in range(args.trials):
-            w = int(rng.integers(0, args.L + 1))
-            support = tuple(sorted(rng.choice(n_cols, size=w, replace=False)))
-            run_case(support)
+        weights = (int(rng.integers(0, args.L + 1)) for _ in range(args.trials))
+        supports = (sorted(rng.choice(n_cols, size=w, replace=False)) for w in weights)
+    passed, failed, first_failure = _roundtrips(m, supports)
     report = {
         "property": "gt-roundtrip",
         "order": args.L,
@@ -295,7 +306,7 @@ def _cmd_pipeline(args) -> int:
         eps = codes.min_distance_epsilon(code)
         m = sph_code(quotient)
         coh = certify.coherence(m)
-        rip = certify.rip2_constant(m, args.L, cap=args.cap, workers=args.workers)
+        rip = certify.rip2_constant(m, args.L, cap=args.cap)
         report = {
             "property": "pipeline-gv-rip",
             "q": args.q, "n": args.n, "delta": args.delta, "seed": args.seed,
@@ -315,21 +326,7 @@ def _cmd_pipeline(args) -> int:
         L = args.L if args.L is not None else guaranteed
         design = group_testing.verify_design(_matrix_design(m))
         disjunct = group_testing.verify_disjunct(m, L, cap=args.cap)
-        n_cols = m.shape[1]
-        passed = failed = 0
-        first_failure = None
-        for w in range(L + 1):
-            for support in combinations(range(n_cols), w):
-                x = np.zeros(n_cols, dtype=np.int64)
-                x[list(support)] = 1
-                if np.array_equal(
-                    group_testing.gt_decode_cover(m, group_testing.gt_encode(m, x)), x
-                ):
-                    passed += 1
-                else:
-                    failed += 1
-                    if first_failure is None:
-                        first_failure = list(support)
+        passed, failed, first_failure = _roundtrips(m, _supports_up_to(m.shape[1], L))
         report = {
             "property": "pipeline-ks-gt",
             "q": args.q, "k": args.k, "order": L,
@@ -345,7 +342,7 @@ def _cmd_pipeline(args) -> int:
         ok = disjunct.disjunct and failed == 0
     elif args.name == "rip-ld":
         m = matrixio.read_matrix(args.matrix).astype(np.complex128)
-        rip = certify.rip2_constant(m, args.L, cap=args.cap, workers=args.workers)
+        rip = certify.rip2_constant(m, args.L, cap=args.cap)
         report = listdecode.rip_to_listdecoding_report(
             m, args.L, rip.alpha, args.epsilon, cap=args.cap)
         report["measured_rip_constant"] = rip.alpha
@@ -392,7 +389,6 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--rho", type=float)
     v.add_argument("--threshold", type=float)
     v.add_argument("--cap", type=int)
-    v.add_argument("--workers", type=int, default=1)
     v.set_defaults(func=_cmd_verify)
 
     d = sub.add_parser("bounds", help="evaluate the closed-form calculators")
@@ -434,7 +430,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--matrix")
     p.add_argument("--cap", type=int)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_pipeline)
     return parser
 
@@ -444,11 +439,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SparseCodeError as exc:
+    except (SparseCodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # exit 0 and 1 are verdicts; any other failure is an internal error
+        print(f"error: internal {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -145,17 +145,13 @@ def min_distance(c: Code) -> DistanceReport:
     return DistanceReport(best, best / c.n, (i, j))
 
 
-def _subset_array(n_items: int, size: int, cap: int) -> np.ndarray:
-    count = math.comb(n_items, size)
-    if count > cap:
-        raise EnumerationCapError(f"{count} subsets of size {size} exceed cap {cap}")
-    return np.array(list(combinations(range(n_items), size)), dtype=np.int64)
-
-
 def _avg_subset_distances(c: Code, L: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
     """Average relative pairwise distance of every L-subset, in lex order."""
+    count = math.comb(len(c), L)
+    if count > cap:
+        raise EnumerationCapError(f"{count} subsets of size {L} exceed cap {cap}")
     d = _pairwise_distances(c)
-    idx = _subset_array(len(c), L, cap)
+    idx = caps.subsets(len(c), L)
     totals = np.zeros(len(idx), dtype=np.int64)
     for a, b in combinations(range(L), 2):
         totals += d[idx[:, a], idx[:, b]]
@@ -315,14 +311,18 @@ def write_code_file(c: Code, path: str | Path) -> None:
 
 
 def read_code_file(path: str | Path) -> Code:
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
-    q, n = (int(t) for t in lines[0].split())
+    rows = [ln.split() for ln in Path(path).read_text().splitlines() if ln.strip()]
+    if not rows or len(rows[0]) != 2:
+        raise DomainError(f"code file {path} must start with a 'q n' header line")
+    try:
+        (q, n), *symbol_rows = [[int(t) for t in row] for row in rows]
+    except ValueError as exc:
+        raise DomainError(f"code file {path} holds a non-integer token") from exc
     words = []
-    for ln in lines[1:]:
-        symbols = tuple(int(t) for t in ln.split())
+    for symbols in symbol_rows:
         if len(symbols) != n:
             raise DomainError(f"codeword length {len(symbols)} != declared {n}")
-        words.append(Word(q, symbols))
+        words.append(Word(q, tuple(symbols)))
     return Code(words)
 
 

@@ -8,7 +8,6 @@ each symbol by the matching standard basis vector of {0,1}^q.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,15 +17,6 @@ from .words import Word
 
 UNIT_NORM_TOL = 1e-12
 INVERSE_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class EmbeddingRecord:
-    """Provenance attached to a generated embedding matrix."""
-
-    source: str
-    kind: str  # "spherical" | "boolean"
-    normalization: float
 
 
 def sph_word(c: Word) -> np.ndarray:

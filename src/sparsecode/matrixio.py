@@ -38,17 +38,35 @@ def read_matrix(path: str | Path) -> np.ndarray:
         payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise DomainError(f"malformed matrix file {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise DomainError(f"matrix file {path} must hold a JSON object")
     kind = payload.get("kind")
     if kind == "binary":
-        rows = payload["rows"]
-        if not rows:
-            raise DomainError("binary matrix file has no rows")
+        rows = payload.get("rows")
+        if not rows or not isinstance(rows, list):
+            raise DomainError("binary matrix file needs a non-empty list of rows")
+        if not all(isinstance(row, str) for row in rows):
+            raise DomainError("binary matrix rows must be strings")
+        if len({len(row) for row in rows}) != 1:
+            raise DomainError("binary matrix rows differ in length")
+        if any(set(row) - {"0", "1"} for row in rows):
+            raise DomainError("binary matrix entries must be 0 or 1")
         return np.array([[int(ch) for ch in row] for row in rows], dtype=np.int64)
     if kind == "complex":
-        n, cols = int(payload["n"]), int(payload["N"])
-        entries = payload["entries"]
-        if len(entries) != n * cols:
+        n, cols = payload.get("n"), payload.get("N")
+        if not (isinstance(n, int) and isinstance(cols, int) and n > 0 and cols > 0):
+            raise DomainError('complex matrix file needs integers "n", "N" >= 1')
+        try:
+            flat = np.array(payload.get("entries"))
+        except ValueError as exc:  # ragged nesting
+            raise DomainError(f"malformed matrix entries: {exc}") from exc
+        if flat.ndim != 2 or flat.shape[1] != 2 or flat.dtype.kind not in "biuf":
+            raise DomainError("complex matrix entries must be [re, im] number pairs")
+        if len(flat) != n * cols:
             raise DomainError("entry count does not match declared shape")
-        flat = np.array([complex(re, im) for re, im in entries])
-        return flat.reshape(n, cols)
+        flat = flat.astype(np.float64)
+        if not np.isfinite(flat).all():
+            raise DomainError("matrix entries must be finite")
+        # each C-ordered [re, im] row is exactly one complex128
+        return flat.view(np.complex128).reshape(n, cols)
     raise DomainError(f"unknown matrix kind {kind!r}")

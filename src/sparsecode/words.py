@@ -1,8 +1,7 @@
-"""Finite-alphabet words, empirical distributions, and prime-field scalars.
+"""Finite-alphabet words and empirical distributions.
 
 Symbols always live in the integer range [0, q).  The additive structure of
-Z_q is used for constant shifts and codeword differences; full field
-arithmetic (FieldElement) is only available for prime q.
+Z_q is used for constant shifts and codeword differences.
 """
 
 from __future__ import annotations
@@ -122,41 +121,3 @@ def bias_of_word(c: Word) -> float:
     """
     return statistical_distance(empirical_distribution(c), Distribution.uniform(c.q))
 
-
-@dataclass(frozen=True)
-class FieldElement:
-    """An element of the prime field Z_q."""
-
-    value: int
-    q: int
-
-    def __post_init__(self):
-        if not is_prime(self.q):
-            raise DomainError(f"modulus {self.q} is not prime")
-        object.__setattr__(self, "value", self.value % self.q)
-
-    def _coerce(self, other: "FieldElement") -> None:
-        if self.q != other.q:
-            raise DimensionMismatchError(f"modulus mismatch: {self.q} vs {other.q}")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._coerce(other)
-        return FieldElement(self.value + other.value, self.q)
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._coerce(other)
-        return FieldElement(self.value - other.value, self.q)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._coerce(other)
-        return FieldElement(self.value * other.value, self.q)
-
-    def inv(self) -> "FieldElement":
-        if self.value == 0:
-            raise DomainError("zero has no multiplicative inverse")
-        return FieldElement(pow(self.value, self.q - 2, self.q), self.q)
-
-    def __pow__(self, e: int) -> "FieldElement":
-        if e < 0:
-            return self.inv() ** (-e)
-        return FieldElement(pow(self.value, e, self.q), self.q)

@@ -1,16 +1,15 @@
 """Cyclic Jacobi eigen-solver for small symmetric/Hermitian matrices.
 
-Kept dependency-light and transparent so it can serve as an independent
-cross-check of the LAPACK-backed certifier path: Gram matrices at desk
-scale (<= 12 columns) are small enough that classical sweeps converge in a
-handful of iterations.
+The test suite's independent oracle for the LAPACK-backed certifier path;
+no library code imports it.  Gram matrices at desk scale (<= 12 columns) are
+small enough that classical sweeps converge in a handful of iterations.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
+from sparsecode.errors import DomainError
 
 OFF_DIAGONAL_TOL = 1e-12
 MAX_SWEEPS = 100

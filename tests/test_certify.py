@@ -4,6 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from sparsecode import certify
 from sparsecode.certify import (
     FLAT_FROM_RIP_FACTOR,
     bias_factor_from_flat,
@@ -14,7 +15,9 @@ from sparsecode.certify import (
     rip2_profile,
     translate_flat_to_rip,
 )
-from sparsecode.eigen import singular_values
+from eigen import singular_values
+from sparsecode.codes import random_balanced_code
+from sparsecode.embeddings import bool_code
 from sparsecode.errors import DomainError, EnumerationCapError, PreconditionError
 
 
@@ -106,12 +109,24 @@ class TestRip2:
         attained = max(sv.max() - 1.0, 1.0 - sv.min())
         assert attained == pytest.approx(rep.alpha)
 
-    def test_worker_count_does_not_change_report(self):
+    def test_block_size_does_not_change_reports(self, monkeypatch):
         rng = np.random.default_rng(26)
-        m = _random_unit_columns(rng, 5, 9)
-        a = rip2_constant(m, 3, workers=1)
-        b = rip2_constant(m, 3, workers=4)
-        assert a == b
+        # Boolean and repeated columns tie exactly, so a later block must not
+        # take a witness from an earlier one
+        mats = [
+            _random_unit_columns(rng, 7, 9),
+            bool_code(random_balanced_code(3, 4, 3, rng), normalize=True),
+            np.eye(5)[:, [0, 0, 1, 1, 2, 2, 3, 4, 4]],
+        ]
+
+        def reports():
+            return [(rip2_profile(m, 3), kernel_injectivity(m, 2)) for m in mats]
+
+        default = reports()
+        assert default[2][1].witness == (0, 1, 2, 3)
+        for block in (1, 7):
+            monkeypatch.setattr(certify, "_SUBSET_BLOCK", block)
+            assert reports() == default
 
     def test_order_range(self):
         with pytest.raises(DomainError):
@@ -184,6 +199,8 @@ class TestKernelInjectivity:
         rep = kernel_injectivity(np.ones((2, 6)), 2)
         assert not rep.injective
         assert rep.min_singular_value == 0.0
+        assert rep.witness == (0, 1, 2, 3)
+        assert rep.subsets_checked == 1
 
     def test_repeated_column(self):
         m = np.eye(4)[:, [0, 0, 1, 2]]

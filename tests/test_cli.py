@@ -2,9 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sparsecode.cli import main
-from sparsecode.matrixio import read_matrix
+from sparsecode.codes import read_code_file
+from sparsecode.embeddings import sph_code
+from sparsecode.group_testing import kautz_singleton
+from sparsecode.matrixio import read_matrix, write_matrix
+from sparsecode.recovery import unit_circle_nodes, vandermonde_matrix
 
 
 def run(capsys, *argv):
@@ -236,11 +242,11 @@ class TestPipelines:
 
 
 class TestDeterminism:
-    def test_gv_rip_workers_do_not_change_output(self, capsys):
+    def test_gv_rip_repeated_runs_identical(self, capsys):
         argv = ["pipeline", "gv-rip", "--q", "2", "--n", "12",
                 "--delta", "0.25", "--seed", "7", "--L", "2"]
-        _, a, _ = run(capsys, *argv, "--workers", "1")
-        _, b, _ = run(capsys, *argv, "--workers", "4")
+        _, a, _ = run(capsys, *argv)
+        _, b, _ = run(capsys, *argv)
         assert strip_elapsed(a) == strip_elapsed(b)
 
     def test_repeated_runs_identical(self, capsys):
@@ -248,3 +254,132 @@ class TestDeterminism:
         _, a, _ = run(capsys, *argv)
         _, b, _ = run(capsys, *argv)
         assert strip_elapsed(a) == strip_elapsed(b)
+
+
+# files for the exit-contract and fuzz tests, by name; "ks.json" is KS(5,2)
+_BAD_FILES = {
+    "list.json": "[1, 2]",
+    "no-n.json": json.dumps({"kind": "complex", "N": 1, "entries": [[1, 0]]}),
+    "ragged.json": json.dumps({"kind": "binary", "rows": ["011", "10"]}),
+    "two.json": json.dumps({"kind": "binary", "rows": ["02", "11"]}),
+    "nan.json": '{"kind": "complex", "n": 1, "N": 2, "entries": [[NaN, 0], [1, 0]]}',
+    "text.json": json.dumps({"kind": "complex", "n": 1, "N": 1, "entries": [["1", 0]]}),
+    "torn.json": '{"kind": "binary", "rows": ["01"',
+    "empty.code": "",
+    "header.code": "2 3\n",
+    "short.code": "3 2\n0 1\n2\n",
+    "symbol.code": "2 2\n0 2\n",
+    "junk.code": "q n\nx y\n",
+}
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli-files")
+    for name, text in _BAD_FILES.items():
+        (root / name).write_text(text)
+    (root / "c.code").write_text("2 3\n0 0 1\n1 1 0\n0 1 1\n1 0 0\n")
+    write_matrix(kautz_singleton(5, 2)[0], root / "ks.json")
+    write_matrix(sph_code(read_code_file(root / "c.code")), root / "sph.json")
+    write_matrix(vandermonde_matrix(unit_circle_nodes(6), 3), root / "vand.json")
+    return root
+
+
+def run_any(capsys, argv):
+    """Like run, but keeps argparse's own exit and does not parse stdout."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestExitContract:
+    @pytest.mark.parametrize("argv", [
+        ["verify", "rip2", "--input", "ks.json"],
+        ["verify", "disjunct", "--input", "ks.json"],
+        ["verify", "list-decode", "--input", "c.code"],
+        ["verify", "rip2", "--input", "ks.json", "--L", "2", "--workers", "1"],
+        ["verify", "coherence", "--input", "no-n.json"],
+        ["verify", "coherence", "--input", "list.json"],
+        ["verify", "coherence", "--input", "ragged.json"],
+        ["verify", "disjunct", "--input", "two.json", "--L", "1"],
+        ["verify", "coherence", "--input", "nan.json", "--threshold", "0.5"],
+        ["verify", "coherence", "--input", "text.json"],
+        ["verify", "list-decode", "--input", "empty.code", "--rho", "0.5"],
+        ["verify", "list-decode", "--input", "header.code", "--rho", "0.5"],
+        ["verify", "list-decode", "--input", "junk.code", "--rho", "0.5"],
+        ["verify", "list-decode", "--input", "ks.json", "--rho", "0.5"],
+        ["gt-roundtrip", "--matrix", "ks.json", "--L", "30"],
+        ["gt-roundtrip", "--matrix", "ks.json", "--L", "-1"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_bad_input_exits_2(self, capsys, cli_files, argv):
+        argv = [str(cli_files / a) if (cli_files / a).is_file() else a
+                for a in argv]
+        code, out, err = run_any(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.count("error:") == 1
+
+
+# well-formed files half the time, so runs also reach the certifiers
+_INPUTS = st.one_of(
+    st.sampled_from(["ks.json", "sph.json", "vand.json", "c.code"]),
+    st.sampled_from(sorted(_BAD_FILES) + ["missing.json", "."]),
+)
+_REALS = st.sampled_from(["-0.5", "0", "0.1", "0.25", "0.5", "1", "2", "nan"])
+_VALUES = {
+    "--input": _INPUTS, "--matrix": _INPUTS, "--code": _INPUTS,
+    "--out": st.sampled_from(["out.json", "no/such/dir.json"]),
+    "--normalize": st.none(),
+    **{f: st.integers(lo, hi).map(str) for f, lo, hi in (
+        ("--L", -1, 2), ("--q", 1, 5), ("--k", 0, 2), ("--n", 0, 6),
+        ("--cols", 0, 8), ("--N", 0, 8), ("--r", 0, 3), ("--n-prime", 0, 8),
+        ("--seed", 0, 3), ("--trials", 0, 4), ("--cap", 1, 3000))},
+    **{f: _REALS for f in (
+        "--delta", "--epsilon", "--alpha", "--rho", "--threshold", "--slack")},
+}
+# (positional choices, flags the subcommand accepts, flags it requires)
+_COMMANDS = {
+    "build": (["gv-code", "rs-code", "sph", "bool", "kautz-singleton",
+               "vandermonde"],
+              ["--q", "--n", "--k", "--cols", "--delta", "--slack", "--seed",
+               "--code", "--normalize"], ["--out"]),
+    "verify": (["rip2", "flat-rip", "coherence", "disjunct", "design",
+                "list-decode", "lwise-distance", "lwise-bias", "kernel"],
+               ["--L", "--rho", "--threshold", "--cap"], ["--input"]),
+    "bounds": ([], ["--q", "--n", "--N", "--L", "--r", "--n-prime", "--delta",
+                    "--epsilon", "--alpha"], []),
+    "gt-roundtrip": ([], ["--seed", "--trials"], ["--matrix", "--L"]),
+    "cs-roundtrip": ([], ["--trials", "--cap"], ["--matrix", "--L", "--seed"]),
+    "pipeline": (["gv-rip", "ks-gt", "rip-ld"],
+                 ["--q", "--n", "--k", "--L", "--delta", "--slack",
+                  "--epsilon", "--seed", "--matrix", "--cap"], []),
+}
+
+
+class TestFuzz:
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    @settings(derandomize=True, max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_exit_code_and_stdout_contract(self, capsys, cli_files, command, data):
+        choices, accepted, required = _COMMANDS[command]
+        argv = [command] + ([data.draw(st.sampled_from(choices))] if choices else [])
+        flags = required + [f for f in accepted if data.draw(st.integers(0, 3))]
+        if data.draw(st.integers(0, 9)) == 0:  # a flag the parser rejects
+            flags.append(data.draw(st.sampled_from(["--workers", "--bogus"])))
+        for flag in flags:
+            value = data.draw(_VALUES.get(flag, st.just("1")))
+            if flag in ("--input", "--matrix", "--code", "--out"):
+                value = str(cli_files / value)
+            argv += [flag] if value is None else [flag, value]
+        code, out, _ = run_any(capsys, argv)
+        assert code in (0, 1, 2)
+        if code == 1:
+            lines = out.splitlines()
+            assert len(lines) == 1
+            json.loads(lines[0])
+        if code == 2:
+            assert out == ""

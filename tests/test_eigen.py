@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sparsecode.eigen import hermitian_eigvals, jacobi_eigh, singular_values
+from eigen import hermitian_eigvals, jacobi_eigh, singular_values
 from sparsecode.errors import DomainError
 
 

@@ -6,7 +6,6 @@ import pytest
 from sparsecode.errors import DimensionMismatchError, DomainError
 from sparsecode.words import (
     Distribution,
-    FieldElement,
     Word,
     bias_of_word,
     empirical_distribution,
@@ -136,43 +135,6 @@ class TestBias:
 
     def test_near_uniform_word(self):
         assert bias_of_word(Word(2, (0, 0, 0, 1))) == pytest.approx(0.25)
-
-
-class TestFieldElement:
-    def test_requires_prime_modulus(self):
-        with pytest.raises(DomainError):
-            FieldElement(1, 4)
-
-    def test_inverse_mod_five(self):
-        assert FieldElement(2, 5).inv().value == 3
-
-    def test_fermat_little_theorem(self):
-        assert (FieldElement(2, 5) ** 4).value == 1
-
-    def test_zero_has_no_inverse(self):
-        with pytest.raises(DomainError):
-            FieldElement(0, 5).inv()
-
-    @pytest.mark.parametrize("q", [2, 3, 5, 7])
-    def test_field_axioms_exhaustive(self, q):
-        elems = [FieldElement(v, q) for v in range(q)]
-        zero, one = elems[0], elems[1]
-        for a in elems:
-            assert (a + zero).value == a.value
-            assert (a * one).value == a.value
-            assert (a - a).value == 0
-            if a.value != 0:
-                assert (a * a.inv()).value == 1
-            for b in elems:
-                assert (a + b).value == (b + a).value
-                assert (a * b).value == (b * a).value
-                for c in elems:
-                    assert ((a + b) + c).value == (a + (b + c)).value
-                    assert (a * (b + c)).value == (a * b + a * c).value
-
-    def test_modulus_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            FieldElement(1, 3) + FieldElement(1, 5)
 
 
 def test_is_prime_small_values():
