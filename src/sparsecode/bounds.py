@@ -12,10 +12,14 @@ import math
 from .errors import DomainError
 
 
-def q_ary_entropy(q: int, delta: float) -> float:
-    """h_q(delta), with h_q(0) = 0 and h_q(1) = log_q(q-1) by continuity."""
+def _check_alphabet(q: int) -> None:
     if q < 2:
         raise DomainError(f"alphabet size must be >= 2, got {q}")
+
+
+def q_ary_entropy(q: int, delta: float) -> float:
+    """h_q(delta), with h_q(0) = 0 and h_q(1) = log_q(q-1) by continuity."""
+    _check_alphabet(q)
     if not (0.0 <= delta <= 1.0):
         raise DomainError(f"delta must lie in [0, 1], got {delta}")
     lq = math.log(q)
@@ -29,6 +33,7 @@ def q_ary_entropy(q: int, delta: float) -> float:
 
 def gv_rate(q: int, delta: float) -> float:
     """Achievable rate 1 - h_q(delta) at relative distance delta."""
+    _check_alphabet(q)
     if not (0.0 <= delta < 1.0 - 1.0 / q):
         raise DomainError(f"need 0 <= delta < 1 - 1/q, got {delta}")
     return 1.0 - q_ary_entropy(q, delta)
@@ -36,6 +41,7 @@ def gv_rate(q: int, delta: float) -> float:
 
 def gv_critical_expansion(q: int, epsilon: float) -> float:
     """Two-term series for 1 - h_q(1 - (1+eps)/q) at small eps."""
+    _check_alphabet(q)
     lq = math.log(q)
     return (epsilon**2 / (2 * (q - 1) * lq)
             - epsilon**3 * (q - 2) / (6 * (q - 1) ** 2 * lq))
@@ -43,6 +49,7 @@ def gv_critical_expansion(q: int, epsilon: float) -> float:
 
 def mrrw_rate_bound(q: int, delta: float) -> float:
     """Linear-programming impossibility ceiling on rate at distance delta."""
+    _check_alphabet(q)
     if not (0.0 <= delta <= 1.0 - 1.0 / q):
         raise DomainError(f"need 0 <= delta <= 1 - 1/q, got {delta}")
     arg = (q - 1 - (q - 2) * delta
@@ -79,6 +86,7 @@ def row_bound_indicators(
 
 def rip_rows_indicator(L: int, N: int, q: int, alpha: float) -> float:
     """Rows needed for an RIP-2 matrix from a spherical code embedding."""
+    _check_alphabet(q)
     if alpha <= 0:
         raise DomainError("need alpha > 0")
     return L**2 * math.log(N) * q / alpha**2

@@ -12,19 +12,19 @@ import json
 import math
 import sys
 import time
-from itertools import chain, combinations
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from . import bounds as bounds_mod
-from . import certify, codes, group_testing, listdecode, matrixio, recovery
+from . import caps, certify, codes, group_testing, listdecode, matrixio, recovery
 from .embeddings import bool_code, sph_code
 from .errors import SparseCodeError
-from .group_testing import Design
 
 EXHAUSTIVE_ROUNDTRIP_LIMIT = 10**5
+# supports encoded and decoded per batch in a round-trip sweep
+_ROUNDTRIP_BATCH = 1024
 
 
 def _emit(report: dict, started: float) -> None:
@@ -101,15 +101,6 @@ def _cmd_build(args) -> int:
 
 # ---------------------------------------------------------------- verify
 
-def _matrix_design(m: np.ndarray) -> Design:
-    supports = [tuple(int(i) for i in np.flatnonzero(m[:, j]))
-                for j in range(m.shape[1])]
-    sizes = {len(s) for s in supports}
-    if len(sizes) != 1:
-        raise SparseCodeError("matrix columns have non-uniform support sizes")
-    return Design(m.shape[0], sizes.pop(), tuple(supports))
-
-
 def _cmd_verify(args) -> int:
     started = time.monotonic()
     prop = args.property
@@ -143,7 +134,7 @@ def _cmd_verify(args) -> int:
         ok = rep.disjunct
     elif prop == "design":
         m = matrixio.read_matrix(args.input)
-        rep = group_testing.verify_design(_matrix_design(m))
+        rep = group_testing.verify_design(group_testing.design_from_matrix(m))
         report = rep.to_dict()
         if threshold is not None:
             ok = rep.max_intersection <= threshold
@@ -180,6 +171,8 @@ def _cmd_verify(args) -> int:
 def _cmd_bounds(args) -> int:
     started = time.monotonic()
     out: dict = {"property": "bounds"}
+    if args.q < 2:
+        raise SparseCodeError(f"--q must be >= 2, got {args.q}")
     if args.delta is not None:
         out["q_ary_entropy"] = bounds_mod.q_ary_entropy(args.q, args.delta)
         if args.delta < 1 - 1 / args.q:
@@ -205,46 +198,64 @@ def _cmd_bounds(args) -> int:
 # ---------------------------------------------------------------- round trips
 
 def _supports_up_to(n_cols: int, L: int):
-    """Every support of weight 0..L, by weight, then in lex order."""
-    return chain.from_iterable(combinations(range(n_cols), w) for w in range(L + 1))
+    """Every support of weight 0..L, by weight, then in lex order.
+
+    Yields batches of supports as 0/1 rows.
+    """
+    for weight in range(L + 1):
+        for _, rows in caps.subset_blocks(n_cols, weight, _ROUNDTRIP_BATCH,
+                                          _ROUNDTRIP_BATCH):
+            x = np.zeros((len(rows), n_cols), dtype=bool)
+            x[np.arange(len(rows))[:, None], rows] = True
+            yield x
 
 
-def _roundtrips(m: np.ndarray, supports) -> tuple[int, int, list[int] | None]:
-    """Encode, cover-decode and compare each support.
+def _random_supports(n_cols: int, L: int, trials: int, seed: int):
+    """`trials` seeded draws of a weight in 0..L and then a support of it.
+
+    Yields batches of supports as 0/1 rows.
+    """
+    rng = np.random.default_rng(seed)
+    for start in range(0, trials, _ROUNDTRIP_BATCH):
+        x = np.zeros((min(_ROUNDTRIP_BATCH, trials - start), n_cols), dtype=bool)
+        for row in x:
+            weight = int(rng.integers(0, L + 1))
+            row[rng.choice(n_cols, size=weight, replace=False)] = True
+        yield x
+
+
+def _roundtrips(m: np.ndarray, batches) -> tuple[int, int, list[int] | None]:
+    """Encode, cover-decode and compare each support, a batch at a time.
 
     Returns (passed, failed, first failing support).
     """
     passed = failed = 0
     first_failure = None
-    for support in supports:
-        x = np.zeros(m.shape[1], dtype=np.int64)
-        x[list(support)] = 1
-        y = group_testing.gt_encode(m, x)
-        if np.array_equal(group_testing.gt_decode_cover(m, y), x):
-            passed += 1
-        else:
-            failed += 1
-            if first_failure is None:
-                first_failure = [int(i) for i in support]
+    for x in batches:
+        decoded = group_testing.gt_decode_cover(m, group_testing.gt_encode(m, x))
+        ok = (decoded == x).all(axis=1)
+        n_ok = int(ok.sum())
+        passed += n_ok
+        failed += len(x) - n_ok
+        if first_failure is None and n_ok < len(x):
+            first_failure = np.flatnonzero(x[np.argmin(ok)]).tolist()
     return passed, failed, first_failure
 
 
 def _cmd_gt_roundtrip(args) -> int:
     started = time.monotonic()
-    m = matrixio.read_matrix(args.matrix)
+    m = group_testing.as_binary(matrixio.read_matrix(args.matrix))
     n_cols = m.shape[1]
     if not (0 <= args.L <= n_cols):
         raise SparseCodeError(f"need 0 <= L <= N, got L={args.L}, N={n_cols}")
     total = sum(math.comb(n_cols, w) for w in range(args.L + 1))
     if total <= EXHAUSTIVE_ROUNDTRIP_LIMIT:
         mode = "exhaustive"
-        supports = _supports_up_to(n_cols, args.L)
+        batches = _supports_up_to(n_cols, args.L)
     else:
         mode = "random"
-        rng = np.random.default_rng(args.seed)
-        weights = (int(rng.integers(0, args.L + 1)) for _ in range(args.trials))
-        supports = (sorted(rng.choice(n_cols, size=w, replace=False)) for w in weights)
-    passed, failed, first_failure = _roundtrips(m, supports)
+        batches = _random_supports(n_cols, args.L, args.trials, args.seed)
+    passed, failed, first_failure = _roundtrips(m, batches)
     report = {
         "property": "gt-roundtrip",
         "order": args.L,
@@ -324,7 +335,7 @@ def _cmd_pipeline(args) -> int:
         m, prov = group_testing.kautz_singleton(args.q, args.k)
         guaranteed = prov["guaranteed_disjunct_order"]
         L = args.L if args.L is not None else guaranteed
-        design = group_testing.verify_design(_matrix_design(m))
+        design = group_testing.verify_design(group_testing.design_from_matrix(m))
         disjunct = group_testing.verify_disjunct(m, L, cap=args.cap)
         passed, failed, first_failure = _roundtrips(m, _supports_up_to(m.shape[1], L))
         report = {

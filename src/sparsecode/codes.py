@@ -28,6 +28,8 @@ from .words import Word, is_prime
 
 # codeword pairs per block in code_bias
 _PAIR_BLOCK = 1 << 14
+# codeword rows per block in min_distance
+_DISTANCE_BLOCK = 64
 
 
 class Code:
@@ -134,15 +136,26 @@ def _pairwise_distances(c: Code) -> np.ndarray:
 
 
 def min_distance(c: Code) -> DistanceReport:
-    """Minimum pairwise Hamming distance, with a witness pair."""
+    """Minimum pairwise Hamming distance, with its lex-first witness pair.
+
+    The closest pair agrees in the most coordinates; agreements are counted
+    one coordinate at a time for a block of rows, in O(block * |C|) memory.
+    """
     if len(c) < 2:
         raise DomainError("minimum distance needs at least two codewords")
-    d = _pairwise_distances(c)
-    np.fill_diagonal(d, c.n + 1)
-    i, j = np.unravel_index(int(np.argmin(d)), d.shape)
-    i, j = (int(i), int(j)) if i < j else (int(j), int(i))
-    best = int(d[i, j])
-    return DistanceReport(best, best / c.n, (i, j))
+    a = c.array().astype(np.min_scalar_type(c.q - 1))
+    # signed, and wide enough for n agreements
+    count_dtype = np.min_scalar_type(-c.n - 1)
+
+    def agreements(i0: int, i1: int) -> np.ndarray:
+        agree = np.zeros((i1 - i0, len(c) - i0), dtype=count_dtype)
+        for k in range(c.n):
+            agree += a[i0:i1, k, None] == a[i0:, k]
+        return agree
+
+    most, witness = caps.lex_first_max_pair(agreements, len(c), _DISTANCE_BLOCK)
+    best = c.n - most
+    return DistanceReport(best, best / c.n, witness)
 
 
 def _avg_subset_distances(c: Code, L: int, cap: int) -> tuple[np.ndarray, np.ndarray]:

@@ -10,14 +10,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import tee
 
 import numpy as np
 
 from . import caps
 from .codes import Code, min_distance, reed_solomon
-from .embeddings import bool_word
 from .errors import DomainError, EnumerationCapError
+
+# incidence-matrix columns per Gram block in verify_design
+_GRAM_BLOCK = 128
+# L-sets per block in verify_disjunct: a first small block, doubling to the max
+_TUPLE_BLOCK_FIRST = 64
+_TUPLE_BLOCK_MAX = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -29,11 +34,14 @@ class Design:
     sets: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        for s in self.sets:
-            if len(s) != self.set_size or len(set(s)) != self.set_size:
-                raise DomainError("every set must have exactly set_size elements")
-            if any(not (0 <= e < self.ground_size) for e in s):
-                raise DomainError("set elements must lie in the ground set")
+        if any(len(s) != self.set_size for s in self.sets):
+            raise DomainError("every set must have exactly set_size elements")
+        elements = np.sort(np.array(self.sets, dtype=np.int64)
+                           .reshape(len(self.sets), self.set_size), axis=1)
+        if (elements[:, 1:] == elements[:, :-1]).any():
+            raise DomainError("every set must have exactly set_size elements")
+        if ((elements < 0) | (elements >= self.ground_size)).any():
+            raise DomainError("set elements must lie in the ground set")
 
 
 @dataclass(frozen=True)
@@ -71,68 +79,100 @@ class DisjunctReport:
         }
 
 
+def as_binary(m: np.ndarray) -> np.ndarray:
+    """The 0/1 matrix m as booleans; any other entry is an input error."""
+    m = np.asarray(m)
+    if m.ndim != 2:
+        raise DomainError("a group-testing matrix must be 2-D")
+    if m.dtype != bool and not ((m == 0) | (m == 1)).all():
+        raise DomainError("group-testing matrix entries must be 0 or 1")
+    return m.astype(bool, copy=False)
+
+
 def design_from_code(c: Code) -> Design:
     """Sets = supports of the Boolean embeddings of the codewords."""
-    sets = tuple(
-        tuple(int(i) for i in np.flatnonzero(bool_word(w))) for w in c.words
-    )
-    return Design(c.n * c.q, c.n, sets)
+    # symbol s at coordinate i is element i * q + s, so each set is sorted
+    supports = c.array() + c.q * np.arange(c.n)
+    return Design(c.n * c.q, c.n, tuple(map(tuple, supports.tolist())))
 
 
-def verify_design(d: Design) -> DesignReport:
-    """Exact max pairwise intersection size, with a witness pair."""
-    if len(d.sets) < 2:
-        return DesignReport(d.ground_size, d.set_size, 0, None)
-    best, witness = -1, (0, 1)
-    frozen = [set(s) for s in d.sets]
-    for i, j in combinations(range(len(frozen)), 2):
-        inter = len(frozen[i] & frozen[j])
-        if inter > best:
-            best, witness = inter, (i, j)
-    return DesignReport(d.ground_size, d.set_size, best, witness)
+def design_from_matrix(m: np.ndarray) -> Design:
+    """The design whose set j is the support of column j of a 0/1 matrix."""
+    b = as_binary(m)
+    sizes = np.unique(b.sum(axis=0))
+    if len(sizes) != 1:
+        raise DomainError("matrix columns have non-uniform support sizes")
+    # nonzeros of the transpose come column by column, rows ascending
+    supports = np.nonzero(b.T)[1].reshape(b.shape[1], int(sizes[0]))
+    return Design(b.shape[0], int(sizes[0]), tuple(map(tuple, supports.tolist())))
 
 
 def matrix_from_design(d: Design) -> np.ndarray:
     """0/1 matrix whose column i is the characteristic vector of set i."""
     m = np.zeros((d.ground_size, len(d.sets)), dtype=np.int64)
-    for i, s in enumerate(d.sets):
-        m[list(s), i] = 1
+    elements = np.array(d.sets, dtype=np.intp).reshape(len(d.sets), d.set_size)
+    m[elements, np.arange(len(d.sets))[:, None]] = 1
     return m
 
 
-def _column_masks(m: np.ndarray) -> list[int]:
-    masks = []
-    for j in range(m.shape[1]):
-        mask = 0
-        for i in np.flatnonzero(m[:, j]):
-            mask |= 1 << int(i)
-        masks.append(mask)
-    return masks
+def verify_design(d: Design) -> DesignReport:
+    """Exact max pairwise intersection size, with its lex-first witness pair.
+
+    Intersections are blocks of rows of the Gram matrix of the incidence
+    matrix.  Its entries are counts <= set_size, so float64 BLAS is exact.
+    """
+    if len(d.sets) < 2:
+        return DesignReport(d.ground_size, d.set_size, 0, None)
+    m = matrix_from_design(d).astype(np.float64)
+    best, witness = caps.lex_first_max_pair(
+        lambda i0, i1: m[:, i0:i1].T @ m[:, i0:], len(d.sets), _GRAM_BLOCK)
+    return DesignReport(d.ground_size, d.set_size, best, witness)
+
+
+def _packed_rows(bits: np.ndarray) -> np.ndarray:
+    """(rows, cols) bools -> (words, cols) uint64: bit r % 64 of word r // 64."""
+    packed = np.zeros((bits.shape[1], 8 * -(-bits.shape[0] // 64)), dtype=np.uint8)
+    packed[:, : -(-bits.shape[0] // 8)] = np.packbits(bits.T, axis=1, bitorder="little")
+    return packed.view(np.uint64).T
 
 
 def verify_disjunct(m: np.ndarray, L: int, cap: int | None = None) -> DisjunctReport:
-    """Exhaustive disjunctness check over every (target, L-set) choice."""
-    m = np.asarray(m)
-    n_cols = m.shape[1]
+    """Exhaustive disjunctness check over every (target, L-set) choice.
+
+    Targets go in order; the L-sets of the other columns go in lex order.
+    Each column is cut down to the target's support and packed into uint64
+    words, so an L-set covers the target iff the OR of its words is full.
+    """
+    b = as_binary(m)
+    n_cols = b.shape[1]
     if L + 1 > n_cols:
         raise DomainError(f"need L + 1 <= N, got L={L}, N={n_cols}")
-    count = math.comb(n_cols - 1, L) * n_cols
+    per_target = math.comb(n_cols - 1, L)
+    count = per_target * n_cols
     limit = caps.subset_cap(cap)
     if count > limit:
         raise EnumerationCapError(f"{count} choices exceed cap {limit}")
-    masks = _column_masks(m)
-    checked = 0
-    for target in range(n_cols):
-        others = [j for j in range(n_cols) if j != target]
-        t = masks[target]
-        for chosen in combinations(others, L):
-            checked += 1
-            union = 0
-            for j in chosen:
-                union |= masks[j]
-            if t & ~union == 0:
-                return DisjunctReport(L, False, (target, chosen), checked)
-    return DisjunctReport(L, True, None, checked)
+    # every target walks the same blocks; tee builds each block once
+    walks = tee(caps.subset_blocks(n_cols - 1, L, _TUPLE_BLOCK_FIRST,
+                                   _TUPLE_BLOCK_MAX), n_cols)
+    for target, walk in zip(range(n_cols), walks):
+        support = b[:, target]
+        words = _packed_rows(np.delete(b[support], target, axis=1))
+        full = _packed_rows(np.ones((int(support.sum()), 1), dtype=bool))[:, 0]
+        for start, rows in walk:
+            covers = np.ones(len(rows), dtype=bool)
+            for word, full_word in zip(words, full):
+                union = np.zeros(len(rows), dtype=np.uint64)
+                for col in rows.T:
+                    union |= word[col]
+                covers &= union == full_word
+            hit = int(np.argmax(covers))
+            if covers[hit]:
+                # others' index c is column c + (c >= target)
+                chosen = rows[hit] + (rows[hit] >= target)
+                return DisjunctReport(L, False, (target, tuple(chosen.tolist())),
+                                      target * per_target + start + hit + 1)
+    return DisjunctReport(L, True, None, count)
 
 
 def max_disjunct_order(m: np.ndarray, cap: int | None = None) -> int:
@@ -147,26 +187,34 @@ def max_disjunct_order(m: np.ndarray, cap: int | None = None) -> int:
 
 
 def gt_encode(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """OR-channel measurement: y(i) = OR_j (M[i,j] AND x[j])."""
-    m = np.asarray(m)
+    """OR-channel measurement: y(i) = OR_j (M[i,j] AND x[j]).
+
+    x is one input of length N or a batch of shape (B, N); y has the
+    matching shape (rows,) or (B, rows).
+    """
+    b = as_binary(m)
     x = np.asarray(x)
-    if x.shape != (m.shape[1],):
-        raise DomainError(f"x must have length {m.shape[1]}")
-    return ((m.astype(bool) & x.astype(bool)[None, :]).any(axis=1)).astype(np.int64)
+    if x.ndim not in (1, 2) or x.shape[-1] != b.shape[1]:
+        raise DomainError(f"x must have length {b.shape[1]}")
+    # counts <= N are exact in float64, and BLAS does the products
+    hits = x.astype(bool).astype(np.float64) @ b.T.astype(np.float64)
+    return (hits > 0).astype(np.int64)
 
 
 def gt_decode_cover(m: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Cover decoder: item j present iff all tests containing j are positive.
 
-    The output always contains the true support; for an L-disjunct matrix
-    and inputs of weight <= L it equals it.
+    y is one measurement of length rows or a batch of shape (B, rows).  The
+    output always contains the true support; for an L-disjunct matrix and
+    inputs of weight <= L it equals it.
     """
-    m = np.asarray(m)
+    b = as_binary(m)
     y = np.asarray(y)
-    if y.shape != (m.shape[0],):
-        raise DomainError(f"y must have length {m.shape[0]}")
-    covered = ~(m.astype(bool) & ~y.astype(bool)[:, None]).any(axis=0)
-    return covered.astype(np.int64)
+    if y.ndim not in (1, 2) or y.shape[-1] != b.shape[0]:
+        raise DomainError(f"y must have length {b.shape[0]}")
+    # item j is out iff some negative test contains it
+    misses = (~y.astype(bool)).astype(np.float64) @ b.astype(np.float64)
+    return (misses == 0).astype(np.int64)
 
 
 def kautz_singleton(q: int, k: int) -> tuple[np.ndarray, dict]:

@@ -14,13 +14,18 @@ import numpy as np
 
 from .errors import DomainError
 
+# binary rows are ASCII "0"/"1": an entry is its byte minus ord("0")
+_ZERO = ord("0")
+
 
 def write_matrix(m: np.ndarray, path: str | Path) -> None:
     m = np.asarray(m)
     if np.isrealobj(m) and np.isin(m, (0, 1)).all():
+        text = (m.astype(np.uint8) + _ZERO).tobytes().decode("ascii")
+        width = m.shape[1]
         payload = {
             "kind": "binary",
-            "rows": ["".join(str(int(v)) for v in row) for row in m],
+            "rows": [text[i * width:(i + 1) * width] for i in range(m.shape[0])],
         }
     else:
         cm = m.astype(np.complex128)
@@ -49,9 +54,12 @@ def read_matrix(path: str | Path) -> np.ndarray:
             raise DomainError("binary matrix rows must be strings")
         if len({len(row) for row in rows}) != 1:
             raise DomainError("binary matrix rows differ in length")
-        if any(set(row) - {"0", "1"} for row in rows):
+        # a non-ASCII character becomes one "?", so the shape still holds
+        data = "".join(rows).encode("ascii", errors="replace")
+        m = (np.frombuffer(data, dtype=np.uint8) - _ZERO).reshape(len(rows), len(rows[0]))
+        if (m > 1).any():  # below "0" wraps around to > 1
             raise DomainError("binary matrix entries must be 0 or 1")
-        return np.array([[int(ch) for ch in row] for row in rows], dtype=np.int64)
+        return m.astype(np.int64)
     if kind == "complex":
         n, cols = payload.get("n"), payload.get("N")
         if not (isinstance(n, int) and isinstance(cols, int) and n > 0 and cols > 0):

@@ -142,3 +142,14 @@ class TestRowIndicators:
     def test_range(self):
         with pytest.raises(DomainError):
             row_bound_indicators(1, 10)
+
+
+class TestAlphabetSize:
+    @pytest.mark.parametrize("q", [1, 0, -3])
+    def test_calculators_reject_small_alphabets(self, q):
+        for call in (lambda: q_ary_entropy(q, 0.5), lambda: gv_rate(q, 0.1),
+                     lambda: gv_critical_expansion(q, 0.1),
+                     lambda: mrrw_rate_bound(q, 0.1),
+                     lambda: rip_rows_indicator(3, 100, q, 0.5)):
+            with pytest.raises(DomainError, match="alphabet size"):
+                call()

@@ -1,10 +1,12 @@
 import json
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from sparsecode import cli
 from sparsecode.cli import main
 from sparsecode.codes import read_code_file
 from sparsecode.embeddings import sph_code
@@ -181,6 +183,14 @@ class TestBounds:
         assert report["gv_rate"] == pytest.approx(0.5, abs=5e-4)
         assert report["mrrw_rate_bound"] > report["gv_rate"]
 
+    @pytest.mark.parametrize("q", ["1", "0"])
+    def test_small_alphabet_names_the_flag(self, capsys, q):
+        code, report, err = run(capsys, "bounds", "--q", q, "--epsilon", "1")
+        assert code == 2
+        assert report is None
+        assert err.count("error:") == 1
+        assert "--q" in err
+
 
 class TestRoundtrips:
     def test_gt_roundtrip(self, capsys, tmp_path):
@@ -206,6 +216,65 @@ class TestRoundtrips:
         assert code == 0
         assert report["failures"] == 0
         assert report["max_recovery_error"] <= 1e-6
+
+
+def _loop_roundtrips(m, supports):
+    """The per-support loop, kept as the oracle for cli._roundtrips."""
+    b = m.astype(bool)
+    passed = failed = 0
+    first_failure = None
+    for support in supports:
+        x = np.zeros(m.shape[1], dtype=bool)
+        x[list(support)] = True
+        y = (b & x[None, :]).any(axis=1)
+        if np.array_equal(~(b & ~y[:, None]).any(axis=0), x):
+            passed += 1
+        else:
+            failed += 1
+            if first_failure is None:
+                first_failure = [int(i) for i in support]
+    return passed, failed, first_failure
+
+
+class TestRoundtripBatches:
+    @pytest.mark.parametrize("batch", [1, 7, None])
+    def test_exhaustive_matches_per_support_loop(self, monkeypatch, batch):
+        if batch is not None:
+            monkeypatch.setattr(cli, "_ROUNDTRIP_BATCH", batch)
+        rng = np.random.default_rng(23)
+        cases = [(kautz_singleton(5, 2)[0], 3), (np.eye(5, dtype=np.int64), 5)]
+        for _ in range(6):
+            m = (rng.random((int(rng.integers(1, 12)), 10)) < 0.35).astype(np.int64)
+            cases.append((m, int(rng.integers(0, 4))))
+        failures = 0
+        for m, L in cases:
+            n_cols = m.shape[1]
+            supports = chain.from_iterable(combinations(range(n_cols), w)
+                                           for w in range(L + 1))
+            got = cli._roundtrips(m, cli._supports_up_to(n_cols, L))
+            assert got == _loop_roundtrips(m, supports)
+            failures += got[1] > 0
+        assert failures >= 3
+
+    @pytest.mark.parametrize("batch", [7, None])
+    def test_random_mode_keeps_seeded_draws(self, capsys, monkeypatch, tmp_path, batch):
+        if batch is not None:
+            monkeypatch.setattr(cli, "_ROUNDTRIP_BATCH", batch)
+        m, _ = kautz_singleton(5, 2)
+        write_matrix(m, tmp_path / "ks.json")
+        code, report, _ = run(capsys, "gt-roundtrip", "--matrix", str(tmp_path / "ks.json"),
+                              "--L", "6", "--seed", "3", "--trials", "300")
+        rng = np.random.default_rng(3)
+        supports = []
+        for _ in range(300):
+            weight = int(rng.integers(0, 7))
+            supports.append(sorted(rng.choice(25, size=weight, replace=False)))
+        passed, failed, first_failure = _loop_roundtrips(m, supports)
+        assert report["mode"] == "random"
+        assert (report["passed"], report["failed"], report["first_failure"]) == (
+            passed, failed, first_failure)
+        assert code == (0 if failed == 0 else 1)
+        assert failed > 0
 
 
 class TestPipelines:
@@ -262,6 +331,7 @@ _BAD_FILES = {
     "no-n.json": json.dumps({"kind": "complex", "N": 1, "entries": [[1, 0]]}),
     "ragged.json": json.dumps({"kind": "binary", "rows": ["011", "10"]}),
     "two.json": json.dumps({"kind": "binary", "rows": ["02", "11"]}),
+    "uneven.json": json.dumps({"kind": "binary", "rows": ["11", "01"]}),
     "nan.json": '{"kind": "complex", "n": 1, "N": 2, "entries": [[NaN, 0], [1, 0]]}',
     "text.json": json.dumps({"kind": "complex", "n": 1, "N": 1, "entries": [["1", 0]]}),
     "torn.json": '{"kind": "binary", "rows": ["01"',
@@ -313,6 +383,12 @@ class TestExitContract:
         ["verify", "list-decode", "--input", "ks.json", "--rho", "0.5"],
         ["gt-roundtrip", "--matrix", "ks.json", "--L", "30"],
         ["gt-roundtrip", "--matrix", "ks.json", "--L", "-1"],
+        ["gt-roundtrip", "--matrix", "sph.json", "--L", "1"],
+        ["gt-roundtrip", "--matrix", "sph.json", "--L", "1", "--trials", "0"],
+        ["verify", "design", "--input", "sph.json"],
+        ["verify", "disjunct", "--input", "sph.json", "--L", "1"],
+        ["verify", "design", "--input", "uneven.json"],
+        ["bounds", "--q", "1", "--epsilon", "1"],
     ], ids=lambda argv: " ".join(argv))
     def test_bad_input_exits_2(self, capsys, cli_files, argv):
         argv = [str(cli_files / a) if (cli_files / a).is_file() else a

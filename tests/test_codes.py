@@ -5,6 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from sparsecode import codes
 from sparsecode.codes import (
     Code,
     LinearCode,
@@ -97,6 +98,48 @@ class TestMinDistance:
     def test_singleton_rejected(self):
         with pytest.raises(DomainError):
             min_distance(_code(2, (0, 0)))
+
+    @pytest.mark.parametrize("block", [1, 7, None])
+    def test_matches_full_distance_matrix(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(codes, "_DISTANCE_BLOCK", block)
+        rng = np.random.default_rng(17)
+        cases = [reed_solomon(5, 2), reed_solomon(7, 2),
+                 _code(2, (0, 0), (0, 1), (1, 0), (1, 1))]
+        # agreement counts around the int8 limit
+        for n in (127, 128, 300):
+            cases.append(_code(2, (0,) * n, (0,) * (n - 1) + (1,), (1,) * n))
+        for q in (2, 3, 5):
+            for _ in range(6):
+                n = int(rng.integers(1, 9))
+                rows = {tuple(int(s) for s in rng.integers(0, q, size=n))
+                        for _ in range(int(rng.integers(2, 40)))}
+                if len(rows) > 1:
+                    cases.append(_code(q, *rows))
+        for c in cases:
+            assert min_distance(c) == _full_min_distance(c)
+
+    def test_memory_is_bounded(self):
+        # 1331 codewords: the whole distance matrix would take ~34 MB
+        c = reed_solomon(11, 3)
+        tracemalloc.start()
+        try:
+            min_distance(c)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+
+def _full_min_distance(c):
+    """The whole-matrix minimum distance, kept as the oracle."""
+    a = c.array()
+    d = (a[:, None, :] != a[None, :, :]).sum(axis=2)
+    np.fill_diagonal(d, c.n + 1)
+    i, j = np.unravel_index(int(np.argmin(d)), d.shape)
+    i, j = (int(i), int(j)) if i < j else (int(j), int(i))
+    best = int(d[i, j])
+    return codes.DistanceReport(best, best / c.n, (i, j))
 
 
 class TestLwiseDistance:

@@ -1,14 +1,21 @@
-import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from sparsecode.codes import Code, min_distance, reed_solomon
+from sparsecode import group_testing
+from sparsecode.codes import min_distance, reed_solomon
 from sparsecode.errors import DomainError, EnumerationCapError
 from sparsecode.group_testing import (
     Design,
+    DesignReport,
+    DisjunctReport,
+    as_binary,
     design_from_code,
+    design_from_matrix,
     gt_decode_cover,
     gt_encode,
     kautz_singleton,
@@ -17,7 +24,60 @@ from sparsecode.group_testing import (
     verify_design,
     verify_disjunct,
 )
-from sparsecode.words import Word, hamming_distance
+from sparsecode.words import hamming_distance
+
+
+def _loop_verify_disjunct(m, L):
+    """The per-tuple big-int OR loop, kept as the oracle for verify_disjunct."""
+    masks = []
+    for j in range(m.shape[1]):
+        mask = 0
+        for i in np.flatnonzero(m[:, j]):
+            mask |= 1 << int(i)
+        masks.append(mask)
+    checked = 0
+    for target in range(m.shape[1]):
+        others = [j for j in range(m.shape[1]) if j != target]
+        for chosen in combinations(others, L):
+            checked += 1
+            union = 0
+            for j in chosen:
+                union |= masks[j]
+            if masks[target] & ~union == 0:
+                return DisjunctReport(L, False, (target, chosen), checked)
+    return DisjunctReport(L, True, None, checked)
+
+
+def _pairwise_verify_design(d):
+    """The pairwise set-intersection loop, kept as the oracle for verify_design."""
+    if len(d.sets) < 2:
+        return DesignReport(d.ground_size, d.set_size, 0, None)
+    best, witness = -1, (0, 1)
+    frozen = [set(s) for s in d.sets]
+    for i, j in combinations(range(len(frozen)), 2):
+        inter = len(frozen[i] & frozen[j])
+        if inter > best:
+            best, witness = inter, (i, j)
+    return DesignReport(d.ground_size, d.set_size, best, witness)
+
+
+def _set_blocks(monkeypatch, size):
+    for name in ("_TUPLE_BLOCK_FIRST", "_TUPLE_BLOCK_MAX", "_GRAM_BLOCK"):
+        monkeypatch.setattr(group_testing, name, size)
+
+
+@st.composite
+def _matrices(draw):
+    """0/1 matrices of 1-130 rows (up to three uint64 words per support),
+    with zero and duplicate columns mixed in."""
+    rows, cols = draw(st.integers(1, 130)), draw(st.integers(2, 8))
+    p = draw(st.sampled_from([0.1, 0.3, 0.5, 0.8]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = (rng.random((rows, cols)) < p).astype(np.int64)
+    for _ in range(draw(st.integers(0, 2))):
+        j = draw(st.integers(0, cols - 1))
+        m[:, j] = 0 if draw(st.booleans()) else m[:, draw(st.integers(0, cols - 1))]
+    return m
 
 
 class TestDesign:
@@ -67,6 +127,52 @@ class TestVerifyDesign:
         assert verify_design(Design(3, 2, ((0, 1),))).max_intersection == 0
 
 
+class TestVerifyDesignKernel:
+    @settings(derandomize=True, max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), block=st.sampled_from([1, 7, 128]))
+    def test_matches_pairwise_loop(self, monkeypatch, data, block):
+        monkeypatch.setattr(group_testing, "_GRAM_BLOCK", block)
+        ground = data.draw(st.integers(1, 12))
+        size = data.draw(st.integers(0, ground))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        sets = tuple(tuple(sorted(rng.choice(ground, size, replace=False).tolist()))
+                     for _ in range(data.draw(st.integers(0, 40))))
+        d = Design(ground, size, sets)
+        assert verify_design(d) == _pairwise_verify_design(d)
+
+    def test_reed_solomon_matches_pairwise_loop(self):
+        d = design_from_code(reed_solomon(7, 2))
+        assert verify_design(d) == _pairwise_verify_design(d)
+
+    def test_memory_is_bounded(self):
+        # 1331 sets: the full Gram matrix alone would take ~14 MB
+        d = design_from_code(reed_solomon(11, 3))
+        tracemalloc.start()
+        try:
+            verify_design(d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+
+class TestDesignFromMatrix:
+    def test_inverts_matrix_from_design(self):
+        d = design_from_code(reed_solomon(5, 2))
+        m = matrix_from_design(d)
+        assert design_from_matrix(m) == d
+        assert np.array_equal(matrix_from_design(design_from_matrix(m)), m)
+
+    def test_non_uniform_supports_rejected(self):
+        with pytest.raises(DomainError, match="non-uniform"):
+            design_from_matrix(np.array([[1, 1], [0, 1]]))
+
+    def test_non_binary_rejected(self):
+        with pytest.raises(DomainError, match="0 or 1"):
+            design_from_matrix(np.array([[1, 2], [2, 1]]))
+
+
 class TestMatrixFromDesign:
     def test_block_structure(self):
         d = design_from_code(reed_solomon(3, 1))
@@ -106,6 +212,63 @@ class TestVerifyDisjunct:
     def test_order_range(self):
         with pytest.raises(DomainError):
             verify_disjunct(np.eye(3, dtype=int), 3)
+
+    def test_non_binary_rejected(self):
+        with pytest.raises(DomainError, match="0 or 1"):
+            verify_disjunct(np.array([[0.5, 0.0], [0.0, 1.0]]), 1)
+
+
+class TestVerifyDisjunctKernel:
+    @settings(derandomize=True, max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(m=_matrices(), data=st.data(),
+           first=st.sampled_from([1, 7, 64]), largest=st.sampled_from([1, 7, 1 << 13]))
+    def test_matches_per_tuple_loop(self, monkeypatch, m, data, first, largest):
+        monkeypatch.setattr(group_testing, "_TUPLE_BLOCK_FIRST", first)
+        monkeypatch.setattr(group_testing, "_TUPLE_BLOCK_MAX", largest)
+        L = data.draw(st.integers(1, m.shape[1] - 1))
+        assert verify_disjunct(m, L) == _loop_verify_disjunct(m, L)
+
+    @pytest.mark.parametrize("block", [1, 7, None])
+    def test_witness_in_a_later_target_and_block(self, monkeypatch, block):
+        if block is not None:
+            _set_blocks(monkeypatch, block)
+        # column j < 7 holds rows 2j, 2j + 1; column 7 holds rows 10 and 13,
+        # so only column 7 is covered, by (5, 6): its 21st pair
+        m = np.zeros((14, 8), dtype=np.int64)
+        for j in range(7):
+            m[[2 * j, 2 * j + 1], j] = 1
+        m[[10, 13], 7] = 1
+        rep = verify_disjunct(m, 2)
+        assert rep == DisjunctReport(2, False, (7, (5, 6)), 7 * 21 + 21)
+        assert rep == _loop_verify_disjunct(m, 2)
+
+    def test_multi_word_supports(self):
+        rng = np.random.default_rng(3)
+        m = (rng.random((130, 7)) < 0.5).astype(np.int64)
+        m[:, 6] = m[:, 2] | m[:, 4]
+        for L in range(1, 7):
+            assert verify_disjunct(m, L) == _loop_verify_disjunct(m, L)
+
+    def test_zero_order(self):
+        m = np.eye(4, dtype=np.int64)
+        assert verify_disjunct(m, 0) == _loop_verify_disjunct(m, 0)
+        m[:, 3] = 0
+        assert verify_disjunct(m, 0) == _loop_verify_disjunct(m, 0)
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_block_sizes_do_not_change_reports(self, monkeypatch, block):
+        rng = np.random.default_rng(11)
+        ks52, _ = kautz_singleton(5, 2)
+        cases = [(ks52, 2), (ks52, 5), (kautz_singleton(3, 1)[0], 2)]
+        cases += [((rng.random((48, 30)) < 0.5).astype(np.int64), 3) for _ in range(3)]
+        designs = [design_from_code(reed_solomon(q, k)) for q, k in ((5, 2), (7, 2))]
+        before = ([verify_disjunct(m, L) for m, L in cases],
+                  [verify_design(d) for d in designs])
+        _set_blocks(monkeypatch, block)
+        after = ([verify_disjunct(m, L) for m, L in cases],
+                 [verify_design(d) for d in designs])
+        assert after == before
 
 
 class TestMaxDisjunctOrder:
@@ -152,6 +315,35 @@ class TestEncodeDecode:
             x = np.zeros(25, dtype=int)
             x[j] = 1
             assert np.array_equal(gt_decode_cover(m, gt_encode(m, x)), x)
+
+
+    def test_batches_match_single_inputs(self):
+        rng = np.random.default_rng(8)
+        m = (rng.random((9, 12)) < 0.4).astype(np.int64)
+        x = (rng.random((20, 12)) < 0.3).astype(np.int64)
+        y = gt_encode(m, x)
+        assert y.shape == (20, 9)
+        assert np.array_equal(y, [gt_encode(m, row) for row in x])
+        decoded = gt_decode_cover(m, y)
+        assert np.array_equal(decoded, [gt_decode_cover(m, row) for row in y])
+
+    def test_shape_checked(self):
+        m = np.eye(3, dtype=int)
+        with pytest.raises(DomainError):
+            gt_encode(m, np.zeros((2, 4)))
+        with pytest.raises(DomainError):
+            gt_decode_cover(m, np.zeros((2, 2, 3)))
+
+    def test_non_binary_matrix_rejected(self):
+        with pytest.raises(DomainError, match="0 or 1"):
+            gt_encode(np.eye(3) * 2, np.ones(3))
+        with pytest.raises(DomainError, match="0 or 1"):
+            gt_decode_cover(np.full((2, 2), np.nan), np.ones(2))
+
+    def test_as_binary(self):
+        assert as_binary(np.array([[0.0, 1.0]])).dtype == bool
+        with pytest.raises(DomainError):
+            as_binary(np.ones(3))
 
 
 class TestKautzSingleton:

@@ -17,6 +17,18 @@ class TestRoundtrip:
         assert payload["rows"] == ["011", "101"]
         assert np.array_equal(read_matrix(path), m)
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64, bool])
+    def test_binary_bytes_match_per_character_format(self, tmp_path, dtype):
+        rng = np.random.default_rng(70)
+        m = (rng.random((13, 70)) < 0.4).astype(dtype)
+        path = tmp_path / "m.json"
+        write_matrix(m, path)
+        rows = ["".join(str(int(v)) for v in row) for row in m]
+        assert path.read_text() == json.dumps({"kind": "binary", "rows": rows}) + "\n"
+        back = read_matrix(path)
+        assert back.dtype == np.int64
+        assert np.array_equal(back, m)
+
     def test_complex_matrix(self, tmp_path):
         rng = np.random.default_rng(71)
         m = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
@@ -52,6 +64,13 @@ class TestErrors:
             json.dumps({"kind": "complex", "n": 2, "N": 2, "entries": [[1, 0]]})
         )
         with pytest.raises(DomainError):
+            read_matrix(path)
+
+    @pytest.mark.parametrize("row", ["0/", "0:", "1 ", "0\u00e9"])
+    def test_binary_symbols_near_the_digits(self, tmp_path, row):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"kind": "binary", "rows": [row, "01"]}))
+        with pytest.raises(DomainError, match="0 or 1"):
             read_matrix(path)
 
     def test_empty_binary(self, tmp_path):
