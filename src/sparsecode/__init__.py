@@ -7,14 +7,7 @@ L-wise distance, disjunctness, list-decodability — by complete enumeration
 at desk scale with explicit constants.
 """
 
-from .words import (
-    Word,
-    Distribution,
-    hamming_distance,
-    statistical_distance,
-    empirical_distribution,
-    bias_of_word,
-)
+from .words import Word
 from .codes import (
     Code,
     LinearCode,

@@ -137,7 +137,10 @@ def _as_matrix(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m)
     if m.ndim != 2:
         raise DomainError("expected a 2-d matrix")
-    return m.astype(np.complex128)
+    m = m.astype(np.complex128)
+    if not np.isfinite(m).all():
+        raise DomainError("matrix entries must be finite")
+    return m
 
 
 def coherence(m: np.ndarray) -> CoherenceReport:

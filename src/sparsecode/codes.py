@@ -1,9 +1,10 @@
 """Code containers and the distance/bias metrics driving every reduction.
 
-A Code is a deduplicated, lexicographically sorted set of Words over a
-common alphabet.  The sort order is load-bearing: embeddings, quotients and
-witnesses all refer to codeword indices in this order, which makes every
-downstream matrix reproducible byte-for-byte.
+A Code is a deduplicated, lexicographically sorted (N, n) array of symbols
+over a common alphabet, and every builder here is a map on that whole
+array.  The sort order is load-bearing: embeddings, quotients and witnesses
+all refer to codeword indices in this order, which makes every downstream
+matrix reproducible byte-for-byte.
 """
 
 from __future__ import annotations
@@ -32,35 +33,78 @@ _PAIR_BLOCK = 1 << 14
 _DISTANCE_BLOCK = 64
 
 
+def _lex_unique(a: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 2-d array, in lex order.
+
+    The rows np.unique(axis=0) gives, but np.unique imports numpy.ma on its
+    first call (~15 ms and ~1.3 MB in every process).  np.lexsort takes its
+    last key as the primary one, hence the reversed columns.
+    """
+    a = a[np.lexsort(a.T[::-1])]
+    fresh = np.ones(len(a), dtype=bool)
+    fresh[1:] = (a[1:] != a[:-1]).any(axis=1)
+    return a[fresh]
+
+
 class Code:
-    """A finite set of equal-length words over Z_q."""
+    """A finite set of equal-length words over Z_q.
+
+    The codewords are the rows of one read-only int64 (N, n) array, distinct
+    and in lex order.  Iterating yields them as Words.
+    """
 
     def __init__(self, words: Iterable[Word]):
-        ws = sorted(set(words))
-        if not ws:
+        words = list(words)
+        if not words:
             raise DomainError("a code needs at least one codeword")
-        q, n = ws[0].q, ws[0].n
-        if any(w.q != q or w.n != n for w in ws):
+        q, n = words[0].q, words[0].n
+        if any(w.q != q or w.n != n for w in words):
             raise DomainError("all codewords must share alphabet and length")
-        self.q = q
-        self.n = n
-        self.words: tuple[Word, ...] = tuple(ws)
+        code = Code.from_array(q, [w.symbols for w in words])
+        self.q, self.n, self._rows = code.q, code.n, code._rows
+
+    @classmethod
+    def from_array(cls, q: int, rows) -> "Code":
+        """The code whose codewords are the rows of `rows` (any order, repeats)."""
+        if q < 2:
+            raise DomainError(f"alphabet size must be >= 2, got {q}")
+        shape_error = DomainError("codewords must form an (N, n) integer array")
+        try:
+            a = np.asarray(rows)
+        except ValueError as exc:  # ragged rows
+            raise shape_error from exc
+        if a.ndim > 0 and len(a) == 0:
+            raise DomainError("a code needs at least one codeword")
+        if a.ndim != 2:
+            raise shape_error
+        if a.shape[1] == 0:
+            raise DomainError("word must have positive length")
+        if a.dtype.kind not in "iu":
+            raise shape_error
+        if a.min() < 0 or a.max() >= q:
+            raise DomainError(f"symbols must lie in [0, {q})")
+        code = cls.__new__(cls)
+        code.q, code.n = q, a.shape[1]
+        code._rows = _lex_unique(a.astype(np.int64))
+        code._rows.flags.writeable = False
+        return code
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self._rows)
 
     def __iter__(self):
-        return iter(self.words)
+        return (Word(self.q, row) for row in map(tuple, self._rows.tolist()))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Code) and self.words == other.words
+        return (isinstance(other, Code) and self.q == other.q
+                and np.array_equal(self._rows, other._rows))
 
     def __repr__(self) -> str:
         return f"Code(q={self.q}, n={self.n}, N={len(self)})"
 
     def array(self) -> np.ndarray:
-        """Codewords as an (N, n) integer array, row i = codeword i."""
-        return np.array([w.symbols for w in self.words], dtype=np.int64)
+        """Codewords as a read-only (N, n) int64 array, row i = codeword i."""
+        return self._rows
 
 
 @dataclass(frozen=True)
@@ -126,13 +170,34 @@ def enumerate_codewords(lc: LinearCode, cap: int | None = None) -> Code:
     if total > limit:
         raise EnumerationCapError(f"{total} codewords exceed cap {limit}")
     messages = np.array(list(product(range(lc.q), repeat=lc.k)), dtype=np.int64)
-    rows = (messages @ lc.generator) % lc.q
-    return Code(Word(lc.q, tuple(int(s) for s in row)) for row in rows)
+    return Code.from_array(lc.q, (messages @ lc.generator) % lc.q)
+
+
+def _symbol_columns(c: Code) -> np.ndarray:
+    """Codeword j as column j of a C-ordered n x |C| array of small ints."""
+    return np.ascontiguousarray(c.array().T, dtype=np.min_scalar_type(c.q - 1))
+
+
+def _agreements(xt: np.ndarray, yt: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """Counts of the coordinates where column i of xt equals column j of yt.
+
+    Counted one coordinate (one contiguous row of each) at a time, so the
+    working set is the count matrix itself.
+    """
+    agree = np.zeros((xt.shape[1], yt.shape[1]), dtype=dtype)
+    for xk, yk in zip(xt, yt):
+        agree += xk[:, None] == yk
+    return agree
 
 
 def _pairwise_distances(c: Code) -> np.ndarray:
-    a = c.array()
-    return (a[:, None, :] != a[None, :, :]).sum(axis=2)
+    """The |C| x |C| Hamming distance matrix.
+
+    int64, because the L-subset sums gather from it into int64 totals, and
+    a mixed-width add costs more than the wider matrix at these sizes.
+    """
+    t = _symbol_columns(c)
+    return c.n - _agreements(t, t, np.int64)
 
 
 def min_distance(c: Code) -> DistanceReport:
@@ -143,15 +208,12 @@ def min_distance(c: Code) -> DistanceReport:
     """
     if len(c) < 2:
         raise DomainError("minimum distance needs at least two codewords")
-    a = c.array().astype(np.min_scalar_type(c.q - 1))
+    t = _symbol_columns(c)
     # signed, and wide enough for n agreements
     count_dtype = np.min_scalar_type(-c.n - 1)
 
     def agreements(i0: int, i1: int) -> np.ndarray:
-        agree = np.zeros((i1 - i0, len(c) - i0), dtype=count_dtype)
-        for k in range(c.n):
-            agree += a[i0:i1, k, None] == a[i0:, k]
-        return agree
+        return _agreements(t[:, i0:i1], t[:, i0:], count_dtype)
 
     most, witness = caps.lex_first_max_pair(agreements, len(c), _DISTANCE_BLOCK)
     best = c.n - most
@@ -192,32 +254,43 @@ def lwise_bias(c: Code, L: int, cap: int | None = None) -> float:
 
 
 def is_balanced(c: Code) -> bool:
-    """True iff the code is closed under adding multiples of the all-ones word."""
-    present = set(c.words)
-    return all(w.shift(1) in present for w in c.words)
+    """True iff the code is closed under adding multiples of the all-ones word.
+
+    Adding the all-ones word permutes Z_q^n, so the shifted rows are |C|
+    distinct words; they are the code itself iff they sort to the same array.
+    """
+    shifted = _lex_unique((c.array() + 1) % c.q)
+    return np.array_equal(shifted, c.array())
 
 
 def balance_closure(c: Code) -> Code:
     """Smallest balanced superset: all constant shifts of every codeword."""
-    return Code(w.shift(alpha) for w in c.words for alpha in range(c.q))
+    alphas = np.arange(c.q)[:, None, None]
+    return Code.from_array(c.q, ((c.array() + alphas) % c.q).reshape(-1, c.n))
 
 
 def quotient_by_ones(c: Code) -> Code:
-    """One representative (lexicographic minimum) per constant-shift class."""
+    """One representative (lexicographic minimum) per constant-shift class.
+
+    The q shifts w + alpha*1 of a word w start with the q distinct symbols
+    w[0] + alpha, so exactly one of them starts with 0, and it is smaller in
+    lex order than every other shift: the class minimum is w - w[0]*1.
+    """
     if not is_balanced(c):
         raise PreconditionError("quotient requires a balanced code")
-    reps = {min(w.shift(alpha) for alpha in range(c.q)) for w in c.words}
-    return Code(reps)
+    a = c.array()
+    return Code.from_array(c.q, (a - a[:, :1]) % c.q)
 
 
 def code_bias(c: Code) -> float:
     """Max bias of the difference of any two distinct codewords.
 
-    Equal, bit for bit, to the max of bias_of_word(a.diff(b)) over
-    codeword pairs a < b: the pairs are taken in fixed-size blocks, each
-    difference's symbol counts k give the terms abs(k/n - 1.0/q) (k/n is
-    correctly rounded, as float(Fraction(k, n)) is), and the terms are added
-    one symbol at a time in symbol order, as statistical_distance adds them.
+    The bias of a word is the statistical distance of its empirical symbol
+    distribution to uniform.  The pairs are taken in fixed-size blocks, each
+    difference's symbol counts k give the terms abs(k/n - 1.0/q), with k/n
+    correctly rounded, and the terms are added one symbol at a time in
+    symbol order, so the value is the same on every interpreter and equal,
+    bit for bit, to the scalar definition.
     """
     size = len(c)
     if size < 2:
@@ -291,11 +364,10 @@ def random_linear_code_gv(
         if _rank_mod_p(g, q) != k:
             continue
         lc = LinearCode(q, k, n, g, retries=attempt)
-        code = enumerate_codewords(lc, cap)
+        weights = (enumerate_codewords(lc, cap).array() != 0).sum(axis=1)
         # linear code: min distance = min weight of a nonzero codeword
-        weights = [sum(s != 0 for s in w.symbols) for w in code.words
-                   if any(w.symbols)]
-        if weights and min(weights) >= target:
+        weights = weights[weights > 0]
+        if weights.size and weights.min() >= target:
             return lc
     raise ConstructionFailedError(
         f"no generator met distance {delta} within {retry_budget} tries"
@@ -312,14 +384,13 @@ def reed_solomon(q: int, k: int) -> Code:
     # rows of V are (x^0, ..., x^(k-1)) per evaluation point
     vand = np.array([[pow(int(x), e, q) for e in range(k)] for x in points])
     coeffs = np.array(list(product(range(q), repeat=k)), dtype=np.int64)
-    evals = (coeffs @ vand.T) % q
-    return Code(Word(q, tuple(int(s) for s in row)) for row in evals)
+    return Code.from_array(q, (coeffs @ vand.T) % q)
 
 
 def write_code_file(c: Code, path: str | Path) -> None:
     """Write a code as 'q n' followed by one codeword per line, lex order."""
     lines = [f"{c.q} {c.n}"]
-    lines += [" ".join(str(s) for s in w.symbols) for w in c.words]
+    lines += [" ".join(map(str, row)) for row in c.array().tolist()]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -331,18 +402,15 @@ def read_code_file(path: str | Path) -> Code:
         (q, n), *symbol_rows = [[int(t) for t in row] for row in rows]
     except ValueError as exc:
         raise DomainError(f"code file {path} holds a non-integer token") from exc
-    words = []
     for symbols in symbol_rows:
         if len(symbols) != n:
             raise DomainError(f"codeword length {len(symbols)} != declared {n}")
-        words.append(Word(q, tuple(symbols)))
-    return Code(words)
+    return Code.from_array(q, symbol_rows)
 
 
 def random_balanced_code(
     q: int, n: int, classes: int, rng: np.random.Generator
 ) -> Code:
     """A random balanced code: shift-closure of `classes` random words."""
-    seeds = [Word(q, tuple(int(s) for s in rng.integers(0, q, size=n)))
-             for _ in range(classes)]
-    return balance_closure(Code(seeds))
+    seeds = [rng.integers(0, q, size=n) for _ in range(classes)]
+    return balance_closure(Code.from_array(q, seeds))

@@ -19,32 +19,49 @@ UNIT_NORM_TOL = 1e-12
 INVERSE_TOL = 1e-9
 
 
+def _sph(q: int, cols: np.ndarray) -> np.ndarray:
+    """Spherical embedding of words laid out along axis 0 of `cols`."""
+    n = cols.shape[0]
+    if q == 2:
+        # exact +-1/sqrt(n); the trig path would leave a sin(pi) residue
+        return (1.0 - 2.0 * cols) / math.sqrt(n) + 0j
+    angles = 2.0 * np.pi * cols / q
+    return (np.cos(angles) + 1j * np.sin(angles)) / math.sqrt(n)
+
+
+def _bool(q: int, cols: np.ndarray) -> np.ndarray:
+    """Boolean embedding of words laid out along axis 0 of `cols`.
+
+    Coordinate i holding symbol s sets row i*q + s.
+    """
+    levels = np.arange(q).reshape((q,) + (1,) * (cols.ndim - 1))
+    onehot = cols[:, None] == levels
+    return onehot.reshape((-1,) + cols.shape[1:]).astype(np.int64)
+
+
+def _columns(c: Code) -> np.ndarray:
+    """The codewords as the columns of a C-ordered n x |C| array."""
+    return np.ascontiguousarray(c.array().T)
+
+
 def sph_word(c: Word) -> np.ndarray:
     """Unit-norm spherical embedding of a word, length n."""
-    symbols = np.array(c.symbols, dtype=np.float64)
-    if c.q == 2:
-        # exact +-1/sqrt(n); the trig path would leave a sin(pi) residue
-        return (1.0 - 2.0 * symbols) / math.sqrt(c.n) + 0j
-    angles = 2.0 * np.pi * symbols / c.q
-    return (np.cos(angles) + 1j * np.sin(angles)) / math.sqrt(c.n)
+    return _sph(c.q, np.array(c.symbols, dtype=np.int64))
 
 
 def bool_word(c: Word) -> np.ndarray:
     """0/1 embedding of a word, length q*n, one 1 per q-block."""
-    out = np.zeros(c.q * c.n, dtype=np.int64)
-    for i, s in enumerate(c.symbols):
-        out[i * c.q + s] = 1
-    return out
+    return _bool(c.q, np.array(c.symbols, dtype=np.int64))
 
 
 def sph_code(c: Code) -> np.ndarray:
     """n x |C| complex matrix whose columns are sph_word of each codeword."""
-    return np.column_stack([sph_word(w) for w in c.words])
+    return _sph(c.q, _columns(c))
 
 
 def bool_code(c: Code, normalize: bool = False) -> np.ndarray:
     """qn x |C| matrix of Boolean embeddings; unit columns when normalized."""
-    m = np.column_stack([bool_word(w) for w in c.words])
+    m = _bool(c.q, _columns(c))
     if normalize:
         return m / math.sqrt(c.n)
     return m

@@ -5,10 +5,6 @@ class SparseCodeError(Exception):
     """Base class for all library errors."""
 
 
-class DimensionMismatchError(SparseCodeError, ValueError):
-    """Operands disagree on length or alphabet size."""
-
-
 class DomainError(SparseCodeError, ValueError):
     """A parameter is outside the range an operation supports."""
 

@@ -12,6 +12,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from scalar_oracles import hamming_distance
 from sparsecode.bounds import gv_critical_expansion, gv_rate, mrrw_rate_bound, q_ary_entropy
 from sparsecode.certify import (
     FLAT_FROM_RIP_FACTOR,
@@ -46,7 +47,7 @@ from sparsecode.recovery import (
     uniqueness_certificate,
     vandermonde_matrix,
 )
-from sparsecode.words import Word, hamming_distance
+from sparsecode.words import Word
 
 SLACK = 1e-9
 
@@ -210,7 +211,7 @@ def test_criterion_07_design_parameters(balanced_corpus):
         report = verify_design(design_from_code(code))
         pairwise = [
             code.n - hamming_distance(a, b)
-            for a, b in combinations(code.words, 2)
+            for a, b in combinations(tuple(code), 2)
         ]
         expected = max(pairwise)
         d = min_distance(code).absolute

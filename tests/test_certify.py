@@ -240,3 +240,26 @@ class TestFlatTranslation:
             translate_flat_to_rip(-0.1, 4)
         with pytest.raises(DomainError):
             translate_flat_to_rip(0.1, 1)
+
+
+_NON_FINITE = [
+    [[np.nan, 1, 0.5], [0, 1, 0.5]],
+    [[np.inf, 1, 0.5], [0, 1, 0.5]],
+    [[1, 0, 0.5], [0, -np.inf, 0.5]],
+    np.array([[1, 0, 0.5], [0, complex(1, np.nan), 0.5]]),
+]
+
+
+@pytest.mark.parametrize("certifier", [
+    coherence,
+    lambda m: rip2_constant(m, 2),
+    lambda m: rip2_profile(m, 2),
+    lambda m: flat_rip_constant(m, 1),
+    lambda m: kernel_injectivity(m, 1),
+], ids=["coherence", "rip2_constant", "rip2_profile", "flat_rip_constant",
+        "kernel_injectivity"])
+@pytest.mark.parametrize("m", _NON_FINITE, ids=["nan", "inf", "-inf", "complex-nan"])
+def test_non_finite_entries_rejected(certifier, m):
+    # a verdict on NaN or inf entries would certify garbage
+    with pytest.raises(DomainError, match="finite"):
+        certifier(m)

@@ -339,6 +339,8 @@ _BAD_FILES = {
     "header.code": "2 3\n",
     "short.code": "3 2\n0 1\n2\n",
     "symbol.code": "2 2\n0 2\n",
+    "alphabet.code": "1 2\n0 0\n",
+    "negative.code": "2 2\n0 -1\n",
     "junk.code": "q n\nx y\n",
 }
 
@@ -380,6 +382,10 @@ class TestExitContract:
         ["verify", "list-decode", "--input", "empty.code", "--rho", "0.5"],
         ["verify", "list-decode", "--input", "header.code", "--rho", "0.5"],
         ["verify", "list-decode", "--input", "junk.code", "--rho", "0.5"],
+        ["verify", "list-decode", "--input", "short.code", "--rho", "0.5"],
+        ["verify", "list-decode", "--input", "symbol.code", "--rho", "0.5"],
+        ["verify", "list-decode", "--input", "alphabet.code", "--rho", "0.5"],
+        ["verify", "list-decode", "--input", "negative.code", "--rho", "0.5"],
         ["verify", "list-decode", "--input", "ks.json", "--rho", "0.5"],
         ["gt-roundtrip", "--matrix", "ks.json", "--L", "30"],
         ["gt-roundtrip", "--matrix", "ks.json", "--L", "-1"],
@@ -397,6 +403,18 @@ class TestExitContract:
         assert code == 2
         assert out == ""
         assert err.count("error:") == 1
+
+    @pytest.mark.parametrize("name, reason", [
+        ("short.code", "codeword length 1 != declared 2"),
+        ("symbol.code", "symbols must lie in [0, 2)"),
+        ("alphabet.code", "alphabet size must be >= 2, got 1"),
+        ("negative.code", "symbols must lie in [0, 2)"),
+    ])
+    def test_code_file_reasons(self, capsys, cli_files, name, reason):
+        argv = ["verify", "list-decode", "--input", str(cli_files / name),
+                "--rho", "0.5"]
+        code, out, err = run_any(capsys, argv)
+        assert (code, out, err) == (2, "", f"error: {reason}\n")
 
 
 # well-formed files half the time, so runs also reach the certifiers

@@ -29,7 +29,14 @@ from sparsecode.errors import (
     EnumerationCapError,
     PreconditionError,
 )
-from sparsecode.words import Word, bias_of_word, hamming_distance
+from scalar_oracles import (
+    bias_of_word,
+    broadcast_pairwise_distances,
+    diff,
+    hamming_distance,
+    shift,
+)
+from sparsecode.words import Word
 
 
 def _code(q, *rows):
@@ -39,7 +46,7 @@ def _code(q, *rows):
 class TestCodeContainer:
     def test_sorted_and_deduplicated(self):
         c = Code([Word(2, (1, 0)), Word(2, (0, 1)), Word(2, (1, 0))])
-        assert c.words == (Word(2, (0, 1)), Word(2, (1, 0)))
+        assert tuple(c) == (Word(2, (0, 1)), Word(2, (1, 0)))
 
     def test_mixed_alphabets_rejected(self):
         with pytest.raises(DomainError):
@@ -57,7 +64,7 @@ class TestCodeContainer:
 class TestLinearCodes:
     def test_repetition_code(self):
         lc = LinearCode(2, 1, 3, [[1, 1, 1]])
-        words = enumerate_codewords(lc).words
+        words = tuple(enumerate_codewords(lc))
         assert words == (Word(2, (0, 0, 0)), Word(2, (1, 1, 1)))
 
     def test_full_space(self):
@@ -190,6 +197,48 @@ class TestLwiseDistance:
             lwise_distance(c, 4, cap=10)
 
 
+class TestPairwiseDistances:
+    def _codes(self):
+        rng = np.random.default_rng(31)
+        cases = [reed_solomon(5, 2), _code(2, (0,)), _code(3, (0, 1, 2), (2, 1, 0))]
+        # distances around the int8 limit
+        for n in (127, 128, 300):
+            cases.append(_code(2, (0,) * n, (0,) * (n - 1) + (1,), (1,) * n))
+        for q in (2, 3, 5):
+            for _ in range(6):
+                n = int(rng.integers(1, 12))
+                cases.append(_code(q, *{tuple(int(s) for s in rng.integers(0, q, size=n))
+                                        for _ in range(int(rng.integers(1, 16)))}))
+        return cases
+
+    def test_matches_broadcast_oracle(self):
+        for c in self._codes():
+            assert np.array_equal(codes._pairwise_distances(c),
+                                  broadcast_pairwise_distances(c.array()))
+
+    def test_lwise_reports_match_broadcast_oracle(self, monkeypatch):
+        cases = [c for c in self._codes() if len(c) >= 3 and c.n < 100]
+        got = [[lwise_distance(c, L) for L in (2, 3)] for c in cases]
+        got_bias = [lwise_bias(c, 3) for c in cases if c.q == 2]
+        monkeypatch.setattr(codes, "_pairwise_distances",
+                            lambda c: broadcast_pairwise_distances(c.array()))
+        assert got == [[lwise_distance(c, L) for L in (2, 3)] for c in cases]
+        assert got_bias == [lwise_bias(c, 3) for c in cases if c.q == 2]
+        assert len(got_bias) >= 5
+
+    def test_memory_is_quadratic(self):
+        # 512 codewords of length 200: the 512 x 512 x 200 comparison alone
+        # would take ~52 MB, the int64 distance matrix takes 2 MB
+        c = Code.from_array(2, np.random.default_rng(3).integers(0, 2, size=(512, 200)))
+        tracemalloc.start()
+        try:
+            codes._pairwise_distances(c)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+
 class TestLwiseBias:
     def test_single_pair_at_full_distance(self):
         assert lwise_bias(_code(2, (0, 0), (1, 1)), 2) == pytest.approx(0.5)
@@ -208,7 +257,7 @@ class TestLwiseBias:
             c = _code(2, *rows)
             dists = [
                 hamming_distance(a, b) / c.n
-                for a, b in combinations(c.words, 2)
+                for a, b in combinations(tuple(c), 2)
             ]
             expected = max(abs(min(dists) - 0.5), abs(max(dists) - 0.5))
             assert lwise_bias(c, 2) == pytest.approx(expected)
@@ -238,7 +287,7 @@ class TestBalanceAndQuotient:
 
     def test_quotient_single_class(self):
         q = quotient_by_ones(_code(2, (0, 0), (1, 1)))
-        assert q.words == (Word(2, (0, 0)),)
+        assert tuple(q) == (Word(2, (0, 0)),)
 
     def test_quotient_lex_min_representatives(self):
         q = quotient_by_ones(_code(2, (0, 0), (0, 1), (1, 0), (1, 1)))
@@ -254,7 +303,7 @@ class TestBalanceAndQuotient:
 
 def _pairwise_code_bias(c):
     """Reference code_bias: one Word difference and bias_of_word per pair."""
-    return max(bias_of_word(a.diff(b)) for a, b in combinations(c.words, 2))
+    return max(bias_of_word(diff(a, b)) for a, b in combinations(tuple(c), 2))
 
 
 class TestCodeBias:
@@ -401,8 +450,8 @@ def test_balanced_cross_complement_distance_identity(balanced_corpus):
             continue
         L = 3
         idx = rng.choice(len(code), size=L, replace=False)
-        words = [code.words[i] for i in idx]
-        shifted = [w.shift(1) for w in words]
+        words = [tuple(code)[i] for i in idx]
+        shifted = [shift(w, 1) for w in words]
         pairs = list(combinations(range(L), 2))
         direct = sum(hamming_distance(words[a], words[b]) for a, b in pairs)
         crossed = sum(hamming_distance(words[a], shifted[b]) for a, b in pairs)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scalar_oracles import hamming_distance
 from sparsecode import listdecode
 
 from sparsecode.codes import Code, balance_closure, enumerate_codewords, random_linear_code_gv
@@ -20,7 +21,7 @@ from sparsecode.listdecode import (
     pipeline_epsilon_floor,
     rip_to_listdecoding_report,
 )
-from sparsecode.words import Word, hamming_distance
+from sparsecode.words import Word
 
 
 def _code(q, *rows):
@@ -32,7 +33,7 @@ def _naive_list_size(c, radius):
     best = 0
     for center in product(range(c.q), repeat=c.n):
         x = Word(c.q, center)
-        count = sum(hamming_distance(x, w) <= radius for w in c.words)
+        count = sum(hamming_distance(x, w) <= radius for w in c)
         best = max(best, count)
     return best
 
@@ -183,7 +184,7 @@ class TestListSize:
         rep = list_size_at_radius(c, 0.3)
         attained = sum(
             hamming_distance(rep.worst_center, w) <= rep.absolute_radius
-            for w in c.words
+            for w in c
         )
         assert attained == rep.max_list_size
 
