@@ -49,7 +49,6 @@ from .group_testing import (
     Design,
     design_from_code,
     verify_design,
-    matrix_from_design,
     verify_disjunct,
     max_disjunct_order,
     gt_encode,

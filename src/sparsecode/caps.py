@@ -14,7 +14,7 @@ from itertools import chain, combinations, islice
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, EnumerationCapError
 
 DEFAULT_CODEWORD_CAP = 2**20
 DEFAULT_SUBSET_CAP = 10**7
@@ -56,6 +56,12 @@ def center_cap(cap: int | None = None) -> int:
         return cap
     env = _env_cap()
     return DEFAULT_CENTER_CAP if env is None else env
+
+
+def require(count: int, limit: int, what: str) -> None:
+    """Refuse to enumerate `count` items of a kind when that exceeds its cap."""
+    if count > limit:
+        raise EnumerationCapError(f"{count} {what} exceed cap {limit}")
 
 
 def subsets(n_items: int, size: int) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import caps
-from .errors import DomainError, EnumerationCapError, PreconditionError
+from .errors import DomainError, PreconditionError
 
 UNIT_NORM_TOL = 1e-9
 RANK_TOL = 1e-9
@@ -160,15 +160,6 @@ def coherence(m: np.ndarray) -> CoherenceReport:
     return CoherenceReport(best, (i, j), dev, n_cols * (n_cols - 1) // 2)
 
 
-def _subset_counts(n_cols: int, max_size: int, cap: int) -> int:
-    total = sum(math.comb(n_cols, s) for s in range(1, max_size + 1))
-    if total > cap:
-        raise EnumerationCapError(
-            f"{total} subsets up to size {max_size} exceed cap {cap}"
-        )
-    return total
-
-
 def rip2_profile(m: np.ndarray, L: int, cap: int | None = None) -> list[RipReport]:
     """RIP-2 reports for every order 1..L in one enumeration pass.
 
@@ -180,7 +171,8 @@ def rip2_profile(m: np.ndarray, L: int, cap: int | None = None) -> list[RipRepor
     n_cols = m.shape[1]
     if not (1 <= L <= n_cols):
         raise DomainError(f"need 1 <= L <= N, got L={L}, N={n_cols}")
-    _subset_counts(n_cols, L, caps.subset_cap(cap))
+    caps.require(sum(math.comb(n_cols, s) for s in range(1, L + 1)),
+                 caps.subset_cap(cap), f"subsets up to size {L}")
     reports: list[RipReport] = []
     best = -1.0
     best_witness: tuple[int, ...] = ()
@@ -219,13 +211,11 @@ def flat_rip_constant(
     norms = np.linalg.norm(m, axis=0)
     if np.abs(norms - 1.0).max() > UNIT_NORM_TOL:
         raise PreconditionError("flat RIP requires unit-norm columns")
-    limit = caps.subset_cap(cap)
     total_pairs = sum(
         math.comb(n_cols, s) * math.comb(n_cols - s, s) // 2
         for s in range(1, L0 + 1)
     )
-    if total_pairs > limit:
-        raise EnumerationCapError(f"{total_pairs} set pairs exceed cap {limit}")
+    caps.require(total_pairs, caps.subset_cap(cap), "set pairs")
     best = -1.0
     witness = ((), ())
     checked = 0
@@ -257,7 +247,6 @@ def kernel_injectivity(
     m: np.ndarray,
     L: int,
     cap: int | None = None,
-    tol: float = RANK_TOL,
 ) -> KernelReport:
     """True iff every 2L-column submatrix has trivial right kernel."""
     m = _as_matrix(m)
@@ -265,10 +254,7 @@ def kernel_injectivity(
     if L < 1:
         raise DomainError("need L >= 1")
     s = min(2 * L, n_cols)
-    count = math.comb(n_cols, s)
-    limit = caps.subset_cap(cap)
-    if count > limit:
-        raise EnumerationCapError(f"{count} subsets exceed cap {limit}")
+    caps.require(math.comb(n_cols, s), caps.subset_cap(cap), "subsets")
     if s > n_rows:
         # more columns than rows: rank deficiency is certain
         return KernelReport(False, L, 0.0, tuple(range(s)), 1)
@@ -284,7 +270,7 @@ def kernel_injectivity(
         if float(mins[pos]) < worst:
             worst = float(mins[pos])
             worst_witness = tuple(int(i) for i in part[pos])
-    injective = worst > tol
+    injective = worst > RANK_TOL
     return KernelReport(
         injective, L, worst, None if injective else worst_witness, len(idx)
     )

@@ -22,7 +22,6 @@ from .bounds import q_ary_entropy
 from .errors import (
     ConstructionFailedError,
     DomainError,
-    EnumerationCapError,
     PreconditionError,
 )
 from .words import Word, is_prime
@@ -31,6 +30,8 @@ from .words import Word, is_prime
 _PAIR_BLOCK = 1 << 14
 # codeword rows per block in min_distance
 _DISTANCE_BLOCK = 64
+# generator draws random_linear_code_gv tries before it gives up
+_RETRY_BUDGET = 200
 
 
 def _lex_unique(a: np.ndarray) -> np.ndarray:
@@ -165,10 +166,7 @@ def _rank_mod_p(mat: np.ndarray, p: int) -> int:
 
 def enumerate_codewords(lc: LinearCode, cap: int | None = None) -> Code:
     """All q^k codewords m*G of a linear code."""
-    total = lc.q**lc.k
-    limit = caps.codeword_cap(cap)
-    if total > limit:
-        raise EnumerationCapError(f"{total} codewords exceed cap {limit}")
+    caps.require(lc.q**lc.k, caps.codeword_cap(cap), "codewords")
     messages = np.array(list(product(range(lc.q), repeat=lc.k)), dtype=np.int64)
     return Code.from_array(lc.q, (messages @ lc.generator) % lc.q)
 
@@ -222,9 +220,7 @@ def min_distance(c: Code) -> DistanceReport:
 
 def _avg_subset_distances(c: Code, L: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
     """Average relative pairwise distance of every L-subset, in lex order."""
-    count = math.comb(len(c), L)
-    if count > cap:
-        raise EnumerationCapError(f"{count} subsets of size {L} exceed cap {cap}")
+    caps.require(math.comb(len(c), L), cap, f"subsets of size {L}")
     d = _pairwise_distances(c)
     idx = caps.subsets(len(c), L)
     totals = np.zeros(len(idx), dtype=np.int64)
@@ -335,7 +331,6 @@ def random_linear_code_gv(
     delta: float,
     seed: int,
     slack: float = 0.1,
-    retry_budget: int = 200,
     cap: int | None = None,
 ) -> LinearCode:
     """Sample a linear code of relative distance >= delta at near-GV rate.
@@ -359,7 +354,7 @@ def random_linear_code_gv(
         )
     rng = np.random.default_rng(seed)
     target = delta * n - 1e-9
-    for attempt in range(retry_budget):
+    for attempt in range(_RETRY_BUDGET):
         g = rng.integers(0, q, size=(k, n))
         if _rank_mod_p(g, q) != k:
             continue
@@ -370,7 +365,7 @@ def random_linear_code_gv(
         if weights.size and weights.min() >= target:
             return lc
     raise ConstructionFailedError(
-        f"no generator met distance {delta} within {retry_budget} tries"
+        f"no generator met distance {delta} within {_RETRY_BUDGET} tries"
     )
 
 
@@ -380,11 +375,9 @@ def reed_solomon(q: int, k: int) -> Code:
         raise DomainError(f"alphabet size {q} must be prime")
     if not (1 <= k <= q):
         raise DomainError(f"need 1 <= k <= q, got k={k}")
-    points = np.arange(q, dtype=np.int64)
-    # rows of V are (x^0, ..., x^(k-1)) per evaluation point
-    vand = np.array([[pow(int(x), e, q) for e in range(k)] for x in points])
-    coeffs = np.array(list(product(range(q), repeat=k)), dtype=np.int64)
-    return Code.from_array(q, (coeffs @ vand.T) % q)
+    # generator row e holds x^e at each point x; distinct points give rank k
+    generator = [[pow(x, e, q) for x in range(q)] for e in range(k)]
+    return enumerate_codewords(LinearCode(q, k, q, generator))
 
 
 def write_code_file(c: Code, path: str | Path) -> None:

@@ -9,6 +9,7 @@ weight at most L, that decoder is exact.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import tee
 
@@ -16,7 +17,8 @@ import numpy as np
 
 from . import caps
 from .codes import Code, min_distance, reed_solomon
-from .errors import DomainError, EnumerationCapError
+from .embeddings import bool_code
+from .errors import DomainError
 
 # incidence-matrix columns per Gram block in verify_design
 _GRAM_BLOCK = 128
@@ -25,23 +27,48 @@ _TUPLE_BLOCK_FIRST = 64
 _TUPLE_BLOCK_MAX = 1 << 13
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Design:
-    """N subsets of [ground_size], each of size set_size."""
+    """N subsets of [ground_size], each of size set_size, held as their
+    read-only bool incidence matrix: column j is the indicator of set j."""
 
     ground_size: int
     set_size: int
-    sets: tuple[tuple[int, ...], ...]
+    matrix: np.ndarray  # (ground_size, N)
 
-    def __post_init__(self):
-        if any(len(s) != self.set_size for s in self.sets):
+    def __init__(self, ground_size: int, set_size: int,
+                 sets: Sequence[Sequence[int]]):
+        if any(len(s) != set_size for s in sets):
             raise DomainError("every set must have exactly set_size elements")
-        elements = np.sort(np.array(self.sets, dtype=np.int64)
-                           .reshape(len(self.sets), self.set_size), axis=1)
+        elements = np.sort(np.array(sets, dtype=np.int64)
+                           .reshape(len(sets), set_size), axis=1)
         if (elements[:, 1:] == elements[:, :-1]).any():
             raise DomainError("every set must have exactly set_size elements")
-        if ((elements < 0) | (elements >= self.ground_size)).any():
+        if ((elements < 0) | (elements >= ground_size)).any():
             raise DomainError("set elements must lie in the ground set")
+        matrix = np.zeros((ground_size, len(sets)), dtype=bool)
+        matrix[elements, np.arange(len(sets))[:, None]] = True
+        _hold(self, matrix, set_size)
+
+    @property
+    def sets(self) -> np.ndarray:
+        """(N, set_size) int64: the elements of each set, ascending."""
+        # nonzeros of the transpose come column by column, rows ascending
+        rows = np.nonzero(self.matrix.T)[1].reshape(self.matrix.shape[1], self.set_size)
+        rows.flags.writeable = False
+        return rows
+
+    def __eq__(self, other):
+        return (isinstance(other, Design) and self.set_size == other.set_size
+                and np.array_equal(self.matrix, other.matrix))
+
+
+def _hold(d: Design, incidence: np.ndarray, set_size: int) -> Design:
+    """The one normaliser: d keeps a read-only bool copy of the matrix."""
+    matrix = np.array(incidence, dtype=bool)
+    matrix.flags.writeable = False
+    vars(d).update(ground_size=matrix.shape[0], set_size=set_size, matrix=matrix)
+    return d
 
 
 @dataclass(frozen=True)
@@ -91,28 +118,16 @@ def as_binary(m: np.ndarray) -> np.ndarray:
 
 def design_from_code(c: Code) -> Design:
     """Sets = supports of the Boolean embeddings of the codewords."""
-    # symbol s at coordinate i is element i * q + s, so each set is sorted
-    supports = c.array() + c.q * np.arange(c.n)
-    return Design(c.n * c.q, c.n, tuple(map(tuple, supports.tolist())))
+    return design_from_matrix(bool_code(c))
 
 
 def design_from_matrix(m: np.ndarray) -> Design:
     """The design whose set j is the support of column j of a 0/1 matrix."""
     b = as_binary(m)
-    sizes = np.unique(b.sum(axis=0))
-    if len(sizes) != 1:
+    sizes = b.sum(axis=0)
+    if sizes.size == 0 or sizes.min() != sizes.max():
         raise DomainError("matrix columns have non-uniform support sizes")
-    # nonzeros of the transpose come column by column, rows ascending
-    supports = np.nonzero(b.T)[1].reshape(b.shape[1], int(sizes[0]))
-    return Design(b.shape[0], int(sizes[0]), tuple(map(tuple, supports.tolist())))
-
-
-def matrix_from_design(d: Design) -> np.ndarray:
-    """0/1 matrix whose column i is the characteristic vector of set i."""
-    m = np.zeros((d.ground_size, len(d.sets)), dtype=np.int64)
-    elements = np.array(d.sets, dtype=np.intp).reshape(len(d.sets), d.set_size)
-    m[elements, np.arange(len(d.sets))[:, None]] = 1
-    return m
+    return _hold(object.__new__(Design), b, int(sizes[0]))
 
 
 def verify_design(d: Design) -> DesignReport:
@@ -121,11 +136,12 @@ def verify_design(d: Design) -> DesignReport:
     Intersections are blocks of rows of the Gram matrix of the incidence
     matrix.  Its entries are counts <= set_size, so float64 BLAS is exact.
     """
-    if len(d.sets) < 2:
+    n_sets = d.matrix.shape[1]
+    if n_sets < 2:
         return DesignReport(d.ground_size, d.set_size, 0, None)
-    m = matrix_from_design(d).astype(np.float64)
+    m = d.matrix.astype(np.float64)
     best, witness = caps.lex_first_max_pair(
-        lambda i0, i1: m[:, i0:i1].T @ m[:, i0:], len(d.sets), _GRAM_BLOCK)
+        lambda i0, i1: m[:, i0:i1].T @ m[:, i0:], n_sets, _GRAM_BLOCK)
     return DesignReport(d.ground_size, d.set_size, best, witness)
 
 
@@ -149,9 +165,7 @@ def verify_disjunct(m: np.ndarray, L: int, cap: int | None = None) -> DisjunctRe
         raise DomainError(f"need L + 1 <= N, got L={L}, N={n_cols}")
     per_target = math.comb(n_cols - 1, L)
     count = per_target * n_cols
-    limit = caps.subset_cap(cap)
-    if count > limit:
-        raise EnumerationCapError(f"{count} choices exceed cap {limit}")
+    caps.require(count, caps.subset_cap(cap), "choices")
     # every target walks the same blocks; tee builds each block once
     walks = tee(caps.subset_blocks(n_cols - 1, L, _TUPLE_BLOCK_FIRST,
                                    _TUPLE_BLOCK_MAX), n_cols)
@@ -170,7 +184,7 @@ def verify_disjunct(m: np.ndarray, L: int, cap: int | None = None) -> DisjunctRe
             if covers[hit]:
                 # others' index c is column c + (c >= target)
                 chosen = rows[hit] + (rows[hit] >= target)
-                return DisjunctReport(L, False, (target, tuple(chosen.tolist())),
+                return DisjunctReport(L, False, (target, tuple(int(c) for c in chosen)),
                                       target * per_target + start + hit + 1)
     return DisjunctReport(L, True, None, count)
 
@@ -218,14 +232,15 @@ def gt_decode_cover(m: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def kautz_singleton(q: int, k: int) -> tuple[np.ndarray, dict]:
-    """Reed-Solomon -> design -> disjunct matrix, with a provenance record.
+    """Reed-Solomon -> Boolean embedding -> disjunct matrix, with provenance.
+
+    The Boolean embedding of the code is the incidence matrix of its design.
 
     Yields a q^2 x q^k binary matrix that is L-disjunct for every L with
     L * k < q.
     """
     code = reed_solomon(q, k)
-    design = design_from_code(code)
-    matrix = matrix_from_design(design)
+    matrix = bool_code(code)
     # conservative guarantee L * k < q; the measured intersection bound is
     # k - 1, so the matrix is in fact at least this disjunct
     guaranteed = (q - 1) // k

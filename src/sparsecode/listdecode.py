@@ -20,7 +20,7 @@ from . import caps
 from .certify import bias_factor_from_flat, flat_rip_constant, FLAT_FROM_RIP_FACTOR
 from .codes import Code, lwise_bias, lwise_distance
 from .embeddings import sph_inverse_binary
-from .errors import DomainError, EnumerationCapError
+from .errors import DomainError
 from .words import Word
 
 # elements in one block of center-to-codeword distances (about 1 MB each for
@@ -107,10 +107,7 @@ def list_sizes_at_radii(
     allocated.
     """
     q, n = c.q, c.n
-    total = q**n
-    limit = caps.center_cap(cap)
-    if total > limit:
-        raise EnumerationCapError(f"{total} centers exceed cap {limit}")
+    caps.require(q**n, caps.center_cap(cap), "centers")
     hi = n - n // 2
     lo_size, hi_size = q ** (n // 2), q**hi
     words = c.array()

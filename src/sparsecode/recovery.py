@@ -15,7 +15,7 @@ import numpy as np
 
 from . import caps
 from .certify import kernel_injectivity
-from .errors import DomainError, EnumerationCapError
+from .errors import DomainError
 
 DEFAULT_DECODE_TOL = 1e-8
 NODE_GAP_TOL = 1e-9
@@ -86,10 +86,8 @@ def cs_decode_exhaustive(
     n_cols = m.shape[1]
     if not (0 <= L <= n_cols):
         raise DomainError(f"need 0 <= L <= N, got L={L}")
-    total = sum(math.comb(n_cols, s) for s in range(0, L + 1))
-    limit = caps.subset_cap(cap)
-    if total > limit:
-        raise EnumerationCapError(f"{total} supports exceed cap {limit}")
+    caps.require(sum(math.comb(n_cols, s) for s in range(0, L + 1)),
+                 caps.subset_cap(cap), "supports")
     accept = tol * (1.0 + float(np.linalg.norm(y)))
     tried = 0
     for size in range(0, L + 1):

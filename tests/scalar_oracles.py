@@ -6,8 +6,9 @@ empirical distributions, statistical distance and word bias, Hamming
 distance between two Words (and the mismatch error only these raise),
 constant shifts and differences, and the Word-chain builders
 (linear-code enumeration, Reed-Solomon, balance closure, quotient by the
-all-ones word, spherical and Boolean embeddings, code files).  No library
-code imports this module.  Builders return the sorted tuple of distinct
+all-ones word, spherical and Boolean embeddings, code files), and the
+design as a tuple of int tuples with its conversions to and from 0/1
+matrices.  No library code imports this module.  Builders return the sorted tuple of distinct
 Words, the order the library's Code uses.
 """
 
@@ -21,6 +22,7 @@ from itertools import product
 import numpy as np
 
 from sparsecode.errors import DomainError, PreconditionError, SparseCodeError
+from sparsecode.group_testing import as_binary
 from sparsecode.words import Word
 
 MASS_TOLERANCE = 1e-12
@@ -176,6 +178,51 @@ def code_file_text(words: tuple[Word, ...]) -> str:
     lines = [f"{words[0].q} {words[0].n}"]
     lines += [" ".join(str(s) for s in w.symbols) for w in words]
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------- designs
+
+@dataclass(frozen=True)
+class Design:
+    """N subsets of [ground_size], each of size set_size, as int tuples."""
+
+    ground_size: int
+    set_size: int
+    sets: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        if any(len(s) != self.set_size for s in self.sets):
+            raise DomainError("every set must have exactly set_size elements")
+        elements = np.sort(np.array(self.sets, dtype=np.int64)
+                           .reshape(len(self.sets), self.set_size), axis=1)
+        if (elements[:, 1:] == elements[:, :-1]).any():
+            raise DomainError("every set must have exactly set_size elements")
+        if ((elements < 0) | (elements >= self.ground_size)).any():
+            raise DomainError("set elements must lie in the ground set")
+
+
+def design_from_code(c) -> Design:
+    """Sets = supports of the Boolean embeddings of the codewords of a Code."""
+    # symbol s at coordinate i is element i * q + s, so each set is sorted
+    supports = c.array() + c.q * np.arange(c.n)
+    return Design(c.n * c.q, c.n, tuple(map(tuple, supports.tolist())))
+
+
+def design_from_matrix(m: np.ndarray) -> Design:
+    b = as_binary(m)
+    sizes = np.unique(b.sum(axis=0))
+    if len(sizes) != 1:
+        raise DomainError("matrix columns have non-uniform support sizes")
+    supports = np.nonzero(b.T)[1].reshape(b.shape[1], int(sizes[0]))
+    return Design(b.shape[0], int(sizes[0]), tuple(map(tuple, supports.tolist())))
+
+
+def matrix_from_design(d: Design) -> np.ndarray:
+    """0/1 int64 matrix whose column i is the characteristic vector of set i."""
+    m = np.zeros((d.ground_size, len(d.sets)), dtype=np.int64)
+    elements = np.array(d.sets, dtype=np.intp).reshape(len(d.sets), d.set_size)
+    m[elements, np.arange(len(d.sets))[:, None]] = 1
+    return m
 
 
 # ---------------------------------------------------------------- distances

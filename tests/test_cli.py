@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from itertools import chain, combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import sparsecode
 from sparsecode import cli
 from sparsecode.cli import main
 from sparsecode.codes import read_code_file
@@ -63,6 +68,18 @@ class TestBuild:
         )
         assert code == 2
         assert "missing required flag" in err
+
+    @pytest.mark.parametrize("kind", ["rs-code", "kautz-singleton"])
+    def test_codeword_cap_exits_2(self, capsys, tmp_path, monkeypatch, kind):
+        monkeypatch.setenv("SPARSECODE_CAP", "100")
+        out = tmp_path / "out"
+        code, report, err = run(capsys, "build", kind, "--q", "11", "--k", "2",
+                                "--out", str(out))
+        assert code == 2
+        assert report is None
+        assert err.count("error:") == 1
+        assert "121 codewords exceed cap 100" in err
+        assert not out.exists()
 
     def test_sph_from_code_file(self, capsys, tmp_path):
         code_path = tmp_path / "rs.code"
@@ -308,6 +325,28 @@ class TestPipelines:
         code, _, err = run(capsys, "pipeline", "gv-rip")
         assert code == 2
         assert "missing required flag" in err
+
+
+_NUMPY_MA_PROBE = """
+import contextlib, io, sys
+from sparsecode.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, "numpy.ma" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "design", "--input", "ks.json"],
+    ["pipeline", "ks-gt", "--q", "7", "--k", "2"],
+])
+def test_design_paths_never_import_numpy_ma(tmp_path, argv):
+    # these paths have no use for numpy.ma, a sizeable import at process start
+    write_matrix(kautz_singleton(5, 2)[0], tmp_path / "ks.json")
+    env = dict(os.environ, PYTHONPATH=str(Path(sparsecode.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", _NUMPY_MA_PROBE, *argv],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert done.stdout.split() == ["0", "False"], done.stderr
 
 
 class TestDeterminism:

@@ -419,6 +419,12 @@ class TestReedSolomon:
         with pytest.raises(DomainError):
             reed_solomon(5, 6)
 
+    def test_codeword_cap(self, monkeypatch):
+        monkeypatch.setenv("SPARSECODE_CAP", "100")
+        assert len(reed_solomon(7, 2)) == 49
+        with pytest.raises(EnumerationCapError, match="121 codewords exceed cap 100"):
+            reed_solomon(11, 2)
+
 
 class TestCodeFiles:
     def test_roundtrip(self, tmp_path):

@@ -3,12 +3,14 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import scalar_oracles as oracle
 from scalar_oracles import hamming_distance
 from sparsecode import group_testing
-from sparsecode.codes import min_distance, reed_solomon
+from sparsecode.codes import min_distance, random_balanced_code, reed_solomon
+from sparsecode.embeddings import bool_code
 from sparsecode.errors import DomainError, EnumerationCapError
 from sparsecode.group_testing import (
     Design,
@@ -20,7 +22,6 @@ from sparsecode.group_testing import (
     gt_decode_cover,
     gt_encode,
     kautz_singleton,
-    matrix_from_design,
     max_disjunct_order,
     verify_design,
     verify_disjunct,
@@ -161,9 +162,9 @@ class TestVerifyDesignKernel:
 class TestDesignFromMatrix:
     def test_inverts_matrix_from_design(self):
         d = design_from_code(reed_solomon(5, 2))
-        m = matrix_from_design(d)
+        m = d.matrix.astype(np.int64)
         assert design_from_matrix(m) == d
-        assert np.array_equal(matrix_from_design(design_from_matrix(m)), m)
+        assert np.array_equal(design_from_matrix(m).matrix, m)
 
     def test_non_uniform_supports_rejected(self):
         with pytest.raises(DomainError, match="non-uniform"):
@@ -177,13 +178,138 @@ class TestDesignFromMatrix:
 class TestMatrixFromDesign:
     def test_block_structure(self):
         d = design_from_code(reed_solomon(3, 1))
-        m = matrix_from_design(d)
+        m = d.matrix
         assert m.shape == (9, 3)
         assert np.array_equal(m.sum(axis=0), [3, 3, 3])
 
     def test_single_set(self):
-        m = matrix_from_design(Design(4, 2, ((1, 3),)))
+        m = Design(4, 2, ((1, 3),)).matrix
         assert np.array_equal(m[:, 0], [0, 1, 0, 1])
+
+
+_DIFFERENTIAL = settings(derandomize=True, max_examples=200, deadline=None)
+
+
+@st.composite
+def _set_lists(draw):
+    """(ground_size, set_size, sets): 0-12 sets in random element order,
+    with up to two faults mixed in (a ragged set, a repeated element, an
+    element outside the ground set)."""
+    ground = draw(st.integers(1, 10))
+    size = draw(st.integers(0, ground))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sets = [rng.permutation(ground)[:size].tolist()
+            for _ in range(draw(st.integers(0, 12)))]
+    for _ in range(draw(st.integers(0, 2)) if sets else 0):
+        s = sets[draw(st.integers(0, len(sets) - 1))]
+        fault = draw(st.sampled_from(["longer", "shorter", "repeat", "outside"]))
+        if fault == "longer":
+            s.append(draw(st.integers(-1, ground)))
+        elif s and fault == "shorter":
+            s.pop()
+        elif len(s) > 1 and fault == "repeat":
+            s[1] = s[0]
+        elif s and fault == "outside":
+            s[0] = draw(st.sampled_from([-1, ground, ground + 3]))
+    return ground, size, tuple(map(tuple, sets))
+
+
+@st.composite
+def _incidence_matrices(draw):
+    """0/1 matrices with equal column sums, 0-10 rows and 0-12 columns,
+    sometimes with one entry flipped or set to 2, as int, bool or float."""
+    rows = draw(st.integers(0, 10))
+    size = draw(st.integers(0, rows))
+    cols = draw(st.integers(0, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = np.zeros((rows, cols), dtype=np.int64)
+    for j in range(cols):
+        m[rng.permutation(rows)[:size], j] = 1
+    if m.size and draw(st.booleans()):
+        i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+        m[i, j] = draw(st.sampled_from([1 - m[i, j], 2]))
+    return m.astype(draw(st.sampled_from([np.int64, bool, np.float64])))
+
+
+def _outcome(build, *args):
+    """A built design, or the message of the DomainError that rejected it."""
+    try:
+        return build(*args)
+    except DomainError as exc:
+        return str(exc)
+
+
+def _assert_matches_oracle(got, want):
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert (got.ground_size, got.set_size) == (want.ground_size, want.set_size)
+    assert got.matrix.dtype == bool and got.sets.dtype == np.int64
+    assert np.array_equal(got.matrix, oracle.matrix_from_design(want))
+    assert got.sets.shape == (len(want.sets), want.set_size)
+    assert got.sets.tolist() == [sorted(s) for s in want.sets]
+    assert verify_design(got) == _pairwise_verify_design(want)
+
+
+class TestArrayDesign:
+    """The incidence-matrix Design against the tuple-of-tuples oracle."""
+
+    @_DIFFERENTIAL
+    @given(case=_set_lists())
+    @example(case=(1, 0, ()))
+    @example(case=(1, 0, ((),)))
+    @example(case=(1, 1, ((0,),)))
+    @example(case=(1, 1, ((0,), (0,))))
+    @example(case=(5, 2, ((0, 1), (2,))))
+    @example(case=(5, 2, ((0, 0),)))
+    @example(case=(5, 2, ((0, 5),)))
+    @example(case=(5, 2, ((7, 7),)))
+    def test_from_sets(self, case):
+        _assert_matches_oracle(_outcome(Design, *case), _outcome(oracle.Design, *case))
+
+    @_DIFFERENTIAL
+    @given(m=_incidence_matrices())
+    @example(m=np.zeros((3, 0), dtype=np.int64))
+    @example(m=np.ones((1, 1), dtype=np.int64))
+    @example(m=np.zeros((1, 4), dtype=np.int64))
+    @example(m=np.array([[1, 1], [0, 1]]))
+    @example(m=np.array([[1, 2], [2, 1]]))
+    def test_from_matrix(self, m):
+        got = _outcome(design_from_matrix, m)
+        _assert_matches_oracle(got, _outcome(oracle.design_from_matrix, m))
+        if not isinstance(got, str):
+            assert got == Design(got.ground_size, got.set_size, got.sets)
+
+    @_DIFFERENTIAL
+    @given(q=st.sampled_from([2, 3, 5, 7]), n=st.integers(1, 6),
+           classes=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_from_code(self, q, n, classes, seed):
+        c = random_balanced_code(q, n, classes, np.random.default_rng(seed))
+        got = design_from_code(c)
+        assert np.array_equal(got.matrix, bool_code(c))
+        _assert_matches_oracle(got, oracle.design_from_code(c))
+
+    @pytest.mark.parametrize("q, k", [(5, 2), (7, 2), (11, 2), (11, 3)])
+    def test_kautz_singleton_bytes_and_provenance(self, q, k):
+        m, prov = kautz_singleton(q, k)
+        want = oracle.matrix_from_design(oracle.design_from_code(reed_solomon(q, k)))
+        assert m.dtype == want.dtype == np.int64
+        assert m.tobytes() == want.tobytes()
+        assert prov == {
+            "construction": "kautz-singleton", "q": q, "k": k,
+            "block_length": q, "min_distance": q - k + 1,
+            "rows": q * q, "cols": q**k, "guaranteed_disjunct_order": (q - 1) // k,
+        }
+
+    def test_read_only_and_unaliased(self):
+        m = np.eye(3, dtype=bool)
+        d = design_from_matrix(m)
+        m[0, 1] = True
+        assert d == Design(3, 1, ((0,), (1,), (2,)))
+        with pytest.raises(ValueError, match="read-only"):
+            d.matrix[0, 0] = False
+        with pytest.raises(ValueError, match="read-only"):
+            d.sets[0, 0] = 1
 
 
 class TestVerifyDisjunct:
