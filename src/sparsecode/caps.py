@@ -1,5 +1,5 @@
-"""Enumeration caps guarding exhaustive certifiers, and the lex-order
-enumerators they share.
+"""Enumeration caps guarding exhaustive certifiers, and the one lex-order
+subset walk and lex-first tie-break they share.
 
 Exceeding a cap is always an explicit error; there is no sampling fallback.
 The SPARSECODE_CAP environment variable overrides the subset/center caps
@@ -64,28 +64,13 @@ def require(count: int, limit: int, what: str) -> None:
         raise EnumerationCapError(f"{count} {what} exceed cap {limit}")
 
 
-def subsets(n_items: int, size: int) -> np.ndarray:
-    """Every size-subset of range(n_items), one per row, in lexicographic order.
-
-    Row order is itertools.combinations order, which every lex-first witness
-    rests on.  Callers check their cap before asking for the rows.
-    """
-    count = math.comb(n_items, size)
-    flat = np.fromiter(
-        chain.from_iterable(combinations(range(n_items), size)),
-        dtype=np.int64,
-        count=count * size,
-    )
-    return flat.reshape(count, size)
-
-
 def subset_blocks(n_items: int, size: int, first: int, largest: int):
-    """The rows of subsets(n_items, size) in consecutive blocks, built lazily.
+    """Every size-subset of range(n_items) in lex (itertools.combinations)
+    order, one per int64 row, which every lex-first witness rests on.
 
-    Yields (start, rows) with rows equal to subsets(n_items, size)[start:
-    start + len(rows)].  Blocks hold `first` rows, then twice as many each
-    time up to `largest`, so a caller that stops at an early witness builds
-    only a few rows.
+    Yields (start, rows) for consecutive blocks, built lazily: `first` rows,
+    then twice as many each time up to `largest`.  Callers check their cap
+    before they walk.
     """
     combos = combinations(range(n_items), size)
     total = math.comb(n_items, size)
@@ -99,8 +84,34 @@ def subset_blocks(n_items: int, size: int, first: int, largest: int):
         block = min(2 * block, largest)
 
 
-def lex_first_max_pair(scores, size: int, block: int) -> tuple[int, tuple[int, int]]:
-    """Largest score over pairs i < j of range(size >= 2), at its lex-first pair.
+def subsets(n_items: int, size: int) -> np.ndarray:
+    """Every size-subset of range(n_items), one per row: the walk in one block."""
+    count = math.comb(n_items, size)
+    for _, rows in subset_blocks(n_items, size, count, count):
+        return rows
+    return np.empty((0, size), dtype=np.int64)
+
+
+def lex_first_max(score, n_items: int, size: int, block: int):
+    """(largest score, lex-first subset attaining it) over the size-subsets of
+    range(n_items), of which there must be one.
+
+    score(rows) scores a block of `block` rows of subsets(n_items, size).
+    Within a block argmax is the lex-first maximum, and a later block wins
+    only on a strict >, so the block size never moves a witness.
+    """
+    best, witness = None, ()
+    for _, rows in subset_blocks(n_items, size, block, block):
+        s = score(rows)
+        pos = int(np.argmax(s))
+        if best is None or s[pos] > best:
+            best, witness = s[pos].item(), tuple(rows[pos].tolist())
+    return best, witness
+
+
+def lex_first_max_pair(scores, size: int, block: int):
+    """(largest score, lex-first pair attaining it) over pairs i < j of
+    range(size >= 2).
 
     scores(i0, i1) returns a signed array of the scores of rows i0..i1-1
     against items i0..size-1, all >= 0; the caller may write to it.  Rows
@@ -115,5 +126,5 @@ def lex_first_max_pair(scores, size: int, block: int) -> tuple[int, tuple[int, i
         s[np.arange(i1 - i0)[:, None] >= np.arange(size - i0)] = -1  # j <= i
         r, c = divmod(int(np.argmax(s)), s.shape[1])
         if s[r, c] > best:
-            best, witness = int(s[r, c]), (i0 + r, i0 + c)
+            best, witness = s[r, c].item(), (i0 + r, i0 + c)
     return best, witness

@@ -133,19 +133,23 @@ class FlatTranslation:
         }
 
 
-def _as_matrix(m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m)
-    if m.ndim != 2:
+def as_finite(a, what: str) -> np.ndarray:
+    """`a` as a complex128 array, refused unless every entry is finite."""
+    a = np.asarray(a).astype(np.complex128)
+    if not np.isfinite(a).all():
+        raise DomainError(f"{what} entries must be finite")
+    return a
+
+
+def as_matrix(m: np.ndarray) -> np.ndarray:
+    if np.ndim(m) != 2:
         raise DomainError("expected a 2-d matrix")
-    m = m.astype(np.complex128)
-    if not np.isfinite(m).all():
-        raise DomainError("matrix entries must be finite")
-    return m
+    return as_finite(m, "matrix")
 
 
 def coherence(m: np.ndarray) -> CoherenceReport:
     """Max |<c_i, c_j>| over distinct column pairs, plus norm deviation."""
-    m = _as_matrix(m)
+    m = as_matrix(m)
     n_cols = m.shape[1]
     if n_cols < 2:
         raise DomainError("coherence needs at least two columns")
@@ -167,30 +171,26 @@ def rip2_profile(m: np.ndarray, L: int, cap: int | None = None) -> list[RipRepor
     distortions, since subsets of size < L are subsets of the order-L search
     space.
     """
-    m = _as_matrix(m)
+    m = as_matrix(m)
     n_cols = m.shape[1]
     if not (1 <= L <= n_cols):
         raise DomainError(f"need 1 <= L <= N, got L={L}, N={n_cols}")
     caps.require(sum(math.comb(n_cols, s) for s in range(1, L + 1)),
                  caps.subset_cap(cap), f"subsets up to size {L}")
+
+    def distortions(rows: np.ndarray) -> np.ndarray:
+        cols = m[:, rows]  # (n, K, s)
+        gram = np.einsum("nks,nkt->kst", cols.conj(), cols)
+        sv = np.sqrt(np.clip(np.linalg.eigvalsh(gram), 0.0, None))
+        return np.maximum(sv[:, -1] - 1.0, 1.0 - sv[:, 0])
+
     reports: list[RipReport] = []
-    best = -1.0
-    best_witness: tuple[int, ...] = ()
-    checked = 0
+    best, best_witness, checked = -1.0, (), 0
     for s in range(1, L + 1):
-        idx = caps.subsets(n_cols, s)
-        for lo in range(0, len(idx), _SUBSET_BLOCK):
-            part = idx[lo:lo + _SUBSET_BLOCK]
-            cols = m[:, part]  # (n, K, s)
-            gram = np.einsum("nks,nkt->kst", cols.conj(), cols)
-            eigs = np.linalg.eigvalsh(gram)
-            sv = np.sqrt(np.clip(eigs, 0.0, None))
-            alphas = np.maximum(sv[:, -1] - 1.0, 1.0 - sv[:, 0])
-            pos = int(np.argmax(alphas))
-            if float(alphas[pos]) > best:
-                best = float(alphas[pos])
-                best_witness = tuple(int(i) for i in part[pos])
-        checked += len(idx)
+        size_best, witness = caps.lex_first_max(distortions, n_cols, s, _SUBSET_BLOCK)
+        if size_best > best:
+            best, best_witness = size_best, witness
+        checked += math.comb(n_cols, s)
         reports.append(RipReport(s, best, best_witness, checked))
     return reports
 
@@ -200,11 +200,9 @@ def rip2_constant(m: np.ndarray, L: int, cap: int | None = None) -> RipReport:
     return rip2_profile(m, L, cap=cap)[-1]
 
 
-def flat_rip_constant(
-    m: np.ndarray, L0: int, cap: int | None = None
-) -> FlatRipReport:
+def flat_rip_constant(m: np.ndarray, L0: int, cap: int | None = None) -> FlatRipReport:
     """Smallest flat-RIP constant over disjoint equal-size set pairs up to L0."""
-    m = _as_matrix(m)
+    m = as_matrix(m)
     n_cols = m.shape[1]
     if not (1 <= L0 <= n_cols // 2):
         raise DomainError(f"need 1 <= L0 <= N/2, got L0={L0}, N={n_cols}")
@@ -216,40 +214,26 @@ def flat_rip_constant(
         for s in range(1, L0 + 1)
     )
     caps.require(total_pairs, caps.subset_cap(cap), "set pairs")
-    best = -1.0
-    witness = ((), ())
-    checked = 0
+    best, witness = -1.0, ((), ())
     for s in range(1, L0 + 1):
         idx = caps.subsets(n_cols, s)
         sums = m[:, idx].sum(axis=2).T  # (K, n)
         member = np.zeros((len(idx), n_cols), dtype=bool)
         member[np.arange(len(idx))[:, None], idx] = True
-        disjoint = ~(member @ member.T.astype(np.int64)).astype(bool)
         vals = np.abs(sums.conj() @ sums.T) / s
-        upper = np.triu(np.ones_like(disjoint), k=1)
-        mask = disjoint & upper.astype(bool)
-        if not mask.any():
-            continue
-        size_best = float(vals[mask].max())
-        checked += int(mask.sum())
+        vals[(member @ member.T.astype(np.int64)).astype(bool)] = -1.0  # overlap
+        # one block of every row: the scores are the single K x K product above,
+        # whose last bits a row-blocked product need not reproduce
+        size_best, (i, j) = caps.lex_first_max_pair(
+            lambda i0, i1: vals[i0:i1, i0:], len(idx), len(idx))
         if size_best > best:
-            ties = np.argwhere(mask & (vals >= size_best))
-            i, j = (int(ties[0][0]), int(ties[0][1]))
-            best = size_best
-            witness = (
-                tuple(int(t) for t in idx[i]),
-                tuple(int(t) for t in idx[j]),
-            )
-    return FlatRipReport(L0, best, witness, True, checked)
+            best, witness = size_best, (tuple(idx[i].tolist()), tuple(idx[j].tolist()))
+    return FlatRipReport(L0, best, witness, True, total_pairs)
 
 
-def kernel_injectivity(
-    m: np.ndarray,
-    L: int,
-    cap: int | None = None,
-) -> KernelReport:
+def kernel_injectivity(m: np.ndarray, L: int, cap: int | None = None) -> KernelReport:
     """True iff every 2L-column submatrix has trivial right kernel."""
-    m = _as_matrix(m)
+    m = as_matrix(m)
     n_rows, n_cols = m.shape
     if L < 1:
         raise DomainError("need L >= 1")
@@ -258,21 +242,17 @@ def kernel_injectivity(
     if s > n_rows:
         # more columns than rows: rank deficiency is certain
         return KernelReport(False, L, 0.0, tuple(range(s)), 1)
-    idx = caps.subsets(n_cols, s)
-    worst = math.inf
-    worst_witness: tuple[int, ...] | None = None
-    for lo in range(0, len(idx), _SUBSET_BLOCK):
-        part = idx[lo:lo + _SUBSET_BLOCK]
-        cols = np.transpose(m[:, part], (1, 0, 2))  # (K, n, s)
-        sv = np.linalg.svd(cols, compute_uv=False)
-        mins = sv[:, -1]
-        pos = int(np.argmin(mins))
-        if float(mins[pos]) < worst:
-            worst = float(mins[pos])
-            worst_witness = tuple(int(i) for i in part[pos])
+
+    def negated_sigma_min(rows: np.ndarray) -> np.ndarray:
+        cols = np.transpose(m[:, rows], (1, 0, 2))  # (K, n, s)
+        # the lex-first largest -sigma_min is the lex-first smallest sigma_min
+        return -np.linalg.svd(cols, compute_uv=False)[:, -1]
+
+    least, witness = caps.lex_first_max(negated_sigma_min, n_cols, s, _SUBSET_BLOCK)
+    worst = -least
     injective = worst > RANK_TOL
     return KernelReport(
-        injective, L, worst, None if injective else worst_witness, len(idx)
+        injective, L, worst, None if injective else witness, math.comb(n_cols, s)
     )
 
 

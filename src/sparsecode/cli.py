@@ -445,10 +445,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_counts(args) -> None:
+    """A verdict on an order below 0 or on no trials would come from no work."""
+    for flag, least in (("L", 0), ("trials", 1)):
+        value = getattr(args, flag, None)
+        if value is not None and value < least:
+            raise SparseCodeError(f"--{flag} must be >= {least}, got {value}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_counts(args)
         return args.func(args)
     except (SparseCodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 from pathlib import Path
 from typing import Iterable
 
@@ -30,6 +30,8 @@ from .words import Word, is_prime
 _PAIR_BLOCK = 1 << 14
 # codeword rows per block in min_distance
 _DISTANCE_BLOCK = 64
+# L-subsets per block in lwise_distance and lwise_bias
+_LSET_BLOCK = 1 << 14
 # generator draws random_linear_code_gv tries before it gives up
 _RETRY_BUDGET = 200
 
@@ -218,35 +220,33 @@ def min_distance(c: Code) -> DistanceReport:
     return DistanceReport(best, best / c.n, witness)
 
 
-def _avg_subset_distances(c: Code, L: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """Average relative pairwise distance of every L-subset, in lex order."""
-    caps.require(math.comb(len(c), L), cap, f"subsets of size {L}")
+def _lset_totals(c: Code, L: int, cap: int | None):
+    """The score giving each L-subset row its exact total pairwise distance,
+    n * C(L, 2) times its average relative distance."""
+    if not (2 <= L <= len(c)):
+        raise DomainError(f"need 2 <= L <= |C|, got L={L}, |C|={len(c)}")
+    caps.require(math.comb(len(c), L), caps.subset_cap(cap), f"subsets of size {L}")
     d = _pairwise_distances(c)
-    idx = caps.subsets(len(c), L)
-    totals = np.zeros(len(idx), dtype=np.int64)
-    for a, b in combinations(range(L), 2):
-        totals += d[idx[:, a], idx[:, b]]
-    return totals / (c.n * math.comb(L, 2)), idx
+    pairs = caps.subsets(L, 2)
+    return lambda rows: sum(d[rows[:, a], rows[:, b]] for a, b in pairs)
 
 
 def lwise_distance(c: Code, L: int, cap: int | None = None) -> DistanceReport:
     """Minimum over L-subsets of the average relative pairwise distance."""
-    if not (2 <= L <= len(c)):
-        raise DomainError(f"need 2 <= L <= |C|, got L={L}, |C|={len(c)}")
-    avgs, idx = _avg_subset_distances(c, L, caps.subset_cap(cap))
-    pos = int(np.argmin(avgs))
-    rel = float(avgs[pos])
-    return DistanceReport(rel * c.n, rel, tuple(int(i) for i in idx[pos]))
+    totals = _lset_totals(c, L, cap)
+    least, witness = caps.lex_first_max(lambda rows: -totals(rows), len(c), L,
+                                        _LSET_BLOCK)
+    rel = -least / (c.n * math.comb(L, 2))
+    return DistanceReport(rel * c.n, rel, witness)
 
 
 def lwise_bias(c: Code, L: int, cap: int | None = None) -> float:
     """Max over L-subsets of |average distance - 1/2|; binary codes only."""
     if c.q != 2:
         raise DomainError("L-wise bias is only defined for binary codes here")
-    if not (2 <= L <= len(c)):
-        raise DomainError(f"need 2 <= L <= |C|, got L={L}, |C|={len(c)}")
-    avgs, _ = _avg_subset_distances(c, L, caps.subset_cap(cap))
-    return float(np.abs(avgs - 0.5).max())
+    totals, scale = _lset_totals(c, L, cap), c.n * math.comb(L, 2)
+    return caps.lex_first_max(lambda rows: np.abs(totals(rows) / scale - 0.5),
+                              len(c), L, _LSET_BLOCK)[0]
 
 
 def is_balanced(c: Code) -> bool:
@@ -296,7 +296,7 @@ def code_bias(c: Code) -> float:
     a = c.array().astype(np.min_scalar_type(2 * q))
     count_dtype = np.min_scalar_type(n)
     rows = np.arange(size, dtype=np.int64)
-    # pairs (i, j), i < j, in combinations order: row i starts at first[i]
+    # pairs (i, j), i < j, in lex order: row i starts at first[i]
     first = rows * (size - 1) - rows * (rows - 1) // 2
     total = size * (size - 1) // 2
     uniform = 1.0 / q

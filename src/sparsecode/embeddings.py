@@ -11,11 +11,10 @@ import math
 
 import numpy as np
 
-from .codes import Code
+from .codes import Code, _symbol_columns
 from .errors import NotAnEmbeddingError
 from .words import Word
 
-UNIT_NORM_TOL = 1e-12
 INVERSE_TOL = 1e-9
 
 
@@ -39,11 +38,6 @@ def _bool(q: int, cols: np.ndarray) -> np.ndarray:
     return onehot.reshape((-1,) + cols.shape[1:]).astype(np.int64)
 
 
-def _columns(c: Code) -> np.ndarray:
-    """The codewords as the columns of a C-ordered n x |C| array."""
-    return np.ascontiguousarray(c.array().T)
-
-
 def sph_word(c: Word) -> np.ndarray:
     """Unit-norm spherical embedding of a word, length n."""
     return _sph(c.q, np.array(c.symbols, dtype=np.int64))
@@ -56,12 +50,12 @@ def bool_word(c: Word) -> np.ndarray:
 
 def sph_code(c: Code) -> np.ndarray:
     """n x |C| complex matrix whose columns are sph_word of each codeword."""
-    return _sph(c.q, _columns(c))
+    return _sph(c.q, _symbol_columns(c))
 
 
 def bool_code(c: Code, normalize: bool = False) -> np.ndarray:
     """qn x |C| matrix of Boolean embeddings; unit columns when normalized."""
-    m = _bool(c.q, _columns(c))
+    m = _bool(c.q, _symbol_columns(c))
     if normalize:
         return m / math.sqrt(c.n)
     return m

@@ -142,7 +142,7 @@ def verify_design(d: Design) -> DesignReport:
     m = d.matrix.astype(np.float64)
     best, witness = caps.lex_first_max_pair(
         lambda i0, i1: m[:, i0:i1].T @ m[:, i0:], n_sets, _GRAM_BLOCK)
-    return DesignReport(d.ground_size, d.set_size, best, witness)
+    return DesignReport(d.ground_size, d.set_size, int(best), witness)
 
 
 def _packed_rows(bits: np.ndarray) -> np.ndarray:

@@ -9,16 +9,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from . import caps
-from .certify import kernel_injectivity
+from .certify import as_finite, as_matrix, kernel_injectivity
 from .errors import DomainError
 
 DEFAULT_DECODE_TOL = 1e-8
 NODE_GAP_TOL = 1e-9
+# supports per block of the decoder's walk
+_SUPPORT_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,7 @@ def unit_circle_nodes(N: int) -> np.ndarray:
 
 def vandermonde_matrix(nodes: np.ndarray, rows: int) -> np.ndarray:
     """M[i, j] = nodes[j]**i for i in [0, rows)."""
-    nodes = np.asarray(nodes, dtype=np.complex128)
+    nodes = as_finite(nodes, "node")
     if nodes.ndim != 1:
         raise DomainError("nodes must be a vector")
     diffs = np.abs(nodes[:, None] - nodes[None, :])
@@ -79,8 +80,8 @@ def cs_decode_exhaustive(
     which pins the answer whenever several supports fit at tolerance.  A
     miss is reported as an unsuccessful result, not an exception.
     """
-    m = np.asarray(m, dtype=np.complex128)
-    y = np.asarray(y, dtype=np.complex128)
+    m = as_matrix(m)
+    y = as_finite(y, "measurement")
     if y.shape != (m.shape[0],):
         raise DomainError(f"y must have length {m.shape[0]}")
     n_cols = m.shape[1]
@@ -91,20 +92,21 @@ def cs_decode_exhaustive(
     accept = tol * (1.0 + float(np.linalg.norm(y)))
     tried = 0
     for size in range(0, L + 1):
-        for support in combinations(range(n_cols), size):
-            tried += 1
-            if size == 0:
-                residual = float(np.linalg.norm(y))
-                coef = np.zeros(0, dtype=np.complex128)
-            else:
-                sub = m[:, support]
-                coef, _, _, _ = np.linalg.lstsq(sub, y, rcond=None)
-                residual = float(np.linalg.norm(y - sub @ coef))
-            if residual <= accept:
-                estimate = np.zeros(n_cols, dtype=np.complex128)
-                for pos, val in zip(support, coef):
-                    estimate[pos] = val
-                return RecoveryResult(estimate, residual, support, tried, True)
+        for _, rows in caps.subset_blocks(n_cols, size, _SUPPORT_BLOCK, _SUPPORT_BLOCK):
+            for support in map(tuple, rows.tolist()):
+                tried += 1
+                if size == 0:
+                    residual = float(np.linalg.norm(y))
+                    coef = np.zeros(0, dtype=np.complex128)
+                else:
+                    sub = m[:, support]
+                    coef, _, _, _ = np.linalg.lstsq(sub, y, rcond=None)
+                    residual = float(np.linalg.norm(y - sub @ coef))
+                if residual <= accept:
+                    estimate = np.zeros(n_cols, dtype=np.complex128)
+                    for pos, val in zip(support, coef):
+                        estimate[pos] = val
+                    return RecoveryResult(estimate, residual, support, tried, True)
     return RecoveryResult(
         np.zeros(n_cols, dtype=np.complex128), float(np.linalg.norm(y)), (), tried, False
     )

@@ -8,7 +8,11 @@ constant shifts and differences, and the Word-chain builders
 (linear-code enumeration, Reed-Solomon, balance closure, quotient by the
 all-ones word, spherical and Boolean embeddings, code files), and the
 design as a tuple of int tuples with its conversions to and from 0/1
-matrices.  No library code imports this module.  Builders return the sorted tuple of distinct
+matrices.  The subset certifiers' own loops live here too: the itertools
+enumerator, and RIP-2, flat RIP, kernel injectivity, L-wise distance and
+bias and the exhaustive decoder, each walking every subset and breaking
+ties by hand, as they did before caps took over the walk and the tie-break.
+No library code imports this module.  Builders return the sorted tuple of distinct
 Words, the order the library's Code uses.
 """
 
@@ -17,12 +21,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, combinations, product
 
 import numpy as np
 
+from sparsecode.certify import (
+    RANK_TOL,
+    FlatRipReport,
+    KernelReport,
+    RipReport,
+    as_matrix,
+)
+from sparsecode.codes import DistanceReport
 from sparsecode.errors import DomainError, PreconditionError, SparseCodeError
 from sparsecode.group_testing import as_binary
+from sparsecode.recovery import RecoveryResult
 from sparsecode.words import Word
 
 MASS_TOLERANCE = 1e-12
@@ -230,3 +243,148 @@ def matrix_from_design(d: Design) -> np.ndarray:
 def broadcast_pairwise_distances(a: np.ndarray) -> np.ndarray:
     """The |C| x |C| distance matrix from one |C| x |C| x n comparison."""
     return (a[:, None, :] != a[None, :, :]).sum(axis=2)
+
+
+# ---------------------------------------------------------------- subset certifiers
+
+# subsets per batched Gram/SVD call in rip2_profile and kernel_injectivity
+SUBSET_BLOCK = 1 << 9
+
+
+def subsets(n_items: int, size: int) -> np.ndarray:
+    """Every size-subset of range(n_items), one per row, in combinations order."""
+    count = math.comb(n_items, size)
+    flat = np.fromiter(
+        chain.from_iterable(combinations(range(n_items), size)),
+        dtype=np.int64,
+        count=count * size,
+    )
+    return flat.reshape(count, size)
+
+
+def rip2_profile(m: np.ndarray, L: int) -> list[RipReport]:
+    m = as_matrix(m)
+    n_cols = m.shape[1]
+    reports: list[RipReport] = []
+    best = -1.0
+    best_witness: tuple[int, ...] = ()
+    checked = 0
+    for s in range(1, L + 1):
+        idx = subsets(n_cols, s)
+        for lo in range(0, len(idx), SUBSET_BLOCK):
+            part = idx[lo:lo + SUBSET_BLOCK]
+            cols = m[:, part]  # (n, K, s)
+            gram = np.einsum("nks,nkt->kst", cols.conj(), cols)
+            eigs = np.linalg.eigvalsh(gram)
+            sv = np.sqrt(np.clip(eigs, 0.0, None))
+            alphas = np.maximum(sv[:, -1] - 1.0, 1.0 - sv[:, 0])
+            pos = int(np.argmax(alphas))
+            if float(alphas[pos]) > best:
+                best = float(alphas[pos])
+                best_witness = tuple(int(i) for i in part[pos])
+        checked += len(idx)
+        reports.append(RipReport(s, best, best_witness, checked))
+    return reports
+
+
+def flat_rip_constant(m: np.ndarray, L0: int) -> FlatRipReport:
+    m = as_matrix(m)
+    n_cols = m.shape[1]
+    best = -1.0
+    witness = ((), ())
+    checked = 0
+    for s in range(1, L0 + 1):
+        idx = subsets(n_cols, s)
+        sums = m[:, idx].sum(axis=2).T  # (K, n)
+        member = np.zeros((len(idx), n_cols), dtype=bool)
+        member[np.arange(len(idx))[:, None], idx] = True
+        disjoint = ~(member @ member.T.astype(np.int64)).astype(bool)
+        vals = np.abs(sums.conj() @ sums.T) / s
+        upper = np.triu(np.ones_like(disjoint), k=1)
+        mask = disjoint & upper.astype(bool)
+        if not mask.any():
+            continue
+        size_best = float(vals[mask].max())
+        checked += int(mask.sum())
+        if size_best > best:
+            ties = np.argwhere(mask & (vals >= size_best))
+            i, j = (int(ties[0][0]), int(ties[0][1]))
+            best = size_best
+            witness = (
+                tuple(int(t) for t in idx[i]),
+                tuple(int(t) for t in idx[j]),
+            )
+    return FlatRipReport(L0, best, witness, True, checked)
+
+
+def kernel_injectivity(m: np.ndarray, L: int) -> KernelReport:
+    m = as_matrix(m)
+    n_rows, n_cols = m.shape
+    s = min(2 * L, n_cols)
+    if s > n_rows:
+        return KernelReport(False, L, 0.0, tuple(range(s)), 1)
+    idx = subsets(n_cols, s)
+    worst = math.inf
+    worst_witness: tuple[int, ...] | None = None
+    for lo in range(0, len(idx), SUBSET_BLOCK):
+        part = idx[lo:lo + SUBSET_BLOCK]
+        cols = np.transpose(m[:, part], (1, 0, 2))  # (K, n, s)
+        sv = np.linalg.svd(cols, compute_uv=False)
+        mins = sv[:, -1]
+        pos = int(np.argmin(mins))
+        if float(mins[pos]) < worst:
+            worst = float(mins[pos])
+            worst_witness = tuple(int(i) for i in part[pos])
+    injective = worst > RANK_TOL
+    return KernelReport(
+        injective, L, worst, None if injective else worst_witness, len(idx)
+    )
+
+
+def avg_subset_distances(c, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Average relative pairwise distance of every L-subset, in lex order."""
+    d = broadcast_pairwise_distances(c.array())
+    idx = subsets(len(c), L)
+    totals = np.zeros(len(idx), dtype=np.int64)
+    for a, b in combinations(range(L), 2):
+        totals += d[idx[:, a], idx[:, b]]
+    return totals / (c.n * math.comb(L, 2)), idx
+
+
+def lwise_distance(c, L: int) -> DistanceReport:
+    avgs, idx = avg_subset_distances(c, L)
+    pos = int(np.argmin(avgs))
+    rel = float(avgs[pos])
+    return DistanceReport(rel * c.n, rel, tuple(int(i) for i in idx[pos]))
+
+
+def lwise_bias(c, L: int) -> float:
+    avgs, _ = avg_subset_distances(c, L)
+    return float(np.abs(avgs - 0.5).max())
+
+
+def cs_decode_exhaustive(m: np.ndarray, y: np.ndarray, L: int,
+                         tol: float) -> RecoveryResult:
+    m = np.asarray(m, dtype=np.complex128)
+    y = np.asarray(y, dtype=np.complex128)
+    n_cols = m.shape[1]
+    accept = tol * (1.0 + float(np.linalg.norm(y)))
+    tried = 0
+    for size in range(0, L + 1):
+        for support in combinations(range(n_cols), size):
+            tried += 1
+            if size == 0:
+                residual = float(np.linalg.norm(y))
+                coef = np.zeros(0, dtype=np.complex128)
+            else:
+                sub = m[:, support]
+                coef, _, _, _ = np.linalg.lstsq(sub, y, rcond=None)
+                residual = float(np.linalg.norm(y - sub @ coef))
+            if residual <= accept:
+                estimate = np.zeros(n_cols, dtype=np.complex128)
+                for pos, val in zip(support, coef):
+                    estimate[pos] = val
+                return RecoveryResult(estimate, residual, support, tried, True)
+    return RecoveryResult(
+        np.zeros(n_cols, dtype=np.complex128), float(np.linalg.norm(y)), (), tried, False
+    )

@@ -1,9 +1,13 @@
+import ast
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sparsecode.caps import lex_first_max_pair, subset_blocks, subsets
+import sparsecode
+from sparsecode.caps import lex_first_max, lex_first_max_pair, subset_blocks, subsets
+import scalar_oracles as oracle
 
 
 @pytest.mark.parametrize("n_items, size", [(6, 1), (6, 3), (6, 6), (9, 4)])
@@ -12,6 +16,7 @@ def test_subsets_match_combinations_order(n_items, size):
     assert rows.dtype == np.int64
     assert rows.shape == (len(list(combinations(range(n_items), size))), size)
     assert [tuple(r) for r in rows.tolist()] == list(combinations(range(n_items), size))
+    assert np.array_equal(rows, oracle.subsets(n_items, size))
 
 
 @pytest.mark.parametrize("n_items, size", [(6, 0), (6, 1), (6, 3), (6, 6), (9, 4)])
@@ -28,6 +33,29 @@ def test_subset_blocks_concatenate_to_subsets(n_items, size, first, largest):
 
 
 @pytest.mark.parametrize("block", [1, 2, 7, 100])
+@pytest.mark.parametrize("kind", [int, float])
+def test_lex_first_max_matches_brute_force(block, kind):
+    rng = np.random.default_rng(9)
+    for n_items, size in [(1, 1), (5, 1), (6, 2), (7, 3), (9, 4), (8, 8), (12, 3)]:
+        rows = oracle.subsets(n_items, size)
+        rank = {row: k for k, row in enumerate(map(tuple, rows.tolist()))}
+        tables = [
+            # few distinct values, so the maximum is tied across block edges
+            rng.integers(0, 3, size=len(rows)),
+            np.full(len(rows), -2),  # every subset ties, and all are negative
+        ]
+        for table in tables:
+            if kind is float:
+                table = table / 3 - 0.25
+            first = int(np.flatnonzero(table == table.max())[0])
+            got = lex_first_max(
+                lambda block_rows: table[[rank[r] for r in map(tuple, block_rows.tolist())]],
+                n_items, size, block)
+            assert got == (table[first].item(), tuple(rows[first].tolist()))
+            assert type(got[0]) is kind
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 100])
 def test_lex_first_max_pair_matches_brute_force(block):
     rng = np.random.default_rng(5)
     for size in (2, 3, 8, 21):
@@ -38,3 +66,34 @@ def test_lex_first_max_pair_matches_brute_force(block):
                     key=lambda p: (table[p], -p[0], -p[1]))
         got = lex_first_max_pair(lambda i0, i1: table[i0:i1, i0:].copy(), size, block)
         assert got == (int(table[brute]), brute)
+        assert type(got[0]) is int
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 100])
+def test_lex_first_max_pair_float_scores(block):
+    rng = np.random.default_rng(6)
+    for size in (2, 3, 8, 21):
+        table = rng.integers(0, 3, size=(size, size)) / 7
+        table = table + table.T
+        brute = max(combinations(range(size), 2),
+                    key=lambda p: (table[p], -p[0], -p[1]))
+        got = lex_first_max_pair(lambda i0, i1: table[i0:i1, i0:].copy(), size, block)
+        assert got == (table[brute].item(), brute)
+        assert type(got[0]) is float
+
+
+def test_only_caps_imports_combinations():
+    """The lex order of subsets is caps' alone: no other module walks it."""
+    offenders = []
+    for path in sorted(Path(sparsecode.__file__).parent.glob("*.py")):
+        if path.name == "caps.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "itertools":
+                names = {alias.name for alias in node.names}
+                if names & {"combinations", "*"}:
+                    offenders.append(path.name)
+            elif (isinstance(node, ast.Attribute) and node.attr == "combinations"
+                  and isinstance(node.value, ast.Name) and node.value.id == "itertools"):
+                offenders.append(path.name)
+    assert offenders == []

@@ -16,8 +16,9 @@ from sparsecode.certify import (
     translate_flat_to_rip,
 )
 from eigen import singular_values
+import scalar_oracles as oracle
 from sparsecode.codes import random_balanced_code
-from sparsecode.embeddings import bool_code
+from sparsecode.embeddings import bool_code, sph_code
 from sparsecode.errors import DomainError, EnumerationCapError, PreconditionError
 
 
@@ -219,6 +220,36 @@ class TestKernelInjectivity:
     def test_order_range(self):
         with pytest.raises(DomainError):
             kernel_injectivity(np.eye(3), 0)
+
+
+class TestAgainstLoopOracles:
+    """The certifiers equal, with ==, the per-size loops they replaced."""
+
+    @staticmethod
+    def _matrices():
+        rng = np.random.default_rng(32)
+        return [
+            _random_unit_columns(rng, 7, 9),
+            _random_unit_columns(rng, 5, 8, complex_entries=False),
+            sph_code(random_balanced_code(3, 5, 3, rng)),
+            # 14 columns: the order-4 space spans blocks, with exact ties
+            bool_code(random_balanced_code(2, 5, 7, rng), normalize=True),
+            np.eye(7)[:, np.repeat(np.arange(7), 2)],
+        ]
+
+    def test_rip2_profile(self):
+        for m in self._matrices():
+            assert rip2_profile(m, 4) == oracle.rip2_profile(m, 4)
+
+    def test_kernel_injectivity(self):
+        for m in self._matrices():
+            for L in (1, 2):
+                assert kernel_injectivity(m, L) == oracle.kernel_injectivity(m, L)
+
+    def test_flat_rip_constant(self):
+        for m in self._matrices():
+            L0 = min(3, m.shape[1] // 2)
+            assert flat_rip_constant(m, L0) == oracle.flat_rip_constant(m, L0)
 
 
 class TestFlatTranslation:

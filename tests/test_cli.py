@@ -455,6 +455,30 @@ class TestExitContract:
         code, out, err = run_any(capsys, argv)
         assert (code, out, err) == (2, "", f"error: {reason}\n")
 
+    # each of these once ran to a verdict from no work, or to an internal error
+    @pytest.mark.parametrize("argv, reason", [
+        (["cs-roundtrip", "--matrix", "vand.json", "--L", "1", "--seed", "0",
+          "--trials", "-3"], "--trials must be >= 1, got -3"),
+        (["cs-roundtrip", "--matrix", "vand.json", "--L", "1", "--seed", "0",
+          "--trials", "0"], "--trials must be >= 1, got 0"),
+        # 25 columns at L=6 is past the exhaustive limit: random mode
+        (["gt-roundtrip", "--matrix", "ks.json", "--L", "6", "--trials", "-1"],
+         "--trials must be >= 1, got -1"),
+        (["gt-roundtrip", "--matrix", "ks.json", "--L", "-1"],
+         "--L must be >= 0, got -1"),
+        (["cs-roundtrip", "--matrix", "vand.json", "--L", "-1", "--seed", "0"],
+         "--L must be >= 0, got -1"),
+        (["verify", "disjunct", "--input", "ks.json", "--L", "-2"],
+         "--L must be >= 0, got -2"),
+        (["pipeline", "ks-gt", "--q", "5", "--k", "2", "--L", "-1"],
+         "--L must be >= 0, got -1"),
+    ], ids=lambda a: " ".join(a) if isinstance(a, list) else "")
+    def test_count_reasons(self, capsys, cli_files, argv, reason):
+        argv = [str(cli_files / a) if (cli_files / a).is_file() else a
+                for a in argv]
+        code, out, err = run_any(capsys, argv)
+        assert (code, out, err) == (2, "", f"error: {reason}\n")
+
 
 # well-formed files half the time, so runs also reach the certifiers
 _INPUTS = st.one_of(

@@ -29,6 +29,7 @@ from sparsecode.errors import (
     EnumerationCapError,
     PreconditionError,
 )
+import scalar_oracles as oracle
 from scalar_oracles import (
     bias_of_word,
     broadcast_pairwise_distances,
@@ -225,6 +226,33 @@ class TestPairwiseDistances:
         assert got == [[lwise_distance(c, L) for L in (2, 3)] for c in cases]
         assert got_bias == [lwise_bias(c, 3) for c in cases if c.q == 2]
         assert len(got_bias) >= 5
+
+    def test_lwise_reports_match_loop_oracle(self):
+        # the last two span several of the default blocks of L-sets
+        cases = [c for c in self._codes() if len(c) >= 3 and c.n < 100]
+        cases += [reed_solomon(5, 2), Code.from_array(
+            2, np.random.default_rng(4).integers(0, 2, size=(24, 9)))]
+        for c in cases:
+            for L in (2, 3, 5):
+                if L > len(c):
+                    continue
+                assert lwise_distance(c, L) == oracle.lwise_distance(c, L)
+                if c.q == 2:
+                    assert lwise_bias(c, L) == oracle.lwise_bias(c, L)
+
+    def test_lset_block_does_not_change_reports(self, monkeypatch):
+        cases = [c for c in self._codes() if 3 <= len(c) <= 16 and c.n < 100]
+        # many tied averages, so a later block must not take the witness
+        cases.append(reed_solomon(3, 2))
+
+        def reports():
+            return [(lwise_distance(c, L), c.q == 2 and lwise_bias(c, L))
+                    for c in cases for L in (2, 3) if L <= len(c)]
+
+        default = reports()
+        for block in (1, 7):
+            monkeypatch.setattr(codes, "_LSET_BLOCK", block)
+            assert reports() == default
 
     def test_memory_is_quadratic(self):
         # 512 codewords of length 200: the 512 x 512 x 200 comparison alone

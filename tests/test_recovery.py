@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import scalar_oracles as oracle
 from sparsecode.errors import DomainError, EnumerationCapError
 from sparsecode.recovery import (
     cs_decode_exhaustive,
@@ -25,6 +26,12 @@ class TestVandermonde:
     def test_rejects_coincident_nodes(self):
         with pytest.raises(DomainError):
             vandermonde_matrix(np.array([1.0, 1.0 + 1e-12]), 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_rejects_non_finite_nodes(self, bad):
+        # a NaN node once slipped past the gap check into a NaN matrix
+        with pytest.raises(DomainError, match="finite"):
+            vandermonde_matrix(np.array([0, bad, 1]), 2)
 
     def test_unit_circle_nodes_are_distinct_and_unimodular(self):
         nodes = unit_circle_nodes(8)
@@ -91,6 +98,43 @@ class TestDecode:
         m = vandermonde_matrix(unit_circle_nodes(4), 2)
         with pytest.raises(DomainError):
             cs_decode_exhaustive(m, np.zeros(2, dtype=complex), 5)
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1, np.nan)])
+    def test_no_verdict_on_non_finite_measurements(self, bad):
+        # inf once gave success on the empty support, NaN a failure
+        m = vandermonde_matrix(unit_circle_nodes(8), 4)
+        y = np.ones(4, dtype=complex)
+        y[1] = bad
+        with pytest.raises(DomainError, match="finite"):
+            cs_decode_exhaustive(m, y, 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_no_verdict_on_non_finite_matrix(self, bad):
+        m = vandermonde_matrix(unit_circle_nodes(8), 4)
+        m[2, 3] = bad
+        with pytest.raises(DomainError, match="finite"):
+            cs_decode_exhaustive(m, np.zeros(4, dtype=complex), 2)
+
+    def test_matches_itertools_oracle(self):
+        rng = np.random.default_rng(63)
+        m = vandermonde_matrix(unit_circle_nodes(12), 6)
+        x = np.zeros(12, dtype=complex)
+        x[[9, 10, 11]] = 1.0, -2.0, 0.5j  # late in the walk: past several blocks
+        cases = [
+            (m, cs_encode(m, x), 3, 1e-8),
+            (m, cs_encode(m, np.eye(12)[4]), 3, 1e-8),
+            (m, np.zeros(6, dtype=complex), 2, 1e-8),
+            # fits nothing: the whole walk is tried
+            (m, rng.normal(size=6) + 1j * rng.normal(size=6), 3, 1e-12),
+            # repeated columns: several supports fit, the lex-first one wins
+            (np.eye(3)[:, [0, 1, 1, 2, 2]], np.array([0, 1.0, 1.0]), 3, 1e-8),
+        ]
+        for mat, y, L, tol in cases:
+            got = cs_decode_exhaustive(mat, y, L, tol=tol)
+            want = oracle.cs_decode_exhaustive(mat, y, L, tol)
+            assert got.to_dict() == want.to_dict()
+            assert got.estimate.tobytes() == want.estimate.tobytes()
 
 
 class TestUniqueness:
