@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import caps
+from .codes import _counts
 from .errors import DomainError, PreconditionError
 
 UNIT_NORM_TOL = 1e-9
@@ -26,6 +27,8 @@ RANK_TOL = 1e-9
 
 # subsets per batched Gram/SVD call in rip2_profile and kernel_injectivity
 _SUBSET_BLOCK = 1 << 9
+# set rows per block of flat_rip_constant's overlap check
+_OVERLAP_BLOCK = 1 << 8
 
 # Pinned by the pre-build polarization oracle: for unit-column matrices the
 # flat constant at order L0 never exceeds twice the RIP-2 constant at order
@@ -220,12 +223,16 @@ def flat_rip_constant(m: np.ndarray, L0: int, cap: int | None = None) -> FlatRip
         sums = m[:, idx].sum(axis=2).T  # (K, n)
         member = np.zeros((len(idx), n_cols), dtype=bool)
         member[np.arange(len(idx))[:, None], idx] = True
+        # the scores are rows of this one K x K product, whose last bits a
+        # row-blocked product need not reproduce
         vals = np.abs(sums.conj() @ sums.T) / s
-        vals[(member @ member.T.astype(np.int64)).astype(bool)] = -1.0  # overlap
-        # one block of every row: the scores are the single K x K product above,
-        # whose last bits a row-blocked product need not reproduce
-        size_best, (i, j) = caps.lex_first_max_pair(
-            lambda i0, i1: vals[i0:i1, i0:], len(idx), len(idx))
+
+        def disjoint_scores(i0: int, i1: int) -> np.ndarray:
+            overlap = _counts(member[i0:i1], member[i0:].T) > 0
+            return np.where(overlap, -1.0, vals[i0:i1, i0:])
+
+        size_best, (i, j) = caps.lex_first_max_pair(disjoint_scores, len(idx),
+                                                    _OVERLAP_BLOCK)
         if size_best > best:
             best, witness = size_best, (tuple(idx[i].tolist()), tuple(idx[j].tolist()))
     return FlatRipReport(L0, best, witness, True, total_pairs)

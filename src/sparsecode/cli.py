@@ -91,8 +91,6 @@ def _cmd_build(args) -> int:
         m = recovery.vandermonde_matrix(nodes, args.n)
         matrixio.write_matrix(m, out)
         record.update(rows=args.n, cols=args.cols, nodes="unit-circle")
-    else:  # pragma: no cover - argparse restricts choices
-        raise SparseCodeError(f"unknown construction {args.kind}")
     _write_provenance(out, record)
     _emit({"built": args.kind, "out": str(out), **record}, started)
     _summary(f"wrote {args.kind} to {out}")
@@ -157,8 +155,6 @@ def _cmd_verify(args) -> int:
         report = {"property": "lwise-bias", "order": args.L, "constant": value}
         if threshold is not None:
             ok = value <= threshold + 1e-12
-    else:  # pragma: no cover
-        raise SparseCodeError(f"unknown property {prop}")
     report["threshold"] = threshold
     report["pass"] = bool(ok)
     _emit(report, started)
@@ -359,8 +355,6 @@ def _cmd_pipeline(args) -> int:
         report["measured_rip_constant"] = rip.alpha
         ok = report["flat_ok"] and all(s["ok"] for s in report["bias_stages"])
         ok = ok and report["johnson"]["verdict"] in ("pass", "vacuous", "not-applicable")
-    else:  # pragma: no cover
-        raise SparseCodeError(f"unknown pipeline {args.name}")
     report["pass"] = bool(ok)
     _emit(report, started)
     _summary(f"pipeline {args.name}: {'pass' if ok else 'VIOLATED'}")

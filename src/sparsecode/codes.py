@@ -28,8 +28,10 @@ from .words import Word, is_prime
 
 # codeword pairs per block in code_bias
 _PAIR_BLOCK = 1 << 14
-# codeword rows per block in min_distance
-_DISTANCE_BLOCK = 64
+# count-matrix rows per block in _largest_count_pair
+_COUNT_BLOCK = 128
+# a float32 sum of up to 2**24 terms of 0 or 1 is an exact integer
+_FLOAT32_TERMS = 1 << 24
 # L-subsets per block in lwise_distance and lwise_bias
 _LSET_BLOCK = 1 << 14
 # generator draws random_linear_code_gv tries before it gives up
@@ -178,44 +180,58 @@ def _symbol_columns(c: Code) -> np.ndarray:
     return np.ascontiguousarray(c.array().T, dtype=np.min_scalar_type(c.q - 1))
 
 
-def _agreements(xt: np.ndarray, yt: np.ndarray, dtype: np.dtype) -> np.ndarray:
-    """Counts of the coordinates where column i of xt equals column j of yt.
+def _one_hot(q: int, cols: np.ndarray) -> np.ndarray:
+    """Boolean embedding of words laid out along axis 0 of `cols`, as bools.
 
-    Counted one coordinate (one contiguous row of each) at a time, so the
-    working set is the count matrix itself.
+    Coordinate i holding symbol s sets row i*q + s, so the supports of two
+    words meet in exactly their agreements.
     """
-    agree = np.zeros((xt.shape[1], yt.shape[1]), dtype=dtype)
-    for xk, yk in zip(xt, yt):
-        agree += xk[:, None] == yk
-    return agree
+    levels = np.arange(q).reshape((q,) + (1,) * (cols.ndim - 1))
+    return (cols[:, None] == levels).reshape((-1,) + cols.shape[1:])
+
+
+def _count_dtype(terms: int) -> type:
+    return np.float32 if terms <= _FLOAT32_TERMS else np.float64
+
+
+def _counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for 0/1 operands, as floats that are exact integer counts.
+
+    One BLAS product, in float32 while the contraction length allows every
+    partial sum to be exact, in float64 above that.
+    """
+    dtype = _count_dtype(b.shape[0])
+    return a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
+
+
+def _largest_count_pair(m: np.ndarray) -> tuple[int, tuple[int, int]]:
+    """(largest intersection, lex-first pair i < j attaining it) over the
+    supports of the columns of a 0/1 matrix with at least two columns."""
+    m = m.astype(_count_dtype(len(m)))
+    most, witness = caps.lex_first_max_pair(
+        lambda i0, i1: _counts(m[:, i0:i1].T, m[:, i0:]), m.shape[1], _COUNT_BLOCK)
+    return int(most), witness
 
 
 def _pairwise_distances(c: Code) -> np.ndarray:
-    """The |C| x |C| Hamming distance matrix.
+    """The |C| x |C| Hamming distance matrix: n minus the agreements.
 
     int64, because the L-subset sums gather from it into int64 totals, and
     a mixed-width add costs more than the wider matrix at these sizes.
     """
-    t = _symbol_columns(c)
-    return c.n - _agreements(t, t, np.int64)
+    m = _one_hot(c.q, _symbol_columns(c))
+    return c.n - _counts(m.T, m).astype(np.int64)
 
 
 def min_distance(c: Code) -> DistanceReport:
     """Minimum pairwise Hamming distance, with its lex-first witness pair.
 
-    The closest pair agrees in the most coordinates; agreements are counted
-    one coordinate at a time for a block of rows, in O(block * |C|) memory.
+    The closest pair agrees in the most coordinates: its Boolean embeddings
+    meet the most, counted a block of rows at a time in O(block * |C|) memory.
     """
     if len(c) < 2:
         raise DomainError("minimum distance needs at least two codewords")
-    t = _symbol_columns(c)
-    # signed, and wide enough for n agreements
-    count_dtype = np.min_scalar_type(-c.n - 1)
-
-    def agreements(i0: int, i1: int) -> np.ndarray:
-        return _agreements(t[:, i0:i1], t[:, i0:], count_dtype)
-
-    most, witness = caps.lex_first_max_pair(agreements, len(c), _DISTANCE_BLOCK)
+    most, witness = _largest_count_pair(_one_hot(c.q, _symbol_columns(c)))
     best = c.n - most
     return DistanceReport(best, best / c.n, witness)
 

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .codes import Code, _symbol_columns
+from .codes import Code, _one_hot, _symbol_columns
 from .errors import NotAnEmbeddingError
 from .words import Word
 
@@ -28,16 +28,6 @@ def _sph(q: int, cols: np.ndarray) -> np.ndarray:
     return (np.cos(angles) + 1j * np.sin(angles)) / math.sqrt(n)
 
 
-def _bool(q: int, cols: np.ndarray) -> np.ndarray:
-    """Boolean embedding of words laid out along axis 0 of `cols`.
-
-    Coordinate i holding symbol s sets row i*q + s.
-    """
-    levels = np.arange(q).reshape((q,) + (1,) * (cols.ndim - 1))
-    onehot = cols[:, None] == levels
-    return onehot.reshape((-1,) + cols.shape[1:]).astype(np.int64)
-
-
 def sph_word(c: Word) -> np.ndarray:
     """Unit-norm spherical embedding of a word, length n."""
     return _sph(c.q, np.array(c.symbols, dtype=np.int64))
@@ -45,7 +35,7 @@ def sph_word(c: Word) -> np.ndarray:
 
 def bool_word(c: Word) -> np.ndarray:
     """0/1 embedding of a word, length q*n, one 1 per q-block."""
-    return _bool(c.q, np.array(c.symbols, dtype=np.int64))
+    return _one_hot(c.q, np.array(c.symbols, dtype=np.int64)).astype(np.int64)
 
 
 def sph_code(c: Code) -> np.ndarray:
@@ -55,7 +45,7 @@ def sph_code(c: Code) -> np.ndarray:
 
 def bool_code(c: Code, normalize: bool = False) -> np.ndarray:
     """qn x |C| matrix of Boolean embeddings; unit columns when normalized."""
-    m = _bool(c.q, _symbol_columns(c))
+    m = _one_hot(c.q, _symbol_columns(c)).astype(np.int64)
     if normalize:
         return m / math.sqrt(c.n)
     return m

@@ -16,12 +16,10 @@ from itertools import tee
 import numpy as np
 
 from . import caps
-from .codes import Code, min_distance, reed_solomon
+from .codes import Code, _counts, _largest_count_pair, min_distance, reed_solomon
 from .embeddings import bool_code
 from .errors import DomainError
 
-# incidence-matrix columns per Gram block in verify_design
-_GRAM_BLOCK = 128
 # L-sets per block in verify_disjunct: a first small block, doubling to the max
 _TUPLE_BLOCK_FIRST = 64
 _TUPLE_BLOCK_MAX = 1 << 13
@@ -134,15 +132,11 @@ def verify_design(d: Design) -> DesignReport:
     """Exact max pairwise intersection size, with its lex-first witness pair.
 
     Intersections are blocks of rows of the Gram matrix of the incidence
-    matrix.  Its entries are counts <= set_size, so float64 BLAS is exact.
+    matrix, the count kernel that also gives min distance.
     """
-    n_sets = d.matrix.shape[1]
-    if n_sets < 2:
+    if d.matrix.shape[1] < 2:
         return DesignReport(d.ground_size, d.set_size, 0, None)
-    m = d.matrix.astype(np.float64)
-    best, witness = caps.lex_first_max_pair(
-        lambda i0, i1: m[:, i0:i1].T @ m[:, i0:], n_sets, _GRAM_BLOCK)
-    return DesignReport(d.ground_size, d.set_size, int(best), witness)
+    return DesignReport(d.ground_size, d.set_size, *_largest_count_pair(d.matrix))
 
 
 def _packed_rows(bits: np.ndarray) -> np.ndarray:
@@ -210,9 +204,7 @@ def gt_encode(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     if x.ndim not in (1, 2) or x.shape[-1] != b.shape[1]:
         raise DomainError(f"x must have length {b.shape[1]}")
-    # counts <= N are exact in float64, and BLAS does the products
-    hits = x.astype(bool).astype(np.float64) @ b.T.astype(np.float64)
-    return (hits > 0).astype(np.int64)
+    return (_counts(x.astype(bool), b.T) > 0).astype(np.int64)
 
 
 def gt_decode_cover(m: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -227,8 +219,7 @@ def gt_decode_cover(m: np.ndarray, y: np.ndarray) -> np.ndarray:
     if y.ndim not in (1, 2) or y.shape[-1] != b.shape[0]:
         raise DomainError(f"y must have length {b.shape[0]}")
     # item j is out iff some negative test contains it
-    misses = (~y.astype(bool)).astype(np.float64) @ b.astype(np.float64)
-    return (misses == 0).astype(np.int64)
+    return (_counts(~y.astype(bool), b) == 0).astype(np.int64)
 
 
 def kautz_singleton(q: int, k: int) -> tuple[np.ndarray, dict]:

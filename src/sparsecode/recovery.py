@@ -55,13 +55,15 @@ def vandermonde_matrix(nodes: np.ndarray, rows: int) -> np.ndarray:
     np.fill_diagonal(diffs, np.inf)
     if diffs.min() <= NODE_GAP_TOL:
         raise DomainError("nodes must be pairwise distinct")
-    return nodes[None, :] ** np.arange(rows)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = nodes[None, :] ** np.arange(rows)[:, None]
+    return as_finite(powers, "Vandermonde")
 
 
 def cs_encode(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Linear measurement y = M x."""
-    m = np.asarray(m, dtype=np.complex128)
-    x = np.asarray(x, dtype=np.complex128)
+    m = as_matrix(m)
+    x = as_finite(x, "x")
     if x.shape != (m.shape[1],):
         raise DomainError(f"x must have length {m.shape[1]}")
     return m @ x

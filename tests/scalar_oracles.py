@@ -12,6 +12,9 @@ matrices.  The subset certifiers' own loops live here too: the itertools
 enumerator, and RIP-2, flat RIP, kernel injectivity, L-wise distance and
 bias and the exhaustive decoder, each walking every subset and breaking
 ties by hand, as they did before caps took over the walk and the tie-break.
+So do the exact counts of 0/1 products that one BLAS kernel now gives: the
+per-coordinate agreement count behind min distance, and the non-BLAS int64
+product behind flat RIP's overlap mask, the design Gram and the OR channel.
 No library code imports this module.  Builders return the sorted tuple of distinct
 Words, the order the library's Code uses.
 """
@@ -34,7 +37,7 @@ from sparsecode.certify import (
 )
 from sparsecode.codes import DistanceReport
 from sparsecode.errors import DomainError, PreconditionError, SparseCodeError
-from sparsecode.group_testing import as_binary
+from sparsecode.group_testing import DesignReport, as_binary
 from sparsecode.recovery import RecoveryResult
 from sparsecode.words import Word
 
@@ -245,6 +248,51 @@ def broadcast_pairwise_distances(a: np.ndarray) -> np.ndarray:
     return (a[:, None, :] != a[None, :, :]).sum(axis=2)
 
 
+# ---------------------------------------------------------------- exact 0/1 counts
+
+def agreements(xt: np.ndarray, yt: np.ndarray) -> np.ndarray:
+    """Counts of the coordinates where column i of xt equals column j of yt,
+    one coordinate (one row of each) at a time."""
+    agree = np.zeros((xt.shape[1], yt.shape[1]), dtype=np.int64)
+    for xk, yk in zip(xt, yt):
+        agree += xk[:, None] == yk
+    return agree
+
+
+def int64_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for 0/1 operands, as a non-BLAS int64 product."""
+    return np.asarray(a).astype(np.int64) @ np.asarray(b).astype(np.int64)
+
+
+def _lex_first_max_pair(counts: np.ndarray) -> tuple[int, tuple[int, int]]:
+    """(largest count, lex-first pair i < j attaining it) of a full matrix."""
+    upper = np.triu(np.ones(counts.shape, dtype=bool), k=1)
+    best = counts[upper].max()
+    i, j = np.argwhere(upper & (counts == best))[0]
+    return int(best), (int(i), int(j))
+
+
+def min_distance(c) -> DistanceReport:
+    t = c.array().T
+    most, witness = _lex_first_max_pair(agreements(t, t))
+    return DistanceReport(c.n - most, (c.n - most) / c.n, witness)
+
+
+def verify_design(d) -> DesignReport:
+    if d.matrix.shape[1] < 2:
+        return DesignReport(d.ground_size, d.set_size, 0, None)
+    return DesignReport(d.ground_size, d.set_size,
+                        *_lex_first_max_pair(int64_counts(d.matrix.T, d.matrix)))
+
+
+def gt_encode(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return (int64_counts(np.asarray(x) != 0, as_binary(m).T) > 0).astype(np.int64)
+
+
+def gt_decode_cover(m: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return (int64_counts(np.asarray(y) == 0, as_binary(m)) == 0).astype(np.int64)
+
+
 # ---------------------------------------------------------------- subset certifiers
 
 # subsets per batched Gram/SVD call in rip2_profile and kernel_injectivity
@@ -298,7 +346,7 @@ def flat_rip_constant(m: np.ndarray, L0: int) -> FlatRipReport:
         sums = m[:, idx].sum(axis=2).T  # (K, n)
         member = np.zeros((len(idx), n_cols), dtype=bool)
         member[np.arange(len(idx))[:, None], idx] = True
-        disjoint = ~(member @ member.T.astype(np.int64)).astype(bool)
+        disjoint = int64_counts(member, member.T) == 0
         vals = np.abs(sums.conj() @ sums.T) / s
         upper = np.triu(np.ones_like(disjoint), k=1)
         mask = disjoint & upper.astype(bool)

@@ -251,6 +251,18 @@ class TestAgainstLoopOracles:
             L0 = min(3, m.shape[1] // 2)
             assert flat_rip_constant(m, L0) == oracle.flat_rip_constant(m, L0)
 
+    def test_overlap_block_does_not_change_reports(self, monkeypatch):
+        def reports():
+            return [(r.constant.hex(), r) for r in
+                    (flat_rip_constant(m, min(3, m.shape[1] // 2))
+                     for m in self._matrices())]
+
+        default = reports()
+        # 1 << 30 rows: every size's K rows in one block
+        for block in (1, 7, 1 << 30):
+            monkeypatch.setattr(certify, "_OVERLAP_BLOCK", block)
+            assert reports() == default
+
 
 class TestFlatTranslation:
     def test_large_order(self):

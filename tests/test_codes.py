@@ -110,7 +110,7 @@ class TestMinDistance:
     @pytest.mark.parametrize("block", [1, 7, None])
     def test_matches_full_distance_matrix(self, monkeypatch, block):
         if block is not None:
-            monkeypatch.setattr(codes, "_DISTANCE_BLOCK", block)
+            monkeypatch.setattr(codes, "_COUNT_BLOCK", block)
         rng = np.random.default_rng(17)
         cases = [reed_solomon(5, 2), reed_solomon(7, 2),
                  _code(2, (0, 0), (0, 1), (1, 0), (1, 1))]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import scalar_oracles as oracle
 from scalar_oracles import hamming_distance
-from sparsecode import group_testing
+from sparsecode import codes, group_testing
 from sparsecode.codes import min_distance, random_balanced_code, reed_solomon
 from sparsecode.embeddings import bool_code
 from sparsecode.errors import DomainError, EnumerationCapError
@@ -63,8 +63,9 @@ def _pairwise_verify_design(d):
 
 
 def _set_blocks(monkeypatch, size):
-    for name in ("_TUPLE_BLOCK_FIRST", "_TUPLE_BLOCK_MAX", "_GRAM_BLOCK"):
+    for name in ("_TUPLE_BLOCK_FIRST", "_TUPLE_BLOCK_MAX"):
         monkeypatch.setattr(group_testing, name, size)
+    monkeypatch.setattr(codes, "_COUNT_BLOCK", size)
 
 
 @st.composite
@@ -106,6 +107,8 @@ class TestDesignFromCode:
         for i, j in combinations(range(6), 2):
             dist = hamming_distance(words[i], words[j])
             assert len(frozen[i] & frozen[j]) == c.n - dist
+        most = max(len(a & b) for a, b in combinations(frozen, 2))
+        assert min_distance(c).absolute == c.n - most
 
     def test_max_intersection_bounded_by_distance(self):
         c = reed_solomon(5, 2)
@@ -134,7 +137,7 @@ class TestVerifyDesignKernel:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data(), block=st.sampled_from([1, 7, 128]))
     def test_matches_pairwise_loop(self, monkeypatch, data, block):
-        monkeypatch.setattr(group_testing, "_GRAM_BLOCK", block)
+        monkeypatch.setattr(codes, "_COUNT_BLOCK", block)
         ground = data.draw(st.integers(1, 12))
         size = data.draw(st.integers(0, ground))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))

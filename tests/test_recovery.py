@@ -33,6 +33,12 @@ class TestVandermonde:
         with pytest.raises(DomainError, match="finite"):
             vandermonde_matrix(np.array([0, bad, 1]), 2)
 
+    def test_rejects_overflowing_powers(self):
+        # finite nodes whose powers overflow once built a matrix holding inf,
+        # with only a RuntimeWarning, which tier-1 turns into an error
+        with pytest.raises(DomainError, match="finite"):
+            vandermonde_matrix(np.array([1e200, 1.0, 2.0]), 3)
+
     def test_unit_circle_nodes_are_distinct_and_unimodular(self):
         nodes = unit_circle_nodes(8)
         assert np.allclose(np.abs(nodes), 1.0)
@@ -62,6 +68,21 @@ class TestEncode:
         m = vandermonde_matrix(unit_circle_nodes(5), 3)
         with pytest.raises(DomainError):
             cs_encode(m, np.zeros(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1, np.nan)])
+    def test_rejects_non_finite_input(self, bad):
+        # once returned [nan+nanj, ...] for a NaN in x
+        m = vandermonde_matrix(np.array([0.0, 1.0, 2.0]), 2)
+        with pytest.raises(DomainError, match="finite"):
+            cs_encode(m, np.array([bad, 0, 0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_matrix(self, bad):
+        # an inf in m once raised a bare RuntimeWarning from the product
+        m = vandermonde_matrix(np.array([0.0, 1.0, 2.0]), 2)
+        m[1, 2] = bad
+        with pytest.raises(DomainError, match="finite"):
+            cs_encode(m, np.array([1.0, 0.0, 0.0]))
 
 
 class TestDecode:
