@@ -1,5 +1,6 @@
-"""Enumeration caps guarding exhaustive certifiers, and the one lex-order
-subset walk and lex-first tie-break they share.
+"""Enumeration caps guarding exhaustive certifiers, and the enumeration
+orders they rest on: the one lex-order subset walk and lex-first tie-break
+they share, and the product order of messages and centers.
 
 Exceeding a cap is always an explicit error; there is no sampling fallback.
 The SPARSECODE_CAP environment variable overrides the subset/center caps
@@ -64,6 +65,13 @@ def require(count: int, limit: int, what: str) -> None:
         raise EnumerationCapError(f"{count} {what} exceed cap {limit}")
 
 
+def product_rows(q: int, length: int, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop-1 of itertools.product(range(q), repeat=length), as
+    int64 digits: row x holds the base-q digits of x, most significant first."""
+    powers = q ** np.arange(length - 1, -1, -1, dtype=np.int64)
+    return np.arange(start, stop, dtype=np.int64)[:, None] // powers % q
+
+
 def subset_blocks(n_items: int, size: int, first: int, largest: int):
     """Every size-subset of range(n_items) in lex (itertools.combinations)
     order, one per int64 row, which every lex-first witness rests on.
@@ -123,7 +131,8 @@ def lex_first_max_pair(scores, size: int, block: int):
     for i0 in range(0, size - 1, block):
         i1 = min(i0 + block, size - 1)
         s = scores(i0, i1)
-        s[np.arange(i1 - i0)[:, None] >= np.arange(size - i0)] = -1  # j <= i
+        # only the first i1 - i0 columns hold pairs with j <= i
+        s[:, :i1 - i0][np.tri(i1 - i0, dtype=bool)] = -1
         r, c = divmod(int(np.argmax(s)), s.shape[1])
         if s[r, c] > best:
             best, witness = s[r, c].item(), (i0 + r, i0 + c)

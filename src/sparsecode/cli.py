@@ -238,12 +238,16 @@ def _roundtrips(m: np.ndarray, batches) -> tuple[int, int, list[int] | None]:
     return passed, failed, first_failure
 
 
+def _require_order(L: int, n_cols: int) -> None:
+    if not (0 <= L <= n_cols):
+        raise SparseCodeError(f"need 0 <= L <= N, got L={L}, N={n_cols}")
+
+
 def _cmd_gt_roundtrip(args) -> int:
     started = time.monotonic()
     m = group_testing.as_binary(matrixio.read_matrix(args.matrix))
     n_cols = m.shape[1]
-    if not (0 <= args.L <= n_cols):
-        raise SparseCodeError(f"need 0 <= L <= N, got L={args.L}, N={n_cols}")
+    _require_order(args.L, n_cols)
     total = sum(math.comb(n_cols, w) for w in range(args.L + 1))
     if total <= EXHAUSTIVE_ROUNDTRIP_LIMIT:
         mode = "exhaustive"
@@ -269,6 +273,7 @@ def _cmd_cs_roundtrip(args) -> int:
     started = time.monotonic()
     m = matrixio.read_matrix(args.matrix).astype(np.complex128)
     n_cols = m.shape[1]
+    _require_order(args.L, n_cols)
     rng = np.random.default_rng(args.seed)
     max_err = 0.0
     failures = 0

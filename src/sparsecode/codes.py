@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from pathlib import Path
 from typing import Iterable
 
@@ -26,9 +25,7 @@ from .errors import (
 )
 from .words import Word, is_prime
 
-# codeword pairs per block in code_bias
-_PAIR_BLOCK = 1 << 14
-# count-matrix rows per block in _largest_count_pair
+# count-matrix rows per block in _largest_count_pair and code_bias
 _COUNT_BLOCK = 128
 # a float32 sum of up to 2**24 terms of 0 or 1 is an exact integer
 _FLOAT32_TERMS = 1 << 24
@@ -171,7 +168,7 @@ def _rank_mod_p(mat: np.ndarray, p: int) -> int:
 def enumerate_codewords(lc: LinearCode, cap: int | None = None) -> Code:
     """All q^k codewords m*G of a linear code."""
     caps.require(lc.q**lc.k, caps.codeword_cap(cap), "codewords")
-    messages = np.array(list(product(range(lc.q), repeat=lc.k)), dtype=np.int64)
+    messages = caps.product_rows(lc.q, lc.k, 0, lc.q**lc.k)
     return Code.from_array(lc.q, (messages @ lc.generator) % lc.q)
 
 
@@ -187,7 +184,7 @@ def _one_hot(q: int, cols: np.ndarray) -> np.ndarray:
     words meet in exactly their agreements.
     """
     levels = np.arange(q).reshape((q,) + (1,) * (cols.ndim - 1))
-    return (cols[:, None] == levels).reshape((-1,) + cols.shape[1:])
+    return (cols[:, None] == levels).reshape((q * len(cols),) + cols.shape[1:])
 
 
 def _count_dtype(terms: int) -> type:
@@ -207,6 +204,7 @@ def _counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _largest_count_pair(m: np.ndarray) -> tuple[int, tuple[int, int]]:
     """(largest intersection, lex-first pair i < j attaining it) over the
     supports of the columns of a 0/1 matrix with at least two columns."""
+    caps.require(math.comb(m.shape[1], 2), caps.subset_cap(), "pairs")
     m = m.astype(_count_dtype(len(m)))
     most, witness = caps.lex_first_max_pair(
         lambda i0, i1: _counts(m[:, i0:i1].T, m[:, i0:]), m.shape[1], _COUNT_BLOCK)
@@ -298,37 +296,32 @@ def code_bias(c: Code) -> float:
     """Max bias of the difference of any two distinct codewords.
 
     The bias of a word is the statistical distance of its empirical symbol
-    distribution to uniform.  The pairs are taken in fixed-size blocks, each
-    difference's symbol counts k give the terms abs(k/n - 1.0/q), with k/n
-    correctly rounded, and the terms are added one symbol at a time in
-    symbol order, so the value is the same on every interpreter and equal,
-    bit for bit, to the scalar definition.
+    distribution to uniform.  a - b holds s where a holds t + s and b holds
+    t, so its count of s is the agreement count of b's one-hot columns with
+    a's shifted by s in each coordinate.  Each count k gives the term
+    abs(k/n - 1.0/q), with k/n correctly rounded, and the terms are added
+    one symbol at a time in symbol order, so the value is the same on every
+    interpreter and equal, bit for bit, to the scalar definition.
     """
     size = len(c)
     if size < 2:
         raise DomainError("code bias needs at least two codewords")
     q, n = c.q, c.n
-    # symbols and a[i] + q - a[j] < 2q fit this dtype; counts never exceed n
-    a = c.array().astype(np.min_scalar_type(2 * q))
-    count_dtype = np.min_scalar_type(n)
-    rows = np.arange(size, dtype=np.int64)
-    # pairs (i, j), i < j, in lex order: row i starts at first[i]
-    first = rows * (size - 1) - rows * (rows - 1) // 2
-    total = size * (size - 1) // 2
-    uniform = 1.0 / q
-    best = 0.0
-    for p0 in range(0, total, _PAIR_BLOCK):
-        pair = np.arange(p0, min(p0 + _PAIR_BLOCK, total), dtype=np.int64)
-        i = np.searchsorted(first, pair, side="right") - 1
-        j = pair - first[i] + i + 1
-        # (n, pairs): counting a symbol reduces over contiguous rows
-        diff = np.ascontiguousarray(((a[i] + q - a[j]) % q).T)
-        sums = np.zeros(len(pair))
-        for s in range(q):
-            counts = np.add.reduce(diff == s, axis=0, dtype=count_dtype)
-            sums += np.abs(counts / n - uniform)
-        best = max(best, float((0.5 * sums).max()))
-    return best
+    caps.require(math.comb(size, 2), caps.subset_cap(), "pairs")
+    h = _one_hot(q, _symbol_columns(c)).astype(_count_dtype(q * n))
+    # row k*q + t of h[shifts[s]] is row k*q + (t + s) % q of h
+    rows = np.arange(q * n)
+    shifts = [rows - rows % q + (rows + s) % q for s in range(q)]
+
+    def sums(i0: int, i1: int) -> np.ndarray:
+        total = np.zeros((i1 - i0, size - i0))
+        for shift in shifts:
+            # int64, so k/n is a float64 division, not a float32 one
+            counts = _counts(h[shift, i0:i1].T, h[:, i0:]).astype(np.int64)
+            total += np.abs(counts / n - 1.0 / q)
+        return total
+
+    return 0.5 * caps.lex_first_max_pair(sums, size, _COUNT_BLOCK)[0]
 
 
 def min_distance_epsilon(c: Code) -> float:

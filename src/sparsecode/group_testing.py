@@ -104,14 +104,19 @@ class DisjunctReport:
         }
 
 
+def _zero_one(a, what: str) -> np.ndarray:
+    """The 0/1 array a as booleans; any other entry is an input error."""
+    a = np.asarray(a)
+    if a.dtype != bool and not ((a == 0) | (a == 1)).all():
+        raise DomainError(f"{what} entries must be 0 or 1")
+    return a.astype(bool, copy=False)
+
+
 def as_binary(m: np.ndarray) -> np.ndarray:
     """The 0/1 matrix m as booleans; any other entry is an input error."""
-    m = np.asarray(m)
-    if m.ndim != 2:
+    if np.ndim(m) != 2:
         raise DomainError("a group-testing matrix must be 2-D")
-    if m.dtype != bool and not ((m == 0) | (m == 1)).all():
-        raise DomainError("group-testing matrix entries must be 0 or 1")
-    return m.astype(bool, copy=False)
+    return _zero_one(m, "group-testing matrix")
 
 
 def design_from_code(c: Code) -> Design:
@@ -197,29 +202,29 @@ def max_disjunct_order(m: np.ndarray, cap: int | None = None) -> int:
 def gt_encode(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     """OR-channel measurement: y(i) = OR_j (M[i,j] AND x[j]).
 
-    x is one input of length N or a batch of shape (B, N); y has the
+    x is one 0/1 input of length N or a batch of shape (B, N); y has the
     matching shape (rows,) or (B, rows).
     """
     b = as_binary(m)
-    x = np.asarray(x)
+    x = _zero_one(x, "x")
     if x.ndim not in (1, 2) or x.shape[-1] != b.shape[1]:
         raise DomainError(f"x must have length {b.shape[1]}")
-    return (_counts(x.astype(bool), b.T) > 0).astype(np.int64)
+    return (_counts(x, b.T) > 0).astype(np.int64)
 
 
 def gt_decode_cover(m: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Cover decoder: item j present iff all tests containing j are positive.
 
-    y is one measurement of length rows or a batch of shape (B, rows).  The
-    output always contains the true support; for an L-disjunct matrix and
-    inputs of weight <= L it equals it.
+    y is one 0/1 measurement of length rows or a batch of shape (B, rows).
+    The output always contains the true support; for an L-disjunct matrix
+    and inputs of weight <= L it equals it.
     """
     b = as_binary(m)
-    y = np.asarray(y)
+    y = _zero_one(y, "y")
     if y.ndim not in (1, 2) or y.shape[-1] != b.shape[0]:
         raise DomainError(f"y must have length {b.shape[0]}")
     # item j is out iff some negative test contains it
-    return (_counts(~y.astype(bool), b) == 0).astype(np.int64)
+    return (_counts(~y, b) == 0).astype(np.int64)
 
 
 def kautz_singleton(q: int, k: int) -> tuple[np.ndarray, dict]:

@@ -17,8 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import caps
-from .certify import bias_factor_from_flat, flat_rip_constant, FLAT_FROM_RIP_FACTOR
-from .codes import Code, lwise_bias, lwise_distance
+from .certify import (
+    as_matrix, bias_factor_from_flat, flat_rip_constant, FLAT_FROM_RIP_FACTOR,
+)
+from .codes import Code, _counts, _one_hot, lwise_bias, lwise_distance
 from .embeddings import sph_inverse_binary
 from .errors import DomainError
 from .words import Word
@@ -94,11 +96,11 @@ def list_sizes_at_radii(
     add gives a block's distances to a block of codewords, and the counts
     within each radius are exact small integers.
 
-    Lex order: center index x_hi * q^lo + x_lo, read in base q with the most
-    significant digit first, enumerates centers in itertools.product order.
-    argmax returns the first maximum of a block and a later block replaces
-    the incumbent only on a strict >, so each worst center is the lex-first
-    one.
+    Lex order: the center whose halves are rows x_hi and x_lo of
+    caps.product_rows is row x_hi * q^lo + x_lo of it over all n
+    coordinates, the centers' enumeration order.  argmax returns the first
+    maximum of a block and a later block replaces the incumbent only on a
+    strict >, so each worst center is the lex-first one.
 
     Memory: blocks cover both center prefixes and codewords, so the working
     set stays within a fixed number of elements (_BLOCK_ELEMENTS) whatever
@@ -151,22 +153,19 @@ def _distance_table(
 ) -> np.ndarray:
     """Hamming distances between half-centers start..stop-1 and codeword halves.
 
-    Half-center x has the base-q digits of x, most significant first, over
-    the part.shape[1] coordinates of `part`; entry [w, x - start] is its
-    distance to row w of `part`.  With no coordinates every distance is 0.
+    Half-center x is row x of caps.product_rows over the part.shape[1]
+    coordinates of `part`; entry [w, x - start] is its distance to row w of
+    `part`, the coordinate count minus their one-hot agreement count.  With
+    no coordinates every distance is 0.
     """
-    k = part.shape[1]
-    index = np.arange(start, stop, dtype=np.int64)
-    table = np.zeros((len(part), stop - start), dtype=dtype)
-    for j in range(k):
-        digit = (index // q ** (k - 1 - j)) % q
-        table += digit[None, :] != part[:, j, None]
-    return table
+    centers = _one_hot(q, caps.product_rows(q, part.shape[1], start, stop).T)
+    agreements = _counts(_one_hot(q, part.T).T, centers)
+    return (part.shape[1] - agreements).astype(dtype)
 
 
 def _center_word(q: int, n: int, index: int) -> Word:
-    """The center at position `index` of itertools.product(range(q), repeat=n)."""
-    return Word(q, tuple((index // q ** (n - 1 - j)) % q for j in range(n)))
+    """The center at position `index` of caps.product_rows(q, n, ...)."""
+    return Word(q, tuple(caps.product_rows(q, n, index, index + 1)[0].tolist()))
 
 
 def list_size_at_radius(c: Code, rho: float, cap: int | None = None) -> ListDecodingReport:
@@ -279,7 +278,7 @@ def rip_to_listdecoding_report(
     intermediate constant, and reports it next to the bound the previous
     stage predicts for it.
     """
-    m = np.asarray(m, dtype=np.complex128)
+    m = as_matrix(m)
     code = Code(sph_inverse_binary(m[:, j]) for j in range(m.shape[1]))
     if len(code) != m.shape[1]:
         raise DomainError("matrix has duplicate columns")

@@ -15,6 +15,9 @@ ties by hand, as they did before caps took over the walk and the tie-break.
 So do the exact counts of 0/1 products that one BLAS kernel now gives: the
 per-coordinate agreement count behind min distance, and the non-BLAS int64
 product behind flat RIP's overlap mask, the design Gram and the OR channel.
+So do the loops that counts and caps' product order replaced: code bias
+over pairs indexed by hand and symbol counts taken one symbol at a time,
+and the list-size sweep's per-coordinate distance table and center digits.
 No library code imports this module.  Builders return the sorted tuple of distinct
 Words, the order the library's Code uses.
 """
@@ -291,6 +294,59 @@ def gt_encode(m: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def gt_decode_cover(m: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (int64_counts(np.asarray(y) == 0, as_binary(m)) == 0).astype(np.int64)
+
+
+# ---------------------------------------------------------------- bias and list sizes
+
+# codeword pairs per block in code_bias
+PAIR_BLOCK = 1 << 14
+
+
+def code_bias(c) -> float:
+    """Max bias of a codeword difference: pairs (i, j), i < j, indexed in lex
+    order by hand, and each difference's symbol counts taken one symbol at a
+    time, with the terms abs(k/n - 1.0/q) added in symbol order."""
+    size = len(c)
+    if size < 2:
+        raise DomainError("code bias needs at least two codewords")
+    q, n = c.q, c.n
+    a = c.array().astype(np.min_scalar_type(2 * q))
+    count_dtype = np.min_scalar_type(n)
+    rows = np.arange(size, dtype=np.int64)
+    # row i starts at first[i]
+    first = rows * (size - 1) - rows * (rows - 1) // 2
+    total = size * (size - 1) // 2
+    uniform = 1.0 / q
+    best = 0.0
+    for p0 in range(0, total, PAIR_BLOCK):
+        pair = np.arange(p0, min(p0 + PAIR_BLOCK, total), dtype=np.int64)
+        i = np.searchsorted(first, pair, side="right") - 1
+        j = pair - first[i] + i + 1
+        diff = np.ascontiguousarray(((a[i] + q - a[j]) % q).T)
+        sums = np.zeros(len(pair))
+        for s in range(q):
+            counts = np.add.reduce(diff == s, axis=0, dtype=count_dtype)
+            sums += np.abs(counts / n - uniform)
+        best = max(best, float((0.5 * sums).max()))
+    return best
+
+
+def distance_table(q: int, start: int, stop: int, part: np.ndarray,
+                   dtype: np.dtype) -> np.ndarray:
+    """Distances from half-centers start..stop-1 (base-q digits, most
+    significant first) to the rows of `part`, one coordinate at a time."""
+    k = part.shape[1]
+    index = np.arange(start, stop, dtype=np.int64)
+    table = np.zeros((len(part), stop - start), dtype=dtype)
+    for j in range(k):
+        digit = (index // q ** (k - 1 - j)) % q
+        table += digit[None, :] != part[:, j, None]
+    return table
+
+
+def center_word(q: int, n: int, index: int) -> Word:
+    """The center at position `index` of itertools.product(range(q), repeat=n)."""
+    return Word(q, tuple((index // q ** (n - 1 - j)) % q for j in range(n)))
 
 
 # ---------------------------------------------------------------- subset certifiers

@@ -1,12 +1,18 @@
 import ast
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sparsecode
-from sparsecode.caps import lex_first_max, lex_first_max_pair, subset_blocks, subsets
+from sparsecode.caps import (
+    lex_first_max,
+    lex_first_max_pair,
+    product_rows,
+    subset_blocks,
+    subsets,
+)
 import scalar_oracles as oracle
 
 
@@ -30,6 +36,20 @@ def test_subset_blocks_concatenate_to_subsets(n_items, size, first, largest):
     assert all(n <= largest for n in lengths)
     assert np.array_equal(np.concatenate([rows for _, rows in blocks]),
                           subsets(n_items, size))
+
+
+@pytest.mark.parametrize("q, length", [(2, 0), (2, 1), (2, 5), (3, 4), (5, 3), (13, 2)])
+def test_product_rows_match_product_order(q, length):
+    full = [list(t) for t in product(range(q), repeat=length)]
+    rows = product_rows(q, length, 0, len(full))
+    assert rows.dtype == np.int64
+    assert rows.shape == (len(full), length)
+    assert rows.tolist() == full
+    for start, stop in [(0, 0), (0, 1), (len(full) - 1, len(full)),
+                        (len(full) // 3, len(full) // 2 + 1)]:
+        part = product_rows(q, length, start, stop)
+        assert part.shape == (stop - start, length)
+        assert part.tolist() == full[start:stop]
 
 
 @pytest.mark.parametrize("block", [1, 2, 7, 100])
@@ -83,7 +103,9 @@ def test_lex_first_max_pair_float_scores(block):
 
 
 def test_only_caps_imports_combinations():
-    """The lex order of subsets is caps' alone: no other module walks it."""
+    """Enumeration orders are caps' alone: the lex order of subsets and the
+    product order of messages and centers.  No other module walks either."""
+    orders = {"combinations", "product"}
     offenders = []
     for path in sorted(Path(sparsecode.__file__).parent.glob("*.py")):
         if path.name == "caps.py":
@@ -91,9 +113,9 @@ def test_only_caps_imports_combinations():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom) and node.module == "itertools":
                 names = {alias.name for alias in node.names}
-                if names & {"combinations", "*"}:
+                if names & (orders | {"*"}):
                     offenders.append(path.name)
-            elif (isinstance(node, ast.Attribute) and node.attr == "combinations"
+            elif (isinstance(node, ast.Attribute) and node.attr in orders
                   and isinstance(node.value, ast.Name) and node.value.id == "itertools"):
                 offenders.append(path.name)
     assert offenders == []

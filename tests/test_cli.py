@@ -468,6 +468,8 @@ class TestExitContract:
          "--L must be >= 0, got -1"),
         (["cs-roundtrip", "--matrix", "vand.json", "--L", "-1", "--seed", "0"],
          "--L must be >= 0, got -1"),
+        (["cs-roundtrip", "--matrix", "vand.json", "--L", "9", "--seed", "0"],
+         "need 0 <= L <= N, got L=9, N=6"),
         (["verify", "disjunct", "--input", "ks.json", "--L", "-2"],
          "--L must be >= 0, got -2"),
         (["pipeline", "ks-gt", "--q", "5", "--k", "2", "--L", "-1"],

@@ -371,6 +371,11 @@ class TestCodeBias:
         c = _code(13, tuple(range(13)), tuple((3 * s) % 13 for s in range(13)))
         assert code_bias(c) == _pairwise_code_bias(c)
 
+    @pytest.mark.parametrize("q, k", [(7, 2), (11, 3), (13, 3), (31, 2)])
+    def test_reed_solomon_matches_blocked_oracle(self, q, k):
+        c = reed_solomon(q, k)
+        assert code_bias(c).hex() == oracle.code_bias(c).hex()
+
     def test_needs_two_codewords(self):
         with pytest.raises(DomainError):
             code_bias(_code(2, (0, 1)))
@@ -385,6 +390,16 @@ class TestCodeBias:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("measure", [code_bias, min_distance])
+def test_pair_cap(monkeypatch, measure):
+    c = reed_solomon(5, 2)  # 25 codewords, 300 pairs
+    monkeypatch.setenv("SPARSECODE_CAP", "300")
+    measure(c)
+    monkeypatch.setenv("SPARSECODE_CAP", "299")
+    with pytest.raises(EnumerationCapError, match="300 pairs exceed cap 299"):
+        measure(c)
 
 
 class TestMinDistanceEpsilon:

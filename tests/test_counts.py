@@ -1,5 +1,6 @@
 """The one exact 0/1 counting kernel (`codes._counts`), against the
-per-coordinate agreement count and the int64 products it replaced."""
+per-coordinate agreement count, the int64 products and the hand-indexed
+code bias it replaced."""
 
 import ast
 from pathlib import Path
@@ -13,7 +14,7 @@ import scalar_oracles as oracle
 import sparsecode
 from sparsecode import codes
 from sparsecode.certify import flat_rip_constant
-from sparsecode.codes import Code, min_distance, reed_solomon
+from sparsecode.codes import Code, code_bias, min_distance, reed_solomon
 from sparsecode.embeddings import bool_code, sph_code
 from sparsecode.group_testing import (
     design_from_code,
@@ -28,10 +29,10 @@ _DIFFERENTIAL = settings(derandomize=True, max_examples=100, deadline=None,
 
 
 @st.composite
-def _codes(draw, most=40):
-    """Random codes over q in {2, 3, 5} with at least two codewords."""
-    q = draw(st.sampled_from([2, 3, 5]))
-    n = draw(st.integers(1, 12))
+def _codes(draw, most=40, alphabets=(2, 3, 5), longest=12):
+    """Random codes over q in `alphabets` with at least two codewords."""
+    q = draw(st.sampled_from(alphabets))
+    n = draw(st.integers(1, longest))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rows = rng.integers(0, q, size=(draw(st.integers(2, most)), n))
     rows[1] = (rows[0] + 1) % q  # a second distinct codeword
@@ -101,6 +102,15 @@ class TestAgainstIntegerOracles:
             encoded = gt_encode(m, xs)
             assert np.array_equal(gt_decode_cover(m, encoded),
                                   oracle.gt_decode_cover(m, encoded))
+
+    # q >= 9 is where a pairwise sum would regroup the q bias terms
+    @pytest.mark.parametrize("block", [1, 7, 2**30])
+    @_DIFFERENTIAL
+    @given(c=_codes(alphabets=range(2, 14), longest=24))
+    def test_code_bias(self, c, block):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(codes, "_COUNT_BLOCK", block)
+            assert code_bias(c).hex() == oracle.code_bias(c).hex()
 
     @_DIFFERENTIAL
     @given(c=_codes(most=14), L0=st.integers(1, 3))

@@ -131,6 +131,18 @@ class TestVerifyDesign:
     def test_single_set(self):
         assert verify_design(Design(3, 2, ((0, 1),))).max_intersection == 0
 
+    def test_pair_cap(self, monkeypatch):
+        d = design_from_code(reed_solomon(5, 2))  # 25 sets, 300 pairs
+        monkeypatch.setenv("SPARSECODE_CAP", "300")
+        assert verify_design(d).max_intersection == 1
+        kautz_singleton(5, 2)
+        monkeypatch.setenv("SPARSECODE_CAP", "299")
+        with pytest.raises(EnumerationCapError, match="300 pairs exceed cap 299"):
+            verify_design(d)
+        # its provenance records the code's min distance
+        with pytest.raises(EnumerationCapError, match="300 pairs exceed cap 299"):
+            kautz_singleton(5, 2)
+
 
 class TestVerifyDesignKernel:
     @settings(derandomize=True, max_examples=200, deadline=None,
@@ -469,6 +481,13 @@ class TestEncodeDecode:
             gt_encode(np.eye(3) * 2, np.ones(3))
         with pytest.raises(DomainError, match="0 or 1"):
             gt_decode_cover(np.full((2, 2), np.nan), np.ones(2))
+
+    def test_non_binary_input_rejected(self):
+        m = np.eye(3, dtype=int)
+        with pytest.raises(DomainError, match="x entries must be 0 or 1"):
+            gt_encode(m, [np.nan, 0.5, -2])
+        with pytest.raises(DomainError, match="y entries must be 0 or 1"):
+            gt_decode_cover(m, [np.nan, 7, 0])
 
     def test_as_binary(self):
         assert as_binary(np.array([[0.0, 1.0]])).dtype == bool

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scalar_oracles as oracle
 from scalar_oracles import hamming_distance
 from sparsecode import listdecode
 
@@ -91,6 +92,31 @@ class TestSplitSumSweep:
             mp.setattr(listdecode, "_BLOCK_ELEMENTS", block_elements)
             got = list_sizes_at_radii(c, radii)
         assert got == _chunked_list_sizes(c, radii)
+
+    # random slices are tested directly below, so one block size will do
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(c=_small_codes())
+    def test_matches_per_coordinate_tables(self, c):
+        radii = list(range(-1, c.n + 2))
+        got = list_sizes_at_radii(c, radii)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(listdecode, "_distance_table", oracle.distance_table)
+            mp.setattr(listdecode, "_center_word", oracle.center_word)
+            assert got == list_sizes_at_radii(c, radii)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_distance_table_matches_per_coordinate_loop(self, data):
+        q = data.draw(st.sampled_from(sorted(_MAX_LENGTH)))
+        k = data.draw(st.integers(0, _MAX_LENGTH[q]))
+        start = data.draw(st.integers(0, q**k))
+        stop = data.draw(st.integers(start, q**k))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        part = rng.integers(0, q, size=(data.draw(st.integers(1, 30)), k))
+        got = listdecode._distance_table(q, start, stop, part, np.uint8)
+        want = oracle.distance_table(q, start, stop, part, np.uint8)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("q", [2, 3, 7])
     def test_length_one(self, q):
@@ -303,6 +329,10 @@ class TestRipToListDecoding:
         assert all(stage["ok"] for stage in report["bias_stages"])
         assert report["johnson"]["verdict"] != "fail"
         assert report["epsilon_floor"] == pytest.approx(1.0 / math.sqrt(2))
+
+    def test_rejects_one_dimensional_input(self):
+        with pytest.raises(DomainError, match="2-d"):
+            rip_to_listdecoding_report(np.ones(4) / 2.0, 2, 0.1, 0.5)
 
     def test_rejects_non_embedding_matrix(self):
         m = np.ones((4, 3)) / 2.0
