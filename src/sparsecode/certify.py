@@ -27,6 +27,9 @@ RANK_TOL = 1e-9
 
 # subsets per batched Gram/SVD call in rip2_profile and kernel_injectivity
 _SUBSET_BLOCK = 1 << 9
+# rip2_profile's filter shifts its thresholds by _PD_MARGIN * s^2 * B, where
+# 2^-43 = 1024 u (u = 2^-53, the unit roundoff); the proof is in _may_reach
+_PD_MARGIN = 2.0**-43
 # set rows per block of flat_rip_constant's overlap check
 _OVERLAP_BLOCK = 1 << 8
 
@@ -150,16 +153,23 @@ def as_matrix(m: np.ndarray) -> np.ndarray:
     return as_finite(m, "matrix")
 
 
+def _require_finite_gram(moduli) -> None:
+    """A Gram of finite entries can still overflow; no verdict rests on it."""
+    if not np.isfinite(moduli).all():
+        raise DomainError("Gram matrix overflows: column norms too large")
+
+
 def coherence(m: np.ndarray) -> CoherenceReport:
     """Max |<c_i, c_j>| over distinct column pairs, plus norm deviation."""
     m = as_matrix(m)
     n_cols = m.shape[1]
     if n_cols < 2:
         raise DomainError("coherence needs at least two columns")
-    gram = m.conj().T @ m
-    norms = np.sqrt(np.abs(np.diag(gram)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.abs(m.conj().T @ m)
+    _require_finite_gram(vals)
+    norms = np.sqrt(np.diag(vals))
     dev = float(np.abs(norms - 1.0).max())
-    vals = np.abs(gram)
     np.fill_diagonal(vals, -1.0)
     best = float(vals.max())
     i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
@@ -167,12 +177,69 @@ def coherence(m: np.ndarray) -> CoherenceReport:
     return CoherenceReport(best, (i, j), dev, n_cols * (n_cols - 1) // 2)
 
 
+def _pivots_positive(a: np.ndarray) -> np.ndarray:
+    """Per matrix of the Hermitian stack `a`, indexed (row, column, matrix),
+    which this reads from its lower triangle and the real part of its
+    diagonal and overwrites: True iff every pivot of its LDL^H factorisation
+    without pivoting is > 0.  A NaN pivot is not > 0."""
+    size = a.shape[0]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for j in range(size - 1):
+            col = a[j + 1:, j]
+            a[j + 1:, j + 1:] -= (col * (1.0 / a[j, j].real))[:, None] * col.conj()
+    diag = np.arange(size)
+    return (a[diag, diag].real > 0).all(axis=0)
+
+
+def _may_reach(gram: np.ndarray, rows: np.ndarray, t: float, scale: float) -> np.ndarray:
+    """False for each subset of `rows` whose computed distortion is proved
+    below t >= 0 without eigvalsh; `scale` bounds |gram|, which may be real.
+
+    The proof.  Write u = 2^-53, let H be the Hermitian matrix eigvalsh reads
+    (G_S's lower triangle and real diagonal), so ||H|| <= s * scale, and let
+    B = (1+t)^2 + s * scale >= 1 and delta = _PD_MARGIN * s^2 * B =
+    1024 s^2 u B.
+     - Upper side: the LDL^H of A = ((1+t)^2 - delta) I - H has all pivots
+       > 0 (an overflowing or NaN pivot fails).  Then A + dA is positive
+       definite, where the LDL^H backward error (Higham, Accuracy and
+       Stability of Numerical Algorithms, 2nd ed., Thms 9.3 and 10.3, with
+       complex arithmetic's constants) and the rounding of A's diagonal give
+       ||dA|| <= 9 s^2 u B; with the rounding of the shift, lambda_max(H) <
+       (1+t)^2 - delta + 14 s^2 u B.  eigvalsh is backward stable, so by
+       Weyl's inequality its value is within 256 s^2 u ||H|| of lambda_max(H),
+       a bound many times LAPACK's.  So the computed lambda_max <= (1+t)^2
+       (1 - 754 u), its rounded sqrt is <= (1+t)(1 - 376 u), and sqrt - 1
+       rounds to below t.
+     - Lower side, tested when t <= 1: the LDL^H of H - ((1-t)^2 + delta) I
+       has all pivots > 0.  In the same way the computed lambda_min >=
+       (1-t)^2 + 754 u, its rounded sqrt is >= (1-t) + 374 u, and 1 - sqrt
+       rounds to below t.  When t > 1 the lower side, 1 - sqrt(max(lambda,
+       0)), is at most 1 < t untested.
+    On a real Gram, real arithmetic computes the same pivots as complex
+    arithmetic on zero imaginary parts.
+    """
+    k, s = rows.shape
+    delta = _PD_MARGIN * s * s * ((1 + t) * (1 + t) + s * scale)
+    cols = np.ascontiguousarray(rows.T)
+    grams = gram[cols[:, None], cols[None, :]]  # (s, s, K), K innermost
+    diag = np.arange(s)
+    lower_too = t <= 1
+    # the upper test on the first K matrices, the lower one on the rest
+    tests = np.concatenate((-grams, grams), axis=2) if lower_too else -grams
+    with np.errstate(over="ignore", invalid="ignore"):
+        tests[diag, diag, :k] += (1 + t) * (1 + t) - delta
+        tests[diag, diag, k:] -= (1 - t) * (1 - t) + delta
+    below = _pivots_positive(tests)
+    return ~(below[:k] & below[k:]) if lower_too else ~below
+
+
 def rip2_profile(m: np.ndarray, L: int, cap: int | None = None) -> list[RipReport]:
     """RIP-2 reports for every order 1..L in one enumeration pass.
 
     The order-L constant is the running maximum of the per-size extremal
     distortions, since subsets of size < L are subsets of the order-L search
-    space.
+    space.  A threshold filter (`_may_reach`) spares eigvalsh every subset
+    proved below the best distortion computed so far.
     """
     m = as_matrix(m)
     n_cols = m.shape[1]
@@ -180,12 +247,34 @@ def rip2_profile(m: np.ndarray, L: int, cap: int | None = None) -> list[RipRepor
         raise DomainError(f"need 1 <= L <= N, got L={L}, N={n_cols}")
     caps.require(sum(math.comb(n_cols, s) for s in range(1, L + 1)),
                  caps.subset_cap(cap), f"subsets up to size {L}")
+    # every subset Gram is a principal submatrix of this one; this einsum
+    # gives the same bits as a per-subset einsum, where a BLAS product need not
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = np.einsum("nk,nl->kl", m.conj(), m)
+        scale = float(np.abs(gram).max())
+    _require_finite_gram(scale)
+    # on a real Gram the filter decides the same in faster real arithmetic
+    filter_gram = gram if gram.imag.any() else gram.real.copy()
+    # the largest distortion computed so far, over earlier sizes and earlier
+    # blocks: every subset it came from precedes the block being scored
+    incumbent = -math.inf
 
+    # A removed row is below the incumbent, so the rows that tie or beat it
+    # all survive: the lex-first maximum of a block, a later block's win on a
+    # strict > in caps.lex_first_max and a later size's win on a strict >
+    # below are the same as without the filter.  numpy's eigvalsh solves a
+    # stack one matrix at a time, so the survivors' bits do not change.
     def distortions(rows: np.ndarray) -> np.ndarray:
-        cols = m[:, rows]  # (n, K, s)
-        gram = np.einsum("nks,nkt->kst", cols.conj(), cols)
-        sv = np.sqrt(np.clip(np.linalg.eigvalsh(gram), 0.0, None))
-        return np.maximum(sv[:, -1] - 1.0, 1.0 - sv[:, 0])
+        nonlocal incumbent
+        out = np.full(len(rows), -np.inf)
+        keep = (_may_reach(filter_gram, rows, incumbent, scale) if incumbent >= 0
+                else np.ones(len(rows), dtype=bool))
+        kept = rows[keep]
+        grams = gram[kept[:, :, None], kept[:, None, :]]
+        sv = np.sqrt(np.clip(np.linalg.eigvalsh(grams), 0.0, None))
+        out[keep] = np.maximum(sv[:, -1] - 1.0, 1.0 - sv[:, 0])
+        incumbent = max(incumbent, out.max().item())
+        return out
 
     reports: list[RipReport] = []
     best, best_witness, checked = -1.0, (), 0

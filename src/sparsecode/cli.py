@@ -368,6 +368,17 @@ def _cmd_pipeline(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
+def _finite_float(text: str) -> float:
+    """A float flag's value; NaN and inf would give a verdict on no number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"invalid finite float value: {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sparsecode",
@@ -382,8 +393,8 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--n", type=int)
     b.add_argument("--k", type=int)
     b.add_argument("--cols", type=int)
-    b.add_argument("--delta", type=float)
-    b.add_argument("--slack", type=float, default=0.1)
+    b.add_argument("--delta", type=_finite_float)
+    b.add_argument("--slack", type=_finite_float, default=0.1)
     b.add_argument("--seed", type=int)
     b.add_argument("--code", help="input code file for embeddings")
     b.add_argument("--normalize", action="store_true")
@@ -396,8 +407,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                         "lwise-distance", "lwise-bias", "kernel"])
     v.add_argument("--input", required=True)
     v.add_argument("--L", type=int)
-    v.add_argument("--rho", type=float)
-    v.add_argument("--threshold", type=float)
+    v.add_argument("--rho", type=_finite_float)
+    v.add_argument("--threshold", type=_finite_float)
     v.add_argument("--cap", type=int)
     v.set_defaults(func=_cmd_verify)
 
@@ -408,9 +419,9 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("--L", type=int)
     d.add_argument("--r", type=int)
     d.add_argument("--n-prime", type=int)
-    d.add_argument("--delta", type=float)
-    d.add_argument("--epsilon", type=float)
-    d.add_argument("--alpha", type=float)
+    d.add_argument("--delta", type=_finite_float)
+    d.add_argument("--epsilon", type=_finite_float)
+    d.add_argument("--alpha", type=_finite_float)
     d.set_defaults(func=_cmd_bounds)
 
     g = sub.add_parser("gt-roundtrip", help="group-testing encode/decode sweep")
@@ -434,9 +445,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--L", type=int)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--slack", type=float, default=0.1)
-    p.add_argument("--epsilon", type=float)
+    p.add_argument("--delta", type=_finite_float)
+    p.add_argument("--slack", type=_finite_float, default=0.1)
+    p.add_argument("--epsilon", type=_finite_float)
     p.add_argument("--seed", type=int)
     p.add_argument("--matrix")
     p.add_argument("--cap", type=int)

@@ -3,8 +3,10 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from sparsecode import certify
+from sparsecode import caps, certify
 from sparsecode.certify import (
     FLAT_FROM_RIP_FACTOR,
     bias_factor_from_flat,
@@ -20,6 +22,7 @@ import scalar_oracles as oracle
 from sparsecode.codes import random_balanced_code
 from sparsecode.embeddings import bool_code, sph_code
 from sparsecode.errors import DomainError, EnumerationCapError, PreconditionError
+from sparsecode.recovery import vandermonde_matrix
 
 
 def _random_unit_columns(rng, n, N, complex_entries=True):
@@ -125,7 +128,8 @@ class TestRip2:
 
         default = reports()
         assert default[2][1].witness == (0, 1, 2, 3)
-        for block in (1, 7):
+        # 1 << 30 rows: every size's subsets in one block
+        for block in (1, 7, 1 << 30):
             monkeypatch.setattr(certify, "_SUBSET_BLOCK", block)
             assert reports() == default
 
@@ -136,6 +140,188 @@ class TestRip2:
     def test_cap(self):
         with pytest.raises(EnumerationCapError):
             rip2_constant(np.eye(10), 5, cap=20)
+
+
+_DIFFERENTIAL = settings(derandomize=True, max_examples=100, deadline=None,
+                         suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@st.composite
+def _rip_matrices(draw):
+    """Every kind of matrix RIP-2 meets, exact ties included: real, complex,
+    0/1, embedded balanced codes, repeated and zero columns, and Vandermonde
+    columns, which are not unit norm."""
+    kind = draw(st.sampled_from(["real", "complex", "boolean", "sph", "bool",
+                                 "ties", "vandermonde"]))
+    n, cols = draw(st.integers(1, 8)), draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind in ("real", "complex"):
+        return _random_unit_columns(rng, n, cols, kind == "complex")
+    if kind == "boolean":
+        return rng.integers(0, 2, size=(n, cols))
+    if kind in ("sph", "bool"):
+        code = random_balanced_code(draw(st.sampled_from([2, 3])), n + 2,
+                                    draw(st.integers(1, 3)), rng)
+        return sph_code(code) if kind == "sph" else \
+            bool_code(code, normalize=draw(st.booleans()))
+    if kind == "ties":
+        m = np.eye(n)[:, rng.integers(0, n, size=cols)]
+        m[:, rng.integers(0, cols, size=draw(st.integers(0, 2)))] = 0
+        return m
+    return vandermonde_matrix(rng.normal(size=cols) + 1j * rng.normal(size=cols), n)
+
+
+def _rip_key(profile):
+    return [(r.order, r.alpha.hex(), r.witness_subset, r.subsets_checked)
+            for r in profile]
+
+
+def _gram(m):
+    """rip2_profile's one Gram of `m`, and the bound on its moduli."""
+    a = certify.as_matrix(m)
+    gram = np.einsum("nk,nl->kl", a.conj(), a)
+    return gram, float(np.abs(gram).max())
+
+
+def _distortions(grams):
+    """rip2_profile's distortion of each (K, s, s) Gram, by eigvalsh."""
+    sv = np.sqrt(np.clip(np.linalg.eigvalsh(grams), 0.0, None))
+    return np.maximum(sv[:, -1] - 1.0, 1.0 - sv[:, 0])
+
+
+def _bool_36x27():
+    """A fixed 36 x 27 Boolean embedding: nine shift classes of three words."""
+    rng = np.random.default_rng(20261018)
+    while True:
+        m = bool_code(random_balanced_code(3, 12, 9, rng), normalize=True)
+        if m.shape[1] == 27:
+            return m
+
+
+class TestThresholdFilter:
+    """rip2_profile's LDL^H filter changes no report and spares eigvalsh."""
+
+    @pytest.mark.parametrize("block", [1, 7, 1 << 30])
+    @_DIFFERENTIAL
+    @given(m=_rip_matrices(), L=st.integers(1, 5))
+    def test_profile_equals_unfiltered_oracle(self, m, L, block):
+        L = min(L, m.shape[1])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(certify, "_SUBSET_BLOCK", block)
+            assert _rip_key(rip2_profile(m, L)) == _rip_key(oracle.rip2_profile(m, L))
+
+    @_DIFFERENTIAL
+    @given(m=_rip_matrices(), L=st.integers(1, 4),
+           layout=st.sampled_from(["C", "F", "column-sliced"]))
+    def test_gathered_grams_are_per_subset_einsums(self, m, L, layout):
+        m = np.asarray(m, dtype=np.complex128)
+        if layout == "F":
+            m = np.asfortranarray(m)
+        elif layout == "column-sliced":
+            wide = np.zeros((m.shape[0], 2 * m.shape[1]), dtype=np.complex128)
+            wide[:, 1::2] = m
+            m = wide[:, 1::2]
+        L = min(L, m.shape[1])
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+        with pytest.MonkeyPatch.context() as mp:
+            # every subset reaches eigvalsh, which records what it is given
+            mp.setattr(certify, "_may_reach", lambda g, rows, t, scale:
+                       np.ones(len(rows), dtype=bool))
+            mp.setattr(np.linalg, "eigvalsh",
+                       lambda a: seen.append(a.copy()) or eigvalsh(a))
+            rip2_profile(m, L)
+        a = certify.as_matrix(m)
+        for s in range(1, L + 1):
+            rows = caps.subsets(m.shape[1], s)
+            gathered = np.concatenate([g for g in seen if g.shape[1] == s])
+            cols = a[:, rows]
+            per_subset = np.einsum("nks,nkt->kst", cols.conj(), cols)
+            assert gathered.tobytes() == per_subset.tobytes()
+
+    def test_filter_spares_eigvalsh(self):
+        m = _bool_36x27()
+        total = sum(math.comb(27, s) for s in range(1, 5))
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "eigvalsh",
+                       lambda a: solved.append(len(a)) or eigvalsh(a))
+            profile = rip2_profile(m, 4)
+        # the space certified is still all of it
+        assert profile[-1].subsets_checked == total
+        assert sum(solved) < 0.15 * total
+        assert _rip_key(profile) == _rip_key(oracle.rip2_profile(m, 4))
+
+    def test_incumbent_is_best_of_earlier_blocks(self, monkeypatch):
+        # the threshold a block is filtered against comes from subsets that
+        # all precede it, never from the block itself
+        m = _bool_36x27()[:, :14]
+        thresholds = []
+        may_reach = certify._may_reach
+        monkeypatch.setattr(certify, "_SUBSET_BLOCK", 64)
+
+        def spy(gram, rows, t, scale):
+            thresholds.append(t.hex())
+            return may_reach(gram, rows, t, scale)
+
+        monkeypatch.setattr(certify, "_may_reach", spy)
+        rip2_profile(m, 4)
+        gram, _ = _gram(m)
+        expected, best = [], -math.inf
+        for s in range(1, 5):
+            for _, rows in caps.subset_blocks(14, s, 64, 64):
+                if best >= 0:
+                    expected.append(best.hex())
+                grams = gram[rows[:, :, None], rows[:, None, :]]
+                best = max(best, _distortions(grams).max().item())
+        assert thresholds == expected
+
+    @pytest.mark.parametrize("which", ["complex", "real", "bool", "sph"])
+    def test_rows_at_or_above_the_threshold_survive(self, which):
+        rng = np.random.default_rng(33)
+        m = {
+            "complex": lambda: _random_unit_columns(rng, 4, 10),
+            "real": lambda: _random_unit_columns(rng, 3, 10, complex_entries=False),
+            # unnormalized, with each column twice: exact ties, distortions > 1
+            "bool": lambda: np.repeat(bool_code(random_balanced_code(2, 5, 4, rng)),
+                                      2, axis=1)[:, :10],
+            "sph": lambda: sph_code(random_balanced_code(3, 5, 3, rng)),
+        }[which]()
+        gram, scale = _gram(m)
+        removed = 0
+        for s in range(1, 5):
+            rows = caps.subsets(m.shape[1], s)
+            d = _distortions(gram[rows[:, :, None], rows[:, None, :]])
+            for t in np.unique(d):
+                t = float(t)
+                keep = certify._may_reach(gram, rows, t, scale)
+                assert keep[d >= t].all()
+                if not gram.imag.any():
+                    # real arithmetic decides as complex arithmetic does
+                    assert np.array_equal(
+                        certify._may_reach(gram.real.copy(), rows, t, scale), keep)
+                removed += int((~keep).sum())
+        assert removed > 0
+
+    def test_pivots_positive_needs_every_pivot_above_zero(self):
+        stack = np.array([
+            [[2.0, 1.0], [1.0, 2.0]],      # positive definite
+            [[1.0, 1.0], [1.0, 1.0]],      # singular: last pivot exactly 0
+            [[0.0, 0.0], [0.0, 1.0]],      # first pivot exactly 0
+            [[1.0, 2.0], [2.0, 1.0]],      # indefinite
+            [[np.nan, 0.0], [0.0, 1.0]],
+        ], dtype=np.complex128)
+        # the stack is indexed (row, column, matrix)
+        ok = certify._pivots_positive(np.ascontiguousarray(stack.transpose(1, 2, 0)))
+        assert ok.tolist() == [True, False, False, False, False]
+
+    @pytest.mark.parametrize("certifier", [
+        coherence, lambda m: rip2_profile(m, 2)], ids=["coherence", "rip2_profile"])
+    def test_gram_overflow_rejected(self, certifier):
+        # finite entries whose Gram overflows would certify inf
+        with pytest.raises(DomainError, match="overflows"):
+            certifier(np.array([[1e200, 1.0], [1.0, 1.0]]))
 
 
 class TestFlatRip:

@@ -381,6 +381,9 @@ _BAD_FILES = {
     "alphabet.code": "1 2\n0 0\n",
     "negative.code": "2 2\n0 -1\n",
     "junk.code": "q n\nx y\n",
+    # finite entries whose Gram overflows
+    "huge.json": json.dumps({"kind": "complex", "n": 2, "N": 2,
+                             "entries": [[1e200, 0], [1, 0], [1, 0], [1, 0]]}),
 }
 
 
@@ -434,6 +437,17 @@ class TestExitContract:
         ["verify", "disjunct", "--input", "sph.json", "--L", "1"],
         ["verify", "design", "--input", "uneven.json"],
         ["bounds", "--q", "1", "--epsilon", "1"],
+        ["verify", "rip2", "--input", "ks.json", "--L", "1", "--threshold", "nan"],
+        ["verify", "rip2", "--input", "ks.json", "--L", "1", "--threshold", "inf"],
+        ["verify", "list-decode", "--input", "c.code", "--rho", "-inf"],
+        ["bounds", "--q", "2", "--epsilon", "nan"],
+        ["bounds", "--q", "2", "--epsilon", "inf"],
+        ["bounds", "--q", "2", "--n", "8", "--delta", "nan"],
+        ["bounds", "--q", "2", "--alpha", "inf", "--L", "4"],
+        ["build", "gv-code", "--q", "2", "--n", "8", "--delta", "0.2", "--seed", "1",
+         "--slack", "nan", "--out", "out.json"],
+        ["pipeline", "gv-rip", "--q", "2", "--n", "8", "--delta", "inf", "--L", "2",
+         "--seed", "1"],
     ], ids=lambda argv: " ".join(argv))
     def test_bad_input_exits_2(self, capsys, cli_files, argv):
         argv = [str(cli_files / a) if (cli_files / a).is_file() else a
@@ -454,6 +468,13 @@ class TestExitContract:
                 "--rho", "0.5"]
         code, out, err = run_any(capsys, argv)
         assert (code, out, err) == (2, "", f"error: {reason}\n")
+
+    @pytest.mark.parametrize("prop", ["rip2", "coherence"])
+    def test_gram_overflow_reason(self, capsys, cli_files, prop):
+        argv = ["verify", prop, "--input", str(cli_files / "huge.json"), "--L", "2"]
+        code, out, err = run_any(capsys, argv)
+        assert (code, out, err) == (
+            2, "", "error: Gram matrix overflows: column norms too large\n")
 
     # each of these once ran to a verdict from no work, or to an internal error
     @pytest.mark.parametrize("argv, reason", [
