@@ -1,10 +1,12 @@
 """Enumeration caps guarding exhaustive certifiers, and the enumeration
-orders they rest on: the one lex-order subset walk and lex-first tie-break
-they share, and the product order of messages and centers.
+orders they rest on: lex subset order, walked as rows or as prefixes that
+carry pair sums, the one lex-first tie-break they share, and the product
+order of messages and centers.
 
 Exceeding a cap is always an explicit error; there is no sampling fallback.
-The SPARSECODE_CAP environment variable overrides the subset/center caps
-globally (used by the CLI, honored everywhere); it must be an integer >= 1.
+The SPARSECODE_CAP environment variable overrides the subset, codeword and
+center caps globally (used by the CLI, honored everywhere).  A cap,
+explicit or from the environment, must be an integer >= 1.
 """
 
 from __future__ import annotations
@@ -24,39 +26,35 @@ DEFAULT_CENTER_CAP = 2**22
 _ENV_VAR = "SPARSECODE_CAP"
 
 
-def _env_cap() -> int | None:
-    raw = os.environ.get(_ENV_VAR)
-    if raw is None:
-        return None
-    message = f"{_ENV_VAR} must be an integer >= 1, got {raw!r}"
-    try:
-        value = int(raw)
-    except ValueError:
-        raise DomainError(message) from None
-    if value < 1:
+def _resolve(cap: int | None, default: int) -> int:
+    """The explicit cap, else SPARSECODE_CAP, else the default.  A cap from
+    either source must be an integer >= 1."""
+    if cap is None:
+        raw = os.environ.get(_ENV_VAR)
+        if raw is None:
+            return default
+        message = f"{_ENV_VAR} must be an integer >= 1, got {raw!r}"
+        try:
+            cap = int(raw)
+        except ValueError:
+            raise DomainError(message) from None
+    else:
+        message = f"cap must be an integer >= 1, got {cap}"
+    if cap < 1:
         raise DomainError(message)
-    return value
+    return cap
 
 
 def subset_cap(cap: int | None = None) -> int:
-    if cap is not None:
-        return cap
-    env = _env_cap()
-    return DEFAULT_SUBSET_CAP if env is None else env
+    return _resolve(cap, DEFAULT_SUBSET_CAP)
 
 
 def codeword_cap(cap: int | None = None) -> int:
-    if cap is not None:
-        return cap
-    env = _env_cap()
-    return DEFAULT_CODEWORD_CAP if env is None else env
+    return _resolve(cap, DEFAULT_CODEWORD_CAP)
 
 
 def center_cap(cap: int | None = None) -> int:
-    if cap is not None:
-        return cap
-    env = _env_cap()
-    return DEFAULT_CENTER_CAP if env is None else env
+    return _resolve(cap, DEFAULT_CENTER_CAP)
 
 
 def require(count: int, limit: int, what: str) -> None:
@@ -114,6 +112,91 @@ def lex_first_max(score, n_items: int, size: int, block: int):
         pos = int(np.argmax(s))
         if best is None or s[pos] > best:
             best, witness = s[pos].item(), tuple(rows[pos].tolist())
+    return best, witness
+
+
+def lex_first_max_pair_sum(d: np.ndarray, size: int, score, block: int):
+    """(largest score, lex-first subset attaining it) over the size-subsets S
+    of range(len(d)), 2 <= size <= len(d), scored by their pair sums.
+
+    total(S) is the exact int64 sum of d[i, j] over the pairs i < j of S,
+    for an integer matrix d, and score(totals) scores at most
+    `block` totals of consecutive subsets.  The walk is the lex-order
+    recursion: the size-s subsets are the size-(s-1) prefixes in lex order,
+    each followed by each larger item that leaves room for the rest.  A
+    prefix carries total(S), and R[S], the sum of the rows d[i] over i in S,
+    is built for a chunk of prefixes only when it extends them:
+    total(S + {j}) = total(S) + R[S, j] and R[S + {j}] = R[S] + d[j].  The
+    last extension reads R[S, j] as R[parent, j] + d[last, j], so no rows are
+    built for the largest level.  A prefix keeps only its last item and its
+    parent, and the witness is traced back only when it changes.  No level
+    emits more than `block` children at a time, so memory is
+    O(size * block * len(d)).  Within a chunk argmax is the lex-first
+    maximum, and a later chunk wins only on a strict >.
+    """
+    d = np.ascontiguousarray(d, dtype=np.int64)
+    n, flat = len(d), d.reshape(-1)
+    # the s-th item of a subset (s = 1..size) is at most tail + s - 1
+    tail = n - size
+
+    def firsts():
+        """Chunks of the size-1 prefixes {0}, ..., {tail}: R of their parent is 0."""
+        zero = np.zeros((1, n), dtype=np.int64)
+        for a in range(0, tail + 1, block):
+            last = np.arange(a, min(a + block, tail + 1))
+            yield (1, last, np.zeros(len(last), dtype=np.intp),
+                   np.zeros(len(last), dtype=np.int64), zero, None)
+
+    def children(s, last, up, total, above, trail):
+        """Chunks of the size-(s+1) extensions of a chunk of size-s prefixes:
+        prefix k has last item last[k] and its parent's R in above[up[k]]."""
+        top = tail + s  # the largest item a child may take
+        counts = top - last
+        ends = counts.cumsum()
+        p0, taken = 0, 0
+        while p0 < len(last):
+            if int(ends[-1]) - taken <= block:
+                p1 = len(last)
+            else:  # as many prefixes as fit in a block, at least one
+                p1 = max(int(ends.searchsorted(taken + block, "right")), p0 + 1)
+            c, head, hops = counts[p0:p1], last[p0:p1], up[p0:p1]
+            parent = np.arange(p1 - p0).repeat(c)
+            # prefix k's children are last[k] + 1, ..., top in turn
+            item = np.arange(int(ends[p1 - 1]) - taken)
+            item += (top + 1 + taken - ends[p0:p1]).repeat(c)
+            sums = total[p0:p1].repeat(c)
+            if s + 1 == size:
+                rows = None
+                sums += above.reshape(-1)[(hops * n).repeat(c) + item]
+                sums += flat[(head * n).repeat(c) + item]
+            else:
+                rows = above[hops] + d[head]
+                sums += rows.reshape(-1)[parent * n + item]
+            node = (head, hops, trail)
+            for a in range(0, len(item), block):
+                yield (s + 1, item[a:a + block], parent[a:a + block],
+                       sums[a:a + block], rows, node)
+            p0, taken = p1, int(ends[p1 - 1])
+
+    best, witness = None, ()
+    walks = [firsts()]
+    while walks:
+        chunk = next(walks[-1], None)
+        if chunk is None:
+            walks.pop()
+        elif chunk[0] < size:
+            walks.append(children(*chunk))
+        else:
+            _, last, up, total, _, trail = chunk
+            scores = score(total)
+            pos = int(np.argmax(scores))
+            if best is None or scores[pos] > best:
+                best, items, k = scores[pos].item(), [last[pos]], up[pos]
+                for _ in range(size - 1):
+                    prefix_last, prefix_up, trail = trail
+                    items.append(prefix_last[k])
+                    k = prefix_up[k]
+                witness = tuple(int(i) for i in reversed(items))
     return best, witness
 
 

@@ -29,8 +29,8 @@ from .words import Word, is_prime
 _COUNT_BLOCK = 128
 # a float32 sum of up to 2**24 terms of 0 or 1 is an exact integer
 _FLOAT32_TERMS = 1 << 24
-# L-subsets per block in lwise_distance and lwise_bias
-_LSET_BLOCK = 1 << 14
+# L-subsets (and prefixes) per chunk in lwise_distance and lwise_bias
+_LSET_BLOCK = 1 << 13
 # generator draws random_linear_code_gv tries before it gives up
 _RETRY_BUDGET = 200
 
@@ -214,7 +214,7 @@ def _largest_count_pair(m: np.ndarray) -> tuple[int, tuple[int, int]]:
 def _pairwise_distances(c: Code) -> np.ndarray:
     """The |C| x |C| Hamming distance matrix: n minus the agreements.
 
-    int64, because the L-subset sums gather from it into int64 totals, and
+    int64, because the L-subset walk adds its rows into int64 pair sums, and
     a mixed-width add costs more than the wider matrix at these sizes.
     """
     m = _one_hot(c.q, _symbol_columns(c))
@@ -234,22 +234,21 @@ def min_distance(c: Code) -> DistanceReport:
     return DistanceReport(best, best / c.n, witness)
 
 
-def _lset_totals(c: Code, L: int, cap: int | None):
-    """The score giving each L-subset row its exact total pairwise distance,
-    n * C(L, 2) times its average relative distance."""
+def _check_lsets(c: Code, L: int, cap: int | None) -> None:
     if not (2 <= L <= len(c)):
         raise DomainError(f"need 2 <= L <= |C|, got L={L}, |C|={len(c)}")
     caps.require(math.comb(len(c), L), caps.subset_cap(cap), f"subsets of size {L}")
-    d = _pairwise_distances(c)
-    pairs = caps.subsets(L, 2)
-    return lambda rows: sum(d[rows[:, a], rows[:, b]] for a, b in pairs)
 
 
 def lwise_distance(c: Code, L: int, cap: int | None = None) -> DistanceReport:
-    """Minimum over L-subsets of the average relative pairwise distance."""
-    totals = _lset_totals(c, L, cap)
-    least, witness = caps.lex_first_max(lambda rows: -totals(rows), len(c), L,
-                                        _LSET_BLOCK)
+    """Minimum over L-subsets of the average relative pairwise distance.
+
+    The L-set with the least exact total pairwise distance, which is
+    n * C(L, 2) times its average relative distance.
+    """
+    _check_lsets(c, L, cap)
+    least, witness = caps.lex_first_max_pair_sum(_pairwise_distances(c), L,
+                                                 np.negative, _LSET_BLOCK)
     rel = -least / (c.n * math.comb(L, 2))
     return DistanceReport(rel * c.n, rel, witness)
 
@@ -258,9 +257,11 @@ def lwise_bias(c: Code, L: int, cap: int | None = None) -> float:
     """Max over L-subsets of |average distance - 1/2|; binary codes only."""
     if c.q != 2:
         raise DomainError("L-wise bias is only defined for binary codes here")
-    totals, scale = _lset_totals(c, L, cap), c.n * math.comb(L, 2)
-    return caps.lex_first_max(lambda rows: np.abs(totals(rows) / scale - 0.5),
-                              len(c), L, _LSET_BLOCK)[0]
+    _check_lsets(c, L, cap)
+    scale = c.n * math.comb(L, 2)
+    return caps.lex_first_max_pair_sum(_pairwise_distances(c), L,
+                                       lambda t: np.abs(t / scale - 0.5),
+                                       _LSET_BLOCK)[0]
 
 
 def is_balanced(c: Code) -> bool:

@@ -1,18 +1,25 @@
 import ast
+import math
 from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sparsecode
 from sparsecode.caps import (
+    center_cap,
+    codeword_cap,
     lex_first_max,
     lex_first_max_pair,
+    lex_first_max_pair_sum,
     product_rows,
     subset_blocks,
+    subset_cap,
     subsets,
 )
+from sparsecode.errors import DomainError
 import scalar_oracles as oracle
 
 
@@ -100,6 +107,70 @@ def test_lex_first_max_pair_float_scores(block):
         got = lex_first_max_pair(lambda i0, i1: table[i0:i1, i0:].copy(), size, block)
         assert got == (table[brute].item(), brute)
         assert type(got[0]) is float
+
+
+@st.composite
+def _pair_sum_cases(draw):
+    """A symmetric int64 matrix of few distinct values, so that maxima tie
+    across chunk edges, sometimes scaled past int32, and a subset size."""
+    n = draw(st.integers(2, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = rng.integers(0, draw(st.integers(1, 3)) + 1, size=(n, n))
+    d = np.triu(d, 1) + np.triu(d, 1).T
+    if draw(st.booleans()):
+        d = d << 33
+    return d, draw(st.integers(2, n))
+
+
+def _brute_pair_sums(d, size, scores):
+    """The lex-first best subset under each score, by a scalar loop over
+    combinations."""
+    subsets = list(combinations(range(len(d)), size))
+    totals = np.array([sum(int(d[i, j]) for i, j in combinations(subset, 2))
+                       for subset in subsets], dtype=np.int64)
+    found = []
+    for score in scores:
+        best, witness = None, None
+        for subset, value in zip(subsets, score(totals).tolist()):
+            if best is None or value > best:
+                best, witness = value, subset
+        found.append((best, witness))
+    return found
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(case=_pair_sum_cases())
+def test_lex_first_max_pair_sum_matches_brute_force(case):
+    d, size = case
+    scale = 7 * int(d.max() + 1)
+    scores = (np.negative, lambda t: np.abs(t / scale - 0.5))
+    for score, brute in zip(scores, _brute_pair_sums(d, size, scores)):
+        for block in (1, 7, 1 << 30):
+            chunks = []
+
+            def counted(totals):
+                chunks.append(len(totals))
+                return score(totals)
+
+            got = lex_first_max_pair_sum(d, size, counted, block)
+            assert got == brute
+            assert type(got[0]) is type(brute[0])
+            assert max(chunks) <= block
+            assert sum(chunks) == math.comb(len(d), size)
+
+
+@pytest.mark.parametrize("resolve", [subset_cap, codeword_cap, center_cap])
+def test_explicit_cap_below_one_is_refused(resolve, monkeypatch):
+    monkeypatch.delenv("SPARSECODE_CAP", raising=False)
+    assert resolve(1) == 1
+    for bad in (0, -3):
+        with pytest.raises(DomainError, match=f"^cap must be an integer >= 1, got {bad}$"):
+            resolve(bad)
+    # an explicit cap is checked even where the environment holds a good one
+    monkeypatch.setenv("SPARSECODE_CAP", "5")
+    assert resolve(None) == 5
+    with pytest.raises(DomainError, match="^cap must be"):
+        resolve(0)
 
 
 def test_only_caps_imports_combinations():

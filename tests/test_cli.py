@@ -495,6 +495,12 @@ class TestExitContract:
          "--L must be >= 0, got -2"),
         (["pipeline", "ks-gt", "--q", "5", "--k", "2", "--L", "-1"],
          "--L must be >= 0, got -1"),
+        (["verify", "lwise-distance", "--input", "c.code", "--L", "2", "--cap", "-3"],
+         "cap must be an integer >= 1, got -3"),
+        (["verify", "lwise-bias", "--input", "c.code", "--L", "2", "--cap", "0"],
+         "cap must be an integer >= 1, got 0"),
+        (["verify", "disjunct", "--input", "ks.json", "--L", "1", "--cap", "0"],
+         "cap must be an integer >= 1, got 0"),
     ], ids=lambda a: " ".join(a) if isinstance(a, list) else "")
     def test_count_reasons(self, capsys, cli_files, argv, reason):
         argv = [str(cli_files / a) if (cli_files / a).is_file() else a

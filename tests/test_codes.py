@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from sparsecode import codes
+from sparsecode import caps, codes
 from sparsecode.codes import (
     Code,
     LinearCode,
@@ -228,17 +228,16 @@ class TestPairwiseDistances:
         assert len(got_bias) >= 5
 
     def test_lwise_reports_match_loop_oracle(self):
-        # the last two span several of the default blocks of L-sets
+        # every L up to |C| on the small codes; the last two span several
+        # of the default blocks of L-sets
         cases = [c for c in self._codes() if len(c) >= 3 and c.n < 100]
-        cases += [reed_solomon(5, 2), Code.from_array(
+        cases += [reed_solomon(3, 2), reed_solomon(5, 2), Code.from_array(
             2, np.random.default_rng(4).integers(0, 2, size=(24, 9)))]
         for c in cases:
-            for L in (2, 3, 5):
-                if L > len(c):
-                    continue
+            for L in range(2, len(c) + 1) if len(c) <= 12 else (2, 3, 5):
                 assert lwise_distance(c, L) == oracle.lwise_distance(c, L)
                 if c.q == 2:
-                    assert lwise_bias(c, L) == oracle.lwise_bias(c, L)
+                    assert lwise_bias(c, L).hex() == oracle.lwise_bias(c, L).hex()
 
     def test_lset_block_does_not_change_reports(self, monkeypatch):
         cases = [c for c in self._codes() if 3 <= len(c) <= 16 and c.n < 100]
@@ -247,12 +246,35 @@ class TestPairwiseDistances:
 
         def reports():
             return [(lwise_distance(c, L), c.q == 2 and lwise_bias(c, L))
-                    for c in cases for L in (2, 3) if L <= len(c)]
+                    for c in cases for L in (2, 3, 4, 5) if L <= len(c)]
 
         default = reports()
-        for block in (1, 7):
+        for block in (1, 7, 1 << 30):
             monkeypatch.setattr(codes, "_LSET_BLOCK", block)
             assert reports() == default
+
+    def test_lset_walk_memory_is_chunked(self):
+        # C(60, 5) = 5,461,512 L-sets: a walk that emitted a level whole
+        # would hold hundreds of MB of prefix sums
+        c = Code.from_array(2, np.random.default_rng(8).integers(0, 2, size=(60, 16)))
+        assert len(c) == 60
+        tracemalloc.start()
+        try:
+            lwise_distance(c, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_lwise_never_walks_subset_rows(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("L-wise walked caps.subset_blocks")
+
+        monkeypatch.setattr(caps, "subset_blocks", refuse)
+        c = reed_solomon(3, 2)
+        assert lwise_distance(c, 4) == oracle.lwise_distance(c, 4)
+        binary = Code.from_array(2, np.random.default_rng(6).integers(0, 2, size=(12, 7)))
+        assert lwise_bias(binary, 5) == oracle.lwise_bias(binary, 5)
 
     def test_memory_is_quadratic(self):
         # 512 codewords of length 200: the 512 x 512 x 200 comparison alone
