@@ -8,6 +8,7 @@ internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -44,23 +45,10 @@ def _write_provenance(path: Path, record: dict) -> None:
 
 # ---------------------------------------------------------------- build
 
-def _require(active: bool, **named) -> None:
-    if not active:
-        return
-    missing = [name for name, value in named.items() if value is None]
-    if missing:
-        raise SparseCodeError(f"missing required flag(s): {', '.join(missing)}")
-
-
 def _cmd_build(args) -> int:
     started = time.monotonic()
     out = Path(args.out)
     record = {"construction": args.kind}
-    _require(args.kind == "gv-code",
-             q=args.q, n=args.n, delta=args.delta, seed=args.seed)
-    _require(args.kind in ("rs-code", "kautz-singleton"), q=args.q, k=args.k)
-    _require(args.kind in ("sph", "bool"), code=args.code)
-    _require(args.kind == "vandermonde", n=args.n, cols=args.cols)
     if args.kind == "gv-code":
         lc = codes.random_linear_code_gv(
             args.q, args.n, args.delta, seed=args.seed, slack=args.slack
@@ -75,12 +63,10 @@ def _cmd_build(args) -> int:
         record.update(q=args.q, k=args.k, size=len(code))
     elif args.kind in ("sph", "bool"):
         code = codes.read_code_file(args.code)
-        if args.kind == "sph":
-            m = sph_code(code)
-        else:
-            m = bool_code(code, normalize=args.normalize)
+        normalize = args.kind == "bool" and args.normalize
+        m = sph_code(code) if args.kind == "sph" else bool_code(code, normalize=normalize)
         matrixio.write_matrix(m, out)
-        record.update(source=str(args.code), normalize=bool(args.normalize),
+        record.update(source=str(args.code), normalize=normalize,
                       rows=int(m.shape[0]), cols=int(m.shape[1]))
     elif args.kind == "kautz-singleton":
         m, prov = group_testing.kautz_singleton(args.q, args.k)
@@ -102,10 +88,8 @@ def _cmd_build(args) -> int:
 def _cmd_verify(args) -> int:
     started = time.monotonic()
     prop = args.property
-    threshold = args.threshold
-    _require(prop in ("rip2", "flat-rip", "kernel", "disjunct",
-                      "lwise-distance", "lwise-bias"), L=args.L)
-    _require(prop == "list-decode", rho=args.rho)
+    # kernel and disjunct take no threshold; their reports keep it as null
+    threshold = getattr(args, "threshold", None)
     ok = True
     if prop in ("rip2", "flat-rip", "coherence", "kernel"):
         m = matrixio.read_matrix(args.input)
@@ -123,7 +107,7 @@ def _cmd_verify(args) -> int:
             value = rep.min_singular_value
             ok = rep.injective
         report = rep.to_dict()
-        if prop != "kernel" and threshold is not None:
+        if threshold is not None:
             ok = value <= threshold + 1e-12
     elif prop == "disjunct":
         m = matrixio.read_matrix(args.input)
@@ -183,7 +167,7 @@ def _cmd_bounds(args) -> int:
     if args.L is not None and args.N is not None:
         out["row_indicators"] = bounds_mod.row_bound_indicators(
             args.L, args.N, args.r, args.n_prime)
-        if args.epsilon is not None and args.alpha is not None:
+        if args.alpha is not None:
             out["rip_rows_indicator"] = bounds_mod.rip_rows_indicator(
                 args.L, args.N, args.q, args.alpha)
     _emit(out, started)
@@ -305,11 +289,6 @@ def _cmd_cs_roundtrip(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     started = time.monotonic()
-    _require(args.name == "gv-rip",
-             q=args.q, n=args.n, delta=args.delta, seed=args.seed, L=args.L)
-    _require(args.name == "ks-gt", q=args.q, k=args.k)
-    _require(args.name == "rip-ld",
-             matrix=args.matrix, L=args.L, epsilon=args.epsilon)
     if args.name == "gv-rip":
         lc = codes.random_linear_code_gv(
             args.q, args.n, args.delta, seed=args.seed, slack=args.slack)
@@ -379,79 +358,78 @@ def _finite_float(text: str) -> float:
     return value
 
 
+# each flag's add_argument keywords; a path flag keeps the string as given
+_FLAG_KEYWORDS = {
+    **dict.fromkeys(["q", "n", "N", "k", "cols", "L", "r", "n-prime", "seed",
+                     "trials", "cap"], {"type": int}),
+    **dict.fromkeys(["delta", "slack", "epsilon", "alpha", "rho", "threshold"],
+                    {"type": _finite_float}),
+    "normalize": {"action": "store_true"},
+}
+
+_THRESHOLD_CAP = {"threshold": None, "cap": None}
+
+# command -> (help, handler, positional, {choice: (required, {optional: default})});
+# a command without a positional has the one choice None.  Each choice
+# declares exactly the flags its handler reads, so argparse refuses the rest.
+_COMMANDS = {
+    "build": ("construct codes and matrices", _cmd_build, "kind", {
+        "gv-code": ("q n delta seed out", {"slack": 0.1}),
+        "rs-code": ("q k out", {}),
+        "sph": ("code out", {}),
+        "bool": ("code out", {"normalize": False}),
+        "kautz-singleton": ("q k out", {}),
+        "vandermonde": ("n cols out", {}),
+    }),
+    "verify": ("certify a property of a code or matrix", _cmd_verify, "property", {
+        "rip2": ("input L", _THRESHOLD_CAP),
+        "flat-rip": ("input L", _THRESHOLD_CAP),
+        "coherence": ("input", {"threshold": None}),
+        "disjunct": ("input L", {"cap": None}),
+        "design": ("input", {"threshold": None}),
+        "list-decode": ("input rho", _THRESHOLD_CAP),
+        "lwise-distance": ("input L", _THRESHOLD_CAP),
+        "lwise-bias": ("input L", _THRESHOLD_CAP),
+        "kernel": ("input L", {"cap": None}),
+    }),
+    "bounds": ("evaluate the closed-form calculators", _cmd_bounds, None, {
+        None: ("", {"q": 2, **dict.fromkeys(
+            ["n", "N", "L", "r", "n-prime", "delta", "epsilon", "alpha"])}),
+    }),
+    "gt-roundtrip": ("group-testing encode/decode sweep", _cmd_gt_roundtrip, None, {
+        None: ("matrix L", {"seed": 0, "trials": 1000}),
+    }),
+    "cs-roundtrip": ("compressed-sensing recovery sweep", _cmd_cs_roundtrip, None, {
+        None: ("matrix L seed", {"trials": 50, "cap": None}),
+    }),
+    "pipeline": ("end-to-end construction + certification", _cmd_pipeline, "name", {
+        "gv-rip": ("q n delta seed L", {"slack": 0.1, "cap": None}),
+        "ks-gt": ("q k", {"L": None, "cap": None}),
+        "rip-ld": ("matrix L epsilon", {"cap": None}),
+    }),
+}
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sparsecode",
         description="Measurement matrices from codes, with exhaustive certification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    b = sub.add_parser("build", help="construct codes and matrices")
-    b.add_argument("kind", choices=["gv-code", "rs-code", "sph", "bool",
-                                    "kautz-singleton", "vandermonde"])
-    b.add_argument("--q", type=int)
-    b.add_argument("--n", type=int)
-    b.add_argument("--k", type=int)
-    b.add_argument("--cols", type=int)
-    b.add_argument("--delta", type=_finite_float)
-    b.add_argument("--slack", type=_finite_float, default=0.1)
-    b.add_argument("--seed", type=int)
-    b.add_argument("--code", help="input code file for embeddings")
-    b.add_argument("--normalize", action="store_true")
-    b.add_argument("--out", required=True)
-    b.set_defaults(func=_cmd_build)
-
-    v = sub.add_parser("verify", help="certify a property of a code or matrix")
-    v.add_argument("property", choices=["rip2", "flat-rip", "coherence",
-                                        "disjunct", "design", "list-decode",
-                                        "lwise-distance", "lwise-bias", "kernel"])
-    v.add_argument("--input", required=True)
-    v.add_argument("--L", type=int)
-    v.add_argument("--rho", type=_finite_float)
-    v.add_argument("--threshold", type=_finite_float)
-    v.add_argument("--cap", type=int)
-    v.set_defaults(func=_cmd_verify)
-
-    d = sub.add_parser("bounds", help="evaluate the closed-form calculators")
-    d.add_argument("--q", type=int, default=2)
-    d.add_argument("--n", type=int)
-    d.add_argument("--N", type=int)
-    d.add_argument("--L", type=int)
-    d.add_argument("--r", type=int)
-    d.add_argument("--n-prime", type=int)
-    d.add_argument("--delta", type=_finite_float)
-    d.add_argument("--epsilon", type=_finite_float)
-    d.add_argument("--alpha", type=_finite_float)
-    d.set_defaults(func=_cmd_bounds)
-
-    g = sub.add_parser("gt-roundtrip", help="group-testing encode/decode sweep")
-    g.add_argument("--matrix", required=True)
-    g.add_argument("--L", type=int, required=True)
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--trials", type=int, default=1000)
-    g.set_defaults(func=_cmd_gt_roundtrip)
-
-    c = sub.add_parser("cs-roundtrip", help="compressed-sensing recovery sweep")
-    c.add_argument("--matrix", required=True)
-    c.add_argument("--L", type=int, required=True)
-    c.add_argument("--seed", type=int, required=True)
-    c.add_argument("--trials", type=int, default=50)
-    c.add_argument("--cap", type=int)
-    c.set_defaults(func=_cmd_cs_roundtrip)
-
-    p = sub.add_parser("pipeline", help="end-to-end construction + certification")
-    p.add_argument("name", choices=["gv-rip", "ks-gt", "rip-ld"])
-    p.add_argument("--q", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--L", type=int)
-    p.add_argument("--delta", type=_finite_float)
-    p.add_argument("--slack", type=_finite_float, default=0.1)
-    p.add_argument("--epsilon", type=_finite_float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--matrix")
-    p.add_argument("--cap", type=int)
-    p.set_defaults(func=_cmd_pipeline)
+    for command, (help_text, func, positional, choices) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.set_defaults(func=func)
+        if positional:
+            nested = p.add_subparsers(dest=positional, required=True)
+        for choice, (required, optional) in choices.items():
+            leaf = nested.add_parser(choice) if positional else p
+            for flag in required.split():
+                leaf.add_argument(f"--{flag}", required=True,
+                                  **_FLAG_KEYWORDS.get(flag, {}))
+            for flag, default in optional.items():
+                leaf.add_argument(f"--{flag}", default=default,
+                                  **_FLAG_KEYWORDS.get(flag, {}))
     return parser
 
 
@@ -464,8 +442,7 @@ def _check_counts(args) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         _check_counts(args)
         return args.func(args)

@@ -54,6 +54,8 @@ def read_matrix(path: str | Path) -> np.ndarray:
             raise DomainError("binary matrix rows must be strings")
         if len({len(row) for row in rows}) != 1:
             raise DomainError("binary matrix rows differ in length")
+        if not rows[0]:
+            raise DomainError("binary matrix rows must not be empty")
         # a non-ASCII character becomes one "?", so the shape still holds
         data = "".join(rows).encode("ascii", errors="replace")
         m = (np.frombuffer(data, dtype=np.uint8) - _ZERO).reshape(len(rows), len(rows[0]))
@@ -62,7 +64,8 @@ def read_matrix(path: str | Path) -> np.ndarray:
         return m.astype(np.int64)
     if kind == "complex":
         n, cols = payload.get("n"), payload.get("N")
-        if not (isinstance(n, int) and isinstance(cols, int) and n > 0 and cols > 0):
+        # type(...) is int: a JSON true or false is a bool, which isinstance takes as int
+        if not (type(n) is int and type(cols) is int and n > 0 and cols > 0):
             raise DomainError('complex matrix file needs integers "n", "N" >= 1')
         try:
             flat = np.array(payload.get("entries"))

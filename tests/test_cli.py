@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -63,11 +64,9 @@ class TestBuild:
         assert "error" in err
 
     def test_missing_flags_exit_2(self, capsys, tmp_path):
-        code, _, err = run(
-            capsys, "build", "gv-code", "--out", str(tmp_path / "c")
-        )
-        assert code == 2
-        assert "missing required flag" in err
+        code, out, err = run_any(capsys, ["build", "gv-code", "--out", str(tmp_path / "c")])
+        assert (code, out) == (2, "")
+        assert "error: the following arguments are required: --q, --n, --delta, --seed" in err
 
     @pytest.mark.parametrize("kind", ["rs-code", "kautz-singleton"])
     def test_codeword_cap_exits_2(self, capsys, tmp_path, monkeypatch, kind):
@@ -200,6 +199,17 @@ class TestBounds:
         assert report["gv_rate"] == pytest.approx(0.5, abs=5e-4)
         assert report["mrrw_rate_bound"] > report["gv_rate"]
 
+    def test_rip_rows_indicator_needs_alpha_not_epsilon(self, capsys):
+        argv = ["bounds", "--L", "3", "--N", "10", "--alpha", "0.5"]
+        code, report, _ = run(capsys, *argv)
+        assert code == 0
+        assert report["rip_rows_indicator"] == 165.7861266955713
+        _, with_epsilon, _ = run(capsys, *argv, "--epsilon", "0.1")
+        assert strip_elapsed(with_epsilon) == {
+            **strip_elapsed(report), "gv_critical_expansion": with_epsilon["gv_critical_expansion"]}
+        _, no_alpha, _ = run(capsys, *argv[:5], "--epsilon", "0.1")
+        assert "rip_rows_indicator" not in no_alpha
+
     @pytest.mark.parametrize("q", ["1", "0"])
     def test_small_alphabet_names_the_flag(self, capsys, q):
         code, report, err = run(capsys, "bounds", "--q", q, "--epsilon", "1")
@@ -322,9 +332,9 @@ class TestPipelines:
         assert code == 2
 
     def test_missing_flags_exit_2(self, capsys):
-        code, _, err = run(capsys, "pipeline", "gv-rip")
-        assert code == 2
-        assert "missing required flag" in err
+        code, out, err = run_any(capsys, ["pipeline", "gv-rip"])
+        assert (code, out) == (2, "")
+        assert "error: the following arguments are required: --q, --n, --delta, --seed, --L" in err
 
 
 _NUMPY_MA_PROBE = """
@@ -374,6 +384,9 @@ _BAD_FILES = {
     "nan.json": '{"kind": "complex", "n": 1, "N": 2, "entries": [[NaN, 0], [1, 0]]}',
     "text.json": json.dumps({"kind": "complex", "n": 1, "N": 1, "entries": [["1", 0]]}),
     "torn.json": '{"kind": "binary", "rows": ["01"',
+    "zero-width.json": json.dumps({"kind": "binary", "rows": [""]}),
+    "bool-shape.json": json.dumps({"kind": "complex", "n": True, "N": True,
+                                   "entries": [[1, 0]]}),
     "empty.code": "",
     "header.code": "2 3\n",
     "short.code": "3 2\n0 1\n2\n",
@@ -469,9 +482,10 @@ class TestExitContract:
         code, out, err = run_any(capsys, argv)
         assert (code, out, err) == (2, "", f"error: {reason}\n")
 
-    @pytest.mark.parametrize("prop", ["rip2", "coherence"])
-    def test_gram_overflow_reason(self, capsys, cli_files, prop):
-        argv = ["verify", prop, "--input", str(cli_files / "huge.json"), "--L", "2"]
+    @pytest.mark.parametrize("prop, flags", [("rip2", ["--L", "2"]), ("coherence", [])],
+                             ids=["rip2", "coherence"])
+    def test_gram_overflow_reason(self, capsys, cli_files, prop, flags):
+        argv = ["verify", prop, "--input", str(cli_files / "huge.json"), *flags]
         code, out, err = run_any(capsys, argv)
         assert (code, out, err) == (
             2, "", "error: Gram matrix overflows: column norms too large\n")
@@ -501,12 +515,38 @@ class TestExitContract:
          "cap must be an integer >= 1, got 0"),
         (["verify", "disjunct", "--input", "ks.json", "--L", "1", "--cap", "0"],
          "cap must be an integer >= 1, got 0"),
+        (["gt-roundtrip", "--matrix", "zero-width.json", "--L", "0"],
+         "binary matrix rows must not be empty"),
+        (["cs-roundtrip", "--matrix", "zero-width.json", "--L", "0", "--seed", "0"],
+         "binary matrix rows must not be empty"),
+        (["verify", "kernel", "--input", "zero-width.json", "--L", "1"],
+         "binary matrix rows must not be empty"),
+        (["verify", "coherence", "--input", "bool-shape.json"],
+         'complex matrix file needs integers "n", "N" >= 1'),
     ], ids=lambda a: " ".join(a) if isinstance(a, list) else "")
     def test_count_reasons(self, capsys, cli_files, argv, reason):
         argv = [str(cli_files / a) if (cli_files / a).is_file() else a
                 for a in argv]
         code, out, err = run_any(capsys, argv)
         assert (code, out, err) == (2, "", f"error: {reason}\n")
+
+    # each flag here is one another kind reads; these once ran to a verdict
+    # that ignored it
+    @pytest.mark.parametrize("argv, unread", [
+        (["verify", "kernel", "--input", "vand.json", "--L", "1"], ["--threshold", "0.5"]),
+        (["verify", "coherence", "--input", "ks.json"], ["--L", "2"]),
+        (["build", "sph", "--code", "c.code", "--out", "out.json"], ["--normalize"]),
+        (["pipeline", "ks-gt", "--q", "5", "--k", "2"], ["--epsilon", "0.5"]),
+    ], ids=lambda a: " ".join(a))
+    def test_unread_flag_exits_2(self, capsys, cli_files, tmp_path, argv, unread):
+        argv = [str(cli_files / a) if (cli_files / a).is_file() else
+                str(tmp_path / a) if a == "out.json" else a for a in argv]
+        code, out, err = run_any(capsys, argv + unread)
+        assert (code, out) == (2, "")
+        assert err.count("error:") == 1
+        assert err.endswith("error: unrecognized arguments: " + " ".join(unread) + "\n")
+        assert not (tmp_path / "out.json").exists()
+        assert run_any(capsys, argv)[0] == 0
 
 
 # well-formed files half the time, so runs also reach the certifiers
@@ -526,36 +566,79 @@ _VALUES = {
     **{f: _REALS for f in (
         "--delta", "--epsilon", "--alpha", "--rho", "--threshold", "--slack")},
 }
-# (positional choices, flags the subcommand accepts, flags it requires)
+# argv prefix -> (flags it accepts beside the required ones, flags it requires)
 _COMMANDS = {
-    "build": (["gv-code", "rs-code", "sph", "bool", "kautz-singleton",
-               "vandermonde"],
-              ["--q", "--n", "--k", "--cols", "--delta", "--slack", "--seed",
-               "--code", "--normalize"], ["--out"]),
-    "verify": (["rip2", "flat-rip", "coherence", "disjunct", "design",
-                "list-decode", "lwise-distance", "lwise-bias", "kernel"],
-               ["--L", "--rho", "--threshold", "--cap"], ["--input"]),
-    "bounds": ([], ["--q", "--n", "--N", "--L", "--r", "--n-prime", "--delta",
-                    "--epsilon", "--alpha"], []),
-    "gt-roundtrip": ([], ["--seed", "--trials"], ["--matrix", "--L"]),
-    "cs-roundtrip": ([], ["--trials", "--cap"], ["--matrix", "--L", "--seed"]),
-    "pipeline": (["gv-rip", "ks-gt", "rip-ld"],
-                 ["--q", "--n", "--k", "--L", "--delta", "--slack",
-                  "--epsilon", "--seed", "--matrix", "--cap"], []),
+    "build gv-code": (["--slack"], ["--q", "--n", "--delta", "--seed", "--out"]),
+    "build rs-code": ([], ["--q", "--k", "--out"]),
+    "build sph": ([], ["--code", "--out"]),
+    "build bool": (["--normalize"], ["--code", "--out"]),
+    "build kautz-singleton": ([], ["--q", "--k", "--out"]),
+    "build vandermonde": ([], ["--n", "--cols", "--out"]),
+    **{f"verify {prop}": (["--threshold", "--cap"], ["--input", "--L"])
+       for prop in ("rip2", "flat-rip", "lwise-distance", "lwise-bias")},
+    **{f"verify {prop}": (["--threshold"], ["--input"]) for prop in ("coherence", "design")},
+    **{f"verify {prop}": (["--cap"], ["--input", "--L"]) for prop in ("kernel", "disjunct")},
+    "verify list-decode": (["--threshold", "--cap"], ["--input", "--rho"]),
+    "bounds": (["--q", "--n", "--N", "--L", "--r", "--n-prime", "--delta",
+                "--epsilon", "--alpha"], []),
+    "gt-roundtrip": (["--seed", "--trials"], ["--matrix", "--L"]),
+    "cs-roundtrip": (["--trials", "--cap"], ["--matrix", "--L", "--seed"]),
+    "pipeline gv-rip": (["--slack", "--cap"], ["--q", "--n", "--delta", "--seed", "--L"]),
+    "pipeline ks-gt": (["--L", "--cap"], ["--q", "--k"]),
+    "pipeline rip-ld": (["--cap"], ["--matrix", "--L", "--epsilon"]),
 }
 
 
+def _parser_table(parser, prefix=()):
+    """_COMMANDS as read back from the parser: each leaf's optional and required flags."""
+    options = [a for a in parser._actions
+               if a.option_strings not in ([], ["-h", "--help"])]
+    nested = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not nested:
+        return {" ".join(prefix): tuple(
+            sorted(a.option_strings[0] for a in options if a.required == want)
+            for want in (False, True))}
+    assert not options  # a flag before the positional is in no leaf's row
+    return {command: flags for name, child in nested[0].choices.items()
+            for command, flags in _parser_table(child, (*prefix, name)).items()}
+
+
+def test_fuzz_table_is_what_the_parser_accepts():
+    assert _parser_table(cli._build_parser()) == {
+        command: (sorted(accepted), sorted(required))
+        for command, (accepted, required) in _COMMANDS.items()}
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    argv = ["bounds", "--q", "2", "--delta", "0.11"]
+    assert main(argv) == 0
+
+    def rebuilt(*args, **kwargs):
+        raise AssertionError("main built a second parser")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", rebuilt)
+    assert [main(argv), main(["verify", "design", "--input", "/nonexistent"])] == [0, 2]
+
+
 class TestFuzz:
-    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    @pytest.mark.parametrize("command", sorted({c.split()[0] for c in _COMMANDS}))
     @settings(derandomize=True, max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_exit_code_and_stdout_contract(self, capsys, cli_files, command, data):
-        choices, accepted, required = _COMMANDS[command]
-        argv = [command] + ([data.draw(st.sampled_from(choices))] if choices else [])
+        prefix = data.draw(st.sampled_from(
+            [c for c in _COMMANDS if c.split()[0] == command]))
+        accepted, required = _COMMANDS[prefix]
+        argv = prefix.split()
         flags = required + [f for f in accepted if data.draw(st.integers(0, 3))]
-        if data.draw(st.integers(0, 9)) == 0:  # a flag the parser rejects
-            flags.append(data.draw(st.sampled_from(["--workers", "--bogus"])))
+        # a flag the parser rejects: unknown, or one only other commands read
+        # (but not a prefix of one this command reads, which argparse expands)
+        rejected = None
+        if data.draw(st.integers(0, 9)) == 0:
+            rejected = data.draw(st.sampled_from(["--workers", "--bogus"] + [
+                f for f in _VALUES
+                if not any(a.startswith(f) for a in accepted + required)]))
+            flags.append(rejected)
         for flag in flags:
             value = data.draw(_VALUES.get(flag, st.just("1")))
             if flag in ("--input", "--matrix", "--code", "--out"):
@@ -567,5 +650,5 @@ class TestFuzz:
             lines = out.splitlines()
             assert len(lines) == 1
             json.loads(lines[0])
-        if code == 2:
-            assert out == ""
+        if code == 2 or rejected:
+            assert (code, out) == (2, "")

@@ -78,3 +78,18 @@ class TestErrors:
         path.write_text(json.dumps({"kind": "binary", "rows": []}))
         with pytest.raises(DomainError):
             read_matrix(path)
+
+    @pytest.mark.parametrize("rows", [[""], ["", ""]])
+    def test_zero_width_binary_rows(self, tmp_path, rows):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"kind": "binary", "rows": rows}))
+        with pytest.raises(DomainError, match="binary matrix rows must not be empty"):
+            read_matrix(path)
+
+    @pytest.mark.parametrize("n, cols", [(True, True), (True, 1), (1, True), (False, 1)])
+    def test_boolean_shape(self, tmp_path, n, cols):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"kind": "complex", "n": n, "N": cols,
+                                    "entries": [[1, 0]]}))
+        with pytest.raises(DomainError, match='needs integers "n", "N" >= 1'):
+            read_matrix(path)
