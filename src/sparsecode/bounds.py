@@ -74,12 +74,16 @@ def row_bound_indicators(
     """Row-count planning expressions, each with constant 1, side by side."""
     if L < 2:
         raise DomainError("need L >= 2")
+    if N < 2:
+        raise DomainError(f"need N >= 2, got N={N}")
     out = {
         "disjunct_upper": L**2 * math.log(N),
         "disjunct_lower": L**2 * math.log(N) / math.log(L),
         "rip_rows": L**2 * math.log(N),
     }
     if r is not None and n_prime is not None:
+        if r < 1 or n_prime < 1:
+            raise DomainError(f"need r >= 1 and n_prime >= 1, got r={r}, n_prime={n_prime}")
         out["design_rows"] = n_prime**2 * N ** (1.0 / r) / r
     return out
 

@@ -3,10 +3,12 @@ orders they rest on: lex subset order, walked as rows or as prefixes that
 carry pair sums, the one lex-first tie-break they share, and the product
 order of messages and centers.
 
-Exceeding a cap is always an explicit error; there is no sampling fallback.
-The SPARSECODE_CAP environment variable overrides the subset, codeword and
-center caps globally (used by the CLI, honored everywhere).  A cap,
-explicit or from the environment, must be an integer >= 1.
+Every certifier counts its space and checks it against the cap of its kind
+before it walks: 10^7 subsets, pairs, choices or supports, 2^20 codewords,
+2^22 centers.  Exceeding a cap is always an explicit error; there is no
+sampling fallback.  The SPARSECODE_CAP environment variable, an integer
+>= 1, is the one override: it replaces all three caps for every walk, in the
+library and the CLI alike.  No function takes a cap argument.
 """
 
 from __future__ import annotations
@@ -26,35 +28,31 @@ DEFAULT_CENTER_CAP = 2**22
 _ENV_VAR = "SPARSECODE_CAP"
 
 
-def _resolve(cap: int | None, default: int) -> int:
-    """The explicit cap, else SPARSECODE_CAP, else the default.  A cap from
-    either source must be an integer >= 1."""
-    if cap is None:
-        raw = os.environ.get(_ENV_VAR)
-        if raw is None:
-            return default
-        message = f"{_ENV_VAR} must be an integer >= 1, got {raw!r}"
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise DomainError(message) from None
-    else:
-        message = f"cap must be an integer >= 1, got {cap}"
+def _resolve(default: int) -> int:
+    """SPARSECODE_CAP, which must be an integer >= 1, if it is set; else the default."""
+    raw = os.environ.get(_ENV_VAR)
+    if raw is None:
+        return default
+    message = f"{_ENV_VAR} must be an integer >= 1, got {raw!r}"
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise DomainError(message) from None
     if cap < 1:
         raise DomainError(message)
     return cap
 
 
-def subset_cap(cap: int | None = None) -> int:
-    return _resolve(cap, DEFAULT_SUBSET_CAP)
+def subset_cap() -> int:
+    return _resolve(DEFAULT_SUBSET_CAP)
 
 
-def codeword_cap(cap: int | None = None) -> int:
-    return _resolve(cap, DEFAULT_CODEWORD_CAP)
+def codeword_cap() -> int:
+    return _resolve(DEFAULT_CODEWORD_CAP)
 
 
-def center_cap(cap: int | None = None) -> int:
-    return _resolve(cap, DEFAULT_CENTER_CAP)
+def center_cap() -> int:
+    return _resolve(DEFAULT_CENTER_CAP)
 
 
 def require(count: int, limit: int, what: str) -> None:

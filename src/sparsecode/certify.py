@@ -233,7 +233,7 @@ def _may_reach(gram: np.ndarray, rows: np.ndarray, t: float, scale: float) -> np
     return ~(below[:k] & below[k:]) if lower_too else ~below
 
 
-def rip2_profile(m: np.ndarray, L: int, cap: int | None = None) -> list[RipReport]:
+def rip2_profile(m: np.ndarray, L: int) -> list[RipReport]:
     """RIP-2 reports for every order 1..L in one enumeration pass.
 
     The order-L constant is the running maximum of the per-size extremal
@@ -246,7 +246,7 @@ def rip2_profile(m: np.ndarray, L: int, cap: int | None = None) -> list[RipRepor
     if not (1 <= L <= n_cols):
         raise DomainError(f"need 1 <= L <= N, got L={L}, N={n_cols}")
     caps.require(sum(math.comb(n_cols, s) for s in range(1, L + 1)),
-                 caps.subset_cap(cap), f"subsets up to size {L}")
+                 caps.subset_cap(), f"subsets up to size {L}")
     # every subset Gram is a principal submatrix of this one; this einsum
     # gives the same bits as a per-subset einsum, where a BLAS product need not
     with np.errstate(over="ignore", invalid="ignore"):
@@ -287,12 +287,12 @@ def rip2_profile(m: np.ndarray, L: int, cap: int | None = None) -> list[RipRepor
     return reports
 
 
-def rip2_constant(m: np.ndarray, L: int, cap: int | None = None) -> RipReport:
+def rip2_constant(m: np.ndarray, L: int) -> RipReport:
     """Exact RIP-2 constant of order L over all column subsets of size <= L."""
-    return rip2_profile(m, L, cap=cap)[-1]
+    return rip2_profile(m, L)[-1]
 
 
-def flat_rip_constant(m: np.ndarray, L0: int, cap: int | None = None) -> FlatRipReport:
+def flat_rip_constant(m: np.ndarray, L0: int) -> FlatRipReport:
     """Smallest flat-RIP constant over disjoint equal-size set pairs up to L0."""
     m = as_matrix(m)
     n_cols = m.shape[1]
@@ -305,7 +305,7 @@ def flat_rip_constant(m: np.ndarray, L0: int, cap: int | None = None) -> FlatRip
         math.comb(n_cols, s) * math.comb(n_cols - s, s) // 2
         for s in range(1, L0 + 1)
     )
-    caps.require(total_pairs, caps.subset_cap(cap), "set pairs")
+    caps.require(total_pairs, caps.subset_cap(), "set pairs")
     best, witness = -1.0, ((), ())
     for s in range(1, L0 + 1):
         idx = caps.subsets(n_cols, s)
@@ -327,14 +327,14 @@ def flat_rip_constant(m: np.ndarray, L0: int, cap: int | None = None) -> FlatRip
     return FlatRipReport(L0, best, witness, True, total_pairs)
 
 
-def kernel_injectivity(m: np.ndarray, L: int, cap: int | None = None) -> KernelReport:
+def kernel_injectivity(m: np.ndarray, L: int) -> KernelReport:
     """True iff every 2L-column submatrix has trivial right kernel."""
     m = as_matrix(m)
     n_rows, n_cols = m.shape
     if L < 1:
         raise DomainError("need L >= 1")
     s = min(2 * L, n_cols)
-    caps.require(math.comb(n_cols, s), caps.subset_cap(cap), "subsets")
+    caps.require(math.comb(n_cols, s), caps.subset_cap(), "subsets")
     if s > n_rows:
         # more columns than rows: rank deficiency is certain
         return KernelReport(False, L, 0.0, tuple(range(s)), 1)

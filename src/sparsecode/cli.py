@@ -94,16 +94,16 @@ def _cmd_verify(args) -> int:
     if prop in ("rip2", "flat-rip", "coherence", "kernel"):
         m = matrixio.read_matrix(args.input)
         if prop == "rip2":
-            rep = certify.rip2_constant(m, args.L, cap=args.cap)
+            rep = certify.rip2_constant(m, args.L)
             value = rep.alpha
         elif prop == "flat-rip":
-            rep = certify.flat_rip_constant(m, args.L, cap=args.cap)
+            rep = certify.flat_rip_constant(m, args.L)
             value = rep.constant
         elif prop == "coherence":
             rep = certify.coherence(m)
             value = rep.value
         else:
-            rep = certify.kernel_injectivity(m, args.L, cap=args.cap)
+            rep = certify.kernel_injectivity(m, args.L)
             value = rep.min_singular_value
             ok = rep.injective
         report = rep.to_dict()
@@ -111,7 +111,7 @@ def _cmd_verify(args) -> int:
             ok = value <= threshold + 1e-12
     elif prop == "disjunct":
         m = matrixio.read_matrix(args.input)
-        rep = group_testing.verify_disjunct(m, args.L, cap=args.cap)
+        rep = group_testing.verify_disjunct(m, args.L)
         report = rep.to_dict()
         ok = rep.disjunct
     elif prop == "design":
@@ -122,20 +122,20 @@ def _cmd_verify(args) -> int:
             ok = rep.max_intersection <= threshold
     elif prop == "list-decode":
         code = codes.read_code_file(args.input)
-        rep = listdecode.list_size_at_radius(code, args.rho, cap=args.cap)
+        rep = listdecode.list_size_at_radius(code, args.rho)
         report = rep.to_dict()
         if threshold is not None:
             ok = rep.max_list_size < threshold
     elif prop == "lwise-distance":
         code = codes.read_code_file(args.input)
-        rep = codes.lwise_distance(code, args.L, cap=args.cap)
+        rep = codes.lwise_distance(code, args.L)
         report = {"property": "lwise-distance", "order": args.L,
                   "constant": rep.relative, "witness": list(rep.witness)}
         if threshold is not None:
             ok = rep.relative >= threshold - 1e-12
     elif prop == "lwise-bias":
         code = codes.read_code_file(args.input)
-        value = codes.lwise_bias(code, args.L, cap=args.cap)
+        value = codes.lwise_bias(code, args.L)
         report = {"property": "lwise-bias", "order": args.L, "constant": value}
         if threshold is not None:
             ok = value <= threshold + 1e-12
@@ -268,7 +268,7 @@ def _cmd_cs_roundtrip(args) -> int:
         for pos in support:
             x[pos] = complex(rng.normal(), rng.normal())
         y = recovery.cs_encode(m, x)
-        result = recovery.cs_decode_exhaustive(m, y, args.L, cap=args.cap)
+        result = recovery.cs_decode_exhaustive(m, y, args.L)
         if not result.success:
             failures += 1
             continue
@@ -297,7 +297,7 @@ def _cmd_pipeline(args) -> int:
         eps = codes.min_distance_epsilon(code)
         m = sph_code(quotient)
         coh = certify.coherence(m)
-        rip = certify.rip2_constant(m, args.L, cap=args.cap)
+        rip = certify.rip2_constant(m, args.L)
         report = {
             "property": "pipeline-gv-rip",
             "q": args.q, "n": args.n, "delta": args.delta, "seed": args.seed,
@@ -315,13 +315,19 @@ def _cmd_pipeline(args) -> int:
         m, prov = group_testing.kautz_singleton(args.q, args.k)
         guaranteed = prov["guaranteed_disjunct_order"]
         L = args.L if args.L is not None else guaranteed
+        n_cols = m.shape[1]
+        if L < n_cols:  # a larger order is verify_disjunct's to refuse
+            # the round trip walks every support of weight <= L: refuse it
+            # before the design and disjunct walks run
+            caps.require(sum(math.comb(n_cols, w) for w in range(L + 1)),
+                         caps.subset_cap(), "supports")
         design = group_testing.verify_design(group_testing.design_from_matrix(m))
-        disjunct = group_testing.verify_disjunct(m, L, cap=args.cap)
-        passed, failed, first_failure = _roundtrips(m, _supports_up_to(m.shape[1], L))
+        disjunct = group_testing.verify_disjunct(m, L)
+        passed, failed, first_failure = _roundtrips(m, _supports_up_to(n_cols, L))
         report = {
             "property": "pipeline-ks-gt",
             "q": args.q, "k": args.k, "order": L,
-            "rows": int(m.shape[0]), "cols": int(m.shape[1]),
+            "rows": int(m.shape[0]), "cols": n_cols,
             "design_r": design.max_intersection,
             "design_r_bound": args.k,
             "guaranteed_disjunct_order": guaranteed,
@@ -333,9 +339,8 @@ def _cmd_pipeline(args) -> int:
         ok = disjunct.disjunct and failed == 0
     elif args.name == "rip-ld":
         m = matrixio.read_matrix(args.matrix).astype(np.complex128)
-        rip = certify.rip2_constant(m, args.L, cap=args.cap)
-        report = listdecode.rip_to_listdecoding_report(
-            m, args.L, rip.alpha, args.epsilon, cap=args.cap)
+        rip = certify.rip2_constant(m, args.L)
+        report = listdecode.rip_to_listdecoding_report(m, args.L, rip.alpha, args.epsilon)
         report["measured_rip_constant"] = rip.alpha
         ok = report["flat_ok"] and all(s["ok"] for s in report["bias_stages"])
         ok = ok and report["johnson"]["verdict"] in ("pass", "vacuous", "not-applicable")
@@ -361,13 +366,11 @@ def _finite_float(text: str) -> float:
 # each flag's add_argument keywords; a path flag keeps the string as given
 _FLAG_KEYWORDS = {
     **dict.fromkeys(["q", "n", "N", "k", "cols", "L", "r", "n-prime", "seed",
-                     "trials", "cap"], {"type": int}),
+                     "trials"], {"type": int}),
     **dict.fromkeys(["delta", "slack", "epsilon", "alpha", "rho", "threshold"],
                     {"type": _finite_float}),
     "normalize": {"action": "store_true"},
 }
-
-_THRESHOLD_CAP = {"threshold": None, "cap": None}
 
 # command -> (help, handler, positional, {choice: (required, {optional: default})});
 # a command without a positional has the one choice None.  Each choice
@@ -382,15 +385,15 @@ _COMMANDS = {
         "vandermonde": ("n cols out", {}),
     }),
     "verify": ("certify a property of a code or matrix", _cmd_verify, "property", {
-        "rip2": ("input L", _THRESHOLD_CAP),
-        "flat-rip": ("input L", _THRESHOLD_CAP),
+        "rip2": ("input L", {"threshold": None}),
+        "flat-rip": ("input L", {"threshold": None}),
         "coherence": ("input", {"threshold": None}),
-        "disjunct": ("input L", {"cap": None}),
+        "disjunct": ("input L", {}),
         "design": ("input", {"threshold": None}),
-        "list-decode": ("input rho", _THRESHOLD_CAP),
-        "lwise-distance": ("input L", _THRESHOLD_CAP),
-        "lwise-bias": ("input L", _THRESHOLD_CAP),
-        "kernel": ("input L", {"cap": None}),
+        "list-decode": ("input rho", {"threshold": None}),
+        "lwise-distance": ("input L", {"threshold": None}),
+        "lwise-bias": ("input L", {"threshold": None}),
+        "kernel": ("input L", {}),
     }),
     "bounds": ("evaluate the closed-form calculators", _cmd_bounds, None, {
         None: ("", {"q": 2, **dict.fromkeys(
@@ -400,12 +403,12 @@ _COMMANDS = {
         None: ("matrix L", {"seed": 0, "trials": 1000}),
     }),
     "cs-roundtrip": ("compressed-sensing recovery sweep", _cmd_cs_roundtrip, None, {
-        None: ("matrix L seed", {"trials": 50, "cap": None}),
+        None: ("matrix L seed", {"trials": 50}),
     }),
     "pipeline": ("end-to-end construction + certification", _cmd_pipeline, "name", {
-        "gv-rip": ("q n delta seed L", {"slack": 0.1, "cap": None}),
-        "ks-gt": ("q k", {"L": None, "cap": None}),
-        "rip-ld": ("matrix L epsilon", {"cap": None}),
+        "gv-rip": ("q n delta seed L", {"slack": 0.1}),
+        "ks-gt": ("q k", {"L": None}),
+        "rip-ld": ("matrix L epsilon", {}),
     }),
 }
 

@@ -165,9 +165,9 @@ def _rank_mod_p(mat: np.ndarray, p: int) -> int:
     return rank
 
 
-def enumerate_codewords(lc: LinearCode, cap: int | None = None) -> Code:
+def enumerate_codewords(lc: LinearCode) -> Code:
     """All q^k codewords m*G of a linear code."""
-    caps.require(lc.q**lc.k, caps.codeword_cap(cap), "codewords")
+    caps.require(lc.q**lc.k, caps.codeword_cap(), "codewords")
     messages = caps.product_rows(lc.q, lc.k, 0, lc.q**lc.k)
     return Code.from_array(lc.q, (messages @ lc.generator) % lc.q)
 
@@ -234,30 +234,30 @@ def min_distance(c: Code) -> DistanceReport:
     return DistanceReport(best, best / c.n, witness)
 
 
-def _check_lsets(c: Code, L: int, cap: int | None) -> None:
+def _check_lsets(c: Code, L: int) -> None:
     if not (2 <= L <= len(c)):
         raise DomainError(f"need 2 <= L <= |C|, got L={L}, |C|={len(c)}")
-    caps.require(math.comb(len(c), L), caps.subset_cap(cap), f"subsets of size {L}")
+    caps.require(math.comb(len(c), L), caps.subset_cap(), f"subsets of size {L}")
 
 
-def lwise_distance(c: Code, L: int, cap: int | None = None) -> DistanceReport:
+def lwise_distance(c: Code, L: int) -> DistanceReport:
     """Minimum over L-subsets of the average relative pairwise distance.
 
     The L-set with the least exact total pairwise distance, which is
     n * C(L, 2) times its average relative distance.
     """
-    _check_lsets(c, L, cap)
+    _check_lsets(c, L)
     least, witness = caps.lex_first_max_pair_sum(_pairwise_distances(c), L,
                                                  np.negative, _LSET_BLOCK)
     rel = -least / (c.n * math.comb(L, 2))
     return DistanceReport(rel * c.n, rel, witness)
 
 
-def lwise_bias(c: Code, L: int, cap: int | None = None) -> float:
+def lwise_bias(c: Code, L: int) -> float:
     """Max over L-subsets of |average distance - 1/2|; binary codes only."""
     if c.q != 2:
         raise DomainError("L-wise bias is only defined for binary codes here")
-    _check_lsets(c, L, cap)
+    _check_lsets(c, L)
     scale = c.n * math.comb(L, 2)
     return caps.lex_first_max_pair_sum(_pairwise_distances(c), L,
                                        lambda t: np.abs(t / scale - 0.5),
@@ -341,7 +341,6 @@ def random_linear_code_gv(
     delta: float,
     seed: int,
     slack: float = 0.1,
-    cap: int | None = None,
 ) -> LinearCode:
     """Sample a linear code of relative distance >= delta at near-GV rate.
 
@@ -369,7 +368,7 @@ def random_linear_code_gv(
         if _rank_mod_p(g, q) != k:
             continue
         lc = LinearCode(q, k, n, g, retries=attempt)
-        weights = (enumerate_codewords(lc, cap).array() != 0).sum(axis=1)
+        weights = (enumerate_codewords(lc).array() != 0).sum(axis=1)
         # linear code: min distance = min weight of a nonzero codeword
         weights = weights[weights > 0]
         if weights.size and weights.min() >= target:

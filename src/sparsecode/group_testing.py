@@ -151,7 +151,7 @@ def _packed_rows(bits: np.ndarray) -> np.ndarray:
     return packed.view(np.uint64).T
 
 
-def verify_disjunct(m: np.ndarray, L: int, cap: int | None = None) -> DisjunctReport:
+def verify_disjunct(m: np.ndarray, L: int) -> DisjunctReport:
     """Exhaustive disjunctness check over every (target, L-set) choice.
 
     Targets go in order; the L-sets of the other columns go in lex order.
@@ -160,11 +160,13 @@ def verify_disjunct(m: np.ndarray, L: int, cap: int | None = None) -> DisjunctRe
     """
     b = as_binary(m)
     n_cols = b.shape[1]
+    if L < 0:
+        raise DomainError(f"need 0 <= L, got L={L}")
     if L + 1 > n_cols:
         raise DomainError(f"need L + 1 <= N, got L={L}, N={n_cols}")
     per_target = math.comb(n_cols - 1, L)
     count = per_target * n_cols
-    caps.require(count, caps.subset_cap(cap), "choices")
+    caps.require(count, caps.subset_cap(), "choices")
     # every target walks the same blocks; tee builds each block once
     walks = tee(caps.subset_blocks(n_cols - 1, L, _TUPLE_BLOCK_FIRST,
                                    _TUPLE_BLOCK_MAX), n_cols)
@@ -188,12 +190,12 @@ def verify_disjunct(m: np.ndarray, L: int, cap: int | None = None) -> DisjunctRe
     return DisjunctReport(L, True, None, count)
 
 
-def max_disjunct_order(m: np.ndarray, cap: int | None = None) -> int:
+def max_disjunct_order(m: np.ndarray) -> int:
     """Largest L for which the matrix is L-disjunct (0 if none)."""
-    m = np.asarray(m)
+    m = as_binary(m)
     best = 0
     for L in range(1, m.shape[1]):
-        if not verify_disjunct(m, L, cap).disjunct:
+        if not verify_disjunct(m, L).disjunct:
             break
         best = L
     return best

@@ -79,9 +79,7 @@ class ImplicationReport:
         }
 
 
-def list_sizes_at_radii(
-    c: Code, radii: list[int], cap: int | None = None
-) -> list[tuple[int, Word]]:
+def list_sizes_at_radii(c: Code, radii: list[int]) -> list[tuple[int, Word]]:
     """Max codeword count of any Hamming ball, for several radii in one sweep.
 
     Returns (max_list_size, first worst center) per radius, enumerating all
@@ -109,7 +107,7 @@ def list_sizes_at_radii(
     allocated.
     """
     q, n = c.q, c.n
-    caps.require(q**n, caps.center_cap(cap), "centers")
+    caps.require(q**n, caps.center_cap(), "centers")
     hi = n - n // 2
     lo_size, hi_size = q ** (n // 2), q**hi
     words = c.array()
@@ -168,16 +166,16 @@ def _center_word(q: int, n: int, index: int) -> Word:
     return Word(q, tuple(caps.product_rows(q, n, index, index + 1)[0].tolist()))
 
 
-def list_size_at_radius(c: Code, rho: float, cap: int | None = None) -> ListDecodingReport:
+def list_size_at_radius(c: Code, rho: float) -> ListDecodingReport:
     """Max |ball(x, floor(rho*n)) intersect C| over all centers x."""
     if not (0.0 <= rho <= 1.0):
         raise DomainError(f"radius must lie in [0, 1], got {rho}")
     radius = math.floor(rho * c.n + 1e-12)
-    (size, center), = list_sizes_at_radii(c, [radius], cap)
+    (size, center), = list_sizes_at_radii(c, [radius])
     return ListDecodingReport(rho, radius, size, center, c.q**c.n)
 
 
-def johnson_check(c: Code, epsilon: float, cap: int | None = None) -> ImplicationReport:
+def johnson_check(c: Code, epsilon: float) -> ImplicationReport:
     """Distance-to-list-decoding implication with the proof's constants.
 
     Premise: the L'-wise distance is at least 1/2 - eps^2 for
@@ -199,10 +197,10 @@ def johnson_check(c: Code, epsilon: float, cap: int | None = None) -> Implicatio
             "johnson", None, 0.5 - epsilon**2, None, float(list_bound),
             "not-applicable", detail,
         )
-    premise = lwise_distance(c, l_prime, cap).relative
+    premise = lwise_distance(c, l_prime).relative
     threshold = 0.5 - epsilon**2
     rho = max(0.5 - epsilon, 0.0)
-    report = list_size_at_radius(c, rho, cap)
+    report = list_size_at_radius(c, rho)
     conclusion = report.max_list_size
     detail["radius"] = report.absolute_radius
     if premise < threshold - 1e-12:
@@ -217,9 +215,7 @@ def johnson_check(c: Code, epsilon: float, cap: int | None = None) -> Implicatio
     )
 
 
-def converse_check(
-    c: Code, L: int, epsilon: float, cap: int | None = None
-) -> ImplicationReport:
+def converse_check(c: Code, L: int, epsilon: float) -> ImplicationReport:
     """List-decoding-to-distance converse with the proof's constants.
 
     Premise: every ball of relative radius 1/2 - eps holds fewer than L
@@ -237,10 +233,10 @@ def converse_check(
             "johnson-converse", None, None, None, None, "not-applicable", detail,
         )
     rho = max(0.5 - epsilon, 0.0)
-    report = list_size_at_radius(c, rho, cap)
+    report = list_size_at_radius(c, rho)
     premise = report.max_list_size
     detail["radius"] = report.absolute_radius
-    conclusion = lwise_distance(c, l_prime, cap).relative
+    conclusion = lwise_distance(c, l_prime).relative
     threshold = 0.5 - 2.0 * epsilon
     if premise >= L:
         return ImplicationReport(
@@ -270,7 +266,7 @@ def pipeline_epsilon_floor(L: int) -> tuple[float, bool]:
 
 
 def rip_to_listdecoding_report(
-    m: np.ndarray, L: int, alpha: float, epsilon: float, cap: int | None = None
+    m: np.ndarray, L: int, alpha: float, epsilon: float
 ) -> dict:
     """Run the full RIP -> flat RIP -> bias -> list-decoding pipeline.
 
@@ -286,11 +282,11 @@ def rip_to_listdecoding_report(
     l0 = min(l0, m.shape[1] // 2)
     if l0 < 1:
         raise DomainError("matrix has too few columns for the pipeline")
-    flat = flat_rip_constant(m, l0, cap)
+    flat = flat_rip_constant(m, l0)
     flat_bound = FLAT_FROM_RIP_FACTOR * alpha
     bias_stages = []
     for l_bias in range(2, l0 + 1):
-        measured = lwise_bias(code, l_bias, cap)
+        measured = lwise_bias(code, l_bias)
         predicted = bias_factor_from_flat(l_bias) * flat.constant / l_bias
         bias_stages.append(
             {
@@ -301,7 +297,7 @@ def rip_to_listdecoding_report(
             }
         )
     eps0, attainable = pipeline_epsilon_floor(L)
-    johnson = johnson_check(code, epsilon, cap)
+    johnson = johnson_check(code, epsilon)
     return {
         "property": "rip-to-list-decoding",
         "order": L,

@@ -74,7 +74,6 @@ def cs_decode_exhaustive(
     y: np.ndarray,
     L: int,
     tol: float = DEFAULT_DECODE_TOL,
-    cap: int | None = None,
 ) -> RecoveryResult:
     """First support of size <= L whose least-squares fit explains y.
 
@@ -90,7 +89,7 @@ def cs_decode_exhaustive(
     if not (0 <= L <= n_cols):
         raise DomainError(f"need 0 <= L <= N, got L={L}")
     caps.require(sum(math.comb(n_cols, s) for s in range(0, L + 1)),
-                 caps.subset_cap(cap), "supports")
+                 caps.subset_cap(), "supports")
     accept = tol * (1.0 + float(np.linalg.norm(y)))
     tried = 0
     for size in range(0, L + 1):
@@ -114,10 +113,10 @@ def cs_decode_exhaustive(
     )
 
 
-def uniqueness_certificate(m: np.ndarray, L: int, cap: int | None = None) -> bool:
+def uniqueness_certificate(m: np.ndarray, L: int) -> bool:
     """True iff every 2L-column submatrix has trivial kernel.
 
     Implies that cs_decode_exhaustive recovers every L-sparse vector from
     its exact measurements.
     """
-    return kernel_injectivity(m, L, cap).injective
+    return kernel_injectivity(m, L).injective

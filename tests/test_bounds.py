@@ -143,6 +143,17 @@ class TestRowIndicators:
         with pytest.raises(DomainError):
             row_bound_indicators(1, 10)
 
+    @pytest.mark.parametrize("N, r, n_prime, reason", [
+        (0, None, None, "need N >= 2, got N=0"),
+        (1, None, None, "need N >= 2, got N=1"),
+        (10, 0, 5, "need r >= 1 and n_prime >= 1, got r=0, n_prime=5"),
+        (10, -1, 5, "need r >= 1 and n_prime >= 1, got r=-1, n_prime=5"),
+        (10, 2, 0, "need r >= 1 and n_prime >= 1, got r=2, n_prime=0"),
+    ])
+    def test_degenerate_sizes(self, N, r, n_prime, reason):
+        with pytest.raises(DomainError, match=f"^{reason}$"):
+            row_bound_indicators(3, N, r, n_prime)
+
 
 class TestAlphabetSize:
     @pytest.mark.parametrize("q", [1, 0, -3])

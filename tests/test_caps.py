@@ -159,18 +159,41 @@ def test_lex_first_max_pair_sum_matches_brute_force(case):
             assert sum(chunks) == math.comb(len(d), size)
 
 
-@pytest.mark.parametrize("resolve", [subset_cap, codeword_cap, center_cap])
-def test_explicit_cap_below_one_is_refused(resolve, monkeypatch):
+@pytest.mark.parametrize("resolve, default", [
+    (subset_cap, 10**7), (codeword_cap, 2**20), (center_cap, 2**22)])
+def test_env_cap_overrides_every_kind(resolve, default, monkeypatch):
     monkeypatch.delenv("SPARSECODE_CAP", raising=False)
-    assert resolve(1) == 1
-    for bad in (0, -3):
-        with pytest.raises(DomainError, match=f"^cap must be an integer >= 1, got {bad}$"):
-            resolve(bad)
-    # an explicit cap is checked even where the environment holds a good one
-    monkeypatch.setenv("SPARSECODE_CAP", "5")
-    assert resolve(None) == 5
-    with pytest.raises(DomainError, match="^cap must be"):
-        resolve(0)
+    assert resolve() == default
+    for good in ("1", "5", " 7 "):
+        monkeypatch.setenv("SPARSECODE_CAP", good)
+        assert resolve() == int(good)
+    for bad in ("0", "-3", "abc", "1.5", ""):
+        monkeypatch.setenv("SPARSECODE_CAP", bad)
+        with pytest.raises(DomainError,
+                           match=f"^SPARSECODE_CAP must be an integer >= 1, got {bad!r}$"):
+            resolve()
+
+
+def test_caps_is_the_only_cap_source():
+    """A cap comes only from caps, read from SPARSECODE_CAP there: no function
+    takes a cap parameter, and no other module reads the environment or
+    names the variable."""
+    offenders = []
+    for path in sorted(Path(sparsecode.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.arg) and node.arg == "cap":
+                offenders.append((path.name, node.lineno, "cap parameter"))
+            if path.name == "caps.py":
+                continue
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+                offenders.append((path.name, node.lineno, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module == "os" and any(
+                    alias.name in ("environ", "getenv", "*") for alias in node.names):
+                offenders.append((path.name, node.lineno, "from os import"))
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and "SPARSECODE_CAP" in node.value):
+                offenders.append((path.name, node.lineno, "SPARSECODE_CAP"))
+    assert offenders == []
 
 
 def test_only_caps_imports_combinations():

@@ -137,9 +137,11 @@ class TestRip2:
         with pytest.raises(DomainError):
             rip2_constant(np.eye(3), 4)
 
-    def test_cap(self):
-        with pytest.raises(EnumerationCapError):
-            rip2_constant(np.eye(10), 5, cap=20)
+    def test_cap(self, monkeypatch):
+        monkeypatch.setenv("SPARSECODE_CAP", "20")
+        with pytest.raises(EnumerationCapError,
+                           match="^637 subsets up to size 5 exceed cap 20$"):
+            rip2_constant(np.eye(10), 5)
 
 
 _DIFFERENTIAL = settings(derandomize=True, max_examples=100, deadline=None,

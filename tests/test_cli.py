@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from itertools import chain, combinations
 from pathlib import Path
 
@@ -140,13 +141,13 @@ class TestVerify:
         assert code == 1
         assert report["pass"] is False
 
-    def test_cap_exceeded_exits_2(self, capsys, ks_matrix):
+    def test_cap_exceeded_exits_2(self, capsys, ks_matrix, monkeypatch):
+        monkeypatch.setenv("SPARSECODE_CAP", "100")
         code, _, err = run(
-            capsys, "verify", "rip2", "--input", str(ks_matrix),
-            "--L", "4", "--cap", "100",
+            capsys, "verify", "rip2", "--input", str(ks_matrix), "--L", "4",
         )
         assert code == 2
-        assert "exceed" in err
+        assert err == "error: 15275 subsets up to size 4 exceed cap 100\n"
 
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(
@@ -331,6 +332,14 @@ class TestPipelines:
         )
         assert code == 2
 
+    def test_ks_gt_refuses_its_round_trip_before_any_walk(self, capsys):
+        # KS(5,2) passes the disjunct cap at L=20 (265,650 choices), but its
+        # round trip would walk every support of weight <= 20
+        started = time.monotonic()
+        result = run_any(capsys, ["pipeline", "ks-gt", "--q", "5", "--k", "2", "--L", "20"])
+        assert time.monotonic() - started < 1.0
+        assert result == (2, "", "error: 33539156 supports exceed cap 10000000\n")
+
     def test_missing_flags_exit_2(self, capsys):
         code, out, err = run_any(capsys, ["pipeline", "gv-rip"])
         assert (code, out) == (2, "")
@@ -509,12 +518,11 @@ class TestExitContract:
          "--L must be >= 0, got -2"),
         (["pipeline", "ks-gt", "--q", "5", "--k", "2", "--L", "-1"],
          "--L must be >= 0, got -1"),
-        (["verify", "lwise-distance", "--input", "c.code", "--L", "2", "--cap", "-3"],
-         "cap must be an integer >= 1, got -3"),
-        (["verify", "lwise-bias", "--input", "c.code", "--L", "2", "--cap", "0"],
-         "cap must be an integer >= 1, got 0"),
-        (["verify", "disjunct", "--input", "ks.json", "--L", "1", "--cap", "0"],
-         "cap must be an integer >= 1, got 0"),
+        (["bounds", "--L", "3", "--N", "0"], "need N >= 2, got N=0"),
+        (["bounds", "--L", "3", "--N", "10", "--r", "0", "--n-prime", "5"],
+         "need r >= 1 and n_prime >= 1, got r=0, n_prime=5"),
+        (["bounds", "--L", "3", "--N", "10", "--r", "-1", "--n-prime", "5"],
+         "need r >= 1 and n_prime >= 1, got r=-1, n_prime=5"),
         (["gt-roundtrip", "--matrix", "zero-width.json", "--L", "0"],
          "binary matrix rows must not be empty"),
         (["cs-roundtrip", "--matrix", "zero-width.json", "--L", "0", "--seed", "0"],
@@ -562,7 +570,7 @@ _VALUES = {
     **{f: st.integers(lo, hi).map(str) for f, lo, hi in (
         ("--L", -1, 2), ("--q", 1, 5), ("--k", 0, 2), ("--n", 0, 6),
         ("--cols", 0, 8), ("--N", 0, 8), ("--r", 0, 3), ("--n-prime", 0, 8),
-        ("--seed", 0, 3), ("--trials", 0, 4), ("--cap", 1, 3000))},
+        ("--seed", 0, 3), ("--trials", 0, 4))},
     **{f: _REALS for f in (
         "--delta", "--epsilon", "--alpha", "--rho", "--threshold", "--slack")},
 }
@@ -574,18 +582,18 @@ _COMMANDS = {
     "build bool": (["--normalize"], ["--code", "--out"]),
     "build kautz-singleton": ([], ["--q", "--k", "--out"]),
     "build vandermonde": ([], ["--n", "--cols", "--out"]),
-    **{f"verify {prop}": (["--threshold", "--cap"], ["--input", "--L"])
+    **{f"verify {prop}": (["--threshold"], ["--input", "--L"])
        for prop in ("rip2", "flat-rip", "lwise-distance", "lwise-bias")},
     **{f"verify {prop}": (["--threshold"], ["--input"]) for prop in ("coherence", "design")},
-    **{f"verify {prop}": (["--cap"], ["--input", "--L"]) for prop in ("kernel", "disjunct")},
-    "verify list-decode": (["--threshold", "--cap"], ["--input", "--rho"]),
+    **{f"verify {prop}": ([], ["--input", "--L"]) for prop in ("kernel", "disjunct")},
+    "verify list-decode": (["--threshold"], ["--input", "--rho"]),
     "bounds": (["--q", "--n", "--N", "--L", "--r", "--n-prime", "--delta",
                 "--epsilon", "--alpha"], []),
     "gt-roundtrip": (["--seed", "--trials"], ["--matrix", "--L"]),
-    "cs-roundtrip": (["--trials", "--cap"], ["--matrix", "--L", "--seed"]),
-    "pipeline gv-rip": (["--slack", "--cap"], ["--q", "--n", "--delta", "--seed", "--L"]),
-    "pipeline ks-gt": (["--L", "--cap"], ["--q", "--k"]),
-    "pipeline rip-ld": (["--cap"], ["--matrix", "--L", "--epsilon"]),
+    "cs-roundtrip": (["--trials"], ["--matrix", "--L", "--seed"]),
+    "pipeline gv-rip": (["--slack"], ["--q", "--n", "--delta", "--seed", "--L"]),
+    "pipeline ks-gt": (["--L"], ["--q", "--k"]),
+    "pipeline rip-ld": ([], ["--matrix", "--L", "--epsilon"]),
 }
 
 
@@ -620,12 +628,95 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch):
     assert [main(argv), main(["verify", "design", "--input", "/nonexistent"])] == [0, 2]
 
 
+# argv prefix -> flags for a run to a verdict on the cli_files inputs
+_LEAF_RUNS = {
+    "build gv-code": "--q 2 --n 8 --delta 0.2 --seed 1 --out out.json",
+    "build rs-code": "--q 3 --k 1 --out out.json",
+    "build sph": "--code c.code --out out.json",
+    "build bool": "--code c.code --out out.json",
+    "build kautz-singleton": "--q 3 --k 1 --out out.json",
+    "build vandermonde": "--n 3 --cols 6 --out out.json",
+    "verify rip2": "--input sph.json --L 2",
+    "verify flat-rip": "--input sph.json --L 1",
+    "verify coherence": "--input sph.json",
+    "verify disjunct": "--input ks.json --L 1",
+    "verify design": "--input ks.json",
+    "verify list-decode": "--input c.code --rho 0.5",
+    "verify lwise-distance": "--input c.code --L 2",
+    "verify lwise-bias": "--input c.code --L 2",
+    "verify kernel": "--input vand.json --L 1",
+    "bounds": "--q 2 --delta 0.11",
+    "gt-roundtrip": "--matrix ks.json --L 1",
+    "cs-roundtrip": "--matrix vand.json --L 1 --seed 0 --trials 3",
+    "pipeline gv-rip": "--q 2 --n 8 --delta 0.2 --seed 1 --L 2",
+    "pipeline ks-gt": "--q 3 --k 2",
+    "pipeline rip-ld": "--matrix sph.json --L 2 --epsilon 0.5",
+}
+# the leaves that walk a capped space: a code's codewords, subsets, pairs,
+# choices, centers or supports
+_CAPPED_LEAVES = {
+    "build gv-code", "build rs-code", "build kautz-singleton",
+    *(f"verify {p}" for p in ("rip2", "flat-rip", "disjunct", "design", "list-decode",
+                              "lwise-distance", "lwise-bias", "kernel")),
+    "cs-roundtrip", "pipeline gv-rip", "pipeline ks-gt", "pipeline rip-ld",
+}
+
+
+class TestCapOverride:
+    """SPARSECODE_CAP is the one way to set a cap; no leaf takes --cap."""
+
+    def _argv(self, cli_files, tmp_path, leaf):
+        return leaf.split() + [str(cli_files / a) if (cli_files / a).is_file() else
+                               str(tmp_path / a) if a == "out.json" else a
+                               for a in _LEAF_RUNS[leaf].split()]
+
+    def test_every_leaf_has_a_run(self):
+        assert set(_LEAF_RUNS) == set(_COMMANDS)
+        assert _CAPPED_LEAVES < set(_LEAF_RUNS)
+
+    @pytest.mark.parametrize("leaf", sorted(_LEAF_RUNS))
+    def test_cap_flag_is_refused(self, capsys, monkeypatch, cli_files, tmp_path, leaf):
+        monkeypatch.delenv("SPARSECODE_CAP", raising=False)
+        argv = self._argv(cli_files, tmp_path, leaf)
+        code, out, err = run_any(capsys, argv + ["--cap", "5"])
+        assert (code, out) == (2, "")
+        assert err.count("error:") == 1
+        assert err.endswith("error: unrecognized arguments: --cap 5\n")
+        assert list(tmp_path.iterdir()) == []
+        assert run_any(capsys, argv)[0] in (0, 1)
+
+    @pytest.mark.parametrize("leaf", sorted(_LEAF_RUNS))
+    def test_env_cap_of_one(self, capsys, monkeypatch, cli_files, tmp_path, leaf):
+        argv = self._argv(cli_files, tmp_path, leaf)
+        monkeypatch.delenv("SPARSECODE_CAP", raising=False)
+        uncapped = run_any(capsys, argv)
+        assert uncapped[0] in (0, 1)
+        for path in tmp_path.iterdir():
+            path.unlink()
+        monkeypatch.setenv("SPARSECODE_CAP", "1")
+        code, out, err = run_any(capsys, argv)
+        if leaf in _CAPPED_LEAVES:
+            assert (code, out) == (2, "")
+            assert err.count("\n") == 1 and err.startswith("error: ")
+            assert err.endswith(" exceed cap 1\n")
+            assert list(tmp_path.iterdir()) == []
+        else:
+            # a leaf that walks no capped space runs as without the cap
+            assert (code, strip_elapsed(json.loads(out)), err) == (
+                uncapped[0], strip_elapsed(json.loads(uncapped[1])), uncapped[2])
+
+
 class TestFuzz:
     @pytest.mark.parametrize("command", sorted({c.split()[0] for c in _COMMANDS}))
     @settings(derandomize=True, max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
-    def test_exit_code_and_stdout_contract(self, capsys, cli_files, command, data):
+    def test_exit_code_and_stdout_contract(self, capsys, monkeypatch, cli_files, command,
+                                           data):
+        if data.draw(st.integers(0, 3)):
+            monkeypatch.setenv("SPARSECODE_CAP", str(data.draw(st.integers(1, 3000))))
+        else:
+            monkeypatch.delenv("SPARSECODE_CAP", raising=False)
         prefix = data.draw(st.sampled_from(
             [c for c in _COMMANDS if c.split()[0] == command]))
         accepted, required = _COMMANDS[prefix]

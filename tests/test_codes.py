@@ -86,10 +86,11 @@ class TestLinearCodes:
         with pytest.raises(DomainError):
             LinearCode(4, 1, 2, [[1, 1]])
 
-    def test_codeword_cap(self):
+    def test_codeword_cap(self, monkeypatch):
+        monkeypatch.setenv("SPARSECODE_CAP", "8")
         lc = LinearCode(2, 4, 6, np.eye(4, 6, dtype=int))
-        with pytest.raises(EnumerationCapError):
-            enumerate_codewords(lc, cap=8)
+        with pytest.raises(EnumerationCapError, match="^16 codewords exceed cap 8$"):
+            enumerate_codewords(lc)
 
 
 class TestMinDistance:
@@ -189,13 +190,15 @@ class TestLwiseDistance:
         with pytest.raises(DomainError):
             lwise_distance(c, 3)
 
-    def test_subset_cap(self):
+    def test_subset_cap(self, monkeypatch):
+        monkeypatch.setenv("SPARSECODE_CAP", "10")
         rng = np.random.default_rng(2)
         rows = {tuple(int(s) for s in rng.integers(0, 2, size=10))
                 for _ in range(12)}
         c = _code(2, *rows)
-        with pytest.raises(EnumerationCapError):
-            lwise_distance(c, 4, cap=10)
+        with pytest.raises(EnumerationCapError,
+                           match=f"^{math.comb(len(c), 4)} subsets of size 4 exceed cap 10$"):
+            lwise_distance(c, 4)
 
 
 class TestPairwiseDistances:

@@ -347,13 +347,18 @@ class TestVerifyDisjunct:
             union = m[:, list(covering)].max(axis=1)
             assert np.all(union >= m[:, target])
 
-    def test_cap(self):
-        with pytest.raises(EnumerationCapError):
-            verify_disjunct(np.eye(20, dtype=int), 5, cap=100)
+    def test_cap(self, monkeypatch):
+        monkeypatch.setenv("SPARSECODE_CAP", "100")
+        with pytest.raises(EnumerationCapError, match="^232560 choices exceed cap 100$"):
+            verify_disjunct(np.eye(20, dtype=int), 5)
 
     def test_order_range(self):
         with pytest.raises(DomainError):
             verify_disjunct(np.eye(3, dtype=int), 3)
+
+    def test_negative_order(self):
+        with pytest.raises(DomainError, match="^need 0 <= L, got L=-1$"):
+            verify_disjunct(np.eye(3, dtype=int), -1)
 
     def test_non_binary_rejected(self):
         with pytest.raises(DomainError, match="0 or 1"):
@@ -420,6 +425,10 @@ class TestMaxDisjunctOrder:
     def test_duplicate_columns(self):
         m = np.eye(3, dtype=int)[:, [0, 0, 1]]
         assert max_disjunct_order(m) == 0
+
+    def test_not_a_matrix(self):
+        with pytest.raises(DomainError, match="must be 2-D"):
+            max_disjunct_order(np.zeros(5))
 
 
 class TestEncodeDecode:

@@ -218,10 +218,11 @@ class TestListSize:
         with pytest.raises(DomainError):
             list_size_at_radius(_code(2, (0, 0)), 1.5)
 
-    def test_center_cap(self):
+    def test_center_cap(self, monkeypatch):
+        monkeypatch.setenv("SPARSECODE_CAP", "100")
         c = _code(2, tuple([0] * 14), tuple([1] * 14))
-        with pytest.raises(EnumerationCapError):
-            list_size_at_radius(c, 0.5, cap=100)
+        with pytest.raises(EnumerationCapError, match="^16384 centers exceed cap 100$"):
+            list_size_at_radius(c, 0.5)
 
 
 class TestJohnson:

@@ -110,10 +110,11 @@ class TestDecode:
         assert not result.success
         assert result.support_found == ()
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setenv("SPARSECODE_CAP", "100")
         m = vandermonde_matrix(unit_circle_nodes(20), 8)
-        with pytest.raises(EnumerationCapError):
-            cs_decode_exhaustive(m, np.zeros(8, dtype=complex), 4, cap=100)
+        with pytest.raises(EnumerationCapError, match="^6196 supports exceed cap 100$"):
+            cs_decode_exhaustive(m, np.zeros(8, dtype=complex), 4)
 
     def test_order_range(self):
         m = vandermonde_matrix(unit_circle_nodes(4), 2)
