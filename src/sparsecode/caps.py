@@ -5,10 +5,13 @@ order of messages and centers.
 
 Every certifier counts its space and checks it against the cap of its kind
 before it walks: 10^7 subsets, pairs, choices or supports, 2^20 codewords,
-2^22 centers.  Exceeding a cap is always an explicit error; there is no
-sampling fallback.  The SPARSECODE_CAP environment variable, an integer
->= 1, is the one override: it replaces all three caps for every walk, in the
-library and the CLI alike.  No function takes a cap argument.
+2^22 centers.  `supports` is the one walk over the supports of weight <= L,
+which the exhaustive decoder and both group-testing round trips share; it
+checks its own count when it is called.  Exceeding a cap is always an
+explicit error; there is no sampling fallback.  The SPARSECODE_CAP
+environment variable, an integer >= 1, is the one override: it replaces all
+three caps for every walk, in the library and the CLI alike.  No function
+takes a cap argument.
 """
 
 from __future__ import annotations
@@ -86,6 +89,19 @@ def subset_blocks(n_items: int, size: int, first: int, largest: int):
         yield start, flat.reshape(count, size)
         start += count
         block = min(2 * block, largest)
+
+
+def supports(n_items: int, most: int, block: int):
+    """Every support of size 0..most in range(n_items): size by size, each
+    size in lex order, as row blocks of one size and at most `block` rows.
+
+    The supports are counted against the subset cap here, at the call, so a
+    refusal comes before any block; the walk itself is lazy.
+    """
+    require(sum(math.comb(n_items, s) for s in range(most + 1)), subset_cap(),
+            "supports")
+    return (rows for size in range(most + 1)
+            for _, rows in subset_blocks(n_items, size, block, block))
 
 
 def subsets(n_items: int, size: int) -> np.ndarray:

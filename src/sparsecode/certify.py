@@ -165,6 +165,7 @@ def coherence(m: np.ndarray) -> CoherenceReport:
     n_cols = m.shape[1]
     if n_cols < 2:
         raise DomainError("coherence needs at least two columns")
+    caps.require(math.comb(n_cols, 2), caps.subset_cap(), "pairs")
     with np.errstate(over="ignore", invalid="ignore"):
         vals = np.abs(m.conj().T @ m)
     _require_finite_gram(vals)

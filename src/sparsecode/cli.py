@@ -116,7 +116,7 @@ def _cmd_verify(args) -> int:
         ok = rep.disjunct
     elif prop == "design":
         m = matrixio.read_matrix(args.input)
-        rep = group_testing.verify_design(group_testing.design_from_matrix(m))
+        rep = group_testing.verify_design(group_testing.Design(m))
         report = rep.to_dict()
         if threshold is not None:
             ok = rep.max_intersection <= threshold
@@ -177,17 +177,12 @@ def _cmd_bounds(args) -> int:
 
 # ---------------------------------------------------------------- round trips
 
-def _supports_up_to(n_cols: int, L: int):
-    """Every support of weight 0..L, by weight, then in lex order.
-
-    Yields batches of supports as 0/1 rows.
-    """
-    for weight in range(L + 1):
-        for _, rows in caps.subset_blocks(n_cols, weight, _ROUNDTRIP_BATCH,
-                                          _ROUNDTRIP_BATCH):
-            x = np.zeros((len(rows), n_cols), dtype=bool)
-            x[np.arange(len(rows))[:, None], rows] = True
-            yield x
+def _indicators(n_cols: int, blocks):
+    """Each block of supports, one per row of item indices, as 0/1 rows."""
+    for rows in blocks:
+        x = np.zeros((len(rows), n_cols), dtype=bool)
+        x[np.arange(len(rows))[:, None], rows] = True
+        yield x
 
 
 def _random_supports(n_cols: int, L: int, trials: int, seed: int):
@@ -235,7 +230,7 @@ def _cmd_gt_roundtrip(args) -> int:
     total = sum(math.comb(n_cols, w) for w in range(args.L + 1))
     if total <= EXHAUSTIVE_ROUNDTRIP_LIMIT:
         mode = "exhaustive"
-        batches = _supports_up_to(n_cols, args.L)
+        batches = _indicators(n_cols, caps.supports(n_cols, args.L, _ROUNDTRIP_BATCH))
     else:
         mode = "random"
         batches = _random_supports(n_cols, args.L, args.trials, args.seed)
@@ -316,14 +311,12 @@ def _cmd_pipeline(args) -> int:
         guaranteed = prov["guaranteed_disjunct_order"]
         L = args.L if args.L is not None else guaranteed
         n_cols = m.shape[1]
-        if L < n_cols:  # a larger order is verify_disjunct's to refuse
-            # the round trip walks every support of weight <= L: refuse it
-            # before the design and disjunct walks run
-            caps.require(sum(math.comb(n_cols, w) for w in range(L + 1)),
-                         caps.subset_cap(), "supports")
-        design = group_testing.verify_design(group_testing.design_from_matrix(m))
+        # the round trip's walk checks its cap now, before the design and
+        # disjunct walks run; a larger order is verify_disjunct's to refuse
+        walk = caps.supports(n_cols, L, _ROUNDTRIP_BATCH) if L < n_cols else ()
+        design = group_testing.verify_design(group_testing.Design(m))
         disjunct = group_testing.verify_disjunct(m, L)
-        passed, failed, first_failure = _roundtrips(m, _supports_up_to(n_cols, L))
+        passed, failed, first_failure = _roundtrips(m, _indicators(n_cols, walk))
         report = {
             "property": "pipeline-ks-gt",
             "q": args.q, "k": args.k, "order": L,

@@ -4,12 +4,14 @@ Columns of a measurement matrix are supports of design sets; encoding is the
 OR of the selected columns; decoding declares an item present iff every test
 containing it came back positive.  For an L-disjunct matrix and inputs of
 weight at most L, that decoder is exact.
+
+A design is its incidence matrix and is built only from it, `Design(m)`;
+`design_from_code` is `Design` of the code's Boolean embedding.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import tee
 
@@ -25,28 +27,32 @@ _TUPLE_BLOCK_FIRST = 64
 _TUPLE_BLOCK_MAX = 1 << 13
 
 
-@dataclass(frozen=True, init=False, eq=False)
 class Design:
     """N subsets of [ground_size], each of size set_size, held as their
     read-only bool incidence matrix: column j is the indicator of set j."""
 
-    ground_size: int
-    set_size: int
-    matrix: np.ndarray  # (ground_size, N)
+    def __init__(self, incidence: np.ndarray):
+        """The design whose set j is the support of column j of a 0/1 matrix."""
+        b = as_binary(incidence)
+        sizes = b.sum(axis=0)
+        if sizes.size == 0 or sizes.min() != sizes.max():
+            raise DomainError("matrix columns have non-uniform support sizes")
+        self._matrix = np.array(b, dtype=bool)
+        self._matrix.flags.writeable = False
+        self._set_size = int(sizes[0])
 
-    def __init__(self, ground_size: int, set_size: int,
-                 sets: Sequence[Sequence[int]]):
-        if any(len(s) != set_size for s in sets):
-            raise DomainError("every set must have exactly set_size elements")
-        elements = np.sort(np.array(sets, dtype=np.int64)
-                           .reshape(len(sets), set_size), axis=1)
-        if (elements[:, 1:] == elements[:, :-1]).any():
-            raise DomainError("every set must have exactly set_size elements")
-        if ((elements < 0) | (elements >= ground_size)).any():
-            raise DomainError("set elements must lie in the ground set")
-        matrix = np.zeros((ground_size, len(sets)), dtype=bool)
-        matrix[elements, np.arange(len(sets))[:, None]] = True
-        _hold(self, matrix, set_size)
+    @property
+    def matrix(self) -> np.ndarray:
+        """(ground_size, N) bool, read-only."""
+        return self._matrix
+
+    @property
+    def ground_size(self) -> int:
+        return self._matrix.shape[0]
+
+    @property
+    def set_size(self) -> int:
+        return self._set_size
 
     @property
     def sets(self) -> np.ndarray:
@@ -59,14 +65,6 @@ class Design:
     def __eq__(self, other):
         return (isinstance(other, Design) and self.set_size == other.set_size
                 and np.array_equal(self.matrix, other.matrix))
-
-
-def _hold(d: Design, incidence: np.ndarray, set_size: int) -> Design:
-    """The one normaliser: d keeps a read-only bool copy of the matrix."""
-    matrix = np.array(incidence, dtype=bool)
-    matrix.flags.writeable = False
-    vars(d).update(ground_size=matrix.shape[0], set_size=set_size, matrix=matrix)
-    return d
 
 
 @dataclass(frozen=True)
@@ -121,16 +119,7 @@ def as_binary(m: np.ndarray) -> np.ndarray:
 
 def design_from_code(c: Code) -> Design:
     """Sets = supports of the Boolean embeddings of the codewords."""
-    return design_from_matrix(bool_code(c))
-
-
-def design_from_matrix(m: np.ndarray) -> Design:
-    """The design whose set j is the support of column j of a 0/1 matrix."""
-    b = as_binary(m)
-    sizes = b.sum(axis=0)
-    if sizes.size == 0 or sizes.min() != sizes.max():
-        raise DomainError("matrix columns have non-uniform support sizes")
-    return _hold(object.__new__(Design), b, int(sizes[0]))
+    return Design(bool_code(c))
 
 
 def verify_design(d: Design) -> DesignReport:

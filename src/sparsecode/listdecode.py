@@ -189,30 +189,24 @@ def johnson_check(c: Code, epsilon: float) -> ImplicationReport:
         raise DomainError("need 0 < epsilon with epsilon^2 < 1/2")
     l_prime = math.floor(1.0 / epsilon**2) + 1
     list_bound = math.floor(1.0 / epsilon**2)
+    threshold = 0.5 - epsilon**2
     detail = {"L_prime": l_prime, "epsilon": epsilon}
+    premise = conclusion = None
     if l_prime > len(c):
         # fewer codewords than the premise tuple size: the list bound
         # already dominates the code size, record as not-applicable
-        return ImplicationReport(
-            "johnson", None, 0.5 - epsilon**2, None, float(list_bound),
-            "not-applicable", detail,
-        )
-    premise = lwise_distance(c, l_prime).relative
-    threshold = 0.5 - epsilon**2
-    rho = max(0.5 - epsilon, 0.0)
-    report = list_size_at_radius(c, rho)
-    conclusion = report.max_list_size
-    detail["radius"] = report.absolute_radius
-    if premise < threshold - 1e-12:
-        return ImplicationReport(
-            "johnson", premise, threshold, float(conclusion), float(list_bound),
-            "vacuous", detail,
-        )
-    verdict = "pass" if conclusion <= list_bound else "fail"
-    return ImplicationReport(
-        "johnson", premise, threshold, float(conclusion), float(list_bound),
-        verdict, detail,
-    )
+        verdict = "not-applicable"
+    else:
+        premise = lwise_distance(c, l_prime).relative
+        report = list_size_at_radius(c, max(0.5 - epsilon, 0.0))
+        conclusion = float(report.max_list_size)
+        detail["radius"] = report.absolute_radius
+        if premise < threshold - 1e-12:
+            verdict = "vacuous"
+        else:
+            verdict = "pass" if conclusion <= list_bound else "fail"
+    return ImplicationReport("johnson", premise, threshold, conclusion,
+                             float(list_bound), verdict, detail)
 
 
 def converse_check(c: Code, L: int, epsilon: float) -> ImplicationReport:
@@ -228,26 +222,21 @@ def converse_check(c: Code, L: int, epsilon: float) -> ImplicationReport:
         raise DomainError("need 0 < epsilon <= 1/2")
     l_prime = math.ceil(L / epsilon)
     detail = {"L": L, "L_prime": l_prime, "epsilon": epsilon}
+    premise = bound = conclusion = threshold = None
     if l_prime > len(c):
-        return ImplicationReport(
-            "johnson-converse", None, None, None, None, "not-applicable", detail,
-        )
-    rho = max(0.5 - epsilon, 0.0)
-    report = list_size_at_radius(c, rho)
-    premise = report.max_list_size
-    detail["radius"] = report.absolute_radius
-    conclusion = lwise_distance(c, l_prime).relative
-    threshold = 0.5 - 2.0 * epsilon
-    if premise >= L:
-        return ImplicationReport(
-            "johnson-converse", float(premise), float(L), conclusion, threshold,
-            "vacuous", detail,
-        )
-    verdict = "pass" if conclusion >= threshold - 1e-12 else "fail"
-    return ImplicationReport(
-        "johnson-converse", float(premise), float(L), conclusion, threshold,
-        verdict, detail,
-    )
+        verdict = "not-applicable"
+    else:
+        report = list_size_at_radius(c, max(0.5 - epsilon, 0.0))
+        premise, bound = float(report.max_list_size), float(L)
+        detail["radius"] = report.absolute_radius
+        conclusion = lwise_distance(c, l_prime).relative
+        threshold = 0.5 - 2.0 * epsilon
+        if premise >= L:
+            verdict = "vacuous"
+        else:
+            verdict = "pass" if conclusion >= threshold - 1e-12 else "fail"
+    return ImplicationReport("johnson-converse", premise, bound, conclusion,
+                             threshold, verdict, detail)
 
 
 def pipeline_epsilon_floor(L: int) -> tuple[float, bool]:

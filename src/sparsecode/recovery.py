@@ -7,7 +7,6 @@ canonical order and accepts the first least-squares fit within tolerance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +50,9 @@ def vandermonde_matrix(nodes: np.ndarray, rows: int) -> np.ndarray:
     nodes = as_finite(nodes, "node")
     if nodes.ndim != 1:
         raise DomainError("nodes must be a vector")
+    if nodes.size == 0 or rows < 1:
+        raise DomainError("need at least one node and one row, "
+                          f"got {nodes.size} nodes and {rows} rows")
     diffs = np.abs(nodes[:, None] - nodes[None, :])
     np.fill_diagonal(diffs, np.inf)
     if diffs.min() <= NODE_GAP_TOL:
@@ -88,26 +90,23 @@ def cs_decode_exhaustive(
     n_cols = m.shape[1]
     if not (0 <= L <= n_cols):
         raise DomainError(f"need 0 <= L <= N, got L={L}")
-    caps.require(sum(math.comb(n_cols, s) for s in range(0, L + 1)),
-                 caps.subset_cap(), "supports")
     accept = tol * (1.0 + float(np.linalg.norm(y)))
     tried = 0
-    for size in range(0, L + 1):
-        for _, rows in caps.subset_blocks(n_cols, size, _SUPPORT_BLOCK, _SUPPORT_BLOCK):
-            for support in map(tuple, rows.tolist()):
-                tried += 1
-                if size == 0:
-                    residual = float(np.linalg.norm(y))
-                    coef = np.zeros(0, dtype=np.complex128)
-                else:
-                    sub = m[:, support]
-                    coef, _, _, _ = np.linalg.lstsq(sub, y, rcond=None)
-                    residual = float(np.linalg.norm(y - sub @ coef))
-                if residual <= accept:
-                    estimate = np.zeros(n_cols, dtype=np.complex128)
-                    for pos, val in zip(support, coef):
-                        estimate[pos] = val
-                    return RecoveryResult(estimate, residual, support, tried, True)
+    for rows in caps.supports(n_cols, L, _SUPPORT_BLOCK):
+        for support in map(tuple, rows.tolist()):
+            tried += 1
+            if support:
+                sub = m[:, support]
+                coef, _, _, _ = np.linalg.lstsq(sub, y, rcond=None)
+                residual = float(np.linalg.norm(y - sub @ coef))
+            else:  # the empty support fits with no solve
+                residual = float(np.linalg.norm(y))
+                coef = np.zeros(0, dtype=np.complex128)
+            if residual <= accept:
+                estimate = np.zeros(n_cols, dtype=np.complex128)
+                for pos, val in zip(support, coef):
+                    estimate[pos] = val
+                return RecoveryResult(estimate, residual, support, tried, True)
     return RecoveryResult(
         np.zeros(n_cols, dtype=np.complex128), float(np.linalg.norm(y)), (), tried, False
     )

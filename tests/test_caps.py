@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import sparsecode
 from sparsecode.caps import (
@@ -18,8 +18,9 @@ from sparsecode.caps import (
     subset_blocks,
     subset_cap,
     subsets,
+    supports,
 )
-from sparsecode.errors import DomainError
+from sparsecode.errors import DomainError, EnumerationCapError
 import scalar_oracles as oracle
 
 
@@ -43,6 +44,29 @@ def test_subset_blocks_concatenate_to_subsets(n_items, size, first, largest):
     assert all(n <= largest for n in lengths)
     assert np.array_equal(np.concatenate([rows for _, rows in blocks]),
                           subsets(n_items, size))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_supports_match_combinations_size_by_size(monkeypatch, data):
+    n_items = data.draw(st.integers(0, 10))
+    most = data.draw(st.integers(0, n_items))
+    want = [s for size in range(most + 1) for s in combinations(range(n_items), size)]
+    monkeypatch.delenv("SPARSECODE_CAP", raising=False)
+    for block in (1, 7, 1 << 30):
+        blocks = list(supports(n_items, most, block))
+        # each block is one size's rows, never empty and at most `block` of them
+        assert all(rows.dtype == np.int64 and rows.ndim == 2 and 1 <= len(rows) <= block
+                   for rows in blocks)
+        assert [tuple(r) for rows in blocks for r in rows.tolist()] == want
+    if len(want) > 1:
+        cap = data.draw(st.integers(1, len(want) - 1))
+        monkeypatch.setenv("SPARSECODE_CAP", str(cap))
+        # refused at the call, before any block is asked for
+        with pytest.raises(EnumerationCapError,
+                           match=f"^{len(want)} supports exceed cap {cap}$"):
+            supports(n_items, most, data.draw(st.sampled_from([1, 7, 1 << 30])))
 
 
 @pytest.mark.parametrize("q, length", [(2, 0), (2, 1), (2, 5), (3, 4), (5, 3), (13, 2)])

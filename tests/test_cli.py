@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import sparsecode
-from sparsecode import cli
+from sparsecode import caps, cli
 from sparsecode.cli import main
 from sparsecode.codes import read_code_file
 from sparsecode.embeddings import sph_code
@@ -279,7 +279,8 @@ class TestRoundtripBatches:
             n_cols = m.shape[1]
             supports = chain.from_iterable(combinations(range(n_cols), w)
                                            for w in range(L + 1))
-            got = cli._roundtrips(m, cli._supports_up_to(n_cols, L))
+            walk = caps.supports(n_cols, L, cli._ROUNDTRIP_BATCH)
+            got = cli._roundtrips(m, cli._indicators(n_cols, walk))
             assert got == _loop_roundtrips(m, supports)
             failures += got[1] > 0
         assert failures >= 3
@@ -531,12 +532,19 @@ class TestExitContract:
          "binary matrix rows must not be empty"),
         (["verify", "coherence", "--input", "bool-shape.json"],
          'complex matrix file needs integers "n", "N" >= 1'),
+        (["build", "vandermonde", "--n", "0", "--cols", "4", "--out", "out.json"],
+         "need at least one node and one row, got 4 nodes and 0 rows"),
+        (["build", "vandermonde", "--n", "-2", "--cols", "4", "--out", "out.json"],
+         "need at least one node and one row, got 4 nodes and -2 rows"),
+        (["build", "vandermonde", "--n", "3", "--cols", "0", "--out", "out.json"],
+         "need at least one node and one row, got 0 nodes and 3 rows"),
     ], ids=lambda a: " ".join(a) if isinstance(a, list) else "")
-    def test_count_reasons(self, capsys, cli_files, argv, reason):
-        argv = [str(cli_files / a) if (cli_files / a).is_file() else a
-                for a in argv]
+    def test_count_reasons(self, capsys, cli_files, tmp_path, argv, reason):
+        argv = [str(cli_files / a) if (cli_files / a).is_file() else
+                str(tmp_path / a) if a == "out.json" else a for a in argv]
         code, out, err = run_any(capsys, argv)
         assert (code, out, err) == (2, "", f"error: {reason}\n")
+        assert list(tmp_path.iterdir()) == []
 
     # each flag here is one another kind reads; these once ran to a verdict
     # that ignored it
@@ -656,9 +664,9 @@ _LEAF_RUNS = {
 # choices, centers or supports
 _CAPPED_LEAVES = {
     "build gv-code", "build rs-code", "build kautz-singleton",
-    *(f"verify {p}" for p in ("rip2", "flat-rip", "disjunct", "design", "list-decode",
-                              "lwise-distance", "lwise-bias", "kernel")),
-    "cs-roundtrip", "pipeline gv-rip", "pipeline ks-gt", "pipeline rip-ld",
+    *(f"verify {p}" for p in ("rip2", "flat-rip", "coherence", "disjunct", "design",
+                              "list-decode", "lwise-distance", "lwise-bias", "kernel")),
+    "gt-roundtrip", "cs-roundtrip", "pipeline gv-rip", "pipeline ks-gt", "pipeline rip-ld",
 }
 
 
@@ -704,6 +712,18 @@ class TestCapOverride:
             # a leaf that walks no capped space runs as without the cap
             assert (code, strip_elapsed(json.loads(out)), err) == (
                 uncapped[0], strip_elapsed(json.loads(uncapped[1])), uncapped[2])
+
+    def test_gt_roundtrip_caps_only_its_exhaustive_sweep(self, capsys, monkeypatch,
+                                                           cli_files):
+        matrix = str(cli_files / "ks.json")
+        monkeypatch.setenv("SPARSECODE_CAP", "1")
+        code, out, err = run_any(capsys, ["gt-roundtrip", "--matrix", matrix, "--L", "1"])
+        assert (code, out, err) == (2, "", "error: 26 supports exceed cap 1\n")
+        # 245,506 supports at L=6: seeded random draws, which are not capped
+        code, report, _ = run(capsys, "gt-roundtrip", "--matrix", matrix, "--L", "6",
+                              "--trials", "5")
+        assert code in (0, 1)
+        assert (report["mode"], report["passed"] + report["failed"]) == ("random", 5)
 
 
 class TestFuzz:

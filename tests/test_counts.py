@@ -17,8 +17,8 @@ from sparsecode.certify import flat_rip_constant
 from sparsecode.codes import Code, code_bias, min_distance, reed_solomon
 from sparsecode.embeddings import bool_code, sph_code
 from sparsecode.group_testing import (
+    Design,
     design_from_code,
-    design_from_matrix,
     gt_decode_cover,
     gt_encode,
     verify_design,
@@ -87,7 +87,7 @@ class TestAgainstIntegerOracles:
     @_DIFFERENTIAL
     @given(m=_binary(uniform=True))
     def test_verify_design(self, m):
-        d = design_from_matrix(m)
+        d = Design(m)
         assert verify_design(d) == oracle.verify_design(d)
 
     @_DIFFERENTIAL

@@ -39,6 +39,19 @@ class TestVandermonde:
         with pytest.raises(DomainError, match="finite"):
             vandermonde_matrix(np.array([1e200, 1.0, 2.0]), 3)
 
+    @pytest.mark.parametrize("nodes, rows, got", [
+        (unit_circle_nodes(4), 0, "4 nodes and 0 rows"),
+        (unit_circle_nodes(4), -2, "4 nodes and -2 rows"),
+        (unit_circle_nodes(0), 3, "0 nodes and 3 rows"),
+        (np.zeros(0), 0, "0 nodes and 0 rows"),
+    ])
+    def test_rejects_sizes_that_make_no_matrix(self, nodes, rows, got):
+        # rows < 1 once built an empty matrix that read_matrix refuses, and no
+        # nodes an internal ValueError from the gap check
+        with pytest.raises(DomainError,
+                           match=f"^need at least one node and one row, got {got}$"):
+            vandermonde_matrix(nodes, rows)
+
     def test_unit_circle_nodes_are_distinct_and_unimodular(self):
         nodes = unit_circle_nodes(8)
         assert np.allclose(np.abs(nodes), 1.0)
