@@ -3,22 +3,33 @@
 Measurement matrices are Vandermonde by default (unit-circle nodes keep
 them well conditioned); decoding tries every support of size up to L in
 canonical order and accepts the first least-squares fit within tolerance.
+A certified filter goes first: one batched QR per block of supports proves
+most of them unable to fit (`_must_solve`) and skips them; every other
+support, in order, takes the least-squares solve and the acceptance test
+that decide the result.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import caps
-from .certify import as_finite, as_matrix, kernel_injectivity
+from .certify import _pivots_positive, as_finite, as_matrix, kernel_injectivity
 from .errors import DomainError
 
 DEFAULT_DECODE_TOL = 1e-8
 NODE_GAP_TOL = 1e-9
 # supports per block of the decoder's walk
 _SUPPORT_BLOCK = 256
+# the decoder's filter (_must_solve) bounds rounding errors in units of
+# eps = _QR_MARGIN * n * s = 8192 n s u (u = 2^-53) for n rows and supports
+# of size s, and skips a support only when its residual is over accept by
+# 2^14 eps (||y|| + accept) and its sigma_min is proved >= _COND * ||A_S||_F
+_QR_MARGIN = 2.0**-40
+_COND = 2.0**-10
 
 
 @dataclass(frozen=True)
@@ -71,6 +82,78 @@ def cs_encode(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     return m @ x
 
 
+def _must_solve(m_y: np.ndarray, rows: np.ndarray, accept: float, beta: float,
+                col_sq: np.ndarray) -> np.ndarray:
+    """False for each support of `rows` whose computed least-squares
+    residual is proved above `accept` without a solve; beta = ||y|| and
+    col_sq holds the squared column norms of m, all as computed.
+
+    The proof.  Take a support S of size s, 1 <= s < n = len(y), with A =
+    m[:, S] and a^2 = sum of col_sq over S (so a = ||A||_F up to rounding),
+    let u = 2^-53 and eps = _QR_MARGIN * n * s = 8192 n s u.  The filter runs
+    only where n s <= 2^20, so eps <= 2^-20, and where beta and a lie in
+    [2^-400, 2^400]: no step below overflows, and with gradual underflow
+    every underflow errs by < 2^-1000 absolutely, or < 2^-500 inside a
+    norm, far below each bound here.  Every bound below is many times the
+    one its reference proves, as in `certify._may_reach`.
+     1. Householder QR of [A y] (Higham, Accuracy and Stability of Numerical
+        Algorithms, 2nd ed., Thm 19.4, with complex arithmetic's constants)
+        computes R' = [[R~, z], [0, rho']] with [A + dA, y + dy] = Q1 R' for
+        Q1 the first s + 1 columns of an exactly unitary matrix, where
+        ||dA||_F <= eps a and ||dy|| <= eps beta.  So A + dA = Q1[:, :s] R~
+        and, for every c, ||(y + dy) - (A + dA) c|| >= |rho'|, with equality
+        at the least-squares fit.  r~ = |rho'| as computed, within 2u of it.
+     2. The conditioning test: with tau^2 = _COND^2 a^2 and delta = 2^-40
+        s^3 a^2, the LDL^H of fl(R~^H R~) - (tau^2 + delta) I has all pivots
+        > 0.  delta covers the product's rounding and, by the argument of
+        `certify._may_reach`, the LDL^H backward error and the shift's
+        rounding, so lambda_min(R~^H R~) > tau^2 and sigma_min(A + dA) =
+        sigma_min(R~) > tau.  By Weyl, sigma_min(A) > (2^-10 - 2^-20) a.
+     3. np.linalg.lstsq is LAPACK's gelsd with rcond = 2^-52 max(n, s).  Its
+        computed c^ is the minimum-norm least-squares solution of a nearby
+        (A + E, y + f), ||E|| <= eps a and ||f|| <= eps beta, once the
+        singular values of A + E at most rcond times the largest are cut
+        (LAPACK Users' Guide, 3rd ed., sec. 4.5).  By 2, every singular value
+        of A + E is above 2^-11 a, far above that cut (the largest is at most
+        2a): none is cut, and ||c^|| <= (1 + eps) beta / sigma_min(A + E) <=
+        C = 2^11 beta / a.  This is what needs 2: without it c^ is not
+        bounded, and lstsq's rounding of A c^ is not either.
+     4. For every c, ||y - A c|| >= ||(y + dy) - (A + dA) c|| - ||dy|| -
+        ||dA|| ||c||, so by 1 and 3, ||y - A c^|| >= |rho'| - (2^11 + 1) eps
+        beta.
+     5. lstsq's residual is rho = fl||fl(y - fl(A c^))||.  The product errs
+        by <= (s + 2) u a C <= eps beta (Higham, Lemma 3.5), and the
+        subtraction and the norm lose a factor >= 1 - eps each, so rho >=
+        (1 - 2 eps)(|rho'| - (2^11 + 2) eps beta) >= r~ - 2^12 eps beta, as
+        |rho'| <= ||y + dy|| <= (1 + 2 eps) beta.
+    So a support whose r~ exceeds the computed accept + margin, with margin
+    = 2^14 eps (beta + accept), has rho > accept: the 2^14 against the 2^12
+    covers the roundings of that sum.  Any other support, or one whose r~
+    is not finite, is kept.
+    """
+    k, s = rows.shape
+    n = m_y.shape[1]
+    keep = np.ones(k, dtype=bool)
+    if not (1 <= s < n and n * s <= 2**20 and 2.0**-400 <= beta <= 2.0**400):
+        return keep
+    eps = _QR_MARGIN * n * s
+    a2 = col_sq[rows].sum(axis=1)
+    fit = np.flatnonzero((2.0**-800 <= a2) & (a2 <= 2.0**800))
+    rows, a2 = rows[fit], a2[fit]
+    # one QR of [A_S y] per support: (K, n, s + 1), y the last column
+    r = np.linalg.qr(m_y[np.column_stack((rows, np.full(len(rows), -1)))]
+                     .transpose(0, 2, 1), mode="r")
+    resid = np.abs(r[:, s, s])
+    tri = r[:, :s, :s]
+    gram = np.ascontiguousarray((tri.conj().transpose(0, 2, 1) @ tri).transpose(1, 2, 0))
+    diag = np.arange(s)
+    gram[diag, diag] -= a2 * (_COND * _COND + _QR_MARGIN * s**3)
+    margin = 2.0**14 * eps * (beta + accept)
+    skip = _pivots_positive(gram) & (resid > accept + margin) & np.isfinite(resid)
+    keep[fit[skip]] = False
+    return keep
+
+
 def cs_decode_exhaustive(
     m: np.ndarray,
     y: np.ndarray,
@@ -81,7 +164,9 @@ def cs_decode_exhaustive(
 
     Supports are scanned in order of increasing size, then lexicographic,
     which pins the answer whenever several supports fit at tolerance.  A
-    miss is reported as an unsuccessful result, not an exception.
+    miss is reported as an unsuccessful result, not an exception.  The
+    filter `_must_solve` skips only supports proved not to fit, so every
+    result is the unfiltered walk's, bit for bit.
     """
     m = as_matrix(m)
     y = as_finite(y, "measurement")
@@ -90,26 +175,34 @@ def cs_decode_exhaustive(
     n_cols = m.shape[1]
     if not (0 <= L <= n_cols):
         raise DomainError(f"need 0 <= L <= N, got L={L}")
-    accept = tol * (1.0 + float(np.linalg.norm(y)))
+    if not 0 <= tol < math.inf:  # a NaN tolerance would fail every support
+        raise DomainError(f"tol must be finite and >= 0, got {tol}")
+    with np.errstate(over="ignore"):
+        beta = float(np.linalg.norm(y))
+        col_sq = (m.real**2 + m.imag**2).sum(axis=0)
+    if not math.isfinite(beta):  # an inf accept would pass every support
+        raise DomainError("measurement norm overflows")
+    accept = tol * (1.0 + beta)
+    m_y = np.vstack((m.T, y))  # row j is column j of m, and the last row is y
     tried = 0
     for rows in caps.supports(n_cols, L, _SUPPORT_BLOCK):
-        for support in map(tuple, rows.tolist()):
-            tried += 1
+        for k in np.flatnonzero(_must_solve(m_y, rows, accept, beta, col_sq)):
+            support = tuple(rows[k].tolist())
             if support:
                 sub = m[:, support]
                 coef, _, _, _ = np.linalg.lstsq(sub, y, rcond=None)
                 residual = float(np.linalg.norm(y - sub @ coef))
             else:  # the empty support fits with no solve
-                residual = float(np.linalg.norm(y))
+                residual = beta
                 coef = np.zeros(0, dtype=np.complex128)
             if residual <= accept:
                 estimate = np.zeros(n_cols, dtype=np.complex128)
                 for pos, val in zip(support, coef):
                     estimate[pos] = val
-                return RecoveryResult(estimate, residual, support, tried, True)
-    return RecoveryResult(
-        np.zeros(n_cols, dtype=np.complex128), float(np.linalg.norm(y)), (), tried, False
-    )
+                return RecoveryResult(estimate, residual, support,
+                                      tried + int(k) + 1, True)
+        tried += len(rows)
+    return RecoveryResult(np.zeros(n_cols, dtype=np.complex128), beta, (), tried, False)
 
 
 def uniqueness_certificate(m: np.ndarray, L: int) -> bool:

@@ -419,6 +419,8 @@ def cli_files(tmp_path_factory):
     write_matrix(kautz_singleton(5, 2)[0], root / "ks.json")
     write_matrix(sph_code(read_code_file(root / "c.code")), root / "sph.json")
     write_matrix(vandermonde_matrix(unit_circle_nodes(6), 3), root / "vand.json")
+    # finite entries whose measurements' norm overflows
+    write_matrix(np.full((4, 5), 1e307), root / "big.json")
     return root
 
 
@@ -515,6 +517,8 @@ class TestExitContract:
          "--L must be >= 0, got -1"),
         (["cs-roundtrip", "--matrix", "vand.json", "--L", "9", "--seed", "0"],
          "need 0 <= L <= N, got L=9, N=6"),
+        (["cs-roundtrip", "--matrix", "big.json", "--L", "1", "--seed", "0",
+          "--trials", "5"], "measurement norm overflows"),
         (["verify", "disjunct", "--input", "ks.json", "--L", "-2"],
          "--L must be >= 0, got -2"),
         (["pipeline", "ks-gt", "--q", "5", "--k", "2", "--L", "-1"],

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scalar_oracles as oracle
+from sparsecode import cli, recovery
 from sparsecode.errors import DomainError, EnumerationCapError
+from sparsecode.matrixio import write_matrix
 from sparsecode.recovery import (
     cs_decode_exhaustive,
     cs_encode,
@@ -151,6 +155,18 @@ class TestDecode:
         with pytest.raises(DomainError, match="finite"):
             cs_decode_exhaustive(m, np.zeros(4, dtype=complex), 2)
 
+    def test_refuses_overflowing_measurement_norm(self):
+        # once returned success on the empty support with residual inf:
+        # every residual passed the accept test tol * (1 + inf)
+        with pytest.raises(DomainError, match="^measurement norm overflows$"):
+            cs_decode_exhaustive(np.eye(3), [1e308, 1e308, 0], 1)
+
+    @pytest.mark.parametrize("tol", [-1e-8, np.nan, np.inf])
+    def test_refuses_bad_tolerance(self, tol):
+        # a NaN tolerance failed every support, a negative one even y = 0
+        with pytest.raises(DomainError, match="^tol must be finite and >= 0"):
+            cs_decode_exhaustive(np.eye(3), np.zeros(3), 1, tol=tol)
+
     def test_matches_itertools_oracle(self):
         rng = np.random.default_rng(63)
         m = vandermonde_matrix(unit_circle_nodes(12), 6)
@@ -170,6 +186,178 @@ class TestDecode:
             want = oracle.cs_decode_exhaustive(mat, y, L, tol)
             assert got.to_dict() == want.to_dict()
             assert got.estimate.tobytes() == want.estimate.tobytes()
+
+    @pytest.mark.parametrize("block", [1, 7, 256])
+    def test_block_size_changes_no_report(self, monkeypatch, block):
+        # the filter decides per block of supports
+        monkeypatch.setattr(recovery, "_SUPPORT_BLOCK", block)
+        self.test_matches_itertools_oracle()
+
+
+def _matrix(kind: str, n: int, N: int, rng) -> np.ndarray:
+    if kind == "real":
+        return rng.normal(size=(n, N))
+    if kind == "vandermonde":
+        return vandermonde_matrix(unit_circle_nodes(N), n)
+    m = rng.normal(size=(n, N)) + 1j * rng.normal(size=(n, N))
+    j = int(rng.integers(N))
+    if kind == "repeated":
+        m[:, j] = m[:, int(rng.integers(N))]
+    elif kind == "near-duplicate":
+        m[:, j] = m[:, int(rng.integers(N))] * (1 + 1e-9 * rng.normal())
+    elif kind == "rank-deficient":
+        m[:, j] = m[:, int(rng.integers(N))] - 2.0 * m[:, int(rng.integers(N))]
+    elif kind == "ill-conditioned":
+        m *= 10.0 ** rng.integers(-8, 9, size=N)
+    return m
+
+
+@st.composite
+def _decode_cases(draw):
+    n, N = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["real", "complex", "vandermonde", "repeated",
+                                 "near-duplicate", "rank-deficient", "ill-conditioned"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = _matrix(kind, n, N, rng)
+    L = draw(st.integers(0, N))
+    tol = draw(st.sampled_from([1e-8, 0.0, 1e-12, 1e-3]))
+    support = sorted(rng.choice(N, size=draw(st.integers(0, min(L, n))), replace=False))
+    a = m[:, support]
+    y = a @ (rng.normal(size=len(support)) + 1j * rng.normal(size=len(support)))
+    measure = draw(st.sampled_from(["exact", "noisy", "near-accept"]))
+    if measure == "noisy":
+        y = y + 1e-6 * rng.normal(size=n)
+    elif measure == "near-accept" and len(support) < n:
+        # add an off-span part of norm within a few ulps of accept
+        w = np.linalg.qr(np.column_stack((a, rng.normal(size=n))))[0][:, -1]
+        t = tol
+        for _ in range(5):
+            t = tol * (1.0 + np.hypot(np.linalg.norm(y), t))
+        y = y + t * (1 + draw(st.integers(-4, 4)) * 2.0**-52) * w
+    return m, y, L, tol
+
+
+def _near_threshold(seed: int):
+    """(m, y, tol) whose support (0, 1, 2) fits through lstsq, while the QR of
+    [A_S y] puts its residual above accept; None if the seed gives no such y."""
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(6, 5)) + 1j * rng.normal(size=(6, 5))
+    a = m[:, [0, 1, 2]]
+    w = np.linalg.qr(np.column_stack((a, rng.normal(size=6))))[0][:, 3]
+    y = a @ (rng.normal(size=3) + 1j * rng.normal(size=3)) + 1e-9 * w
+    coef = np.linalg.lstsq(a, y, rcond=None)[0]
+    rho = float(np.linalg.norm(y - a @ coef))
+    beta = float(np.linalg.norm(y))
+    tol = rho / (1.0 + beta)
+    while tol * (1.0 + beta) < rho:
+        tol = float(np.nextafter(tol, np.inf))
+    qr_resid = abs(np.linalg.qr(np.column_stack((a, y)), mode="r")[3, 3])
+    return (m, y, tol) if tol * (1.0 + beta) < qr_resid else None
+
+
+def _ill_conditioned(seed: int):
+    """(m, y, tol) whose support (0, 1), two nearly parallel columns, fits
+    through lstsq, while the QR of [A_S y] puts its residual above accept
+    by more than the filter's margin; None if the seed gives no such y."""
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+    m[:, 1] = m[:, 0] + 1e-12 * m[:, 1]
+    a = m[:, [0, 1]]
+    y = a @ np.array([1e12, -1e12])
+    coef = np.linalg.lstsq(a, y, rcond=None)[0]
+    rho = float(np.linalg.norm(y - a @ coef))
+    beta = float(np.linalg.norm(y))
+    tol = rho / (1.0 + beta)
+    while tol * (1.0 + beta) < rho:
+        tol = float(np.nextafter(tol, np.inf))
+    # the margin is ~1e-7 ||y||, rho ~1e-4 ||y||
+    qr_resid = abs(np.linalg.qr(np.column_stack((a, y)), mode="r")[2, 2])
+    return (m, y, tol) if qr_resid > 1.01 * rho else None
+
+
+class TestResidualFilter:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_decode_cases())
+    def test_filtered_equals_unfiltered(self, case):
+        m, y, L, tol = case
+        got = cs_decode_exhaustive(m, y, L, tol=tol)
+        want = oracle.cs_decode_exhaustive(m, y, L, tol)
+        assert got.support_found == want.support_found
+        assert got.candidates_tried == want.candidates_tried
+        assert got.success == want.success
+        assert got.residual_norm.hex() == want.residual_norm.hex()
+        assert got.estimate.tobytes() == want.estimate.tobytes()
+
+    # near-threshold: r~ > accept >= lstsq's residual, so a filter without its
+    # margin skips the support that fits; ill-conditioned: lstsq's rounding
+    # puts the residual far below r~, so one without its conditioning test does
+    @pytest.mark.parametrize("build, seeds, L, support", [
+        (_near_threshold, 20, 3, (0, 1, 2)),
+        (_ill_conditioned, 60, 2, (0, 1)),
+    ], ids=["near-threshold", "ill-conditioned"])
+    def test_keeps_supports_it_cannot_rule_out(self, build, seeds, L, support):
+        cases = [c for c in map(build, range(seeds)) if c is not None]
+        assert len(cases) >= 3
+        for m, y, tol in cases:
+            got = cs_decode_exhaustive(m, y, L, tol=tol)
+            want = oracle.cs_decode_exhaustive(m, y, L, tol)
+            assert want.support_found == support
+            assert got.to_dict() == want.to_dict()
+            assert got.estimate.tobytes() == want.estimate.tobytes()
+
+    def test_spares_lstsq_on_the_vandermonde_roundtrip(self, monkeypatch, tmp_path, capsys):
+        write_matrix(vandermonde_matrix(unit_circle_nodes(12), 6), tmp_path / "v.json")
+        solved, tried = [], []
+        lstsq, decode = np.linalg.lstsq, recovery.cs_decode_exhaustive
+
+        def counted_decode(*args):
+            result = decode(*args)
+            tried.append(result.candidates_tried)
+            return result
+
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            lambda *a, **k: solved.append(1) or lstsq(*a, **k))
+        monkeypatch.setattr(recovery, "cs_decode_exhaustive", counted_decode)
+        argv = ["cs-roundtrip", "--matrix", str(tmp_path / "v.json"), "--L", "3",
+                "--seed", "7"]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        # at most one solve per decode, for the support it returns
+        assert len(tried) == 50
+        assert len(solved) <= 50
+        assert 50 * len(solved) < sum(tried)
+
+
+class TestStackedLapack:
+    """The filter's QR reads a (K, n, s) stack; these pin that LAPACK solves
+    each member of a stack as it would alone, bytes and all (SVD for the
+    same filter in front of kernel_injectivity)."""
+
+    @staticmethod
+    def _stacks():
+        rng = np.random.default_rng(64)
+        for _ in range(60):
+            k, n = int(rng.integers(1, 30)), int(rng.integers(1, 9))
+            s = int(rng.integers(1, n + 1))
+            a = rng.normal(size=(k, n, s)) + 1j * rng.normal(size=(k, n, s))
+            if s >= 2:  # some members near rank deficient
+                near = rng.random(k) < 0.3
+                a[near, :, -1] = a[near, :, 0] * (1 + 1e-13 * rng.normal())
+            yield a
+
+    def test_qr_solves_one_matrix_at_a_time(self):
+        for a in self._stacks():
+            assert (np.linalg.qr(a, mode="r").tobytes()
+                    == np.stack([np.linalg.qr(x, mode="r") for x in a]).tobytes())
+            q, r = np.linalg.qr(a)
+            alone = [np.linalg.qr(x) for x in a]
+            assert q.tobytes() == np.stack([f.Q for f in alone]).tobytes()
+            assert r.tobytes() == np.stack([f.R for f in alone]).tobytes()
+
+    def test_svd_solves_one_matrix_at_a_time(self):
+        for a in self._stacks():
+            assert (np.linalg.svd(a, compute_uv=False).tobytes()
+                    == np.stack([np.linalg.svd(x, compute_uv=False) for x in a]).tobytes())
 
 
 class TestUniqueness:
