@@ -2,14 +2,33 @@
 
 Asymptotic expressions are evaluated with their hidden constant set to 1 and
 labeled "indicator" in CLI output: they guide parameter planning and are
-never used as pass/fail certificates.
+never used as pass/fail certificates.  Each returns finite floats or raises
+DomainError naming itself: a value past the float range is no value.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .errors import DomainError
+
+
+def _finite(calculator):
+    """`calculator`, raising DomainError where its value (each value, for a
+    dict) is not a finite float: Python float arithmetic overflows to inf or
+    raises OverflowError, and an underflowed divisor raises ZeroDivisionError."""
+    @functools.wraps(calculator)
+    def checked(*args, **kwargs):
+        try:
+            value = calculator(*args, **kwargs)
+        except (OverflowError, ZeroDivisionError):
+            value = math.inf
+        values = value.values() if isinstance(value, dict) else (value,)
+        if not all(math.isfinite(v) for v in values):
+            raise DomainError(f"{calculator.__name__} is not a finite float")
+        return value
+    return checked
 
 
 def _check_alphabet(q: int) -> None:
@@ -17,6 +36,7 @@ def _check_alphabet(q: int) -> None:
         raise DomainError(f"alphabet size must be >= 2, got {q}")
 
 
+@_finite
 def q_ary_entropy(q: int, delta: float) -> float:
     """h_q(delta), with h_q(0) = 0 and h_q(1) = log_q(q-1) by continuity."""
     _check_alphabet(q)
@@ -31,6 +51,7 @@ def q_ary_entropy(q: int, delta: float) -> float:
     return out
 
 
+@_finite
 def gv_rate(q: int, delta: float) -> float:
     """Achievable rate 1 - h_q(delta) at relative distance delta."""
     _check_alphabet(q)
@@ -39,6 +60,7 @@ def gv_rate(q: int, delta: float) -> float:
     return 1.0 - q_ary_entropy(q, delta)
 
 
+@_finite
 def gv_critical_expansion(q: int, epsilon: float) -> float:
     """Two-term series for 1 - h_q(1 - (1+eps)/q) at small eps."""
     _check_alphabet(q)
@@ -47,6 +69,7 @@ def gv_critical_expansion(q: int, epsilon: float) -> float:
             - epsilon**3 * (q - 2) / (6 * (q - 1) ** 2 * lq))
 
 
+@_finite
 def mrrw_rate_bound(q: int, delta: float) -> float:
     """Linear-programming impossibility ceiling on rate at distance delta."""
     _check_alphabet(q)
@@ -58,6 +81,7 @@ def mrrw_rate_bound(q: int, delta: float) -> float:
     return q_ary_entropy(q, arg)
 
 
+@_finite
 def coherence_lower_indicator(n: int, N: int) -> float:
     """Order-of-magnitude floor on squared coherence of an N-point code in C^n."""
     if not (N > n >= 2):
@@ -68,6 +92,7 @@ def coherence_lower_indicator(n: int, N: int) -> float:
     return ln_n / (n * math.log(n / ln_n))
 
 
+@_finite
 def row_bound_indicators(
     L: int, N: int, r: int | None = None, n_prime: int | None = None
 ) -> dict[str, float]:
@@ -88,6 +113,7 @@ def row_bound_indicators(
     return out
 
 
+@_finite
 def rip_rows_indicator(L: int, N: int, q: int, alpha: float) -> float:
     """Rows needed for an RIP-2 matrix from a spherical code embedding."""
     _check_alphabet(q)

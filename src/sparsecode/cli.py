@@ -1,8 +1,11 @@
 """Command-line surface: build constructions, certify properties, plan bounds.
 
-Machine-readable JSON goes to stdout; short human summaries go to stderr.
-Exit codes: 0 pass, 1 property violated or recovery failed, 2 usage or
-internal error.
+Each command handler returns (report, holds, summary) and prints nothing.
+`main` alone times the command, prints the report as one line of strict JSON
+on stdout and the summary on stderr, and exits: 0 when the property holds,
+1 when it is violated or recovery failed, 2 on a usage or internal error,
+with one `error:` line on stderr and nothing on stdout.  A report holding a
+NaN or an infinity is no JSON and no verdict, so it exits 2.
 """
 
 from __future__ import annotations
@@ -28,16 +31,6 @@ EXHAUSTIVE_ROUNDTRIP_LIMIT = 10**5
 _ROUNDTRIP_BATCH = 1024
 
 
-def _emit(report: dict, started: float) -> None:
-    report = dict(report)
-    report["elapsed_ms"] = round((time.monotonic() - started) * 1000.0, 3)
-    print(json.dumps(report))
-
-
-def _summary(msg: str) -> None:
-    print(msg, file=sys.stderr)
-
-
 def _write_provenance(path: Path, record: dict) -> None:
     meta = Path(str(path) + ".meta.json")
     meta.write_text(json.dumps({"tool_version": __version__, **record}) + "\n")
@@ -45,8 +38,7 @@ def _write_provenance(path: Path, record: dict) -> None:
 
 # ---------------------------------------------------------------- build
 
-def _cmd_build(args) -> int:
-    started = time.monotonic()
+def _cmd_build(args) -> tuple[dict, bool, str]:
     out = Path(args.out)
     record = {"construction": args.kind}
     if args.kind == "gv-code":
@@ -78,15 +70,12 @@ def _cmd_build(args) -> int:
         matrixio.write_matrix(m, out)
         record.update(rows=args.n, cols=args.cols, nodes="unit-circle")
     _write_provenance(out, record)
-    _emit({"built": args.kind, "out": str(out), **record}, started)
-    _summary(f"wrote {args.kind} to {out}")
-    return 0
+    return {"built": args.kind, "out": str(out), **record}, True, f"wrote {args.kind} to {out}"
 
 
 # ---------------------------------------------------------------- verify
 
-def _cmd_verify(args) -> int:
-    started = time.monotonic()
+def _cmd_verify(args) -> tuple[dict, bool, str]:
     prop = args.property
     # kernel and disjunct take no threshold; their reports keep it as null
     threshold = getattr(args, "threshold", None)
@@ -141,15 +130,12 @@ def _cmd_verify(args) -> int:
             ok = value <= threshold + 1e-12
     report["threshold"] = threshold
     report["pass"] = bool(ok)
-    _emit(report, started)
-    _summary(f"{prop}: {'pass' if ok else 'VIOLATED'}")
-    return 0 if ok else 1
+    return report, ok, f"{prop}: {'pass' if ok else 'VIOLATED'}"
 
 
 # ---------------------------------------------------------------- bounds
 
-def _cmd_bounds(args) -> int:
-    started = time.monotonic()
+def _cmd_bounds(args) -> tuple[dict, bool, str]:
     out: dict = {"property": "bounds"}
     if args.q < 2:
         raise SparseCodeError(f"--q must be >= 2, got {args.q}")
@@ -170,9 +156,7 @@ def _cmd_bounds(args) -> int:
         if args.alpha is not None:
             out["rip_rows_indicator"] = bounds_mod.rip_rows_indicator(
                 args.L, args.N, args.q, args.alpha)
-    _emit(out, started)
-    _summary("bounds computed")
-    return 0
+    return out, True, "bounds computed"
 
 
 # ---------------------------------------------------------------- round trips
@@ -222,8 +206,7 @@ def _require_order(L: int, n_cols: int) -> None:
         raise SparseCodeError(f"need 0 <= L <= N, got L={L}, N={n_cols}")
 
 
-def _cmd_gt_roundtrip(args) -> int:
-    started = time.monotonic()
+def _cmd_gt_roundtrip(args) -> tuple[dict, bool, str]:
     m = group_testing.as_binary(matrixio.read_matrix(args.matrix))
     n_cols = m.shape[1]
     _require_order(args.L, n_cols)
@@ -243,13 +226,10 @@ def _cmd_gt_roundtrip(args) -> int:
         "failed": failed,
         "first_failure": first_failure,
     }
-    _emit(report, started)
-    _summary(f"gt-roundtrip: {passed} ok, {failed} failed")
-    return 0 if failed == 0 else 1
+    return report, failed == 0, f"gt-roundtrip: {passed} ok, {failed} failed"
 
 
-def _cmd_cs_roundtrip(args) -> int:
-    started = time.monotonic()
+def _cmd_cs_roundtrip(args) -> tuple[dict, bool, str]:
     m = matrixio.read_matrix(args.matrix).astype(np.complex128)
     n_cols = m.shape[1]
     _require_order(args.L, n_cols)
@@ -275,15 +255,13 @@ def _cmd_cs_roundtrip(args) -> int:
         "failures": failures,
         "max_recovery_error": max_err,
     }
-    _emit(report, started)
-    _summary(f"cs-roundtrip: {failures} failures, max error {max_err:.2e}")
-    return 0 if failures == 0 and max_err <= 1e-6 else 1
+    return (report, failures == 0 and max_err <= 1e-6,
+            f"cs-roundtrip: {failures} failures, max error {max_err:.2e}")
 
 
 # ---------------------------------------------------------------- pipelines
 
-def _cmd_pipeline(args) -> int:
-    started = time.monotonic()
+def _cmd_pipeline(args) -> tuple[dict, bool, str]:
     if args.name == "gv-rip":
         lc = codes.random_linear_code_gv(
             args.q, args.n, args.delta, seed=args.seed, slack=args.slack)
@@ -338,9 +316,7 @@ def _cmd_pipeline(args) -> int:
         ok = report["flat_ok"] and all(s["ok"] for s in report["bias_stages"])
         ok = ok and report["johnson"]["verdict"] in ("pass", "vacuous", "not-applicable")
     report["pass"] = bool(ok)
-    _emit(report, started)
-    _summary(f"pipeline {args.name}: {'pass' if ok else 'VIOLATED'}")
-    return 0 if ok else 1
+    return report, ok, f"pipeline {args.name}: {'pass' if ok else 'VIOLATED'}"
 
 
 # ---------------------------------------------------------------- parser
@@ -430,8 +406,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_counts(args) -> None:
-    """A verdict on an order below 0 or on no trials would come from no work."""
-    for flag, least in (("L", 0), ("trials", 1)):
+    """A verdict on an order below 0 or on no trials would come from no work,
+    and a seed below 0 seeds no draw."""
+    for flag, least in (("L", 0), ("trials", 1), ("seed", 0)):
         value = getattr(args, flag, None)
         if value is not None and value < least:
             raise SparseCodeError(f"--{flag} must be >= {least}, got {value}")
@@ -439,9 +416,15 @@ def _check_counts(args) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    started = time.monotonic()
     try:
         _check_counts(args)
-        return args.func(args)
+        report, holds, summary = args.func(args)
+        report = {**report, "elapsed_ms": round((time.monotonic() - started) * 1000.0, 3)}
+        # a NaN or an infinity is no JSON and no verdict: ValueError, exit 2
+        print(json.dumps(report, allow_nan=False))
+        print(summary, file=sys.stderr)
+        return 0 if holds else 1
     except (SparseCodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

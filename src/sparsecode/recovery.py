@@ -79,7 +79,9 @@ def cs_encode(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     x = as_finite(x, "x")
     if x.shape != (m.shape[1],):
         raise DomainError(f"x must have length {m.shape[1]}")
-    return m @ x
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = m @ x
+    return as_finite(y, "measurement")
 
 
 def _must_solve(m_y: np.ndarray, rows: np.ndarray, accept: float, beta: float,

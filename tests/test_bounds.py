@@ -164,3 +164,28 @@ class TestAlphabetSize:
                      lambda: rip_rows_indicator(3, 100, q, 0.5)):
             with pytest.raises(DomainError, match="alphabet size"):
                 call()
+
+
+class TestFiniteValues:
+    """A value past the float range is no value: each of these once returned
+    inf or raised a bare OverflowError or ZeroDivisionError."""
+
+    @pytest.mark.parametrize("name, call", [
+        ("rip_rows_indicator", lambda: rip_rows_indicator(2, 10, 2, 1e-160)),
+        # alpha**2 underflows to 0
+        ("rip_rows_indicator", lambda: rip_rows_indicator(2, 10, 2, 1e-200)),
+        ("gv_critical_expansion", lambda: gv_critical_expansion(2, 1e200)),
+        ("gv_critical_expansion", lambda: gv_critical_expansion(10**200, 0.5)),
+        ("row_bound_indicators", lambda: row_bound_indicators(10**200, 10)),
+        ("row_bound_indicators", lambda: row_bound_indicators(2, 10, r=1, n_prime=10**160)),
+        ("coherence_lower_indicator", lambda: coherence_lower_indicator(10**400, 10**401)),
+        ("mrrw_rate_bound", lambda: mrrw_rate_bound(10**400, 0.5)),
+        ("gv_rate", lambda: gv_rate(10**400, 0.5)),
+    ])
+    def test_refused_naming_the_quantity(self, name, call):
+        with pytest.raises(DomainError, match=f"^{name} is not a finite float$"):
+            call()
+
+    def test_large_but_finite_values_pass(self):
+        assert rip_rows_indicator(2, 10, 2, 1e-150) == 4 * math.log(10) * 2 / 1e-150**2
+        assert q_ary_entropy(10**400, 0.5) == pytest.approx(0.5, abs=1e-2)

@@ -334,6 +334,11 @@ class TestFlatRip:
         with pytest.raises(PreconditionError):
             flat_rip_constant(2.0 * np.eye(6), 2)
 
+    def test_overflowing_norm_is_not_unit(self):
+        # once gave a RuntimeWarning from np.linalg.norm before the refusal
+        with pytest.raises(PreconditionError, match="^flat RIP requires unit-norm columns$"):
+            flat_rip_constant(np.array([[1e200, 1.0], [1.0, 1.0]]), 1)
+
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(27)
         for _ in range(10):

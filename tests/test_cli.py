@@ -1,4 +1,5 @@
 import argparse
+import ast
 import json
 import os
 import subprocess
@@ -421,6 +422,8 @@ def cli_files(tmp_path_factory):
     write_matrix(vandermonde_matrix(unit_circle_nodes(6), 3), root / "vand.json")
     # finite entries whose measurements' norm overflows
     write_matrix(np.full((4, 5), 1e307), root / "big.json")
+    # finite entries whose measurements overflow
+    write_matrix(np.full((4, 5), 1.7e308), root / "max.json")
     return root
 
 
@@ -502,7 +505,8 @@ class TestExitContract:
         assert (code, out, err) == (
             2, "", "error: Gram matrix overflows: column norms too large\n")
 
-    # each of these once ran to a verdict from no work, or to an internal error
+    # each of these once ran to a verdict from no work or in a report that is
+    # no JSON, to an internal error, or to numpy warnings before its reason
     @pytest.mark.parametrize("argv, reason", [
         (["cs-roundtrip", "--matrix", "vand.json", "--L", "1", "--seed", "0",
           "--trials", "-3"], "--trials must be >= 1, got -3"),
@@ -519,6 +523,10 @@ class TestExitContract:
          "need 0 <= L <= N, got L=9, N=6"),
         (["cs-roundtrip", "--matrix", "big.json", "--L", "1", "--seed", "0",
           "--trials", "5"], "measurement norm overflows"),
+        (["cs-roundtrip", "--matrix", "max.json", "--L", "4", "--seed", "0",
+          "--trials", "5"], "measurement entries must be finite"),
+        (["verify", "flat-rip", "--input", "huge.json", "--L", "1"],
+         "flat RIP requires unit-norm columns"),
         (["verify", "disjunct", "--input", "ks.json", "--L", "-2"],
          "--L must be >= 0, got -2"),
         (["pipeline", "ks-gt", "--q", "5", "--k", "2", "--L", "-1"],
@@ -528,6 +536,22 @@ class TestExitContract:
          "need r >= 1 and n_prime >= 1, got r=0, n_prime=5"),
         (["bounds", "--L", "3", "--N", "10", "--r", "-1", "--n-prime", "5"],
          "need r >= 1 and n_prime >= 1, got r=-1, n_prime=5"),
+        (["bounds", "--L", "2", "--N", "10", "--alpha", "1e-160"],
+         "rip_rows_indicator is not a finite float"),
+        (["bounds", "--L", "2", "--N", "10", "--alpha", "1e-200"],
+         "rip_rows_indicator is not a finite float"),
+        (["bounds", "--epsilon", "1e200"], "gv_critical_expansion is not a finite float"),
+        # random mode, then exhaustive mode, which reads no seed
+        (["gt-roundtrip", "--matrix", "ks.json", "--L", "6", "--seed", "-1"],
+         "--seed must be >= 0, got -1"),
+        (["gt-roundtrip", "--matrix", "ks.json", "--L", "1", "--seed", "-1"],
+         "--seed must be >= 0, got -1"),
+        (["cs-roundtrip", "--matrix", "vand.json", "--L", "1", "--seed", "-1"],
+         "--seed must be >= 0, got -1"),
+        (["build", "gv-code", "--q", "2", "--n", "8", "--delta", "0.2", "--seed", "-1",
+          "--out", "out.json"], "--seed must be >= 0, got -1"),
+        (["pipeline", "gv-rip", "--q", "2", "--n", "8", "--delta", "0.2", "--seed", "-1",
+          "--L", "2"], "--seed must be >= 0, got -1"),
         (["gt-roundtrip", "--matrix", "zero-width.json", "--L", "0"],
          "binary matrix rows must not be empty"),
         (["cs-roundtrip", "--matrix", "zero-width.json", "--L", "0", "--seed", "0"],
@@ -574,7 +598,8 @@ _INPUTS = st.one_of(
     st.sampled_from(["ks.json", "sph.json", "vand.json", "c.code"]),
     st.sampled_from(sorted(_BAD_FILES) + ["missing.json", "."]),
 )
-_REALS = st.sampled_from(["-0.5", "0", "0.1", "0.25", "0.5", "1", "2", "nan"])
+_REALS = st.sampled_from(["-0.5", "0", "0.1", "0.25", "0.5", "1", "2", "nan", "1e-160",
+                          "1e200"])
 _VALUES = {
     "--input": _INPUTS, "--matrix": _INPUTS, "--code": _INPUTS,
     "--out": st.sampled_from(["out.json", "no/such/dir.json"]),
@@ -627,6 +652,22 @@ def test_fuzz_table_is_what_the_parser_accepts():
     assert _parser_table(cli._build_parser()) == {
         command: (sorted(accepted), sorted(required))
         for command, (accepted, required) in _COMMANDS.items()}
+
+
+def test_only_main_prints_or_times():
+    """The exit contract is main's alone: handlers return (report, holds,
+    summary), and no other code in cli prints or reads the clock."""
+    def calls(root):
+        return {(node.lineno, name) for node in ast.walk(root)
+                if isinstance(node, ast.Call)
+                and (name := getattr(node.func, "id", getattr(node.func, "attr", None)))
+                in ("print", "monotonic")}
+
+    tree = ast.parse(Path(cli.__file__).read_text())
+    main_def = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "main")
+    assert {name for _, name in calls(main_def)} == {"print", "monotonic"}
+    assert calls(tree) - calls(main_def) == set()
 
 
 def test_parser_is_built_once_per_process(capsys, monkeypatch):
@@ -730,6 +771,10 @@ class TestCapOverride:
         assert (report["mode"], report["passed"] + report["failed"]) == ("random", 5)
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 class TestFuzz:
     @pytest.mark.parametrize("command", sorted({c.split()[0] for c in _COMMANDS}))
     @settings(derandomize=True, max_examples=60, deadline=None,
@@ -761,9 +806,9 @@ class TestFuzz:
             argv += [flag] if value is None else [flag, value]
         code, out, _ = run_any(capsys, argv)
         assert code in (0, 1, 2)
-        if code == 1:
+        if code in (0, 1):
             lines = out.splitlines()
             assert len(lines) == 1
-            json.loads(lines[0])
+            json.loads(lines[0], parse_constant=_no_constant)
         if code == 2 or rejected:
             assert (code, out) == (2, "")

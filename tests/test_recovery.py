@@ -101,6 +101,11 @@ class TestEncode:
         with pytest.raises(DomainError, match="finite"):
             cs_encode(m, np.array([1.0, 0.0, 0.0]))
 
+    def test_rejects_overflowing_product(self):
+        # once returned [inf+nanj, inf+nanj] with two RuntimeWarnings
+        with pytest.raises(DomainError, match="^measurement entries must be finite$"):
+            cs_encode(np.full((2, 2), 1e308), [10, 0])
+
 
 class TestDecode:
     def test_zero_measurement(self):
