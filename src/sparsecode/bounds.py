@@ -3,13 +3,16 @@
 Asymptotic expressions are evaluated with their hidden constant set to 1 and
 labeled "indicator" in CLI output: they guide parameter planning and are
 never used as pass/fail certificates.  Each returns finite floats or raises
-DomainError naming itself: a value past the float range is no value.
+DomainError naming itself: a value past the float range is no value.  The
+entropy and the GV rate take any integer q; the MRRW bound and the GV
+critical expansion take q as a float and refuse a q past the float range.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 
 from .errors import DomainError
 
@@ -36,6 +39,15 @@ def _check_alphabet(q: int) -> None:
         raise DomainError(f"alphabet size must be >= 2, got {q}")
 
 
+def _check_float_alphabet(q: int, name: str) -> None:
+    """`q` must be >= 2 and, for a calculator whose arithmetic takes q as a
+    float, within the float range."""
+    _check_alphabet(q)
+    if q > sys.float_info.max:
+        raise DomainError(f"{name} needs q within the float range, "
+                          f"q <= {sys.float_info.max!r}")
+
+
 @_finite
 def q_ary_entropy(q: int, delta: float) -> float:
     """h_q(delta), with h_q(0) = 0 and h_q(1) = log_q(q-1) by continuity."""
@@ -55,7 +67,7 @@ def q_ary_entropy(q: int, delta: float) -> float:
 def gv_rate(q: int, delta: float) -> float:
     """Achievable rate 1 - h_q(delta) at relative distance delta."""
     _check_alphabet(q)
-    if not (0.0 <= delta < 1.0 - 1.0 / q):
+    if not (0.0 <= delta < 1.0 - 1 / q):
         raise DomainError(f"need 0 <= delta < 1 - 1/q, got {delta}")
     return 1.0 - q_ary_entropy(q, delta)
 
@@ -63,7 +75,7 @@ def gv_rate(q: int, delta: float) -> float:
 @_finite
 def gv_critical_expansion(q: int, epsilon: float) -> float:
     """Two-term series for 1 - h_q(1 - (1+eps)/q) at small eps."""
-    _check_alphabet(q)
+    _check_float_alphabet(q, "gv_critical_expansion")
     lq = math.log(q)
     return (epsilon**2 / (2 * (q - 1) * lq)
             - epsilon**3 * (q - 2) / (6 * (q - 1) ** 2 * lq))
@@ -72,7 +84,7 @@ def gv_critical_expansion(q: int, epsilon: float) -> float:
 @_finite
 def mrrw_rate_bound(q: int, delta: float) -> float:
     """Linear-programming impossibility ceiling on rate at distance delta."""
-    _check_alphabet(q)
+    _check_float_alphabet(q, "mrrw_rate_bound")
     if not (0.0 <= delta <= 1.0 - 1.0 / q):
         raise DomainError(f"need 0 <= delta <= 1 - 1/q, got {delta}")
     arg = (q - 1 - (q - 2) * delta

@@ -3,6 +3,11 @@ orders they rest on: lex subset order, walked as rows or as prefixes that
 carry pair sums, the one lex-first tie-break they share, and the product
 order of messages and centers.
 
+The lex rows of each shape (n_items, size) form one read-only table per
+process, grown only as far as a walk reaches and shared by every later
+walk of that shape.  The tables together are bounded in bytes; a shape that
+does not fit is built block by block and dropped, as if there were none.
+
 Every certifier counts its space and checks it against the cap of its kind
 before it walks: 10^7 subsets, pairs, choices or supports, 2^20 codewords,
 2^22 centers.  `supports` is the one walk over the supports of weight <= L,
@@ -17,7 +22,9 @@ takes a cap argument.
 from __future__ import annotations
 
 import math
+import mmap
 import os
+import threading
 from itertools import chain, combinations, islice
 
 import numpy as np
@@ -29,6 +36,9 @@ DEFAULT_SUBSET_CAP = 10**7
 DEFAULT_CENTER_CAP = 2**22
 
 _ENV_VAR = "SPARSECODE_CAP"
+
+# bytes of lex tables kept per process, over all shapes
+_TABLE_BYTES = 32 << 20
 
 
 def _resolve(default: int) -> int:
@@ -71,24 +81,83 @@ def product_rows(q: int, length: int, start: int, stop: int) -> np.ndarray:
     return np.arange(start, stop, dtype=np.int64)[:, None] // powers % q
 
 
+def _lex_rows(combos, size: int, count: int) -> np.ndarray:
+    """The next `count` subsets of the lex iterator `combos`, one per
+    read-only int64 row."""
+    rows = np.fromiter(chain.from_iterable(islice(combos, count)),
+                       dtype=np.int64, count=count * size).reshape(count, size)
+    rows.flags.writeable = False
+    return rows
+
+
+class _LexTable:
+    """The lex rows of one shape, built as far as walks have reached.
+
+    The rows live in an anonymous memory map, outside the heap: only the
+    pages of rows built become resident, and a kept table holds no freed
+    heap memory in place.  Walks read a read-only view; a built row never
+    changes.
+    """
+
+    def __init__(self, n_items: int, size: int, total: int):
+        self._combos = combinations(range(n_items), size)
+        self._built = 0
+        self._rows = np.frombuffer(mmap.mmap(-1, total * size * 8),
+                                   dtype=np.int64).reshape(total, size)
+        self._view = self._rows.view()
+        self._view.flags.writeable = False
+
+    @property
+    def nbytes(self) -> int:
+        return self._rows.nbytes
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """Rows start..stop-1, built first if no walk has reached them yet."""
+        if self._built < stop:
+            with _LOCK:
+                if self._built < stop:
+                    self._rows[self._built:stop] = _lex_rows(
+                        self._combos, self._rows.shape[1], stop - self._built)
+                    self._built = stop
+        return self._view[start:stop]
+
+
+# (n_items, size) -> its table, for every shape kept; _LOCK guards the dict
+# and the growth of every table in it
+_TABLES: dict[tuple[int, int], _LexTable] = {}
+_LOCK = threading.Lock()
+
+
+def _table(n_items: int, size: int, total: int) -> _LexTable | None:
+    """The kept table of this shape, made if it fits the byte budget; else None."""
+    with _LOCK:
+        table = _TABLES.get((n_items, size))
+        nbytes = total * size * 8
+        if table is None and 0 < nbytes <= _TABLE_BYTES - sum(
+                t.nbytes for t in _TABLES.values()):
+            table = _TABLES[n_items, size] = _LexTable(n_items, size, total)
+        return table
+
+
 def subset_blocks(n_items: int, size: int, first: int, largest: int):
     """Every size-subset of range(n_items) in lex (itertools.combinations)
-    order, one per int64 row, which every lex-first witness rests on.
+    order, one per read-only int64 row, which every lex-first witness rests on.
 
     Yields (start, rows) for consecutive blocks, built lazily: `first` rows,
-    then twice as many each time up to `largest`.  Callers check their cap
-    before they walk.
+    then twice as many each time up to `largest`.  A kept table grows only
+    as far as a walk reaches; a shape past the byte budget is built block by
+    block from its own iterator and dropped.  Callers check their cap before
+    they walk.
     """
-    combos = combinations(range(n_items), size)
     total = math.comb(n_items, size)
+    table = _table(n_items, size, total)
+    combos = combinations(range(n_items), size) if table is None else None
     start, block = 0, first
     while start < total:
-        count = min(block, total - start)
-        flat = np.fromiter(chain.from_iterable(islice(combos, count)),
-                           dtype=np.int64, count=count * size)
-        yield start, flat.reshape(count, size)
-        start += count
-        block = min(2 * block, largest)
+        stop = min(start + block, total)
+        yield start, (_lex_rows(combos, size, stop - start) if table is None
+                      else table.rows(start, stop))
+        start, block = stop, min(2 * block, largest)
 
 
 def supports(n_items: int, most: int, block: int):
@@ -233,4 +302,5 @@ def lex_first_max_pair(scores, size: int, block: int):
         r, c = divmod(int(np.argmax(s)), s.shape[1])
         if s[r, c] > best:
             best, witness = s[r, c].item(), (i0 + r, i0 + c)
+        del s  # so that no two blocks of scores are alive at once
     return best, witness

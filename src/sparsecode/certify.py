@@ -222,11 +222,16 @@ def _may_reach(gram: np.ndarray, rows: np.ndarray, t: float, scale: float) -> np
     k, s = rows.shape
     delta = _PD_MARGIN * s * s * ((1 + t) * (1 + t) + s * scale)
     cols = np.ascontiguousarray(rows.T)
-    grams = gram[cols[:, None], cols[None, :]]  # (s, s, K), K innermost
+    # the (s, s, K) stack of subset Grams, K innermost, at flat indices i N + j
+    grams = gram.reshape(-1).take((cols * gram.shape[1])[:, None] + cols[None, :])
     diag = np.arange(s)
     lower_too = t <= 1
     # the upper test on the first K matrices, the lower one on the rest
-    tests = np.concatenate((-grams, grams), axis=2) if lower_too else -grams
+    tests = grams
+    if lower_too:
+        tests = np.empty((s, s, 2 * k), dtype=gram.dtype)
+        tests[:, :, k:] = grams
+    np.negative(grams, out=tests[:, :, :k])
     with np.errstate(over="ignore", invalid="ignore"):
         tests[diag, diag, :k] += (1 + t) * (1 + t) - delta
         tests[diag, diag, k:] -= (1 - t) * (1 - t) + delta
@@ -256,6 +261,7 @@ def rip2_profile(m: np.ndarray, L: int) -> list[RipReport]:
     _require_finite_gram(scale)
     # on a real Gram the filter decides the same in faster real arithmetic
     filter_gram = gram if gram.imag.any() else gram.real.copy()
+    flat_gram = gram.reshape(-1)
     # the largest distortion computed so far, over earlier sizes and earlier
     # blocks: every subset it came from precedes the block being scored
     incumbent = -math.inf
@@ -271,7 +277,7 @@ def rip2_profile(m: np.ndarray, L: int) -> list[RipReport]:
         keep = (_may_reach(filter_gram, rows, incumbent, scale) if incumbent >= 0
                 else np.ones(len(rows), dtype=bool))
         kept = rows[keep]
-        grams = gram[kept[:, :, None], kept[:, None, :]]
+        grams = flat_gram.take((kept * n_cols)[:, :, None] + kept[:, None, :])
         sv = np.sqrt(np.clip(np.linalg.eigvalsh(grams), 0.0, None))
         out[keep] = np.maximum(sv[:, -1] - 1.0, 1.0 - sv[:, 0])
         incumbent = max(incumbent, out.max().item())
@@ -315,12 +321,15 @@ def flat_rip_constant(m: np.ndarray, L0: int) -> FlatRipReport:
         member = np.zeros((len(idx), n_cols), dtype=bool)
         member[np.arange(len(idx))[:, None], idx] = True
         # the scores are rows of this one K x K product, whose last bits a
-        # row-blocked product need not reproduce
-        vals = np.abs(sums.conj() @ sums.T) / s
+        # row-blocked product need not reproduce; their moduli go by row block
+        prod = sums.conj() @ sums.T
 
         def disjoint_scores(i0: int, i1: int) -> np.ndarray:
             overlap = _counts(member[i0:i1], member[i0:].T) > 0
-            return np.where(overlap, -1.0, vals[i0:i1, i0:])
+            vals = np.abs(prod[i0:i1, i0:])
+            vals /= s
+            np.copyto(vals, -1.0, where=overlap)
+            return vals
 
         size_best, (i, j) = caps.lex_first_max_pair(disjoint_scores, len(idx),
                                                     _OVERLAP_BLOCK)

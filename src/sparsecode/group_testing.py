@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import tee
 
 import numpy as np
 
@@ -156,14 +155,13 @@ def verify_disjunct(m: np.ndarray, L: int) -> DisjunctReport:
     per_target = math.comb(n_cols - 1, L)
     count = per_target * n_cols
     caps.require(count, caps.subset_cap(), "choices")
-    # every target walks the same blocks; tee builds each block once
-    walks = tee(caps.subset_blocks(n_cols - 1, L, _TUPLE_BLOCK_FIRST,
-                                   _TUPLE_BLOCK_MAX), n_cols)
-    for target, walk in zip(range(n_cols), walks):
+    for target in range(n_cols):
         support = b[:, target]
         words = _packed_rows(np.delete(b[support], target, axis=1))
         full = _packed_rows(np.ones((int(support.sum()), 1), dtype=bool))[:, 0]
-        for start, rows in walk:
+        # every target walks the same blocks of the one table of this shape
+        for start, rows in caps.subset_blocks(n_cols - 1, L, _TUPLE_BLOCK_FIRST,
+                                              _TUPLE_BLOCK_MAX):
             covers = np.ones(len(rows), dtype=bool)
             for word, full_word in zip(words, full):
                 union = np.zeros(len(rows), dtype=np.uint64)

@@ -179,8 +179,6 @@ class TestFiniteValues:
         ("row_bound_indicators", lambda: row_bound_indicators(10**200, 10)),
         ("row_bound_indicators", lambda: row_bound_indicators(2, 10, r=1, n_prime=10**160)),
         ("coherence_lower_indicator", lambda: coherence_lower_indicator(10**400, 10**401)),
-        ("mrrw_rate_bound", lambda: mrrw_rate_bound(10**400, 0.5)),
-        ("gv_rate", lambda: gv_rate(10**400, 0.5)),
     ])
     def test_refused_naming_the_quantity(self, name, call):
         with pytest.raises(DomainError, match=f"^{name} is not a finite float$"):
@@ -189,3 +187,30 @@ class TestFiniteValues:
     def test_large_but_finite_values_pass(self):
         assert rip_rows_indicator(2, 10, 2, 1e-150) == 4 * math.log(10) * 2 / 1e-150**2
         assert q_ary_entropy(10**400, 0.5) == pytest.approx(0.5, abs=1e-2)
+
+    def test_huge_q_gv_rate_is_one_minus_entropy(self):
+        # the domain guard 1 / q is int division, which no q overflows
+        assert gv_rate(10**400, 0.5) == 1.0 - q_ary_entropy(10**400, 0.5)
+        assert gv_rate(10**400, 0.5) == 0.4992474250108401
+        # and it draws the same line as 1.0 / q wherever q is a float
+        for q in (2, 3, 7, 2**52 + 1):
+            edge = 1.0 - 1.0 / q
+            assert gv_rate(q, math.nextafter(edge, 0.0)) >= 0.0
+            with pytest.raises(DomainError, match="^need 0 <= delta < 1 - 1/q"):
+                gv_rate(q, edge)
+
+    @pytest.mark.parametrize("calculator", [mrrw_rate_bound, gv_critical_expansion],
+                             ids=lambda f: f.__name__)
+    def test_huge_q_refused_naming_q(self, calculator):
+        # both take q as a float; past the float range that is no q
+        name = calculator.__name__
+        with pytest.raises(DomainError, match=rf"^{name} needs q within the float range, "
+                                              rf"q <= 1\.7976931348623157e\+308$"):
+            calculator(10**400, 0.5)
+
+    def test_largest_float_q_passes_the_guard(self):
+        q = int(np.finfo(float).max)
+        assert 0.0 <= mrrw_rate_bound(q, 0.5) <= 1.0
+        # here the series itself overflows, and is refused for that
+        with pytest.raises(DomainError, match="^gv_critical_expansion is not a finite float$"):
+            gv_critical_expansion(q, 0.5)

@@ -1,5 +1,7 @@
 import ast
 import math
+import sys
+import threading
 from itertools import combinations, product
 from pathlib import Path
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import sparsecode
+from sparsecode import caps, certify, group_testing, recovery
 from sparsecode.caps import (
     center_cap,
     codeword_cap,
@@ -44,6 +47,142 @@ def test_subset_blocks_concatenate_to_subsets(n_items, size, first, largest):
     assert all(n <= largest for n in lengths)
     assert np.array_equal(np.concatenate([rows for _, rows in blocks]),
                           subsets(n_items, size))
+
+
+@pytest.fixture
+def cold_tables(monkeypatch):
+    """An empty table cache for this test; the process's own is left alone."""
+    monkeypatch.setattr(caps, "_TABLES", {})
+    return caps._TABLES
+
+
+@pytest.fixture
+def rows_built(monkeypatch):
+    """A list that records the row count of every lex block built."""
+    built = []
+    lex_rows = caps._lex_rows
+
+    def spy(combos, size, count):
+        built.append(count)
+        return lex_rows(combos, size, count)
+
+    monkeypatch.setattr(caps, "_lex_rows", spy)
+    return built
+
+
+@pytest.mark.parametrize("first, largest", list(product((1, 7, 512), repeat=2)))
+def test_tables_are_combinations_cold_and_warm(cold_tables, first, largest):
+    for n_items in range(10):
+        for size in range(n_items + 1):
+            want = list(combinations(range(n_items), size))
+            for _ in ("cold", "warm"):
+                blocks = list(subset_blocks(n_items, size, first, largest))
+                lengths = [len(rows) for _, rows in blocks]
+                assert [start for start, _ in blocks] == [
+                    sum(lengths[:i]) for i in range(len(blocks))]
+                assert all(rows.dtype == np.int64 for _, rows in blocks)
+                assert [tuple(r) for _, rows in blocks for r in rows.tolist()] == want
+    # every shape with a row of at least one item was kept
+    assert len(cold_tables) == sum(n for n in range(10))
+
+
+def test_blocks_are_read_only(cold_tables, monkeypatch):
+    for budget in (caps._TABLE_BYTES, 0):
+        monkeypatch.setattr(caps, "_TABLE_BYTES", budget)
+        for _, rows in subset_blocks(7, 3, 4, 8):
+            assert not rows.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                rows[0, 0] = 99
+        assert subsets(7, 3).tolist() == [list(c) for c in combinations(range(7), 3)]
+
+
+def test_concurrent_walks_of_a_new_shape(cold_tables):
+    """Threads that grow one table at once each read combinations' rows."""
+    got, errors = [], []
+
+    def walk(n_items, size, k):
+        try:
+            got.append(((n_items, size), np.concatenate(
+                [rows.copy() for _, rows in subset_blocks(n_items, size, 1 + k, 64 + k)])))
+        except Exception as e:  # reported below, with the thread's shape
+            errors.append((n_items, size, k, e))
+
+    shapes = [(16, 4), (17, 3), (15, 5), (18, 2), (14, 6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for n_items, size in shapes:
+            threads = [threading.Thread(target=walk, args=(n_items, size, k))
+                       for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert len(got) == 6 * len(shapes)
+    for (n_items, size), rows in got:
+        assert rows.tolist() == [list(c) for c in combinations(range(n_items), size)]
+
+
+def _hex_floats(obj):
+    """obj with every float replaced by its float.hex, so == compares bits."""
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, dict):
+        return {k: _hex_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_hex_floats(v) for v in obj]
+    return obj
+
+
+def _table_certificates():
+    """One report of each certifier that walks subset_blocks, as dicts."""
+    rng = np.random.default_rng(41)
+    m = rng.normal(size=(5, 10)) + 1j * rng.normal(size=(5, 10))
+    m /= np.linalg.norm(m, axis=0)
+    design = (rng.random((12, 14)) < 0.4).astype(np.int64)
+    x = np.zeros(10, dtype=np.complex128)
+    x[[2, 7]] = (1.5, -0.5j)
+    decoded = recovery.cs_decode_exhaustive(m, recovery.cs_encode(m, x), 2)
+    return [
+        [r.to_dict() for r in certify.rip2_profile(m, 4)],
+        certify.flat_rip_constant(m, 3).to_dict(),
+        certify.kernel_injectivity(m, 2).to_dict(),
+        group_testing.verify_disjunct(design, 1).to_dict(),
+        group_testing.verify_disjunct(design, 2).to_dict(),
+        {**decoded.to_dict(), "estimate": decoded.estimate.tobytes()},
+    ]
+
+
+def test_table_budget_changes_no_report(cold_tables, monkeypatch):
+    default = _hex_floats(_table_certificates())
+    assert cold_tables
+    monkeypatch.setattr(caps, "_TABLES", {})
+    monkeypatch.setattr(caps, "_TABLE_BYTES", 0)
+    assert _hex_floats(_table_certificates()) == default
+    # with no budget nothing is kept
+    assert caps._TABLES == {}
+
+
+def test_each_table_is_built_once(cold_tables, rows_built):
+    m = np.random.default_rng(3).normal(size=(4, 12))
+    first = certify.rip2_profile(m, 3)
+    assert sum(rows_built) == sum(math.comb(12, s) for s in range(1, 4))
+    rows_built.clear()
+    assert certify.rip2_profile(m, 3) == first
+    assert rows_built == []
+
+
+def test_early_exit_builds_only_its_first_block(cold_tables, rows_built):
+    # column 1 covers every column, so target 0's first 2-set is a witness
+    m = np.eye(30, 30, dtype=np.int64)
+    m[:, 1] = 1
+    report = group_testing.verify_disjunct(m, 2)
+    assert report.witness == (0, (1, 2)) and report.tuples_checked == 1
+    assert sum(rows_built) <= group_testing._TUPLE_BLOCK_FIRST
 
 
 @settings(derandomize=True, max_examples=150, deadline=None,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -372,6 +373,20 @@ class TestFlatRip:
     def test_order_range(self):
         with pytest.raises(DomainError):
             flat_rip_constant(np.eye(4), 3)
+
+    def test_no_dense_modulus_matrix(self):
+        # the K x K complex product is the one K x K array; the moduli and
+        # the overlap mask go by row block
+        rng = np.random.default_rng(30)
+        m = rng.choice([-1.0, 1.0], size=(16, 20)) / 4.0
+        k = math.comb(20, 3)
+        tracemalloc.start()
+        try:
+            flat_rip_constant(m, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.15 * 16 * k * k
 
 
 class TestBiasFactor:

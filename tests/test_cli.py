@@ -574,6 +574,17 @@ class TestExitContract:
         assert (code, out, err) == (2, "", f"error: {reason}\n")
         assert list(tmp_path.iterdir()) == []
 
+    def test_bounds_q_past_the_float_range(self, capsys):
+        """gv_rate and h_q take any integer q; the calculators that need q as
+        a float refuse it, naming q and the float range."""
+        q = str(10**400)
+        limit = "q <= 1.7976931348623157e+308"
+        for flags, name in ((["--delta", "0.5"], "mrrw_rate_bound"),
+                            (["--epsilon", "0.5"], "gv_critical_expansion")):
+            code, out, err = run_any(capsys, ["bounds", "--q", q, *flags])
+            assert (code, out, err) == (
+                2, "", f"error: {name} needs q within the float range, {limit}\n")
+
     # each flag here is one another kind reads; these once ran to a verdict
     # that ignored it
     @pytest.mark.parametrize("argv, unread", [
