@@ -33,7 +33,6 @@ from .certify import (
     rip2_profile,
     flat_rip_constant,
     kernel_injectivity,
-    translate_flat_to_rip,
     FLAT_FROM_RIP_FACTOR,
     bias_factor_from_flat,
 )
@@ -50,7 +49,6 @@ from .group_testing import (
     design_from_code,
     verify_design,
     verify_disjunct,
-    max_disjunct_order,
     gt_encode,
     gt_decode_cover,
     kautz_singleton,

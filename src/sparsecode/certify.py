@@ -126,19 +126,6 @@ class KernelReport:
         }
 
 
-@dataclass(frozen=True)
-class FlatTranslation:
-    rip_constant: float
-    order_precondition_met: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "property": "flat-to-rip2",
-            "constant": self.rip_constant,
-            "order_precondition_met": self.order_precondition_met,
-        }
-
-
 def as_finite(a, what: str) -> np.ndarray:
     """`a` as a complex128 array, refused unless every entry is finite."""
     a = np.asarray(a).astype(np.complex128)
@@ -362,15 +349,3 @@ def kernel_injectivity(m: np.ndarray, L: int) -> KernelReport:
         injective, L, worst, None if injective else witness, math.comb(n_cols, s)
     )
 
-
-def translate_flat_to_rip(alpha: float, L: int) -> FlatTranslation:
-    """RIP-2 constant implied by a flat-RIP constant: 44 * alpha * log2(L).
-
-    Pure calculator; the flag records whether the translation's stated
-    order precondition L >= 2^10 holds.
-    """
-    if alpha < 0:
-        raise DomainError("need alpha >= 0")
-    if L < 2:
-        raise DomainError("need L >= 2")
-    return FlatTranslation(44.0 * alpha * math.log2(L), L >= 2**10)

@@ -84,20 +84,16 @@ def _cmd_verify(args) -> tuple[dict, bool, str]:
         m = matrixio.read_matrix(args.input)
         if prop == "rip2":
             rep = certify.rip2_constant(m, args.L)
-            value = rep.alpha
         elif prop == "flat-rip":
             rep = certify.flat_rip_constant(m, args.L)
-            value = rep.constant
         elif prop == "coherence":
             rep = certify.coherence(m)
-            value = rep.value
         else:
             rep = certify.kernel_injectivity(m, args.L)
-            value = rep.min_singular_value
             ok = rep.injective
         report = rep.to_dict()
         if threshold is not None:
-            ok = value <= threshold + 1e-12
+            ok = report["constant"] <= threshold + 1e-12
     elif prop == "disjunct":
         m = matrixio.read_matrix(args.input)
         rep = group_testing.verify_disjunct(m, args.L)

@@ -345,8 +345,12 @@ def random_linear_code_gv(
     """Sample a linear code of relative distance >= delta at near-GV rate.
 
     Rejection sampling with a seeded generator: draw uniform k x n generator
-    matrices until one is full rank and its code clears the distance target.
-    The retry count is recorded on the returned LinearCode.
+    matrices until one clears the distance target, on one test of the words
+    mG of the q^k - 1 nonzero messages m.  G has full rank iff no nonzero m
+    encodes to the zero word, and then the code's minimum distance is its
+    least nonzero weight; so a least weight >= max(delta * n, 1) is exactly
+    "full rank and distance >= delta * n".  The retry count is recorded on
+    the returned LinearCode.
     """
     # delta == 1 - 1/q is admitted so the zero-rate boundary surfaces as a
     # construction failure (dimension < 1) rather than a range error
@@ -354,6 +358,8 @@ def random_linear_code_gv(
         raise DomainError(f"need 0 <= delta <= 1 - 1/q, got {delta}")
     if not is_prime(q):
         raise DomainError(f"alphabet size {q} must be prime")
+    if not 0 <= slack < math.inf:  # a negative slack would exceed the GV dimension
+        raise DomainError(f"slack must be finite and >= 0, got {slack}")
     # slack shaves a fraction off the GV dimension so the distance target
     # is reachable within a small retry budget
     k = math.floor((1.0 - q_ary_entropy(q, delta)) * (1.0 - slack) * n)
@@ -361,18 +367,14 @@ def random_linear_code_gv(
         raise ConstructionFailedError(
             f"rate target gives dimension {k} < 1 for q={q}, n={n}, delta={delta}"
         )
+    caps.require(q**k, caps.codeword_cap(), "codewords")
+    messages = caps.product_rows(q, k, 1, q**k)
     rng = np.random.default_rng(seed)
-    target = delta * n - 1e-9
+    target = max(delta * n - 1e-9, 1)
     for attempt in range(_RETRY_BUDGET):
         g = rng.integers(0, q, size=(k, n))
-        if _rank_mod_p(g, q) != k:
-            continue
-        lc = LinearCode(q, k, n, g, retries=attempt)
-        weights = (enumerate_codewords(lc).array() != 0).sum(axis=1)
-        # linear code: min distance = min weight of a nonzero codeword
-        weights = weights[weights > 0]
-        if weights.size and weights.min() >= target:
-            return lc
+        if ((messages @ g) % q != 0).sum(axis=1).min() >= target:
+            return LinearCode(q, k, n, g, retries=attempt)
     raise ConstructionFailedError(
         f"no generator met distance {delta} within {_RETRY_BUDGET} tries"
     )

@@ -177,17 +177,6 @@ def verify_disjunct(m: np.ndarray, L: int) -> DisjunctReport:
     return DisjunctReport(L, True, None, count)
 
 
-def max_disjunct_order(m: np.ndarray) -> int:
-    """Largest L for which the matrix is L-disjunct (0 if none)."""
-    m = as_binary(m)
-    best = 0
-    for L in range(1, m.shape[1]):
-        if not verify_disjunct(m, L).disjunct:
-            break
-        best = L
-    return best
-
-
 def gt_encode(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     """OR-channel measurement: y(i) = OR_j (M[i,j] AND x[j]).
 

@@ -6,12 +6,14 @@ empirical distributions, statistical distance and word bias, Hamming
 distance between two Words (and the mismatch error only these raise),
 constant shifts and differences, and the Word-chain builders
 (linear-code enumeration, Reed-Solomon, balance closure, quotient by the
-all-ones word, spherical and Boolean embeddings, code files), and the
-design as a tuple of int tuples with its conversions to and from 0/1
-matrices.  The subset certifiers' own loops live here too: the itertools
-enumerator, and RIP-2, flat RIP, kernel injectivity, L-wise distance and
-bias and the exhaustive decoder, each walking every subset and breaking
-ties by hand, as they did before caps took over the walk and the tie-break.
+all-ones word, spherical and Boolean embeddings, code files), the GV
+sampler's loop that tested each draw's rank and then its enumerated code's
+weights, and the design as a tuple of int tuples with its conversions to
+and from 0/1 matrices.  The subset certifiers' own loops live here too: the
+itertools enumerator, and RIP-2, flat RIP, kernel injectivity, L-wise
+distance and bias and the exhaustive decoder, each walking every subset and
+breaking ties by hand, as they did before caps took over the walk and the
+tie-break.
 So do the exact counts of 0/1 products that one BLAS kernel now gives: the
 per-coordinate agreement count behind min distance, and the non-BLAS int64
 product behind flat RIP's overlap mask, the design Gram and the OR channel.
@@ -38,11 +40,18 @@ from sparsecode.certify import (
     RipReport,
     as_matrix,
 )
-from sparsecode.codes import DistanceReport
-from sparsecode.errors import DomainError, PreconditionError, SparseCodeError
+from sparsecode import codes
+from sparsecode.bounds import q_ary_entropy
+from sparsecode.codes import DistanceReport, LinearCode
+from sparsecode.errors import (
+    ConstructionFailedError,
+    DomainError,
+    PreconditionError,
+    SparseCodeError,
+)
 from sparsecode.group_testing import DesignReport, as_binary
 from sparsecode.recovery import RecoveryResult
-from sparsecode.words import Word
+from sparsecode.words import Word, is_prime
 
 MASS_TOLERANCE = 1e-12
 
@@ -165,6 +174,35 @@ def random_balanced_code(
     seeds = [Word(q, tuple(int(s) for s in rng.integers(0, q, size=n)))
              for _ in range(classes)]
     return balance_closure(code_words(seeds))
+
+
+def random_linear_code_gv(q: int, n: int, delta: float, seed: int,
+                          slack: float = 0.1) -> LinearCode:
+    """The GV sampler as it decided each draw twice: a rank test mod q, then
+    the least nonzero weight of the enumerated, sorted code."""
+    if not (0 <= delta <= 1 - 1 / q):
+        raise DomainError(f"need 0 <= delta <= 1 - 1/q, got {delta}")
+    if not is_prime(q):
+        raise DomainError(f"alphabet size {q} must be prime")
+    k = math.floor((1.0 - q_ary_entropy(q, delta)) * (1.0 - slack) * n)
+    if k < 1:
+        raise ConstructionFailedError(
+            f"rate target gives dimension {k} < 1 for q={q}, n={n}, delta={delta}"
+        )
+    rng = np.random.default_rng(seed)
+    target = delta * n - 1e-9
+    for attempt in range(codes._RETRY_BUDGET):
+        g = rng.integers(0, q, size=(k, n))
+        if codes._rank_mod_p(g, q) != k:
+            continue
+        lc = LinearCode(q, k, n, g, retries=attempt)
+        weights = (codes.enumerate_codewords(lc).array() != 0).sum(axis=1)
+        weights = weights[weights > 0]
+        if weights.size and weights.min() >= target:
+            return lc
+    raise ConstructionFailedError(
+        f"no generator met distance {delta} within {codes._RETRY_BUDGET} tries"
+    )
 
 
 def sph_word(c: Word) -> np.ndarray:

@@ -16,7 +16,6 @@ from sparsecode.certify import (
     kernel_injectivity,
     rip2_constant,
     rip2_profile,
-    translate_flat_to_rip,
 )
 from eigen import singular_values
 import scalar_oracles as oracle
@@ -470,27 +469,6 @@ class TestAgainstLoopOracles:
         for block in (1, 7, 1 << 30):
             monkeypatch.setattr(certify, "_OVERLAP_BLOCK", block)
             assert reports() == default
-
-
-class TestFlatTranslation:
-    def test_large_order(self):
-        t = translate_flat_to_rip(0.01, 2**10)
-        assert t.rip_constant == pytest.approx(4.4)
-        assert t.order_precondition_met
-
-    def test_small_order_flagged(self):
-        t = translate_flat_to_rip(0.5, 2)
-        assert t.rip_constant == pytest.approx(22.0)
-        assert not t.order_precondition_met
-
-    def test_zero_alpha(self):
-        assert translate_flat_to_rip(0.0, 16).rip_constant == 0.0
-
-    def test_range(self):
-        with pytest.raises(DomainError):
-            translate_flat_to_rip(-0.1, 4)
-        with pytest.raises(DomainError):
-            translate_flat_to_rip(0.1, 1)
 
 
 _NON_FINITE = [

@@ -566,6 +566,12 @@ class TestExitContract:
          "need at least one node and one row, got 4 nodes and -2 rows"),
         (["build", "vandermonde", "--n", "3", "--cols", "0", "--out", "out.json"],
          "need at least one node and one row, got 0 nodes and 3 rows"),
+        *[(["build", "gv-code", "--q", "2", "--n", "10", "--delta", "0.1", "--seed", "0",
+            "--out", "out.json", "--slack", slack], f"slack must be finite and >= 0, got {slack}")
+          for slack in ("-5.0", "-0.5")],
+        *[(["pipeline", "gv-rip", "--q", "2", "--n", "10", "--delta", "0.1", "--seed", "0",
+            "--L", "2", "--slack", slack], f"slack must be finite and >= 0, got {slack}")
+          for slack in ("-5.0", "-0.5")],
     ], ids=lambda a: " ".join(a) if isinstance(a, list) else "")
     def test_count_reasons(self, capsys, cli_files, tmp_path, argv, reason):
         argv = [str(cli_files / a) if (cli_files / a).is_file() else

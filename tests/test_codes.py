@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -28,6 +28,7 @@ from sparsecode.errors import (
     DomainError,
     EnumerationCapError,
     PreconditionError,
+    SparseCodeError,
 )
 import scalar_oracles as oracle
 from scalar_oracles import (
@@ -463,6 +464,52 @@ class TestGvConstruction:
     def test_delta_range(self):
         with pytest.raises(DomainError):
             random_linear_code_gv(2, 10, 0.6, seed=0)
+
+    # these once asked for dimension 31 at length 10, built a code above the
+    # GV dimension, or raised a bare ValueError or OverflowError
+    @pytest.mark.parametrize("slack", [-5.0, -0.5, -1e-300, math.nan, math.inf, -math.inf])
+    def test_slack_must_be_finite_and_nonnegative(self, slack):
+        with pytest.raises(DomainError) as info:
+            random_linear_code_gv(2, 10, 0.1, seed=0, slack=slack)
+        assert str(info.value) == f"slack must be finite and >= 0, got {slack}"
+
+    @pytest.mark.parametrize("slack, k", [(1.0, 0), (1.5, -3)])
+    def test_slack_of_one_or_more_leaves_no_dimension(self, slack, k):
+        with pytest.raises(ConstructionFailedError) as info:
+            random_linear_code_gv(2, 10, 0.1, seed=0, slack=slack)
+        assert str(info.value) == (
+            f"rate target gives dimension {k} < 1 for q=2, n=10, delta=0.1")
+
+    def test_zero_slack_samples_at_the_gv_dimension(self):
+        # floor((1 - h_2(0.1)) * 10) = 5
+        assert random_linear_code_gv(2, 10, 0.1, seed=0, slack=0.0).k == 5
+
+
+def _gv_outcome(sample, *args):
+    """(k, retries, generator bytes) of a sampled code, or (type, message)."""
+    try:
+        lc = sample(*args)
+    except SparseCodeError as exc:
+        return type(exc), str(exc)
+    return lc.k, lc.retries, lc.generator.tobytes()
+
+
+@pytest.mark.parametrize("cap", [None, "64"], ids=["default-cap", "cap-64"])
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_gv_sampler_matches_the_rank_then_weights_loop(q, cap, monkeypatch):
+    """One weight test per draw accepts exactly the draws, and raises exactly
+    the errors, of the rank test followed by the enumerated code's weights."""
+    if cap is not None:
+        monkeypatch.setenv("SPARSECODE_CAP", cap)
+    cases = list(product([q], (4, 6, 8, 10, 12, 16, 20),
+                         (0, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6), range(6)))
+    outcomes = [_gv_outcome(random_linear_code_gv, *case) for case in cases]
+    assert outcomes == [_gv_outcome(oracle.random_linear_code_gv, *case)
+                        for case in cases]
+    kinds = {outcome[0] if isinstance(outcome[0], type) else int for outcome in outcomes}
+    assert {int, ConstructionFailedError} <= kinds
+    if cap is not None:
+        assert EnumerationCapError in kinds
 
 
 class TestReedSolomon:

@@ -21,7 +21,6 @@ from sparsecode.group_testing import (
     gt_decode_cover,
     gt_encode,
     kautz_singleton,
-    max_disjunct_order,
     verify_design,
     verify_disjunct,
 )
@@ -377,19 +376,6 @@ class TestVerifyDisjunctKernel:
         after = ([verify_disjunct(m, L) for m, L in cases],
                  [verify_design(d) for d in designs])
         assert after == before
-
-
-class TestMaxDisjunctOrder:
-    def test_identity(self):
-        assert max_disjunct_order(np.eye(5, dtype=int)) == 4
-
-    def test_duplicate_columns(self):
-        m = np.eye(3, dtype=int)[:, [0, 0, 1]]
-        assert max_disjunct_order(m) == 0
-
-    def test_not_a_matrix(self):
-        with pytest.raises(DomainError, match="must be 2-D"):
-            max_disjunct_order(np.zeros(5))
 
 
 class TestEncodeDecode:
