@@ -57,7 +57,6 @@ from .listdecode import (
     list_size_at_radius,
     johnson_check,
     converse_check,
-    rip_to_listdecoding_report,
 )
 from .recovery import (
     vandermonde_matrix,

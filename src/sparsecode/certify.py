@@ -331,6 +331,8 @@ def kernel_injectivity(m: np.ndarray, L: int) -> KernelReport:
     n_rows, n_cols = m.shape
     if L < 1:
         raise DomainError("need L >= 1")
+    if n_cols == 0:
+        raise DomainError("kernel injectivity needs at least one column")
     s = min(2 * L, n_cols)
     caps.require(math.comb(n_cols, s), caps.subset_cap(), "subsets")
     if s > n_rows:

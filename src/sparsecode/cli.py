@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from . import bounds as bounds_mod
 from . import caps, certify, codes, group_testing, listdecode, matrixio, recovery
-from .embeddings import bool_code, sph_code
+from .embeddings import bool_code, sph_code, sph_inverse_binary
 from .errors import SparseCodeError
 
 EXHAUSTIVE_ROUNDTRIP_LIMIT = 10**5
@@ -257,6 +257,21 @@ def _cmd_cs_roundtrip(args) -> tuple[dict, bool, str]:
 
 # ---------------------------------------------------------------- pipelines
 
+def _epsilon_floor(L: int) -> tuple[float, bool]:
+    """Smallest certified radius parameter for the RIP -> list-decoding chain.
+
+    The chain certifies bias only up to tuples of size floor(L/2), so the
+    Johnson step needs floor(1/eps^2) + 1 <= floor(L/2), i.e.
+    eps >= 1/sqrt(floor(L/2) - 1).  Returns (eps_0, attainable).
+    """
+    half = L // 2
+    if half < 2:
+        return 1.0, False
+    eps = 1.0 / math.sqrt(half - 1)
+    # the Johnson step additionally needs eps^2 < 1/2
+    return eps, eps < 1.0 / math.sqrt(2.0)
+
+
 def _cmd_pipeline(args) -> tuple[dict, bool, str]:
     if args.name == "gv-rip":
         lc = codes.random_linear_code_gv(
@@ -305,12 +320,45 @@ def _cmd_pipeline(args) -> tuple[dict, bool, str]:
         }
         ok = disjunct.disjunct and failed == 0
     elif args.name == "rip-ld":
-        m = matrixio.read_matrix(args.matrix).astype(np.complex128)
+        # RIP -> flat RIP -> bias -> list decoding on the binary code behind
+        # a +-1/sqrt(n) matrix: each stage's constant beside the bound the
+        # stage before it predicts
+        m = certify.as_matrix(matrixio.read_matrix(args.matrix))
         rip = certify.rip2_constant(m, args.L)
-        report = listdecode.rip_to_listdecoding_report(m, args.L, rip.alpha, args.epsilon)
-        report["measured_rip_constant"] = rip.alpha
-        ok = report["flat_ok"] and all(s["ok"] for s in report["bias_stages"])
-        ok = ok and report["johnson"]["verdict"] in ("pass", "vacuous", "not-applicable")
+        code = codes.Code(sph_inverse_binary(m[:, j]) for j in range(m.shape[1]))
+        if len(code) != m.shape[1]:
+            raise SparseCodeError("matrix has duplicate columns")
+        l0 = min(max(args.L // 2, 1), m.shape[1] // 2)
+        if l0 < 1:
+            raise SparseCodeError("matrix has too few columns for the pipeline")
+        flat = certify.flat_rip_constant(m, l0)
+        flat_bound = certify.FLAT_FROM_RIP_FACTOR * rip.alpha
+        bias_stages = []
+        for order in range(2, l0 + 1):
+            measured = codes.lwise_bias(code, order)
+            predicted = certify.bias_factor_from_flat(order) * flat.constant / order
+            bias_stages.append({"L": order, "measured_bias": measured,
+                                "predicted_bound": predicted,
+                                "ok": measured <= predicted + 1e-9})
+        eps0, attainable = _epsilon_floor(args.L)
+        johnson = listdecode.johnson_check(code, args.epsilon)
+        report = {
+            "property": "rip-to-list-decoding",
+            "order": args.L,
+            "claimed_rip_constant": rip.alpha,
+            "flat_constant": flat.constant,
+            "flat_predicted_bound": flat_bound,
+            "flat_ok": flat.constant <= flat_bound + 1e-9,
+            "bias_stages": bias_stages,
+            "epsilon": args.epsilon,
+            "epsilon_floor": eps0,
+            "epsilon_floor_attainable": attainable,
+            "epsilon_above_floor": attainable and args.epsilon >= eps0 - 1e-12,
+            "johnson": johnson.to_dict(),
+            "measured_rip_constant": rip.alpha,
+        }
+        ok = report["flat_ok"] and all(s["ok"] for s in bias_stages)
+        ok = ok and johnson.verdict in ("pass", "vacuous", "not-applicable")
     report["pass"] = bool(ok)
     return report, ok, f"pipeline {args.name}: {'pass' if ok else 'VIOLATED'}"
 

@@ -59,6 +59,8 @@ def sph_inverse_binary(column: np.ndarray) -> Word:
     """
     col = np.asarray(column, dtype=np.complex128)
     n = col.shape[0]
+    if n == 0:
+        raise NotAnEmbeddingError("an empty column is no spherical embedding")
     scale = 1.0 / math.sqrt(n)
     plus = np.abs(col - scale) <= INVERSE_TOL
     minus = np.abs(col + scale) <= INVERSE_TOL

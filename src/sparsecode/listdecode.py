@@ -17,11 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import caps
-from .certify import (
-    as_matrix, bias_factor_from_flat, flat_rip_constant, FLAT_FROM_RIP_FACTOR,
-)
-from .codes import Code, _counts, _one_hot, lwise_bias, lwise_distance
-from .embeddings import sph_inverse_binary
+from .codes import Code, _counts, _one_hot, lwise_distance
 from .errors import DomainError
 from .words import Word
 
@@ -187,8 +183,11 @@ def johnson_check(c: Code, epsilon: float) -> ImplicationReport:
         raise DomainError("the Johnson-type check applies to binary codes")
     if not (0.0 < epsilon < 1.0 / math.sqrt(2.0)):
         raise DomainError("need 0 < epsilon with epsilon^2 < 1/2")
-    l_prime = math.floor(1.0 / epsilon**2) + 1
-    list_bound = math.floor(1.0 / epsilon**2)
+    inverse = 1.0 / epsilon**2 if epsilon**2 else math.inf
+    if not math.isfinite(inverse):  # floor() takes no infinity
+        raise DomainError(f"need 1/epsilon^2 to be a finite float, got epsilon={epsilon}")
+    l_prime = math.floor(inverse) + 1
+    list_bound = math.floor(inverse)
     threshold = 0.5 - epsilon**2
     detail = {"L_prime": l_prime, "epsilon": epsilon}
     premise = conclusion = None
@@ -220,6 +219,10 @@ def converse_check(c: Code, L: int, epsilon: float) -> ImplicationReport:
         raise DomainError("the converse check applies to binary codes")
     if not (0.0 < epsilon <= 0.5):
         raise DomainError("need 0 < epsilon <= 1/2")
+    if L < 1:
+        raise DomainError(f"need L >= 1, got L={L}")
+    if not math.isfinite(L / epsilon):  # ceil() takes no infinity
+        raise DomainError(f"need L/epsilon to be a finite float, got epsilon={epsilon}")
     l_prime = math.ceil(L / epsilon)
     detail = {"L": L, "L_prime": l_prime, "epsilon": epsilon}
     premise = bound = conclusion = threshold = None
@@ -237,67 +240,3 @@ def converse_check(c: Code, L: int, epsilon: float) -> ImplicationReport:
             verdict = "pass" if conclusion >= threshold - 1e-12 else "fail"
     return ImplicationReport("johnson-converse", premise, bound, conclusion,
                              threshold, verdict, detail)
-
-
-def pipeline_epsilon_floor(L: int) -> tuple[float, bool]:
-    """Smallest certified radius parameter for the RIP -> list-decoding chain.
-
-    The chain certifies bias only up to tuples of size floor(L/2), so the
-    Johnson step needs floor(1/eps^2) + 1 <= floor(L/2), i.e.
-    eps >= 1/sqrt(floor(L/2) - 1).  Returns (eps_0, attainable).
-    """
-    half = L // 2
-    if half < 2:
-        return 1.0, False
-    eps = 1.0 / math.sqrt(half - 1)
-    # the Johnson step additionally needs eps^2 < 1/2
-    return eps, eps < 1.0 / math.sqrt(2.0)
-
-
-def rip_to_listdecoding_report(
-    m: np.ndarray, L: int, alpha: float, epsilon: float
-) -> dict:
-    """Run the full RIP -> flat RIP -> bias -> list-decoding pipeline.
-
-    Recovers the binary code behind a +-1/sqrt(n) matrix, measures each
-    intermediate constant, and reports it next to the bound the previous
-    stage predicts for it.
-    """
-    m = as_matrix(m)
-    code = Code(sph_inverse_binary(m[:, j]) for j in range(m.shape[1]))
-    if len(code) != m.shape[1]:
-        raise DomainError("matrix has duplicate columns")
-    l0 = max(L // 2, 1)
-    l0 = min(l0, m.shape[1] // 2)
-    if l0 < 1:
-        raise DomainError("matrix has too few columns for the pipeline")
-    flat = flat_rip_constant(m, l0)
-    flat_bound = FLAT_FROM_RIP_FACTOR * alpha
-    bias_stages = []
-    for l_bias in range(2, l0 + 1):
-        measured = lwise_bias(code, l_bias)
-        predicted = bias_factor_from_flat(l_bias) * flat.constant / l_bias
-        bias_stages.append(
-            {
-                "L": l_bias,
-                "measured_bias": measured,
-                "predicted_bound": predicted,
-                "ok": measured <= predicted + 1e-9,
-            }
-        )
-    eps0, attainable = pipeline_epsilon_floor(L)
-    johnson = johnson_check(code, epsilon)
-    return {
-        "property": "rip-to-list-decoding",
-        "order": L,
-        "claimed_rip_constant": alpha,
-        "flat_constant": flat.constant,
-        "flat_predicted_bound": flat_bound,
-        "flat_ok": flat.constant <= flat_bound + 1e-9,
-        "bias_stages": bias_stages,
-        "epsilon": epsilon,
-        "epsilon_floor": eps0,
-        "epsilon_floor_attainable": attainable,
-        "epsilon_above_floor": attainable and epsilon >= eps0 - 1e-12,
-        "johnson": johnson.to_dict(),
-    }

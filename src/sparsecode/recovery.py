@@ -22,6 +22,8 @@ from .errors import DomainError
 
 DEFAULT_DECODE_TOL = 1e-8
 NODE_GAP_TOL = 1e-9
+# node rows per block of vandermonde_matrix's gap check
+_NODE_BLOCK = 1 << 8
 # supports per block of the decoder's walk
 _SUPPORT_BLOCK = 256
 # the decoder's filter (_must_solve) bounds rounding errors in units of
@@ -57,16 +59,23 @@ def unit_circle_nodes(N: int) -> np.ndarray:
 
 
 def vandermonde_matrix(nodes: np.ndarray, rows: int) -> np.ndarray:
-    """M[i, j] = nodes[j]**i for i in [0, rows)."""
+    """M[i, j] = nodes[j]**i for i in [0, rows).
+
+    The C(N, 2) node pairs are counted against the subset cap, then checked
+    for a gap within NODE_GAP_TOL a block of rows at a time.
+    """
     nodes = as_finite(nodes, "node")
     if nodes.ndim != 1:
         raise DomainError("nodes must be a vector")
     if nodes.size == 0 or rows < 1:
         raise DomainError("need at least one node and one row, "
                           f"got {nodes.size} nodes and {rows} rows")
-    diffs = np.abs(nodes[:, None] - nodes[None, :])
-    np.fill_diagonal(diffs, np.inf)
-    if diffs.min() <= NODE_GAP_TOL:
+    caps.require(math.comb(nodes.size, 2), caps.subset_cap(), "node pairs")
+
+    def close(i0: int, i1: int) -> np.ndarray:
+        return (np.abs(nodes[i0:i1, None] - nodes[None, i0:]) <= NODE_GAP_TOL).astype(np.int8)
+
+    if nodes.size > 1 and caps.lex_first_max_pair(close, nodes.size, _NODE_BLOCK)[0]:
         raise DomainError("nodes must be pairwise distinct")
     with np.errstate(over="ignore", invalid="ignore"):
         powers = nodes[None, :] ** np.arange(rows)[:, None]

@@ -20,6 +20,8 @@ product behind flat RIP's overlap mask, the design Gram and the OR channel.
 So do the loops that counts and caps' product order replaced: code bias
 over pairs indexed by hand and symbol counts taken one symbol at a time,
 and the list-size sweep's per-coordinate distance table and center digits.
+So does the Vandermonde gap check on the whole N x N distance array, which
+the row-blocked pair walk replaced.
 No library code imports this module.  Builders return the sorted tuple of distinct
 Words, the order the library's Code uses.
 """
@@ -50,7 +52,7 @@ from sparsecode.errors import (
     SparseCodeError,
 )
 from sparsecode.group_testing import DesignReport, as_binary
-from sparsecode.recovery import RecoveryResult
+from sparsecode.recovery import NODE_GAP_TOL, RecoveryResult
 from sparsecode.words import Word, is_prime
 
 MASS_TOLERANCE = 1e-12
@@ -530,3 +532,11 @@ def cs_decode_exhaustive(m: np.ndarray, y: np.ndarray, L: int,
     return RecoveryResult(
         np.zeros(n_cols, dtype=np.complex128), float(np.linalg.norm(y)), (), tried, False
     )
+
+
+def nodes_distinct(nodes: np.ndarray) -> bool:
+    """No two of the finite nodes within NODE_GAP_TOL, read from the whole
+    N x N array of their distances."""
+    diffs = np.abs(nodes[:, None] - nodes[None, :])
+    np.fill_diagonal(diffs, np.inf)
+    return not diffs.min() <= NODE_GAP_TOL

@@ -428,6 +428,11 @@ class TestKernelInjectivity:
         with pytest.raises(DomainError):
             kernel_injectivity(np.eye(3), 0)
 
+    def test_no_columns(self):
+        # the walk's one empty subset once reached an IndexError
+        with pytest.raises(DomainError, match="^kernel injectivity needs at least one column$"):
+            kernel_injectivity(np.zeros((3, 0)), 1)
+
 
 class TestAgainstLoopOracles:
     """The certifiers equal, with ==, the per-size loops they replaced."""

@@ -566,6 +566,13 @@ class TestExitContract:
          "need at least one node and one row, got 4 nodes and -2 rows"),
         (["build", "vandermonde", "--n", "3", "--cols", "0", "--out", "out.json"],
          "need at least one node and one row, got 0 nodes and 3 rows"),
+        # the gap check once allocated an N x N array: a MemoryError at 10^6
+        (["build", "vandermonde", "--n", "3", "--cols", "1000000", "--out", "out.json"],
+         "499999500000 node pairs exceed cap 10000000"),
+        # floor(1/eps^2) once raised an OverflowError or a ZeroDivisionError
+        *[(["pipeline", "rip-ld", "--matrix", "sph.json", "--L", "4", "--epsilon", eps],
+           f"need 1/epsilon^2 to be a finite float, got epsilon={eps}")
+          for eps in ("1e-160", "1e-200")],
         *[(["build", "gv-code", "--q", "2", "--n", "10", "--delta", "0.1", "--seed", "0",
             "--out", "out.json", "--slack", slack], f"slack must be finite and >= 0, got {slack}")
           for slack in ("-5.0", "-0.5")],
@@ -623,10 +630,12 @@ _VALUES = {
     "--normalize": st.none(),
     **{f: st.integers(lo, hi).map(str) for f, lo, hi in (
         ("--L", -1, 2), ("--q", 1, 5), ("--k", 0, 2), ("--n", 0, 6),
-        ("--cols", 0, 8), ("--N", 0, 8), ("--r", 0, 3), ("--n-prime", 0, 8),
+        ("--N", 0, 8), ("--r", 0, 3), ("--n-prime", 0, 8),
         ("--seed", 0, 3), ("--trials", 0, 4))},
     **{f: _REALS for f in (
         "--delta", "--epsilon", "--alpha", "--rho", "--threshold", "--slack")},
+    # 10^6 columns once reached an internal MemoryError in build vandermonde
+    "--cols": st.one_of(st.just("1000000"), st.integers(0, 8).map(str)),
 }
 # argv prefix -> (flags it accepts beside the required ones, flags it requires)
 _COMMANDS = {
@@ -725,7 +734,7 @@ _LEAF_RUNS = {
 # the leaves that walk a capped space: a code's codewords, subsets, pairs,
 # choices, centers or supports
 _CAPPED_LEAVES = {
-    "build gv-code", "build rs-code", "build kautz-singleton",
+    "build gv-code", "build rs-code", "build kautz-singleton", "build vandermonde",
     *(f"verify {p}" for p in ("rip2", "flat-rip", "coherence", "disjunct", "design",
                               "list-decode", "lwise-distance", "lwise-bias", "kernel")),
     "gt-roundtrip", "cs-roundtrip", "pipeline gv-rip", "pipeline ks-gt", "pipeline rip-ld",
@@ -821,8 +830,9 @@ class TestFuzz:
             if flag in ("--input", "--matrix", "--code", "--out"):
                 value = str(cli_files / value)
             argv += [flag] if value is None else [flag, value]
-        code, out, _ = run_any(capsys, argv)
+        code, out, err = run_any(capsys, argv)
         assert code in (0, 1, 2)
+        assert "error: internal" not in err
         if code in (0, 1):
             lines = out.splitlines()
             assert len(lines) == 1

@@ -95,3 +95,8 @@ class TestSphericalInverse:
         col[2] = 0.9 / 2.0
         with pytest.raises(NotAnEmbeddingError):
             sph_inverse_binary(col)
+
+    def test_empty_column_rejected(self):
+        # 1/sqrt(0) once raised a ZeroDivisionError
+        with pytest.raises(NotAnEmbeddingError, match="empty column"):
+            sph_inverse_binary(np.zeros(0))

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from itertools import product
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 import scalar_oracles as oracle
 from scalar_oracles import hamming_distance
 from sparsecode import listdecode
-
+from sparsecode.certify import rip2_constant
+from sparsecode.cli import main
 from sparsecode.codes import Code, balance_closure, enumerate_codewords, random_linear_code_gv
 from sparsecode.embeddings import sph_code
 from sparsecode.errors import DomainError, EnumerationCapError
@@ -19,9 +21,8 @@ from sparsecode.listdecode import (
     johnson_check,
     list_size_at_radius,
     list_sizes_at_radii,
-    pipeline_epsilon_floor,
-    rip_to_listdecoding_report,
 )
+from sparsecode.matrixio import write_matrix
 from sparsecode.words import Word
 
 
@@ -237,6 +238,15 @@ class TestJohnson:
         with pytest.raises(DomainError):
             johnson_check(c, 0.0)
 
+    @pytest.mark.parametrize("epsilon", [1e-160, 1e-200])
+    def test_epsilon_without_finite_inverse_square_rejected(self, epsilon):
+        # floor(1/eps^2) once raised an OverflowError (1e-160) or a
+        # ZeroDivisionError (1e-200)
+        c = _code(2, (0, 0, 0, 0), (1, 1, 1, 1))
+        with pytest.raises(DomainError, match=(
+                f"^need 1/epsilon\\^2 to be a finite float, got epsilon={epsilon}$")):
+            johnson_check(c, epsilon)
+
     def test_small_code_not_applicable(self):
         rep = johnson_check(_code(2, (0, 0), (1, 1)), 0.25)
         assert rep.verdict == "not-applicable"
@@ -289,56 +299,81 @@ class TestConverse:
         with pytest.raises(DomainError):
             converse_check(_code(2, (0, 0), (1, 1)), 2, 0.6)
 
+    @pytest.mark.parametrize("L", [0, -3])
+    def test_order_below_one_named(self, L):
+        # the refusal once named L' = ceil(L/eps) as L
+        with pytest.raises(DomainError, match=f"^need L >= 1, got L={L}$"):
+            converse_check(_code(2, (0, 0), (1, 1)), L, 0.5)
+
+    def test_epsilon_without_finite_ratio_rejected(self):
+        # ceil(L/eps) once raised an OverflowError
+        with pytest.raises(DomainError, match=(
+                "^need L/epsilon to be a finite float, got epsilon=1e-320$")):
+            converse_check(_code(2, (0, 0), (1, 1)), 1, 1e-320)
+
+
+def _rip_ld(capsys, tmp_path, m, L, epsilon):
+    """`pipeline rip-ld` on m, written to a matrix file: (exit code, report)."""
+    path = tmp_path / "m.json"
+    write_matrix(m, path)
+    code = main(["pipeline", "rip-ld", "--matrix", str(path), "--L", str(L),
+                 "--epsilon", str(epsilon)])
+    return code, json.loads(capsys.readouterr().out)
+
+
+# orthonormal +-1/2 columns in dimension 4
+_HADAMARD_4 = np.array(
+    [
+        [1, 1, 1, 1],
+        [1, -1, 1, -1],
+        [1, 1, -1, -1],
+        [1, -1, -1, 1],
+    ],
+    dtype=float,
+).T / 2.0
+
 
 class TestEpsilonFloor:
-    def test_values(self):
-        eps, ok = pipeline_epsilon_floor(8)
-        assert ok
-        assert eps == pytest.approx(1.0 / math.sqrt(3))
+    def test_values(self, capsys, tmp_path):
+        # eight orthonormal +-1/sqrt(8) columns, so L = 8 fits
+        h8 = np.kron(np.kron([[1, 1], [1, -1]], [[1, 1], [1, -1]]), [[1, 1], [1, -1]])
+        code, report = _rip_ld(capsys, tmp_path, h8 / math.sqrt(8), 8, 0.6)
+        assert code == 0
+        assert report["epsilon_floor"] == pytest.approx(1.0 / math.sqrt(3))
+        assert report["epsilon_floor_attainable"] is True
+        assert report["epsilon_above_floor"] is True
 
-    def test_unattainable_for_small_orders(self):
-        assert pipeline_epsilon_floor(4) == (1.0, False)
+    def test_unattainable_for_small_orders(self, capsys, tmp_path):
+        _, report = _rip_ld(capsys, tmp_path, _HADAMARD_4, 4, 0.5)
+        assert (report["epsilon_floor"], report["epsilon_floor_attainable"],
+                report["epsilon_above_floor"]) == (1.0, False, False)
 
 
 class TestRipToListDecoding:
-    def test_hadamard_like_columns(self):
-        # orthonormal +-1/2 columns in dimension 4
-        m = np.array(
-            [
-                [1, 1, 1, 1],
-                [1, -1, 1, -1],
-                [1, 1, -1, -1],
-                [1, -1, -1, 1],
-            ],
-            dtype=float,
-        ).T / 2.0
-        report = rip_to_listdecoding_report(m, 4, alpha=0.0, epsilon=0.5)
+    def test_hadamard_like_columns(self, capsys, tmp_path):
+        code, report = _rip_ld(capsys, tmp_path, _HADAMARD_4, 4, 0.5)
+        assert code == 0
+        assert list(report) == [
+            "property", "order", "claimed_rip_constant", "flat_constant",
+            "flat_predicted_bound", "flat_ok", "bias_stages", "epsilon",
+            "epsilon_floor", "epsilon_floor_attainable", "epsilon_above_floor",
+            "johnson", "measured_rip_constant", "pass", "elapsed_ms"]
+        assert report["claimed_rip_constant"] == report["measured_rip_constant"] == 0.0
         assert report["flat_ok"]
+        assert [list(stage) for stage in report["bias_stages"]] == [
+            ["L", "measured_bias", "predicted_bound", "ok"]]
         assert all(stage["ok"] for stage in report["bias_stages"])
         assert report["johnson"]["verdict"] in ("pass", "vacuous", "not-applicable")
 
-    def test_gv_embedding_end_to_end(self):
+    def test_gv_embedding_end_to_end(self, capsys, tmp_path):
         lc = random_linear_code_gv(2, 12, 0.2, seed=3)
-        code = balance_closure(enumerate_codewords(lc))
-        m = sph_code(code)
-        from sparsecode.certify import rip2_constant
-
+        m = sph_code(balance_closure(enumerate_codewords(lc)))
         L = 6
+        code, report = _rip_ld(capsys, tmp_path, m, L, 0.5)
+        assert code == 0
         alpha = rip2_constant(m, L).alpha
-        report = rip_to_listdecoding_report(m, L, alpha, epsilon=0.5)
+        assert report["claimed_rip_constant"] == report["measured_rip_constant"] == alpha
         assert report["flat_ok"]
         assert all(stage["ok"] for stage in report["bias_stages"])
         assert report["johnson"]["verdict"] != "fail"
         assert report["epsilon_floor"] == pytest.approx(1.0 / math.sqrt(2))
-
-    def test_rejects_one_dimensional_input(self):
-        with pytest.raises(DomainError, match="2-d"):
-            rip_to_listdecoding_report(np.ones(4) / 2.0, 2, 0.1, 0.5)
-
-    def test_rejects_non_embedding_matrix(self):
-        m = np.ones((4, 3)) / 2.0
-        m[0, 0] = 0.9
-        from sparsecode.errors import NotAnEmbeddingError
-
-        with pytest.raises(NotAnEmbeddingError):
-            rip_to_listdecoding_report(m, 2, 0.1, 0.5)

@@ -56,6 +56,33 @@ class TestVandermonde:
                            match=f"^need at least one node and one row, got {got}$"):
             vandermonde_matrix(nodes, rows)
 
+    def test_node_pairs_are_capped_before_the_gap_check(self, monkeypatch):
+        # the gap check once allocated an N x N array whatever N was
+        monkeypatch.setenv("SPARSECODE_CAP", "14")
+        with pytest.raises(EnumerationCapError, match="^15 node pairs exceed cap 14$"):
+            vandermonde_matrix(unit_circle_nodes(6), 2)
+        monkeypatch.setenv("SPARSECODE_CAP", "15")
+        assert vandermonde_matrix(unit_circle_nodes(6), 2).shape == (2, 6)
+
+    @pytest.mark.parametrize("block", [1, 7, 256])
+    def test_gap_check_matches_dense_oracle(self, monkeypatch, block):
+        monkeypatch.setattr(recovery, "_NODE_BLOCK", block)
+        rng = np.random.default_rng(block)
+        for _ in range(200):
+            N = int(rng.integers(1, 40))
+            nodes = rng.normal(size=N) + 1j * rng.normal(size=N) * rng.integers(0, 2)
+            if rng.integers(0, 2):  # a pair near the tolerance, either side of it
+                i, j = rng.choice(N, size=2) if N > 1 else (0, 0)
+                gap = recovery.NODE_GAP_TOL * rng.choice([0.0, 0.5, 1.0, 1.5, 2.0])
+                nodes[j] = nodes[i] + gap * np.exp(1j * rng.uniform(0, 2 * np.pi))
+            try:
+                vandermonde_matrix(nodes, 2)
+                distinct = True
+            except DomainError as exc:
+                assert str(exc) == "nodes must be pairwise distinct"
+                distinct = False
+            assert distinct == oracle.nodes_distinct(nodes)
+
     def test_unit_circle_nodes_are_distinct_and_unimodular(self):
         nodes = unit_circle_nodes(8)
         assert np.allclose(np.abs(nodes), 1.0)
@@ -133,8 +160,9 @@ class TestDecode:
         assert result.support_found == ()
 
     def test_cap(self, monkeypatch):
-        monkeypatch.setenv("SPARSECODE_CAP", "100")
+        # built first: its 190 node pairs are over the cap too
         m = vandermonde_matrix(unit_circle_nodes(20), 8)
+        monkeypatch.setenv("SPARSECODE_CAP", "100")
         with pytest.raises(EnumerationCapError, match="^6196 supports exceed cap 100$"):
             cs_decode_exhaustive(m, np.zeros(8, dtype=complex), 4)
 
