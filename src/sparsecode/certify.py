@@ -240,8 +240,8 @@ def rip2_profile(m: np.ndarray, L: int) -> list[RipReport]:
         raise DomainError(f"need 1 <= L <= N, got L={L}, N={n_cols}")
     caps.require(sum(math.comb(n_cols, s) for s in range(1, L + 1)),
                  caps.subset_cap(), f"subsets up to size {L}")
-    # every subset Gram is a principal submatrix of this one; this einsum
-    # gives the same bits as a per-subset einsum, where a BLAS product need not
+    # every subset Gram is gathered from this one einsum, so its bits are
+    # those of a principal submatrix of this Gram, whatever the block
     with np.errstate(over="ignore", invalid="ignore"):
         gram = np.einsum("nk,nl->kl", m.conj(), m)
         scale = float(np.abs(gram).max())
@@ -286,10 +286,29 @@ def rip2_constant(m: np.ndarray, L: int) -> RipReport:
     return rip2_profile(m, L)[-1]
 
 
+def _scaled_integers(m: np.ndarray) -> tuple[int, np.ndarray] | None:
+    """(e, Y) for the least e such that Y = m 2^e is a real integer matrix,
+    read from the floats' bits; None when m has a nonzero imaginary part or
+    when some |Y| may reach 2^53."""
+    if m.imag.any():
+        return None
+    x = m.real
+    mant, exp = np.frexp(x)
+    # x = M 2^(exp - 53) for the integer M = mant 2^53, whose lowest set bit
+    # M & -M is 2^(low - 1), so x 2^e is an integer iff e >= 54 - exp - low
+    bits = np.ldexp(mant, 53).astype(np.int64)
+    low = np.frexp((bits & -bits).astype(np.float64))[1]
+    e = int((54 - exp - low)[bits != 0].max())
+    # |x| < 2^exp, so |Y| < 2^(exp + e)
+    if int(exp.max()) + e > 53:
+        return None
+    return e, np.ldexp(x, e)
+
+
 def flat_rip_constant(m: np.ndarray, L0: int) -> FlatRipReport:
     """Smallest flat-RIP constant over disjoint equal-size set pairs up to L0."""
     m = as_matrix(m)
-    n_cols = m.shape[1]
+    n_rows, n_cols = m.shape
     if not (1 <= L0 <= n_cols // 2):
         raise DomainError(f"need 1 <= L0 <= N/2, got L0={L0}, N={n_cols}")
     with np.errstate(over="ignore"):  # an overflowing norm is just not 1
@@ -301,25 +320,70 @@ def flat_rip_constant(m: np.ndarray, L0: int) -> FlatRipReport:
         for s in range(1, L0 + 1)
     )
     caps.require(total_pairs, caps.subset_cap(), "set pairs")
+    scaled = _scaled_integers(m)
+    if scaled is not None:
+        e, y = scaled
+        top = int(np.abs(y).max())
+        unit = math.ldexp(1.0, -2 * e)
     best, witness = -1.0, ((), ())
     for s in range(1, L0 + 1):
         idx = caps.subsets(n_cols, s)
-        sums = m[:, idx].sum(axis=2).T  # (K, n)
         member = np.zeros((len(idx), n_cols), dtype=bool)
         member[np.arange(len(idx))[:, None], idx] = True
-        # the scores are rows of this one K x K product, whose last bits a
-        # row-blocked product need not reproduce; their moduli go by row block
-        prod = sums.conj() @ sums.T
+        # B_s bounds every integer column sum Z, product and partial sum below
+        bound = n_rows * (s * top) ** 2 if scaled is not None else None
+        exact = bound is not None and bound <= 1 << 52
+        if exact:
+            # The exact path, for real m = Y 2^-e with B_s = n (s max|Y|)^2
+            # <= 2^52.  It ranks the integers |P| of P = Z Z^T and scales only
+            # the winner, and prints the float path's bits (below):
+            #  1. Every column sum of the float path is Z 2^-e, every product
+            #     and every partial sum of its accumulation an integer times
+            #     2^-2e, all of magnitude <= B_s 2^-2e, so each is exact, in
+            #     any order and under any blocking, with or without FMA.
+            #  2. So prod[i, j] = P[i, j] 2^-2e exactly, and its imaginary
+            #     part, a sum of products with the zero imaginary parts, is
+            #     +-0; np.abs gives |P| 2^-2e exactly, as hypot(x, +-0) = |x|.
+            #     (A unit column has an entry of about 1/sqrt(n) or more, and
+            #     max|Y| <= 2^26 / sqrt(n), so 2^-2e >= about 2^-52: no
+            #     score is subnormal.)
+            #  3. Scaling by 2^-2e commutes with rounding, so the float path's
+            #     score is fl(|P| / s) 2^-2e, the one rounding that scaling
+            #     the winner below makes.
+            #  4. For integers 0 <= a < b <= 2^52, fl(a / s) < fl(b / s).
+            #     Rounding is monotone, so suppose both round to f.  Then
+            #     b/s - a/s is at most half the float spacing below f plus
+            #     half the spacing above it, so at most the spacing above f,
+            #     also where f is a power of two and the spacing above is
+            #     twice the one below.  But a <= 2^52 - 1 gives
+            #     f <= (2^52 - 1)(1 + 2^-53) / s < 2^52 / s, so the spacing
+            #     above f, at most 2^-52 f (or the least subnormal at f = 0),
+            #     is below 1/s <= b/s - a/s.
+            # So equal integers give equal scores and distinct ones keep their
+            # order, the -1 of an overlapping pair stays below both, and the
+            # lex-first maximum pair, its score and the constant are the same.
+            # P goes by row block, and no K x K array is built.
+            z = y[:, idx].sum(axis=2).T  # (K, n) integer column sums
+        else:
+            sums = m[:, idx].sum(axis=2).T  # (K, n)
+            # the scores are rows of this one K x K product, whose last bits a
+            # row-blocked product need not reproduce; their moduli go by row block
+            prod = sums.conj() @ sums.T
 
         def disjoint_scores(i0: int, i1: int) -> np.ndarray:
             overlap = _counts(member[i0:i1], member[i0:].T) > 0
-            vals = np.abs(prod[i0:i1, i0:])
-            vals /= s
+            if exact:
+                vals = np.abs(_counts(z[i0:i1], z[i0:].T, bound))
+            else:
+                vals = np.abs(prod[i0:i1, i0:])
+                vals /= s
             np.copyto(vals, -1.0, where=overlap)
             return vals
 
         size_best, (i, j) = caps.lex_first_max_pair(disjoint_scores, len(idx),
                                                     _OVERLAP_BLOCK)
+        if exact:
+            size_best = size_best * unit / s
         if size_best > best:
             best, witness = size_best, (tuple(idx[i].tolist()), tuple(idx[j].tolist()))
     return FlatRipReport(L0, best, witness, True, total_pairs)

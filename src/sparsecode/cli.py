@@ -324,6 +324,8 @@ def _cmd_pipeline(args) -> tuple[dict, bool, str]:
         # a +-1/sqrt(n) matrix: each stage's constant beside the bound the
         # stage before it predicts
         m = certify.as_matrix(matrixio.read_matrix(args.matrix))
+        # the Johnson step's refusals of epsilon come before any walk
+        listdecode.johnson_inverse_square(args.epsilon)
         rip = certify.rip2_constant(m, args.L)
         code = codes.Code(sph_inverse_binary(m[:, j]) for j in range(m.shape[1]))
         if len(code) != m.shape[1]:

@@ -187,17 +187,21 @@ def _one_hot(q: int, cols: np.ndarray) -> np.ndarray:
     return (cols[:, None] == levels).reshape((q * len(cols),) + cols.shape[1:])
 
 
-def _count_dtype(terms: int) -> type:
-    return np.float32 if terms <= _FLOAT32_TERMS else np.float64
+def _count_dtype(bound: int) -> type:
+    return np.float32 if bound <= _FLOAT32_TERMS else np.float64
 
 
-def _counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for 0/1 operands, as floats that are exact integer counts.
+def _counts(a: np.ndarray, b: np.ndarray, bound: int | None = None) -> np.ndarray:
+    """a @ b for integer operands, as floats that are exact integers.
 
-    One BLAS product, in float32 while the contraction length allows every
-    partial sum to be exact, in float64 above that.
+    `bound` bounds the magnitude of every operand entry and of every sum of
+    their products, and must be at most 2**53; for 0/1 operands it is
+    the contraction length, the default.  One BLAS product, in float32 while
+    the bound allows every partial sum to be exact, in float64 above that:
+    every partial sum is then an integer the type holds, in any summation
+    order, so the product is exact.
     """
-    dtype = _count_dtype(b.shape[0])
+    dtype = _count_dtype(b.shape[0] if bound is None else bound)
     return a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
 
 

@@ -12,6 +12,7 @@ checkable code.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,6 +172,17 @@ def list_size_at_radius(c: Code, rho: float) -> ListDecodingReport:
     return ListDecodingReport(rho, radius, size, center, c.q**c.n)
 
 
+def johnson_inverse_square(epsilon: float) -> float:
+    """1/eps^2 for the Johnson-type check, refusing an eps outside
+    0 < eps^2 < 1/2 or whose 1/eps^2 is not a finite float."""
+    if not (0.0 < epsilon < 1.0 / math.sqrt(2.0)):
+        raise DomainError("need 0 < epsilon with epsilon^2 < 1/2")
+    inverse = 1.0 / epsilon**2 if epsilon**2 else math.inf
+    if not math.isfinite(inverse):  # floor() takes no infinity
+        raise DomainError(f"need 1/epsilon^2 to be a finite float, got epsilon={epsilon}")
+    return inverse
+
+
 def johnson_check(c: Code, epsilon: float) -> ImplicationReport:
     """Distance-to-list-decoding implication with the proof's constants.
 
@@ -181,11 +193,7 @@ def johnson_check(c: Code, epsilon: float) -> ImplicationReport:
     """
     if c.q != 2:
         raise DomainError("the Johnson-type check applies to binary codes")
-    if not (0.0 < epsilon < 1.0 / math.sqrt(2.0)):
-        raise DomainError("need 0 < epsilon with epsilon^2 < 1/2")
-    inverse = 1.0 / epsilon**2 if epsilon**2 else math.inf
-    if not math.isfinite(inverse):  # floor() takes no infinity
-        raise DomainError(f"need 1/epsilon^2 to be a finite float, got epsilon={epsilon}")
+    inverse = johnson_inverse_square(epsilon)
     l_prime = math.floor(inverse) + 1
     list_bound = math.floor(inverse)
     threshold = 0.5 - epsilon**2
@@ -221,6 +229,8 @@ def converse_check(c: Code, L: int, epsilon: float) -> ImplicationReport:
         raise DomainError("need 0 < epsilon <= 1/2")
     if L < 1:
         raise DomainError(f"need L >= 1, got L={L}")
+    if L > sys.float_info.max:  # L / epsilon would raise an OverflowError
+        raise DomainError(f"need L within the float range, L <= {sys.float_info.max}")
     if not math.isfinite(L / epsilon):  # ceil() takes no infinity
         raise DomainError(f"need L/epsilon to be a finite float, got epsilon={epsilon}")
     l_prime = math.ceil(L / epsilon)

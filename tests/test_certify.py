@@ -374,10 +374,11 @@ class TestFlatRip:
             flat_rip_constant(np.eye(4), 3)
 
     def test_no_dense_modulus_matrix(self):
-        # the K x K complex product is the one K x K array; the moduli and
-        # the overlap mask go by row block
+        # the K x K complex product is the float path's one K x K array; the
+        # moduli and the overlap mask go by row block (+-1/sqrt(15) is not
+        # dyadic, so this is the float path)
         rng = np.random.default_rng(30)
-        m = rng.choice([-1.0, 1.0], size=(16, 20)) / 4.0
+        m = rng.choice([-1.0, 1.0], size=(15, 20)) / math.sqrt(15)
         k = math.comb(20, 3)
         tracemalloc.start()
         try:
@@ -386,6 +387,56 @@ class TestFlatRip:
         finally:
             tracemalloc.stop()
         assert peak < 1.15 * 16 * k * k
+
+    def test_exact_path_builds_no_k_by_k_array(self):
+        # K = C(32, 3) = 4960 sets, whose K x K complex product alone is
+        # 394 MB.  The exact path holds one row block at a time: per score a
+        # float32 count of overlaps or of P and its modulus and a mask, about
+        # 9 bytes.  16 bytes per score bounds that and the O(K (N + n))
+        # member, column-sum and index arrays.
+        rng = np.random.default_rng(30)
+        m = rng.choice([-1.0, 1.0], size=(16, 32)) / 4.0
+        k = math.comb(32, 3)
+        tracemalloc.start()
+        try:
+            flat_rip_constant(m, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * certify._OVERLAP_BLOCK * k
+
+    _SIGNS = np.random.default_rng(33).choice([-1.0, 1.0], size=(16, 20))
+
+    @pytest.mark.parametrize("m, exact", [
+        (_SIGNS / 4.0, True),
+        (_SIGNS[1:] / math.sqrt(15), False),
+        (1j * _SIGNS / 4.0, False),
+        (np.eye(20)[:, np.random.default_rng(33).permutation(20)], True),
+        (_random_unit_columns(np.random.default_rng(33), 6, 20, complex_entries=False), False),
+        (_random_unit_columns(np.random.default_rng(33), 6, 20), False),
+        # dyadic, but with entries (1 +- 2^38) / 2^40: B_1 > 16 * 4^38 > 2^52
+        (_SIGNS / 4.0 + 2.0**-40, False),
+    ], ids=["sign", "non-dyadic", "imaginary", "0/1", "gaussian", "complex", "past-2^52"])
+    def test_only_dyadic_real_input_takes_the_exact_path(self, monkeypatch, m, exact):
+        bounds, counts = [], certify._counts
+
+        def spy(a, b, bound=None):
+            bounds.append(bound)
+            return counts(a, b, bound)
+
+        monkeypatch.setattr(certify, "_counts", spy)
+        k = math.comb(20, 3)
+        tracemalloc.start()
+        try:
+            rep = flat_rip_constant(m, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep == oracle.flat_rip_constant(m, 3)
+        # the exact path passes its bound B_s with every product of column
+        # sums; the float path builds the one K x K complex product
+        assert any(b is not None for b in bounds) == exact
+        assert (peak >= 16 * k * k) != exact
 
 
 class TestBiasFactor:
@@ -464,13 +515,21 @@ class TestAgainstLoopOracles:
             assert flat_rip_constant(m, L0) == oracle.flat_rip_constant(m, L0)
 
     def test_overlap_block_does_not_change_reports(self, monkeypatch):
+        rng = np.random.default_rng(34)
+        # exact-path matrices: +-1/4 signs with a repeated column, for ties,
+        # and a Boolean embedding of length 4
+        signs = rng.choice([-1.0, 1.0], size=(16, 10)) / 4.0
+        exact = [signs[:, [0, 1, 2, 3, 4, 5, 6, 7, 8, 0]],
+                 bool_code(random_balanced_code(2, 4, 5, rng), normalize=True)]
+
         def reports():
             return [(r.constant.hex(), r) for r in
                     (flat_rip_constant(m, min(3, m.shape[1] // 2))
-                     for m in self._matrices())]
+                     for m in self._matrices() + exact)]
 
         default = reports()
-        # 1 << 30 rows: every size's K rows in one block
+        # 1 << 30 rows: every size's K rows in one block; 1 row: the exact
+        # path's products are BLAS gemv, and must not change either
         for block in (1, 7, 1 << 30):
             monkeypatch.setattr(certify, "_OVERLAP_BLOCK", block)
             assert reports() == default

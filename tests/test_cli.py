@@ -573,6 +573,12 @@ class TestExitContract:
         *[(["pipeline", "rip-ld", "--matrix", "sph.json", "--L", "4", "--epsilon", eps],
            f"need 1/epsilon^2 to be a finite float, got epsilon={eps}")
           for eps in ("1e-160", "1e-200")],
+        # epsilon is refused before any walk: before the order, read by the
+        # RIP-2 walk, and before the non-embedding matrix, found after it
+        (["pipeline", "rip-ld", "--matrix", "sph.json", "--L", "99", "--epsilon", "0.9"],
+         "need 0 < epsilon with epsilon^2 < 1/2"),
+        (["pipeline", "rip-ld", "--matrix", "vand.json", "--L", "2", "--epsilon", "0"],
+         "need 0 < epsilon with epsilon^2 < 1/2"),
         *[(["build", "gv-code", "--q", "2", "--n", "10", "--delta", "0.1", "--seed", "0",
             "--out", "out.json", "--slack", slack], f"slack must be finite and >= 0, got {slack}")
           for slack in ("-5.0", "-0.5")],

@@ -3,11 +3,12 @@ per-coordinate agreement count, the int64 products and the hand-indexed
 code bias it replaced."""
 
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, find, given, settings
 from hypothesis import strategies as st
 
 import scalar_oracles as oracle
@@ -56,6 +57,59 @@ def _binary(draw, uniform=False):
         j = draw(st.integers(0, cols - 1))
         m[:, j] = 0 if draw(st.booleans()) else m[:, draw(st.integers(0, cols - 1))]
     return m
+
+
+def _four_squares(r):
+    """(a, b, c, d) with a^2 + b^2 + c^2 + d^2 = r >= 0, which exist by
+    Lagrange's four-square theorem: the greedy choice, backtracking."""
+    if r and r % 4 == 0:  # then every representation is twice one of r / 4
+        return tuple(2 * x for x in _four_squares(r // 4))
+    for a in range(math.isqrt(r), -1, -1):
+        for b in range(math.isqrt(r - a * a), -1, -1):
+            rest = r - a * a - b * b
+            for c in range(math.isqrt(rest), -1, -1):
+                d = math.isqrt(rest - c * c)
+                if c * c + d * d == rest:
+                    return a, b, c, d
+
+
+def _rounded_unit_column(n, bits, rng):
+    """A Gaussian unit column rounded toward zero to multiples of 2^-bits,
+    with four more entries that take up the norm it lost, exactly."""
+    g = rng.normal(size=n)
+    y = np.trunc(g / np.linalg.norm(g) * (2**bits - 1))
+    rest = 4**bits - int((y * y).sum())
+    return np.ldexp(np.concatenate([y, _four_squares(rest)]), -bits)
+
+
+@st.composite
+def _dyadic(draw):
+    """Real unit-column matrices m = Y 2^-e, Y an integer matrix: +-2^-k
+    signs in 4^k rows, normalised Boolean embeddings of length 4^k, or
+    rounded columns, whose B_s = rows (s max|Y|)^2 fall on each side of
+    2^24 and 2^52."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = draw(st.integers(2, 9))
+    kind = draw(st.sampled_from(["sign", "bool", "rounded"]))
+    if kind == "sign":
+        k = draw(st.integers(0, 3))
+        return rng.choice([-1.0, 1.0], size=(4**k, cols)) / 2**k
+    if kind == "bool":
+        q, n = draw(st.sampled_from([2, 3])), 4 ** draw(st.integers(0, 2))
+        return bool_code(Code.from_array(q, rng.integers(0, q, size=(cols, n))),
+                         normalize=True)
+    # B_1 is about (n + 4) 4^bits: aim it near 2^24 or 2^52, either side
+    n, near = draw(st.integers(1, 8)), draw(st.sampled_from([24, 52]))
+    bits = (near - (n + 4).bit_length()) // 2 + draw(st.integers(-2, 2))
+    return np.stack([_rounded_unit_column(n, bits, rng) for _ in range(cols)], axis=1)
+
+
+def _path_bounds(m, L0):
+    """B_s for s = 1..L0, with Y = m 2^e for the least e >= 0 that makes Y an
+    integer matrix, found by trying each e in turn."""
+    e = next(e for e in range(1100) if not np.any(np.ldexp(m, e) % 1))
+    top = int(np.abs(np.ldexp(m, e)).max())
+    return [m.shape[0] * (s * top) ** 2 for s in range(1, L0 + 1)]
 
 
 def _unit_columns(m):
@@ -129,6 +183,26 @@ class TestAgainstIntegerOracles:
         if L0 >= 1:
             assert _flat_key(flat_rip_constant(m, L0)) == \
                 _flat_key(oracle.flat_rip_constant(m, L0))
+
+    @_DIFFERENTIAL
+    @given(m=_dyadic(), L0=st.integers(1, 3))
+    def test_flat_rip_constant_of_a_dyadic_matrix(self, m, L0):
+        L0 = min(L0, m.shape[1] // 2)
+        if L0 >= 1:
+            assert _flat_key(flat_rip_constant(m, L0)) == \
+                _flat_key(oracle.flat_rip_constant(m, L0))
+
+
+# the exact path's float32 and float64 integer scores, and past 2^52 the
+# float path
+@pytest.mark.parametrize("low, high", [(0, 2**24), (2**24, 2**52), (2**52, math.inf)],
+                         ids=["float32", "float64", "float"])
+def test_dyadic_matrices_reach_each_side_of_the_exact_bounds(low, high):
+    m, L0 = find(st.tuples(_dyadic(), st.integers(1, 3)),
+                 lambda d: d[1] <= d[0].shape[1] // 2 and
+                 any(low < b <= high for b in _path_bounds(*d)),
+                 settings=settings(derandomize=True, database=None, max_examples=2000))
+    assert _flat_key(flat_rip_constant(m, L0)) == _flat_key(oracle.flat_rip_constant(m, L0))
 
 
 def test_forcing_float64_changes_no_report(monkeypatch):

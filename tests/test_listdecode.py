@@ -311,6 +311,13 @@ class TestConverse:
                 "^need L/epsilon to be a finite float, got epsilon=1e-320$")):
             converse_check(_code(2, (0, 0), (1, 1)), 1, 1e-320)
 
+    @pytest.mark.parametrize("L", [10**400, 2**1024], ids=["10**400", "2**1024"])
+    def test_order_past_the_float_range_named(self, L):
+        # L / epsilon once raised an internal OverflowError
+        with pytest.raises(DomainError, match=(
+                r"^need L within the float range, L <= 1\.7976931348623157e\+308$")):
+            converse_check(_code(2, (0, 0), (1, 1)), L, 0.5)
+
 
 def _rip_ld(capsys, tmp_path, m, L, epsilon):
     """`pipeline rip-ld` on m, written to a matrix file: (exit code, report)."""
