@@ -79,9 +79,12 @@ def _cmd_verify(args) -> tuple[dict, bool, str]:
     prop = args.property
     # kernel and disjunct take no threshold; their reports keep it as null
     threshold = getattr(args, "threshold", None)
+    if prop in ("list-decode", "lwise-distance", "lwise-bias"):
+        code = codes.read_code_file(args.input)
+    else:
+        m = matrixio.read_matrix(args.input)
     ok = True
     if prop in ("rip2", "flat-rip", "coherence", "kernel"):
-        m = matrixio.read_matrix(args.input)
         if prop == "rip2":
             rep = certify.rip2_constant(m, args.L)
         elif prop == "flat-rip":
@@ -95,31 +98,26 @@ def _cmd_verify(args) -> tuple[dict, bool, str]:
         if threshold is not None:
             ok = report["constant"] <= threshold + 1e-12
     elif prop == "disjunct":
-        m = matrixio.read_matrix(args.input)
         rep = group_testing.verify_disjunct(m, args.L)
         report = rep.to_dict()
         ok = rep.disjunct
     elif prop == "design":
-        m = matrixio.read_matrix(args.input)
         rep = group_testing.verify_design(group_testing.Design(m))
         report = rep.to_dict()
         if threshold is not None:
             ok = rep.max_intersection <= threshold
     elif prop == "list-decode":
-        code = codes.read_code_file(args.input)
         rep = listdecode.list_size_at_radius(code, args.rho)
         report = rep.to_dict()
         if threshold is not None:
             ok = rep.max_list_size < threshold
     elif prop == "lwise-distance":
-        code = codes.read_code_file(args.input)
         rep = codes.lwise_distance(code, args.L)
         report = {"property": "lwise-distance", "order": args.L,
                   "constant": rep.relative, "witness": list(rep.witness)}
         if threshold is not None:
             ok = rep.relative >= threshold - 1e-12
     elif prop == "lwise-bias":
-        code = codes.read_code_file(args.input)
         value = codes.lwise_bias(code, args.L)
         report = {"property": "lwise-bias", "order": args.L, "constant": value}
         if threshold is not None:
@@ -327,7 +325,7 @@ def _cmd_pipeline(args) -> tuple[dict, bool, str]:
         # the Johnson step's refusals of epsilon come before any walk
         listdecode.johnson_inverse_square(args.epsilon)
         rip = certify.rip2_constant(m, args.L)
-        code = codes.Code(sph_inverse_binary(m[:, j]) for j in range(m.shape[1]))
+        code = codes.Code.from_array(2, sph_inverse_binary(m))
         if len(code) != m.shape[1]:
             raise SparseCodeError("matrix has duplicate columns")
         l0 = min(max(args.L // 2, 1), m.shape[1] // 2)

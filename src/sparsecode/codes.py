@@ -10,7 +10,7 @@ matrix reproducible byte-for-byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable
 
@@ -123,7 +123,7 @@ class DistanceReport:
     witness: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearCode:
     """A linear code over a prime field, given by a full-rank generator."""
 
@@ -144,6 +144,11 @@ class LinearCode:
         if _rank_mod_p(g, self.q) != self.k:
             raise DomainError("generator must have full rank over the field")
         object.__setattr__(self, "generator", g)
+
+    def __eq__(self, other) -> bool:
+        # every field by value, arrays by np.array_equal; unhashable, as Code is
+        return isinstance(other, LinearCode) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
 def _rank_mod_p(mat: np.ndarray, p: int) -> int:

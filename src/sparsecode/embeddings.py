@@ -51,22 +51,22 @@ def bool_code(c: Code, normalize: bool = False) -> np.ndarray:
     return m
 
 
-def sph_inverse_binary(column: np.ndarray) -> Word:
-    """Recover the binary word whose spherical embedding is `column`.
+def sph_inverse_binary(m: np.ndarray) -> np.ndarray:
+    """The (N, n) 0/1 words whose spherical embeddings are m's N columns.
 
-    Every entry must be within 1e-9 of +-1/sqrt(n); anything else is
-    rejected as not an embedding.
+    Every entry must be within INVERSE_TOL of +-1/sqrt(n); the first one,
+    column by column, that is not is rejected as not an embedding.
     """
-    col = np.asarray(column, dtype=np.complex128)
-    n = col.shape[0]
+    m = np.asarray(m, dtype=np.complex128)
+    n = m.shape[0]
     if n == 0:
         raise NotAnEmbeddingError("an empty column is no spherical embedding")
     scale = 1.0 / math.sqrt(n)
-    plus = np.abs(col - scale) <= INVERSE_TOL
-    minus = np.abs(col + scale) <= INVERSE_TOL
-    if not np.all(plus | minus):
-        bad = int(np.argmin(plus | minus))
+    minus = np.abs(m + scale) <= INVERSE_TOL
+    ok = minus | (np.abs(m - scale) <= INVERSE_TOL)
+    if not ok.all():
+        j, bad = divmod(int(np.argmin(ok.T)), n)
         raise NotAnEmbeddingError(
-            f"entry {bad} = {col[bad]} is not within tolerance of +-1/sqrt(n)"
+            f"entry {bad} = {m[bad, j]} is not within tolerance of +-1/sqrt(n)"
         )
-    return Word(2, tuple(int(m) for m in minus))
+    return minus.T.astype(np.int64)

@@ -33,7 +33,7 @@ def write_matrix(m: np.ndarray, path: str | Path) -> None:
             "kind": "complex",
             "n": int(cm.shape[0]),
             "N": int(cm.shape[1]),
-            "entries": [[float(v.real), float(v.imag)] for v in cm.flatten()],
+            "entries": cm.ravel().view(np.float64).reshape(-1, 2).tolist(),
         }
     Path(path).write_text(json.dumps(payload) + "\n")
 

@@ -12,7 +12,7 @@ that decide the result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,7 +34,7 @@ _QR_MARGIN = 2.0**-40
 _COND = 2.0**-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RecoveryResult:
     estimate: np.ndarray
     residual_norm: float
@@ -42,14 +42,10 @@ class RecoveryResult:
     candidates_tried: int
     success: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "property": "cs-recovery",
-            "success": self.success,
-            "support": list(self.support_found),
-            "residual_norm": self.residual_norm,
-            "candidates_tried": self.candidates_tried,
-        }
+    def __eq__(self, other) -> bool:
+        # every field by value, arrays by np.array_equal; unhashable
+        return isinstance(other, RecoveryResult) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
 def unit_circle_nodes(N: int) -> np.ndarray:

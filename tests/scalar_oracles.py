@@ -6,14 +6,15 @@ empirical distributions, statistical distance and word bias, Hamming
 distance between two Words (and the mismatch error only these raise),
 constant shifts and differences, and the Word-chain builders
 (linear-code enumeration, Reed-Solomon, balance closure, quotient by the
-all-ones word, spherical and Boolean embeddings, code files), the GV
-sampler's loop that tested each draw's rank and then its enumerated code's
-weights, and the design as a tuple of int tuples with its conversions to
-and from 0/1 matrices.  The subset certifiers' own loops live here too: the
-itertools enumerator, and RIP-2, flat RIP, kernel injectivity, L-wise
-distance and bias and the exhaustive decoder, each walking every subset and
-breaking ties by hand, as they did before caps took over the walk and the
-tie-break.
+all-ones word, spherical and Boolean embeddings, the binary inverse of the
+spherical one a column at a time, code files, and complex matrix files with
+their entries converted one at a time), the GV sampler's loop that tested
+each draw's rank and then its enumerated code's weights, and the design as
+a tuple of int tuples with its conversions to and from 0/1 matrices.  The
+subset certifiers' own loops live here too: the itertools enumerator, and
+RIP-2, flat RIP, kernel injectivity, L-wise distance and bias and the
+exhaustive decoder, each walking every subset and breaking ties by hand,
+as they did before caps took over the walk and the tie-break.
 So do the exact counts of 0/1 products that one BLAS kernel now gives: the
 per-coordinate agreement count behind min distance, and the non-BLAS int64
 product behind flat RIP's overlap mask, the design Gram and the OR channel.
@@ -28,6 +29,7 @@ Words, the order the library's Code uses.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,9 +47,11 @@ from sparsecode.certify import (
 from sparsecode import codes
 from sparsecode.bounds import q_ary_entropy
 from sparsecode.codes import DistanceReport, LinearCode
+from sparsecode.embeddings import INVERSE_TOL
 from sparsecode.errors import (
     ConstructionFailedError,
     DomainError,
+    NotAnEmbeddingError,
     PreconditionError,
     SparseCodeError,
 )
@@ -231,6 +235,35 @@ def bool_code(words: tuple[Word, ...], normalize: bool = False) -> np.ndarray:
     if normalize:
         return m / math.sqrt(words[0].n)
     return m
+
+
+def sph_inverse_binary(column: np.ndarray) -> Word:
+    """The binary word whose spherical embedding is `column`."""
+    col = np.asarray(column, dtype=np.complex128)
+    n = col.shape[0]
+    if n == 0:
+        raise NotAnEmbeddingError("an empty column is no spherical embedding")
+    scale = 1.0 / math.sqrt(n)
+    plus = np.abs(col - scale) <= INVERSE_TOL
+    minus = np.abs(col + scale) <= INVERSE_TOL
+    if not np.all(plus | minus):
+        bad = int(np.argmin(plus | minus))
+        raise NotAnEmbeddingError(
+            f"entry {bad} = {col[bad]} is not within tolerance of +-1/sqrt(n)"
+        )
+    return Word(2, tuple(int(m) for m in minus))
+
+
+def complex_matrix_text(m: np.ndarray) -> str:
+    """A complex matrix file's text, its entries converted one at a time."""
+    cm = np.asarray(m).astype(np.complex128)
+    payload = {
+        "kind": "complex",
+        "n": int(cm.shape[0]),
+        "N": int(cm.shape[1]),
+        "entries": [[float(v.real), float(v.imag)] for v in cm.flatten()],
+    }
+    return json.dumps(payload) + "\n"
 
 
 def code_file_text(words: tuple[Word, ...]) -> str:

@@ -4,12 +4,16 @@ Every comparison is exact: the same Words in the same order, the same
 matrix bytes, the same file bytes.
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import scalar_oracles as oracle
+import sparsecode
 from sparsecode.codes import (
     Code,
     LinearCode,
@@ -183,3 +187,19 @@ class TestFromArrayValidation:
     def test_mixed_words_rejected(self):
         with pytest.raises(DomainError):
             Code([Word(2, (0, 1)), Word(2, (0, 1, 1))])
+
+
+def test_library_builds_codes_only_from_arrays():
+    """Code(words) is the Word adapter for the benchmark and the tests: no
+    library module calls it, so every code the library builds comes from
+    Code.from_array."""
+    offenders = []
+    for path in sorted(Path(sparsecode.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "Code":
+                offenders.append((path.name, node.lineno))
+    assert offenders == []

@@ -153,7 +153,8 @@ def _table_certificates():
         certify.kernel_injectivity(m, 2).to_dict(),
         group_testing.verify_disjunct(design, 1).to_dict(),
         group_testing.verify_disjunct(design, 2).to_dict(),
-        {**decoded.to_dict(), "estimate": decoded.estimate.tobytes()},
+        # == on the result; its float by float.hex and its estimate by bytes
+        [decoded, decoded.residual_norm, decoded.estimate.tobytes()],
     ]
 
 

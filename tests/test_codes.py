@@ -87,6 +87,17 @@ class TestLinearCodes:
         with pytest.raises(DomainError):
             LinearCode(4, 1, 2, [[1, 1]])
 
+    def test_equal_by_value_and_unhashable(self):
+        lc = LinearCode(2, 2, 3, [[1, 0, 1], [0, 1, 1]])
+        # the generator is kept mod q, so [1, 0, 3] is [1, 0, 1]
+        assert lc == LinearCode(2, 2, 3, [[1, 0, 3], [0, 1, 1]])
+        assert lc != LinearCode(2, 2, 3, [[1, 0, 1], [1, 1, 0]])
+        assert lc != LinearCode(2, 2, 3, [[1, 0, 1], [0, 1, 1]], retries=1)
+        assert lc != LinearCode(3, 2, 3, [[1, 0, 1], [0, 1, 1]])
+        assert lc != lc.generator
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(lc)
+
     def test_codeword_cap(self, monkeypatch):
         monkeypatch.setenv("SPARSECODE_CAP", "8")
         lc = LinearCode(2, 4, 6, np.eye(4, 6, dtype=int))

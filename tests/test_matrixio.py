@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
+import scalar_oracles as oracle
 from sparsecode.errors import DomainError
 from sparsecode.matrixio import read_matrix, write_matrix
 
@@ -43,6 +46,44 @@ class TestRoundtrip:
         path = tmp_path / "m.json"
         write_matrix(m, path)
         assert json.loads(path.read_text())["kind"] == "complex"
+
+
+_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0, 0.5]),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _matrices(draw):
+    """Complex, real and integer matrices, C-ordered, F-ordered or transposed."""
+    n, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["complex", "real", "int"]))
+    if kind == "int":
+        entries = st.integers(-3, 3)
+    elif kind == "real":
+        entries = _FLOATS
+    else:
+        entries = st.builds(complex, _FLOATS, _FLOATS)
+    m = np.array(draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                               min_size=n, max_size=n)))
+    layout = draw(st.sampled_from(["C", "F", "T"]))
+    if layout == "F":
+        return np.asfortranarray(m)
+    if layout == "T":
+        return np.ascontiguousarray(m.T).T
+    return m
+
+
+@given(_matrices())
+@example(np.array([[-0.0, 5e-324], [1e308, -1e308]]))
+@example(np.asfortranarray([[1j, -0.0 - 0.0j], [5e-324j, 2.0]]))
+@settings(derandomize=True, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_complex_file_matches_entry_loop(tmp_path, m):
+    # a real 0/1 matrix is written as a binary file
+    assume(not (np.isrealobj(m) and np.isin(m, (0, 1)).all()))
+    path = tmp_path / "m.json"
+    write_matrix(m, path)
+    assert path.read_text() == oracle.complex_matrix_text(m)
 
 
 class TestErrors:

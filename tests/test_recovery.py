@@ -159,6 +159,19 @@ class TestDecode:
         assert not result.success
         assert result.support_found == ()
 
+    def test_results_are_equal_by_value_and_unhashable(self):
+        m = vandermonde_matrix(unit_circle_nodes(8), 4)
+        y = cs_encode(m, np.eye(8)[3])
+        result = cs_decode_exhaustive(m, y, 2)
+        assert result == cs_decode_exhaustive(m, y.copy(), 2)
+        twice = cs_decode_exhaustive(m, 2 * y, 2)
+        assert twice.support_found == result.support_found
+        assert twice != result
+        assert cs_decode_exhaustive(m, cs_encode(m, np.eye(8)[5]), 2) != result
+        assert result != result.estimate
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(result)
+
     def test_cap(self, monkeypatch):
         # built first: its 190 node pairs are over the cap too
         m = vandermonde_matrix(unit_circle_nodes(20), 8)
@@ -217,7 +230,7 @@ class TestDecode:
         for mat, y, L, tol in cases:
             got = cs_decode_exhaustive(mat, y, L, tol=tol)
             want = oracle.cs_decode_exhaustive(mat, y, L, tol)
-            assert got.to_dict() == want.to_dict()
+            assert got == want
             assert got.estimate.tobytes() == want.estimate.tobytes()
 
     @pytest.mark.parametrize("block", [1, 7, 256])
@@ -335,7 +348,7 @@ class TestResidualFilter:
             got = cs_decode_exhaustive(m, y, L, tol=tol)
             want = oracle.cs_decode_exhaustive(m, y, L, tol)
             assert want.support_found == support
-            assert got.to_dict() == want.to_dict()
+            assert got == want
             assert got.estimate.tobytes() == want.estimate.tobytes()
 
     def test_spares_lstsq_on_the_vandermonde_roundtrip(self, monkeypatch, tmp_path, capsys):
