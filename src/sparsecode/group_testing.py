@@ -5,6 +5,14 @@ OR of the selected columns; decoding declares an item present iff every test
 containing it came back positive.  For an L-disjunct matrix and inputs of
 weight at most L, that decoder is exact.
 
+The disjunct certificate is exhaustive, but the cover bound (Kautz &
+Singleton, IEEE Trans. IT 10, 1964; Du & Hwang, Combinatorial Group Testing)
+settles many targets without a walk: L columns whose intersections with a
+target of weight w sum to less than w cannot cover it.  A target whose L
+largest intersections fall short is certified in one row of intersections
+instead of C(N-1, L) L-sets, and `subsets_checked` still counts them all;
+`verify_disjunct` gives the proof and when the bound is computed.
+
 A design is its incidence matrix and is built only from it, `Design(m)`;
 `design_from_code` is `Design` of the code's Boolean embedding.
 """
@@ -24,6 +32,8 @@ from .errors import DomainError
 # L-sets per block in verify_disjunct: a first small block, doubling to the max
 _TUPLE_BLOCK_FIRST = 64
 _TUPLE_BLOCK_MAX = 1 << 13
+# targets per intersection product of the cover bound in verify_disjunct
+_BOUND_BLOCK = 64
 
 
 class Design:
@@ -139,12 +149,41 @@ def _packed_rows(bits: np.ndarray) -> np.ndarray:
     return packed.view(np.uint64).T
 
 
+def _settled(b: np.ndarray, t0: int, t1: int, L: int) -> np.ndarray:
+    """Which targets t0..t1-1 of the 0/1 matrix b the cover bound settles:
+    those whose L largest intersections with other columns sum below their
+    weight.  One intersection product for the block."""
+    block = b[:, t0:t1]
+    weights = block.sum(axis=0)
+    if L == 0:  # the empty set covers only an empty target
+        return weights > 0
+    meets = _counts(block.T, b)
+    meets[np.arange(t1 - t0), np.arange(t0, t1)] = 0
+    top = np.partition(meets, -L, axis=1)[:, -L:].astype(np.int64).sum(axis=1)
+    return top < weights
+
+
 def verify_disjunct(m: np.ndarray, L: int) -> DisjunctReport:
     """Exhaustive disjunctness check over every (target, L-set) choice.
 
     Targets go in order; the L-sets of the other columns go in lex order.
     Each column is cut down to the target's support and packed into uint64
     words, so an L-set covers the target iff the OR of its words is full.
+
+    The cover bound certifies a target without that walk.  Let T be the
+    target's support and I[c] = |col_c ∩ T| for each other column c.  An
+    L-set S covers the target iff T is the union of the sets col_c ∩ T over
+    c in S, so only if |T| <= the sum of I[c] over S, which is at most the
+    sum of the L largest I[c].  When that sum is below |T|, no L-set covers
+    the target, and all its C(N-1, L) choices are certified.  A settled
+    target has no cover, so skipping it leaves the lex-first witness, and
+    the count of choices up to it, where the walk puts them; a target the
+    bound cannot settle is walked as before.
+
+    The bound is lazy.  Target 0 is always walked, and a witness there (a
+    dense random design's, mostly) costs no intersection product.  Once its
+    walk finds no cover, every later target reads its row of one product
+    per block of `_BOUND_BLOCK` targets, made when the walk reaches it.
     """
     b = as_binary(m)
     n_cols = b.shape[1]
@@ -156,6 +195,11 @@ def verify_disjunct(m: np.ndarray, L: int) -> DisjunctReport:
     count = per_target * n_cols
     caps.require(count, caps.subset_cap(), "choices")
     for target in range(n_cols):
+        if target > 0:  # every earlier target is settled or walked uncovered
+            if (target - 1) % _BOUND_BLOCK == 0:
+                settled = _settled(b, target, min(target + _BOUND_BLOCK, n_cols), L)
+            if settled[(target - 1) % _BOUND_BLOCK]:
+                continue
         support = b[:, target]
         words = _packed_rows(np.delete(b[support], target, axis=1))
         full = _packed_rows(np.ones((int(support.sum()), 1), dtype=bool))[:, 0]

@@ -89,6 +89,19 @@ def cs_encode(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     return as_finite(y, "measurement")
 
 
+def _norm(v: np.ndarray) -> float:
+    """||v||: np.linalg.norm's bits, unless its squares overflow a vector
+    of finite entries; then s ||v / s|| with s = max |v|, which is inf only
+    where the norm itself is past the float range."""
+    with np.errstate(over="ignore"):
+        plain = float(np.linalg.norm(v))
+        if math.isinf(plain) and np.isfinite(v).all():
+            scale = float(np.abs(v).max())
+            if math.isfinite(scale):
+                return scale * float(np.linalg.norm(v / scale))
+    return plain
+
+
 def _must_solve(m_y: np.ndarray, rows: np.ndarray, accept: float, beta: float,
                 col_sq: np.ndarray) -> np.ndarray:
     """False for each support of `rows` whose computed least-squares
@@ -184,8 +197,8 @@ def cs_decode_exhaustive(
         raise DomainError(f"need 0 <= L <= N, got L={L}")
     if not 0 <= tol < math.inf:  # a NaN tolerance would fail every support
         raise DomainError(f"tol must be finite and >= 0, got {tol}")
+    beta = _norm(y)
     with np.errstate(over="ignore"):
-        beta = float(np.linalg.norm(y))
         col_sq = (m.real**2 + m.imag**2).sum(axis=0)
     if not math.isfinite(beta):  # an inf accept would pass every support
         raise DomainError("measurement norm overflows")
@@ -198,7 +211,7 @@ def cs_decode_exhaustive(
             if support:
                 sub = m[:, support]
                 coef, _, _, _ = np.linalg.lstsq(sub, y, rcond=None)
-                residual = float(np.linalg.norm(y - sub @ coef))
+                residual = _norm(y - sub @ coef)
             else:  # the empty support fits with no solve
                 residual = beta
                 coef = np.zeros(0, dtype=np.complex128)

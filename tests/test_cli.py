@@ -421,7 +421,7 @@ def cli_files(tmp_path_factory):
     write_matrix(sph_code(read_code_file(root / "c.code")), root / "sph.json")
     write_matrix(vandermonde_matrix(unit_circle_nodes(6), 3), root / "vand.json")
     # finite entries whose measurements' norm overflows
-    write_matrix(np.full((4, 5), 1e307), root / "big.json")
+    write_matrix(np.full((4, 5), 1.5e308), root / "big.json")
     # finite entries whose measurements overflow
     write_matrix(np.full((4, 5), 1.7e308), root / "max.json")
     return root

@@ -1,5 +1,6 @@
 import tracemalloc
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 
 import scalar_oracles as oracle
 from scalar_oracles import hamming_distance
-from sparsecode import codes, group_testing
-from sparsecode.codes import min_distance, random_balanced_code, reed_solomon
+from sparsecode import caps, codes, group_testing
+from sparsecode.codes import Code, min_distance, random_balanced_code, reed_solomon
 from sparsecode.embeddings import bool_code
 from sparsecode.errors import DomainError, EnumerationCapError
 from sparsecode.group_testing import (
@@ -66,7 +67,7 @@ def _from_sets(ground_size, set_size, sets):
 
 
 def _set_blocks(monkeypatch, size):
-    for name in ("_TUPLE_BLOCK_FIRST", "_TUPLE_BLOCK_MAX"):
+    for name in ("_TUPLE_BLOCK_FIRST", "_TUPLE_BLOCK_MAX", "_BOUND_BLOCK"):
         monkeypatch.setattr(group_testing, name, size)
     monkeypatch.setattr(codes, "_COUNT_BLOCK", size)
 
@@ -83,6 +84,54 @@ def _matrices(draw):
         j = draw(st.integers(0, cols - 1))
         m[:, j] = 0 if draw(st.booleans()) else m[:, draw(st.integers(0, cols - 1))]
     return m
+
+
+@st.composite
+def _bound_designs(draw):
+    """Matrices whose targets the cover bound settles, or just fails to:
+    Boolean embeddings of random codes over 5-11 symbols (weights up to 80,
+    past one uint64 word), the same with random rows and columns deleted,
+    and sparse random designs; sometimes with a zero column."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["code", "deleted", "sparse"]))
+    if kind == "sparse":
+        shape = draw(st.integers(1, 130)), draw(st.integers(2, 14))
+        m = rng.random(shape) < draw(st.sampled_from([0.03, 0.08, 0.15]))
+    else:
+        q = draw(st.sampled_from([5, 7, 11]))
+        n = draw(st.one_of(st.integers(1, 12), st.integers(60, 80)))
+        words = rng.integers(0, q, (draw(st.integers(4, 14)), n))
+        m = bool_code(Code.from_array(q, words)).astype(bool)
+        if m.shape[1] < 2:  # the code keeps one copy of each word
+            m = np.hstack((m, m))
+        if kind == "deleted":
+            keep = np.sort(rng.permutation(m.shape[1])[:draw(st.integers(2, m.shape[1]))])
+            m = m[rng.random(len(m)) < draw(st.sampled_from([0.5, 0.9]))][:, keep]
+    if draw(st.integers(0, 3)) == 0:
+        m[:, draw(st.integers(0, m.shape[1] - 1))] = False
+    return m.astype(np.int64)
+
+
+def _settled_walk(monkeypatch):
+    """Spy on the lex walks verify_disjunct starts and the intersection
+    products it makes: one list of block lengths per walk, and the shape of
+    each product's left operand."""
+    walks, products = [], []
+    blocks, counts = caps.subset_blocks, group_testing._counts
+
+    def spy_blocks(*args):
+        walks.append([])
+        for start, rows in blocks(*args):
+            walks[-1].append(len(rows))
+            yield start, rows
+
+    def spy_counts(*args):
+        products.append(args[0].shape)
+        return counts(*args)
+
+    monkeypatch.setattr(caps, "subset_blocks", spy_blocks)
+    monkeypatch.setattr(group_testing, "_counts", spy_counts)
+    return walks, products
 
 
 class TestDesignFromCode:
@@ -376,6 +425,76 @@ class TestVerifyDisjunctKernel:
         after = ([verify_disjunct(m, L) for m, L in cases],
                  [verify_design(d) for d in designs])
         assert after == before
+
+
+class TestCoverBound:
+    @settings(derandomize=True, max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(m=_bound_designs(), L=st.sampled_from([0, 1, 2, 3]),
+           block=st.sampled_from([1, 3, 64]))
+    def test_matches_per_tuple_loop(self, monkeypatch, m, L, block):
+        monkeypatch.setattr(group_testing, "_BOUND_BLOCK", block)
+        L = min(L, m.shape[1] - 1)
+        assert verify_disjunct(m, L) == _loop_verify_disjunct(m, L)
+
+    @pytest.mark.parametrize("block", [1, 64])
+    def test_a_target_the_bound_meets_exactly_is_walked(self, monkeypatch, block):
+        monkeypatch.setattr(group_testing, "_BOUND_BLOCK", block)
+        # columns 0-2 each hold a row no other column does, so none is
+        # covered, and 1 and 2 are settled; column 3's support, rows 10-13,
+        # is exactly 1's and 2's 2-bit intersections with it.  Its two
+        # largest intersections sum to its weight, 4: a bound that settled
+        # on equality would miss the cover (1, 2), the 3rd pair of target 3
+        m = np.zeros((22, 4), dtype=np.int64)
+        m[[0, 1], 0] = 1
+        m[[10, 11, 20], 1] = 1
+        m[[12, 13, 21], 2] = 1
+        m[[10, 11, 12, 13], 3] = 1
+        walks, products = _settled_walk(monkeypatch)
+        rep = verify_disjunct(m, 2)
+        assert rep == DisjunctReport(2, False, (3, (1, 2)), 3 * 3 + 3)
+        assert rep == _loop_verify_disjunct(m, 2)
+        assert len(walks) == 2 and products
+
+    def test_empty_target_after_settled_ones(self):
+        # disjoint 2-bit columns 0-4 are settled at every L >= 1; column 5
+        # is empty, so the first L-set of its walk covers it
+        m = np.zeros((10, 6), dtype=np.int64)
+        for j in range(5):
+            m[[2 * j, 2 * j + 1], j] = 1
+        for L in range(5):
+            rep = verify_disjunct(m, L)
+            assert rep.witness == (5, tuple(range(L)))
+            assert rep == _loop_verify_disjunct(m, L)
+
+    def test_cap_still_counts_the_space(self, monkeypatch):
+        monkeypatch.delenv("SPARSECODE_CAP", raising=False)
+        m, _ = kautz_singleton(11, 2)
+        with pytest.raises(EnumerationCapError,
+                           match=f"^33981640 choices exceed cap {caps.DEFAULT_SUBSET_CAP}$"):
+            verify_disjunct(m, 3)
+
+    @pytest.mark.parametrize("q, L", [(7, 3), (11, 2)])
+    def test_kautz_singleton_walks_only_target_0(self, monkeypatch, q, L):
+        # every intersection of two codewords' sets is at most k - 1 = 1, so
+        # L of them never reach a target's weight q
+        m, _ = kautz_singleton(q, 2)
+        walks, shapes = _settled_walk(monkeypatch)
+        n = q * q
+        assert verify_disjunct(m, L) == DisjunctReport(L, True, None, n * comb(n - 1, L))
+        assert len(walks) == 1 and sum(walks[0]) == comb(n - 1, L)
+        # targets 1..n-1 in blocks of _BOUND_BLOCK
+        assert shapes == [(min(64, n - t), m.shape[0]) for t in range(1, n, 64)]
+
+    def test_cover_in_target_0_makes_no_product(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        cases = [(kautz_singleton(5, 2)[0], 5)]
+        cases += [((rng.random((48, 80)) < 0.5).astype(np.int64), 3) for _ in range(5)]
+        walks, products = _settled_walk(monkeypatch)
+        for m, L in cases:
+            rep = verify_disjunct(m, L)
+            assert not rep.disjunct and rep.witness[0] == 0
+        assert len(walks) == len(cases) and products == []
 
 
 class TestEncodeDecode:

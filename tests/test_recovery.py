@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -205,7 +207,18 @@ class TestDecode:
         # once returned success on the empty support with residual inf:
         # every residual passed the accept test tol * (1 + inf)
         with pytest.raises(DomainError, match="^measurement norm overflows$"):
-            cs_decode_exhaustive(np.eye(3), [1e308, 1e308, 0], 1)
+            cs_decode_exhaustive(np.eye(3), [1.5e308, 1.5e308, 0], 1)
+
+    def test_decodes_measurement_whose_squares_overflow(self):
+        # the plain norm squares 1e200 past the float range; the norm is 1e200
+        got = cs_decode_exhaustive([[1, 0], [0, 1]], [1e200, 0], 1)
+        assert got.success and got.support_found == (0,)
+        assert math.isfinite(got.residual_norm)
+        assert np.array_equal(got.estimate, [1e200, 0])
+        # norm 1.4e308 is finite: no fit, a finite residual, no refusal
+        miss = cs_decode_exhaustive(np.eye(3), [1e308, 1e308, 0], 1)
+        assert not miss.success
+        assert miss.residual_norm == pytest.approx(1e308 * math.sqrt(2), rel=1e-15)
 
     @pytest.mark.parametrize("tol", [-1e-8, np.nan, np.inf])
     def test_refuses_bad_tolerance(self, tol):
