@@ -20,7 +20,7 @@ _ZERO = ord("0")
 
 def write_matrix(m: np.ndarray, path: str | Path) -> None:
     m = np.asarray(m)
-    if np.isrealobj(m) and np.isin(m, (0, 1)).all():
+    if np.isrealobj(m) and ((m == 0) | (m == 1)).all():
         text = (m.astype(np.uint8) + _ZERO).tobytes().decode("ascii")
         width = m.shape[1]
         payload = {

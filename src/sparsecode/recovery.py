@@ -2,7 +2,8 @@
 
 Measurement matrices are Vandermonde by default (unit-circle nodes keep
 them well conditioned); decoding tries every support of size up to L in
-canonical order and accepts the first least-squares fit within tolerance.
+canonical order and accepts the first least-squares fit whose residual is
+at most DECODE_TOL * (1 + ||y||).
 A certified filter goes first: one batched QR per block of supports proves
 most of them unable to fit (`_must_solve`) and skips them; every other
 support, in order, takes the least-squares solve and the acceptance test
@@ -20,7 +21,7 @@ from . import caps
 from .certify import _pivots_positive, as_finite, as_matrix, kernel_injectivity
 from .errors import DomainError
 
-DEFAULT_DECODE_TOL = 1e-8
+DECODE_TOL = 1e-8
 NODE_GAP_TOL = 1e-9
 # node rows per block of vandermonde_matrix's gap check
 _NODE_BLOCK = 1 << 8
@@ -174,12 +175,7 @@ def _must_solve(m_y: np.ndarray, rows: np.ndarray, accept: float, beta: float,
     return keep
 
 
-def cs_decode_exhaustive(
-    m: np.ndarray,
-    y: np.ndarray,
-    L: int,
-    tol: float = DEFAULT_DECODE_TOL,
-) -> RecoveryResult:
+def cs_decode_exhaustive(m: np.ndarray, y: np.ndarray, L: int) -> RecoveryResult:
     """First support of size <= L whose least-squares fit explains y.
 
     Supports are scanned in order of increasing size, then lexicographic,
@@ -195,14 +191,12 @@ def cs_decode_exhaustive(
     n_cols = m.shape[1]
     if not (0 <= L <= n_cols):
         raise DomainError(f"need 0 <= L <= N, got L={L}")
-    if not 0 <= tol < math.inf:  # a NaN tolerance would fail every support
-        raise DomainError(f"tol must be finite and >= 0, got {tol}")
     beta = _norm(y)
     with np.errstate(over="ignore"):
         col_sq = (m.real**2 + m.imag**2).sum(axis=0)
     if not math.isfinite(beta):  # an inf accept would pass every support
         raise DomainError("measurement norm overflows")
-    accept = tol * (1.0 + beta)
+    accept = DECODE_TOL * (1.0 + beta)
     m_y = np.vstack((m.T, y))  # row j is column j of m, and the last row is y
     tried = 0
     for rows in caps.supports(n_cols, L, _SUPPORT_BLOCK):

@@ -266,6 +266,16 @@ def complex_matrix_text(m: np.ndarray) -> str:
     return json.dumps(payload) + "\n"
 
 
+def matrix_file_text(m: np.ndarray) -> str:
+    """A matrix file's text: binary rows, one character per entry, when
+    np.isin finds only 0 and 1 in a real matrix; complex otherwise."""
+    m = np.asarray(m)
+    if np.isrealobj(m) and np.isin(m, (0, 1)).all():
+        rows = ["".join(str(int(v)) for v in row) for row in m]
+        return json.dumps({"kind": "binary", "rows": rows}) + "\n"
+    return complex_matrix_text(m)
+
+
 def code_file_text(words: tuple[Word, ...]) -> str:
     lines = [f"{words[0].q} {words[0].n}"]
     lines += [" ".join(str(s) for s in w.symbols) for w in words]
@@ -491,7 +501,7 @@ def flat_rip_constant(m: np.ndarray, L0: int) -> FlatRipReport:
                 tuple(int(t) for t in idx[i]),
                 tuple(int(t) for t in idx[j]),
             )
-    return FlatRipReport(L0, best, witness, True, checked)
+    return FlatRipReport(L0, best, witness, checked)
 
 
 def kernel_injectivity(m: np.ndarray, L: int) -> KernelReport:

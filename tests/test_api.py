@@ -1,4 +1,5 @@
-"""The public surface is called: no public function or class that nothing uses."""
+"""The public surface is called: no public name that nothing uses, and no
+public default that no caller sets."""
 
 import ast
 import re
@@ -8,6 +9,42 @@ import sparsecode
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path(sparsecode.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# the readers of the public surface: the library itself, the README, the
+# acceptance criteria and the benchmark
+READERS = [*MODULES, ROOT / "README.md", ROOT / "tests" / "test_acceptance.py",
+           *sorted((ROOT / "bench").glob("*.py"))]
+CONSTANT = re.compile(r"^[A-Z][A-Z0-9_]*$")
+
+
+def _trees():
+    """The AST of every Python reader, and of each README python block."""
+    for path in READERS:
+        text = path.read_text()
+        if path.suffix == ".md":
+            for block in re.findall(r"^```python\n(.*?)^```$", text, re.M | re.S):
+                yield ast.parse(block)
+        else:
+            yield ast.parse(text)
+
+
+def _unnamed(definitions):
+    """The (path, name, line) definitions whose name is on no reader line
+    other than the definition's own."""
+    lines = [(path, number, line) for path in READERS
+             for number, line in enumerate(path.read_text().splitlines(), 1)]
+    unnamed = []
+    for path, name, lineno in definitions:
+        word = re.compile(rf"\b{name}\b")
+        if not any(word.search(line) for where, number, line in lines
+                   if (where, number) != (path, lineno)):
+            unnamed.append(f"{path.name}:{name}")
+    return unnamed
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(ast.unparse(d).split("(")[0].split(".")[-1] == "dataclass"
+               for d in node.decorator_list)
 
 
 def test_every_public_name_is_named_beyond_its_definition():
@@ -15,18 +52,72 @@ def test_every_public_name_is_named_beyond_its_definition():
     not start with `_` is named, outside its own def or class line, in a
     library module other than __init__.py, in the README, in the acceptance
     criteria or in the benchmark."""
-    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-    readers = [*modules, ROOT / "README.md", ROOT / "tests" / "test_acceptance.py",
-               *sorted((ROOT / "bench").glob("*.py"))]
-    lines = [(path, number, line) for path in readers
-             for number, line in enumerate(path.read_text().splitlines(), 1)]
-    unnamed = []
-    for path in modules:
+    assert _unnamed((path, node.name, node.lineno) for path in MODULES
+                    for node in ast.parse(path.read_text()).body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")) == []
+
+
+def test_every_public_method_and_constant_is_named_beyond_its_definition():
+    """The same rule for the methods and properties of public classes whose
+    names do not start with `_`, and for module-level UPPER_CASE constants."""
+    definitions = []
+    for path in MODULES:
         for node in ast.parse(path.read_text()).body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                word = re.compile(rf"\b{node.name}\b")
-                if not any(word.search(line) for where, number, line in lines
-                           if (where, number) != (path, node.lineno)):
-                    unnamed.append(f"{path.name}:{node.name}")
-    assert unnamed == []
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                definitions += [(path, item.name, item.lineno) for item in node.body
+                                if isinstance(item, ast.FunctionDef)
+                                and not item.name.startswith("_")]
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            definitions += [(path, t.id, node.lineno) for t in targets
+                            if isinstance(t, ast.Name) and CONSTANT.match(t.id)]
+    assert _unnamed(definitions) == []
+
+
+def test_every_public_default_is_set_by_a_caller():
+    """Every defaulted parameter of a public module-level function, and every
+    defaulted field of a public dataclass, is passed by some call in a
+    library module, a README python block, the acceptance criteria or the
+    benchmark: by keyword, by position, or through `*` or `**`."""
+    defaults = {}  # name -> (where, parameters in call order, the defaulted ones)
+    for path in MODULES:
+        for node in ast.parse(path.read_text()).body:
+            if getattr(node, "name", "_").startswith("_"):
+                continue
+            if isinstance(node, ast.FunctionDef):
+                params = [a.arg for a in node.args.posonlyargs + node.args.args]
+                n_default = len(node.args.defaults)
+                defaulted = params[len(params) - n_default:] if n_default else []
+                defaulted += [a.arg for a, d in zip(node.args.kwonlyargs,
+                                                    node.args.kw_defaults) if d is not None]
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields = [item for item in node.body if isinstance(item, ast.AnnAssign)
+                          and isinstance(item.target, ast.Name)]
+                params = [f.target.id for f in fields]
+                defaulted = [f.target.id for f in fields if f.value is not None]
+            else:
+                continue
+            if defaulted:
+                defaults[node.name] = (path.name, params, set(defaulted))
+
+    passed = {name: set() for name in defaults}
+    for tree in _trees():
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute) else None)
+            if name not in defaults:
+                continue
+            _, params, defaulted = defaults[name]
+            if (any(isinstance(a, ast.Starred) for a in call.args)
+                    or any(k.arg is None for k in call.keywords)):
+                passed[name] |= defaulted
+            passed[name] |= set(params[:len(call.args)])
+            passed[name] |= {k.arg for k in call.keywords}
+
+    unset = [f"{where}:{name}({p})" for name, (where, _, defaulted) in sorted(defaults.items())
+             for p in sorted(defaulted - passed[name])]
+    assert unset == []

@@ -86,6 +86,36 @@ def test_complex_file_matches_entry_loop(tmp_path, m):
     assert path.read_text() == oracle.complex_matrix_text(m)
 
 
+_EDGES = [0, 1, -0.0, 0.5, np.nan, np.inf, -np.inf]
+
+
+@st.composite
+def _edge_matrices(draw):
+    """Bool matrices, and float or complex (zero imaginary part) matrices of
+    0, 1, -0.0, 0.5, NaN and +-inf."""
+    n, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    dtype = draw(st.sampled_from([bool, np.float64, np.complex128]))
+    entries = st.booleans() if dtype is bool else st.sampled_from(_EDGES)
+    return np.array(draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                                  min_size=n, max_size=n)), dtype=dtype)
+
+
+@given(st.one_of(_matrices(), _edge_matrices()))
+@example(np.array([[True, False], [False, False]]))
+@example(np.array([[-0.0, 1.0], [0.0, -0.0]]))
+@example(np.array([[0.0, np.nan]]))
+@example(np.array([[1.0, np.inf], [-np.inf, 0.0]]))
+@example(np.array([[1 + 0j, 0j]]))
+@settings(derandomize=True, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_kind_and_bytes_match_the_isin_rule(tmp_path, m):
+    path = tmp_path / "m.json"
+    write_matrix(m, path)
+    want = oracle.matrix_file_text(m)
+    assert json.loads(path.read_text())["kind"] == json.loads(want)["kind"]
+    assert path.read_text() == want
+
+
 class TestErrors:
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
