@@ -7,6 +7,8 @@ The lex rows of each shape (n_items, size) form one read-only table per
 process, grown only as far as a walk reaches and shared by every later
 walk of that shape.  The tables together are bounded in bytes; a shape that
 does not fit is built block by block and dropped, as if there were none.
+The lex-first walks own their chunk sizes, and the pair-sum walk starts
+from the empty prefix, so that one step makes every level.
 
 Every certifier counts its space and checks it against the cap of its kind
 before it walks: 10^7 subsets, pairs, choices or supports, 2^20 codewords,
@@ -39,6 +41,9 @@ _ENV_VAR = "SPARSECODE_CAP"
 
 # bytes of lex tables kept per process, over all shapes
 _TABLE_BYTES = 32 << 20
+# chunk sizes of lex_first_max (subsets) and lex_first_max_pair_sum (L-subsets)
+_SUBSET_BLOCK = 1 << 9
+_LSET_BLOCK = 1 << 13
 
 
 def _resolve(default: int) -> int:
@@ -181,16 +186,16 @@ def subsets(n_items: int, size: int) -> np.ndarray:
     return np.empty((0, size), dtype=np.int64)
 
 
-def lex_first_max(score, n_items: int, size: int, block: int):
+def lex_first_max(score, n_items: int, size: int):
     """(largest score, lex-first subset attaining it) over the size-subsets of
     range(n_items), of which there must be one.
 
-    score(rows) scores a block of `block` rows of subsets(n_items, size).
+    score(rows) scores a block of _SUBSET_BLOCK rows of subsets(n_items, size).
     Within a block argmax is the lex-first maximum, and a later block wins
     only on a strict >, so the block size never moves a witness.
     """
     best, witness = None, ()
-    for _, rows in subset_blocks(n_items, size, block, block):
+    for _, rows in subset_blocks(n_items, size, _SUBSET_BLOCK, _SUBSET_BLOCK):
         s = score(rows)
         pos = int(np.argmax(s))
         if best is None or s[pos] > best:
@@ -198,37 +203,30 @@ def lex_first_max(score, n_items: int, size: int, block: int):
     return best, witness
 
 
-def lex_first_max_pair_sum(d: np.ndarray, size: int, score, block: int):
+def lex_first_max_pair_sum(d: np.ndarray, size: int, score):
     """(largest score, lex-first subset attaining it) over the size-subsets S
     of range(len(d)), 2 <= size <= len(d), scored by their pair sums.
 
     total(S) is the exact int64 sum of d[i, j] over the pairs i < j of S,
-    for an integer matrix d, and score(totals) scores at most
-    `block` totals of consecutive subsets.  The walk is the lex-order
-    recursion: the size-s subsets are the size-(s-1) prefixes in lex order,
-    each followed by each larger item that leaves room for the rest.  A
-    prefix carries total(S), and R[S], the sum of the rows d[i] over i in S,
-    is built for a chunk of prefixes only when it extends them:
+    for an integer matrix d, and score(totals) scores at most _LSET_BLOCK
+    totals of consecutive subsets.  The walk is the lex-order recursion from
+    the empty prefix: the size-s subsets are the size-(s-1) prefixes in lex
+    order, each followed by each larger item that leaves room for the rest.
+    A prefix carries total(S), and R[S], the sum of the rows d[i] over i in
+    S, is built for a chunk of prefixes only when it extends them:
     total(S + {j}) = total(S) + R[S, j] and R[S + {j}] = R[S] + d[j].  The
     last extension reads R[S, j] as R[parent, j] + d[last, j], so no rows are
     built for the largest level.  A prefix keeps only its last item and its
     parent, and the witness is traced back only when it changes.  No level
-    emits more than `block` children at a time, so memory is
-    O(size * block * len(d)).  Within a chunk argmax is the lex-first
+    emits more than _LSET_BLOCK children at a time, so memory is
+    O(size * _LSET_BLOCK * len(d)).  Within a chunk argmax is the lex-first
     maximum, and a later chunk wins only on a strict >.
     """
-    d = np.ascontiguousarray(d, dtype=np.int64)
-    n, flat = len(d), d.reshape(-1)
+    # the walk's int64 copy of d ends in a zero row, the empty prefix's last item
+    d = np.concatenate([d, np.zeros((1, len(d)), dtype=np.int64)], dtype=np.int64)
+    n, flat = len(d) - 1, d.reshape(-1)
     # the s-th item of a subset (s = 1..size) is at most tail + s - 1
-    tail = n - size
-
-    def firsts():
-        """Chunks of the size-1 prefixes {0}, ..., {tail}: R of their parent is 0."""
-        zero = np.zeros((1, n), dtype=np.int64)
-        for a in range(0, tail + 1, block):
-            last = np.arange(a, min(a + block, tail + 1))
-            yield (1, last, np.zeros(len(last), dtype=np.intp),
-                   np.zeros(len(last), dtype=np.int64), zero, None)
+    tail, block = n - size, _LSET_BLOCK
 
     def children(s, last, up, total, above, trail):
         """Chunks of the size-(s+1) extensions of a chunk of size-s prefixes:
@@ -262,7 +260,9 @@ def lex_first_max_pair_sum(d: np.ndarray, size: int, score, block: int):
             p0, taken = p1, int(ends[p1 - 1])
 
     best, witness = None, ()
-    walks = [firsts()]
+    # the children of the empty prefix: last item -1, total 0, parent's R zero
+    zero = np.zeros(1, dtype=np.int64)
+    walks = [children(0, zero - 1, zero, zero, d[-1:], None)]
     while walks:
         chunk = next(walks[-1], None)
         if chunk is None:

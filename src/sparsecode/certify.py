@@ -25,8 +25,6 @@ from .errors import DomainError, PreconditionError
 UNIT_NORM_TOL = 1e-9
 RANK_TOL = 1e-9
 
-# subsets per batched Gram/SVD call in rip2_profile and kernel_injectivity
-_SUBSET_BLOCK = 1 << 9
 # rip2_profile's filter shifts its thresholds by _PD_MARGIN * s^2 * B, where
 # 2^-43 = 1024 u (u = 2^-53, the unit roundoff); the proof is in _may_reach
 _PD_MARGIN = 2.0**-43
@@ -274,7 +272,7 @@ def rip2_profile(m: np.ndarray, L: int) -> list[RipReport]:
     reports: list[RipReport] = []
     best, best_witness, checked = -1.0, (), 0
     for s in range(1, L + 1):
-        size_best, witness = caps.lex_first_max(distortions, n_cols, s, _SUBSET_BLOCK)
+        size_best, witness = caps.lex_first_max(distortions, n_cols, s)
         if size_best > best:
             best, best_witness = size_best, witness
         checked += math.comb(n_cols, s)
@@ -409,7 +407,7 @@ def kernel_injectivity(m: np.ndarray, L: int) -> KernelReport:
         # the lex-first largest -sigma_min is the lex-first smallest sigma_min
         return -np.linalg.svd(cols, compute_uv=False)[:, -1]
 
-    least, witness = caps.lex_first_max(negated_sigma_min, n_cols, s, _SUBSET_BLOCK)
+    least, witness = caps.lex_first_max(negated_sigma_min, n_cols, s)
     worst = -least
     injective = worst > RANK_TOL
     return KernelReport(

@@ -163,17 +163,18 @@ def _indicators(n_cols: int, blocks):
         yield x
 
 
-def _random_supports(n_cols: int, L: int, trials: int, seed: int):
-    """`trials` seeded draws of a weight in 0..L and then a support of it.
+def _draw_support(rng: np.random.Generator, n_cols: int, L: int) -> np.ndarray:
+    """A weight drawn in 0..L, then a support of that weight in range(n_cols)."""
+    return rng.choice(n_cols, size=int(rng.integers(0, L + 1)), replace=False)
 
-    Yields batches of supports as 0/1 rows.
-    """
+
+def _random_supports(n_cols: int, L: int, trials: int, seed: int):
+    """`trials` seeded support draws, yielded in batches of 0/1 rows."""
     rng = np.random.default_rng(seed)
     for start in range(0, trials, _ROUNDTRIP_BATCH):
         x = np.zeros((min(_ROUNDTRIP_BATCH, trials - start), n_cols), dtype=bool)
         for row in x:
-            weight = int(rng.integers(0, L + 1))
-            row[rng.choice(n_cols, size=weight, replace=False)] = True
+            row[_draw_support(rng, n_cols, L)] = True
         yield x
 
 
@@ -231,10 +232,8 @@ def _cmd_cs_roundtrip(args) -> tuple[dict, bool, str]:
     max_err = 0.0
     failures = 0
     for _ in range(args.trials):
-        size = int(rng.integers(0, args.L + 1))
-        support = sorted(rng.choice(n_cols, size=size, replace=False))
         x = np.zeros(n_cols, dtype=np.complex128)
-        for pos in support:
+        for pos in sorted(_draw_support(rng, n_cols, args.L)):
             x[pos] = complex(rng.normal(), rng.normal())
         y = recovery.cs_encode(m, x)
         result = recovery.cs_decode_exhaustive(m, y, args.L)

@@ -29,8 +29,6 @@ from .words import Word, is_prime
 _COUNT_BLOCK = 128
 # a float32 sum of up to 2**24 terms of 0 or 1 is an exact integer
 _FLOAT32_TERMS = 1 << 24
-# L-subsets (and prefixes) per chunk in lwise_distance and lwise_bias
-_LSET_BLOCK = 1 << 13
 # generator draws random_linear_code_gv tries before it gives up
 _RETRY_BUDGET = 200
 
@@ -257,7 +255,7 @@ def lwise_distance(c: Code, L: int) -> DistanceReport:
     """
     _check_lsets(c, L)
     least, witness = caps.lex_first_max_pair_sum(_pairwise_distances(c), L,
-                                                 np.negative, _LSET_BLOCK)
+                                                 np.negative)
     rel = -least / (c.n * math.comb(L, 2))
     return DistanceReport(rel * c.n, rel, witness)
 
@@ -269,8 +267,7 @@ def lwise_bias(c: Code, L: int) -> float:
     _check_lsets(c, L)
     scale = c.n * math.comb(L, 2)
     return caps.lex_first_max_pair_sum(_pairwise_distances(c), L,
-                                       lambda t: np.abs(t / scale - 0.5),
-                                       _LSET_BLOCK)[0]
+                                       lambda t: np.abs(t / scale - 0.5))[0]
 
 
 def is_balanced(c: Code) -> bool:

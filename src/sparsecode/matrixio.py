@@ -39,8 +39,9 @@ def write_matrix(m: np.ndarray, path: str | Path) -> None:
 
 
 def read_matrix(path: str | Path) -> np.ndarray:
+    text = Path(path).read_text()
     try:
-        payload = json.loads(Path(path).read_text())
+        payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DomainError(f"malformed matrix file {path}: {exc}") from exc
     if not isinstance(payload, dict):
@@ -71,7 +72,11 @@ def read_matrix(path: str | Path) -> np.ndarray:
             flat = np.array(payload.get("entries"))
         except ValueError as exc:  # ragged nesting
             raise DomainError(f"malformed matrix entries: {exc}") from exc
-        if flat.ndim != 2 or flat.shape[1] != 2 or flat.dtype.kind not in "biuf":
+        # np.array reads a JSON true or false beside numbers as a number, so the
+        # entries of a text that holds either literal are checked one by one
+        if (flat.ndim != 2 or flat.shape[1] != 2 or flat.dtype.kind not in "iuf"
+                or ("true" in text or "false" in text) and any(
+                    type(re) is bool or type(im) is bool for re, im in payload["entries"])):
             raise DomainError("complex matrix entries must be [re, im] number pairs")
         if len(flat) != n * cols:
             raise DomainError("entry count does not match declared shape")

@@ -1,5 +1,6 @@
-"""The public surface is called: no public name that nothing uses, and no
-public default that no caller sets."""
+"""The public surface is called: no public name that nothing uses, no
+public default that no caller sets, and no public parameter that every
+caller sets alike."""
 
 import ast
 import re
@@ -40,6 +41,27 @@ def _unnamed(definitions):
                    if (where, number) != (path, lineno)):
             unnamed.append(f"{path.name}:{name}")
     return unnamed
+
+
+def _name(node):
+    """The identifier that a Name or Attribute node ends in; else None."""
+    return (node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute) else None)
+
+
+def _calls(names):
+    """(name, call) for each call, in a reader, of a function whose name is
+    in `names`."""
+    for tree in _trees():
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call) and _name(call.func) in names:
+                yield _name(call.func), call
+
+
+def _through_star(call: ast.Call) -> bool:
+    """Whether the call passes arguments through `*` or `**`."""
+    return (any(isinstance(a, ast.Starred) for a in call.args)
+            or any(k.arg is None for k in call.keywords))
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -102,22 +124,66 @@ def test_every_public_default_is_set_by_a_caller():
                 defaults[node.name] = (path.name, params, set(defaulted))
 
     passed = {name: set() for name in defaults}
-    for tree in _trees():
-        for call in ast.walk(tree):
-            if not isinstance(call, ast.Call):
-                continue
-            func = call.func
-            name = (func.id if isinstance(func, ast.Name)
-                    else func.attr if isinstance(func, ast.Attribute) else None)
-            if name not in defaults:
-                continue
-            _, params, defaulted = defaults[name]
-            if (any(isinstance(a, ast.Starred) for a in call.args)
-                    or any(k.arg is None for k in call.keywords)):
-                passed[name] |= defaulted
-            passed[name] |= set(params[:len(call.args)])
-            passed[name] |= {k.arg for k in call.keywords}
+    for name, call in _calls(defaults):
+        _, params, defaulted = defaults[name]
+        if _through_star(call):
+            passed[name] |= defaulted
+        passed[name] |= set(params[:len(call.args)])
+        passed[name] |= {k.arg for k in call.keywords}
 
     unset = [f"{where}:{name}({p})" for name, (where, _, defaulted) in sorted(defaults.items())
              for p in sorted(defaulted - passed[name])]
     assert unset == []
+
+
+def _module_constants():
+    """The UPPER_CASE names, with or without a leading `_`, that a reader
+    binds at its top level."""
+    return {t.id for tree in _trees() for node in tree.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(t, ast.Name) and CONSTANT.match(t.id.lstrip("_"))}
+
+
+def _fixed_value(node, constants):
+    """The source of a literal, or the name of a module constant; None for
+    anything else."""
+    try:
+        return repr(ast.literal_eval(node))
+    except ValueError:
+        pass
+    return _name(node) if _name(node) in constants else None
+
+
+def test_no_parameter_has_one_value_in_use():
+    """No parameter of a public module-level function is set by two or more
+    calls in a library module, a README python block, the acceptance
+    criteria or the benchmark, every one of them to the same module constant
+    or literal: such a parameter is a knob with one value, which belongs to
+    the function.  A call through `*` or `**` may set any parameter to
+    anything."""
+    params = {}  # name -> (where, parameters in call order)
+    for path in MODULES:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                args = node.args
+                params[node.name] = (path.name, [a.arg for a in args.posonlyargs
+                                                 + args.args + args.kwonlyargs])
+
+    constants = _module_constants()
+    values = {name: {p: [] for p in names} for name, (_, names) in params.items()}
+    for name, call in _calls(params):
+        names = params[name][1]
+        if _through_star(call):
+            given = dict.fromkeys(names)
+        else:
+            given = dict(zip(names, (_fixed_value(a, constants) for a in call.args)))
+            given.update((k.arg, _fixed_value(k.value, constants)) for k in call.keywords)
+        for p, value in given.items():
+            if p in values[name]:
+                values[name][p].append(value)
+
+    fixed = [f"{params[name][0]}:{name}({p})" for name, by_param in sorted(values.items())
+             for p, seen in by_param.items()
+             if len(seen) >= 2 and seen[0] is not None and seen.count(seen[0]) == len(seen)]
+    assert fixed == []

@@ -225,7 +225,8 @@ def test_product_rows_match_product_order(q, length):
 
 @pytest.mark.parametrize("block", [1, 2, 7, 100])
 @pytest.mark.parametrize("kind", [int, float])
-def test_lex_first_max_matches_brute_force(block, kind):
+def test_lex_first_max_matches_brute_force(block, kind, monkeypatch):
+    monkeypatch.setattr(caps, "_SUBSET_BLOCK", block)
     rng = np.random.default_rng(9)
     for n_items, size in [(1, 1), (5, 1), (6, 2), (7, 3), (9, 4), (8, 8), (12, 3)]:
         rows = oracle.subsets(n_items, size)
@@ -241,7 +242,7 @@ def test_lex_first_max_matches_brute_force(block, kind):
             first = int(np.flatnonzero(table == table.max())[0])
             got = lex_first_max(
                 lambda block_rows: table[[rank[r] for r in map(tuple, block_rows.tolist())]],
-                n_items, size, block)
+                n_items, size)
             assert got == (table[first].item(), tuple(rows[first].tolist()))
             assert type(got[0]) is kind
 
@@ -316,7 +317,9 @@ def test_lex_first_max_pair_sum_matches_brute_force(case):
                 chunks.append(len(totals))
                 return score(totals)
 
-            got = lex_first_max_pair_sum(d, size, counted, block)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(caps, "_LSET_BLOCK", block)
+                got = lex_first_max_pair_sum(d, size, counted)
             assert got == brute
             assert type(got[0]) is type(brute[0])
             assert max(chunks) <= block

@@ -130,7 +130,7 @@ class TestRip2:
         assert default[2][1].witness == (0, 1, 2, 3)
         # 1 << 30 rows: every size's subsets in one block
         for block in (1, 7, 1 << 30):
-            monkeypatch.setattr(certify, "_SUBSET_BLOCK", block)
+            monkeypatch.setattr(caps, "_SUBSET_BLOCK", block)
             assert reports() == default
 
     def test_order_range(self):
@@ -209,7 +209,7 @@ class TestThresholdFilter:
     def test_profile_equals_unfiltered_oracle(self, m, L, block):
         L = min(L, m.shape[1])
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(certify, "_SUBSET_BLOCK", block)
+            mp.setattr(caps, "_SUBSET_BLOCK", block)
             assert _rip_key(rip2_profile(m, L)) == _rip_key(oracle.rip2_profile(m, L))
 
     @_DIFFERENTIAL
@@ -261,7 +261,7 @@ class TestThresholdFilter:
         m = _bool_36x27()[:, :14]
         thresholds = []
         may_reach = certify._may_reach
-        monkeypatch.setattr(certify, "_SUBSET_BLOCK", 64)
+        monkeypatch.setattr(caps, "_SUBSET_BLOCK", 64)
 
         def spy(gram, rows, t, scale):
             thresholds.append(t.hex())

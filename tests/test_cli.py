@@ -398,6 +398,10 @@ _BAD_FILES = {
     "zero-width.json": json.dumps({"kind": "binary", "rows": [""]}),
     "bool-shape.json": json.dumps({"kind": "complex", "n": True, "N": True,
                                    "entries": [[1, 0]]}),
+    "bool-entries.json": json.dumps({"kind": "complex", "n": 1, "N": 2,
+                                     "entries": [[True, False], [False, True]]}),
+    "mixed-bool.json": json.dumps({"kind": "complex", "n": 1, "N": 2,
+                                   "entries": [[True, 0.5], [0.25, 0]]}),
     "empty.code": "",
     "header.code": "2 3\n",
     "short.code": "3 2\n0 1\n2\n",
@@ -560,6 +564,10 @@ class TestExitContract:
          "binary matrix rows must not be empty"),
         (["verify", "coherence", "--input", "bool-shape.json"],
          'complex matrix file needs integers "n", "N" >= 1'),
+        # np.array once read a JSON true or false as an entry of 1 or 0
+        *[(["verify", "coherence", "--input", name],
+           "complex matrix entries must be [re, im] number pairs")
+          for name in ("bool-entries.json", "mixed-bool.json")],
         (["build", "vandermonde", "--n", "0", "--cols", "4", "--out", "out.json"],
          "need at least one node and one row, got 4 nodes and 0 rows"),
         (["build", "vandermonde", "--n", "-2", "--cols", "4", "--out", "out.json"],

@@ -265,7 +265,7 @@ class TestPairwiseDistances:
 
         default = reports()
         for block in (1, 7, 1 << 30):
-            monkeypatch.setattr(codes, "_LSET_BLOCK", block)
+            monkeypatch.setattr(caps, "_LSET_BLOCK", block)
             assert reports() == default
 
     def test_lset_walk_memory_is_chunked(self):

@@ -88,11 +88,16 @@ class TestSplitSumSweep:
     def test_matches_chunked_sweep(self, c, block_elements):
         # every radius 0..n in one call, plus radii past n and below 0
         radii = list(range(-1, c.n + 3))
-        with pytest.MonkeyPatch.context() as mp:
-            # a tiny block budget puts the worst centers in later blocks
-            mp.setattr(listdecode, "_BLOCK_ELEMENTS", block_elements)
-            got = list_sizes_at_radii(c, radii)
-        assert got == _chunked_list_sizes(c, radii)
+        want = _chunked_list_sizes(c, radii)
+        # 4096 prefixes per block leave room for only a few codewords even at
+        # the default budget, so the word blocks are many there too
+        for min_prefixes in (1, listdecode._MIN_PREFIXES, 4096):
+            with pytest.MonkeyPatch.context() as mp:
+                # a tiny block budget puts the worst centers in later blocks
+                mp.setattr(listdecode, "_BLOCK_ELEMENTS", block_elements)
+                mp.setattr(listdecode, "_MIN_PREFIXES", min_prefixes)
+                got = list_sizes_at_radii(c, radii)
+            assert got == want
 
     # random slices are tested directly below, so one block size will do
     @settings(derandomize=True, max_examples=100, deadline=None)

@@ -41,6 +41,13 @@ class TestRoundtrip:
         assert payload["kind"] == "complex"
         assert np.allclose(read_matrix(path), m)
 
+    def test_literals_outside_the_entries_are_no_entries(self, tmp_path):
+        # the words true and false elsewhere in the file refuse nothing
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"kind": "complex", "n": 1, "N": 2, "note": "true or false",
+                                    "checked": False, "entries": [[1, 0], [0.5, -2]]}))
+        assert read_matrix(path).tolist() == [[1 + 0j, 0.5 - 2j]]
+
     def test_real_non_binary_goes_complex(self, tmp_path):
         m = np.array([[0.5, 1.0], [1.0, 0.0]])
         path = tmp_path / "m.json"
@@ -163,4 +170,17 @@ class TestErrors:
         path.write_text(json.dumps({"kind": "complex", "n": n, "N": cols,
                                     "entries": [[1, 0]]}))
         with pytest.raises(DomainError, match='needs integers "n", "N" >= 1'):
+            read_matrix(path)
+
+    @pytest.mark.parametrize("entries", [
+        [[True, False], [False, True]],
+        [[True, 0.5], [0.25, 0]],
+        [[1, 0], [0, False]],
+    ])
+    def test_boolean_entries(self, tmp_path, entries):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"kind": "complex", "n": 1, "N": 2,
+                                    "entries": entries}))
+        with pytest.raises(DomainError,
+                           match=r"^complex matrix entries must be \[re, im\] number pairs$"):
             read_matrix(path)
