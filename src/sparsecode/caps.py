@@ -7,8 +7,9 @@ The lex rows of each shape (n_items, size) form one read-only table per
 process, grown only as far as a walk reaches and shared by every later
 walk of that shape.  The tables together are bounded in bytes; a shape that
 does not fit is built block by block and dropped, as if there were none.
-The lex-first walks own their chunk sizes, and the pair-sum walk starts
-from the empty prefix, so that one step makes every level.
+Every walk owns its block size, so no caller passes one; the pair walk's
+memory is O(_PAIR_BLOCK * size), and the pair-sum walk starts from the
+empty prefix, so that one step makes every level.
 
 Every certifier counts its space and checks it against the cap of its kind
 before it walks: 10^7 subsets, pairs, choices or supports, 2^20 codewords,
@@ -44,6 +45,9 @@ _TABLE_BYTES = 32 << 20
 # chunk sizes of lex_first_max (subsets) and lex_first_max_pair_sum (L-subsets)
 _SUBSET_BLOCK = 1 << 9
 _LSET_BLOCK = 1 << 13
+# rows per block of lex_first_max_pair, and supports per block of supports
+_PAIR_BLOCK = 1 << 7
+_SUPPORT_BLOCK = 1 << 10
 
 
 def _resolve(default: int) -> int:
@@ -165,9 +169,9 @@ def subset_blocks(n_items: int, size: int, first: int, largest: int):
         start, block = stop, min(2 * block, largest)
 
 
-def supports(n_items: int, most: int, block: int):
+def supports(n_items: int, most: int):
     """Every support of size 0..most in range(n_items): size by size, each
-    size in lex order, as row blocks of one size and at most `block` rows.
+    size in lex order, as row blocks of one size and <= _SUPPORT_BLOCK rows.
 
     The supports are counted against the subset cap here, at the call, so a
     refusal comes before any block; the walk itself is lazy.
@@ -175,7 +179,7 @@ def supports(n_items: int, most: int, block: int):
     require(sum(math.comb(n_items, s) for s in range(most + 1)), subset_cap(),
             "supports")
     return (rows for size in range(most + 1)
-            for _, rows in subset_blocks(n_items, size, block, block))
+            for _, rows in subset_blocks(n_items, size, _SUPPORT_BLOCK, _SUPPORT_BLOCK))
 
 
 def subsets(n_items: int, size: int) -> np.ndarray:
@@ -283,19 +287,19 @@ def lex_first_max_pair_sum(d: np.ndarray, size: int, score):
     return best, witness
 
 
-def lex_first_max_pair(scores, size: int, block: int):
+def lex_first_max_pair(scores, size: int):
     """(largest score, lex-first pair attaining it) over pairs i < j of
     range(size >= 2).
 
     scores(i0, i1) returns a signed array of the scores of rows i0..i1-1
     against items i0..size-1, all >= 0; the caller may write to it.  Rows
-    go in blocks of `block`, so memory is O(block * size).  Within a block
-    the row-major argmax is the lex-first maximum, and a later block wins
-    only on a strict >.
+    go in blocks of _PAIR_BLOCK, so memory is O(_PAIR_BLOCK * size).  Within
+    a block the row-major argmax is the lex-first maximum, and a later block
+    wins only on a strict >.
     """
     best, witness = -1, (0, 1)
-    for i0 in range(0, size - 1, block):
-        i1 = min(i0 + block, size - 1)
+    for i0 in range(0, size - 1, _PAIR_BLOCK):
+        i1 = min(i0 + _PAIR_BLOCK, size - 1)
         s = scores(i0, i1)
         # only the first i1 - i0 columns hold pairs with j <= i
         s[:, :i1 - i0][np.tri(i1 - i0, dtype=bool)] = -1

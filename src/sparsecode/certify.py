@@ -28,8 +28,6 @@ RANK_TOL = 1e-9
 # rip2_profile's filter shifts its thresholds by _PD_MARGIN * s^2 * B, where
 # 2^-43 = 1024 u (u = 2^-53, the unit roundoff); the proof is in _may_reach
 _PD_MARGIN = 2.0**-43
-# set rows per block of flat_rip_constant's overlap check
-_OVERLAP_BLOCK = 1 << 8
 
 # Pinned by the pre-build polarization oracle: for unit-column matrices the
 # flat constant at order L0 never exceeds twice the RIP-2 constant at order
@@ -379,8 +377,7 @@ def flat_rip_constant(m: np.ndarray, L0: int) -> FlatRipReport:
             np.copyto(vals, -1.0, where=overlap)
             return vals
 
-        size_best, (i, j) = caps.lex_first_max_pair(disjoint_scores, len(idx),
-                                                    _OVERLAP_BLOCK)
+        size_best, (i, j) = caps.lex_first_max_pair(disjoint_scores, len(idx))
         if exact:
             size_best = size_best * unit / s
         if size_best > best:

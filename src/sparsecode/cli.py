@@ -27,7 +27,7 @@ from .embeddings import bool_code, sph_code, sph_inverse_binary
 from .errors import SparseCodeError
 
 EXHAUSTIVE_ROUNDTRIP_LIMIT = 10**5
-# supports encoded and decoded per batch in a round-trip sweep
+# support draws encoded and decoded per batch in a random round-trip sweep
 _ROUNDTRIP_BATCH = 1024
 
 
@@ -208,7 +208,7 @@ def _cmd_gt_roundtrip(args) -> tuple[dict, bool, str]:
     total = sum(math.comb(n_cols, w) for w in range(args.L + 1))
     if total <= EXHAUSTIVE_ROUNDTRIP_LIMIT:
         mode = "exhaustive"
-        batches = _indicators(n_cols, caps.supports(n_cols, args.L, _ROUNDTRIP_BATCH))
+        batches = _indicators(n_cols, caps.supports(n_cols, args.L))
     else:
         mode = "random"
         batches = _random_supports(n_cols, args.L, args.trials, args.seed)
@@ -299,7 +299,7 @@ def _cmd_pipeline(args) -> tuple[dict, bool, str]:
         n_cols = m.shape[1]
         # the round trip's walk checks its cap now, before the design and
         # disjunct walks run; a larger order is verify_disjunct's to refuse
-        walk = caps.supports(n_cols, L, _ROUNDTRIP_BATCH) if L < n_cols else ()
+        walk = caps.supports(n_cols, L) if L < n_cols else ()
         design = group_testing.verify_design(group_testing.Design(m))
         disjunct = group_testing.verify_disjunct(m, L)
         passed, failed, first_failure = _roundtrips(m, _indicators(n_cols, walk))

@@ -25,8 +25,6 @@ from .errors import (
 )
 from .words import Word, is_prime
 
-# count-matrix rows per block in _largest_count_pair and code_bias
-_COUNT_BLOCK = 128
 # a float32 sum of up to 2**24 terms of 0 or 1 is an exact integer
 _FLOAT32_TERMS = 1 << 24
 # generator draws random_linear_code_gv tries before it gives up
@@ -168,11 +166,22 @@ def _rank_mod_p(mat: np.ndarray, p: int) -> int:
     return rank
 
 
+def _span(q: int, g: np.ndarray) -> np.ndarray:
+    """Every word m*G mod q, in the product order of the messages m, within
+    the codeword cap.  Rows of G go last to first: the words so far are block
+    0, and block s is block s - 1 plus the row mod q; a sum is <= 2q - 2."""
+    caps.require(q**len(g), caps.codeword_cap(), "codewords")
+    words = np.zeros((q**len(g), g.shape[1]), dtype=np.min_scalar_type(2 * q - 2))
+    for size, row in zip(q ** np.arange(len(g)), g[::-1].astype(words.dtype)):
+        for s in range(size, q * size, size):
+            np.add(words[s - size:s], row, out=words[s:s + size])
+            words[s:s + size] %= q
+    return words
+
+
 def enumerate_codewords(lc: LinearCode) -> Code:
     """All q^k codewords m*G of a linear code."""
-    caps.require(lc.q**lc.k, caps.codeword_cap(), "codewords")
-    messages = caps.product_rows(lc.q, lc.k, 0, lc.q**lc.k)
-    return Code.from_array(lc.q, (messages @ lc.generator) % lc.q)
+    return Code.from_array(lc.q, _span(lc.q, lc.generator))
 
 
 def _symbol_columns(c: Code) -> np.ndarray:
@@ -214,7 +223,7 @@ def _largest_count_pair(m: np.ndarray) -> tuple[int, tuple[int, int]]:
     caps.require(math.comb(m.shape[1], 2), caps.subset_cap(), "pairs")
     m = m.astype(_count_dtype(len(m)))
     most, witness = caps.lex_first_max_pair(
-        lambda i0, i1: _counts(m[:, i0:i1].T, m[:, i0:]), m.shape[1], _COUNT_BLOCK)
+        lambda i0, i1: _counts(m[:, i0:i1].T, m[:, i0:]), m.shape[1])
     return int(most), witness
 
 
@@ -328,7 +337,7 @@ def code_bias(c: Code) -> float:
             total += np.abs(counts / n - 1.0 / q)
         return total
 
-    return 0.5 * caps.lex_first_max_pair(sums, size, _COUNT_BLOCK)[0]
+    return 0.5 * caps.lex_first_max_pair(sums, size)[0]
 
 
 def min_distance_epsilon(c: Code) -> float:
@@ -373,13 +382,11 @@ def random_linear_code_gv(
         raise ConstructionFailedError(
             f"rate target gives dimension {k} < 1 for q={q}, n={n}, delta={delta}"
         )
-    caps.require(q**k, caps.codeword_cap(), "codewords")
-    messages = caps.product_rows(q, k, 1, q**k)
     rng = np.random.default_rng(seed)
     target = max(delta * n - 1e-9, 1)
     for attempt in range(_RETRY_BUDGET):
         g = rng.integers(0, q, size=(k, n))
-        if ((messages @ g) % q != 0).sum(axis=1).min() >= target:
+        if (_span(q, g)[1:] != 0).sum(axis=1).min() >= target:
             return LinearCode(q, k, n, g, retries=attempt)
     raise ConstructionFailedError(
         f"no generator met distance {delta} within {_RETRY_BUDGET} tries"

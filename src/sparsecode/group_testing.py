@@ -267,7 +267,7 @@ def kautz_singleton(q: int, k: int) -> tuple[np.ndarray, dict]:
         "q": q,
         "k": k,
         "block_length": code.n,
-        "min_distance": min_distance(code).absolute if len(code) > 1 else None,
+        "min_distance": min_distance(code).absolute,
         "rows": int(matrix.shape[0]),
         "cols": int(matrix.shape[1]),
         "guaranteed_disjunct_order": int(guaranteed),

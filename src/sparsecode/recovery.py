@@ -23,10 +23,6 @@ from .errors import DomainError
 
 DECODE_TOL = 1e-8
 NODE_GAP_TOL = 1e-9
-# node rows per block of vandermonde_matrix's gap check
-_NODE_BLOCK = 1 << 8
-# supports per block of the decoder's walk
-_SUPPORT_BLOCK = 256
 # the decoder's filter (_must_solve) bounds rounding errors in units of
 # eps = _QR_MARGIN * n * s = 8192 n s u (u = 2^-53) for n rows and supports
 # of size s, and skips a support only when its residual is over accept by
@@ -72,7 +68,7 @@ def vandermonde_matrix(nodes: np.ndarray, rows: int) -> np.ndarray:
     def close(i0: int, i1: int) -> np.ndarray:
         return (np.abs(nodes[i0:i1, None] - nodes[None, i0:]) <= NODE_GAP_TOL).astype(np.int8)
 
-    if nodes.size > 1 and caps.lex_first_max_pair(close, nodes.size, _NODE_BLOCK)[0]:
+    if nodes.size > 1 and caps.lex_first_max_pair(close, nodes.size)[0]:
         raise DomainError("nodes must be pairwise distinct")
     with np.errstate(over="ignore", invalid="ignore"):
         powers = nodes[None, :] ** np.arange(rows)[:, None]
@@ -199,7 +195,7 @@ def cs_decode_exhaustive(m: np.ndarray, y: np.ndarray, L: int) -> RecoveryResult
     accept = DECODE_TOL * (1.0 + beta)
     m_y = np.vstack((m.T, y))  # row j is column j of m, and the last row is y
     tried = 0
-    for rows in caps.supports(n_cols, L, _SUPPORT_BLOCK):
+    for rows in caps.supports(n_cols, L):
         for k in np.flatnonzero(_must_solve(m_y, rows, accept, beta, col_sq)):
             support = tuple(rows[k].tolist())
             if support:

@@ -195,7 +195,8 @@ def test_supports_match_combinations_size_by_size(monkeypatch, data):
     want = [s for size in range(most + 1) for s in combinations(range(n_items), size)]
     monkeypatch.delenv("SPARSECODE_CAP", raising=False)
     for block in (1, 7, 1 << 30):
-        blocks = list(supports(n_items, most, block))
+        monkeypatch.setattr(caps, "_SUPPORT_BLOCK", block)
+        blocks = list(supports(n_items, most))
         # each block is one size's rows, never empty and at most `block` of them
         assert all(rows.dtype == np.int64 and rows.ndim == 2 and 1 <= len(rows) <= block
                    for rows in blocks)
@@ -206,7 +207,9 @@ def test_supports_match_combinations_size_by_size(monkeypatch, data):
         # refused at the call, before any block is asked for
         with pytest.raises(EnumerationCapError,
                            match=f"^{len(want)} supports exceed cap {cap}$"):
-            supports(n_items, most, data.draw(st.sampled_from([1, 7, 1 << 30])))
+            monkeypatch.setattr(caps, "_SUPPORT_BLOCK",
+                                data.draw(st.sampled_from([1, 7, 1 << 30])))
+            supports(n_items, most)
 
 
 @pytest.mark.parametrize("q, length", [(2, 0), (2, 1), (2, 5), (3, 4), (5, 3), (13, 2)])
@@ -248,7 +251,8 @@ def test_lex_first_max_matches_brute_force(block, kind, monkeypatch):
 
 
 @pytest.mark.parametrize("block", [1, 2, 7, 100])
-def test_lex_first_max_pair_matches_brute_force(block):
+def test_lex_first_max_pair_matches_brute_force(block, monkeypatch):
+    monkeypatch.setattr(caps, "_PAIR_BLOCK", block)
     rng = np.random.default_rng(5)
     for size in (2, 3, 8, 21):
         # few distinct values, so the maximum is tied across blocks
@@ -256,20 +260,21 @@ def test_lex_first_max_pair_matches_brute_force(block):
         table = table + table.T
         brute = max(combinations(range(size), 2),
                     key=lambda p: (table[p], -p[0], -p[1]))
-        got = lex_first_max_pair(lambda i0, i1: table[i0:i1, i0:].copy(), size, block)
+        got = lex_first_max_pair(lambda i0, i1: table[i0:i1, i0:].copy(), size)
         assert got == (int(table[brute]), brute)
         assert type(got[0]) is int
 
 
 @pytest.mark.parametrize("block", [1, 2, 7, 100])
-def test_lex_first_max_pair_float_scores(block):
+def test_lex_first_max_pair_float_scores(block, monkeypatch):
+    monkeypatch.setattr(caps, "_PAIR_BLOCK", block)
     rng = np.random.default_rng(6)
     for size in (2, 3, 8, 21):
         table = rng.integers(0, 3, size=(size, size)) / 7
         table = table + table.T
         brute = max(combinations(range(size), 2),
                     key=lambda p: (table[p], -p[0], -p[1]))
-        got = lex_first_max_pair(lambda i0, i1: table[i0:i1, i0:].copy(), size, block)
+        got = lex_first_max_pair(lambda i0, i1: table[i0:i1, i0:].copy(), size)
         assert got == (table[brute].item(), brute)
         assert type(got[0]) is float
 

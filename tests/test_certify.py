@@ -403,7 +403,7 @@ class TestFlatRip:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * certify._OVERLAP_BLOCK * k
+        assert peak < 16 * caps._PAIR_BLOCK * k
 
     _SIGNS = np.random.default_rng(33).choice([-1.0, 1.0], size=(16, 20))
 
@@ -531,7 +531,7 @@ class TestAgainstLoopOracles:
         # 1 << 30 rows: every size's K rows in one block; 1 row: the exact
         # path's products are BLAS gemv, and must not change either
         for block in (1, 7, 1 << 30):
-            monkeypatch.setattr(certify, "_OVERLAP_BLOCK", block)
+            monkeypatch.setattr(caps, "_PAIR_BLOCK", block)
             assert reports() == default
 
 

@@ -269,7 +269,7 @@ class TestRoundtripBatches:
     @pytest.mark.parametrize("batch", [1, 7, None])
     def test_exhaustive_matches_per_support_loop(self, monkeypatch, batch):
         if batch is not None:
-            monkeypatch.setattr(cli, "_ROUNDTRIP_BATCH", batch)
+            monkeypatch.setattr(caps, "_SUPPORT_BLOCK", batch)
         rng = np.random.default_rng(23)
         cases = [(kautz_singleton(5, 2)[0], 3), (np.eye(5, dtype=np.int64), 5)]
         for _ in range(6):
@@ -280,7 +280,7 @@ class TestRoundtripBatches:
             n_cols = m.shape[1]
             supports = chain.from_iterable(combinations(range(n_cols), w)
                                            for w in range(L + 1))
-            walk = caps.supports(n_cols, L, cli._ROUNDTRIP_BATCH)
+            walk = caps.supports(n_cols, L)
             got = cli._roundtrips(m, cli._indicators(n_cols, walk))
             assert got == _loop_roundtrips(m, supports)
             failures += got[1] > 0

@@ -123,7 +123,7 @@ class TestMinDistance:
     @pytest.mark.parametrize("block", [1, 7, None])
     def test_matches_full_distance_matrix(self, monkeypatch, block):
         if block is not None:
-            monkeypatch.setattr(codes, "_COUNT_BLOCK", block)
+            monkeypatch.setattr(caps, "_PAIR_BLOCK", block)
         rng = np.random.default_rng(17)
         cases = [reed_solomon(5, 2), reed_solomon(7, 2),
                  _code(2, (0, 0), (0, 1), (1, 0), (1, 1))]
@@ -494,6 +494,28 @@ class TestGvConstruction:
     def test_zero_slack_samples_at_the_gv_dimension(self):
         # floor((1 - h_2(0.1)) * 10) = 5
         assert random_linear_code_gv(2, 10, 0.1, seed=0, slack=0.0).k == 5
+
+    def test_largest_desk_draw_keeps_its_generator(self):
+        # k = 18: two draws rejected, the third accepted, as by the message product
+        lc = random_linear_code_gv(2, 20, 0, 3)
+        rng = np.random.default_rng(3)
+        draws = [rng.integers(0, 2, size=(18, 20)) for _ in range(3)]
+        assert (lc.k, lc.retries) == (18, 2)
+        assert np.array_equal(lc.generator, draws[2])
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 13, 131, 257])
+def test_span_is_every_message_times_the_generator(q):
+    # a sum of two symbols passes 255 at q >= 129, so 8 bits would wrap there
+    rng = np.random.default_rng(q)
+    for k in range(1, 13):
+        if q**k > 1 << 12:
+            break
+        for n in (1, 2, 5):
+            g = rng.integers(0, q, size=(k, n))
+            g[:, 0] = q - 1  # the largest symbol, whose sums overflow first
+            messages = np.array(list(product(range(q), repeat=k)), dtype=np.int64)
+            assert codes._span(q, g).tolist() == ((messages @ g) % q).tolist()
 
 
 def _gv_outcome(sample, *args):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import scalar_oracles as oracle
 import sparsecode
-from sparsecode import codes
+from sparsecode import caps, codes
 from sparsecode.certify import flat_rip_constant
 from sparsecode.codes import Code, code_bias, min_distance, reed_solomon
 from sparsecode.embeddings import bool_code, sph_code
@@ -163,7 +163,7 @@ class TestAgainstIntegerOracles:
     @given(c=_codes(alphabets=range(2, 14), longest=24))
     def test_code_bias(self, c, block):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(codes, "_COUNT_BLOCK", block)
+            mp.setattr(caps, "_PAIR_BLOCK", block)
             assert code_bias(c).hex() == oracle.code_bias(c).hex()
 
     @_DIFFERENTIAL

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import scalar_oracles as oracle
 from scalar_oracles import hamming_distance
-from sparsecode import caps, codes, group_testing
+from sparsecode import caps, group_testing
 from sparsecode.codes import Code, min_distance, random_balanced_code, reed_solomon
 from sparsecode.embeddings import bool_code
 from sparsecode.errors import DomainError, EnumerationCapError
@@ -69,7 +69,7 @@ def _from_sets(ground_size, set_size, sets):
 def _set_blocks(monkeypatch, size):
     for name in ("_TUPLE_BLOCK_FIRST", "_TUPLE_BLOCK_MAX", "_BOUND_BLOCK"):
         monkeypatch.setattr(group_testing, name, size)
-    monkeypatch.setattr(codes, "_COUNT_BLOCK", size)
+    monkeypatch.setattr(caps, "_PAIR_BLOCK", size)
 
 
 @st.composite
@@ -191,7 +191,7 @@ class TestVerifyDesignKernel:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data(), block=st.sampled_from([1, 7, 128]))
     def test_matches_pairwise_loop(self, monkeypatch, data, block):
-        monkeypatch.setattr(codes, "_COUNT_BLOCK", block)
+        monkeypatch.setattr(caps, "_PAIR_BLOCK", block)
         ground = data.draw(st.integers(1, 12))
         size = data.draw(st.integers(0, ground))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))

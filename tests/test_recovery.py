@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_oracles as oracle
-from sparsecode import cli, recovery
+from sparsecode import caps, cli, recovery
 from sparsecode.errors import DomainError, EnumerationCapError
 from sparsecode.matrixio import write_matrix
 from sparsecode.recovery import (
@@ -75,7 +75,7 @@ class TestVandermonde:
 
     @pytest.mark.parametrize("block", [1, 7, 256])
     def test_gap_check_matches_dense_oracle(self, monkeypatch, block):
-        monkeypatch.setattr(recovery, "_NODE_BLOCK", block)
+        monkeypatch.setattr(caps, "_PAIR_BLOCK", block)
         rng = np.random.default_rng(block)
         for _ in range(200):
             N = int(rng.integers(1, 40))
@@ -252,7 +252,7 @@ class TestDecode:
     @pytest.mark.parametrize("block", [1, 7, 256])
     def test_block_size_changes_no_report(self, monkeypatch, block):
         # the filter decides per block of supports
-        monkeypatch.setattr(recovery, "_SUPPORT_BLOCK", block)
+        monkeypatch.setattr(caps, "_SUPPORT_BLOCK", block)
         self.test_matches_itertools_oracle()
 
 
