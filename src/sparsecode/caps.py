@@ -1,7 +1,8 @@
 """Enumeration caps guarding exhaustive certifiers, and the enumeration
 orders they rest on: lex subset order, walked as rows or as prefixes that
 carry pair sums, the one lex-first tie-break they share, and the product
-order of messages and centers.
+order of list-decoding centers (a linear code's words come from its span in
+`codes`).
 
 The lex rows of each shape (n_items, size) form one read-only table per
 process, grown only as far as a walk reaches and shared by every later

@@ -2,7 +2,7 @@
 
 The spherical map sends symbol s to zeta^s / sqrt(n) with zeta a primitive
 q-th root of unity, so columns are unit vectors.  The Boolean map replaces
-each symbol by the matching standard basis vector of {0,1}^q.
+each symbol by the matching standard basis vector of {0,1}^q, held as bools.
 """
 
 from __future__ import annotations
@@ -34,8 +34,9 @@ def sph_word(c: Word) -> np.ndarray:
 
 
 def bool_word(c: Word) -> np.ndarray:
-    """0/1 embedding of a word, length q*n, one 1 per q-block."""
-    return _one_hot(c.q, np.array(c.symbols, dtype=np.int64)).astype(np.int64)
+    """Bool 0/1 embedding of a word, length q*n, one True per q-block;
+    cast before `@` for integer products."""
+    return _one_hot(c.q, np.array(c.symbols, dtype=np.int64))
 
 
 def sph_code(c: Code) -> np.ndarray:
@@ -44,8 +45,9 @@ def sph_code(c: Code) -> np.ndarray:
 
 
 def bool_code(c: Code, normalize: bool = False) -> np.ndarray:
-    """qn x |C| matrix of Boolean embeddings; unit columns when normalized."""
-    m = _one_hot(c.q, _symbol_columns(c)).astype(np.int64)
+    """qn x |C| bool matrix of Boolean embeddings; unit float columns when
+    normalized.  Cast before `@` for integer products."""
+    m = _one_hot(c.q, _symbol_columns(c))
     if normalize:
         return m / math.sqrt(c.n)
     return m

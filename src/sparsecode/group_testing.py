@@ -14,7 +14,8 @@ instead of C(N-1, L) L-sets, and `subsets_checked` still counts them all;
 `verify_disjunct` gives the proof and when the bound is computed.
 
 A design is its incidence matrix and is built only from it, `Design(m)`;
-`design_from_code` is `Design` of the code's Boolean embedding.
+`design_from_code` is `Design` of the code's Boolean embedding.  Every 0/1
+array made here is bool.
 """
 
 from __future__ import annotations
@@ -224,29 +225,31 @@ def verify_disjunct(m: np.ndarray, L: int) -> DisjunctReport:
 def gt_encode(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     """OR-channel measurement: y(i) = OR_j (M[i,j] AND x[j]).
 
-    x is one 0/1 input of length N or a batch of shape (B, N); y has the
-    matching shape (rows,) or (B, rows).
+    x is one 0/1 input of length N or a batch of shape (B, N); y is bool,
+    of the matching shape (rows,) or (B, rows): cast it before `@` for
+    integer products.
     """
     b = as_binary(m)
     x = _zero_one(x, "x")
     if x.ndim not in (1, 2) or x.shape[-1] != b.shape[1]:
         raise DomainError(f"x must have length {b.shape[1]}")
-    return (_counts(x, b.T) > 0).astype(np.int64)
+    return _counts(x, b.T) > 0
 
 
 def gt_decode_cover(m: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Cover decoder: item j present iff all tests containing j are positive.
 
     y is one 0/1 measurement of length rows or a batch of shape (B, rows).
-    The output always contains the true support; for an L-disjunct matrix
-    and inputs of weight <= L it equals it.
+    The output is bool, of shape (N,) or (B, N): cast it before `@` for
+    integer products.  It always contains the true support; for an
+    L-disjunct matrix and inputs of weight <= L it equals it.
     """
     b = as_binary(m)
     y = _zero_one(y, "y")
     if y.ndim not in (1, 2) or y.shape[-1] != b.shape[0]:
         raise DomainError(f"y must have length {b.shape[0]}")
     # item j is out iff some negative test contains it
-    return (_counts(~y, b) == 0).astype(np.int64)
+    return _counts(~y, b) == 0
 
 
 def kautz_singleton(q: int, k: int) -> tuple[np.ndarray, dict]:
@@ -254,8 +257,8 @@ def kautz_singleton(q: int, k: int) -> tuple[np.ndarray, dict]:
 
     The Boolean embedding of the code is the incidence matrix of its design.
 
-    Yields a q^2 x q^k binary matrix that is L-disjunct for every L with
-    L * k < q.
+    Yields a q^2 x q^k bool matrix that is L-disjunct for every L with
+    L * k < q; cast it before `@` for integer products.
     """
     code = reed_solomon(q, k)
     matrix = bool_code(code)

@@ -39,6 +39,8 @@ def write_matrix(m: np.ndarray, path: str | Path) -> None:
 
 
 def read_matrix(path: str | Path) -> np.ndarray:
+    """A binary file's matrix as bools (cast before `@` for integer
+    products), a complex file's as complex128; a malformed file is refused."""
     text = Path(path).read_text()
     try:
         payload = json.loads(text)
@@ -62,7 +64,7 @@ def read_matrix(path: str | Path) -> np.ndarray:
         m = (np.frombuffer(data, dtype=np.uint8) - _ZERO).reshape(len(rows), len(rows[0]))
         if (m > 1).any():  # below "0" wraps around to > 1
             raise DomainError("binary matrix entries must be 0 or 1")
-        return m.astype(np.int64)
+        return m == 1
     if kind == "complex":
         n, cols = payload.get("n"), payload.get("N")
         # type(...) is int: a JSON true or false is a bool, which isinstance takes as int

@@ -102,7 +102,7 @@ def test_embeddings_match_word_chain(case):
     c = Code.from_array(q, rows)
     words = tuple(c)
     _same_matrix(sph_code(c), oracle.sph_code(words))
-    _same_matrix(bool_code(c), oracle.bool_code(words))
+    _same_matrix(bool_code(c), oracle.bool_code(words).astype(bool))
     _same_matrix(bool_code(c, normalize=True), oracle.bool_code(words, normalize=True))
 
 

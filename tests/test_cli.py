@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import sparsecode
 from sparsecode import caps, cli
 from sparsecode.cli import main
-from sparsecode.codes import read_code_file
+from sparsecode.codes import Code, read_code_file
 from sparsecode.embeddings import sph_code
 from sparsecode.group_testing import kautz_singleton
 from sparsecode.matrixio import read_matrix, write_matrix
@@ -370,6 +370,23 @@ def test_design_paths_never_import_numpy_ma(tmp_path, argv):
     assert done.stdout.split() == ["0", "False"], done.stderr
 
 
+# runs each argv of a JSON list in this one process; prints [exit code,
+# stdout with elapsed_ms masked] per argv
+_MASKED_RUNS = """
+import contextlib, io, json, sys
+from sparsecode.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    report = json.loads(out.getvalue())
+    report["elapsed_ms"] = None
+    runs.append([code, json.dumps(report)])
+print(json.dumps(runs))
+"""
+
+
 class TestDeterminism:
     def test_gv_rip_repeated_runs_identical(self, capsys):
         argv = ["pipeline", "gv-rip", "--q", "2", "--n", "12",
@@ -383,6 +400,33 @@ class TestDeterminism:
         _, a, _ = run(capsys, *argv)
         _, b, _ = run(capsys, *argv)
         assert strip_elapsed(a) == strip_elapsed(b)
+
+    def test_reports_do_not_depend_on_blas_threads(self, tmp_path):
+        rng = np.random.default_rng(5)
+        argvs = []
+        for q, n, size in ((2, 10, 24), (2, 14, 30), (2, 7, 40), (3, 8, 30)):
+            picks = rng.choice(q**n, size=size, replace=False)
+            words = picks[:, None] // q ** np.arange(n - 1, -1, -1) % q
+            path = str(tmp_path / f"sph_{q}_{n}_{size}.json")
+            write_matrix(sph_code(Code.from_array(q, words)), path)
+            argvs += [["verify", "coherence", "--input", path],
+                      ["verify", "rip2", "--input", path, "--L", "3"],
+                      ["verify", "flat-rip", "--input", path, "--L", "2"],
+                      ["verify", "kernel", "--input", path, "--L", "2"]]
+        argvs += [["pipeline", "gv-rip", "--q", "2", "--n", "20", "--delta", "0.2",
+                   "--seed", str(seed), "--L", "4"] for seed in range(4)]
+
+        def outputs(threads):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=str(Path(sparsecode.__file__).parents[1]))
+            done = subprocess.run([sys.executable, "-c", _MASKED_RUNS, json.dumps(argvs)],
+                                  env=env, capture_output=True, text=True, check=True)
+            return json.loads(done.stdout)
+
+        one = outputs("1")
+        assert len(one) == len(argvs) == 20
+        assert all(out and code in (0, 1) for code, out in one)
+        assert outputs("2") == one
 
 
 # files for the exit-contract and fuzz tests, by name; "ks.json" is KS(5,2)

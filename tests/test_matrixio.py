@@ -29,7 +29,7 @@ class TestRoundtrip:
         rows = ["".join(str(int(v)) for v in row) for row in m]
         assert path.read_text() == json.dumps({"kind": "binary", "rows": rows}) + "\n"
         back = read_matrix(path)
-        assert back.dtype == np.int64
+        assert back.dtype == bool
         assert np.array_equal(back, m)
 
     def test_complex_matrix(self, tmp_path):
