@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import caps
-from .codes import _counts
+from .codes import Report, _counts
 from .errors import DomainError, PreconditionError
 
 UNIT_NORM_TOL = 1e-9
@@ -51,76 +51,51 @@ def bias_factor_from_flat(L: int) -> float:
 
 
 @dataclass(frozen=True)
-class CoherenceReport:
+class CoherenceReport(Report):
+    _property = "coherence"
+    _keys = {"value": "constant", "pairs_checked": "subsets_checked"}
+
     value: float
     witness: tuple[int, int]
     max_norm_deviation: float
     pairs_checked: int
 
-    def to_dict(self) -> dict:
-        return {
-            "property": "coherence",
-            "constant": self.value,
-            "witness": list(self.witness),
-            "max_norm_deviation": self.max_norm_deviation,
-            "subsets_checked": self.pairs_checked,
-        }
-
 
 @dataclass(frozen=True)
-class RipReport:
+class RipReport(Report):
+    _property = "rip2"
+    _keys = {"alpha": "constant", "witness_subset": "witness"}
+
     order: int
     alpha: float
     witness_subset: tuple[int, ...]
     subsets_checked: int
 
-    def to_dict(self) -> dict:
-        return {
-            "property": "rip2",
-            "order": self.order,
-            "constant": self.alpha,
-            "witness": list(self.witness_subset),
-            "subsets_checked": self.subsets_checked,
-        }
-
 
 @dataclass(frozen=True)
-class FlatRipReport:
+class FlatRipReport(Report):
+    _property = "flat-rip"
+    _keys = {"pairs_checked": "subsets_checked"}
+    # a report exists only for unit-norm columns; the key stays until the
+    # bench references are re-recorded
+    _after = {"witness": {"unit_norm_ok": True}}
+
     order: int
     constant: float
     witness: tuple[tuple[int, ...], tuple[int, ...]]
     pairs_checked: int
 
-    def to_dict(self) -> dict:
-        return {
-            "property": "flat-rip",
-            "order": self.order,
-            "constant": self.constant,
-            "witness": [list(self.witness[0]), list(self.witness[1])],
-            # a report exists only for unit-norm columns; the key stays until
-            # the bench references are re-recorded
-            "unit_norm_ok": True,
-            "subsets_checked": self.pairs_checked,
-        }
-
 
 @dataclass(frozen=True)
-class KernelReport:
-    injective: bool
+class KernelReport(Report):
+    _property = "kernel"
+    _keys = {"min_singular_value": "constant"}
+
     order: int
     min_singular_value: float
+    injective: bool
     witness: tuple[int, ...] | None
     subsets_checked: int
-
-    def to_dict(self) -> dict:
-        return {
-            "property": "kernel",
-            "order": self.order,
-            "constant": self.min_singular_value,
-            "injective": self.injective,
-            "witness": None if self.witness is None else list(self.witness),
-            "subsets_checked": self.subsets_checked,
-        }
 
 
 def as_finite(a, what: str) -> np.ndarray:
@@ -397,7 +372,7 @@ def kernel_injectivity(m: np.ndarray, L: int) -> KernelReport:
     caps.require(math.comb(n_cols, s), caps.subset_cap(), "subsets")
     if s > n_rows:
         # more columns than rows: rank deficiency is certain
-        return KernelReport(False, L, 0.0, tuple(range(s)), 1)
+        return KernelReport(L, 0.0, False, tuple(range(s)), 1)
 
     def negated_sigma_min(rows: np.ndarray) -> np.ndarray:
         cols = np.transpose(m[:, rows], (1, 0, 2))  # (K, n, s)
@@ -408,6 +383,6 @@ def kernel_injectivity(m: np.ndarray, L: int) -> KernelReport:
     worst = -least
     injective = worst > RANK_TOL
     return KernelReport(
-        injective, L, worst, None if injective else witness, math.comb(n_cols, s)
+        L, worst, injective, None if injective else witness, math.comb(n_cols, s)
     )
 

@@ -105,6 +105,34 @@ class Code:
         return self._rows
 
 
+def _json_value(v):
+    """A report value as JSON: tuples as lists at any depth, a Word as its
+    symbols, anything else as it is."""
+    if isinstance(v, Word):
+        v = v.symbols
+    return [_json_value(x) for x in v] if isinstance(v, tuple) else v
+
+
+@dataclass(frozen=True)
+class Report:
+    """A certifier's result, serialised by one rule.
+
+    A subclass names its property in `_property`, maps a field to a JSON key
+    that differs from its name in `_keys`, and puts fixed entries after a
+    field in `_after`; the keys come in field order, after "property".
+    """
+
+    _keys = {}
+    _after = {}
+
+    def to_dict(self) -> dict:
+        out = {"property": self._property}
+        for f in fields(self):
+            out[self._keys.get(f.name, f.name)] = _json_value(getattr(self, f.name))
+            out.update(self._after.get(f.name, {}))
+        return out
+
+
 @dataclass(frozen=True)
 class DistanceReport:
     """Extremal (average) distance with the subset attaining it.

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import caps
-from .codes import Code, _counts, _largest_count_pair, min_distance, reed_solomon
+from .codes import Code, Report, _counts, _largest_count_pair, min_distance, reed_solomon
 from .embeddings import bool_code
 from .errors import DomainError
 
@@ -78,38 +78,25 @@ class Design:
 
 
 @dataclass(frozen=True)
-class DesignReport:
+class DesignReport(Report):
+    _property = "design"
+    _keys = {"ground_size": "n", "set_size": "n_prime", "max_intersection": "r"}
+
     ground_size: int
     set_size: int
     max_intersection: int
     witness: tuple[int, int] | None
 
-    def to_dict(self) -> dict:
-        return {
-            "property": "design",
-            "n": self.ground_size,
-            "n_prime": self.set_size,
-            "r": self.max_intersection,
-            "witness": None if self.witness is None else list(self.witness),
-        }
-
 
 @dataclass(frozen=True)
-class DisjunctReport:
+class DisjunctReport(Report):
+    _property = "disjunct"
+    _keys = {"tuples_checked": "subsets_checked"}
+
     order: int
     disjunct: bool
     witness: tuple[int, tuple[int, ...]] | None  # (covered column, covering set)
     tuples_checked: int
-
-    def to_dict(self) -> dict:
-        return {
-            "property": "disjunct",
-            "order": self.order,
-            "disjunct": self.disjunct,
-            "witness": None if self.witness is None
-            else [self.witness[0], list(self.witness[1])],
-            "subsets_checked": self.tuples_checked,
-        }
 
 
 def _zero_one(a, what: str) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import caps
-from .codes import Code, _counts, _one_hot, lwise_distance
+from .codes import Code, Report, _counts, _one_hot, lwise_distance
 from .errors import DomainError
 from .words import Word
 
@@ -29,22 +29,14 @@ _MIN_PREFIXES = 16
 
 
 @dataclass(frozen=True)
-class ListDecodingReport:
+class ListDecodingReport(Report):
+    _property = "list-decode"
+
     radius: float
     absolute_radius: int
     max_list_size: int
     worst_center: Word
     centers_checked: int
-
-    def to_dict(self) -> dict:
-        return {
-            "property": "list-decode",
-            "radius": self.radius,
-            "absolute_radius": self.absolute_radius,
-            "max_list_size": self.max_list_size,
-            "worst_center": list(self.worst_center.symbols),
-            "centers_checked": self.centers_checked,
-        }
 
 
 @dataclass(frozen=True)

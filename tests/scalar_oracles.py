@@ -509,7 +509,7 @@ def kernel_injectivity(m: np.ndarray, L: int) -> KernelReport:
     n_rows, n_cols = m.shape
     s = min(2 * L, n_cols)
     if s > n_rows:
-        return KernelReport(False, L, 0.0, tuple(range(s)), 1)
+        return KernelReport(L, 0.0, False, tuple(range(s)), 1)
     idx = subsets(n_cols, s)
     worst = math.inf
     worst_witness: tuple[int, ...] | None = None
@@ -524,7 +524,7 @@ def kernel_injectivity(m: np.ndarray, L: int) -> KernelReport:
             worst_witness = tuple(int(i) for i in part[pos])
     injective = worst > RANK_TOL
     return KernelReport(
-        injective, L, worst, None if injective else worst_witness, len(idx)
+        L, worst, injective, None if injective else worst_witness, len(idx)
     )
 
 

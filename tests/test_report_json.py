@@ -5,11 +5,13 @@ output is a line of text, so these compare the text.  Each `verify`
 property runs on small fixed inputs (a binary code of length 4, its
 spherical and Boolean embeddings, and a 2 x 3 matrix whose column 1 covers
 column 0), with `elapsed_ms` masked.  The Johnson and converse reports are
-pinned with and without their `radius` key.
+pinned with and without their `radius` key.  The README's table of
+report keys is the pinned order.
 """
 
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,3 +119,15 @@ def test_verify_stdout_text(capsys, inputs, argv, exit_code, stdout):
                               "converse", "converse-not-applicable"])
 def test_implication_report_text(check, text):
     assert json.dumps(check().to_dict()) == text
+
+
+def test_readme_key_table_is_the_pinned_order():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = readme[readme.index("| property | report keys |\n"):].split("\n\n")[0]
+    table = dict(re.findall(r"^\| `([^`]*)` \| `([^`]*)` \|$", rows, re.M))
+    pinned = {}
+    for argv, _, stdout in VERIFY:
+        keys = list(json.loads(stdout))
+        assert keys[-3:] == ["threshold", "pass", "elapsed_ms"]
+        pinned[argv[0]] = " ".join(keys[:-3])
+    assert table == pinned
