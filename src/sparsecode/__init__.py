@@ -63,6 +63,7 @@ from .recovery import (
     unit_circle_nodes,
     cs_encode,
     cs_decode_exhaustive,
+    cs_decode_batch,
     uniqueness_certificate,
 )
 from .matrixio import read_matrix, write_matrix

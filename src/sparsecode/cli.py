@@ -27,7 +27,8 @@ from .embeddings import bool_code, sph_code, sph_inverse_binary
 from .errors import SparseCodeError
 
 EXHAUSTIVE_ROUNDTRIP_LIMIT = 10**5
-# support draws encoded and decoded per batch in a random round-trip sweep
+# support draws encoded and decoded per batch in a random round-trip sweep,
+# and cs-roundtrip trials per call of the batch decoder
 _ROUNDTRIP_BATCH = 1024
 
 
@@ -231,16 +232,24 @@ def _cmd_cs_roundtrip(args) -> tuple[dict, bool, str]:
     rng = np.random.default_rng(args.seed)
     max_err = 0.0
     failures = 0
-    for _ in range(args.trials):
-        x = np.zeros(n_cols, dtype=np.complex128)
-        for pos in sorted(_draw_support(rng, n_cols, args.L)):
-            x[pos] = complex(rng.normal(), rng.normal())
-        y = recovery.cs_encode(m, x)
-        result = recovery.cs_decode_exhaustive(m, y, args.L)
-        if not result.success:
-            failures += 1
-            continue
-        max_err = max(max_err, float(np.abs(result.estimate - x).max()))
+    for start in range(0, args.trials, _ROUNDTRIP_BATCH):
+        xs, ys = [], []
+        for _ in range(min(_ROUNDTRIP_BATCH, args.trials - start)):
+            x = np.zeros(n_cols, dtype=np.complex128)
+            for pos in sorted(_draw_support(rng, n_cols, args.L)):
+                x[pos] = complex(rng.normal(), rng.normal())
+            try:
+                ys.append(recovery.cs_encode(m, x))
+            except SparseCodeError:
+                if ys:  # earlier trials are refused first, as when decoded one by one
+                    recovery.cs_decode_batch(m, np.array(ys), args.L)
+                raise
+            xs.append(x)
+        for x, result in zip(xs, recovery.cs_decode_batch(m, np.array(ys), args.L)):
+            if not result.success:
+                failures += 1
+                continue
+            max_err = max(max_err, float(np.abs(result.estimate - x).max()))
     report = {
         "property": "cs-roundtrip",
         "order": args.L,

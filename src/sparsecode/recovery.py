@@ -4,10 +4,13 @@ Measurement matrices are Vandermonde by default (unit-circle nodes keep
 them well conditioned); decoding tries every support of size up to L in
 canonical order and accepts the first least-squares fit whose residual is
 at most DECODE_TOL * (1 + ||y||).
-A certified filter goes first: one batched QR per block of supports proves
-most of them unable to fit (`_must_solve`) and skips them; every other
-support, in order, takes the least-squares solve and the acceptance test
-that decide the result.
+`cs_decode_batch` decodes a stack of measurements in one walk of the
+supports, and `cs_decode_exhaustive` is its one-row call.  A certified
+filter goes first: per block of supports, one batched QR of the A_S, shared
+by every measurement not yet decoded, proves most (support, measurement)
+pairs unable to fit (`_must_solve`) and skips them; every other pair, in
+order, takes the least-squares solve and the acceptance test that decide
+the result, and a measurement leaves the walk at its first fit.
 """
 
 from __future__ import annotations
@@ -29,6 +32,10 @@ NODE_GAP_TOL = 1e-9
 # 2^14 eps (||y|| + accept) and its sigma_min is proved >= _COND * ||A_S||_F
 _QR_MARGIN = 2.0**-40
 _COND = 2.0**-10
+# the filter slices its stacks of supports and measurements so that none
+# holds more than this many complex entries (1 MiB); it runs only where one
+# support's n x s stack fits
+_RESIDUAL_ENTRIES = 2**16
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,33 +106,44 @@ def _norm(v: np.ndarray) -> float:
     return plain
 
 
-def _must_solve(m_y: np.ndarray, rows: np.ndarray, accept: float, beta: float,
-                col_sq: np.ndarray) -> np.ndarray:
-    """False for each support of `rows` whose computed least-squares
-    residual is proved above `accept` without a solve; beta = ||y|| and
-    col_sq holds the squared column norms of m, all as computed.
+def _must_solve(m_t: np.ndarray, rows: np.ndarray, ys: np.ndarray, live: np.ndarray,
+                beta: np.ndarray, accept: np.ndarray, col_sq: np.ndarray) -> np.ndarray:
+    """(K, T) bools over the K supports of `rows` and the T measurements
+    ys[live]: False where the support's computed least-squares residual for
+    that measurement is proved above its accept without a solve.  m_t is m
+    transposed, beta and accept are per measurement of ys[live], col_sq
+    holds the squared column norms of m, all as computed.
 
     The proof.  Take a support S of size s, 1 <= s < n = len(y), with A =
     m[:, S] and a^2 = sum of col_sq over S (so a = ||A||_F up to rounding),
-    let u = 2^-53 and eps = _QR_MARGIN * n * s = 8192 n s u.  The filter runs
-    only where n s <= 2^20, so eps <= 2^-20, and where beta and a lie in
-    [2^-400, 2^400]: no step below overflows, and with gradual underflow
-    every underflow errs by < 2^-1000 absolutely, or < 2^-500 inside a
-    norm, far below each bound here.  Every bound below is many times the
-    one its reference proves, as in `certify._may_reach`.
-     1. Householder QR of [A y] (Higham, Accuracy and Stability of Numerical
-        Algorithms, 2nd ed., Thm 19.4, with complex arithmetic's constants)
-        computes R' = [[R~, z], [0, rho']] with [A + dA, y + dy] = Q1 R' for
-        Q1 the first s + 1 columns of an exactly unitary matrix, where
-        ||dA||_F <= eps a and ||dy|| <= eps beta.  So A + dA = Q1[:, :s] R~
-        and, for every c, ||(y + dy) - (A + dA) c|| >= |rho'|, with equality
-        at the least-squares fit.  r~ = |rho'| as computed, within 2u of it.
+    and a measurement y with beta = ||y||; let u = 2^-53 and eps = _QR_MARGIN
+    * n * s = 8192 n s u.  The filter runs only where n s <= 2^16 =
+    _RESIDUAL_ENTRIES, so eps <= 2^-24 and s < 2^8, and where beta and a
+    lie in [2^-400, 2^400]: no step below overflows, and with gradual
+    underflow every underflow errs by < 2^-1000 absolutely, or < 2^-500
+    inside a norm, far below each bound here.  Every bound below is many
+    times the one its reference proves, as in `certify._may_reach`.
+     1. Householder QR of A (Higham, Accuracy and Stability of Numerical
+        Algorithms, 2nd ed., Thm 19.4 and the bound on the explicitly
+        formed factor that follows it, with complex arithmetic's constants)
+        computes R~ with A + dA = Q1 R~ for Q1 the first s columns of an
+        exactly unitary matrix, where ||dA||_F <= eps a, and Q~ = Q1 + dQ
+        whose columns are each within eps of Q1's, so ||dQ|| <= sqrt(s) eps
+        <= 2^4 eps.  Let d = ||y - Q1 Q1^H y||, the distance from
+        y to range(Q1), which holds range(A + dA); so for every c, ||y -
+        (A + dA) c|| >= d.  The filter computes r~ = ||y - Q~ (Q~^H y)||
+        with two products, a subtraction and a norm.  Q~ Q~^H is within 3
+        ||dQ|| of Q1 Q1^H, each product errs by at most (n + 2) u sqrt(2s)
+        (1 + ||dQ||) times its vector's norm (Higham, Lemma 3.5, with
+        Cauchy-Schwarz), which is <= eps beta, and the subtraction and the
+        norm lose a factor >= 1 - eps each on a vector of norm <= 3 beta.
+        So |r~ - d| <= (3 * 2^4 + 8) eps beta <= 2^6 eps beta.
      2. The conditioning test: with tau^2 = _COND^2 a^2 and delta = 2^-40
         s^3 a^2, the LDL^H of fl(R~^H R~) - (tau^2 + delta) I has all pivots
         > 0.  delta covers the product's rounding and, by the argument of
         `certify._may_reach`, the LDL^H backward error and the shift's
         rounding, so lambda_min(R~^H R~) > tau^2 and sigma_min(A + dA) =
-        sigma_min(R~) > tau.  By Weyl, sigma_min(A) > (2^-10 - 2^-20) a.
+        sigma_min(R~) > tau.  By Weyl, sigma_min(A) > (2^-10 - 2^-24) a.
      3. np.linalg.lstsq is LAPACK's gelsd with rcond = 2^-52 max(n, s).  Its
         computed c^ is the minimum-norm least-squares solution of a nearby
         (A + E, y + f), ||E|| <= eps a and ||f|| <= eps beta, once the
@@ -135,40 +153,112 @@ def _must_solve(m_y: np.ndarray, rows: np.ndarray, accept: float, beta: float,
         2a): none is cut, and ||c^|| <= (1 + eps) beta / sigma_min(A + E) <=
         C = 2^11 beta / a.  This is what needs 2: without it c^ is not
         bounded, and lstsq's rounding of A c^ is not either.
-     4. For every c, ||y - A c|| >= ||(y + dy) - (A + dA) c|| - ||dy|| -
-        ||dA|| ||c||, so by 1 and 3, ||y - A c^|| >= |rho'| - (2^11 + 1) eps
+     4. For every c, ||y - A c|| >= ||y - (A + dA) c|| - ||dA|| ||c||, so by
+        1 and 3, ||y - A c^|| >= d - 2^11 eps beta >= r~ - (2^11 + 2^6) eps
         beta.
      5. lstsq's residual is rho = fl||fl(y - fl(A c^))||.  The product errs
         by <= (s + 2) u a C <= eps beta (Higham, Lemma 3.5), and the
         subtraction and the norm lose a factor >= 1 - eps each, so rho >=
-        (1 - 2 eps)(|rho'| - (2^11 + 2) eps beta) >= r~ - 2^12 eps beta, as
-        |rho'| <= ||y + dy|| <= (1 + 2 eps) beta.
+        (1 - 2 eps)(r~ - (2^11 + 2^6 + 1) eps beta) >= r~ - 2^12 eps beta,
+        as r~ <= d + 2^6 eps beta <= 2 beta.
     So a support whose r~ exceeds the computed accept + margin, with margin
     = 2^14 eps (beta + accept), has rho > accept: the 2^14 against the 2^12
     covers the roundings of that sum.  Any other support, or one whose r~
-    is not finite, is kept.
+    is NaN, is kept.  The QR and the conditioning test depend on S alone,
+    so each runs once per support, for every measurement.
     """
     k, s = rows.shape
-    n = m_y.shape[1]
-    keep = np.ones(k, dtype=bool)
-    if not (1 <= s < n and n * s <= 2**20 and 2.0**-400 <= beta <= 2.0**400):
+    n = m_t.shape[1]
+    keep = np.ones((k, len(live)), dtype=bool)
+    if not (1 <= s < n and n * s <= _RESIDUAL_ENTRIES):
         return keep
-    eps = _QR_MARGIN * n * s
+    cols = np.flatnonzero((2.0**-400 <= beta) & (beta <= 2.0**400))
     a2 = col_sq[rows].sum(axis=1)
     fit = np.flatnonzero((2.0**-800 <= a2) & (a2 <= 2.0**800))
-    rows, a2 = rows[fit], a2[fit]
-    # one QR of [A_S y] per support: (K, n, s + 1), y the last column
-    r = np.linalg.qr(m_y[np.column_stack((rows, np.full(len(rows), -1)))]
-                     .transpose(0, 2, 1), mode="r")
-    resid = np.abs(r[:, s, s])
-    tri = r[:, :s, :s]
-    gram = np.ascontiguousarray((tri.conj().transpose(0, 2, 1) @ tri).transpose(1, 2, 0))
+    eps = _QR_MARGIN * n * s
+    bound = accept[cols] + 2.0**14 * eps * (beta[cols] + accept[cols])
     diag = np.arange(s)
-    gram[diag, diag] -= a2 * (_COND * _COND + _QR_MARGIN * s**3)
-    margin = 2.0**14 * eps * (beta + accept)
-    skip = _pivots_positive(gram) & (resid > accept + margin) & np.isfinite(resid)
-    keep[fit[skip]] = False
+    # slices of supports and measurements: no stack below holds more than
+    # _RESIDUAL_ENTRIES complex entries
+    t_step = max(1, min(len(cols), _RESIDUAL_ENTRIES // n))
+    k_step = _RESIDUAL_ENTRIES // (n * max(s, t_step))
+    for k0 in range(0, len(fit) if len(cols) else 0, k_step):
+        sup = fit[k0:k0 + k_step]
+        # one reduced QR of A_S per support: Q~ (k, n, s) and R~ (k, s, s)
+        q, tri = np.linalg.qr(m_t[rows[sup]].transpose(0, 2, 1))
+        gram = np.ascontiguousarray((tri.conj().transpose(0, 2, 1) @ tri).transpose(1, 2, 0))
+        gram[diag, diag] -= a2[sup] * (_COND * _COND + _QR_MARGIN * s**3)
+        well = _pivots_positive(gram)
+        if not well.any():
+            continue
+        sup, q = sup[well], q[well]
+        qt, qc = q.transpose(0, 2, 1), q.conj()
+        for t0 in range(0, len(cols), t_step):
+            part = cols[t0:t0 + t_step]
+            y = ys[live[part]]  # (t, n): residuals run along rows
+            resid = (y @ qc) @ qt
+            np.subtract(y, resid, out=resid)
+            sq = resid.view(np.float64)  # real and imaginary parts, interleaved
+            np.square(sq, out=sq)
+            keep[np.ix_(sup, part)] = ~(np.sqrt(sq.sum(axis=2)) > bound[t0:t0 + t_step])
     return keep
+
+
+def cs_decode_batch(m: np.ndarray, ys: np.ndarray, L: int) -> list[RecoveryResult]:
+    """`cs_decode_exhaustive` of each row y of `ys`, from one walk of the
+    supports shared by every row not yet decoded.
+
+    Each block of supports takes one filter pass (`_must_solve`) for all
+    those rows; each row then tries its surviving supports in order with
+    the least-squares solve and acceptance test, and leaves the walk at its
+    first fit.  A row's result depends on that row alone, bit for bit.
+    Beyond its complex copies of m and ys and its results, the decoder
+    holds a few arrays of at most _RESIDUAL_ENTRIES complex entries each.
+    """
+    m = as_matrix(m)
+    ys = as_finite(ys, "measurement")
+    n_rows, n_cols = m.shape
+    if ys.ndim != 2 or ys.shape[1] != n_rows:
+        raise DomainError(f"y must have length {n_rows}")
+    if not (0 <= L <= n_cols):
+        raise DomainError(f"need 0 <= L <= N, got L={L}")
+    beta = np.array([_norm(y) for y in ys])
+    with np.errstate(over="ignore"):
+        col_sq = (m.real**2 + m.imag**2).sum(axis=0)
+    if not np.isfinite(beta).all():  # an inf accept would pass every support
+        raise DomainError("measurement norm overflows")
+    accept = DECODE_TOL * (1.0 + beta)
+    m_t = m.T.copy()  # row j is column j of m
+    results: list[RecoveryResult | None] = [None] * len(ys)
+    live = np.arange(len(ys))
+    tried = 0
+    for rows in caps.supports(n_cols, L):
+        if not live.size:
+            break
+        keep = _must_solve(m_t, rows, ys, live, beta[live], accept[live], col_sq)
+        for t, k in zip(*np.nonzero(keep.T)):
+            i = int(live[t])
+            if results[i] is not None:
+                continue
+            support = tuple(rows[k].tolist())
+            if support:
+                sub = m[:, support]
+                coef, _, _, _ = np.linalg.lstsq(sub, ys[i], rcond=None)
+                residual = _norm(ys[i] - sub @ coef)
+            else:  # the empty support fits with no solve
+                residual = float(beta[i])
+                coef = np.zeros(0, dtype=np.complex128)
+            if residual <= accept[i]:
+                estimate = np.zeros(n_cols, dtype=np.complex128)
+                for pos, val in zip(support, coef):
+                    estimate[pos] = val
+                results[i] = RecoveryResult(estimate, residual, support,
+                                            tried + int(k) + 1, True)
+        live = live[[results[i] is None for i in live]]
+        tried += len(rows)
+    return [RecoveryResult(np.zeros(n_cols, dtype=np.complex128), float(beta[i]), (),
+                           tried, False) if r is None else r
+            for i, r in enumerate(results)]
 
 
 def cs_decode_exhaustive(m: np.ndarray, y: np.ndarray, L: int) -> RecoveryResult:
@@ -178,41 +268,10 @@ def cs_decode_exhaustive(m: np.ndarray, y: np.ndarray, L: int) -> RecoveryResult
     which pins the answer whenever several supports fit at tolerance.  A
     miss is reported as an unsuccessful result, not an exception.  The
     filter `_must_solve` skips only supports proved not to fit, so every
-    result is the unfiltered walk's, bit for bit.
+    result is the unfiltered walk's, bit for bit.  This is the one-row call
+    of `cs_decode_batch`.
     """
-    m = as_matrix(m)
-    y = as_finite(y, "measurement")
-    if y.shape != (m.shape[0],):
-        raise DomainError(f"y must have length {m.shape[0]}")
-    n_cols = m.shape[1]
-    if not (0 <= L <= n_cols):
-        raise DomainError(f"need 0 <= L <= N, got L={L}")
-    beta = _norm(y)
-    with np.errstate(over="ignore"):
-        col_sq = (m.real**2 + m.imag**2).sum(axis=0)
-    if not math.isfinite(beta):  # an inf accept would pass every support
-        raise DomainError("measurement norm overflows")
-    accept = DECODE_TOL * (1.0 + beta)
-    m_y = np.vstack((m.T, y))  # row j is column j of m, and the last row is y
-    tried = 0
-    for rows in caps.supports(n_cols, L):
-        for k in np.flatnonzero(_must_solve(m_y, rows, accept, beta, col_sq)):
-            support = tuple(rows[k].tolist())
-            if support:
-                sub = m[:, support]
-                coef, _, _, _ = np.linalg.lstsq(sub, y, rcond=None)
-                residual = _norm(y - sub @ coef)
-            else:  # the empty support fits with no solve
-                residual = beta
-                coef = np.zeros(0, dtype=np.complex128)
-            if residual <= accept:
-                estimate = np.zeros(n_cols, dtype=np.complex128)
-                for pos, val in zip(support, coef):
-                    estimate[pos] = val
-                return RecoveryResult(estimate, residual, support,
-                                      tried + int(k) + 1, True)
-        tried += len(rows)
-    return RecoveryResult(np.zeros(n_cols, dtype=np.complex128), beta, (), tried, False)
+    return cs_decode_batch(m, np.asarray(y)[None], L)[0]
 
 
 def uniqueness_certificate(m: np.ndarray, L: int) -> bool:

@@ -22,7 +22,9 @@ So do the loops that counts and caps' product order replaced: code bias
 over pairs indexed by hand and symbol counts taken one symbol at a time,
 and the list-size sweep's per-coordinate distance table and center digits.
 So does the Vandermonde gap check on the whole N x N distance array, which
-the row-blocked pair walk replaced.
+the row-blocked pair walk replaced, and the decoder's filter for one
+measurement at a time, one QR of [A_S y] per support, which the filter
+shared by a stack of measurements replaced.
 No library code imports this module.  Builders return the sorted tuple of distinct
 Words, the order the library's Code uses.
 """
@@ -39,6 +41,7 @@ import numpy as np
 
 from sparsecode.certify import (
     RANK_TOL,
+    _pivots_positive,
     FlatRipReport,
     KernelReport,
     RipReport,
@@ -56,7 +59,7 @@ from sparsecode.errors import (
     SparseCodeError,
 )
 from sparsecode.group_testing import DesignReport, as_binary
-from sparsecode.recovery import NODE_GAP_TOL, RecoveryResult
+from sparsecode.recovery import _COND, _QR_MARGIN, NODE_GAP_TOL, RecoveryResult
 from sparsecode.words import Word, is_prime
 
 MASS_TOLERANCE = 1e-12
@@ -575,6 +578,43 @@ def cs_decode_exhaustive(m: np.ndarray, y: np.ndarray, L: int,
     return RecoveryResult(
         np.zeros(n_cols, dtype=np.complex128), float(np.linalg.norm(y)), (), tried, False
     )
+
+
+def must_solve(m_y: np.ndarray, rows: np.ndarray, accept: float, beta: float,
+               col_sq: np.ndarray) -> np.ndarray:
+    """The decoder's filter for one measurement y, as it was before the
+    decoder took a stack: False for each support of `rows` whose computed
+    least-squares residual is proved above `accept` without a solve.  Row j
+    of m_y is column j of m and its last row is y; beta = ||y||.
+
+    Its proof is `recovery._must_solve`'s with step 1 read from one
+    Householder QR of [A y] per support (Higham, Thm 19.4): it computes R' =
+    [[R~, z], [0, rho']] with [A + dA, y + dy] = Q1 R' for an exactly
+    unitary Q1, ||dA||_F <= eps a and ||dy|| <= eps beta, so for every c,
+    ||(y + dy) - (A + dA) c|| >= |rho'|, and r~ = |rho'| as computed.  The
+    margin 2^14 eps (beta + accept) and the conditioning test are the same.
+    """
+    k, s = rows.shape
+    n = m_y.shape[1]
+    keep = np.ones(k, dtype=bool)
+    if not (1 <= s < n and n * s <= 2**20 and 2.0**-400 <= beta <= 2.0**400):
+        return keep
+    eps = _QR_MARGIN * n * s
+    a2 = col_sq[rows].sum(axis=1)
+    fit = np.flatnonzero((2.0**-800 <= a2) & (a2 <= 2.0**800))
+    rows, a2 = rows[fit], a2[fit]
+    # one QR of [A_S y] per support: (K, n, s + 1), y the last column
+    r = np.linalg.qr(m_y[np.column_stack((rows, np.full(len(rows), -1)))]
+                     .transpose(0, 2, 1), mode="r")
+    resid = np.abs(r[:, s, s])
+    tri = r[:, :s, :s]
+    gram = np.ascontiguousarray((tri.conj().transpose(0, 2, 1) @ tri).transpose(1, 2, 0))
+    diag = np.arange(s)
+    gram[diag, diag] -= a2 * (_COND * _COND + _QR_MARGIN * s**3)
+    margin = 2.0**14 * eps * (beta + accept)
+    skip = _pivots_positive(gram) & (resid > accept + margin) & np.isfinite(resid)
+    keep[fit[skip]] = False
+    return keep
 
 
 def nodes_distinct(nodes: np.ndarray) -> bool:

@@ -415,6 +415,12 @@ class TestDeterminism:
                       ["verify", "kernel", "--input", path, "--L", "2"]]
         argvs += [["pipeline", "gv-rip", "--q", "2", "--n", "20", "--delta", "0.2",
                    "--seed", str(seed), "--L", "4"] for seed in range(4)]
+        # the decoder's filter takes its residuals from BLAS products
+        for rows, cols, L, trials in ((6, 12, 3, 50), (256, 16, 2, 200)):
+            path = str(tmp_path / f"vand_{rows}x{cols}.json")
+            write_matrix(vandermonde_matrix(unit_circle_nodes(cols), rows), path)
+            argvs.append(["cs-roundtrip", "--matrix", path, "--L", str(L), "--seed", "7",
+                          "--trials", str(trials)])
 
         def outputs(threads):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
@@ -424,7 +430,7 @@ class TestDeterminism:
             return json.loads(done.stdout)
 
         one = outputs("1")
-        assert len(one) == len(argvs) == 20
+        assert len(one) == len(argvs) == 22
         assert all(out and code in (0, 1) for code, out in one)
         assert outputs("2") == one
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -271,6 +272,8 @@ def _matrix(kind: str, n: int, N: int, rng) -> np.ndarray:
         m[:, j] = m[:, int(rng.integers(N))] - 2.0 * m[:, int(rng.integers(N))]
     elif kind == "ill-conditioned":
         m *= 10.0 ** rng.integers(-8, 9, size=N)
+    elif kind == "zero-column":
+        m[:, j] = 0
     return m
 
 
@@ -299,42 +302,95 @@ def _decode_cases(draw):
     return m, y, L, tol
 
 
+def _measurement(kind: str, m: np.ndarray, L: int, earlier: list, rng) -> np.ndarray:
+    """One measurement for a stack: zero, a repeat of an earlier one, a miss
+    (a random y, which fits no support of size < n), or one of an L-sparse x,
+    as is or scaled to a norm outside [2^-400, 2^400]."""
+    n, N = m.shape
+    if kind == "zero":
+        return np.zeros(n, dtype=np.complex128)
+    if kind == "repeat" and earlier:
+        return earlier[int(rng.integers(len(earlier)))].copy()
+    if kind == "miss":
+        return rng.normal(size=n) + 1j * rng.normal(size=n)
+    support = rng.choice(N, size=int(rng.integers(0, min(L, n) + 1)), replace=False)
+    y = m[:, support] @ (rng.normal(size=len(support)) + 1j * rng.normal(size=len(support)))
+    return y * {"tiny": 2.0**-450, "huge": 2.0**450}.get(kind, 1.0)
+
+
+@st.composite
+def _batch_cases(draw):
+    """(m, ys, L, tol, cut, budget): a stack of 1-40 measurements of mixed
+    kinds, a place to cut it in two, and a slice budget that keeps the
+    filter on for every support size up to L."""
+    n, N = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["real", "complex", "vandermonde", "repeated",
+                                 "rank-deficient", "ill-conditioned", "zero-column"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = _matrix(kind, n, N, rng)
+    L = draw(st.integers(0, N))
+    ys = []
+    for measure in draw(st.lists(st.sampled_from(["zero", "repeat", "miss", "sparse",
+                                                  "tiny", "huge"]), min_size=1, max_size=40)):
+        ys.append(_measurement(measure, m, L, ys, rng))
+    tol = draw(st.sampled_from([1e-8, 0.0, 1e-12, 1e-3]))
+    cut = draw(st.integers(0, len(ys)))
+    budget = n * max(L, 1) * draw(st.integers(1, 3))
+    return m, np.array(ys), L, tol, cut, budget
+
+
+def _same(got, want) -> bool:
+    """Equal results, the residual by its hex and the estimate by its bytes."""
+    return (got.support_found == want.support_found
+            and got.candidates_tried == want.candidates_tried
+            and got.success == want.success
+            and got.residual_norm.hex() == want.residual_norm.hex()
+            and got.estimate.tobytes() == want.estimate.tobytes())
+
+
+def _filter_residual(a: np.ndarray, y: np.ndarray) -> float:
+    """r~ = ||y - Q~ (Q~^H y)|| for the reduced QR Q~ of a, the residual the
+    filter reads."""
+    q = np.linalg.qr(a)[0]
+    return float(np.linalg.norm(y - q @ (q.conj().T @ y)))
+
+
+def _fitted_tol(a: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """(lstsq's residual rho, ||y||, the least tol whose accept covers rho)."""
+    coef = np.linalg.lstsq(a, y, rcond=None)[0]
+    rho = float(np.linalg.norm(y - a @ coef))
+    beta = float(np.linalg.norm(y))
+    tol = rho / (1.0 + beta)
+    while tol * (1.0 + beta) < rho:
+        tol = float(np.nextafter(tol, np.inf))
+    return rho, beta, tol
+
+
 def _near_threshold(seed: int):
-    """(m, y, tol) whose support (0, 1, 2) fits through lstsq, while the QR of
-    [A_S y] puts its residual above accept; None if the seed gives no such y."""
+    """(m, y, tol) whose support (0, 1, 2) fits through lstsq, while r~ sits
+    above accept (by more than the few ulps in which two computations of r~
+    may differ) and far inside the margin; None if the seed gives no such y."""
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(6, 5)) + 1j * rng.normal(size=(6, 5))
     a = m[:, [0, 1, 2]]
     w = np.linalg.qr(np.column_stack((a, rng.normal(size=6))))[0][:, 3]
     y = a @ (rng.normal(size=3) + 1j * rng.normal(size=3)) + 1e-9 * w
-    coef = np.linalg.lstsq(a, y, rcond=None)[0]
-    rho = float(np.linalg.norm(y - a @ coef))
-    beta = float(np.linalg.norm(y))
-    tol = rho / (1.0 + beta)
-    while tol * (1.0 + beta) < rho:
-        tol = float(np.nextafter(tol, np.inf))
-    qr_resid = abs(np.linalg.qr(np.column_stack((a, y)), mode="r")[3, 3])
-    return (m, y, tol) if tol * (1.0 + beta) < qr_resid else None
+    _, beta, tol = _fitted_tol(a, y)
+    return (m, y, tol) if tol * (1.0 + beta) * (1 + 2.0**-30) < _filter_residual(a, y) else None
 
 
 def _ill_conditioned(seed: int):
     """(m, y, tol) whose support (0, 1), two nearly parallel columns, fits
-    through lstsq, while the QR of [A_S y] puts its residual above accept
-    by more than the filter's margin; None if the seed gives no such y."""
+    through lstsq, while r~ sits above accept by more than the filter's
+    margin; None if the seed gives no such y."""
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
     m[:, 1] = m[:, 0] + 1e-12 * m[:, 1]
     a = m[:, [0, 1]]
     y = a @ np.array([1e12, -1e12])
-    coef = np.linalg.lstsq(a, y, rcond=None)[0]
-    rho = float(np.linalg.norm(y - a @ coef))
-    beta = float(np.linalg.norm(y))
-    tol = rho / (1.0 + beta)
-    while tol * (1.0 + beta) < rho:
-        tol = float(np.nextafter(tol, np.inf))
+    rho, _, tol = _fitted_tol(a, y)
     # the margin is ~1e-7 ||y||, rho ~1e-4 ||y||
-    qr_resid = abs(np.linalg.qr(np.column_stack((a, y)), mode="r")[2, 2])
-    return (m, y, tol) if qr_resid > 1.01 * rho else None
+    return (m, y, tol) if _filter_residual(a, y) > 1.01 * rho else None
 
 
 class TestResidualFilter:
@@ -352,10 +408,11 @@ class TestResidualFilter:
 
     # near-threshold: r~ > accept >= lstsq's residual, so a filter without its
     # margin skips the support that fits; ill-conditioned: lstsq's rounding
-    # puts the residual far below r~, so one without its conditioning test does
+    # puts the residual far below r~, so one without its conditioning test does.
+    # A filter that projects on an unnormalised basis of range(A_S) skips both
     @pytest.mark.parametrize("build, seeds, L, support", [
-        (_near_threshold, 20, 3, (0, 1, 2)),
-        (_ill_conditioned, 60, 2, (0, 1)),
+        (_near_threshold, 60, 3, (0, 1, 2)),
+        (_ill_conditioned, 100, 2, (0, 1)),
     ], ids=["near-threshold", "ill-conditioned"])
     def test_keeps_supports_it_cannot_rule_out(self, build, seeds, L, support):
         cases = [c for c in map(build, range(seeds)) if c is not None]
@@ -367,19 +424,108 @@ class TestResidualFilter:
             assert got == want
             assert got.estimate.tobytes() == want.estimate.tobytes()
 
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_batch_cases())
+    def test_batch_equals_unfiltered_row_by_row(self, case):
+        m, ys, L, tol, cut, budget = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(recovery, "DECODE_TOL", tol)
+            got = recovery.cs_decode_batch(m, ys, L)
+            halves = (recovery.cs_decode_batch(m, ys[:cut], L)
+                      + recovery.cs_decode_batch(m, ys[cut:], L))
+            backwards = recovery.cs_decode_batch(m, ys[::-1], L)[::-1]
+            alone = [recovery.cs_decode_batch(m, y[None], L)[0] for y in ys]
+            mp.setattr(recovery, "_RESIDUAL_ENTRIES", budget)
+            mp.setattr(caps, "_SUPPORT_BLOCK", 3)
+            sliced = recovery.cs_decode_batch(m, ys, L)
+        assert len(got) == len(ys)
+        for row, y in enumerate(ys):
+            want = oracle.cs_decode_exhaustive(m, y, L, tol)
+            assert _same(got[row], want)
+            for other in (halves, backwards, alone, sliced):
+                assert _same(other[row], want)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(_batch_cases())
+    def test_every_skipped_pair_fails_its_solve(self, case):
+        # the filter's claim, pair by pair: a skipped support's lstsq
+        # residual for that measurement is above its accept
+        m, ys, L, tol, _, _ = case
+        m = m.astype(np.complex128)
+        beta = np.array([recovery._norm(y) for y in ys])
+        accept = tol * (1.0 + beta)
+        col_sq = (np.abs(m) ** 2).sum(axis=0)
+        live = np.arange(len(ys))
+        for rows in caps.supports(m.shape[1], L):
+            keep = recovery._must_solve(m.T.copy(), rows, ys, live, beta, accept, col_sq)
+            for k, t in zip(*np.nonzero(~keep)):
+                sub = m[:, rows[k]]
+                coef = np.linalg.lstsq(sub, ys[t], rcond=None)[0]
+                assert recovery._norm(ys[t] - sub @ coef) > accept[t]
+
+    def test_skips_what_the_per_measurement_filter_skipped(self):
+        # on the CLI's Vandermonde round trips the shared QR rules out the
+        # same (support, measurement) pairs as one QR of [A_S y] per pair did,
+        # which is most of them: a zero y (the draws' weight 0) and the
+        # supports that hold a y's own support are all that stay
+        m = vandermonde_matrix(unit_circle_nodes(12), 6)
+        col_sq = (np.abs(m) ** 2).sum(axis=0)
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            xs = np.zeros((50, 12), dtype=np.complex128)
+            for x in xs:
+                for pos in sorted(cli._draw_support(rng, 12, 3)):
+                    x[pos] = complex(rng.normal(), rng.normal())
+            ys = np.array([cs_encode(m, x) for x in xs])
+            beta = np.array([recovery._norm(y) for y in ys])
+            accept = recovery.DECODE_TOL * (1.0 + beta)
+            skipped = 0
+            for rows in caps.supports(12, 3):
+                keep = recovery._must_solve(m.T.copy(), rows, ys, np.arange(50), beta,
+                                            accept, col_sq)
+                for t, y in enumerate(ys):
+                    want = oracle.must_solve(np.vstack((m.T, y)), rows, accept[t],
+                                             beta[t], col_sq)
+                    assert np.array_equal(keep[:, t], want)
+                skipped += int((~keep).sum())
+            assert skipped > 50 * 299 // 2
+
+    def test_memory_stays_within_the_slice_budget(self):
+        # 1024 measurements on a tall matrix: one unsliced residual product
+        # of the 66 two-column supports would hold 66 * 1024 * 512 entries
+        m = vandermonde_matrix(unit_circle_nodes(12), 512)
+        rng = np.random.default_rng(72)
+        xs = np.zeros((1024, 12), dtype=np.complex128)
+        for x in xs:
+            support = rng.choice(12, size=int(rng.integers(0, 3)), replace=False)
+            x[support] = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
+        ys = xs @ m.T
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            results = recovery.cs_decode_batch(m, ys, 2)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert all(r.success for r in results)
+        # beyond the decoder's complex copies of m and ys: a few slices of
+        # the budget, plus a constant for the 1024 results
+        budget = 16 * recovery._RESIDUAL_ENTRIES
+        assert peak <= ys.nbytes + m.nbytes + 4 * budget + 2**20
+
     def test_spares_lstsq_on_the_vandermonde_roundtrip(self, monkeypatch, tmp_path, capsys):
         write_matrix(vandermonde_matrix(unit_circle_nodes(12), 6), tmp_path / "v.json")
         solved, tried = [], []
-        lstsq, decode = np.linalg.lstsq, recovery.cs_decode_exhaustive
+        lstsq, decode = np.linalg.lstsq, recovery.cs_decode_batch
 
         def counted_decode(*args):
-            result = decode(*args)
-            tried.append(result.candidates_tried)
-            return result
+            results = decode(*args)
+            tried.extend(result.candidates_tried for result in results)
+            return results
 
         monkeypatch.setattr(np.linalg, "lstsq",
                             lambda *a, **k: solved.append(1) or lstsq(*a, **k))
-        monkeypatch.setattr(recovery, "cs_decode_exhaustive", counted_decode)
+        monkeypatch.setattr(recovery, "cs_decode_batch", counted_decode)
         argv = ["cs-roundtrip", "--matrix", str(tmp_path / "v.json"), "--L", "3",
                 "--seed", "7"]
         assert cli.main(argv) == 0

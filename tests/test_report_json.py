@@ -6,7 +6,9 @@ property runs on small fixed inputs (a binary code of length 4, its
 spherical and Boolean embeddings, and a 2 x 3 matrix whose column 1 covers
 column 0), with `elapsed_ms` masked.  The Johnson and converse reports are
 pinned with and without their `radius` key.  The README's table of
-report keys is the pinned order.
+report keys is the pinned order.  `cs-roundtrip` is pinned on Vandermonde
+matrices, over seeds, a failing recovery and the trial counts at the edges
+of the CLI's decoding chunks.
 """
 
 import json
@@ -20,6 +22,7 @@ from sparsecode import cli, listdecode
 from sparsecode.codes import Code, write_code_file
 from sparsecode.embeddings import bool_code, sph_code
 from sparsecode.matrixio import write_matrix
+from sparsecode.recovery import unit_circle_nodes, vandermonde_matrix
 
 CODE = Code.from_array(2, [[0, 0, 0, 0], [0, 0, 0, 1], [0, 1, 1, 0],
                            [1, 0, 1, 1], [1, 1, 0, 1]])
@@ -90,6 +93,95 @@ IMPLICATIONS = [
      '"L_prime": 6, "epsilon": 0.5}'),
 ]
 
+# (cs-roundtrip flags with input file names, exit code, stdout with elapsed_ms 0),
+# as printed before the trials were decoded together: Vandermonde 6 x 12 at
+# L=3 for seeds 0-15; recovery failing on a 2 x 8 matrix at L=2; and the
+# edges of the CLI's 1024-trial chunks at L=1, on the 6 x 12 matrix and on
+# the all-ones 1 x 8 one, where each seed's largest error is at its last trial
+CS_ROUNDTRIP = [
+    (["--matrix", "v6x12.json", "--L", "3", "--seed", "0"], 0,
+     '{"property": "cs-roundtrip", "order": 3, "trials": 50, '
+     '"failures": 0, "max_recovery_error": 1.7632984155323095e-15, "elapsed_ms": 0}'),
+    (["--matrix", "v6x12.json", "--L", "3", "--seed", "1"], 0,
+     '{"property": "cs-roundtrip", "order": 3, "trials": 50, '
+     '"failures": 0, "max_recovery_error": 1.5691261864978394e-15, "elapsed_ms": 0}'),
+    (["--matrix", "v6x12.json", "--L", "3", "--seed", "2"], 0,
+     '{"property": "cs-roundtrip", "order": 3, "trials": 50, '
+     '"failures": 0, "max_recovery_error": 2.808666774861361e-15, "elapsed_ms": 0}'),
+    (["--matrix", "v6x12.json", "--L", "3", "--seed", "3"], 0,
+     '{"property": "cs-roundtrip", "order": 3, "trials": 50, '
+     '"failures": 0, "max_recovery_error": 1.3732700395566711e-15, "elapsed_ms": 0}'),
+    (["--matrix", "v6x12.json", "--L", "3", "--seed", "4"], 0,
+     '{"property": "cs-roundtrip", "order": 3, "trials": 50, '
+     '"failures": 0, "max_recovery_error": 2.7755575615628914e-15, "elapsed_ms": 0}'),
+    (["--matrix", "v6x12.json", "--L", "3", "--seed", "5"], 0,
+     '{"property": "cs-roundtrip", "order": 3, "trials": 50, '
+     '"failures": 0, "max_recovery_error": 2.531698018113677e-15, "elapsed_ms": 0}'),
+    (["--matrix", "v6x12.json", "--L", "3", "--seed", "6"], 0,
+     '{"property": "cs-roundtrip", "order": 3, "trials": 50, '
+     '"failures": 0, "max_recovery_error": 2.531698018113677e-15, "elapsed_ms": 0}'),
+    (["--matrix", "v6x12.json", "--L", "3", "--seed", "7"], 0,
+     '{"property": "cs-roundtrip", "order": 3, "trials": 50, '
+     '"failures": 0, "max_recovery_error": 2.089609621416101e-15, "elapsed_ms": 0}'),
+    (["--matrix", "v6x12.json", "--L", "3", "--seed", "8"], 0,
+     '{"property": "cs-roundtrip", "order": 3, "trials": 50, '
+     '"failures": 0, "max_recovery_error": 1.8452761694870047e-15, "elapsed_ms": 0}'),
+    (["--matrix", "v6x12.json", "--L", "3", "--seed", "9"], 0,
+     '{"property": "cs-roundtrip", "order": 3, "trials": 50, '
+     '"failures": 0, "max_recovery_error": 2.198129442157285e-15, "elapsed_ms": 0}'),
+    (["--matrix", "v6x12.json", "--L", "3", "--seed", "10"], 0,
+     '{"property": "cs-roundtrip", "order": 3, "trials": 50, '
+     '"failures": 0, "max_recovery_error": 2.318213734067276e-15, "elapsed_ms": 0}'),
+    (["--matrix", "v6x12.json", "--L", "3", "--seed", "11"], 0,
+     '{"property": "cs-roundtrip", "order": 3, "trials": 50, '
+     '"failures": 0, "max_recovery_error": 2.9142032672361675e-15, "elapsed_ms": 0}'),
+    (["--matrix", "v6x12.json", "--L", "3", "--seed", "12"], 0,
+     '{"property": "cs-roundtrip", "order": 3, "trials": 50, '
+     '"failures": 0, "max_recovery_error": 1.7342238036525468e-15, "elapsed_ms": 0}'),
+    (["--matrix", "v6x12.json", "--L", "3", "--seed", "13"], 0,
+     '{"property": "cs-roundtrip", "order": 3, "trials": 50, '
+     '"failures": 0, "max_recovery_error": 2.2266822963392197e-15, "elapsed_ms": 0}'),
+    (["--matrix", "v6x12.json", "--L", "3", "--seed", "14"], 0,
+     '{"property": "cs-roundtrip", "order": 3, "trials": 50, '
+     '"failures": 0, "max_recovery_error": 2.2215299868541707e-15, "elapsed_ms": 0}'),
+    (["--matrix", "v6x12.json", "--L", "3", "--seed", "15"], 0,
+     '{"property": "cs-roundtrip", "order": 3, "trials": 50, '
+     '"failures": 0, "max_recovery_error": 2.482534153247273e-15, "elapsed_ms": 0}'),
+    (["--matrix", "v2x8.json", "--L", "2", "--seed", "3"], 1,
+     '{"property": "cs-roundtrip", "order": 2, "trials": 50, '
+     '"failures": 0, "max_recovery_error": 8.98133329310136, "elapsed_ms": 0}'),
+    (["--matrix", "v6x12.json", "--L", "1", "--seed", "5", "--trials", "1"], 0,
+     '{"property": "cs-roundtrip", "order": 1, "trials": 1, '
+     '"failures": 0, "max_recovery_error": 2.3714374201337736e-16, "elapsed_ms": 0}'),
+    (["--matrix", "v6x12.json", "--L", "1", "--seed", "5", "--trials", "1023"], 0,
+     '{"property": "cs-roundtrip", "order": 1, "trials": 1023, '
+     '"failures": 0, "max_recovery_error": 1.784146017590271e-15, "elapsed_ms": 0}'),
+    (["--matrix", "v6x12.json", "--L", "1", "--seed", "5", "--trials", "1024"], 0,
+     '{"property": "cs-roundtrip", "order": 1, "trials": 1024, '
+     '"failures": 0, "max_recovery_error": 1.784146017590271e-15, "elapsed_ms": 0}'),
+    (["--matrix", "v6x12.json", "--L", "1", "--seed", "5", "--trials", "1025"], 0,
+     '{"property": "cs-roundtrip", "order": 1, "trials": 1025, '
+     '"failures": 0, "max_recovery_error": 1.784146017590271e-15, "elapsed_ms": 0}'),
+    (["--matrix", "v1x8.json", "--L", "1", "--seed", "1730", "--trials", "1022"], 1,
+     '{"property": "cs-roundtrip", "order": 1, "trials": 1022, '
+     '"failures": 0, "max_recovery_error": 3.1608430926892797, "elapsed_ms": 0}'),
+    (["--matrix", "v1x8.json", "--L", "1", "--seed", "1730", "--trials", "1023"], 1,
+     '{"property": "cs-roundtrip", "order": 1, "trials": 1023, '
+     '"failures": 0, "max_recovery_error": 3.958519289959152, "elapsed_ms": 0}'),
+    (["--matrix", "v1x8.json", "--L", "1", "--seed", "1613", "--trials", "1023"], 1,
+     '{"property": "cs-roundtrip", "order": 1, "trials": 1023, '
+     '"failures": 0, "max_recovery_error": 3.4313268968000448, "elapsed_ms": 0}'),
+    (["--matrix", "v1x8.json", "--L", "1", "--seed", "1613", "--trials", "1024"], 1,
+     '{"property": "cs-roundtrip", "order": 1, "trials": 1024, '
+     '"failures": 0, "max_recovery_error": 3.4573814561109457, "elapsed_ms": 0}'),
+    (["--matrix", "v1x8.json", "--L", "1", "--seed", "213", "--trials", "1024"], 1,
+     '{"property": "cs-roundtrip", "order": 1, "trials": 1024, '
+     '"failures": 0, "max_recovery_error": 3.326854015018868, "elapsed_ms": 0}'),
+    (["--matrix", "v1x8.json", "--L", "1", "--seed", "213", "--trials", "1025"], 1,
+     '{"property": "cs-roundtrip", "order": 1, "trials": 1025, '
+     '"failures": 0, "max_recovery_error": 3.390675060644627, "elapsed_ms": 0}'),
+]
+
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
@@ -98,6 +190,9 @@ def inputs(tmp_path_factory):
     write_matrix(sph_code(CODE), root / "sph.json")
     write_matrix(bool_code(CODE), root / "bool.json")
     write_matrix(np.array([[1, 1, 0], [0, 1, 1]], dtype=bool), root / "cover.json")
+    for rows, cols in ((6, 12), (2, 8), (1, 8)):
+        write_matrix(vandermonde_matrix(unit_circle_nodes(cols), rows),
+                     root / f"v{rows}x{cols}.json")
     return root
 
 
@@ -110,6 +205,15 @@ def test_the_nine_properties_are_pinned():
 def test_verify_stdout_text(capsys, inputs, argv, exit_code, stdout):
     flags = [str(inputs / a) if a.endswith((".json", ".code")) else a for a in argv[1:]]
     assert cli.main(["verify", argv[0], *flags]) == exit_code
+    out = capsys.readouterr().out
+    assert re.sub(r'"elapsed_ms": [^,}]+', '"elapsed_ms": 0', out) == stdout + "\n"
+
+
+@pytest.mark.parametrize("flags, exit_code, stdout", CS_ROUNDTRIP,
+                         ids=[" ".join(flags[1:]) for flags, _, _ in CS_ROUNDTRIP])
+def test_cs_roundtrip_stdout_text(capsys, inputs, flags, exit_code, stdout):
+    flags = [str(inputs / a) if a.endswith(".json") else a for a in flags]
+    assert cli.main(["cs-roundtrip", *flags]) == exit_code
     out = capsys.readouterr().out
     assert re.sub(r'"elapsed_ms": [^,}]+', '"elapsed_ms": 0', out) == stdout + "\n"
 
