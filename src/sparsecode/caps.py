@@ -1,8 +1,8 @@
 """Enumeration caps guarding exhaustive certifiers, and the enumeration
 orders they rest on: lex subset order, walked as rows or as prefixes that
-carry pair sums, the one lex-first tie-break they share, and the product
-order of list-decoding centers (a linear code's words come from its span in
-`codes`).
+carry pair sums, the one lex-first rule they share (`LexFirst`), and the
+product order of list-decoding centers (a linear code's words come from its
+span in `codes`).
 
 The lex rows of each shape (n_items, size) form one read-only table per
 process, grown only as far as a walk reaches and shared by every later
@@ -191,21 +191,32 @@ def subsets(n_items: int, size: int) -> np.ndarray:
     return np.empty((0, size), dtype=np.int64)
 
 
-def lex_first_max(score, n_items: int, size: int):
-    """(largest score, lex-first subset attaining it) over the size-subsets of
-    range(n_items), of which there must be one.
+class LexFirst:
+    """The one lex-first rule behind every witness: blocks of scores are
+    offered in enumeration order, a block's first maximum (its argmax, in C
+    order) is its candidate, and a candidate replaces the incumbent only at
+    the first offer or on a strict >.  `best` is the incumbent's score, None
+    before any offer, and `witness` what name(pos) built for it."""
 
-    score(rows) scores a block of _SUBSET_BLOCK rows of subsets(n_items, size).
-    Within a block argmax is the lex-first maximum, and a later block wins
-    only on a strict >, so the block size never moves a witness.
+    def __init__(self):
+        self.best, self.witness = None, ()
+
+    def offer(self, scores: np.ndarray, name) -> None:
+        pos = int(np.argmax(scores))
+        if self.best is None or scores.flat[pos] > self.best:
+            self.best, self.witness = scores.flat[pos].item(), name(pos)
+
+
+def lex_first_max(score, n_items: int, size: int, lead: LexFirst):
+    """`lead`'s (best, witness) after it is offered every size-subset of
+    range(n_items), of which there must be one, in lex order.
+
+    score(rows) scores a block of _SUBSET_BLOCK rows of subsets(n_items, size);
+    by `LexFirst`'s rule the block size never moves a witness.
     """
-    best, witness = None, ()
     for _, rows in subset_blocks(n_items, size, _SUBSET_BLOCK, _SUBSET_BLOCK):
-        s = score(rows)
-        pos = int(np.argmax(s))
-        if best is None or s[pos] > best:
-            best, witness = s[pos].item(), tuple(rows[pos].tolist())
-    return best, witness
+        lead.offer(score(rows), lambda pos: tuple(rows[pos].tolist()))
+    return lead.best, lead.witness
 
 
 def lex_first_max_pair_sum(d: np.ndarray, size: int, score):
@@ -222,10 +233,9 @@ def lex_first_max_pair_sum(d: np.ndarray, size: int, score):
     total(S + {j}) = total(S) + R[S, j] and R[S + {j}] = R[S] + d[j].  The
     last extension reads R[S, j] as R[parent, j] + d[last, j], so no rows are
     built for the largest level.  A prefix keeps only its last item and its
-    parent, and the witness is traced back only when it changes.  No level
-    emits more than _LSET_BLOCK children at a time, so memory is
-    O(size * _LSET_BLOCK * len(d)).  Within a chunk argmax is the lex-first
-    maximum, and a later chunk wins only on a strict >.
+    parent; each chunk is offered to one `LexFirst`, which traces the witness
+    back only when it takes the lead.  No level emits more than _LSET_BLOCK
+    children at a time, so memory is O(size * _LSET_BLOCK * len(d)).
     """
     # the walk's int64 copy of d ends in a zero row, the empty prefix's last item
     d = np.concatenate([d, np.zeros((1, len(d)), dtype=np.int64)], dtype=np.int64)
@@ -264,7 +274,16 @@ def lex_first_max_pair_sum(d: np.ndarray, size: int, score):
                        sums[a:a + block], rows, node)
             p0, taken = p1, int(ends[p1 - 1])
 
-    best, witness = None, ()
+    def witness(pos):
+        """The subset of the current chunk's child pos, traced back."""
+        items, k, node = [last[pos]], up[pos], trail
+        for _ in range(size - 1):
+            prefix_last, prefix_up, node = node
+            items.append(prefix_last[k])
+            k = prefix_up[k]
+        return tuple(int(i) for i in reversed(items))
+
+    lead = LexFirst()
     # the children of the empty prefix: last item -1, total 0, parent's R zero
     zero = np.zeros(1, dtype=np.int64)
     walks = [children(0, zero - 1, zero, zero, d[-1:], None)]
@@ -276,16 +295,8 @@ def lex_first_max_pair_sum(d: np.ndarray, size: int, score):
             walks.append(children(*chunk))
         else:
             _, last, up, total, _, trail = chunk
-            scores = score(total)
-            pos = int(np.argmax(scores))
-            if best is None or scores[pos] > best:
-                best, items, k = scores[pos].item(), [last[pos]], up[pos]
-                for _ in range(size - 1):
-                    prefix_last, prefix_up, trail = trail
-                    items.append(prefix_last[k])
-                    k = prefix_up[k]
-                witness = tuple(int(i) for i in reversed(items))
-    return best, witness
+            lead.offer(score(total), witness)
+    return lead.best, lead.witness
 
 
 def lex_first_max_pair(scores, size: int):
@@ -294,18 +305,15 @@ def lex_first_max_pair(scores, size: int):
 
     scores(i0, i1) returns a signed array of the scores of rows i0..i1-1
     against items i0..size-1, all >= 0; the caller may write to it.  Rows
-    go in blocks of _PAIR_BLOCK, so memory is O(_PAIR_BLOCK * size).  Within
-    a block the row-major argmax is the lex-first maximum, and a later block
-    wins only on a strict >.
+    go in blocks of _PAIR_BLOCK, so memory is O(_PAIR_BLOCK * size), and
+    each block is offered to one `LexFirst` in row-major order.
     """
-    best, witness = -1, (0, 1)
+    lead = LexFirst()
     for i0 in range(0, size - 1, _PAIR_BLOCK):
         i1 = min(i0 + _PAIR_BLOCK, size - 1)
         s = scores(i0, i1)
         # only the first i1 - i0 columns hold pairs with j <= i
         s[:, :i1 - i0][np.tri(i1 - i0, dtype=bool)] = -1
-        r, c = divmod(int(np.argmax(s)), s.shape[1])
-        if s[r, c] > best:
-            best, witness = s[r, c].item(), (i0 + r, i0 + c)
+        lead.offer(s, lambda pos: tuple(i0 + k for k in divmod(pos, s.shape[1])))
         del s  # so that no two blocks of scores are alive at once
-    return best, witness
+    return lead.best, lead.witness

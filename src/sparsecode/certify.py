@@ -3,8 +3,9 @@
 Every certifier enumerates its subset space completely (guarded by caps,
 never sampled) and reports the exact extremal constant together with a
 witness.  Witness selection is deterministic: enumeration runs in size-
-ascending, then lexicographic order, and the first subset attaining the
-extremum wins, independent of the block size the subsets are batched in.
+ascending, then lexicographic order, and `caps.LexFirst` picks the first
+subset attaining the extremum, independent of the block size the subsets
+are batched in.
 
 Extreme singular values are computed from batched Gram eigen-decompositions
 (LAPACK); an in-house Jacobi solver in the test suite re-derives them as an
@@ -99,8 +100,9 @@ class KernelReport(Report):
 
 
 def as_finite(a, what: str) -> np.ndarray:
-    """`a` as a complex128 array, refused unless every entry is finite."""
-    a = np.asarray(a).astype(np.complex128)
+    """`a` as a complex128 array, `a` itself if it is one (no caller writes
+    to it), refused unless every entry is finite."""
+    a = np.asarray(a).astype(np.complex128, copy=False)
     if not np.isfinite(a).all():
         raise DomainError(f"{what} entries must be finite")
     return a
@@ -131,10 +133,9 @@ def coherence(m: np.ndarray) -> CoherenceReport:
     norms = np.sqrt(np.diag(vals))
     dev = float(np.abs(norms - 1.0).max())
     np.fill_diagonal(vals, -1.0)
-    best = float(vals.max())
-    i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
-    i, j = (int(i), int(j)) if i < j else (int(j), int(i))
-    return CoherenceReport(best, (i, j), dev, n_cols * (n_cols - 1) // 2)
+    lead = caps.LexFirst()
+    lead.offer(vals, lambda pos: tuple(sorted(divmod(pos, n_cols))))
+    return CoherenceReport(lead.best, lead.witness, dev, n_cols * (n_cols - 1) // 2)
 
 
 def _pivots_positive(a: np.ndarray) -> np.ndarray:
@@ -201,10 +202,11 @@ def _may_reach(gram: np.ndarray, rows: np.ndarray, t: float, scale: float) -> np
 def rip2_profile(m: np.ndarray, L: int) -> list[RipReport]:
     """RIP-2 reports for every order 1..L in one enumeration pass.
 
-    The order-L constant is the running maximum of the per-size extremal
-    distortions, since subsets of size < L are subsets of the order-L search
-    space.  A threshold filter (`_may_reach`) spares eigvalsh every subset
-    proved below the best distortion computed so far.
+    The order-L constant is the largest distortion over the subsets of
+    size <= L, so one `LexFirst`, offered every size in turn, holds every
+    order's constant and witness.  A threshold filter (`_may_reach`) spares
+    eigvalsh every subset proved below its `best`, the largest distortion
+    computed so far.
     """
     m = as_matrix(m)
     n_cols = m.shape[1]
@@ -221,35 +223,29 @@ def rip2_profile(m: np.ndarray, L: int) -> list[RipReport]:
     # on a real Gram the filter decides the same in faster real arithmetic
     filter_gram = gram if gram.imag.any() else gram.real.copy()
     flat_gram = gram.reshape(-1)
-    # the largest distortion computed so far, over earlier sizes and earlier
-    # blocks: every subset it came from precedes the block being scored
-    incumbent = -math.inf
+    lead = caps.LexFirst()
 
-    # A removed row is below the incumbent, so the rows that tie or beat it
-    # all survive: the lex-first maximum of a block, a later block's win on a
-    # strict > in caps.lex_first_max and a later size's win on a strict >
-    # below are the same as without the filter.  numpy's eigvalsh solves a
-    # stack one matrix at a time, so the survivors' bits do not change.
+    # lead.best came from subsets that precede the block being scored.  A
+    # removed row is below it, so the rows that tie or beat it all survive,
+    # and the lead takes the same offers as without the filter.  numpy's
+    # eigvalsh solves a stack one matrix at a time, so the survivors' bits
+    # do not change.
     def distortions(rows: np.ndarray) -> np.ndarray:
-        nonlocal incumbent
         out = np.full(len(rows), -np.inf)
-        keep = (_may_reach(filter_gram, rows, incumbent, scale) if incumbent >= 0
-                else np.ones(len(rows), dtype=bool))
+        keep = (np.ones(len(rows), dtype=bool) if lead.best is None
+                else _may_reach(filter_gram, rows, lead.best, scale))
         kept = rows[keep]
         grams = flat_gram.take((kept * n_cols)[:, :, None] + kept[:, None, :])
         sv = np.sqrt(np.clip(np.linalg.eigvalsh(grams), 0.0, None))
         out[keep] = np.maximum(sv[:, -1] - 1.0, 1.0 - sv[:, 0])
-        incumbent = max(incumbent, out.max().item())
         return out
 
     reports: list[RipReport] = []
-    best, best_witness, checked = -1.0, (), 0
+    checked = 0
     for s in range(1, L + 1):
-        size_best, witness = caps.lex_first_max(distortions, n_cols, s)
-        if size_best > best:
-            best, best_witness = size_best, witness
+        best, witness = caps.lex_first_max(distortions, n_cols, s, lead)
         checked += math.comb(n_cols, s)
-        reports.append(RipReport(s, best, best_witness, checked))
+        reports.append(RipReport(s, best, witness, checked))
     return reports
 
 
@@ -297,7 +293,7 @@ def flat_rip_constant(m: np.ndarray, L0: int) -> FlatRipReport:
         e, y = scaled
         top = int(np.abs(y).max())
         unit = math.ldexp(1.0, -2 * e)
-    best, witness = -1.0, ((), ())
+    lead = caps.LexFirst()
     for s in range(1, L0 + 1):
         idx = caps.subsets(n_cols, s)
         member = np.zeros((len(idx), n_cols), dtype=bool)
@@ -355,9 +351,9 @@ def flat_rip_constant(m: np.ndarray, L0: int) -> FlatRipReport:
         size_best, (i, j) = caps.lex_first_max_pair(disjoint_scores, len(idx))
         if exact:
             size_best = size_best * unit / s
-        if size_best > best:
-            best, witness = size_best, (tuple(idx[i].tolist()), tuple(idx[j].tolist()))
-    return FlatRipReport(L0, best, witness, total_pairs)
+        lead.offer(np.float64(size_best),
+                   lambda _: (tuple(idx[i].tolist()), tuple(idx[j].tolist())))
+    return FlatRipReport(L0, lead.best, lead.witness, total_pairs)
 
 
 def kernel_injectivity(m: np.ndarray, L: int) -> KernelReport:
@@ -379,7 +375,7 @@ def kernel_injectivity(m: np.ndarray, L: int) -> KernelReport:
         # the lex-first largest -sigma_min is the lex-first smallest sigma_min
         return -np.linalg.svd(cols, compute_uv=False)[:, -1]
 
-    least, witness = caps.lex_first_max(negated_sigma_min, n_cols, s)
+    least, witness = caps.lex_first_max(negated_sigma_min, n_cols, s, caps.LexFirst())
     worst = -least
     injective = worst > RANK_TOL
     return KernelReport(

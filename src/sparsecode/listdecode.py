@@ -85,9 +85,9 @@ def list_sizes_at_radii(c: Code, radii: list[int]) -> list[tuple[int, Word]]:
 
     Lex order: the center whose halves are rows x_hi and x_lo of
     caps.product_rows is row x_hi * q^lo + x_lo of it over all n
-    coordinates, the centers' enumeration order.  argmax returns the first
-    maximum of a block and a later block replaces the incumbent only on a
-    strict >, so each worst center is the lex-first one.
+    coordinates, the centers' enumeration order.  Each radius's counts go
+    block by block to its own `caps.LexFirst`, so each worst center is the
+    lex-first one.
 
     Memory: blocks cover both center prefixes and codewords, so the working
     set stays within a fixed number of elements (_BLOCK_ELEMENTS) whatever
@@ -112,8 +112,7 @@ def list_sizes_at_radii(c: Code, radii: list[int]) -> list[tuple[int, Word]]:
     lo_table = None
     if word_block == size:
         lo_table = _distance_table(q, 0, lo_size, words[:, hi:], dist_dtype)
-    best = [-1] * len(radii)
-    best_index = [0] * len(radii)
+    leads = [caps.LexFirst() for _ in radii]
     for h0 in range(0, hi_size, prefix_block):
         h1 = min(h0 + prefix_block, hi_size)
         counts = np.zeros((len(radii), (h1 - h0) * lo_size), dtype=count_dtype)
@@ -127,12 +126,9 @@ def list_sizes_at_radii(c: Code, radii: list[int]) -> list[tuple[int, Word]]:
             dists = (d_hi[:, :, None] + d_lo[:, None, :]).reshape(len(block), -1)
             for ri, t in enumerate(thresholds):
                 counts[ri] += np.add.reduce(dists < t, axis=0, dtype=count_dtype)
-        for ri in range(len(radii)):
-            pos = int(np.argmax(counts[ri]))
-            if int(counts[ri, pos]) > best[ri]:
-                best[ri] = int(counts[ri, pos])
-                best_index[ri] = h0 * lo_size + pos
-    return [(best[i], _center_word(q, n, best_index[i])) for i in range(len(radii))]
+        for lead, row in zip(leads, counts):
+            lead.offer(row, lambda pos: h0 * lo_size + pos)
+    return [(lead.best, _center_word(q, n, lead.witness)) for lead in leads]
 
 
 def _distance_table(

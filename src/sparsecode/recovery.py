@@ -212,7 +212,7 @@ def cs_decode_batch(m: np.ndarray, ys: np.ndarray, L: int) -> list[RecoveryResul
     those rows; each row then tries its surviving supports in order with
     the least-squares solve and acceptance test, and leaves the walk at its
     first fit.  A row's result depends on that row alone, bit for bit.
-    Beyond its complex copies of m and ys and its results, the decoder
+    Beyond its inputs, m's transposed copy and its results, the decoder
     holds a few arrays of at most _RESIDUAL_ENTRIES complex entries each.
     """
     m = as_matrix(m)

@@ -1,4 +1,5 @@
-"""Shared seeded corpora for the property-based certification tests.
+"""Shared seeded corpora for the property-based certification tests, and
+the non-contiguous layouts that inputs are read in.
 
 All corpora are generated from fixed seeds so every run enumerates exactly
 the same codes; sizes are capped so each exhaustive certifier stays well
@@ -100,3 +101,27 @@ def listdecode_corpus():
             continue
         corpus.append(code)
     return corpus
+
+
+# views of a (2h, 2w) array that have shape (h, w) and are not C-contiguous
+_VIEWS = {
+    "strided": lambda b: b[::2, ::2],
+    "reversed-rows": lambda b: b[::-2, :b.shape[1] // 2],
+    "reversed-columns": lambda b: b[:b.shape[0] // 2, ::-2],
+    "reversed": lambda b: b[::-2, ::-2],
+    "corner": lambda b: b[:b.shape[0] // 2, :b.shape[1] // 2],
+    "fortran": lambda b: b.reshape(-1)[:b.size // 4].reshape(
+        b.shape[1] // 2, b.shape[0] // 2).T,
+}
+
+
+@pytest.fixture(params=list(_VIEWS.values()), ids=list(_VIEWS))
+def spread(request):
+    """A function that returns a copy of its 2-d array laid out as one view
+    of a zero array of twice its shape, one layout per parameter."""
+    def to_view(a):
+        view = request.param(np.zeros((2 * a.shape[0], 2 * a.shape[1]), dtype=a.dtype))
+        view[...] = a
+        assert np.array_equal(view, a) and not view.flags.c_contiguous
+        return view
+    return to_view

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import sparsecode
 from sparsecode import caps, certify, group_testing, recovery
 from sparsecode.caps import (
+    LexFirst,
     center_cap,
     codeword_cap,
     lex_first_max,
@@ -226,6 +227,38 @@ def test_product_rows_match_product_order(q, length):
         assert part.tolist() == full[start:stop]
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_lex_first_offers_in_pieces_match_one_offer(data):
+    """Scores with planted ties, cut at random points and offered in order,
+    give the (best, witness) of one offer of them all: the first of any tie
+    wins, and a witness is built only when its candidate takes the lead."""
+    n = data.draw(st.integers(1, 60))
+    dtype = data.draw(st.sampled_from([np.int8, np.int64, np.float64]))
+    # few distinct values, so maxima tie within and across pieces
+    scores = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)),
+                      dtype=dtype)
+    cuts = sorted(data.draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+    whole = LexFirst()
+    whole.offer(scores, lambda pos: pos)
+    first = int(np.flatnonzero(scores == scores.max())[0])
+    assert (whole.best, whole.witness) == (scores[first].item(), first)
+    assert type(whole.best) is type(scores[first].item())
+
+    lead, named = LexFirst(), []
+    assert (lead.best, lead.witness) == (None, ())
+    for start, stop in zip([0, *cuts], [*cuts, n]):
+        piece = scores[start:stop]
+        if data.draw(st.booleans()) and len(piece) % 2 == 0:
+            piece = piece.reshape(2, -1)  # a 2-d block is read in C order
+        lead.offer(piece, lambda pos: named.append(start + pos) or start + pos)
+    assert (lead.best, lead.witness) == (whole.best, whole.witness)
+    assert type(lead.best) is type(whole.best)
+    # each witness built took the lead with a strictly larger score
+    assert named[-1] == first
+    assert all(scores[a] < scores[b] for a, b in zip(named, named[1:]))
+
+
 @pytest.mark.parametrize("block", [1, 2, 7, 100])
 @pytest.mark.parametrize("kind", [int, float])
 def test_lex_first_max_matches_brute_force(block, kind, monkeypatch):
@@ -245,7 +278,7 @@ def test_lex_first_max_matches_brute_force(block, kind, monkeypatch):
             first = int(np.flatnonzero(table == table.max())[0])
             got = lex_first_max(
                 lambda block_rows: table[[rank[r] for r in map(tuple, block_rows.tolist())]],
-                n_items, size)
+                n_items, size, LexFirst())
             assert got == (table[first].item(), tuple(rows[first].tolist()))
             assert type(got[0]) is kind
 
@@ -366,6 +399,32 @@ def test_caps_is_the_only_cap_source():
                   and "SPARSECODE_CAP" in node.value):
                 offenders.append((path.name, node.lineno, "SPARSECODE_CAP"))
     assert offenders == []
+
+
+def test_lex_first_is_the_only_argmax():
+    """Every lex-first maximum is taken by `LexFirst.offer`: np.argmax is
+    called nowhere else in the library but in the scans named here, which
+    follow another rule.  A new walk offers into a LexFirst, or is added
+    here with its rule."""
+    allowed = {
+        ("caps.py", "LexFirst.offer"): "the lex-first rule",
+        ("group_testing.py", "verify_disjunct"): "first hit: stops at the first cover",
+    }
+
+    def scopes(node, scope):
+        """The enclosing def and class names of each argmax named under node."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                yield from scopes(child, scope + (child.name,))
+                continue
+            if getattr(child, "attr", getattr(child, "id", None)) in ("argmax", "nanargmax"):
+                yield ".".join(scope)
+            yield from scopes(child, scope)
+
+    found = [(path.name, scope)
+             for path in sorted(Path(sparsecode.__file__).parent.glob("*.py"))
+             for scope in scopes(ast.parse(path.read_text()), ())]
+    assert found == sorted(allowed)
 
 
 def test_only_caps_imports_combinations():

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from itertools import combinations
@@ -79,6 +80,19 @@ class TestCoherence:
     def test_requires_two_columns(self):
         with pytest.raises(DomainError):
             coherence(np.ones((3, 1)))
+
+    def test_ties_break_on_the_full_gram(self):
+        # |M^H M| from one product is not bitwise Hermitian.  Here its largest
+        # entry is (5, 0), one ulp above its mirror (0, 5), and the report
+        # carries the lower triangle's bits: a walk over the pairs i < j
+        # alone would report 0x1.0186f06a1097cp+3.
+        rng = np.random.default_rng(8)
+        m = rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))
+        moduli = np.abs(m.conj().T @ m)
+        assert moduli[5, 0].hex() == "0x1.0186f06a1097dp+3"
+        assert moduli[0, 5].hex() == "0x1.0186f06a1097cp+3"
+        rep = coherence(m)
+        assert (rep.value.hex(), rep.witness) == ("0x1.0186f06a1097dp+3", (0, 5))
 
 
 class TestRip2:
@@ -541,6 +555,23 @@ _NON_FINITE = [
     [[1, 0, 0.5], [0, -np.inf, 0.5]],
     np.array([[1, 0, 0.5], [0, complex(1, np.nan), 0.5]]),
 ]
+
+
+def test_views_certify_as_their_contiguous_copies(spread):
+    # a complex128 matrix is read as it is, strides and all, and every
+    # report is the one of its contiguous copy
+    m = _random_unit_columns(np.random.default_rng(5), 6, 10)
+    view = spread(m)
+    assert certify.as_matrix(view) is view
+
+    def reports(a):
+        # JSON text prints each float round-trip exact, so == compares bits
+        return json.dumps([coherence(a).to_dict(),
+                           [r.to_dict() for r in rip2_profile(a, 3)],
+                           flat_rip_constant(a, 2).to_dict(),
+                           kernel_injectivity(a, 2).to_dict()])
+
+    assert reports(view) == reports(m)
 
 
 @pytest.mark.parametrize("certifier", [

@@ -339,6 +339,18 @@ def _batch_cases(draw):
     return m, np.array(ys), L, tol, cut, budget
 
 
+def _vandermonde_measurements(rows: int, count: int, most: int, seed: int):
+    """Vandermonde rows x 12 and `count` complex128 measurements of random
+    inputs of weight <= most."""
+    m = vandermonde_matrix(unit_circle_nodes(12), rows)
+    rng = np.random.default_rng(seed)
+    xs = np.zeros((count, 12), dtype=np.complex128)
+    for x in xs:
+        support = rng.choice(12, size=int(rng.integers(0, most + 1)), replace=False)
+        x[support] = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
+    return m, xs @ m.T
+
+
 def _same(got, want) -> bool:
     """Equal results, the residual by its hex and the estimate by its bytes."""
     return (got.support_found == want.support_found
@@ -493,13 +505,7 @@ class TestResidualFilter:
     def test_memory_stays_within_the_slice_budget(self):
         # 1024 measurements on a tall matrix: one unsliced residual product
         # of the 66 two-column supports would hold 66 * 1024 * 512 entries
-        m = vandermonde_matrix(unit_circle_nodes(12), 512)
-        rng = np.random.default_rng(72)
-        xs = np.zeros((1024, 12), dtype=np.complex128)
-        for x in xs:
-            support = rng.choice(12, size=int(rng.integers(0, 3)), replace=False)
-            x[support] = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
-        ys = xs @ m.T
+        m, ys = _vandermonde_measurements(512, 1024, 2, 72)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -508,10 +514,22 @@ class TestResidualFilter:
         finally:
             tracemalloc.stop()
         assert all(r.success for r in results)
-        # beyond the decoder's complex copies of m and ys: a few slices of
-        # the budget, plus a constant for the 1024 results
+        # beyond m's transposed copy: a few slices of the budget, plus a
+        # constant for the 1024 results; complex128 ys is not copied
         budget = 16 * recovery._RESIDUAL_ENTRIES
-        assert peak <= ys.nbytes + m.nbytes + 4 * budget + 2**20
+        assert peak <= m.nbytes + 4 * budget + 2**20
+
+    def test_views_decode_as_their_contiguous_copies(self, spread):
+        # m and ys go into the decoder as they are, strides and all, and
+        # every result is the one of their contiguous copies
+        m, ys = _vandermonde_measurements(6, 40, 3, 74)
+        ys[::2] += 1e-3 * np.arange(6) ** 2  # half of them fit no support
+        want = recovery.cs_decode_batch(m, ys, 3)
+        for got in (recovery.cs_decode_batch(spread(m), ys, 3),
+                    recovery.cs_decode_batch(m, spread(ys), 3),
+                    recovery.cs_decode_batch(spread(m), spread(ys), 3)):
+            assert got == want
+            assert [r.residual_norm.hex() for r in got] == [r.residual_norm.hex() for r in want]
 
     def test_spares_lstsq_on_the_vandermonde_roundtrip(self, monkeypatch, tmp_path, capsys):
         write_matrix(vandermonde_matrix(unit_circle_nodes(12), 6), tmp_path / "v.json")
