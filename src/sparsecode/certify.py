@@ -295,16 +295,13 @@ def flat_rip_constant(m: np.ndarray, L0: int) -> FlatRipReport:
         unit = math.ldexp(1.0, -2 * e)
     lead = caps.LexFirst()
     for s in range(1, L0 + 1):
-        idx = caps.subsets(n_cols, s)
-        member = np.zeros((len(idx), n_cols), dtype=bool)
-        member[np.arange(len(idx))[:, None], idx] = True
         # B_s bounds every integer column sum Z, product and partial sum below
         bound = n_rows * (s * top) ** 2 if scaled is not None else None
-        exact = bound is not None and bound <= 1 << 52
-        if exact:
+        if bound is not None and bound <= 1 << 52:
             # The exact path, for real m = Y 2^-e with B_s = n (s max|Y|)^2
             # <= 2^52.  It ranks the integers |P| of P = Z Z^T and scales only
-            # the winner, and prints the float path's bits (below):
+            # the winner, and prints the float path's bits (steps 1-4); it
+            # finds the lex-first pair from one sorted row per set (5-6):
             #  1. Every column sum of the float path is Z 2^-e, every product
             #     and every partial sum of its accumulation an integer times
             #     2^-2e, all of magnitude <= B_s 2^-2e, so each is exact, in
@@ -328,31 +325,59 @@ def flat_rip_constant(m: np.ndarray, L0: int) -> FlatRipReport:
             #     above f, at most 2^-52 f (or the least subnormal at f = 0),
             #     is below 1/s <= b/s - a/s.
             # So equal integers give equal scores and distinct ones keep their
-            # order, the -1 of an overlapping pair stays below both, and the
-            # lex-first maximum pair, its score and the constant are the same.
-            # P goes by row block, and no K x K array is built.
-            z = y[:, idx].sum(axis=2).T  # (K, n) integer column sums
+            # order, and the lex-first maximum disjoint pair, its score and the
+            # constant are those of the integers |P|.
+            #  5. r_A = Y^T Z_A holds r_A[b] = P[A, {b}], so P[A, B] is the
+            #     sum of r_A over B; every entry and partial sum is an integer
+            #     of magnitude <= B_s, so exact.  A sum over an s-set B of the
+            #     N - s >= s items outside A lies between the sums of their s
+            #     smallest and of their s largest r_A, and both are attained,
+            #     so the larger modulus of those two is A's best |P[A, B]|.
+            #  6. Let M be the largest of these and A the first set attaining
+            #     it.  No set before A reaches M with any partner, and A's
+            #     partner B with |P[A, B]| = M does not come before A either,
+            #     since |P| is symmetric and B's own best would then be M.  So
+            #     the lex-first maximum pair is A and the first set disjoint
+            #     from A that reaches M, found on the one row r_A.
+            # Sets go in lex_first_max's blocks, and no K x K array is built.
+            def best_partner(rows: np.ndarray) -> np.ndarray:
+                r = _counts(y[:, rows].sum(axis=2).T, y, bound)  # r_A per row
+                r[np.arange(len(rows))[:, None], rows] = np.inf
+                r.sort(axis=1)  # A's own s items last
+                return np.maximum(np.abs(r[:, :s].sum(axis=1)),
+                                  np.abs(r[:, n_cols - 2 * s:n_cols - s].sum(axis=1)))
+
+            most, a = caps.lex_first_max(best_partner, n_cols, s, caps.LexFirst())
+            r_a = _counts(y[:, list(a)].sum(axis=1), y, bound)
+            own = np.zeros(n_cols, dtype=bool)
+            own[list(a)] = True
+
+            def against_a(rows: np.ndarray) -> np.ndarray:
+                vals = np.abs(r_a[rows].sum(axis=1))
+                np.copyto(vals, -1.0, where=own[rows].any(axis=1))
+                return vals
+
+            _, b = caps.lex_first_max(against_a, n_cols, s, caps.LexFirst())
+            size_best, witness = most * unit / s, (a, b)
         else:
+            idx = caps.subsets(n_cols, s)
+            member = np.zeros((len(idx), n_cols), dtype=bool)
+            member[np.arange(len(idx))[:, None], idx] = True
             sums = m[:, idx].sum(axis=2).T  # (K, n)
             # the scores are rows of this one K x K product, whose last bits a
             # row-blocked product need not reproduce; their moduli go by row block
             prod = sums.conj() @ sums.T
 
-        def disjoint_scores(i0: int, i1: int) -> np.ndarray:
-            overlap = _counts(member[i0:i1], member[i0:].T) > 0
-            if exact:
-                vals = np.abs(_counts(z[i0:i1], z[i0:].T, bound))
-            else:
+            def disjoint_scores(i0: int, i1: int) -> np.ndarray:
+                overlap = _counts(member[i0:i1], member[i0:].T) > 0
                 vals = np.abs(prod[i0:i1, i0:])
                 vals /= s
-            np.copyto(vals, -1.0, where=overlap)
-            return vals
+                np.copyto(vals, -1.0, where=overlap)
+                return vals
 
-        size_best, (i, j) = caps.lex_first_max_pair(disjoint_scores, len(idx))
-        if exact:
-            size_best = size_best * unit / s
-        lead.offer(np.float64(size_best),
-                   lambda _: (tuple(idx[i].tolist()), tuple(idx[j].tolist())))
+            size_best, (i, j) = caps.lex_first_max_pair(disjoint_scores, len(idx))
+            witness = (tuple(idx[i].tolist()), tuple(idx[j].tolist()))
+        lead.offer(np.float64(size_best), lambda _: witness)
     return FlatRipReport(L0, lead.best, lead.witness, total_pairs)
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 import tracemalloc
 from itertools import combinations
 
@@ -9,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sparsecode import caps, certify
+from sparsecode.cli import main
 from sparsecode.certify import (
     FLAT_FROM_RIP_FACTOR,
     bias_factor_from_flat,
@@ -23,6 +25,7 @@ import scalar_oracles as oracle
 from sparsecode.codes import random_balanced_code
 from sparsecode.embeddings import bool_code, sph_code
 from sparsecode.errors import DomainError, EnumerationCapError, PreconditionError
+from sparsecode.matrixio import write_matrix
 from sparsecode.recovery import vandermonde_matrix
 
 
@@ -185,6 +188,35 @@ def _rip_matrices(draw):
         m[:, rng.integers(0, cols, size=draw(st.integers(0, 2)))] = 0
         return m
     return vandermonde_matrix(rng.normal(size=cols) + 1j * rng.normal(size=cols), n)
+
+
+@st.composite
+def _exact_flat_matrices(draw):
+    """(m, L0) on flat RIP's exact path, ties planted: +-2^-k signs over 4^k
+    rows, normalised 0/1 columns of weight 1, 4 or 16, permuted and signed
+    identity columns (every score 0), each with repeated and negated
+    columns mixed in, and L0 up to N/2."""
+    kind = draw(st.sampled_from(["signs", "zero-one", "identity"]))
+    cols = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "signs":
+        n = 4 ** draw(st.integers(0, 2))
+        m = rng.choice([-1.0, 1.0], size=(n, cols)) / math.sqrt(n)
+    elif kind == "zero-one":
+        n = draw(st.integers(1, 20))
+        m = np.zeros((n, cols))
+        for j in range(cols):
+            weight = int(rng.choice([w for w in (1, 4, 16) if w <= n]))
+            m[rng.choice(n, size=weight, replace=False), j] = 1.0 / math.sqrt(weight)
+    else:
+        n = cols + draw(st.integers(0, 3))
+        m = np.eye(n)[:, rng.permutation(n)[:cols]] * rng.choice([-1.0, 1.0], size=cols)
+    if kind != "identity" and draw(st.booleans()):
+        for j in range(1, cols):
+            if rng.random() < 0.4:
+                m[:, j] = m[:, rng.integers(0, j)] * rng.choice([-1.0, 1.0])
+    L0 = cols // 2 if draw(st.booleans()) else draw(st.integers(1, cols // 2))
+    return m, L0
 
 
 def _rip_key(profile):
@@ -404,10 +436,11 @@ class TestFlatRip:
 
     def test_exact_path_builds_no_k_by_k_array(self):
         # K = C(32, 3) = 4960 sets, whose K x K complex product alone is
-        # 394 MB.  The exact path holds one row block at a time: per score a
-        # float32 count of overlaps or of P and its modulus and a mask, about
-        # 9 bytes.  16 bytes per score bounds that and the O(K (N + n))
-        # member, column-sum and index arrays.
+        # 394 MB.  The exact path holds one block of sets at a time, each
+        # with its column sums and its row r_A of N partner scores, and then
+        # the witness's one row: O(block (n + N)) floats, far below this
+        # bound of 16 bytes per K x _PAIR_BLOCK scores, kept from the row-
+        # blocked pair scan it replaced.
         rng = np.random.default_rng(30)
         m = rng.choice([-1.0, 1.0], size=(16, 32)) / 4.0
         k = math.comb(32, 3)
@@ -421,36 +454,129 @@ class TestFlatRip:
 
     _SIGNS = np.random.default_rng(33).choice([-1.0, 1.0], size=(16, 20))
 
-    @pytest.mark.parametrize("m, exact", [
-        (_SIGNS / 4.0, True),
-        (_SIGNS[1:] / math.sqrt(15), False),
-        (1j * _SIGNS / 4.0, False),
-        (np.eye(20)[:, np.random.default_rng(33).permutation(20)], True),
-        (_random_unit_columns(np.random.default_rng(33), 6, 20, complex_entries=False), False),
-        (_random_unit_columns(np.random.default_rng(33), 6, 20), False),
+    @pytest.mark.parametrize("m, L0, exact", [
+        (_SIGNS / 4.0, 3, True),
+        (_SIGNS[1:] / math.sqrt(15), 3, False),
+        (1j * _SIGNS / 4.0, 3, False),
+        (np.eye(20)[:, np.random.default_rng(33).permutation(20)], 3, True),
+        (_random_unit_columns(np.random.default_rng(33), 6, 20, complex_entries=False),
+         3, False),
+        (_random_unit_columns(np.random.default_rng(33), 6, 20), 3, False),
         # dyadic, but with entries (1 +- 2^38) / 2^40: B_1 > 16 * 4^38 > 2^52
-        (_SIGNS / 4.0 + 2.0**-40, False),
-    ], ids=["sign", "non-dyadic", "imaginary", "0/1", "gaussian", "complex", "past-2^52"])
-    def test_only_dyadic_real_input_takes_the_exact_path(self, monkeypatch, m, exact):
-        bounds, counts = [], certify._counts
+        (_SIGNS / 4.0 + 2.0**-40, 3, False),
+        # Y = m 2^25 has max|Y| = 2^25 over 4 rows: B_1 = 4 (2^25)^2 = 2^52
+        # exactly, the largest bound the exact path takes
+        (np.array([[1.0, 1.0 - 2.0**-25], [0.0, 2.0**-12], [0.0, 0.0], [0.0, 0.0]]),
+         1, True),
+    ], ids=["sign", "non-dyadic", "imaginary", "0/1", "gaussian", "complex",
+            "past-2^52", "at-2^52"])
+    def test_only_dyadic_real_input_takes_the_exact_path(self, monkeypatch, m, L0, exact):
+        products, counts = [], certify._counts
 
         def spy(a, b, bound=None):
-            bounds.append(bound)
+            products.append((bound, b.shape))
             return counts(a, b, bound)
 
         monkeypatch.setattr(certify, "_counts", spy)
-        k = math.comb(20, 3)
+        k = math.comb(m.shape[1], L0)
         tracemalloc.start()
         try:
-            rep = flat_rip_constant(m, 3)
+            rep = flat_rip_constant(m, L0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rep == oracle.flat_rip_constant(m, 3)
-        # the exact path passes its bound B_s with every product of column
-        # sums; the float path builds the one K x K complex product
-        assert any(b is not None for b in bounds) == exact
-        assert (peak >= 16 * k * k) != exact
+        assert rep == oracle.flat_rip_constant(m, L0)
+        # every product of the exact path passes its bound B_s and is taken
+        # against Y itself, for a block of sets or for the witness's row; the
+        # float path counts overlaps without a bound
+        assert products
+        assert all(b is not None and shape == m.shape for b, shape in products) == exact
+        # and builds the one K x K complex product, which shows in the peak
+        # where K is large
+        if k > 1000:
+            assert (peak >= 16 * k * k) != exact
+
+    @staticmethod
+    def _hex_report(rep):
+        # JSON text prints each float round-trip exact, and -0.0 as such
+        return rep.constant.hex(), json.dumps(rep.to_dict())
+
+    @_DIFFERENTIAL
+    @given(case=_exact_flat_matrices())
+    def test_exact_path_equals_the_pair_scan(self, case):
+        m, L0 = case
+        products, counts = [], certify._counts
+
+        def spy(a, b, bound=None):
+            products.append(bound)
+            return counts(a, b, bound)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(certify, "_counts", spy)
+            rep = flat_rip_constant(m, L0)
+        assert products and None not in products  # the exact path, every size
+        assert self._hex_report(rep) == self._hex_report(oracle.flat_rip_constant(m, L0))
+
+    @pytest.mark.parametrize("signs", [False, True], ids=["identity", "signed"])
+    @pytest.mark.parametrize("rows, cols, L0", [(6, 6, 3), (9, 7, 2), (8, 8, 4)])
+    def test_all_zero_scores_give_the_first_pair_and_plus_zero(self, rows, cols, L0,
+                                                              signs):
+        # every disjoint pair of orthogonal columns scores 0 at every size, so
+        # the first size's first pair is the witness, and its 0 is +0.0
+        rng = np.random.default_rng(rows * cols)
+        m = np.eye(rows)[:, rng.permutation(rows)[:cols]]
+        if signs:
+            m *= rng.choice([-1.0, 1.0], size=cols)
+        rep = flat_rip_constant(m, L0)
+        assert (rep.constant.hex(), rep.witness) == ("0x0.0p+0", ((0,), (1,)))
+        assert self._hex_report(rep) == self._hex_report(oracle.flat_rip_constant(m, L0))
+
+    def test_cap_counts_the_set_pairs(self, monkeypatch, tmp_path, capsys):
+        # C(8, 1) C(7, 1) / 2 + C(8, 2) C(6, 2) / 2 = 28 + 210 set pairs, on
+        # the exact path, which scores far fewer of them
+        m = np.random.default_rng(35).choice([-1.0, 1.0], size=(4, 8)) / 2.0
+        path = str(tmp_path / "signs.json")
+        write_matrix(m, path)
+        argv = ["verify", "flat-rip", "--input", path, "--L", "2"]
+        monkeypatch.setenv("SPARSECODE_CAP", "238")
+        rep = flat_rip_constant(m, 2)
+        assert rep.pairs_checked == 238
+        assert rep == oracle.flat_rip_constant(m, 2)
+        assert main(argv) in (0, 1)
+        assert json.loads(capsys.readouterr().out)["subsets_checked"] == 238
+        monkeypatch.setenv("SPARSECODE_CAP", "237")
+        with pytest.raises(EnumerationCapError, match="^238 set pairs exceed cap 237$"):
+            flat_rip_constant(m, 2)
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: 238 set pairs exceed cap 237\n")
+
+    def test_reach_past_a_hundred_million_pairs(self, monkeypatch):
+        # 16 x 48 +-1/4 signs at L0 = 3: 123.3M set pairs, 122.7M of them of
+        # size 3, which a pair scan took 1.3 s to score on a 2-vCPU x86-64
+        # box.  The exact path computes one row of N scores per set and one
+        # for the witness.
+        m = np.random.default_rng(48).choice([-1.0, 1.0], size=(16, 48)) / 4.0
+        total = sum(math.comb(48, s) * math.comb(48 - s, s) // 2 for s in (1, 2, 3))
+        monkeypatch.setenv("SPARSECODE_CAP", str(total))
+        scored, counts = [], certify._counts
+
+        def spy(a, b, bound=None):
+            out = counts(a, b, bound)
+            scored.append(out.size)
+            return out
+
+        monkeypatch.setattr(certify, "_counts", spy)
+        start = time.perf_counter()
+        rep = flat_rip_constant(m, 3)
+        assert time.perf_counter() - start < 5.0
+        assert rep.pairs_checked == total
+        assert sum(scored) == sum((math.comb(48, s) + 1) * 48 for s in (1, 2, 3))
+        # the witness re-derives its constant from its integer column sums
+        a, b = rep.witness
+        assert len(a) == len(b) == 3 and not set(a) & set(b)
+        y = (4 * m).astype(np.int64)
+        p = int(y[:, list(a)].sum(axis=1) @ y[:, list(b)].sum(axis=1))
+        assert rep.constant == abs(p) / 16 / 3
 
 
 class TestBiasFactor:
@@ -542,10 +668,12 @@ class TestAgainstLoopOracles:
                      for m in self._matrices() + exact)]
 
         default = reports()
-        # 1 << 30 rows: every size's K rows in one block; 1 row: the exact
-        # path's products are BLAS gemv, and must not change either
+        # the float path's pair rows and the exact path's sets go in blocks
+        # of _PAIR_BLOCK and _SUBSET_BLOCK.  1 << 30: every size in one
+        # block; 1: the products are BLAS gemv, and must not change either
         for block in (1, 7, 1 << 30):
             monkeypatch.setattr(caps, "_PAIR_BLOCK", block)
+            monkeypatch.setattr(caps, "_SUBSET_BLOCK", block)
             assert reports() == default
 
 
