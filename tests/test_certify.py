@@ -1,12 +1,11 @@
 import json
 import math
-import time
 import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from sparsecode import caps, certify
@@ -487,10 +486,11 @@ class TestFlatRip:
             tracemalloc.stop()
         assert rep == oracle.flat_rip_constant(m, L0)
         # every product of the exact path passes its bound B_s and is taken
-        # against Y itself, for a block of sets or for the witness's row; the
-        # float path counts overlaps without a bound
+        # against Y itself, for a block of sets or for the witness's row; every
+        # product of the float path counts overlaps without a bound
         assert products
-        assert all(b is not None and shape == m.shape for b, shape in products) == exact
+        assert all((b is not None and shape == m.shape) if exact else b is None
+                   for b, shape in products)
         # and builds the one K x K complex product, which shows in the peak
         # where K is large
         if k > 1000:
@@ -503,6 +503,9 @@ class TestFlatRip:
 
     @_DIFFERENTIAL
     @given(case=_exact_flat_matrices())
+    # signed, permuted identity columns at L0 = N/2: every score is 0, so the
+    # witness is ((0,), (1,)) with constant +0.0
+    @example(case=(np.eye(8)[:, ::-1] * np.tile([1.0, -1.0], 4), 4))
     def test_exact_path_equals_the_pair_scan(self, case):
         m, L0 = case
         products, counts = [], certify._counts
@@ -515,20 +518,6 @@ class TestFlatRip:
             mp.setattr(certify, "_counts", spy)
             rep = flat_rip_constant(m, L0)
         assert products and None not in products  # the exact path, every size
-        assert self._hex_report(rep) == self._hex_report(oracle.flat_rip_constant(m, L0))
-
-    @pytest.mark.parametrize("signs", [False, True], ids=["identity", "signed"])
-    @pytest.mark.parametrize("rows, cols, L0", [(6, 6, 3), (9, 7, 2), (8, 8, 4)])
-    def test_all_zero_scores_give_the_first_pair_and_plus_zero(self, rows, cols, L0,
-                                                              signs):
-        # every disjoint pair of orthogonal columns scores 0 at every size, so
-        # the first size's first pair is the witness, and its 0 is +0.0
-        rng = np.random.default_rng(rows * cols)
-        m = np.eye(rows)[:, rng.permutation(rows)[:cols]]
-        if signs:
-            m *= rng.choice([-1.0, 1.0], size=cols)
-        rep = flat_rip_constant(m, L0)
-        assert (rep.constant.hex(), rep.witness) == ("0x0.0p+0", ((0,), (1,)))
         assert self._hex_report(rep) == self._hex_report(oracle.flat_rip_constant(m, L0))
 
     def test_cap_counts_the_set_pairs(self, monkeypatch, tmp_path, capsys):
@@ -566,9 +555,7 @@ class TestFlatRip:
             return out
 
         monkeypatch.setattr(certify, "_counts", spy)
-        start = time.perf_counter()
         rep = flat_rip_constant(m, 3)
-        assert time.perf_counter() - start < 5.0
         assert rep.pairs_checked == total
         assert sum(scored) == sum((math.comb(48, s) + 1) * 48 for s in (1, 2, 3))
         # the witness re-derives its constant from its integer column sums
