@@ -64,7 +64,6 @@ from .recovery import (
     cs_encode,
     cs_decode_exhaustive,
     cs_decode_batch,
-    uniqueness_certificate,
 )
 from .matrixio import read_matrix, write_matrix
 

@@ -382,7 +382,9 @@ def flat_rip_constant(m: np.ndarray, L0: int) -> FlatRipReport:
 
 
 def kernel_injectivity(m: np.ndarray, L: int) -> KernelReport:
-    """True iff every 2L-column submatrix has trivial right kernel."""
+    """True iff every 2L-column submatrix has trivial right kernel: then the
+    exhaustive decoder recovers every L-sparse vector from its exact
+    measurements."""
     m = as_matrix(m)
     n_rows, n_cols = m.shape
     if L < 1:

@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import math
+import operator
 import sys
 import time
 from pathlib import Path
@@ -76,56 +77,57 @@ def _cmd_build(args) -> tuple[dict, bool, str]:
 
 # ---------------------------------------------------------------- verify
 
+def _at_most(value: float, threshold: float) -> bool:
+    return value <= threshold + 1e-12
+
+
+def _at_least(value: float, threshold: float) -> bool:
+    return value >= threshold - 1e-12
+
+
+def _lwise_distance(code, args) -> dict:
+    rep = codes.lwise_distance(code, args.L)
+    return {"property": args.property, "order": args.L,
+            "constant": rep.relative, "witness": list(rep.witness)}
+
+
+# property -> (required flags, whether it reads a code file (else a matrix
+# file), certifier(input, args) -> report, the report key its verdict reads,
+# that key's relation to --threshold).  With no relation a property takes no
+# --threshold and the key is its verdict.  Each call looks its certifier up in
+# the certifier's module, so a wrapper set there sees the call.
+_VERIFY = {
+    "rip2": ("input L", False, lambda m, a: certify.rip2_constant(m, a.L).to_dict(),
+             "constant", _at_most),
+    "flat-rip": ("input L", False, lambda m, a: certify.flat_rip_constant(m, a.L).to_dict(),
+                 "constant", _at_most),
+    "coherence": ("input", False, lambda m, a: certify.coherence(m).to_dict(),
+                  "constant", _at_most),
+    "disjunct": ("input L", False, lambda m, a: group_testing.verify_disjunct(m, a.L).to_dict(),
+                 "disjunct", None),
+    "design": ("input", False, lambda m, a: group_testing.verify_design(
+        group_testing.Design(m)).to_dict(), "r", operator.le),
+    "list-decode": ("input rho", True, lambda c, a: listdecode.list_size_at_radius(
+        c, a.rho).to_dict(), "max_list_size", operator.lt),
+    "lwise-distance": ("input L", True, _lwise_distance, "constant", _at_least),
+    "lwise-bias": ("input L", True, lambda c, a: {
+        "property": a.property, "order": a.L, "constant": codes.lwise_bias(c, a.L)},
+        "constant", _at_most),
+    "kernel": ("input L", False, lambda m, a: certify.kernel_injectivity(m, a.L).to_dict(),
+               "injective", None),
+}
+
+
 def _cmd_verify(args) -> tuple[dict, bool, str]:
-    prop = args.property
-    # kernel and disjunct take no threshold; their reports keep it as null
-    threshold = getattr(args, "threshold", None)
-    if prop in ("list-decode", "lwise-distance", "lwise-bias"):
-        code = codes.read_code_file(args.input)
-    else:
-        m = matrixio.read_matrix(args.input)
-    ok = True
-    if prop in ("rip2", "flat-rip", "coherence", "kernel"):
-        if prop == "rip2":
-            rep = certify.rip2_constant(m, args.L)
-        elif prop == "flat-rip":
-            rep = certify.flat_rip_constant(m, args.L)
-        elif prop == "coherence":
-            rep = certify.coherence(m)
-        else:
-            rep = certify.kernel_injectivity(m, args.L)
-            ok = rep.injective
-        report = rep.to_dict()
-        if threshold is not None:
-            ok = report["constant"] <= threshold + 1e-12
-    elif prop == "disjunct":
-        rep = group_testing.verify_disjunct(m, args.L)
-        report = rep.to_dict()
-        ok = rep.disjunct
-    elif prop == "design":
-        rep = group_testing.verify_design(group_testing.Design(m))
-        report = rep.to_dict()
-        if threshold is not None:
-            ok = rep.max_intersection <= threshold
-    elif prop == "list-decode":
-        rep = listdecode.list_size_at_radius(code, args.rho)
-        report = rep.to_dict()
-        if threshold is not None:
-            ok = rep.max_list_size < threshold
-    elif prop == "lwise-distance":
-        rep = codes.lwise_distance(code, args.L)
-        report = {"property": "lwise-distance", "order": args.L,
-                  "constant": rep.relative, "witness": list(rep.witness)}
-        if threshold is not None:
-            ok = rep.relative >= threshold - 1e-12
-    elif prop == "lwise-bias":
-        value = codes.lwise_bias(code, args.L)
-        report = {"property": "lwise-bias", "order": args.L, "constant": value}
-        if threshold is not None:
-            ok = value <= threshold + 1e-12
+    _, reads_code, certifier, key, relation = _VERIFY[args.property]
+    read = codes.read_code_file if reads_code else matrixio.read_matrix
+    report = certifier(read(args.input), args)
+    threshold = args.threshold if relation else None
+    ok = bool(report[key] if relation is None else threshold is None
+              or relation(report[key], threshold))
     report["threshold"] = threshold
-    report["pass"] = bool(ok)
-    return report, ok, f"{prop}: {'pass' if ok else 'VIOLATED'}"
+    report["pass"] = ok
+    return report, ok, f"{args.property}: {'pass' if ok else 'VIOLATED'}"
 
 
 # ---------------------------------------------------------------- bounds
@@ -306,17 +308,17 @@ def _cmd_pipeline(args) -> tuple[dict, bool, str]:
         guaranteed = prov["guaranteed_disjunct_order"]
         L = args.L if args.L is not None else guaranteed
         n_cols = m.shape[1]
-        # the round trip's walk checks its cap now, before the design and
-        # disjunct walks run; a larger order is verify_disjunct's to refuse
+        # the round trip's walk checks its cap now, before the disjunct walk
+        # runs; a larger order is verify_disjunct's to refuse
         walk = caps.supports(n_cols, L) if L < n_cols else ()
-        design = group_testing.verify_design(group_testing.Design(m))
         disjunct = group_testing.verify_disjunct(m, L)
         passed, failed, first_failure = _roundtrips(m, _indicators(n_cols, walk))
         report = {
             "property": "pipeline-ks-gt",
             "q": args.q, "k": args.k, "order": L,
             "rows": int(m.shape[0]), "cols": n_cols,
-            "design_r": design.max_intersection,
+            # two sets of the design meet where their codewords agree
+            "design_r": prov["block_length"] - prov["min_distance"],
             "design_r_bound": args.k,
             "guaranteed_disjunct_order": guaranteed,
             "disjunct": disjunct.disjunct,
@@ -406,16 +408,8 @@ _COMMANDS = {
         "vandermonde": ("n cols out", {}),
     }),
     "verify": ("certify a property of a code or matrix", _cmd_verify, "property", {
-        "rip2": ("input L", {"threshold": None}),
-        "flat-rip": ("input L", {"threshold": None}),
-        "coherence": ("input", {"threshold": None}),
-        "disjunct": ("input L", {}),
-        "design": ("input", {"threshold": None}),
-        "list-decode": ("input rho", {"threshold": None}),
-        "lwise-distance": ("input L", {"threshold": None}),
-        "lwise-bias": ("input L", {"threshold": None}),
-        "kernel": ("input L", {}),
-    }),
+        prop: (flags, {"threshold": None} if relation else {})
+        for prop, (flags, _, _, _, relation) in _VERIFY.items()}),
     "bounds": ("evaluate the closed-form calculators", _cmd_bounds, None, {
         None: ("", {"q": 2, **dict.fromkeys(
             ["n", "N", "L", "r", "n-prime", "delta", "epsilon", "alpha"])}),

@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import caps
-from .certify import _pivots_positive, as_finite, as_matrix, kernel_injectivity
+from .certify import _pivots_positive, as_finite, as_matrix
 from .errors import DomainError
 
 DECODE_TOL = 1e-8
@@ -272,12 +272,3 @@ def cs_decode_exhaustive(m: np.ndarray, y: np.ndarray, L: int) -> RecoveryResult
     of `cs_decode_batch`.
     """
     return cs_decode_batch(m, np.asarray(y)[None], L)[0]
-
-
-def uniqueness_certificate(m: np.ndarray, L: int) -> bool:
-    """True iff every 2L-column submatrix has trivial kernel.
-
-    Implies that cs_decode_exhaustive recovers every L-sparse vector from
-    its exact measurements.
-    """
-    return kernel_injectivity(m, L).injective

@@ -496,6 +496,13 @@ class TestFlatRip:
         if k > 1000:
             assert (peak >= 16 * k * k) != exact
 
+    def test_scaled_integers_stop_below_2_to_the_53(self):
+        # [1, 2^-52] scales by 2^52 to [2^52, 1], every |Y| below 2^53; [1,
+        # 2^-53] would scale to 2^53, which a float64 integer need not hold
+        e, y = certify._scaled_integers(np.array([[1.0, 2.0**-52]]))
+        assert (e, np.abs(y).max()) == (52, 2.0**52)
+        assert certify._scaled_integers(np.array([[1.0, 2.0**-53]])) is None
+
     @staticmethod
     def _hex_report(rep):
         # JSON text prints each float round-trip exact, and -0.0 as such
@@ -601,6 +608,12 @@ class TestKernelInjectivity:
         assert rep.injective
         assert rep.witness is None
         assert rep.subsets_checked == math.comb(8, 6)
+
+    def test_sigma_min_at_the_rank_tolerance_is_a_kernel(self):
+        rep = kernel_injectivity(np.array([[1.0, 0.0], [0.0, certify.RANK_TOL]]), 1)
+        assert rep.min_singular_value == certify.RANK_TOL
+        assert not rep.injective
+        assert rep.witness == (0, 1)
 
     def test_order_range(self):
         with pytest.raises(DomainError):

@@ -14,13 +14,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import sparsecode
-from sparsecode import caps, cli
+from sparsecode import caps, cli, codes, group_testing
 from sparsecode.cli import main
 from sparsecode.codes import Code, read_code_file
-from sparsecode.embeddings import sph_code
+from sparsecode.embeddings import bool_code, sph_code
 from sparsecode.group_testing import kautz_singleton
 from sparsecode.matrixio import read_matrix, write_matrix
 from sparsecode.recovery import unit_circle_nodes, vandermonde_matrix
+from test_report_json import CODE
 
 
 def run(capsys, *argv):
@@ -192,6 +193,52 @@ class TestVerify:
         assert report["constant"] == pytest.approx(2 / 3)
 
 
+# each --threshold property on the inputs of test_report_json, as
+# (argv, [(threshold, exit code)]): at the value it certifies there, and
+# either side of the 1e-12 slack of a float relation
+_BOUNDARIES = [
+    *[(argv, [(v, 0), (v - 0.5e-12, 0), (v - 2e-12, 1)]) for argv, v in (
+        (["coherence", "--input", "sph.json"], 0.5),
+        (["rip2", "--input", "sph.json", "--L", "2"], 0.2928932188134524),
+        (["flat-rip", "--input", "sph.json", "--L", "1"], 0.5),
+        (["lwise-bias", "--input", "c.code", "--L", "2"], 0.25))],
+    (["lwise-distance", "--input", "c.code", "--L", "3"],
+     [(0.5, 0), (0.5 + 0.5e-12, 0), (0.5 + 2e-12, 1)]),
+    # r <= threshold
+    (["design", "--input", "bool.json"], [(3, 0), (2, 1)]),
+    # max_list_size < threshold
+    (["list-decode", "--input", "c.code", "--rho", "0.25"], [(4, 0), (3, 1)]),
+]
+
+
+@pytest.fixture(scope="module")
+def report_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("report-inputs")
+    codes.write_code_file(CODE, root / "c.code")
+    write_matrix(sph_code(CODE), root / "sph.json")
+    write_matrix(bool_code(CODE), root / "bool.json")
+    return root
+
+
+@pytest.mark.parametrize("argv, threshold, exit_code", [
+    (argv, t, code) for argv, points in _BOUNDARIES for t, code in points],
+    ids=lambda a: a[0] if isinstance(a, list) else repr(a))
+def test_verify_relation_at_its_boundary(capsys, report_inputs, argv, threshold, exit_code):
+    flags = [str(report_inputs / a) if a.endswith((".json", ".code")) else a for a in argv[1:]]
+    code, report, _ = run(capsys, "verify", argv[0], *flags, "--threshold", repr(threshold))
+    assert (code, report["pass"]) == (exit_code, exit_code == 0)
+
+
+def test_verify_dispatches_through_its_table():
+    """`_cmd_verify` has no if statement and names no property: each verify
+    property is one row of `cli._VERIFY`."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    verify = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_cmd_verify")
+    assert [node.lineno for node in ast.walk(verify) if isinstance(node, ast.If)
+            or isinstance(node, ast.Constant) and node.value in cli._VERIFY] == []
+
+
 class TestBounds:
     def test_rate_values(self, capsys):
         code, report, _ = run(
@@ -308,11 +355,18 @@ class TestRoundtripBatches:
 
 
 class TestPipelines:
-    def test_ks_gt(self, capsys):
+    def test_ks_gt(self, capsys, monkeypatch):
+        # design_r comes from kautz_singleton's distance walk; no second walk
+        # runs over the same pairs
+        walks, largest = [], codes._largest_count_pair
+        for module in (codes, group_testing):
+            monkeypatch.setattr(module, "_largest_count_pair",
+                                lambda m: walks.append(m.shape) or largest(m))
         code, report, _ = run(
             capsys, "pipeline", "ks-gt", "--q", "5", "--k", "2"
         )
         assert code == 0
+        assert (report["design_r"], walks) == (1, [(25, 25)])
         assert report["roundtrip_passed"] == 326
         assert report["disjunct"] is True
 

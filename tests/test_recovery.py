@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 import scalar_oracles as oracle
 from sparsecode import caps, cli, recovery
+from sparsecode.certify import kernel_injectivity
 from sparsecode.errors import DomainError, EnumerationCapError
 from sparsecode.matrixio import write_matrix
 from sparsecode.recovery import (
     cs_decode_exhaustive,
     cs_encode,
     unit_circle_nodes,
-    uniqueness_certificate,
     vandermonde_matrix,
 )
 
@@ -38,8 +38,10 @@ class TestVandermonde:
         assert np.allclose(m, [[1, 1, 1], [1, 2, 3]])
 
     def test_rejects_coincident_nodes(self):
-        with pytest.raises(DomainError):
-            vandermonde_matrix(np.array([1.0, 1.0 + 1e-12]), 2)
+        # nodes within NODE_GAP_TOL of each other, the gap itself included
+        for nodes in ([1.0, 1.0 + 1e-12], [0.0, recovery.NODE_GAP_TOL]):
+            with pytest.raises(DomainError, match="pairwise distinct"):
+                vandermonde_matrix(np.array(nodes), 2)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
     def test_rejects_non_finite_nodes(self, bad):
@@ -589,8 +591,8 @@ class TestStackedLapack:
 class TestUniqueness:
     def test_vandermonde_is_identifiable(self):
         m = vandermonde_matrix(unit_circle_nodes(8), 4)
-        assert uniqueness_certificate(m, 2)
+        assert kernel_injectivity(m, 2).injective
 
     def test_too_few_rows(self):
         m = vandermonde_matrix(unit_circle_nodes(8), 3)
-        assert not uniqueness_certificate(m, 2)
+        assert not kernel_injectivity(m, 2).injective
