@@ -8,9 +8,12 @@ The lex rows of each shape (n_items, size) form one read-only table per
 process, grown only as far as a walk reaches and shared by every later
 walk of that shape.  The tables together are bounded in bytes; a shape that
 does not fit is built block by block and dropped, as if there were none.
-Every walk owns its block size, so no caller passes one; the pair walk's
-memory is O(_PAIR_BLOCK * size), and the pair-sum walk starts from the
-empty prefix, so that one step makes every level.
+Every walk owns its block size, so no caller passes one.  `lex_first_max`
+walks one schedule for every caller: a small first block while its
+`LexFirst` has no incumbent (no threshold filter can act before one), a
+larger one when it has, then doubling up to _SUBSET_BLOCK rows.  The pair
+walk's memory is O(_PAIR_BLOCK * size), and the pair-sum walk starts from
+the empty prefix, so that one step makes every level.
 
 Every certifier counts its space and checks it against the cap of its kind
 before it walks: 10^7 subsets, pairs, choices or supports, 2^20 codewords,
@@ -43,8 +46,12 @@ _ENV_VAR = "SPARSECODE_CAP"
 
 # bytes of lex tables kept per process, over all shapes
 _TABLE_BYTES = 32 << 20
-# chunk sizes of lex_first_max (subsets) and lex_first_max_pair_sum (L-subsets)
-_SUBSET_BLOCK = 1 << 9
+# lex_first_max's block schedule: its first block without and with an
+# incumbent, and the largest block
+_FIRST_BLOCK = 1 << 6
+_FIRST_BLOCK_LED = 1 << 9
+_SUBSET_BLOCK = 1 << 11
+# chunk size of lex_first_max_pair_sum (L-subsets)
 _LSET_BLOCK = 1 << 13
 # rows per block of lex_first_max_pair, and supports per block of supports
 _PAIR_BLOCK = 1 << 7
@@ -211,10 +218,16 @@ def lex_first_max(score, n_items: int, size: int, lead: LexFirst):
     """`lead`'s (best, witness) after it is offered every size-subset of
     range(n_items), of which there must be one, in lex order.
 
-    score(rows) scores a block of _SUBSET_BLOCK rows of subsets(n_items, size);
-    by `LexFirst`'s rule the block size never moves a witness.
+    score(rows) scores a block of consecutive rows of subsets(n_items, size).
+    Every caller walks one schedule: while `lead` has no incumbent no filter
+    can act, so the first block is small (_FIRST_BLOCK rows) and the lead
+    soon holds a threshold; a walk that starts with one begins at
+    _FIRST_BLOCK_LED rows.  Blocks then double up to _SUBSET_BLOCK rows,
+    past which a filter's stacks outgrow the cache.  By `LexFirst`'s rule no
+    block size moves a witness.
     """
-    for _, rows in subset_blocks(n_items, size, _SUBSET_BLOCK, _SUBSET_BLOCK):
+    first = _FIRST_BLOCK if lead.best is None else _FIRST_BLOCK_LED
+    for _, rows in subset_blocks(n_items, size, first, _SUBSET_BLOCK):
         lead.offer(score(rows), lambda pos: tuple(rows[pos].tolist()))
     return lead.best, lead.witness
 

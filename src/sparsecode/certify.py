@@ -26,9 +26,14 @@ from .errors import DomainError, PreconditionError
 UNIT_NORM_TOL = 1e-9
 RANK_TOL = 1e-9
 
-# rip2_profile's filter shifts its thresholds by _PD_MARGIN * s^2 * B, where
-# 2^-43 = 1024 u (u = 2^-53, the unit roundoff); the proof is in _may_reach
+# the LDL^H filters' margins are multiples of _PD_MARGIN = 2^-43 = 1024 u
+# (u = 2^-53, the unit roundoff): rip2_profile's shifts its thresholds by
+# _PD_MARGIN * s^2 * B (the proof is in _may_reach), and kernel_injectivity's
+# widens its incumbent (the proof is in _sigma_min_above)
 _PD_MARGIN = 2.0**-43
+# kernel_injectivity's filter runs only where the largest modulus of m's Gram
+# lies in [1 / _GRAM_RANGE, _GRAM_RANGE]
+_GRAM_RANGE = 2.0**400
 
 # Pinned by the pre-build polarization oracle: for unit-column matrices the
 # flat constant at order L0 never exceeds twice the RIP-2 constant at order
@@ -152,6 +157,27 @@ def _pivots_positive(a: np.ndarray) -> np.ndarray:
     return (a[diag, diag].real > 0).all(axis=0)
 
 
+def _grams(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """m's one einsum Gram, the same Gram for the LDL^H filters and the
+    largest of its moduli, which may be inf or NaN.
+
+    Every subset Gram is gathered from the one Gram, so its bits are those
+    of a principal submatrix, whatever the block.  The filters read its real
+    part where its imaginary part is zero (see `_may_reach`).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = np.einsum("nk,nl->kl", m.conj(), m)
+        scale = float(np.abs(gram).max())
+    return gram, gram if gram.imag.any() else gram.real.copy(), scale
+
+
+def _subset_grams(gram: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The (s, s, K) stack of the Grams of the K subsets `rows`, K innermost,
+    gathered at flat indices i N + j; a fresh array the caller may write."""
+    cols = np.ascontiguousarray(rows.T)
+    return gram.reshape(-1).take((cols * gram.shape[1])[:, None] + cols[None, :])
+
+
 def _may_reach(gram: np.ndarray, rows: np.ndarray, t: float, scale: float) -> np.ndarray:
     """False for each subset of `rows` whose computed distortion is proved
     below t >= 0 without eigvalsh; `scale` bounds |gram|, which may be real.
@@ -181,9 +207,7 @@ def _may_reach(gram: np.ndarray, rows: np.ndarray, t: float, scale: float) -> np
     """
     k, s = rows.shape
     delta = _PD_MARGIN * s * s * ((1 + t) * (1 + t) + s * scale)
-    cols = np.ascontiguousarray(rows.T)
-    # the (s, s, K) stack of subset Grams, K innermost, at flat indices i N + j
-    grams = gram.reshape(-1).take((cols * gram.shape[1])[:, None] + cols[None, :])
+    grams = _subset_grams(gram, rows)
     diag = np.arange(s)
     lower_too = t <= 1
     # the upper test on the first K matrices, the lower one on the rest
@@ -214,14 +238,8 @@ def rip2_profile(m: np.ndarray, L: int) -> list[RipReport]:
         raise DomainError(f"need 1 <= L <= N, got L={L}, N={n_cols}")
     caps.require(sum(math.comb(n_cols, s) for s in range(1, L + 1)),
                  caps.subset_cap(), f"subsets up to size {L}")
-    # every subset Gram is gathered from this one einsum, so its bits are
-    # those of a principal submatrix of this Gram, whatever the block
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = np.einsum("nk,nl->kl", m.conj(), m)
-        scale = float(np.abs(gram).max())
+    gram, filter_gram, scale = _grams(m)
     _require_finite_gram(scale)
-    # on a real Gram the filter decides the same in faster real arithmetic
-    filter_gram = gram if gram.imag.any() else gram.real.copy()
     flat_gram = gram.reshape(-1)
     lead = caps.LexFirst()
 
@@ -381,10 +399,70 @@ def flat_rip_constant(m: np.ndarray, L0: int) -> FlatRipReport:
     return FlatRipReport(L0, lead.best, lead.witness, total_pairs)
 
 
+def _sigma_min_above(gram: np.ndarray, rows: np.ndarray, sigma: float, scale: float,
+                     n: int) -> np.ndarray:
+    """True for each subset S of `rows` whose computed sigma_min, the least
+    value np.linalg.svd gives for the n x s matrix A = m[:, S], is proved
+    above sigma >= 0 without an SVD.  `gram` is m's one Gram (see `_grams`),
+    and `scale`, the largest of its moduli, lies in [1 / _GRAM_RANGE,
+    _GRAM_RANGE].
+
+    The proof.  Write u = 2^-53, G = A^H A exactly, H the Hermitian matrix
+    the LDL^H reads (G_S's computed lower triangle and real diagonal) and a
+    = ||A||_F.  Every bound below is many times the one its reference
+    proves, which covers the roundings of eta, c0 and delta themselves.
+     1. The Gram.  Each computed entry is a complex inner product of length
+        n, within 2 (n + 2) u ||a_i|| ||a_j|| of the exact one (Higham,
+        Accuracy and Stability of Numerical Algorithms, 2nd ed., Lemma 3.5,
+        with complex arithmetic's constants); gradual underflow adds at most
+        n 2^-1074, below u scale as scale >= 2^-400.  So every exact norm^2
+        is <= 2 scale, a^2 <= 2 s scale, and ||H - G|| <= ||H - G||_F <=
+        2 (n + 2) u s a^2 + s^2 u scale <= 8 (n + 2) s^2 u scale.
+     2. The SVD.  np.linalg.svd is LAPACK's gesdd: it reduces A + E to
+        bidiagonal form with ||E|| a small multiple of u ||A||, and computes
+        the bidiagonal's singular values to high relative accuracy (LAPACK
+        Users' Guide, 3rd ed., sec. 4.9).  By Weyl's inequality for singular
+        values its sigma~ >= sigma_min(A) - eta, where eta = _PD_MARGIN n
+        s^2 sqrt(2 scale) >= 1024 n s u a.
+     3. The LDL^H.  With c0 = (sigma + eta)^2, delta = _PD_MARGIN s^2 ((n +
+        s + 2) scale + c0) = 1024 s^2 u (...) and c = c0 + delta, the filter
+        factors X = H - c I, with ||X|| <= B = s scale + c.  If every pivot
+        is > 0 (an overflowing or NaN pivot fails), then by the argument of
+        `_may_reach` (the LDL^H backward error and the roundings of the
+        shifted diagonal and of c) lambda_min(H) > c0 + delta - 19 s^2 u B.
+    By 1, lambda_min(G) >= lambda_min(H) - ||H - G|| > c0 + delta - 19 s^2
+    u B - 8 (n + 2) s^2 u scale >= c0: m holds at least s^2 entries, so s
+    < 2^20 and 19 s^2 u < 1/2, and delta (1 - 19 s^2 u) >= 512 s^2 u ((n + s
+    + 2) scale + c0) covers both terms.  So sigma_min(A) > sigma + eta, and
+    by 2 sigma~ > sigma: the subset neither beats nor ties an incumbent of
+    sigma.  The incumbent, an earlier subset's computed sigma_min, is at
+    most 2 sqrt(scale), so within [2^-400, 2^400] no step overflows, and
+    every underflow errs by far less than these bounds.  On a real Gram
+    real arithmetic computes the same pivots, as in `_may_reach`.
+    """
+    s = rows.shape[1]
+    eta = _PD_MARGIN * n * s * s * math.sqrt(2 * scale)
+    c0 = (sigma + eta) * (sigma + eta)
+    delta = _PD_MARGIN * s * s * ((n + s + 2) * scale + c0)
+    tests = _subset_grams(gram, rows)
+    diag = np.arange(s)
+    tests[diag, diag] -= c0 + delta
+    return _pivots_positive(tests)
+
+
 def kernel_injectivity(m: np.ndarray, L: int) -> KernelReport:
     """True iff every 2L-column submatrix has trivial right kernel: then the
     exhaustive decoder recovers every L-sparse vector from its exact
-    measurements."""
+    measurements.
+
+    The lex-first smallest sigma_min comes from one batched SVD per block.
+    A filter (`_sigma_min_above`) spares the SVD every subset proved above
+    the incumbent, the smallest sigma_min of the subsets before its block;
+    it runs only where m's Gram is finite and of moderate scale, and keeps
+    every subset elsewhere.  A removed subset neither beats nor ties the
+    incumbent, so the rows that could take the lead all survive, and numpy's
+    SVD solves a stack one matrix at a time, so their bits do not change.
+    """
     m = as_matrix(m)
     n_rows, n_cols = m.shape
     if L < 1:
@@ -396,16 +474,23 @@ def kernel_injectivity(m: np.ndarray, L: int) -> KernelReport:
     if s > n_rows:
         # more columns than rows: rank deficiency is certain
         return KernelReport(L, 0.0, False, tuple(range(s)), 1)
+    _, filter_gram, scale = _grams(m)
+    # False on an inf or NaN scale too
+    filtered = 1 / _GRAM_RANGE <= scale <= _GRAM_RANGE
+    lead = caps.LexFirst()
 
     def negated_sigma_min(rows: np.ndarray) -> np.ndarray:
-        cols = np.transpose(m[:, rows], (1, 0, 2))  # (K, n, s)
+        out = np.full(len(rows), -np.inf)
+        keep = (np.ones(len(rows), dtype=bool) if lead.best is None or not filtered
+                else ~_sigma_min_above(filter_gram, rows, -lead.best, scale, n_rows))
+        cols = np.transpose(m[:, rows[keep]], (1, 0, 2))  # (K, n, s)
         # the lex-first largest -sigma_min is the lex-first smallest sigma_min
-        return -np.linalg.svd(cols, compute_uv=False)[:, -1]
+        out[keep] = -np.linalg.svd(cols, compute_uv=False)[:, -1]
+        return out
 
-    least, witness = caps.lex_first_max(negated_sigma_min, n_cols, s, caps.LexFirst())
+    least, witness = caps.lex_first_max(negated_sigma_min, n_cols, s, lead)
     worst = -least
     injective = worst > RANK_TOL
     return KernelReport(
         L, worst, injective, None if injective else witness, math.comb(n_cols, s)
     )
-

@@ -276,11 +276,20 @@ def test_lex_first_max_matches_brute_force(block, kind, monkeypatch):
             if kind is float:
                 table = table / 3 - 0.25
             first = int(np.flatnonzero(table == table.max())[0])
-            got = lex_first_max(
-                lambda block_rows: table[[rank[r] for r in map(tuple, block_rows.tolist())]],
-                n_items, size, LexFirst())
-            assert got == (table[first].item(), tuple(rows[first].tolist()))
-            assert type(got[0]) is kind
+            # the first block without an incumbent and with one: a lead that
+            # holds a score below every subset's starts the walk led
+            for first_block, first_led, led in product((1, 7, 1 << 30), (1, 7, 1 << 30),
+                                                       (False, True)):
+                monkeypatch.setattr(caps, "_FIRST_BLOCK", first_block)
+                monkeypatch.setattr(caps, "_FIRST_BLOCK_LED", first_led)
+                lead = LexFirst()
+                if led:
+                    lead.offer(np.array([table.min() - 1]), lambda pos: None)
+                got = lex_first_max(
+                    lambda block_rows: table[[rank[r] for r in map(tuple, block_rows.tolist())]],
+                    n_items, size, lead)
+                assert got == (table[first].item(), tuple(rows[first].tolist()))
+                assert type(got[0]) is kind
 
 
 @pytest.mark.parametrize("block", [1, 2, 7, 100])

@@ -1,7 +1,7 @@
 import json
 import math
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -25,7 +25,18 @@ from sparsecode.codes import random_balanced_code
 from sparsecode.embeddings import bool_code, sph_code
 from sparsecode.errors import DomainError, EnumerationCapError, PreconditionError
 from sparsecode.matrixio import write_matrix
-from sparsecode.recovery import vandermonde_matrix
+from sparsecode.recovery import unit_circle_nodes, vandermonde_matrix
+
+
+# lex_first_max's block schedule: the first block without and with an
+# incumbent, and the largest; 1 << 30 rows puts every size in one block
+_SCHEDULE = ("_FIRST_BLOCK", "_FIRST_BLOCK_LED", "_SUBSET_BLOCK")
+_BLOCKS = (1, 7, 1 << 30)
+
+
+def _set_schedule(mp, first, first_led, largest):
+    for name, rows in zip(_SCHEDULE, (first, first_led, largest)):
+        mp.setattr(caps, name, rows)
 
 
 def _random_unit_columns(rng, n, N, complex_entries=True):
@@ -144,9 +155,9 @@ class TestRip2:
 
         default = reports()
         assert default[2][1].witness == (0, 1, 2, 3)
-        # 1 << 30 rows: every size's subsets in one block
-        for block in (1, 7, 1 << 30):
-            monkeypatch.setattr(caps, "_SUBSET_BLOCK", block)
+        # no constant of the schedule moves a witness
+        for schedule in product(_BLOCKS, repeat=3):
+            _set_schedule(monkeypatch, *schedule)
             assert reports() == default
 
     def test_order_range(self):
@@ -248,13 +259,14 @@ def _bool_36x27():
 class TestThresholdFilter:
     """rip2_profile's LDL^H filter changes no report and spares eigvalsh."""
 
-    @pytest.mark.parametrize("block", [1, 7, 1 << 30])
+    @pytest.mark.parametrize("block", _BLOCKS)
     @_DIFFERENTIAL
-    @given(m=_rip_matrices(), L=st.integers(1, 5))
-    def test_profile_equals_unfiltered_oracle(self, m, L, block):
+    @given(m=_rip_matrices(), L=st.integers(1, 5),
+           first=st.sampled_from(_BLOCKS), first_led=st.sampled_from(_BLOCKS))
+    def test_profile_equals_unfiltered_oracle(self, m, L, block, first, first_led):
         L = min(L, m.shape[1])
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(caps, "_SUBSET_BLOCK", block)
+            _set_schedule(mp, first, first_led, block)
             assert _rip_key(rip2_profile(m, L)) == _rip_key(oracle.rip2_profile(m, L))
 
     @_DIFFERENTIAL
@@ -303,13 +315,12 @@ class TestThresholdFilter:
     def test_incumbent_is_best_of_earlier_blocks(self, monkeypatch):
         # the threshold a block is filtered against comes from subsets that
         # all precede it, never from the block itself
-        m = _bool_36x27()[:, :14]
+        m = _bool_36x27()
         thresholds = []
         may_reach = certify._may_reach
-        monkeypatch.setattr(caps, "_SUBSET_BLOCK", 64)
 
         def spy(gram, rows, t, scale):
-            thresholds.append(t.hex())
+            thresholds.append((len(rows), t.hex()))
             return may_reach(gram, rows, t, scale)
 
         monkeypatch.setattr(certify, "_may_reach", spy)
@@ -317,11 +328,15 @@ class TestThresholdFilter:
         gram, _ = _gram(m)
         expected, best = [], -math.inf
         for s in range(1, 5):
-            for _, rows in caps.subset_blocks(14, s, 64, 64):
+            # lex_first_max's schedule: size 1 starts with no incumbent
+            first = caps._FIRST_BLOCK if s == 1 else caps._FIRST_BLOCK_LED
+            for _, rows in caps.subset_blocks(27, s, first, caps._SUBSET_BLOCK):
                 if best >= 0:
-                    expected.append(best.hex())
+                    expected.append((len(rows), best.hex()))
                 grams = gram[rows[:, :, None], rows[:, None, :]]
                 best = max(best, _distortions(grams).max().item())
+        # the order-4 walk alone spans several blocks of the growing schedule
+        assert len({k for k, _ in expected}) >= 3
         assert thresholds == expected
 
     @pytest.mark.parametrize("which", ["complex", "real", "bool", "sph"])
@@ -625,6 +640,126 @@ class TestKernelInjectivity:
             kernel_injectivity(np.zeros((3, 0)), 1)
 
 
+def _kernel_key(report):
+    return (report.order, report.min_singular_value.hex(), report.injective,
+            report.witness, report.subsets_checked)
+
+
+def _equispaced(n, cols):
+    """The n x cols Vandermonde matrix on equispaced unit-circle nodes: a
+    translate S + r (mod cols) of a subset S scales A_S's rows by unit
+    phases, so sigma_min ties across translates in exact arithmetic and
+    differs in the last bits in floats."""
+    return vandermonde_matrix(unit_circle_nodes(cols), n)
+
+
+@st.composite
+def _kernel_matrices(draw):
+    """(m, L) for kernel_injectivity: every kind RIP-2 meets (real, complex,
+    0/1, repeated and zero columns), rank-deficient products, and
+    Vandermonde matrices on equispaced nodes, whose sigma_min near-ties."""
+    kind = draw(st.sampled_from(["rip", "rank-deficient", "equispaced"]))
+    if kind == "rip":
+        m = np.asarray(draw(_rip_matrices()))
+    elif kind == "rank-deficient":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        n, cols, rank = draw(st.integers(2, 8)), draw(st.integers(2, 10)), draw(st.integers(1, 3))
+        imag = 1j if draw(st.booleans()) else 0  # complex factors or real ones
+        left, right = (p[0] + imag * p[1] for p in (rng.normal(size=(2, n, rank)),
+                                                    rng.normal(size=(2, rank, cols))))
+        m = left @ right
+    else:
+        cols = draw(st.integers(2, 14))
+        m = _equispaced(draw(st.integers(1, cols)), cols)
+    return m, draw(st.integers(1, max(1, m.shape[0] // 2)))
+
+
+class TestKernelFilter:
+    """kernel_injectivity's sigma_min filter changes no report and spares
+    the SVD."""
+
+    @pytest.mark.parametrize("block", _BLOCKS)
+    @_DIFFERENTIAL
+    @given(case=_kernel_matrices(), first=st.sampled_from(_BLOCKS),
+           first_led=st.sampled_from(_BLOCKS))
+    def test_equals_unfiltered_oracle(self, case, block, first, first_led):
+        m, L = case
+        with pytest.MonkeyPatch.context() as mp:
+            _set_schedule(mp, first, first_led, block)
+            assert _kernel_key(kernel_injectivity(m, L)) == \
+                _kernel_key(oracle.kernel_injectivity(m, L))
+
+    # each of these goes red with the margins at 2^-18 of the proof's
+    @pytest.mark.parametrize("n, cols, L", [(3, 4, 1), (2, 5, 1), (6, 6, 2), (4, 9, 2),
+                                            (5, 10, 2), (4, 14, 2)])
+    def test_equispaced_translates_near_tie(self, n, cols, L):
+        # every translate of the lex-first smallest subset ties it in exact
+        # arithmetic; the filter must keep each one that computes below the
+        # incumbent, however few bits it wins by
+        m = _equispaced(n, cols)
+        above, asked = certify._sigma_min_above, []
+        with pytest.MonkeyPatch.context() as mp:
+            _set_schedule(mp, 1, 1, 1)
+            mp.setattr(certify, "_sigma_min_above",
+                       lambda *args: asked.append(1) or above(*args))
+            report = kernel_injectivity(m, L)
+        assert _kernel_key(report) == _kernel_key(oracle.kernel_injectivity(m, L))
+        # one block per subset: every subset after the first is filtered
+        assert len(asked) == math.comb(cols, 2 * L) - 1
+
+    def test_filter_spares_the_svd(self):
+        m = _equispaced(6, 12)
+        svd, solved = np.linalg.svd, []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "svd",
+                       lambda a, compute_uv: solved.append(len(a)) or svd(a, compute_uv=False))
+            report = kernel_injectivity(m, 3)
+        # the space certified is still all of it
+        assert report.subsets_checked == 924
+        # the first block, with no incumbent, and few others
+        assert solved[0] == caps._FIRST_BLOCK
+        assert sum(solved) < caps._FIRST_BLOCK + 0.1 * 924
+        assert _kernel_key(report) == _kernel_key(oracle.kernel_injectivity(m, 3))
+
+    def test_incumbent_is_best_of_earlier_blocks(self, monkeypatch):
+        # the sigma_min a block is filtered against is the smallest of all
+        # the subsets before it, never one of the block itself
+        m = _equispaced(6, 14)
+        incumbents = []
+        above = certify._sigma_min_above
+
+        def spy(gram, rows, sigma, scale, n):
+            incumbents.append((len(rows), sigma.hex()))
+            return above(gram, rows, sigma, scale, n)
+
+        monkeypatch.setattr(certify, "_sigma_min_above", spy)
+        kernel_injectivity(m, 3)
+        expected, least = [], math.inf
+        # kernel_injectivity's walk starts with no incumbent
+        for _, rows in caps.subset_blocks(14, 6, caps._FIRST_BLOCK, caps._SUBSET_BLOCK):
+            if least < math.inf:
+                expected.append((len(rows), least.hex()))
+            cols = np.transpose(m[:, rows], (1, 0, 2))
+            least = min(least, np.linalg.svd(cols, compute_uv=False)[:, -1].min().item())
+        assert len(expected) >= 4
+        assert incumbents == expected
+
+    @pytest.mark.parametrize("m", [
+        [[1e200, 1.0], [1.0, 1.0]],
+        # several subsets and small blocks, so the filter would be asked
+        [[1e200, 1.0, 0.0, 1.0], [1.0, 1.0, 1.0, 0.0], [0.0, 2.0, 1.0, 1.0]],
+        # every Gram entry underflows to zero
+        [[1e-200, 0.0, 1e-200], [0.0, 1e-200, 1e-200]],
+    ], ids=["overflow", "overflow-blocks", "underflow"])
+    def test_gram_out_of_range_keeps_every_subset(self, m, monkeypatch):
+        # the verdict reads only the SVDs, so a Gram out of the filter's
+        # range is no refusal: the filter keeps every subset
+        _set_schedule(monkeypatch, 1, 1, 1)
+        monkeypatch.setattr(certify, "_sigma_min_above", None)
+        assert _kernel_key(kernel_injectivity(m, 1)) == \
+            _kernel_key(oracle.kernel_injectivity(m, 1))
+
+
 class TestAgainstLoopOracles:
     """The certifiers equal, with ==, the per-size loops they replaced."""
 
@@ -668,13 +803,15 @@ class TestAgainstLoopOracles:
                      for m in self._matrices() + exact)]
 
         default = reports()
-        # the float path's pair rows and the exact path's sets go in blocks
-        # of _PAIR_BLOCK and _SUBSET_BLOCK.  1 << 30: every size in one
-        # block; 1: the products are BLAS gemv, and must not change either
-        for block in (1, 7, 1 << 30):
+        # the float path's pair rows go in blocks of _PAIR_BLOCK and the
+        # exact path's sets in lex_first_max's schedule.  1 << 30: every
+        # size in one block; 1: the products are BLAS gemv, and must not
+        # change either
+        for block in _BLOCKS:
             monkeypatch.setattr(caps, "_PAIR_BLOCK", block)
-            monkeypatch.setattr(caps, "_SUBSET_BLOCK", block)
-            assert reports() == default
+            for schedule in product(_BLOCKS, repeat=3):
+                _set_schedule(monkeypatch, *schedule)
+                assert reports() == default
 
 
 _NON_FINITE = [

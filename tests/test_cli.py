@@ -613,6 +613,16 @@ class TestExitContract:
         assert (code, out, err) == (
             2, "", "error: Gram matrix overflows: column norms too large\n")
 
+    def test_kernel_reports_on_an_overflowing_gram(self, capsys, cli_files):
+        # kernel reads no Gram entry for its verdict: where the Gram
+        # overflows its filter keeps every subset, and the SVDs decide
+        code, report, _ = run(capsys, "verify", "kernel", "--input",
+                              str(cli_files / "huge.json"), "--L", "1")
+        assert code == 0
+        assert strip_elapsed(report) == {
+            "property": "kernel", "order": 1, "constant": 1.0, "injective": True,
+            "witness": None, "subsets_checked": 1, "threshold": None, "pass": True}
+
     # each of these once ran to a verdict from no work or in a report that is
     # no JSON, to an internal error, or to numpy warnings before its reason
     @pytest.mark.parametrize("argv, reason", [
