@@ -10,8 +10,10 @@ walk of that shape.  The tables together are bounded in bytes; a shape that
 does not fit is built block by block and dropped, as if there were none.
 Every walk owns its block size, so no caller passes one.  `lex_first_max`
 walks one schedule for every caller: a small first block while its
-`LexFirst` has no incumbent (no threshold filter can act before one), a
-larger one when it has, then doubling up to _SUBSET_BLOCK rows.  The pair
+`LexFirst` has no incumbent (no bound can act before one), a larger one
+when it has, then doubling up to _SUBSET_BLOCK rows.  It is also the one
+place that prunes: a caller may hand it a bound that marks rows proved
+strictly below the incumbent, and the walk scores only the rest.  The pair
 walk's memory is O(_PAIR_BLOCK * size), and the pair-sum walk starts from
 the empty prefix, so that one step makes every level.
 
@@ -214,21 +216,36 @@ class LexFirst:
             self.best, self.witness = scores.flat[pos].item(), name(pos)
 
 
-def lex_first_max(score, n_items: int, size: int, lead: LexFirst):
+def lex_first_max(score, n_items: int, size: int, lead: LexFirst, below=None):
     """`lead`'s (best, witness) after it is offered every size-subset of
     range(n_items), of which there must be one, in lex order.
 
-    score(rows) scores a block of consecutive rows of subsets(n_items, size).
-    Every caller walks one schedule: while `lead` has no incumbent no filter
+    score(rows) scores a block of rows of subsets(n_items, size), in order.
+    below(rows, best), if given, is a bound: True for each row of a block
+    whose score it proves strictly below `best`.  Once `lead` holds an
+    incumbent, each block is offered -inf for the rows its bound marks
+    against the incumbent, and score sees only the rest.  This is sound:
+    the incumbent comes from rows before the block, a marked row is
+    strictly below it, so it can neither tie nor beat it, and `LexFirst`
+    takes the same offers as with every row scored.  Scores are floats
+    where a bound is given.
+
+    Every caller walks one schedule: while `lead` has no incumbent no bound
     can act, so the first block is small (_FIRST_BLOCK rows) and the lead
     soon holds a threshold; a walk that starts with one begins at
     _FIRST_BLOCK_LED rows.  Blocks then double up to _SUBSET_BLOCK rows,
-    past which a filter's stacks outgrow the cache.  By `LexFirst`'s rule no
+    past which a bound's stacks outgrow the cache.  By `LexFirst`'s rule no
     block size moves a witness.
     """
     first = _FIRST_BLOCK if lead.best is None else _FIRST_BLOCK_LED
     for _, rows in subset_blocks(n_items, size, first, _SUBSET_BLOCK):
-        lead.offer(score(rows), lambda pos: tuple(rows[pos].tolist()))
+        if below is None or lead.best is None:
+            scores = score(rows)
+        else:
+            scores = np.full(len(rows), -np.inf)
+            keep = ~below(rows, lead.best)
+            scores[keep] = score(rows[keep])
+        lead.offer(scores, lambda pos: tuple(rows[pos].tolist()))
     return lead.best, lead.witness
 
 

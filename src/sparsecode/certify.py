@@ -7,6 +7,12 @@ ascending, then lexicographic order, and `caps.LexFirst` picks the first
 subset attaining the extremum, independent of the block size the subsets
 are batched in.
 
+RIP-2 and kernel injectivity each hand `caps.lex_first_max` a score and a
+bound (`_distortion_below`, `_sigma_min_above`), which proves a subset's
+score strictly below the incumbent from an LDL^H of its shifted Gram; the
+walk skips those subsets, and `_pivots_positive` holds the LDL^H and the
+lemma both proofs cite.
+
 Extreme singular values are computed from batched Gram eigen-decompositions
 (LAPACK); an in-house Jacobi solver in the test suite re-derives them as an
 independent cross-check.
@@ -26,10 +32,10 @@ from .errors import DomainError, PreconditionError
 UNIT_NORM_TOL = 1e-9
 RANK_TOL = 1e-9
 
-# the LDL^H filters' margins are multiples of _PD_MARGIN = 2^-43 = 1024 u
+# the LDL^H bounds' margins are multiples of _PD_MARGIN = 2^-43 = 1024 u
 # (u = 2^-53, the unit roundoff): rip2_profile's shifts its thresholds by
-# _PD_MARGIN * s^2 * B (the proof is in _may_reach), and kernel_injectivity's
-# widens its incumbent (the proof is in _sigma_min_above)
+# _PD_MARGIN * s^2 * B (the proof is in _distortion_below), and
+# kernel_injectivity's widens its incumbent (the proof is in _sigma_min_above)
 _PD_MARGIN = 2.0**-43
 # kernel_injectivity's filter runs only where the largest modulus of m's Gram
 # lies in [1 / _GRAM_RANGE, _GRAM_RANGE]
@@ -143,17 +149,31 @@ def coherence(m: np.ndarray) -> CoherenceReport:
     return CoherenceReport(lead.best, lead.witness, dev, n_cols * (n_cols - 1) // 2)
 
 
-def _pivots_positive(a: np.ndarray) -> np.ndarray:
-    """Per matrix of the Hermitian stack `a`, indexed (row, column, matrix),
-    which this reads from its lower triangle and the real part of its
-    diagonal and overwrites: True iff every pivot of its LDL^H factorisation
-    without pivoting is > 0.  A NaN pivot is not > 0."""
+def _pivots_positive(a: np.ndarray, shift) -> np.ndarray:
+    """Per matrix X of the Hermitian stack `a`, indexed (row, column,
+    matrix), which this reads from its lower triangle and the real part of
+    its diagonal and overwrites: True iff every pivot of the LDL^H
+    factorisation without pivoting of X - shift I is > 0, where `shift` is
+    a float or one float per matrix, subtracted from the diagonal here.  A
+    NaN pivot is not > 0.
+
+    The lemma every LDL^H bound cites.  Write u = 2^-53 and let X be s x s
+    with ||X|| + |shift| <= B.  If every pivot is > 0, then X - shift I +
+    dX is positive definite, where the LDL^H backward error (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., Thms 9.3 and
+    10.3, with complex arithmetic's constants) and the rounding of the
+    shifted diagonal give ||dX|| <= 9 s^2 u B.  So lambda_min(X) > shift -
+    9 s^2 u B.  The rounding of `shift` itself is the caller's.  On a real
+    stack, real arithmetic computes the same pivots as complex arithmetic
+    on zero imaginary parts.
+    """
     size = a.shape[0]
+    diag = np.arange(size)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        a[diag, diag] -= shift
         for j in range(size - 1):
             col = a[j + 1:, j]
             a[j + 1:, j + 1:] -= (col * (1.0 / a[j, j].real))[:, None] * col.conj()
-    diag = np.arange(size)
     return (a[diag, diag].real > 0).all(axis=0)
 
 
@@ -163,7 +183,7 @@ def _grams(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
 
     Every subset Gram is gathered from the one Gram, so its bits are those
     of a principal submatrix, whatever the block.  The filters read its real
-    part where its imaginary part is zero (see `_may_reach`).
+    part where its imaginary part is zero (see `_pivots_positive`).
     """
     with np.errstate(over="ignore", invalid="ignore"):
         gram = np.einsum("nk,nl->kl", m.conj(), m)
@@ -178,49 +198,41 @@ def _subset_grams(gram: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return gram.reshape(-1).take((cols * gram.shape[1])[:, None] + cols[None, :])
 
 
-def _may_reach(gram: np.ndarray, rows: np.ndarray, t: float, scale: float) -> np.ndarray:
-    """False for each subset of `rows` whose computed distortion is proved
+def _distortion_below(gram: np.ndarray, rows: np.ndarray, t: float,
+                      scale: float) -> np.ndarray:
+    """True for each subset of `rows` whose computed distortion is proved
     below t >= 0 without eigvalsh; `scale` bounds |gram|, which may be real.
 
     The proof.  Write u = 2^-53, let H be the Hermitian matrix eigvalsh reads
     (G_S's lower triangle and real diagonal), so ||H|| <= s * scale, and let
     B = (1+t)^2 + s * scale >= 1 and delta = _PD_MARGIN * s^2 * B =
     1024 s^2 u B.
-     - Upper side: the LDL^H of A = ((1+t)^2 - delta) I - H has all pivots
-       > 0 (an overflowing or NaN pivot fails).  Then A + dA is positive
-       definite, where the LDL^H backward error (Higham, Accuracy and
-       Stability of Numerical Algorithms, 2nd ed., Thms 9.3 and 10.3, with
-       complex arithmetic's constants) and the rounding of A's diagonal give
-       ||dA|| <= 9 s^2 u B; with the rounding of the shift, lambda_max(H) <
-       (1+t)^2 - delta + 14 s^2 u B.  eigvalsh is backward stable, so by
-       Weyl's inequality its value is within 256 s^2 u ||H|| of lambda_max(H),
-       a bound many times LAPACK's.  So the computed lambda_max <= (1+t)^2
-       (1 - 754 u), its rounded sqrt is <= (1+t)(1 - 376 u), and sqrt - 1
-       rounds to below t.
-     - Lower side, tested when t <= 1: the LDL^H of H - ((1-t)^2 + delta) I
-       has all pivots > 0.  In the same way the computed lambda_min >=
+     - Upper side: the LDL^H of -H shifted by -((1+t)^2 - delta) has all
+       pivots > 0 (an overflowing or NaN pivot fails).  By
+       `_pivots_positive`'s lemma, with ||H|| + (1+t)^2 <= B, and with the
+       rounding of the shift, lambda_max(H) < (1+t)^2 - delta + 14 s^2 u B.
+       eigvalsh is backward stable, so by Weyl's inequality its value is
+       within 256 s^2 u ||H|| of lambda_max(H), a bound many times LAPACK's.
+       So the computed lambda_max <= (1+t)^2 (1 - 754 u), its rounded sqrt
+       is <= (1+t)(1 - 376 u), and sqrt - 1 rounds to below t.
+     - Lower side, tested when t <= 1: the LDL^H of H shifted by (1-t)^2 +
+       delta has all pivots > 0.  In the same way the computed lambda_min >=
        (1-t)^2 + 754 u, its rounded sqrt is >= (1-t) + 374 u, and 1 - sqrt
        rounds to below t.  When t > 1 the lower side, 1 - sqrt(max(lambda,
        0)), is at most 1 < t untested.
-    On a real Gram, real arithmetic computes the same pivots as complex
-    arithmetic on zero imaginary parts.
     """
     k, s = rows.shape
     delta = _PD_MARGIN * s * s * ((1 + t) * (1 + t) + s * scale)
     grams = _subset_grams(gram, rows)
-    diag = np.arange(s)
-    lower_too = t <= 1
+    upper = -((1 + t) * (1 + t) - delta)
+    if t > 1:
+        return _pivots_positive(np.negative(grams, out=grams), upper)
     # the upper test on the first K matrices, the lower one on the rest
-    tests = grams
-    if lower_too:
-        tests = np.empty((s, s, 2 * k), dtype=gram.dtype)
-        tests[:, :, k:] = grams
+    tests = np.empty((s, s, 2 * k), dtype=gram.dtype)
     np.negative(grams, out=tests[:, :, :k])
-    with np.errstate(over="ignore", invalid="ignore"):
-        tests[diag, diag, :k] += (1 + t) * (1 + t) - delta
-        tests[diag, diag, k:] -= (1 - t) * (1 - t) + delta
-    below = _pivots_positive(tests)
-    return ~(below[:k] & below[k:]) if lower_too else ~below
+    tests[:, :, k:] = grams
+    proved = _pivots_positive(tests, np.repeat([upper, (1 - t) * (1 - t) + delta], k))
+    return proved[:k] & proved[k:]
 
 
 def rip2_profile(m: np.ndarray, L: int) -> list[RipReport]:
@@ -228,9 +240,10 @@ def rip2_profile(m: np.ndarray, L: int) -> list[RipReport]:
 
     The order-L constant is the largest distortion over the subsets of
     size <= L, so one `LexFirst`, offered every size in turn, holds every
-    order's constant and witness.  A threshold filter (`_may_reach`) spares
+    order's constant and witness.  Its bound (`_distortion_below`) spares
     eigvalsh every subset proved below its `best`, the largest distortion
-    computed so far.
+    computed so far; numpy's eigvalsh solves a stack one matrix at a time,
+    so the survivors' bits do not change.
     """
     m = as_matrix(m)
     n_cols = m.shape[1]
@@ -240,28 +253,20 @@ def rip2_profile(m: np.ndarray, L: int) -> list[RipReport]:
                  caps.subset_cap(), f"subsets up to size {L}")
     gram, filter_gram, scale = _grams(m)
     _require_finite_gram(scale)
-    flat_gram = gram.reshape(-1)
     lead = caps.LexFirst()
 
-    # lead.best came from subsets that precede the block being scored.  A
-    # removed row is below it, so the rows that tie or beat it all survive,
-    # and the lead takes the same offers as without the filter.  numpy's
-    # eigvalsh solves a stack one matrix at a time, so the survivors' bits
-    # do not change.
     def distortions(rows: np.ndarray) -> np.ndarray:
-        out = np.full(len(rows), -np.inf)
-        keep = (np.ones(len(rows), dtype=bool) if lead.best is None
-                else _may_reach(filter_gram, rows, lead.best, scale))
-        kept = rows[keep]
-        grams = flat_gram.take((kept * n_cols)[:, :, None] + kept[:, None, :])
+        grams = _subset_grams(gram, rows).transpose(2, 0, 1)
         sv = np.sqrt(np.clip(np.linalg.eigvalsh(grams), 0.0, None))
-        out[keep] = np.maximum(sv[:, -1] - 1.0, 1.0 - sv[:, 0])
-        return out
+        return np.maximum(sv[:, -1] - 1.0, 1.0 - sv[:, 0])
+
+    def below(rows: np.ndarray, best: float) -> np.ndarray:
+        return _distortion_below(filter_gram, rows, best, scale)
 
     reports: list[RipReport] = []
     checked = 0
     for s in range(1, L + 1):
-        best, witness = caps.lex_first_max(distortions, n_cols, s, lead)
+        best, witness = caps.lex_first_max(distortions, n_cols, s, lead, below)
         checked += math.comb(n_cols, s)
         reports.append(RipReport(s, best, witness, checked))
     return reports
@@ -427,9 +432,9 @@ def _sigma_min_above(gram: np.ndarray, rows: np.ndarray, sigma: float, scale: fl
      3. The LDL^H.  With c0 = (sigma + eta)^2, delta = _PD_MARGIN s^2 ((n +
         s + 2) scale + c0) = 1024 s^2 u (...) and c = c0 + delta, the filter
         factors X = H - c I, with ||X|| <= B = s scale + c.  If every pivot
-        is > 0 (an overflowing or NaN pivot fails), then by the argument of
-        `_may_reach` (the LDL^H backward error and the roundings of the
-        shifted diagonal and of c) lambda_min(H) > c0 + delta - 19 s^2 u B.
+        is > 0 (an overflowing or NaN pivot fails), then by
+        `_pivots_positive`'s lemma and the roundings of c0, delta and c,
+        lambda_min(H) > c0 + delta - 19 s^2 u B.
     By 1, lambda_min(G) >= lambda_min(H) - ||H - G|| > c0 + delta - 19 s^2
     u B - 8 (n + 2) s^2 u scale >= c0: m holds at least s^2 entries, so s
     < 2^20 and 19 s^2 u < 1/2, and delta (1 - 19 s^2 u) >= 512 s^2 u ((n + s
@@ -437,17 +442,13 @@ def _sigma_min_above(gram: np.ndarray, rows: np.ndarray, sigma: float, scale: fl
     by 2 sigma~ > sigma: the subset neither beats nor ties an incumbent of
     sigma.  The incumbent, an earlier subset's computed sigma_min, is at
     most 2 sqrt(scale), so within [2^-400, 2^400] no step overflows, and
-    every underflow errs by far less than these bounds.  On a real Gram
-    real arithmetic computes the same pivots, as in `_may_reach`.
+    every underflow errs by far less than these bounds.
     """
     s = rows.shape[1]
     eta = _PD_MARGIN * n * s * s * math.sqrt(2 * scale)
     c0 = (sigma + eta) * (sigma + eta)
     delta = _PD_MARGIN * s * s * ((n + s + 2) * scale + c0)
-    tests = _subset_grams(gram, rows)
-    diag = np.arange(s)
-    tests[diag, diag] -= c0 + delta
-    return _pivots_positive(tests)
+    return _pivots_positive(_subset_grams(gram, rows), c0 + delta)
 
 
 def kernel_injectivity(m: np.ndarray, L: int) -> KernelReport:
@@ -456,12 +457,11 @@ def kernel_injectivity(m: np.ndarray, L: int) -> KernelReport:
     measurements.
 
     The lex-first smallest sigma_min comes from one batched SVD per block.
-    A filter (`_sigma_min_above`) spares the SVD every subset proved above
+    Its bound (`_sigma_min_above`) spares the SVD every subset proved above
     the incumbent, the smallest sigma_min of the subsets before its block;
-    it runs only where m's Gram is finite and of moderate scale, and keeps
-    every subset elsewhere.  A removed subset neither beats nor ties the
-    incumbent, so the rows that could take the lead all survive, and numpy's
-    SVD solves a stack one matrix at a time, so their bits do not change.
+    it runs only where m's Gram is finite and of moderate scale.  numpy's
+    SVD solves a stack one matrix at a time, so the survivors' bits do not
+    change.
     """
     m = as_matrix(m)
     n_rows, n_cols = m.shape
@@ -475,20 +475,19 @@ def kernel_injectivity(m: np.ndarray, L: int) -> KernelReport:
         # more columns than rows: rank deficiency is certain
         return KernelReport(L, 0.0, False, tuple(range(s)), 1)
     _, filter_gram, scale = _grams(m)
-    # False on an inf or NaN scale too
-    filtered = 1 / _GRAM_RANGE <= scale <= _GRAM_RANGE
-    lead = caps.LexFirst()
 
     def negated_sigma_min(rows: np.ndarray) -> np.ndarray:
-        out = np.full(len(rows), -np.inf)
-        keep = (np.ones(len(rows), dtype=bool) if lead.best is None or not filtered
-                else ~_sigma_min_above(filter_gram, rows, -lead.best, scale, n_rows))
-        cols = np.transpose(m[:, rows[keep]], (1, 0, 2))  # (K, n, s)
+        cols = np.transpose(m[:, rows], (1, 0, 2))  # (K, n, s)
         # the lex-first largest -sigma_min is the lex-first smallest sigma_min
-        out[keep] = -np.linalg.svd(cols, compute_uv=False)[:, -1]
-        return out
+        return -np.linalg.svd(cols, compute_uv=False)[:, -1]
 
-    least, witness = caps.lex_first_max(negated_sigma_min, n_cols, s, lead)
+    def below(rows: np.ndarray, best: float) -> np.ndarray:
+        return _sigma_min_above(filter_gram, rows, -best, scale, n_rows)
+
+    # False on an inf or NaN scale too
+    filtered = 1 / _GRAM_RANGE <= scale <= _GRAM_RANGE
+    least, witness = caps.lex_first_max(negated_sigma_min, n_cols, s, caps.LexFirst(),
+                                        below if filtered else None)
     worst = -least
     injective = worst > RANK_TOL
     return KernelReport(

@@ -122,7 +122,7 @@ def _must_solve(m_t: np.ndarray, rows: np.ndarray, ys: np.ndarray, live: np.ndar
     lie in [2^-400, 2^400]: no step below overflows, and with gradual
     underflow every underflow errs by < 2^-1000 absolutely, or < 2^-500
     inside a norm, far below each bound here.  Every bound below is many
-    times the one its reference proves, as in `certify._may_reach`.
+    times the one its reference proves, as in `certify._distortion_below`.
      1. Householder QR of A (Higham, Accuracy and Stability of Numerical
         Algorithms, 2nd ed., Thm 19.4 and the bound on the explicitly
         formed factor that follows it, with complex arithmetic's constants)
@@ -140,10 +140,11 @@ def _must_solve(m_t: np.ndarray, rows: np.ndarray, ys: np.ndarray, live: np.ndar
         So |r~ - d| <= (3 * 2^4 + 8) eps beta <= 2^6 eps beta.
      2. The conditioning test: with tau^2 = _COND^2 a^2 and delta = 2^-40
         s^3 a^2, the LDL^H of fl(R~^H R~) - (tau^2 + delta) I has all pivots
-        > 0.  delta covers the product's rounding and, by the argument of
-        `certify._may_reach`, the LDL^H backward error and the shift's
-        rounding, so lambda_min(R~^H R~) > tau^2 and sigma_min(A + dA) =
-        sigma_min(R~) > tau.  By Weyl, sigma_min(A) > (2^-10 - 2^-24) a.
+        > 0.  delta covers the product's rounding and, by
+        `certify._pivots_positive`'s lemma, the LDL^H backward error and the
+        roundings of the shifted diagonal and of the shift, so
+        lambda_min(R~^H R~) > tau^2 and sigma_min(A + dA) = sigma_min(R~) >
+        tau.  By Weyl, sigma_min(A) > (2^-10 - 2^-24) a.
      3. np.linalg.lstsq is LAPACK's gelsd with rcond = 2^-52 max(n, s).  Its
         computed c^ is the minimum-norm least-squares solution of a nearby
         (A + E, y + f), ||E|| <= eps a and ||f|| <= eps beta, once the
@@ -177,7 +178,6 @@ def _must_solve(m_t: np.ndarray, rows: np.ndarray, ys: np.ndarray, live: np.ndar
     fit = np.flatnonzero((2.0**-800 <= a2) & (a2 <= 2.0**800))
     eps = _QR_MARGIN * n * s
     bound = accept[cols] + 2.0**14 * eps * (beta[cols] + accept[cols])
-    diag = np.arange(s)
     # slices of supports and measurements: no stack below holds more than
     # _RESIDUAL_ENTRIES complex entries
     t_step = max(1, min(len(cols), _RESIDUAL_ENTRIES // n))
@@ -187,8 +187,7 @@ def _must_solve(m_t: np.ndarray, rows: np.ndarray, ys: np.ndarray, live: np.ndar
         # one reduced QR of A_S per support: Q~ (k, n, s) and R~ (k, s, s)
         q, tri = np.linalg.qr(m_t[rows[sup]].transpose(0, 2, 1))
         gram = np.ascontiguousarray((tri.conj().transpose(0, 2, 1) @ tri).transpose(1, 2, 0))
-        gram[diag, diag] -= a2[sup] * (_COND * _COND + _QR_MARGIN * s**3)
-        well = _pivots_positive(gram)
+        well = _pivots_positive(gram, a2[sup] * (_COND * _COND + _QR_MARGIN * s**3))
         if not well.any():
             continue
         sup, q = sup[well], q[well]

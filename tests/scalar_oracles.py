@@ -612,7 +612,7 @@ def must_solve(m_y: np.ndarray, rows: np.ndarray, accept: float, beta: float,
     diag = np.arange(s)
     gram[diag, diag] -= a2 * (_COND * _COND + _QR_MARGIN * s**3)
     margin = 2.0**14 * eps * (beta + accept)
-    skip = _pivots_positive(gram) & (resid > accept + margin) & np.isfinite(resid)
+    skip = _pivots_positive(gram, 0.0) & (resid > accept + margin) & np.isfinite(resid)
     keep[fit[skip]] = False
     return keep
 

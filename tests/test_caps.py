@@ -292,6 +292,57 @@ def test_lex_first_max_matches_brute_force(block, kind, monkeypatch):
                 assert type(got[0]) is kind
 
 
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_lex_first_max_prunes_only_rows_below_the_incumbent(data):
+    # scores in [-1, 0.5] with ties, mostly negative like the kernel's, and
+    # a lead that may already hold an incumbent when the walk starts
+    n_items = data.draw(st.integers(1, 7))
+    size = data.draw(st.integers(1, n_items))
+    rows = oracle.subsets(n_items, size)
+    rank = {row: k for k, row in enumerate(map(tuple, rows.tolist()))}
+    table = np.array(data.draw(st.lists(st.integers(-4, 2), min_size=len(rows),
+                                        max_size=len(rows)))) / 4
+    led = data.draw(st.none() | st.integers(-5, 2).map(lambda v: v / 4))
+
+    def scores_of(block):
+        return table[[rank[r] for r in map(tuple, block.tolist())]]
+
+    def walk(score=scores_of, below=None):
+        lead = LexFirst()
+        if led is not None:
+            lead.offer(np.array([led]), lambda pos: None)
+        return lex_first_max(score, n_items, size, lead, below)
+
+    for schedule in product((1, 7, 1 << 30), repeat=3):
+        with pytest.MonkeyPatch.context() as mp:
+            for name, block in zip(("_FIRST_BLOCK", "_FIRST_BLOCK_LED", "_SUBSET_BLOCK"),
+                                   schedule):
+                mp.setattr(caps, name, block)
+            scored, marked = [], []
+
+            def score(block):
+                ranks = [rank[r] for r in map(tuple, block.tolist())]
+                scored.extend(ranks)
+                return table[ranks]
+
+            def below(block, best):
+                start = rank[tuple(block[0].tolist())]
+                earlier = table[:start].tolist() + ([] if led is None else [led])
+                # never before the first offer, and always the best of every
+                # offer before this block
+                assert earlier
+                assert best == max(earlier)
+                out = table[start:start + len(block)] < best
+                marked.extend((start + np.flatnonzero(out)).tolist())
+                return out
+
+            assert walk(score, below) == walk()
+            # marked rows never reach score, and every other row does, once
+            assert not set(marked) & set(scored)
+            assert sorted(marked + scored) == list(range(len(rows)))
+
+
 @pytest.mark.parametrize("block", [1, 2, 7, 100])
 def test_lex_first_max_pair_matches_brute_force(block, monkeypatch):
     monkeypatch.setattr(caps, "_PAIR_BLOCK", block)

@@ -285,8 +285,8 @@ class TestThresholdFilter:
         eigvalsh = np.linalg.eigvalsh
         with pytest.MonkeyPatch.context() as mp:
             # every subset reaches eigvalsh, which records what it is given
-            mp.setattr(certify, "_may_reach", lambda g, rows, t, scale:
-                       np.ones(len(rows), dtype=bool))
+            mp.setattr(certify, "_distortion_below", lambda g, rows, t, scale:
+                       np.zeros(len(rows), dtype=bool))
             mp.setattr(np.linalg, "eigvalsh",
                        lambda a: seen.append(a.copy()) or eigvalsh(a))
             rip2_profile(m, L)
@@ -317,13 +317,13 @@ class TestThresholdFilter:
         # all precede it, never from the block itself
         m = _bool_36x27()
         thresholds = []
-        may_reach = certify._may_reach
+        distortion_below = certify._distortion_below
 
         def spy(gram, rows, t, scale):
             thresholds.append((len(rows), t.hex()))
-            return may_reach(gram, rows, t, scale)
+            return distortion_below(gram, rows, t, scale)
 
-        monkeypatch.setattr(certify, "_may_reach", spy)
+        monkeypatch.setattr(certify, "_distortion_below", spy)
         rip2_profile(m, 4)
         gram, _ = _gram(m)
         expected, best = [], -math.inf
@@ -357,13 +357,13 @@ class TestThresholdFilter:
             d = _distortions(gram[rows[:, :, None], rows[:, None, :]])
             for t in np.unique(d):
                 t = float(t)
-                keep = certify._may_reach(gram, rows, t, scale)
-                assert keep[d >= t].all()
+                drop = certify._distortion_below(gram, rows, t, scale)
+                assert not drop[d >= t].any()
                 if not gram.imag.any():
                     # real arithmetic decides as complex arithmetic does
                     assert np.array_equal(
-                        certify._may_reach(gram.real.copy(), rows, t, scale), keep)
-                removed += int((~keep).sum())
+                        certify._distortion_below(gram.real.copy(), rows, t, scale), drop)
+                removed += int(drop.sum())
         assert removed > 0
 
     def test_pivots_positive_needs_every_pivot_above_zero(self):
@@ -375,7 +375,7 @@ class TestThresholdFilter:
             [[np.nan, 0.0], [0.0, 1.0]],
         ], dtype=np.complex128)
         # the stack is indexed (row, column, matrix)
-        ok = certify._pivots_positive(np.ascontiguousarray(stack.transpose(1, 2, 0)))
+        ok = certify._pivots_positive(np.ascontiguousarray(stack.transpose(1, 2, 0)), 0.0)
         assert ok.tolist() == [True, False, False, False, False]
 
     @pytest.mark.parametrize("certifier", [

@@ -555,6 +555,52 @@ class TestResidualFilter:
         assert len(solved) <= 50
         assert 50 * len(solved) < sum(tried)
 
+    # each guard of the filter, at its boundary and one float past it: the
+    # filter acts at the boundary and spares lstsq, and past it keeps every
+    # support it guards.  The lower ||y|| guard, 2^-400, has no such test:
+    # a y that small fits the empty support, before any filter runs.
+    @staticmethod
+    def _solves(m, y, L):
+        """(lstsq calls, result) of decoding y."""
+        solved, lstsq = [], np.linalg.lstsq
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "lstsq",
+                       lambda *a, **k: solved.append(1) or lstsq(*a, **k))
+            result = cs_decode_exhaustive(m, y, L)
+        return len(solved), result
+
+    @pytest.mark.parametrize("beta, solves", [(2.0**400, 0),
+                                              (np.nextafter(2.0**400, np.inf), 78)])
+    def test_measurement_norm_guard_boundary(self, beta, solves):
+        m = vandermonde_matrix(unit_circle_nodes(12), 6)
+        y = np.zeros(6, dtype=np.complex128)
+        y[0] = beta  # ||y|| = beta exactly, fit by no support of size <= 2
+        assert recovery._norm(y) == beta
+        got, result = self._solves(m, y, 2)
+        assert (got, result.success, result.candidates_tried) == (solves, False, 79)
+
+    @pytest.mark.parametrize("top, solves", [
+        (2.0**400, 0), (np.nextafter(2.0**400, np.inf), 1),
+        (2.0**-400, 0), (np.nextafter(2.0**-400, 0), 1)])
+    def test_column_norm_guard_boundary(self, top, solves):
+        # column 0 is top e_0, so its squared norm is top^2: exactly 2^800 or
+        # 2^-800, or past them; only support (0,) leaves the filter's range
+        m = vandermonde_matrix(unit_circle_nodes(12), 6)
+        y = m[:, 5] + 1.0
+        m[:, 0] = 0.0
+        m[0, 0] = top
+        got, result = self._solves(m, y, 1)
+        assert (got, result.success, result.candidates_tried) == (solves, False, 13)
+
+    @pytest.mark.parametrize("n, solves", [(2**14, 1), (2**14 + 1, 5)])
+    def test_stack_size_guard_boundary(self, n, solves):
+        # n s = 2^16 = _RESIDUAL_ENTRIES exactly at s = 4 for n = 2^14: the
+        # filter skips the four 4-supports before the lex-last, which y fits
+        rng = np.random.default_rng(20)
+        m = rng.normal(size=(n, 5)) + 1j * rng.normal(size=(n, 5))
+        got, result = self._solves(m, m @ [0, 1, -2, 0.5j, 1.5], 4)
+        assert (got, result.support_found, result.candidates_tried) == (solves, (1, 2, 3, 4), 31)
+
 
 class TestStackedLapack:
     """The filter's QR reads a (K, n, s) stack; these pin that LAPACK solves
