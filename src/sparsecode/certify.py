@@ -88,13 +88,13 @@ class RipReport(Report):
 class FlatRipReport(Report):
     _property = "flat-rip"
     _keys = {"pairs_checked": "subsets_checked"}
-    # a report exists only for unit-norm columns; the key stays until the
-    # bench references are re-recorded
-    _after = {"witness": {"unit_norm_ok": True}}
 
     order: int
     constant: float
     witness: tuple[tuple[int, ...], tuple[int, ...]]
+    # always True, as a report exists only for unit-norm columns; the key
+    # stays until the bench references are re-recorded
+    unit_norm_ok: bool
     pairs_checked: int
 
 
@@ -401,7 +401,7 @@ def flat_rip_constant(m: np.ndarray, L0: int) -> FlatRipReport:
             size_best, (i, j) = caps.lex_first_max_pair(disjoint_scores, len(idx))
             witness = (tuple(idx[i].tolist()), tuple(idx[j].tolist()))
         lead.offer(np.float64(size_best), lambda _: witness)
-    return FlatRipReport(L0, lead.best, lead.witness, total_pairs)
+    return FlatRipReport(L0, lead.best, lead.witness, True, total_pairs)
 
 
 def _sigma_min_above(gram: np.ndarray, rows: np.ndarray, sigma: float, scale: float,

@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__
 from . import bounds as bounds_mod
 from . import caps, certify, codes, group_testing, listdecode, matrixio, recovery
+from .codes import _at_least, _at_most, _within
 from .embeddings import bool_code, sph_code, sph_inverse_binary
 from .errors import SparseCodeError
 
@@ -76,14 +77,6 @@ def _cmd_build(args) -> tuple[dict, bool, str]:
 
 
 # ---------------------------------------------------------------- verify
-
-def _at_most(value: float, threshold: float) -> bool:
-    return value <= threshold + 1e-12
-
-
-def _at_least(value: float, threshold: float) -> bool:
-    return value >= threshold - 1e-12
-
 
 def _lwise_distance(code, args) -> dict:
     rep = codes.lwise_distance(code, args.L)
@@ -297,10 +290,10 @@ def _cmd_pipeline(args) -> tuple[dict, bool, str]:
             "epsilon": eps,
             "coherence": coh.value,
             "coherence_bound": 2.0 * eps,
-            "coherence_ok": coh.value <= 2.0 * eps + 1e-9,
+            "coherence_ok": _within(coh.value, 2.0 * eps),
             "rip2_constant": rip.alpha,
             "rip2_bound": 2.0 * args.L * eps,
-            "rip2_ok": rip.alpha <= 2.0 * args.L * eps + 1e-9,
+            "rip2_ok": _within(rip.alpha, 2.0 * args.L * eps),
         }
         ok = report["coherence_ok"] and report["rip2_ok"]
     elif args.name == "ks-gt":
@@ -349,7 +342,7 @@ def _cmd_pipeline(args) -> tuple[dict, bool, str]:
             predicted = certify.bias_factor_from_flat(order) * flat.constant / order
             bias_stages.append({"L": order, "measured_bias": measured,
                                 "predicted_bound": predicted,
-                                "ok": measured <= predicted + 1e-9})
+                                "ok": _within(measured, predicted)})
         eps0, attainable = _epsilon_floor(args.L)
         johnson = listdecode.johnson_check(code, args.epsilon)
         report = {
@@ -358,12 +351,12 @@ def _cmd_pipeline(args) -> tuple[dict, bool, str]:
             "claimed_rip_constant": rip.alpha,
             "flat_constant": flat.constant,
             "flat_predicted_bound": flat_bound,
-            "flat_ok": flat.constant <= flat_bound + 1e-9,
+            "flat_ok": _within(flat.constant, flat_bound),
             "bias_stages": bias_stages,
             "epsilon": args.epsilon,
             "epsilon_floor": eps0,
             "epsilon_floor_attainable": attainable,
-            "epsilon_above_floor": attainable and args.epsilon >= eps0 - 1e-12,
+            "epsilon_above_floor": attainable and _at_least(args.epsilon, eps0),
             "johnson": johnson.to_dict(),
             "measured_rip_constant": rip.alpha,
         }

@@ -117,20 +117,39 @@ def _json_value(v):
 class Report:
     """A certifier's result, serialised by one rule.
 
-    A subclass names its property in `_property`, maps a field to a JSON key
-    that differs from its name in `_keys`, and puts fixed entries after a
-    field in `_after`; the keys come in field order, after "property".
+    A subclass names its property in `_property` and maps a field to a JSON
+    key that differs from its name in `_keys`.  The keys come in field order,
+    after "property"; a dict-valued field contributes its own keys in its
+    place.
     """
 
     _keys = {}
-    _after = {}
 
     def to_dict(self) -> dict:
         out = {"property": self._property}
         for f in fields(self):
-            out[self._keys.get(f.name, f.name)] = _json_value(getattr(self, f.name))
-            out.update(self._after.get(f.name, {}))
+            value = getattr(self, f.name)
+            if isinstance(value, dict):
+                out.update(value)
+            else:
+                out[self._keys.get(f.name, f.name)] = _json_value(value)
         return out
+
+
+# The three relations every slack comparison goes through: a verdict's
+# 1e-12 (verify thresholds, Johnson's premise and the converse's conclusion)
+# and a pipeline stage's 1e-9.
+
+def _at_most(value: float, threshold: float) -> bool:
+    return value <= threshold + 1e-12
+
+
+def _at_least(value: float, threshold: float) -> bool:
+    return value >= threshold - 1e-12
+
+
+def _within(value: float, bound: float) -> bool:
+    return value <= bound + 1e-9
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import caps
-from .codes import Code, Report, _counts, _one_hot, lwise_distance
+from .codes import Code, Report, _at_least, _counts, _one_hot, lwise_distance
 from .errors import DomainError
 from .words import Word
 
@@ -40,7 +40,7 @@ class ListDecodingReport(Report):
 
 
 @dataclass(frozen=True)
-class ImplicationReport:
+class ImplicationReport(Report):
     """Premise/conclusion values of a certified implication.
 
     verdict is "pass" when premise and conclusion both hold, "vacuous" when
@@ -48,7 +48,6 @@ class ImplicationReport:
     evaluated at the requested parameters, and "fail" on a counterexample.
     """
 
-    name: str
     premise_value: float | None
     premise_threshold: float | None
     conclusion_value: float | None
@@ -56,16 +55,13 @@ class ImplicationReport:
     verdict: str
     detail: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "property": self.name,
-            "premise_value": self.premise_value,
-            "premise_threshold": self.premise_threshold,
-            "conclusion_value": self.conclusion_value,
-            "conclusion_threshold": self.conclusion_threshold,
-            "verdict": self.verdict,
-            **self.detail,
-        }
+
+class JohnsonReport(ImplicationReport):
+    _property = "johnson"
+
+
+class ConverseReport(ImplicationReport):
+    _property = "johnson-converse"
 
 
 def list_sizes_at_radii(c: Code, radii: list[int]) -> list[tuple[int, Word]]:
@@ -171,7 +167,7 @@ def johnson_inverse_square(epsilon: float) -> float:
     return inverse
 
 
-def johnson_check(c: Code, epsilon: float) -> ImplicationReport:
+def johnson_check(c: Code, epsilon: float) -> JohnsonReport:
     """Distance-to-list-decoding implication with the proof's constants.
 
     Premise: the L'-wise distance is at least 1/2 - eps^2 for
@@ -196,15 +192,15 @@ def johnson_check(c: Code, epsilon: float) -> ImplicationReport:
         report = list_size_at_radius(c, max(0.5 - epsilon, 0.0))
         conclusion = float(report.max_list_size)
         detail["radius"] = report.absolute_radius
-        if premise < threshold - 1e-12:
+        if not _at_least(premise, threshold):
             verdict = "vacuous"
         else:
             verdict = "pass" if conclusion <= list_bound else "fail"
-    return ImplicationReport("johnson", premise, threshold, conclusion,
-                             float(list_bound), verdict, detail)
+    return JohnsonReport(premise, threshold, conclusion, float(list_bound), verdict,
+                         detail)
 
 
-def converse_check(c: Code, L: int, epsilon: float) -> ImplicationReport:
+def converse_check(c: Code, L: int, epsilon: float) -> ConverseReport:
     """List-decoding-to-distance converse with the proof's constants.
 
     Premise: every ball of relative radius 1/2 - eps holds fewer than L
@@ -235,6 +231,5 @@ def converse_check(c: Code, L: int, epsilon: float) -> ImplicationReport:
         if premise >= L:
             verdict = "vacuous"
         else:
-            verdict = "pass" if conclusion >= threshold - 1e-12 else "fail"
-    return ImplicationReport("johnson-converse", premise, bound, conclusion,
-                             threshold, verdict, detail)
+            verdict = "pass" if _at_least(conclusion, threshold) else "fail"
+    return ConverseReport(premise, bound, conclusion, threshold, verdict, detail)

@@ -504,7 +504,7 @@ def flat_rip_constant(m: np.ndarray, L0: int) -> FlatRipReport:
                 tuple(int(t) for t in idx[i]),
                 tuple(int(t) for t in idx[j]),
             )
-    return FlatRipReport(L0, best, witness, checked)
+    return FlatRipReport(L0, best, witness, True, checked)
 
 
 def kernel_injectivity(m: np.ndarray, L: int) -> KernelReport:

@@ -187,3 +187,44 @@ def test_no_parameter_has_one_value_in_use():
              for p, seen in by_param.items()
              if len(seen) >= 2 and seen[0] is not None and seen.count(seen[0]) == len(seen)]
     assert fixed == []
+
+
+# the relations every slack comparison in the library goes through, each
+# defined at the top level of codes.py
+RELATIONS = ("_at_most", "_at_least", "_within")
+
+
+def test_only_report_serialises():
+    """No class in the library other than `codes.Report` defines `to_dict`:
+    every certifier report prints by one rule."""
+    serialisers = [f"{path.name}:{node.name}" for path in sorted(PACKAGE.glob("*.py"))
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.ClassDef)
+                   and any(isinstance(item, ast.FunctionDef) and item.name == "to_dict"
+                           for item in node.body)]
+    assert serialisers == ["codes.py:Report"]
+
+
+def _slack(node) -> bool:
+    """Whether an expression is x + c, x - c or c + x for a float literal
+    0 < c <= 1e-6."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub))
+            and any(isinstance(side, ast.Constant) and type(side.value) is float
+                    and 0 < side.value <= 1e-6 for side in (node.left, node.right)))
+
+
+def test_every_slack_is_a_named_relation():
+    """Outside `codes._at_most`, `_at_least` and `_within`, no comparison in
+    the library has an operand that adds a small float slack to a value: a
+    verdict with a slack calls one of those three.  Domain checks such as
+    `delta < 1.0 - 1 / q` add no small literal and pass."""
+    inline = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        exempt = {id(node) for top in tree.body
+                  if path.name == "codes.py" and isinstance(top, ast.FunctionDef)
+                  and top.name in RELATIONS for node in ast.walk(top)}
+        inline += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                   if isinstance(node, ast.Compare) and id(node) not in exempt
+                   and any(map(_slack, [node.left, *node.comparators]))]
+    assert inline == []
