@@ -10,6 +10,7 @@ matrix reproducible byte-for-byte.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable
@@ -119,7 +120,7 @@ class Report:
 
     A subclass names its property in `_property` and maps a field to a JSON
     key that differs from its name in `_keys`.  The keys come in field order,
-    after "property"; a dict-valued field contributes its own keys in its
+    after "property"; a mapping-valued field contributes its own keys in its
     place.
     """
 
@@ -129,7 +130,7 @@ class Report:
         out = {"property": self._property}
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, dict):
+            if isinstance(value, Mapping):
                 out.update(value)
             else:
                 out[self._keys.get(f.name, f.name)] = _json_value(value)

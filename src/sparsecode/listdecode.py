@@ -1,10 +1,15 @@
 """List-decodability certification and the distance <-> list-size lemmas.
 
-All certification is exhaustive over center words: the split-sum sweep in
-list_sizes_at_radii counts every codeword in the ball around every one of
-the q^n centers, it only groups the arithmetic into array blocks.  Radii
-are discretized as floor(rho * n).  The Johnson-type implication and its
-weak converse are encoded with the explicit constants extracted from their
+All certification is exhaustive over center words: list_sizes_at_radii
+finds, for every one of the q^n centers, the number of codewords in its
+ball, by one of two paths that give the same bits.  The ball path adds
+every codeword's ball into one count per center, so each count is exact
+once the balls are in, and a center no ball reaches counts 0.  The
+split-sum sweep compares every center with every codeword; it only groups
+the arithmetic into array blocks.  The ball path runs where the balls are
+small against the space and both fit the memory bound.  Radii are
+discretized as floor(rho * n).  The Johnson-type implication and its weak
+converse are encoded with the explicit constants extracted from their
 proofs and are required to hold with zero counterexamples on every
 checkable code.
 """
@@ -13,7 +18,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, fields
+from types import MappingProxyType
 
 import numpy as np
 
@@ -26,6 +33,10 @@ from .words import Word
 # the distances and their radius mask)
 _BLOCK_ELEMENTS = 1 << 20
 _MIN_PREFIXES = 16
+# the cost of one of the ball path's count increments, in the sweep's
+# center-to-codeword distances: the break-even measured on x86-64 over
+# codes with q in {2, 3, 4, 5, 7}, n = 6..20 and |C| = 5..189
+_INCREMENT_COST = 13
 
 
 @dataclass(frozen=True)
@@ -46,6 +57,8 @@ class ImplicationReport(Report):
     verdict is "pass" when premise and conclusion both hold, "vacuous" when
     the premise fails, "not-applicable" when the premise cannot even be
     evaluated at the requested parameters, and "fail" on a counterexample.
+    `detail` is a read-only copy of the mapping it is built with; it is
+    left out of the hash, as a mappingproxy has none, but not out of ==.
     """
 
     premise_value: float | None
@@ -53,7 +66,14 @@ class ImplicationReport(Report):
     conclusion_value: float | None
     conclusion_threshold: float | None
     verdict: str
-    detail: dict
+    detail: Mapping
+
+    def __post_init__(self):
+        object.__setattr__(self, "detail", MappingProxyType(dict(self.detail)))
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, f.name) for f in fields(self)
+                          if f.name != "detail"))
 
 
 class JohnsonReport(ImplicationReport):
@@ -65,10 +85,100 @@ class ConverseReport(ImplicationReport):
 
 
 def list_sizes_at_radii(c: Code, radii: list[int]) -> list[tuple[int, Word]]:
-    """Max codeword count of any Hamming ball, for several radii in one sweep.
+    """Max codeword count of any Hamming ball, for several radii in one pass.
 
-    Returns (max_list_size, first worst center) per radius, enumerating all
-    q^n centers exhaustively.
+    Returns (max_list_size, first worst center) per radius, over all q^n
+    centers.  The center cap is checked before anything is allocated.
+
+    Two paths, `_ball_list_sizes` and `_sweep_list_sizes`, give the same
+    bits; the choice is by element work.  The ball path makes |C| * V_q(n, r) count increments, for the largest
+    radius r, plus a pass over the q^n counts; the sweep makes |C| * q^n
+    distance comparisons, each _INCREMENT_COST times cheaper than an
+    increment.  The ball path also needs its q^n counts and its
+    |C| * V_q(n, r) sphere positions to fit in the sweep's block of
+    _BLOCK_ELEMENTS elements.
+    """
+    q, n = c.q, c.n
+    caps.require(q**n, caps.center_cap(), "centers")
+    size = len(c)
+    top = min(max(radii, default=-1), n)
+    volume = sum(math.comb(n, t) * (q - 1) ** t for t in range(top + 1))
+    if (max(q**n, size * volume) <= _BLOCK_ELEMENTS
+            and _INCREMENT_COST * size * volume + q**n <= size * q**n):
+        return _ball_list_sizes(c, radii)
+    return _sweep_list_sizes(c, radii)
+
+
+def _ball_list_sizes(c: Code, radii: list[int]) -> list[tuple[int, Word]]:
+    """list_sizes_at_radii by adding up the codewords' balls.
+
+    counts[x] is the number of codewords within the current radius of the
+    center at position x of caps.product_rows(q, n, ...), the centers'
+    enumeration order.  The radii are taken in ascending order, and each
+    new weight t adds every codeword's sphere of radius t, one exact
+    increment per (codeword, center at distance t) pair: no center is in
+    two spheres of one codeword, and np.add.at adds once for every
+    occurrence of a position, repeats included.  So once weight r is in, counts[x] = |B(x, r) & C| for every
+    one of the q^n centers, those no ball reaches included.  Each radius
+    offers the whole array to its own `caps.LexFirst`, whose first maximum
+    is the lex-first worst center, as in the sweep.  Radii below 0 count
+    no codeword, and radii above n count them all.
+    """
+    q, n = c.q, c.n
+    words = c.array()
+    counts = np.zeros(q**n, dtype=np.min_scalar_type(len(words)))
+    spheres = _spheres(q, words)
+    clipped = [min(max(r, -1), n) for r in radii]
+    found, weight = {}, -1
+    for r in sorted(set(clipped)):
+        while weight < r:
+            weight += 1
+            np.add.at(counts, next(spheres), counts.dtype.type(1))
+        lead = caps.LexFirst()
+        lead.offer(counts, lambda pos: pos)
+        found[r] = (lead.best, _center_word(q, n, lead.witness))
+    return [found[r] for r in clipped]
+
+
+def _spheres(q: int, words: np.ndarray):
+    """Every codeword's Hamming spheres of radius 0, 1, 2, ...: one flat
+    array per radius of the positions, in caps.product_rows order, of the
+    centers at that distance from each codeword.
+
+    A center at distance t from codeword w differs from it on a support
+    i_1 < ... < i_t, by a nonzero symbol a_j at each i_j.  Its position is
+    w's plus the sum over j of step[i_j, a_j - 1, w], the change in position
+    when w's symbol i moves up by a, mod q: ((w_i + a) mod q - w_i) q^(n-1-i).
+    A layer holds one row per (support, symbols) pattern of one weight and
+    one column per codeword.  The next layer extends each row by each
+    coordinate past its support's last one and each nonzero symbol there,
+    one add per new entry, so each pattern is built once, from its parent.
+    The rows are ordered by their support's last coordinate, so the rows
+    that coordinate i extends are the first starts[i] of the layer.
+    Positions are below q^n, so the layer's dtype holds them and the steps.
+    """
+    n = words.shape[1]
+    dtype = np.min_scalar_type(-(q**n))
+    powers = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    moved = (words.T[:, None, :] + np.arange(1, q)[:, None]) % q
+    step = ((moved - words.T[:, None, :]) * powers[:, None, None]).astype(dtype)
+    layer = (words @ powers).astype(dtype)[None, :]
+    # the empty support ends before every coordinate
+    starts = np.ones(n, dtype=np.int64)
+    while True:
+        yield layer.reshape(-1)
+        ends = starts.cumsum()
+        # new row k extends row parent[k] by coordinate coord[k]
+        parent = np.arange(ends[-1]) - np.repeat(ends - starts, starts)
+        coord = np.repeat(np.arange(n), starts)
+        grown = step[coord]
+        grown += layer[parent][:, None, :]
+        layer = grown.reshape(-1, len(words))
+        starts = (q - 1) * (ends - starts)
+
+
+def _sweep_list_sizes(c: Code, radii: list[int]) -> list[tuple[int, Word]]:
+    """list_sizes_at_radii by comparing every center with every codeword.
 
     Split-sum method: the n coordinates split into a high half of
     hi = n - n//2 and a low half of lo = n//2 coordinates.  Hamming distance
@@ -88,11 +198,9 @@ def list_sizes_at_radii(c: Code, radii: list[int]) -> list[tuple[int, Word]]:
     Memory: blocks cover both center prefixes and codewords, so the working
     set stays within a fixed number of elements (_BLOCK_ELEMENTS) whatever
     |C| and q^n are, up to q^n = _BLOCK_ELEMENTS^2, where one low-half table
-    alone would fill a block.  The center cap is checked before anything is
-    allocated.
+    alone would fill a block.
     """
     q, n = c.q, c.n
-    caps.require(q**n, caps.center_cap(), "centers")
     hi = n - n // 2
     lo_size, hi_size = q ** (n // 2), q**hi
     words = c.array()

@@ -1,7 +1,7 @@
 import json
 import math
 import tracemalloc
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 import pytest
@@ -79,8 +79,69 @@ def _small_codes(draw):
     return _code(q, *rows)
 
 
+# cs-ld's list-size shape: the ball path at radius 5, the sweep at 10
+_N20_C16 = Code(Word(2, tuple(int(s) for s in row))
+                for row in np.random.default_rng(20).integers(0, 2, size=(16, 20)))
+
+
+class TestBallPath:
+    """The ball path against the chunked sweep, and the dispatch between
+    the two paths."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(c=_small_codes())
+    def test_matches_chunked_sweep(self, c):
+        # every radius 0..n in one call, plus radii past n and below 0, in
+        # ascending order and again descending, with each radius twice
+        radii = list(range(-1, c.n + 3))
+        want = _chunked_list_sizes(c, radii)
+        assert listdecode._ball_list_sizes(c, radii) == want
+        assert listdecode._ball_list_sizes(c, radii[::-1] + radii) == want[::-1] + want
+
+    @pytest.mark.parametrize("cost", [0, listdecode._INCREMENT_COST, math.inf])
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(c=_small_codes(), top=st.integers(-1, 13))
+    def test_dispatch_cost_changes_no_report(self, c, top, cost):
+        # cost 0 sends every call down the ball path, inf down the sweep
+        radii = list(range(-1, min(top, c.n + 2) + 1))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(listdecode, "_INCREMENT_COST", cost)
+            assert list_sizes_at_radii(c, radii) == _chunked_list_sizes(c, radii)
+
+    @pytest.mark.parametrize("n, size, radius, path", [
+        (20, 16, 5, "_ball_list_sizes"),  # cs-ld's n=20 sweep
+        (18, 16, 4, "_ball_list_sizes"),  # cs-ld's n=18 sweep
+        (16, 20, 0, "_ball_list_sizes"),  # rip-ld's Johnson step
+        (14, 16, 3, "_ball_list_sizes"),
+        (8, 5, 2, "_sweep_list_sizes"),   # balls of a seventh of the space
+        (16, 16, 6, "_sweep_list_sizes"),
+        (12, 4096, 0, "_ball_list_sizes"),  # a ball of one center each
+        # past the memory bound: 2^21 counts, or 2.7M sphere rows
+        (21, 16, 0, "_sweep_list_sizes"),
+        (20, 2000, 3, "_sweep_list_sizes"),
+    ])
+    def test_dispatch(self, n, size, radius, path):
+        rng = np.random.default_rng(n)
+        c = Code.from_array(2, rng.integers(0, 2, size=(size, n)))
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("_ball_list_sizes", "_sweep_list_sizes"):
+                mp.setattr(listdecode, name, lambda c, radii, name=name:
+                           calls.append(name) or [])
+            list_sizes_at_radii(c, [radius])
+        assert calls == [path]
+
+    def test_counts_past_the_smallest_dtype(self):
+        # 300 codewords need uint16 counts, all within radius n of any center
+        c = Code(Word(3, t) for t in islice(product(range(3), repeat=6), 300))
+        assert listdecode._ball_list_sizes(c, [6]) == [(300, Word(3, (0,) * 6))]
+
+
 class TestSplitSumSweep:
-    """The split-sum sweep against the chunked itertools.product sweep."""
+    """The split-sum sweep against the chunked itertools.product sweep.
+
+    Each test calls the sweep itself, not list_sizes_at_radii, which sends
+    most of these small codes down the ball path."""
 
     @pytest.mark.parametrize("block_elements", [listdecode._BLOCK_ELEMENTS, 8])
     @settings(derandomize=True, max_examples=150, deadline=None)
@@ -96,7 +157,7 @@ class TestSplitSumSweep:
                 # a tiny block budget puts the worst centers in later blocks
                 mp.setattr(listdecode, "_BLOCK_ELEMENTS", block_elements)
                 mp.setattr(listdecode, "_MIN_PREFIXES", min_prefixes)
-                got = list_sizes_at_radii(c, radii)
+                got = listdecode._sweep_list_sizes(c, radii)
             assert got == want
 
     # random slices are tested directly below, so one block size will do
@@ -104,11 +165,11 @@ class TestSplitSumSweep:
     @given(c=_small_codes())
     def test_matches_per_coordinate_tables(self, c):
         radii = list(range(-1, c.n + 2))
-        got = list_sizes_at_radii(c, radii)
+        got = listdecode._sweep_list_sizes(c, radii)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(listdecode, "_distance_table", oracle.distance_table)
             mp.setattr(listdecode, "_center_word", oracle.center_word)
-            assert got == list_sizes_at_radii(c, radii)
+            assert got == listdecode._sweep_list_sizes(c, radii)
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(data=st.data())
@@ -128,12 +189,12 @@ class TestSplitSumSweep:
     def test_length_one(self, q):
         c = _code(q, (q - 1,), (0,))
         radii = [0, 1, 2]
-        assert list_sizes_at_radii(c, radii) == _chunked_list_sizes(c, radii)
+        assert listdecode._sweep_list_sizes(c, radii) == _chunked_list_sizes(c, radii)
 
     def test_single_codeword(self):
         c = _code(3, (2, 0, 1, 1, 2))
         radii = list(range(7))
-        got = list_sizes_at_radii(c, radii)
+        got = listdecode._sweep_list_sizes(c, radii)
         assert got == _chunked_list_sizes(c, radii)
         assert got[0] == (1, Word(3, (2, 0, 1, 1, 2)))
 
@@ -141,28 +202,31 @@ class TestSplitSumSweep:
     def test_full_space_code(self, q, n):
         c = Code(Word(q, t) for t in product(range(q), repeat=n))
         radii = list(range(n + 2))
-        got = list_sizes_at_radii(c, radii)
+        got = listdecode._sweep_list_sizes(c, radii)
         assert got == _chunked_list_sizes(c, radii)
         assert got[-1] == (q**n, Word(q, (0,) * n))
 
     def test_no_radii(self):
-        assert list_sizes_at_radii(_code(2, (0, 1)), []) == []
+        assert listdecode._sweep_list_sizes(_code(2, (0, 1)), []) == []
 
     def test_cap_checked_first(self):
         c = _code(2, (0,) * 40, (1,) * 40)
         with pytest.raises(EnumerationCapError):
             list_sizes_at_radii(c, [3])
 
-    @pytest.mark.parametrize("c", [
-        Code(Word(2, tuple(int(s) for s in row))
-             for row in np.random.default_rng(20).integers(0, 2, size=(16, 20))),
-        Code(Word(2, t) for t in product(range(2), repeat=12)),
-    ], ids=["n20-C16", "full-2^12"])
-    def test_memory_is_bounded(self, c):
-        # the blocks use ~2 MB; the 2^12 space unblocked would need ~32 MB
+    @pytest.mark.parametrize("c, radii, path", [
+        (_N20_C16, [5, 10], "_sweep_list_sizes"),
+        (Code(Word(2, t) for t in product(range(2), repeat=12)), [3, 6],
+         "_sweep_list_sizes"),
+        (_N20_C16, [5], "_ball_list_sizes"),
+    ], ids=["n20-C16", "full-2^12", "n20-C16-ball"])
+    def test_memory_is_bounded(self, c, radii, path):
+        # the sweep's blocks use ~2 MB, and the 2^12 space unblocked would
+        # need ~32 MB; the ball path holds 2^20 counts and its last two
+        # spheres, ~3.5 MB
         tracemalloc.start()
         try:
-            list_sizes_at_radii(c, [c.n // 4, c.n // 2])
+            getattr(listdecode, path)(c, radii)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -255,6 +319,19 @@ class TestJohnson:
     def test_small_code_not_applicable(self):
         rep = johnson_check(_code(2, (0, 0), (1, 1)), 0.25)
         assert rep.verdict == "not-applicable"
+
+    def test_report_is_hashable_and_its_detail_read_only(self):
+        # hash() once raised TypeError on the dict, and a write to it reached
+        # the report's JSON
+        c = Code.from_array(2, [[0, 0, 0], [0, 1, 1], [1, 1, 1]])
+        rep = johnson_check(c, 0.5)
+        assert hash(rep) == hash(johnson_check(c, 0.5))
+        with pytest.raises(TypeError):
+            rep.detail["x"] = 1
+        detail = {"L_prime": 5}
+        built = listdecode.JohnsonReport(None, 0.25, None, 4.0, "not-applicable", detail)
+        detail["x"] = 1
+        assert built.to_dict()["L_prime"] == 5 and "x" not in built.to_dict()
 
     def test_premise_violation_is_vacuous(self):
         # five words clustered at tiny mutual distance: 5-wise distance ~ 0
