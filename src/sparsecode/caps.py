@@ -15,7 +15,10 @@ when it has, then doubling up to _SUBSET_BLOCK rows.  It is also the one
 place that prunes: a caller may hand it a bound that marks rows proved
 strictly below the incumbent, and the walk scores only the rest.  The pair
 walk's memory is O(_PAIR_BLOCK * size), and the pair-sum walk starts from
-the empty prefix, so that one step makes every level.
+the empty prefix, so that one step makes every level.  Both pair walks can
+be anchored at item 0: they then walk only the pairs or subsets that
+contain it, which come first in lex order (see `codes` for when that is
+the whole answer).
 
 Every certifier counts its space and checks it against the cap of its kind
 before it walks: 10^7 subsets, pairs, choices or supports, 2^20 codewords,
@@ -249,9 +252,10 @@ def lex_first_max(score, n_items: int, size: int, lead: LexFirst, below=None):
     return lead.best, lead.witness
 
 
-def lex_first_max_pair_sum(d: np.ndarray, size: int, score):
+def lex_first_max_pair_sum(d: np.ndarray, size: int, score, anchored: bool = False):
     """(largest score, lex-first subset attaining it) over the size-subsets S
-    of range(len(d)), 2 <= size <= len(d), scored by their pair sums.
+    of range(len(d)), 2 <= size <= len(d), scored by their pair sums, or,
+    `anchored`, over those that contain item 0.
 
     total(S) is the exact int64 sum of d[i, j] over the pairs i < j of S,
     for an integer matrix d, and score(totals) scores at most _LSET_BLOCK
@@ -266,6 +270,12 @@ def lex_first_max_pair_sum(d: np.ndarray, size: int, score):
     parent; each chunk is offered to one `LexFirst`, which traces the witness
     back only when it takes the lead.  No level emits more than _LSET_BLOCK
     children at a time, so memory is O(size * _LSET_BLOCK * len(d)).
+
+    An anchored walk starts from the prefix {0} instead of the empty prefix,
+    so it walks the C(len(d) - 1, size - 1) subsets that contain item 0:
+    the first of them in lex order, since every subset that contains item 0
+    precedes every subset that does not.  `codes` anchors only where every
+    subset has a translate through item 0 with the same score.
     """
     # the walk's int64 copy of d ends in a zero row, the empty prefix's last item
     d = np.concatenate([d, np.zeros((1, len(d)), dtype=np.int64)], dtype=np.int64)
@@ -314,9 +324,13 @@ def lex_first_max_pair_sum(d: np.ndarray, size: int, score):
         return tuple(int(i) for i in reversed(items))
 
     lead = LexFirst()
-    # the children of the empty prefix: last item -1, total 0, parent's R zero
+    # the children of the empty prefix: last item -1, total 0, parent's R
+    # zero; or of the prefix {0}, whose parent is that empty prefix
     zero = np.zeros(1, dtype=np.int64)
-    walks = [children(0, zero - 1, zero, zero, d[-1:], None)]
+    if anchored:
+        walks = [children(1, zero, zero, zero, d[-1:], (zero - 1, zero, None))]
+    else:
+        walks = [children(0, zero - 1, zero, zero, d[-1:], None)]
     while walks:
         chunk = next(walks[-1], None)
         if chunk is None:
@@ -329,18 +343,21 @@ def lex_first_max_pair_sum(d: np.ndarray, size: int, score):
     return lead.best, lead.witness
 
 
-def lex_first_max_pair(scores, size: int):
+def lex_first_max_pair(scores, size: int, anchored: bool = False):
     """(largest score, lex-first pair attaining it) over pairs i < j of
-    range(size >= 2).
+    range(size >= 2), or, `anchored`, over the pairs (0, j).
 
     scores(i0, i1) returns a signed array of the scores of rows i0..i1-1
     against items i0..size-1, all >= 0; the caller may write to it.  Rows
     go in blocks of _PAIR_BLOCK, so memory is O(_PAIR_BLOCK * size), and
-    each block is offered to one `LexFirst` in row-major order.
+    each block is offered to one `LexFirst` in row-major order.  An anchored
+    walk reads row 0 alone, scores(0, 1): the pairs that contain item 0
+    come first in lex order.
     """
     lead = LexFirst()
-    for i0 in range(0, size - 1, _PAIR_BLOCK):
-        i1 = min(i0 + _PAIR_BLOCK, size - 1)
+    stop = 1 if anchored else size - 1
+    for i0 in range(0, stop, _PAIR_BLOCK):
+        i1 = min(i0 + _PAIR_BLOCK, stop)
         s = scores(i0, i1)
         # only the first i1 - i0 columns hold pairs with j <= i
         s[:, :i1 - i0][np.tri(i1 - i0, dtype=bool)] = -1

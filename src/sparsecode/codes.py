@@ -5,6 +5,21 @@ over a common alphabet, and every builder here is a map on that whole
 array.  The sort order is load-bearing: embeddings, quotients and witnesses
 all refer to codeword indices in this order, which makes every downstream
 matrix reproducible byte-for-byte.
+
+Group codes are certified from item 0.  Let C be a group under addition
+mod q, as a Reed-Solomon code, a GV span, and their balance closures and
+quotients are.  Distances, agreements and the symbol counts of a - b
+depend only on a - b.  So for a pair or L-set S of codewords and any s in
+S, the translate S - s + w_0 lies in C, has the same score, and contains
+item 0.  Every set that contains item 0 precedes every set that does not
+in lex order, so the lex-first extremum over the sets that contain item 0
+is the lex-first extremum overall; its score comes from the same integer
+counts, so it has the same float bits.  This holds in any item order.
+`min_distance`, `code_bias`, `lwise_distance`, `lwise_bias` and
+`group_testing.verify_design` walk only those sets when their input is a
+group (`_forms_group`), and every other input, any code over a non-prime
+q among them, takes the full walk.  Reference: MacWilliams & Sloane, *The
+Theory of Error-Correcting Codes* (1977), Ch. 1.
 """
 
 from __future__ import annotations
@@ -51,6 +66,9 @@ class Code:
     The codewords are the rows of one read-only int64 (N, n) array, distinct
     and in lex order.  Iterating yields them as Words.
     """
+
+    # whether the codewords form a group: None until it is first asked
+    _group: bool | None = None
 
     def __init__(self, words: Iterable[Word]):
         words = list(words)
@@ -104,6 +122,13 @@ class Code:
     def array(self) -> np.ndarray:
         """Codewords as a read-only (N, n) int64 array, row i = codeword i."""
         return self._rows
+
+    def _is_group(self) -> bool:
+        """Whether the codewords are a group under addition mod q, decided
+        on the first call and kept."""
+        if self._group is None:
+            self._group = _forms_group(self.q, self._rows)
+        return self._group
 
 
 def _json_value(v):
@@ -196,22 +221,53 @@ class LinearCode:
 
 
 def _rank_mod_p(mat: np.ndarray, p: int) -> int:
-    a = mat.copy() % p
+    """The rank over F_p, p prime, of an integer matrix with entries in
+    [0, p): forward elimination a column at a time, each step on every row
+    below the pivot at once.
+
+    Only the pivot row is reduced mod p.  A row below it loses its lead mod
+    p times that row, so it stays congruent to the exact elimination and
+    grows by less than p^2 a step; a lead is tested mod p.
+    """
+    a = np.array(mat, dtype=np.int64)
     rank = 0
-    rows, cols = a.shape
-    for col in range(cols):
-        pivot = next((r for r in range(rank, rows) if a[r, col] % p), None)
-        if pivot is None:
-            continue
-        a[[rank, pivot]] = a[[pivot, rank]]
-        a[rank] = (a[rank] * pow(int(a[rank, col]), p - 2, p)) % p
-        for r in range(rows):
-            if r != rank and a[r, col]:
-                a[r] = (a[r] - a[r, col] * a[rank]) % p
-        rank += 1
-        if rank == rows:
+    for col in range(a.shape[1]):
+        if rank == len(a):
             break
+        rest = a[rank:, col:]
+        lead = rest[:, 0] % p
+        nonzero = np.flatnonzero(lead)
+        if nonzero.size == 0:
+            continue
+        top = nonzero[0]
+        rest[[0, top]] = rest[[top, 0]]
+        lead[[0, top]] = lead[[top, 0]]
+        rest[1:] -= lead[1:, None] * (rest[0] * pow(int(lead[0]), p - 2, p) % p)
+        rank += 1
     return rank
+
+
+def _group_rank(q: int, size: int) -> int | None:
+    """The r with size = q^r when q is prime, the rank that a group of
+    `size` words over F_q has; None when no group has that size."""
+    if not is_prime(q):
+        return None
+    r = 0
+    while q**r < size:
+        r += 1
+    return r if q**r == size else None
+
+
+def _forms_group(q: int, words: np.ndarray) -> bool:
+    """Whether the rows of an (N, n) array over Z_q form a group under
+    addition mod q: q is prime, the rows are distinct, N = q^r, and their
+    rank over F_q is r.  Rank r puts them in a span of q^r words, and N
+    distinct ones are then the whole span.  The cheapest checks go first:
+    the integer ones, then one that every group passes, that the zero word
+    is a row."""
+    r = _group_rank(q, len(words))
+    return (r is not None and bool((words == 0).all(axis=1).any())
+            and len(_lex_unique(words)) == len(words) and _rank_mod_p(words, q) == r)
 
 
 def _span(q: int, g: np.ndarray) -> np.ndarray:
@@ -228,8 +284,10 @@ def _span(q: int, g: np.ndarray) -> np.ndarray:
 
 
 def enumerate_codewords(lc: LinearCode) -> Code:
-    """All q^k codewords m*G of a linear code."""
-    return Code.from_array(lc.q, _span(lc.q, lc.generator))
+    """All q^k codewords m*G of a linear code, which form a group."""
+    code = Code.from_array(lc.q, _span(lc.q, lc.generator))
+    code._group = True
+    return code
 
 
 def _symbol_columns(c: Code) -> np.ndarray:
@@ -265,13 +323,14 @@ def _counts(a: np.ndarray, b: np.ndarray, bound: int | None = None) -> np.ndarra
     return a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
 
 
-def _largest_count_pair(m: np.ndarray) -> tuple[int, tuple[int, int]]:
+def _largest_count_pair(m: np.ndarray, anchored: bool) -> tuple[int, tuple[int, int]]:
     """(largest intersection, lex-first pair i < j attaining it) over the
-    supports of the columns of a 0/1 matrix with at least two columns."""
+    supports of the columns of a 0/1 matrix with at least two columns;
+    `anchored`, over the pairs (0, j) alone, for the embedding of a group."""
     caps.require(math.comb(m.shape[1], 2), caps.subset_cap(), "pairs")
     m = m.astype(_count_dtype(len(m)))
     most, witness = caps.lex_first_max_pair(
-        lambda i0, i1: _counts(m[:, i0:i1].T, m[:, i0:]), m.shape[1])
+        lambda i0, i1: _counts(m[:, i0:i1].T, m[:, i0:]), m.shape[1], anchored)
     return int(most), witness
 
 
@@ -290,10 +349,12 @@ def min_distance(c: Code) -> DistanceReport:
 
     The closest pair agrees in the most coordinates: its Boolean embeddings
     meet the most, counted a block of rows at a time in O(block * |C|) memory.
+    On a group, the weights of w_j - w_0 alone, with witness (0, j).
     """
     if len(c) < 2:
         raise DomainError("minimum distance needs at least two codewords")
-    most, witness = _largest_count_pair(_one_hot(c.q, _symbol_columns(c)))
+    most, witness = _largest_count_pair(_one_hot(c.q, _symbol_columns(c)),
+                                        c._is_group())
     best = c.n - most
     return DistanceReport(best, best / c.n, witness)
 
@@ -312,7 +373,7 @@ def lwise_distance(c: Code, L: int) -> DistanceReport:
     """
     _check_lsets(c, L)
     least, witness = caps.lex_first_max_pair_sum(_pairwise_distances(c), L,
-                                                 np.negative)
+                                                 np.negative, c._is_group())
     rel = -least / (c.n * math.comb(L, 2))
     return DistanceReport(rel * c.n, rel, witness)
 
@@ -324,7 +385,8 @@ def lwise_bias(c: Code, L: int) -> float:
     _check_lsets(c, L)
     scale = c.n * math.comb(L, 2)
     return caps.lex_first_max_pair_sum(_pairwise_distances(c), L,
-                                       lambda t: np.abs(t / scale - 0.5))[0]
+                                       lambda t: np.abs(t / scale - 0.5),
+                                       c._is_group())[0]
 
 
 def is_balanced(c: Code) -> bool:
@@ -365,7 +427,8 @@ def code_bias(c: Code) -> float:
     a's shifted by s in each coordinate.  Each count k gives the term
     abs(k/n - 1.0/q), with k/n correctly rounded, and the terms are added
     one symbol at a time in symbol order, so the value is the same on every
-    interpreter and equal, bit for bit, to the scalar definition.
+    interpreter and equal, bit for bit, to the scalar definition.  On a
+    group, row 0 alone: the pairs (0, j).
     """
     size = len(c)
     if size < 2:
@@ -385,7 +448,7 @@ def code_bias(c: Code) -> float:
             total += np.abs(counts / n - 1.0 / q)
         return total
 
-    return 0.5 * caps.lex_first_max_pair(sums, size)[0]
+    return 0.5 * caps.lex_first_max_pair(sums, size, c._is_group())[0]
 
 
 def min_distance_epsilon(c: Code) -> float:

@@ -26,7 +26,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import caps
-from .codes import Code, Report, _counts, _largest_count_pair, min_distance, reed_solomon
+from .codes import (
+    Code,
+    Report,
+    _counts,
+    _forms_group,
+    _group_rank,
+    _largest_count_pair,
+    min_distance,
+    reed_solomon,
+)
 from .embeddings import bool_code
 from .errors import DomainError
 
@@ -119,15 +128,39 @@ def design_from_code(c: Code) -> Design:
     return Design(bool_code(c))
 
 
+def _embeds_group(d: Design) -> bool:
+    """Whether d's incidence matrix is the Boolean embedding, in its own
+    column order, of distinct words over Z_q that form a group.
+
+    The embedding of words of length n over Z_q has q*n rows in n blocks of
+    q, and each set holds one element of each block: element i*q + s for
+    symbol s at coordinate i.  The sizes go first, before any array work.
+    """
+    n, size = d.set_size, d.matrix.shape[1]
+    q, extra = divmod(d.ground_size, n) if n else (0, 1)
+    # a group holds the zero word, whose set is {0, q, 2q, ...}
+    if extra or _group_rank(q, size) is None or not d.matrix[::q].all(axis=0).any():
+        return False
+    blocks = d.matrix.reshape(n, q, size)
+    # each set has n elements, so it holds one of each block iff it meets every block
+    if not blocks.any(axis=1).all():
+        return False
+    symbols = np.arange(q, dtype=np.min_scalar_type(q - 1))[:, None]
+    return _forms_group(q, (blocks * symbols).sum(axis=1, dtype=symbols.dtype).T)
+
+
 def verify_design(d: Design) -> DesignReport:
     """Exact max pairwise intersection size, with its lex-first witness pair.
 
     Intersections are blocks of rows of the Gram matrix of the incidence
-    matrix, the count kernel that also gives min distance.
+    matrix, the count kernel that also gives min distance.  Two sets of a
+    code's embedding meet where their words agree, so on the embedding of a
+    group the pairs (0, j) alone settle it (see `codes`).
     """
     if d.matrix.shape[1] < 2:
         return DesignReport(d.ground_size, d.set_size, 0, None)
-    return DesignReport(d.ground_size, d.set_size, *_largest_count_pair(d.matrix))
+    return DesignReport(d.ground_size, d.set_size,
+                        *_largest_count_pair(d.matrix, _embeds_group(d)))
 
 
 def _packed_rows(bits: np.ndarray) -> np.ndarray:

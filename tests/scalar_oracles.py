@@ -9,7 +9,8 @@ constant shifts and differences, and the Word-chain builders
 all-ones word, spherical and Boolean embeddings, the binary inverse of the
 spherical one a column at a time, code files, and complex matrix files with
 their entries converted one at a time), the GV sampler's loop that tested
-each draw's rank and then its enumerated code's weights, and the design as
+each draw's rank (by the row loop that the vectorised rank replaced) and
+then its enumerated code's weights, and the design as
 a tuple of int tuples with its conversions to and from 0/1 matrices.  The
 subset certifiers' own loops live here too: the itertools enumerator, and
 RIP-2, flat RIP, kernel injectivity, L-wise distance and bias and the
@@ -185,6 +186,28 @@ def random_balanced_code(
     return balance_closure(code_words(seeds))
 
 
+def rank_mod_p(mat: np.ndarray, p: int) -> int:
+    """The rank over F_p by the row loop the vectorised elimination
+    replaced: each pivot normalised, then cleared from the other rows one
+    row at a time."""
+    a = mat.copy() % p
+    rank = 0
+    rows, cols = a.shape
+    for col in range(cols):
+        pivot = next((r for r in range(rank, rows) if a[r, col] % p), None)
+        if pivot is None:
+            continue
+        a[[rank, pivot]] = a[[pivot, rank]]
+        a[rank] = (a[rank] * pow(int(a[rank, col]), p - 2, p)) % p
+        for r in range(rows):
+            if r != rank and a[r, col]:
+                a[r] = (a[r] - a[r, col] * a[rank]) % p
+        rank += 1
+        if rank == rows:
+            break
+    return rank
+
+
 def random_linear_code_gv(q: int, n: int, delta: float, seed: int,
                           slack: float = 0.1) -> LinearCode:
     """The GV sampler as it decided each draw twice: a rank test mod q, then
@@ -202,7 +225,7 @@ def random_linear_code_gv(q: int, n: int, delta: float, seed: int,
     target = delta * n - 1e-9
     for attempt in range(codes._RETRY_BUDGET):
         g = rng.integers(0, q, size=(k, n))
-        if codes._rank_mod_p(g, q) != k:
+        if rank_mod_p(g, q) != k:
             continue
         lc = LinearCode(q, k, n, g, retries=attempt)
         weights = (codes.enumerate_codewords(lc).array() != 0).sum(axis=1)

@@ -97,13 +97,22 @@ def test_every_public_method_and_constant_is_named_beyond_its_definition():
     assert _unnamed(definitions) == []
 
 
-def test_every_public_default_is_set_by_a_caller():
-    """Every defaulted parameter of a public module-level function, and every
-    defaulted field of a public dataclass, is passed by some call in a
-    library module, a README python block, the acceptance criteria or the
-    benchmark: by keyword, by position, or through `*` or `**`."""
-    defaults = {}  # name -> (where, parameters in call order, the defaulted ones)
-    for path in MODULES:
+def _has_default(value) -> bool:
+    """Whether a dataclass field's value gives it a default: any value but a
+    `field(...)` call with neither `default` nor `default_factory`."""
+    if value is None:
+        return False
+    if isinstance(value, ast.Call) and _name(value.func) == "field":
+        return any(k.arg in ("default", "default_factory", None) for k in value.keywords)
+    return True
+
+
+def _public_defaults(paths):
+    """name -> (file name, parameters in call order, the defaulted ones) for
+    each public module-level function and public dataclass in `paths` that
+    has a defaulted parameter or field."""
+    defaults = {}
+    for path in paths:
         for node in ast.parse(path.read_text()).body:
             if getattr(node, "name", "_").startswith("_"):
                 continue
@@ -117,12 +126,39 @@ def test_every_public_default_is_set_by_a_caller():
                 fields = [item for item in node.body if isinstance(item, ast.AnnAssign)
                           and isinstance(item.target, ast.Name)]
                 params = [f.target.id for f in fields]
-                defaulted = [f.target.id for f in fields if f.value is not None]
+                defaulted = [f.target.id for f in fields if _has_default(f.value)]
             else:
                 continue
             if defaulted:
                 defaults[node.name] = (path.name, params, set(defaulted))
+    return defaults
 
+
+def test_a_field_call_is_a_default_only_with_one(tmp_path):
+    """`field(...)` with `default` or `default_factory` (or `**`) is a
+    default; with neither, as `field(hash=False)`, the field is required."""
+    module = tmp_path / "public.py"
+    module.write_text(
+        "from dataclasses import dataclass, field\n"
+        "@dataclass(frozen=True)\n"
+        "class Public:\n"
+        "    required: int\n"
+        "    unhashed: dict = field(hash=False)\n"
+        "    plain: int = 0\n"
+        "    given: int = field(default=1, hash=False)\n"
+        "    made: list = field(default_factory=list)\n"
+        "    spread: int = field(**{'default': 2})\n")
+    assert _public_defaults([module]) == {"Public": (
+        "public.py", ["required", "unhashed", "plain", "given", "made", "spread"],
+        {"plain", "given", "made", "spread"})}
+
+
+def test_every_public_default_is_set_by_a_caller():
+    """Every defaulted parameter of a public module-level function, and every
+    defaulted field of a public dataclass, is passed by some call in a
+    library module, a README python block, the acceptance criteria or the
+    benchmark: by keyword, by position, or through `*` or `**`."""
+    defaults = _public_defaults(MODULES)
     passed = {name: set() for name in defaults}
     for name, call in _calls(defaults):
         _, params, defaulted = defaults[name]

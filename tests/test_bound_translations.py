@@ -20,8 +20,17 @@ kL - k(k + 1)/2 for q > 2.  The k sum to at most Lr over the n coordinates,
 f is concave and increasing up to L/2 >= Lr/n, so the total is at most
 n f(Lr/n).  Hence T > n f(Lr/n) forces a max list size <= L - 1 at radius
 r.  Both sides are exact: T in integers, n f(Lr/n) in `Fraction`.
-References: MacWilliams & Sloane (1977), Ch. 1; Guruswami, *List Decoding
-of Error-Correcting Codes*, LNCS 3282 (2004).
+
+Two bounds check `min_distance`, in integers, on group codes (which take
+its walk from item 0) and on random codes (which mostly take the full
+walk).  Singleton: deleting d - 1 coordinates keeps the codewords
+distinct, so |C| <= q^(n - d + 1).  Plotkin, for binary codes with
+2d > n: the sum of all pairwise distances is at least C(|C|, 2) d, and a
+coordinate where k words hold 1 adds k(|C| - k) <= floor(|C|^2 / 4) to
+it.  So |C| <= 2d/(2d - n) for even |C|, and |C| <= 2d/(2d - n) - 1 for
+odd |C|; either way |C| <= 2 floor(d / (2d - n)).
+References: MacWilliams & Sloane (1977), Ch. 1-2; Guruswami, *List
+Decoding of Error-Correcting Codes*, LNCS 3282 (2004).
 """
 
 import math
@@ -31,8 +40,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from group_codes import group_codes, random_codes
 from sparsecode import listdecode
-from sparsecode.codes import Code, lwise_distance
+from sparsecode.codes import Code, lwise_distance, min_distance
 
 PATHS = pytest.mark.parametrize(
     "path", [listdecode._ball_list_sizes, listdecode._sweep_list_sizes],
@@ -88,3 +98,28 @@ def test_lwise_distance_bounds_the_list_size(path, c):
         for r, size in zip(radii, sizes):
             if total > c.n * _pair_bound(c.q, L, Fraction(L * r, c.n)):
                 assert size <= L - 1
+
+
+# group codes take min_distance's anchored walk, random codes mostly the full one
+KINDS = {"group": group_codes(), "random": random_codes(most=24, longest=10)}
+BINARY_KINDS = {"group": group_codes(most=64, primes=(2,)),
+                "random": random_codes(most=24, alphabets=(2,), longest=12)}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_singleton_bound(kind, data):
+    c = data.draw(KINDS[kind])
+    d = min_distance(c).absolute
+    assert len(c) <= c.q ** (c.n - d + 1)
+
+
+@pytest.mark.parametrize("kind", sorted(BINARY_KINDS))
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_plotkin_bound(kind, data):
+    c = data.draw(BINARY_KINDS[kind])
+    d = min_distance(c).absolute
+    if 2 * d > c.n:
+        assert len(c) <= 2 * (d // (2 * d - c.n))

@@ -357,16 +357,18 @@ class TestRoundtripBatches:
 class TestPipelines:
     def test_ks_gt(self, capsys, monkeypatch):
         # design_r comes from kautz_singleton's distance walk; no second walk
-        # runs over the same pairs
+        # runs over the same pairs, and that one is anchored, since RS(5,2)
+        # is a group
         walks, largest = [], codes._largest_count_pair
         for module in (codes, group_testing):
             monkeypatch.setattr(module, "_largest_count_pair",
-                                lambda m: walks.append(m.shape) or largest(m))
+                                lambda m, anchored: walks.append((m.shape, anchored))
+                                or largest(m, anchored))
         code, report, _ = run(
             capsys, "pipeline", "ks-gt", "--q", "5", "--k", "2"
         )
         assert code == 0
-        assert (report["design_r"], walks) == (1, [(25, 25)])
+        assert (report["design_r"], walks) == (1, [((25, 25), True)])
         assert report["roundtrip_passed"] == 326
         assert report["disjunct"] is True
 

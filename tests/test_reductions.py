@@ -13,6 +13,11 @@ mu = max |1 - 2d/n| over distinct pairs: the spherical embedding's columns
 meet in (n - 2d)/n, so its coherence is mu and its RIP-2 constant of order 2
 is 1 - sqrt(1 - mu), and the bias of a - b is |d/n - 1/2|, so the code's
 bias is mu/2.  These float sides agree within a few ulps.
+
+Over any alphabet, the normalised Boolean embedding's columns meet in the
+agreements over n, so its coherence is (n - d_min)/n, with d_min from
+`min_distance`: on group codes from its walk from item 0, and on random
+codes mostly from the full walk.
 """
 
 import math
@@ -22,10 +27,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from group_codes import group_codes, random_codes
 from sparsecode import caps
 from sparsecode.certify import coherence, rip2_profile
 from sparsecode.codes import Code, code_bias, lwise_distance, min_distance, reed_solomon
-from sparsecode.embeddings import sph_code
+from sparsecode.embeddings import bool_code, sph_code
 from sparsecode.group_testing import Design, design_from_code, kautz_singleton, verify_design
 from sparsecode.listdecode import list_sizes_at_radii
 
@@ -46,18 +52,10 @@ def test_kautz_singleton_distance_is_its_design_intersection(q, k):
     assert min_distance(reed_solomon(q, k)).witness == design.witness
 
 
-@st.composite
-def _codes(draw):
-    """Codes of two or more words, over small alphabets and lengths, so that
-    closest pairs tie often."""
-    q = draw(st.sampled_from([2, 3, 4, 5, 7]))
-    n = draw(st.integers(1, 6))
-    words = st.tuples(*[st.integers(0, q - 1)] * n)
-    return Code.from_array(q, draw(st.lists(words, min_size=2, max_size=30, unique=True)))
-
-
+# codes of two or more words, over small alphabets and lengths, so that
+# closest pairs tie often
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(_codes())
+@given(random_codes())
 def test_min_distance_is_n_minus_design_intersection(c):
     distance = min_distance(c)
     design = verify_design(design_from_code(c))
@@ -102,3 +100,16 @@ def test_sph_coherence_rip2_and_bias_follow_from_the_distances(c):
     assert abs(coherence(m).value - mu) <= FOUR_ULPS
     assert abs(rip2_profile(m, 2)[-1].alpha - (1 - math.sqrt(1 - mu))) <= FOUR_ULPS
     assert abs(code_bias(c) - mu / 2) <= FOUR_ULPS
+
+
+# group codes take min_distance's anchored walk, random codes mostly the full one
+KINDS = {"group": group_codes(), "random": random_codes()}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_normalised_bool_coherence_is_the_least_distance(kind, data):
+    c = data.draw(KINDS[kind])
+    value = coherence(bool_code(c, normalize=True)).value
+    assert abs(value - (c.n - min_distance(c).absolute) / c.n) <= FOUR_ULPS
