@@ -1,8 +1,9 @@
 """Enumeration caps guarding exhaustive certifiers, and the enumeration
 orders they rest on: lex subset order, walked as rows or as prefixes that
-carry pair sums, the one lex-first rule they share (`LexFirst`), and the
-product order of list-decoding centers (a linear code's words come from its
-span in `codes`).
+carry pair sums, the one lex-first rule they share (`LexFirst`, which on a
+0/1 score is the first-hit rule of the scans that name a first cover,
+failure or bad entry), and the product order of list-decoding centers (a
+linear code's words come from its span in `codes`).
 
 The lex rows of each shape (n_items, size) form one read-only table per
 process, grown only as far as a walk reaches and shared by every later
@@ -208,7 +209,12 @@ class LexFirst:
     offered in enumeration order, a block's first maximum (its argmax, in C
     order) is its candidate, and a candidate replaces the incumbent only at
     the first offer or on a strict >.  `best` is the incumbent's score, None
-    before any offer, and `witness` what name(pos) built for it."""
+    before any offer, and `witness` what name(pos) built for it.
+
+    A 0/1 score makes it the first-hit rule: `best` turns true at the first
+    hit in enumeration order, whose position `witness` names, and no later
+    offer replaces it, so a scan may stop there.  Every first position the
+    library reports, a maximum's or a hit's, is taken here."""
 
     def __init__(self):
         self.best, self.witness = None, ()

@@ -180,16 +180,16 @@ def _roundtrips(m: np.ndarray, batches) -> tuple[int, int, list[int] | None]:
     Returns (passed, failed, first failing support).
     """
     passed = failed = 0
-    first_failure = None
+    lead = caps.LexFirst()
     for x in batches:
         decoded = group_testing.gt_decode_cover(m, group_testing.gt_encode(m, x))
         ok = (decoded == x).all(axis=1)
         n_ok = int(ok.sum())
         passed += n_ok
         failed += len(x) - n_ok
-        if first_failure is None and n_ok < len(x):
-            first_failure = np.flatnonzero(x[np.argmin(ok)]).tolist()
-    return passed, failed, first_failure
+        # a 0/1 score: the lead is the first failure, once there is one
+        lead.offer(~ok, lambda pos: np.flatnonzero(x[pos]).tolist())
+    return passed, failed, lead.witness if lead.best else None
 
 
 def _require_order(L: int, n_cols: int) -> None:

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from . import caps
 from .codes import Code, _one_hot, _symbol_columns
 from .errors import NotAnEmbeddingError
 from .words import Word
@@ -67,7 +68,9 @@ def sph_inverse_binary(m: np.ndarray) -> np.ndarray:
     minus = np.abs(m + scale) <= INVERSE_TOL
     ok = minus | (np.abs(m - scale) <= INVERSE_TOL)
     if not ok.all():
-        j, bad = divmod(int(np.argmin(ok.T)), n)
+        lead = caps.LexFirst()
+        lead.offer(~ok.T, lambda pos: divmod(pos, n))
+        j, bad = lead.witness
         raise NotAnEmbeddingError(
             f"entry {bad} = {m[bad, j]} is not within tolerance of +-1/sqrt(n)"
         )

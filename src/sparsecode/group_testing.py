@@ -33,7 +33,6 @@ from .codes import (
     _forms_group,
     _group_rank,
     _largest_count_pair,
-    min_distance,
     reed_solomon,
 )
 from .embeddings import bool_code
@@ -170,18 +169,20 @@ def _packed_rows(bits: np.ndarray) -> np.ndarray:
     return packed.view(np.uint64).T
 
 
-def _settled(b: np.ndarray, t0: int, t1: int, L: int) -> np.ndarray:
-    """Which targets t0..t1-1 of the 0/1 matrix b the cover bound settles:
-    those whose L largest intersections with other columns sum below their
-    weight.  One intersection product for the block."""
-    block = b[:, t0:t1]
-    weights = block.sum(axis=0)
-    if L == 0:  # the empty set covers only an empty target
-        return weights > 0
-    meets = _counts(block.T, b)
-    meets[np.arange(t1 - t0), np.arange(t0, t1)] = 0
-    top = np.partition(meets, -L, axis=1)[:, -L:].astype(np.int64).sum(axis=1)
-    return top < weights
+def _unsettled(b: np.ndarray, L: int):
+    """Target 0 of the 0/1 matrix b, then each later target that the cover
+    bound leaves: those whose L largest intersections with other columns
+    reach their weight.  Lazy: one intersection product per _BOUND_BLOCK
+    targets, made only when the scan reaches their block."""
+    yield 0
+    for t0 in range(1, b.shape[1], _BOUND_BLOCK):
+        block = b[:, t0:t0 + _BOUND_BLOCK]
+        top = 0  # the empty set covers only an empty target
+        if L:
+            meets = _counts(block.T, b)
+            meets[np.arange(len(meets)), np.arange(t0, t0 + len(meets))] = 0
+            top = np.partition(meets, -L, axis=1)[:, -L:].astype(np.int64).sum(axis=1)
+        yield from (t0 + np.flatnonzero(top >= block.sum(axis=0))).tolist()
 
 
 def verify_disjunct(m: np.ndarray, L: int) -> DisjunctReport:
@@ -201,10 +202,12 @@ def verify_disjunct(m: np.ndarray, L: int) -> DisjunctReport:
     the count of choices up to it, where the walk puts them; a target the
     bound cannot settle is walked as before.
 
-    The bound is lazy.  Target 0 is always walked, and a witness there (a
-    dense random design's, mostly) costs no intersection product.  Once its
-    walk finds no cover, every later target reads its row of one product
-    per block of `_BOUND_BLOCK` targets, made when the walk reaches it.
+    The bound is lazy (`_unsettled`).  Target 0 is always walked, and a
+    witness there (a dense random design's, mostly) costs no intersection
+    product.  Once its walk finds no cover, every later target reads its
+    row of one product per block of `_BOUND_BLOCK` targets, made when the
+    walk reaches it.  The witness is the first hit of one `LexFirst` over
+    the scan's cover blocks.
     """
     b = as_binary(m)
     n_cols = b.shape[1]
@@ -215,12 +218,15 @@ def verify_disjunct(m: np.ndarray, L: int) -> DisjunctReport:
     per_target = math.comb(n_cols - 1, L)
     count = per_target * n_cols
     caps.require(count, caps.subset_cap(), "choices")
-    for target in range(n_cols):
-        if target > 0:  # every earlier target is settled or walked uncovered
-            if (target - 1) % _BOUND_BLOCK == 0:
-                settled = _settled(b, target, min(target + _BOUND_BLOCK, n_cols), L)
-            if settled[(target - 1) % _BOUND_BLOCK]:
-                continue
+
+    def name(pos):
+        """The cover at pos of the current block, and the choices up to it."""
+        # others' index c is column c + (c >= target)
+        chosen = tuple(c + (c >= target) for c in rows[pos].tolist())
+        return (target, chosen), target * per_target + start + pos + 1
+
+    lead = caps.LexFirst()
+    for target in _unsettled(b, L):
         support = b[:, target]
         words = _packed_rows(np.delete(b[support], target, axis=1))
         full = _packed_rows(np.ones((int(support.sum()), 1), dtype=bool))[:, 0]
@@ -233,12 +239,10 @@ def verify_disjunct(m: np.ndarray, L: int) -> DisjunctReport:
                 for col in rows.T:
                     union |= word[col]
                 covers &= union == full_word
-            hit = int(np.argmax(covers))
-            if covers[hit]:
-                # others' index c is column c + (c >= target)
-                chosen = rows[hit] + (rows[hit] >= target)
-                return DisjunctReport(L, False, (target, tuple(int(c) for c in chosen)),
-                                      target * per_target + start + hit + 1)
+            # a 0/1 score: the lead is the first cover, once there is one
+            lead.offer(covers, name)
+            if lead.best:
+                return DisjunctReport(L, False, *lead.witness)
     return DisjunctReport(L, True, None, count)
 
 
@@ -290,7 +294,8 @@ def kautz_singleton(q: int, k: int) -> tuple[np.ndarray, dict]:
         "q": q,
         "k": k,
         "block_length": code.n,
-        "min_distance": min_distance(code).absolute,
+        # two words' sets meet where the words agree
+        "min_distance": code.n - _largest_count_pair(matrix, code._is_group())[0],
         "rows": int(matrix.shape[0]),
         "cols": int(matrix.shape[1]),
         "guaranteed_disjunct_order": int(guaranteed),

@@ -1,8 +1,8 @@
-"""The paper's bound translations as one-sided checks on the list sizes.
+"""The paper's bound translations as one-sided checks on the certifiers.
 
-A printed list size that breaks a theorem proves its certifier wrong, on
-any input and with no oracle.  Both checks run on both list-size paths,
-the ball path and the split-sum sweep, called directly.
+A printed constant that breaks a theorem proves its certifier wrong, on
+any input and with no oracle.  The list-size checks run on both list-size
+paths, the ball path and the split-sum sweep, called directly.
 
 Averaging: the q^n balls of radius r hold |C| * V_q(n, r) (center,
 codeword) pairs between them, so the largest holds at least the ceiling of
@@ -29,20 +29,41 @@ distinct, so |C| <= q^(n - d + 1).  Plotkin, for binary codes with
 coordinate where k words hold 1 adds k(|C| - k) <= floor(|C|^2 / 4) to
 it.  So |C| <= 2d/(2d - n) for even |C|, and |C| <= 2d/(2d - n) - 1 for
 odd |C|; either way |C| <= 2 floor(d / (2d - n)).
+Three checks hold for any matrix of N > n unit columns in C^n.  Welch:
+its coherence mu has mu^2 >= (N - n) / (n (N - 1)).  Order 2: a pair's
+2 x 2 Gram has eigenvalues 1 +- |g|, and 1 - sqrt(1 - x) >= sqrt(1 + x) -
+1 on [0, 1], so the RIP-2 constant of order 2 is 1 - sqrt(1 - mu).
+Monotonicity: every 2L-column submatrix sits inside a (2L + 2)-column
+one, which has no larger sigma_min (interlacing), so `kernel_injectivity`'s
+sigma_min does not increase with L.  The float sides compare within the
+error bounds stated beside each test.
+
+Group testing (Kautz & Singleton; Du & Hwang, Combinatorial Group
+Testing): the cover decoder recovers every support of weight <= L exactly
+when the design is L-disjunct.  If it is, a column outside a support of
+weight <= L meets a test that no column of the support does, which comes
+back negative; if it is not, the L columns that cover a target, encoded,
+decode with the target too.  So the exhaustive round trip fails nowhere
+exactly when `verify_disjunct` holds, and, since L - 1 columns plus any
+other column are L columns, an L-disjunct design is (L - 1)-disjunct.
 References: MacWilliams & Sloane (1977), Ch. 1-2; Guruswami, *List
-Decoding of Error-Correcting Codes*, LNCS 3282 (2004).
+Decoding of Error-Correcting Codes*, LNCS 3282 (2004); Welch, IEEE Trans.
+IT 20 (1974); Kautz & Singleton, IEEE Trans. IT 10 (1964).
 """
 
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from group_codes import group_codes, random_codes
-from sparsecode import listdecode
+from sparsecode import caps, cli, listdecode
+from sparsecode.certify import coherence, kernel_injectivity, rip2_profile
 from sparsecode.codes import Code, lwise_distance, min_distance
+from sparsecode.group_testing import kautz_singleton, verify_disjunct
 
 PATHS = pytest.mark.parametrize(
     "path", [listdecode._ball_list_sizes, listdecode._sweep_list_sizes],
@@ -123,3 +144,134 @@ def test_plotkin_bound(kind, data):
     d = min_distance(c).absolute
     if 2 * d > c.n:
         assert len(c) <= 2 * (d // (2 * d - c.n))
+
+
+# the unit roundoff of float64
+U = 2.0**-53
+
+
+@st.composite
+def _unit_columns(draw):
+    """N > n normalised real or complex Gaussian columns in dimension
+    2 <= n <= 6 (in dimension 1 every pair is parallel)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 6))
+    shape = n, draw(st.integers(n + 1, 12))
+    m = rng.standard_normal(shape)
+    if draw(st.booleans()):
+        m = m + 1j * rng.standard_normal(shape)
+    return m / np.linalg.norm(m, axis=0)
+
+
+# Each computed Gram entry of these columns, a length-n dot product of
+# vectors of norm 1 within 2u, is within (n + 2)u of its exact value
+# (Higham, Accuracy and Stability, 2nd ed., Sec. 3.1, with Cauchy-Schwarz
+# and complex products' constants), whichever product computes it.
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(m=_unit_columns())
+def test_welch_bound(m):
+    n, N = m.shape
+    # the computed coherence is within (n + 2)u of the exact one
+    assert (coherence(m).value + (n + 2) * U) ** 2 >= (N - n) / (n * (N - 1))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(m=_unit_columns())
+def test_rip2_of_order_2_is_the_coherence(m):
+    # coherence reads the matmul Gram and RIP-2 the einsum Gram.  Both err
+    # by at most (n + 2)u per entry, so the computed lambda_min of the
+    # worst pair, (a + b)/2 - sqrt(((a - b)/2)^2 + |g|^2) with diagonals a,
+    # b and eigvalsh's few more u, is within 6 (n + 2)u of 1 - mu.  And
+    # |sqrt(x) - sqrt(y)| <= |x - y| / sqrt(y), which the roundings of sqrt
+    # and 1 - sqrt stay inside with 8 in place of 6.  Over 3,000 such
+    # matrices the worst error was 0.7 (n + 2)u / sqrt(1 - mu).
+    n = m.shape[0]
+    mu = coherence(m).value
+    alpha = rip2_profile(m, 2)[1].alpha
+    assert abs(alpha - (1 - math.sqrt(1 - mu))) <= 8 * (n + 2) * U / math.sqrt(1 - mu)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(m=_unit_columns())
+def test_kernel_sigma_min_does_not_increase_with_L(m):
+    n = m.shape[0]
+    # up to the first L with 2L > n, whose sigma_min is 0 by rank
+    sigmas = [kernel_injectivity(m, L).min_singular_value for L in range(1, n // 2 + 2)]
+    for L, (smaller, larger) in enumerate(zip(sigmas[1:], sigmas), start=2):
+        # the SVD's computed sigma_min of s columns is within a few s u
+        # ||A||_2 <= s^1.5 u of the exact one, on each side; over 3,000 such
+        # matrices no computed sigma_min rose at all
+        assert smaller <= larger + 32 * (2 * L) ** 1.5 * U
+
+
+@st.composite
+def _designs(draw):
+    """0/1 designs of 1 to 14 columns over 1 to 12 tests, each column drawn,
+    zero or a copy of another."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_cols = draw(st.integers(1, 14))
+    m = rng.random((draw(st.integers(1, 12)), n_cols)) < draw(st.sampled_from([0.2, 0.4, 0.6]))
+    for j in range(n_cols):
+        kind = draw(st.sampled_from(["drawn", "drawn", "zero", "copy"]))
+        if kind == "zero":
+            m[:, j] = False
+        elif kind == "copy":
+            m[:, j] = m[:, draw(st.integers(0, n_cols - 1))]
+    return m
+
+
+def _disjunct_orders(m, orders):
+    """verify_disjunct's verdict at each L in orders, each checked against
+    the exhaustive round trip over the supports of weight <= L."""
+    n_cols = m.shape[1]
+    verdicts = []
+    for L in orders:
+        _, failed, _ = cli._roundtrips(m, cli._indicators(n_cols, caps.supports(n_cols, L)))
+        verdicts.append(verify_disjunct(m, L).disjunct)
+        assert (failed == 0) == verdicts[-1], L
+    return verdicts
+
+
+def _nested(verdicts):
+    """Whether each L-disjunct verdict implies the (L - 1)-disjunct one."""
+    return all(lower or not higher for lower, higher in zip(verdicts, verdicts[1:]))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(m=_designs())
+def test_round_trip_fails_exactly_when_not_disjunct(m):
+    _disjunct_orders(m, range(min(3, m.shape[1] - 1) + 1))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(m=_designs())
+def test_disjunct_orders_are_nested(m):
+    orders = range(min(3, m.shape[1] - 1) + 1)
+    assert _nested([verify_disjunct(m, L).disjunct for L in orders])
+
+
+def _ks_orders(q: int, k: int) -> list[int]:
+    """The orders L of KS(q, k) whose supports of weight <= L and whose
+    disjunct choices both fit the default cap."""
+    n_cols, orders, count = q**k, [], 0
+    for L in range(n_cols):
+        count += math.comb(n_cols, L)  # supports of weight <= L, which only grow
+        if count > caps.DEFAULT_SUBSET_CAP:
+            break
+        if n_cols * math.comb(n_cols - 1, L) <= caps.DEFAULT_SUBSET_CAP:
+            orders.append(L)
+    return orders
+
+
+# every Kautz-Singleton matrix whose column pairs fit the default cap
+KS_CASES = [(q, k) for q in (2, 3, 5, 7, 11, 13) for k in range(1, q + 1)
+            if math.comb(q**k, 2) <= caps.DEFAULT_SUBSET_CAP]
+
+
+@pytest.mark.parametrize("q, k", KS_CASES)
+def test_kautz_singleton_round_trip_and_orders(monkeypatch, q, k):
+    monkeypatch.delenv("SPARSECODE_CAP", raising=False)
+    m, _ = kautz_singleton(q, k)
+    assert _nested(_disjunct_orders(m, _ks_orders(q, k)))

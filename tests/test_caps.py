@@ -462,29 +462,26 @@ def test_caps_is_the_only_cap_source():
 
 
 def test_lex_first_is_the_only_argmax():
-    """Every lex-first maximum is taken by `LexFirst.offer`: np.argmax is
-    called nowhere else in the library but in the scans named here, which
-    follow another rule.  A new walk offers into a LexFirst, or is added
-    here with its rule."""
-    allowed = {
-        ("caps.py", "LexFirst.offer"): "the lex-first rule",
-        ("group_testing.py", "verify_disjunct"): "first hit: stops at the first cover",
-    }
+    """Every first position the library reports is taken by `LexFirst.offer`:
+    a lex-first maximum, or a first hit as the maximum of a 0/1 score.  No
+    other scope names np.argmax, np.argmin or their nan forms, so a new
+    walk or scan offers into a LexFirst."""
+    firsts = ("argmax", "nanargmax", "argmin", "nanargmin")
 
     def scopes(node, scope):
-        """The enclosing def and class names of each argmax named under node."""
+        """The enclosing def and class names of each first position named under node."""
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 yield from scopes(child, scope + (child.name,))
                 continue
-            if getattr(child, "attr", getattr(child, "id", None)) in ("argmax", "nanargmax"):
+            if getattr(child, "attr", getattr(child, "id", None)) in firsts:
                 yield ".".join(scope)
             yield from scopes(child, scope)
 
     found = [(path.name, scope)
              for path in sorted(Path(sparsecode.__file__).parent.glob("*.py"))
              for scope in scopes(ast.parse(path.read_text()), ())]
-    assert found == sorted(allowed)
+    assert found == [("caps.py", "LexFirst.offer")]
 
 
 def test_only_caps_imports_combinations():

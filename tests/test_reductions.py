@@ -49,7 +49,9 @@ def test_kautz_singleton_distance_is_its_design_intersection(q, k):
     m, prov = kautz_singleton(q, k)
     design = verify_design(Design(m))
     assert prov["min_distance"] == prov["block_length"] - design.max_intersection
-    assert min_distance(reed_solomon(q, k)).witness == design.witness
+    distance = min_distance(reed_solomon(q, k))
+    assert prov["min_distance"] == distance.absolute
+    assert distance.witness == design.witness
 
 
 # codes of two or more words, over small alphabets and lengths, so that
