@@ -12,11 +12,14 @@ does not fit is built block by block and dropped, as if there were none.
 Every walk owns its block size, so no caller passes one.  `lex_first_max`
 walks one schedule for every caller: a small first block while its
 `LexFirst` has no incumbent (no bound can act before one), a larger one
-when it has, then doubling up to _SUBSET_BLOCK rows.  It is also the one
-place that prunes: a caller may hand it a bound that marks rows proved
-strictly below the incumbent, and the walk scores only the rest.  The pair
-walk's memory is O(_PAIR_BLOCK * size), and the pair-sum walk starts from
-the empty prefix, so that one step makes every level.  Both pair walks can
+when it has, then doubling up to _SUBSET_BLOCK rows.  A caller may hand
+it a bound that marks rows proved strictly below the incumbent, and the
+walk scores only the rest.  The pair walk's memory is
+O(_PAIR_BLOCK * size), and the pair-sum walk starts from the empty prefix,
+so that one step makes every level; a caller may hand it a cut that names
+prefixes whose completions cannot hold the lex-first maximum, and the walk
+extends only the rest.  These two walks are the only ones that prune, and
+each states why its pruning moves no witness.  Both pair walks can
 be anchored at item 0: they then walk only the pairs or subsets that
 contain it, which come first in lex order (see `codes` for when that is
 the whole answer).
@@ -57,8 +60,12 @@ _TABLE_BYTES = 32 << 20
 _FIRST_BLOCK = 1 << 6
 _FIRST_BLOCK_LED = 1 << 9
 _SUBSET_BLOCK = 1 << 11
-# chunk size of lex_first_max_pair_sum (L-subsets)
+# chunk size of lex_first_max_pair_sum (L-subsets); the fewest row entries
+# that a walk must build for its `cut` to run, and the most items that a
+# prefix the cut sees may still have to add
 _LSET_BLOCK = 1 << 13
+_CUT_ENTRIES = 75_000
+_CUT_K = 3
 # rows per block of lex_first_max_pair, and supports per block of supports
 _PAIR_BLOCK = 1 << 7
 _SUPPORT_BLOCK = 1 << 10
@@ -213,8 +220,10 @@ class LexFirst:
 
     A 0/1 score makes it the first-hit rule: `best` turns true at the first
     hit in enumeration order, whose position `witness` names, and no later
-    offer replaces it, so a scan may stop there.  Every first position the
-    library reports, a maximum's or a hit's, is taken here."""
+    offer replaces it, so a scan may stop there.  Until then a bool `best`
+    is False and `witness` is (): name is called only for a hit.  Every
+    first position the library reports, a maximum's or a hit's, is taken
+    here."""
 
     def __init__(self):
         self.best, self.witness = None, ()
@@ -222,7 +231,9 @@ class LexFirst:
     def offer(self, scores: np.ndarray, name) -> None:
         pos = int(np.argmax(scores))
         if self.best is None or scores.flat[pos] > self.best:
-            self.best, self.witness = scores.flat[pos].item(), name(pos)
+            self.best = scores.flat[pos].item()
+            # a bool block without a hit names nothing; a numeric 0 is a score
+            self.witness = () if self.best is False else name(pos)
 
 
 def lex_first_max(score, n_items: int, size: int, lead: LexFirst, below=None):
@@ -258,7 +269,8 @@ def lex_first_max(score, n_items: int, size: int, lead: LexFirst, below=None):
     return lead.best, lead.witness
 
 
-def lex_first_max_pair_sum(d: np.ndarray, size: int, score, anchored: bool = False):
+def lex_first_max_pair_sum(d: np.ndarray, size: int, score, anchored: bool = False,
+                           cut=None):
     """(largest score, lex-first subset attaining it) over the size-subsets S
     of range(len(d)), 2 <= size <= len(d), scored by their pair sums, or,
     `anchored`, over those that contain item 0.
@@ -282,12 +294,33 @@ def lex_first_max_pair_sum(d: np.ndarray, size: int, score, anchored: bool = Fal
     the first of them in lex order, since every subset that contains item 0
     precedes every subset that does not.  `codes` anchors only where every
     subset has a translate through item 0 with the same score.
+
+    cut(total, rows, last, k, best), if given, prunes a walk that builds at
+    least _CUT_ENTRIES row entries.  Given a piece of prefixes with k items
+    still to add, 2 <= k <= _CUT_K, as their totals, their rows R and their
+    last items, it is True for each prefix none of whose completions is the
+    walk's lex-first maximum, knowing that `best`, unless it is None, is
+    the score of a subset offered before every one of those completions.
+    The walk calls it where a piece's rows are built, before any child is
+    made, and a cut prefix gets no children.  Until its first offer an
+    anchored walk extends one prefix at a time and cuts none, so that an
+    incumbent comes soon: on a group, whose scores depend only on
+    differences, many subsets through item 0 tie at the best score, and
+    only an incumbent that precedes them can settle the ties.  This is
+    sound: the walk offers subsets in lex order, so no completion of a
+    piece has been offered when its rows are built, and a walk that skips
+    only subsets other than the lex-first maximum ends with the same
+    (best, witness).
     """
     # the walk's int64 copy of d ends in a zero row, the empty prefix's last item
     d = np.concatenate([d, np.zeros((1, len(d)), dtype=np.int64)], dtype=np.int64)
     n, flat = len(d) - 1, d.reshape(-1)
     # the s-th item of a subset (s = 1..size) is at most tail + s - 1
     tail, block = n - size, _LSET_BLOCK
+    # a walk builds a row for each prefix that leaves room for the rest,
+    # C(n, size - 1) of them (C(n - 1, size - 2) anchored)
+    if cut is not None and n * math.comb(n - anchored, size - 1 - anchored) < _CUT_ENTRIES:
+        cut = None
 
     def children(s, last, up, total, above, trail):
         """Chunks of the size-(s+1) extensions of a chunk of size-s prefixes:
@@ -301,24 +334,39 @@ def lex_first_max_pair_sum(d: np.ndarray, size: int, score, anchored: bool = Fal
                 p1 = len(last)
             else:  # as many prefixes as fit in a block, at least one
                 p1 = max(int(ends.searchsorted(taken + block, "right")), p0 + 1)
-            c, head, hops = counts[p0:p1], last[p0:p1], up[p0:p1]
-            parent = np.arange(p1 - p0).repeat(c)
-            # prefix k's children are last[k] + 1, ..., top in turn
-            item = np.arange(int(ends[p1 - 1]) - taken)
-            item += (top + 1 + taken - ends[p0:p1]).repeat(c)
-            sums = total[p0:p1].repeat(c)
-            if s + 1 == size:
-                rows = None
+            dive = cut is not None and anchored and lead.best is None and s + 1 < size
+            if dive:  # until the first offer, one prefix at a time
+                p1 = p0 + 1
+            width = int(ends[p1 - 1]) - taken
+            c, head, hops, sums = counts[p0:p1], last[p0:p1], up[p0:p1], total[p0:p1]
+            # prefix k's children are last[k] + 1, ..., top in turn: child i
+            # of the piece is item i + shift[k]
+            shift = top + 1 + taken - ends[p0:p1]
+            p0, taken = p1, taken + width
+            rows = None
+            if s + 1 < size:
+                rows = above[hops] + d[head]
+                if cut is not None and not dive and size - s <= _CUT_K:
+                    keep = ~cut(sums, rows, head, size - s, lead.best)
+                    if not keep.any():
+                        continue
+                    c, head, hops, sums, rows = (
+                        c[keep], head[keep], hops[keep], sums[keep], rows[keep])
+                    stop = c.cumsum()
+                    shift, width = top + 1 - stop, int(stop[-1])
+            parent = np.arange(len(c)).repeat(c)
+            item = np.arange(width)
+            item += shift.repeat(c)
+            sums = sums.repeat(c)
+            if rows is None:
                 sums += above.reshape(-1)[(hops * n).repeat(c) + item]
                 sums += flat[(head * n).repeat(c) + item]
             else:
-                rows = above[hops] + d[head]
                 sums += rows.reshape(-1)[parent * n + item]
             node = (head, hops, trail)
             for a in range(0, len(item), block):
                 yield (s + 1, item[a:a + block], parent[a:a + block],
                        sums[a:a + block], rows, node)
-            p0, taken = p1, int(ends[p1 - 1])
 
     def witness(pos):
         """The subset of the current chunk's child pos, traced back."""

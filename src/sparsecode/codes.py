@@ -43,6 +43,8 @@ from .words import Word, is_prime
 
 # a float32 sum of up to 2**24 terms of 0 or 1 is an exact integer
 _FLOAT32_TERMS = 1 << 24
+# above every sum of distances in an L-set: the L-wise cut's mask value
+_ABOVE_TOTALS = np.int64(2**62)
 # generator draws random_linear_code_gv tries before it gives up
 _RETRY_BUDGET = 200
 
@@ -326,11 +328,19 @@ def _counts(a: np.ndarray, b: np.ndarray, bound: int | None = None) -> np.ndarra
 def _largest_count_pair(m: np.ndarray, anchored: bool) -> tuple[int, tuple[int, int]]:
     """(largest intersection, lex-first pair i < j attaining it) over the
     supports of the columns of a 0/1 matrix with at least two columns;
-    `anchored`, over the pairs (0, j) alone, for the embedding of a group."""
+    `anchored`, over the pairs (0, j) alone, for the embedding of a group:
+    column 0's intersections are exact int64 column sums over the rows of
+    its support, and the matrix is not cast."""
     caps.require(math.comb(m.shape[1], 2), caps.subset_cap(), "pairs")
-    m = m.astype(_count_dtype(len(m)))
-    most, witness = caps.lex_first_max_pair(
-        lambda i0, i1: _counts(m[:, i0:i1].T, m[:, i0:]), m.shape[1], anchored)
+    if anchored:
+        def scores(i0, i1):
+            return m[m[:, 0] != 0].sum(axis=0, dtype=np.int64)[None]
+    else:
+        m = m.astype(_count_dtype(len(m)))
+
+        def scores(i0, i1):
+            return _counts(m[:, i0:i1].T, m[:, i0:])
+    most, witness = caps.lex_first_max_pair(scores, m.shape[1], anchored)
     return int(most), witness
 
 
@@ -365,15 +375,86 @@ def _check_lsets(c: Code, L: int) -> None:
     caps.require(math.comb(len(c), L), caps.subset_cap(), f"subsets of size {L}")
 
 
+def _least_total_cut(d: np.ndarray, L: int, group: bool):
+    """`caps.lex_first_max_pair_sum`'s cut for the least total of an L-set
+    under the distance matrix d, whose walk offers -total; `group` when the
+    codewords form a group, whose walk is anchored.
+
+    Its thresholds are made at its first call.  dmin is the least distance
+    between two codewords: on a group, row 0's least entry, the least
+    weight.  The seed is the least exact total of greedy L-sets: from each
+    item (item 0 alone on a group) and a closest partner, grown at each
+    step by an item with the least sum of distances to the set, all at
+    once in L - 1 vector steps.  It is only a threshold; no walk offers it.
+
+    The proof.  Let P be a prefix of s items, last item l, with k = L - s
+    >= 2 items still to add, and S = P + Q a completion, Q k items above l.
+    Then total(S) = total(P) + (the sum of R[P, j] over j in Q) + total(Q).
+    The middle sum is at least the k smallest R[P, j] over j > l, since Q
+    is k distinct such j, and total(Q) >= C(k, 2) dmin.  So total(S) >=
+    LB(P), the sum of the three bounds.  Every L-set's total is at least
+    floor = C(L, 2) dmin, and the least total T is at most the seed.  On a
+    group every L-set has a translate through item 0 with its total (see
+    the module docstring), so the anchored walk's T is the same.  P is cut:
+     - when LB(P) > seed: every completion's total is > T;
+     - when best is not None and LB(P) >= t, the total of the walk's
+       incumbent (-best), which precedes every completion: each
+       completion's total is > t, or = t and later in lex order, and the
+       lead never takes a later tie;
+     - whatever LB(P), when t <= floor: no total is below t.
+    The code tests LB(P) >= min(seed + 1, t), which is the first two cuts
+    at once, and the third as min(seed + 1, t) <= floor, since seed >=
+    floor.  No cut prefix has a completion that is the lex-first least
+    total.
+    Every quantity is an exact int64 sum of at most C(L, 2) entries of d,
+    far below _ABOVE_TOTALS, so no comparison needs a margin.
+    """
+    size, big = len(d), _ABOVE_TOTALS
+    made = []
+
+    def thresholds() -> tuple[int, int]:
+        """(seed, dmin)."""
+        starts = np.arange(1 if group else size)
+        near = d[starts] + big * (starts[:, None] == np.arange(size))
+        # some least entry of each row, not the first: no witness rests on it
+        partner = near.argpartition(0, axis=1)[:, 0]
+        closest = near[starts, partner]
+        totals = closest.copy()
+        member = np.zeros(near.shape, dtype=bool)
+        member[starts, starts] = member[starts, partner] = True
+        sums = d[starts] + d[partner]
+        for _ in range(L - 2):
+            nearest = np.where(member, big, sums).argpartition(0, axis=1)[:, 0]
+            totals += sums[starts, nearest]
+            sums += d[nearest]
+            member[starts, nearest] = True
+        return int(totals.min()), int(closest.min())
+
+    def cut(total, rows, last, k, best):
+        if not made:
+            made.append(thresholds())
+        seed, dmin = made[0]
+        t = seed + 1 if best is None else min(seed + 1, -best)
+        if t <= math.comb(L, 2) * dmin:
+            return np.ones(len(last), dtype=bool)
+        rest = np.where(np.arange(size) > last[:, None], rows, big)
+        rest.partition(k - 1, axis=1)
+        return rest[:, :k].sum(axis=1) + total >= t - math.comb(k, 2) * dmin
+
+    return cut
+
+
 def lwise_distance(c: Code, L: int) -> DistanceReport:
     """Minimum over L-subsets of the average relative pairwise distance.
 
     The L-set with the least exact total pairwise distance, which is
-    n * C(L, 2) times its average relative distance.
+    n * C(L, 2) times its average relative distance.  The walk cuts the
+    prefixes that `_least_total_cut` proves cannot complete to it.
     """
     _check_lsets(c, L)
-    least, witness = caps.lex_first_max_pair_sum(_pairwise_distances(c), L,
-                                                 np.negative, c._is_group())
+    d, group = _pairwise_distances(c), c._is_group()
+    least, witness = caps.lex_first_max_pair_sum(d, L, np.negative, group,
+                                                 _least_total_cut(d, L, group))
     rel = -least / (c.n * math.comb(L, 2))
     return DistanceReport(rel * c.n, rel, witness)
 

@@ -190,6 +190,24 @@ def test_full_walks_stay_blocked_on_a_large_group():
             assert peak < most * 2**20
 
 
+def test_anchored_design_is_not_cast():
+    """The anchored walk reads column 0's intersections as int sums over
+    its support, with no float copy of the matrix: on KS(11, 3), 121 x 1331,
+    verify_design peaks below the float32 copy that the full walk makes."""
+    matrix, _ = kautz_singleton(11, 3)
+    design = Design(matrix)
+    assert group_testing._embeds_group(design)
+    verify_design(design)  # the first call's imports and caches stay out
+    tracemalloc.start()
+    try:
+        report = verify_design(design)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.max_intersection == 2 and report.witness == (0, 1)
+    assert peak < matrix.size * np.dtype(np.float32).itemsize
+
+
 @st.composite
 def _matrices(draw):
     """An integer matrix over a prime field, with zero and repeated rows and

@@ -36,7 +36,13 @@ its coherence mu has mu^2 >= (N - n) / (n (N - 1)).  Order 2: a pair's
 Monotonicity: every 2L-column submatrix sits inside a (2L + 2)-column
 one, which has no larger sigma_min (interlacing), so `kernel_injectivity`'s
 sigma_min does not increase with L.  The float sides compare within the
-error bounds stated beside each test.
+error bounds stated beside each test.  Two more monotonicity checks are
+exact.  `rip2_profile`'s constant of order s is a maximum over the subsets
+of size <= s, a set that grows with s, so the constants do not fall with
+the order, for any matrix, unit columns or not.  A ball of radius r lies
+inside the ball of radius r + 1 about the same center, so the max list
+size does not fall with the radius; it is checked on the ball path and on
+the sweep, each forced through `list_sizes_at_radii` by its dispatch cost.
 
 Group testing (Kautz & Singleton; Du & Hwang, Combinatorial Group
 Testing): the cover decoder recovers every support of weight <= L exactly
@@ -63,6 +69,7 @@ from group_codes import group_codes, random_codes
 from sparsecode import caps, cli, listdecode
 from sparsecode.certify import coherence, kernel_injectivity, rip2_profile
 from sparsecode.codes import Code, lwise_distance, min_distance
+from sparsecode.embeddings import bool_code, sph_code
 from sparsecode.group_testing import kautz_singleton, verify_disjunct
 
 PATHS = pytest.mark.parametrize(
@@ -119,6 +126,19 @@ def test_lwise_distance_bounds_the_list_size(path, c):
         for r, size in zip(radii, sizes):
             if total > c.n * _pair_bound(c.q, L, Fraction(L * r, c.n)):
                 assert size <= L - 1
+
+
+@pytest.mark.parametrize("cost", [0, math.inf], ids=["ball", "sweep"])
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(c=_codes(24))
+def test_list_size_does_not_fall_with_the_radius(cost, c):
+    # cost 0 sends the call down the ball path, inf down the sweep
+    radii = list(range(-1, c.n + 2))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(listdecode, "_INCREMENT_COST", cost)
+        sizes = [size for size, _ in listdecode.list_sizes_at_radii(c, radii)]
+    assert sizes == sorted(sizes)
+    assert sizes[0] == 0 and sizes[-1] == len(c)
 
 
 # group codes take min_distance's anchored walk, random codes mostly the full one
@@ -204,6 +224,27 @@ def test_kernel_sigma_min_does_not_increase_with_L(m):
         # ||A||_2 <= s^1.5 u of the exact one, on each side; over 3,000 such
         # matrices no computed sigma_min rose at all
         assert smaller <= larger + 32 * (2 * L) ** 1.5 * U
+
+
+@st.composite
+def _profile_matrices(draw):
+    """Unit real or complex Gaussian columns, or a random code's spherical
+    or normalised Boolean embedding."""
+    kind = draw(st.sampled_from(["gaussian", "sph", "bool"]))
+    if kind == "gaussian":
+        return draw(_unit_columns())
+    c = draw(random_codes(most=10, alphabets=(2, 3, 5), longest=4))
+    return sph_code(c) if kind == "sph" else bool_code(c, normalize=True)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(m=_profile_matrices())
+def test_rip2_constants_do_not_fall_with_the_order(m):
+    L = min(4, m.shape[1])
+    reports = rip2_profile(m, L)
+    alphas = [r.alpha for r in reports]
+    assert [r.order for r in reports] == list(range(1, L + 1))
+    assert alphas == sorted(alphas)
 
 
 @st.composite

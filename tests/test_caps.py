@@ -358,6 +358,23 @@ def test_lex_first_max_pair_matches_brute_force(block, monkeypatch):
         assert type(got[0]) is int
 
 
+def test_lex_first_names_no_first_block_without_a_hit():
+    def refuse(pos):
+        raise AssertionError(f"named position {pos} of a block without a hit")
+
+    lead = LexFirst()
+    lead.offer(np.zeros((2, 3), dtype=bool), refuse)
+    assert (lead.best, lead.witness) == (False, ())
+    lead.offer(np.zeros(4, dtype=bool), refuse)
+    assert (lead.best, lead.witness) == (False, ())
+    lead.offer(np.array([False, True, True]), lambda pos: ("hit", pos))
+    assert (lead.best, lead.witness) == (True, ("hit", 1))
+    # a numeric score of 0 is still a maximum, and names its position
+    zero = LexFirst()
+    zero.offer(np.zeros(3), lambda pos: pos)
+    assert (zero.best, zero.witness) == (0.0, 0)
+
+
 @pytest.mark.parametrize("block", [1, 2, 7, 100])
 def test_lex_first_max_pair_float_scores(block, monkeypatch):
     monkeypatch.setattr(caps, "_PAIR_BLOCK", block)
