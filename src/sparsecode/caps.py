@@ -9,12 +9,15 @@ The lex rows of each shape (n_items, size) form one read-only table per
 process, grown only as far as a walk reaches and shared by every later
 walk of that shape.  The tables together are bounded in bytes; a shape that
 does not fit is built block by block and dropped, as if there were none.
-Every walk owns its block size, so no caller passes one.  `lex_first_max`
-walks one schedule for every caller: a small first block while its
-`LexFirst` has no incumbent (no bound can act before one), a larger one
-when it has, then doubling up to _SUBSET_BLOCK rows.  A caller may hand
-it a bound that marks rows proved strictly below the incumbent, and the
-walk scores only the rest.  The pair walk's memory is
+Every walk owns its block size, so no caller passes one, and only `caps`
+walks the lex blocks.  `lex_first_max` walks one schedule for every
+caller (RIP-2, kernel injectivity, flat RIP's exact path and each target
+of the disjunct scan): a small first block while its `LexFirst` has no
+incumbent (no bound can act before one), a larger one when it has, then
+doubling up to _SUBSET_BLOCK rows.  A walk of a 0/1 score stops at the
+block of its first hit, which no later offer can replace.  A caller may
+hand it a bound that marks rows proved strictly below the incumbent, and
+the walk scores only the rest.  The pair walk's memory is
 O(_PAIR_BLOCK * size), and the pair-sum walk starts from the empty prefix,
 so that one step makes every level; a caller may hand it a cut that names
 prefixes whose completions cannot hold the lex-first maximum, and the walk
@@ -169,12 +172,12 @@ def _table(n_items: int, size: int, total: int) -> _LexTable | None:
         return table
 
 
-def subset_blocks(n_items: int, size: int, first: int, largest: int):
+def _subset_blocks(n_items: int, size: int, first: int, largest: int):
     """Every size-subset of range(n_items) in lex (itertools.combinations)
     order, one per read-only int64 row, which every lex-first witness rests on.
 
-    Yields (start, rows) for consecutive blocks, built lazily: `first` rows,
-    then twice as many each time up to `largest`.  A kept table grows only
+    Yields consecutive blocks of rows, built lazily: `first` rows, then
+    twice as many each time up to `largest`.  A kept table grows only
     as far as a walk reaches; a shape past the byte budget is built block by
     block from its own iterator and dropped.  Callers check their cap before
     they walk.
@@ -185,8 +188,8 @@ def subset_blocks(n_items: int, size: int, first: int, largest: int):
     start, block = 0, first
     while start < total:
         stop = min(start + block, total)
-        yield start, (_lex_rows(combos, size, stop - start) if table is None
-                      else table.rows(start, stop))
+        yield (_lex_rows(combos, size, stop - start) if table is None
+               else table.rows(start, stop))
         start, block = stop, min(2 * block, largest)
 
 
@@ -200,13 +203,13 @@ def supports(n_items: int, most: int):
     require(sum(math.comb(n_items, s) for s in range(most + 1)), subset_cap(),
             "supports")
     return (rows for size in range(most + 1)
-            for _, rows in subset_blocks(n_items, size, _SUPPORT_BLOCK, _SUPPORT_BLOCK))
+            for rows in _subset_blocks(n_items, size, _SUPPORT_BLOCK, _SUPPORT_BLOCK))
 
 
 def subsets(n_items: int, size: int) -> np.ndarray:
     """Every size-subset of range(n_items), one per row: the walk in one block."""
     count = math.comb(n_items, size)
-    for _, rows in subset_blocks(n_items, size, count, count):
+    for rows in _subset_blocks(n_items, size, count, count):
         return rows
     return np.empty((0, size), dtype=np.int64)
 
@@ -256,9 +259,13 @@ def lex_first_max(score, n_items: int, size: int, lead: LexFirst, below=None):
     _FIRST_BLOCK_LED rows.  Blocks then double up to _SUBSET_BLOCK rows,
     past which a bound's stacks outgrow the cache.  By `LexFirst`'s rule no
     block size moves a witness.
+
+    A 0/1 score ends the walk at the block of its first hit: once `lead`'s
+    best is True, no later offer can replace it (`LexFirst`), and no later
+    block is built.  A numeric score, whatever its value, walks every block.
     """
     first = _FIRST_BLOCK if lead.best is None else _FIRST_BLOCK_LED
-    for _, rows in subset_blocks(n_items, size, first, _SUBSET_BLOCK):
+    for rows in _subset_blocks(n_items, size, first, _SUBSET_BLOCK):
         if below is None or lead.best is None:
             scores = score(rows)
         else:
@@ -266,6 +273,8 @@ def lex_first_max(score, n_items: int, size: int, lead: LexFirst, below=None):
             keep = ~below(rows, lead.best)
             scores[keep] = score(rows[keep])
         lead.offer(scores, lambda pos: tuple(rows[pos].tolist()))
+        if lead.best is True:  # a 0/1 score's first hit: no later offer replaces it
+            break
     return lead.best, lead.witness
 
 

@@ -38,9 +38,6 @@ from .codes import (
 from .embeddings import bool_code
 from .errors import DomainError
 
-# L-sets per block in verify_disjunct: a first small block, doubling to the max
-_TUPLE_BLOCK_FIRST = 64
-_TUPLE_BLOCK_MAX = 1 << 13
 # targets per intersection product of the cover bound in verify_disjunct
 _BOUND_BLOCK = 64
 
@@ -206,8 +203,14 @@ def verify_disjunct(m: np.ndarray, L: int) -> DisjunctReport:
     witness there (a dense random design's, mostly) costs no intersection
     product.  Once its walk finds no cover, every later target reads its
     row of one product per block of `_BOUND_BLOCK` targets, made when the
-    walk reaches it.  The witness is the first hit of one `LexFirst` over
-    the scan's cover blocks.
+    walk reaches it.  Each target's walk is `caps.lex_first_max` of its
+    0/1 cover score, which ends at the first cover.  The choices checked up
+    to a witness are the earlier targets' C(N-1, L) each and the witness's
+    one-based lex rank among its target's L-sets.  By the combinatorial
+    number system (Knuth, TAOCP 4A, 7.2.1.3), the L-sets of the N-1 other
+    columns that follow c_0 < ... < c_{L-1} in lex order number the sum of
+    C(N-2-c_i, L-i) over i = 0..L-1, so the count is (target + 1) *
+    C(N-1, L) less that sum.
     """
     b = as_binary(m)
     n_cols = b.shape[1]
@@ -219,30 +222,29 @@ def verify_disjunct(m: np.ndarray, L: int) -> DisjunctReport:
     count = per_target * n_cols
     caps.require(count, caps.subset_cap(), "choices")
 
-    def name(pos):
-        """The cover at pos of the current block, and the choices up to it."""
-        # others' index c is column c + (c >= target)
-        chosen = tuple(c + (c >= target) for c in rows[pos].tolist())
-        return (target, chosen), target * per_target + start + pos + 1
-
-    lead = caps.LexFirst()
     for target in _unsettled(b, L):
         support = b[:, target]
         words = _packed_rows(np.delete(b[support], target, axis=1))
         full = _packed_rows(np.ones((int(support.sum()), 1), dtype=bool))[:, 0]
-        # every target walks the same blocks of the one table of this shape
-        for start, rows in caps.subset_blocks(n_cols - 1, L, _TUPLE_BLOCK_FIRST,
-                                              _TUPLE_BLOCK_MAX):
-            covers = np.ones(len(rows), dtype=bool)
+
+        def covers(rows):
+            """Whether each L-set of the other columns covers the target."""
+            hit = np.ones(len(rows), dtype=bool)
             for word, full_word in zip(words, full):
                 union = np.zeros(len(rows), dtype=np.uint64)
                 for col in rows.T:
                     union |= word[col]
-                covers &= union == full_word
-            # a 0/1 score: the lead is the first cover, once there is one
-            lead.offer(covers, name)
-            if lead.best:
-                return DisjunctReport(L, False, *lead.witness)
+                hit &= union == full_word
+            return hit
+
+        # every target walks the same blocks of the one table of this shape
+        hit, chosen = caps.lex_first_max(covers, n_cols - 1, L, caps.LexFirst())
+        if hit:
+            checked = (target + 1) * per_target - sum(
+                math.comb(n_cols - 2 - c, L - i) for i, c in enumerate(chosen))
+            # others' index c is column c + (c >= target)
+            return DisjunctReport(L, False, (target, tuple(c + (c >= target) for c in chosen)),
+                                  checked)
     return DisjunctReport(L, True, None, count)
 
 

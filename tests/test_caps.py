@@ -19,7 +19,6 @@ from sparsecode.caps import (
     lex_first_max_pair,
     lex_first_max_pair_sum,
     product_rows,
-    subset_blocks,
     subset_cap,
     subsets,
     supports,
@@ -40,14 +39,11 @@ def test_subsets_match_combinations_order(n_items, size):
 @pytest.mark.parametrize("n_items, size", [(6, 0), (6, 1), (6, 3), (6, 6), (9, 4)])
 @pytest.mark.parametrize("first, largest", [(1, 1), (1, 7), (3, 5), (64, 1 << 13)])
 def test_subset_blocks_concatenate_to_subsets(n_items, size, first, largest):
-    blocks = list(subset_blocks(n_items, size, first, largest))
-    starts = [start for start, _ in blocks]
-    lengths = [len(rows) for _, rows in blocks]
-    assert starts == [sum(lengths[:i]) for i in range(len(blocks))]
+    blocks = list(caps._subset_blocks(n_items, size, first, largest))
+    lengths = [len(rows) for rows in blocks]
     assert lengths[0] == min(first, len(subsets(n_items, size)))
     assert all(n <= largest for n in lengths)
-    assert np.array_equal(np.concatenate([rows for _, rows in blocks]),
-                          subsets(n_items, size))
+    assert np.array_equal(np.concatenate(blocks), subsets(n_items, size))
 
 
 @pytest.fixture
@@ -77,12 +73,9 @@ def test_tables_are_combinations_cold_and_warm(cold_tables, first, largest):
         for size in range(n_items + 1):
             want = list(combinations(range(n_items), size))
             for _ in ("cold", "warm"):
-                blocks = list(subset_blocks(n_items, size, first, largest))
-                lengths = [len(rows) for _, rows in blocks]
-                assert [start for start, _ in blocks] == [
-                    sum(lengths[:i]) for i in range(len(blocks))]
-                assert all(rows.dtype == np.int64 for _, rows in blocks)
-                assert [tuple(r) for _, rows in blocks for r in rows.tolist()] == want
+                blocks = list(caps._subset_blocks(n_items, size, first, largest))
+                assert all(rows.dtype == np.int64 for rows in blocks)
+                assert [tuple(r) for rows in blocks for r in rows.tolist()] == want
     # every shape with a row of at least one item was kept
     assert len(cold_tables) == sum(n for n in range(10))
 
@@ -90,7 +83,7 @@ def test_tables_are_combinations_cold_and_warm(cold_tables, first, largest):
 def test_blocks_are_read_only(cold_tables, monkeypatch):
     for budget in (caps._TABLE_BYTES, 0):
         monkeypatch.setattr(caps, "_TABLE_BYTES", budget)
-        for _, rows in subset_blocks(7, 3, 4, 8):
+        for rows in caps._subset_blocks(7, 3, 4, 8):
             assert not rows.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 rows[0, 0] = 99
@@ -104,7 +97,7 @@ def test_concurrent_walks_of_a_new_shape(cold_tables):
     def walk(n_items, size, k):
         try:
             got.append(((n_items, size), np.concatenate(
-                [rows.copy() for _, rows in subset_blocks(n_items, size, 1 + k, 64 + k)])))
+                [rows.copy() for rows in caps._subset_blocks(n_items, size, 1 + k, 64 + k)])))
         except Exception as e:  # reported below, with the thread's shape
             errors.append((n_items, size, k, e))
 
@@ -140,7 +133,7 @@ def _hex_floats(obj):
 
 
 def _table_certificates():
-    """One report of each certifier that walks subset_blocks, as dicts."""
+    """One report of each certifier that walks caps._subset_blocks, as dicts."""
     rng = np.random.default_rng(41)
     m = rng.normal(size=(5, 10)) + 1j * rng.normal(size=(5, 10))
     m /= np.linalg.norm(m, axis=0)
@@ -178,13 +171,17 @@ def test_each_table_is_built_once(cold_tables, rows_built):
     assert rows_built == []
 
 
-def test_early_exit_builds_only_its_first_block(cold_tables, rows_built):
+def test_early_exit_builds_only_its_first_block(rows_built, monkeypatch):
     # column 1 covers every column, so target 0's first 2-set is a witness
     m = np.eye(30, 30, dtype=np.int64)
     m[:, 1] = 1
-    report = group_testing.verify_disjunct(m, 2)
-    assert report.witness == (0, (1, 2)) and report.tuples_checked == 1
-    assert sum(rows_built) <= group_testing._TUPLE_BLOCK_FIRST
+    for first in (1, 7, caps._FIRST_BLOCK):
+        monkeypatch.setattr(caps, "_FIRST_BLOCK", first)
+        monkeypatch.setattr(caps, "_TABLES", {})  # cold, so each walk builds its rows
+        rows_built.clear()
+        report = group_testing.verify_disjunct(m, 2)
+        assert report.witness == (0, (1, 2)) and report.tuples_checked == 1
+        assert rows_built == [first]
 
 
 @settings(derandomize=True, max_examples=150, deadline=None,
@@ -290,6 +287,30 @@ def test_lex_first_max_matches_brute_force(block, kind, monkeypatch):
                     n_items, size, lead)
                 assert got == (table[first].item(), tuple(rows[first].tolist()))
                 assert type(got[0]) is kind
+
+
+@pytest.mark.parametrize("kind", [bool, int, float])
+def test_lex_first_max_stops_only_at_a_first_hit(kind, monkeypatch):
+    """A 0/1 score ends the walk at the block of its first hit; a numeric
+    score walks every block, since a later one may beat any lead."""
+    monkeypatch.setattr(caps, "_FIRST_BLOCK", 1)  # blocks of 1, 2, 4, ... rows
+    rows = oracle.subsets(8, 3)
+    rank = {row: k for k, row in enumerate(map(tuple, rows.tolist()))}
+    table = np.zeros(len(rows), dtype=kind)
+    table[5], table[20] = 1, 2  # a bool's 2 is True
+    scored = []
+
+    def score(block):
+        ranks = [rank[r] for r in map(tuple, block.tolist())]
+        scored.extend(ranks)
+        return table[ranks]
+
+    best, witness = lex_first_max(score, 8, 3, LexFirst())
+    first = 5 if kind is bool else 20
+    assert (best, witness) == (table[first].item(), tuple(rows[first].tolist()))
+    assert type(best) is kind
+    # row 5 is in the third block, rows 3..6
+    assert scored == list(range(7 if kind is bool else len(rows)))
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -499,6 +520,22 @@ def test_lex_first_is_the_only_argmax():
              for path in sorted(Path(sparsecode.__file__).parent.glob("*.py"))
              for scope in scopes(ast.parse(path.read_text()), ())]
     assert found == [("caps.py", "LexFirst.offer")]
+
+
+def test_only_caps_sets_a_block_schedule():
+    """`_subset_blocks` takes a block schedule, and only `caps`' walks call
+    it, each with its own schedule: no other module names it, so none pages
+    lex blocks by hand."""
+    blocks = {"subset_blocks", "_subset_blocks"}
+    offenders = [
+        (path.name, node.lineno)
+        for path in sorted(Path(sparsecode.__file__).parent.glob("*.py"))
+        if path.name != "caps.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if getattr(node, "attr", getattr(node, "id", None)) in blocks
+        or isinstance(node, ast.alias) and node.name in blocks
+    ]
+    assert offenders == []
 
 
 def test_only_caps_imports_combinations():

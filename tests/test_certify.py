@@ -330,7 +330,7 @@ class TestThresholdFilter:
         for s in range(1, 5):
             # lex_first_max's schedule: size 1 starts with no incumbent
             first = caps._FIRST_BLOCK if s == 1 else caps._FIRST_BLOCK_LED
-            for _, rows in caps.subset_blocks(27, s, first, caps._SUBSET_BLOCK):
+            for rows in caps._subset_blocks(27, s, first, caps._SUBSET_BLOCK):
                 if best >= 0:
                     expected.append((len(rows), best.hex()))
                 grams = gram[rows[:, :, None], rows[:, None, :]]
@@ -736,7 +736,7 @@ class TestKernelFilter:
         kernel_injectivity(m, 3)
         expected, least = [], math.inf
         # kernel_injectivity's walk starts with no incumbent
-        for _, rows in caps.subset_blocks(14, 6, caps._FIRST_BLOCK, caps._SUBSET_BLOCK):
+        for rows in caps._subset_blocks(14, 6, caps._FIRST_BLOCK, caps._SUBSET_BLOCK):
             if least < math.inf:
                 expected.append((len(rows), least.hex()))
             cols = np.transpose(m[:, rows], (1, 0, 2))

@@ -283,9 +283,9 @@ class TestPairwiseDistances:
 
     def test_lwise_never_walks_subset_rows(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("L-wise walked caps.subset_blocks")
+            raise AssertionError("L-wise walked caps._subset_blocks")
 
-        monkeypatch.setattr(caps, "subset_blocks", refuse)
+        monkeypatch.setattr(caps, "_subset_blocks", refuse)
         c = reed_solomon(3, 2)
         assert lwise_distance(c, 4) == oracle.lwise_distance(c, 4)
         binary = Code.from_array(2, np.random.default_rng(6).integers(0, 2, size=(12, 7)))

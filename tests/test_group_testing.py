@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import scalar_oracles as oracle
 from scalar_oracles import hamming_distance
+from test_certify import _SCHEDULE  # lex_first_max's, which each target's walk takes
 from sparsecode import caps, group_testing
 from sparsecode.codes import Code, min_distance, random_balanced_code, reed_solomon
 from sparsecode.embeddings import bool_code
@@ -67,9 +68,9 @@ def _from_sets(ground_size, set_size, sets):
 
 
 def _set_blocks(monkeypatch, size):
-    for name in ("_TUPLE_BLOCK_FIRST", "_TUPLE_BLOCK_MAX", "_BOUND_BLOCK"):
-        monkeypatch.setattr(group_testing, name, size)
-    monkeypatch.setattr(caps, "_PAIR_BLOCK", size)
+    for name in (*_SCHEDULE, "_PAIR_BLOCK"):
+        monkeypatch.setattr(caps, name, size)
+    monkeypatch.setattr(group_testing, "_BOUND_BLOCK", size)
 
 
 @st.composite
@@ -117,19 +118,19 @@ def _settled_walk(monkeypatch):
     products it makes: one list of block lengths per walk, and the shape of
     each product's left operand."""
     walks, products = [], []
-    blocks, counts = caps.subset_blocks, group_testing._counts
+    blocks, counts = caps._subset_blocks, group_testing._counts
 
     def spy_blocks(*args):
         walks.append([])
-        for start, rows in blocks(*args):
+        for rows in blocks(*args):
             walks[-1].append(len(rows))
-            yield start, rows
+            yield rows
 
     def spy_counts(*args):
         products.append(args[0].shape)
         return counts(*args)
 
-    monkeypatch.setattr(caps, "subset_blocks", spy_blocks)
+    monkeypatch.setattr(caps, "_subset_blocks", spy_blocks)
     monkeypatch.setattr(group_testing, "_counts", spy_counts)
     return walks, products
 
@@ -379,10 +380,11 @@ class TestVerifyDisjunctKernel:
     @settings(derandomize=True, max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(m=_matrices(), data=st.data(),
-           first=st.sampled_from([1, 7, 64]), largest=st.sampled_from([1, 7, 1 << 13]))
-    def test_matches_per_tuple_loop(self, monkeypatch, m, data, first, largest):
-        monkeypatch.setattr(group_testing, "_TUPLE_BLOCK_FIRST", first)
-        monkeypatch.setattr(group_testing, "_TUPLE_BLOCK_MAX", largest)
+           schedule=st.tuples(st.sampled_from([1, 7, 64]), st.sampled_from([1, 7, 512]),
+                              st.sampled_from([1, 7, 1 << 13])))
+    def test_matches_per_tuple_loop(self, monkeypatch, m, data, schedule):
+        for name, rows in zip(_SCHEDULE, schedule):
+            monkeypatch.setattr(caps, name, rows)
         L = data.draw(st.integers(1, m.shape[1] - 1))
         assert verify_disjunct(m, L) == _loop_verify_disjunct(m, L)
 
