@@ -2,16 +2,16 @@
 
 All certification is exhaustive over center words: list_sizes_at_radii
 finds, for every one of the q^n centers, the number of codewords in its
-ball, by one of two paths that give the same bits.  The ball path adds
-every codeword's ball into one count per center, so each count is exact
-once the balls are in, and a center no ball reaches counts 0.  The
-split-sum sweep compares every center with every codeword; it only groups
-the arithmetic into array blocks.  The ball path runs where the balls are
-small against the space and both fit the memory bound.  Radii are
-discretized as floor(rho * n).  The Johnson-type implication and its weak
-converse are encoded with the explicit constants extracted from their
-proofs and are required to hold with zero counterexamples on every
-checkable code.
+ball, one radius per pass, by one of two paths that give the same bits.
+The ball path adds the codewords' spheres of weights 0..r into one count
+per center, so each count is exact once they are in, and a center no ball
+reaches counts 0.  The split-sum sweep compares every center with every
+codeword; it only groups the arithmetic into array blocks.  Each radius
+takes the ball path where its balls are small against the space and both
+fit the memory bound, and the sweep elsewhere.  Radii are discretized as
+floor(rho * n).  The Johnson-type implication and its weak converse are
+encoded with the explicit constants extracted from their proofs and are
+required to hold with zero counterexamples on every checkable code.
 """
 
 from __future__ import annotations
@@ -85,59 +85,55 @@ class ConverseReport(ImplicationReport):
 
 
 def list_sizes_at_radii(c: Code, radii: list[int]) -> list[tuple[int, Word]]:
-    """Max codeword count of any Hamming ball, for several radii in one pass.
+    """Max codeword count of any Hamming ball, for each radius in turn.
 
     Returns (max_list_size, first worst center) per radius, over all q^n
-    centers.  The center cap is checked before anything is allocated.
+    centers.  The center cap is checked once, before anything is allocated.
 
-    Two paths, `_ball_list_sizes` and `_sweep_list_sizes`, give the same
-    bits; the choice is by element work.  The ball path makes |C| * V_q(n, r) count increments, for the largest
-    radius r, plus a pass over the q^n counts; the sweep makes |C| * q^n
-    distance comparisons, each _INCREMENT_COST times cheaper than an
-    increment.  The ball path also needs its q^n counts and its
-    |C| * V_q(n, r) sphere positions to fit in the sweep's block of
-    _BLOCK_ELEMENTS elements.
+    Each radius, clipped to -1..n, takes one pass down the path that its own
+    element work picks; `_ball_list_sizes` and `_sweep_list_sizes` give the
+    same bits.  The ball path makes |C| * V_q(n, r) count increments plus a
+    pass over the q^n counts; the sweep makes |C| * q^n distance
+    comparisons, each _INCREMENT_COST times cheaper than an increment.  The
+    ball path also needs its q^n counts and its |C| * V_q(n, r) sphere
+    positions to fit in the sweep's block of _BLOCK_ELEMENTS elements.
     """
     q, n = c.q, c.n
     caps.require(q**n, caps.center_cap(), "centers")
     size = len(c)
-    top = min(max(radii, default=-1), n)
-    volume = sum(math.comb(n, t) * (q - 1) ** t for t in range(top + 1))
-    if (max(q**n, size * volume) <= _BLOCK_ELEMENTS
-            and _INCREMENT_COST * size * volume + q**n <= size * q**n):
-        return _ball_list_sizes(c, radii)
-    return _sweep_list_sizes(c, radii)
+    found = []
+    for r in radii:
+        r = min(max(r, -1), n)
+        volume = sum(math.comb(n, t) * (q - 1) ** t for t in range(r + 1))
+        ball = (max(q**n, size * volume) <= _BLOCK_ELEMENTS
+                and _INCREMENT_COST * size * volume + q**n <= size * q**n)
+        found.append((_ball_list_sizes if ball else _sweep_list_sizes)(c, r))
+    return found
 
 
-def _ball_list_sizes(c: Code, radii: list[int]) -> list[tuple[int, Word]]:
-    """list_sizes_at_radii by adding up the codewords' balls.
+def _ball_list_sizes(c: Code, r: int) -> tuple[int, Word]:
+    """list_sizes_at_radii at radius r by adding up the codewords' balls.
 
-    counts[x] is the number of codewords within the current radius of the
-    center at position x of caps.product_rows(q, n, ...), the centers'
-    enumeration order.  The radii are taken in ascending order, and each
-    new weight t adds every codeword's sphere of radius t, one exact
-    increment per (codeword, center at distance t) pair: no center is in
-    two spheres of one codeword, and np.add.at adds once for every
-    occurrence of a position, repeats included.  So once weight r is in, counts[x] = |B(x, r) & C| for every
-    one of the q^n centers, those no ball reaches included.  Each radius
-    offers the whole array to its own `caps.LexFirst`, whose first maximum
-    is the lex-first worst center, as in the sweep.  Radii below 0 count
-    no codeword, and radii above n count them all.
+    counts[x] is the number of codewords within radius r of the center at
+    position x of caps.product_rows(q, n, ...), the centers' enumeration
+    order.  Each weight t = 0..r adds every codeword's sphere of radius t,
+    one exact increment per (codeword, center at distance t) pair: no
+    center is in two spheres of one codeword, and np.add.at adds once for
+    every occurrence of a position, repeats included.  So counts[x] =
+    |B(x, r) & C| for every one of the q^n centers, those no ball reaches
+    included, and the first maximum that `caps.LexFirst` keeps is the
+    lex-first worst center, as in the sweep.  A radius below 0 counts no
+    codeword, and one of n counts them all.
     """
     q, n = c.q, c.n
     words = c.array()
     counts = np.zeros(q**n, dtype=np.min_scalar_type(len(words)))
     spheres = _spheres(q, words)
-    clipped = [min(max(r, -1), n) for r in radii]
-    found, weight = {}, -1
-    for r in sorted(set(clipped)):
-        while weight < r:
-            weight += 1
-            np.add.at(counts, next(spheres), counts.dtype.type(1))
-        lead = caps.LexFirst()
-        lead.offer(counts, lambda pos: pos)
-        found[r] = (lead.best, _center_word(q, n, lead.witness))
-    return [found[r] for r in clipped]
+    for _ in range(r + 1):
+        np.add.at(counts, next(spheres), counts.dtype.type(1))
+    lead = caps.LexFirst()
+    lead.offer(counts, lambda pos: pos)
+    return lead.best, _center_word(q, n, lead.witness)
 
 
 def _spheres(q: int, words: np.ndarray):
@@ -177,8 +173,9 @@ def _spheres(q: int, words: np.ndarray):
         starts = (q - 1) * (ends - starts)
 
 
-def _sweep_list_sizes(c: Code, radii: list[int]) -> list[tuple[int, Word]]:
-    """list_sizes_at_radii by comparing every center with every codeword.
+def _sweep_list_sizes(c: Code, r: int) -> tuple[int, Word]:
+    """list_sizes_at_radii at radius r by comparing every center with every
+    codeword.
 
     Split-sum method: the n coordinates split into a high half of
     hi = n - n//2 and a low half of lo = n//2 coordinates.  Hamming distance
@@ -187,13 +184,12 @@ def _sweep_list_sizes(c: Code, radii: list[int]) -> list[tuple[int, Word]]:
     the distances of every half-center to the matching half of every
     codeword.  High prefixes are swept in ascending blocks; one broadcast
     add gives a block's distances to a block of codewords, and the counts
-    within each radius are exact small integers.
+    within radius r are exact small integers.
 
     Lex order: the center whose halves are rows x_hi and x_lo of
     caps.product_rows is row x_hi * q^lo + x_lo of it over all n
-    coordinates, the centers' enumeration order.  Each radius's counts go
-    block by block to its own `caps.LexFirst`, so each worst center is the
-    lex-first one.
+    coordinates, the centers' enumeration order.  The counts go block by
+    block to one `caps.LexFirst`, so the worst center is the lex-first one.
 
     Memory: blocks cover both center prefixes and codewords, so the working
     set stays within a fixed number of elements (_BLOCK_ELEMENTS) whatever
@@ -205,10 +201,9 @@ def _sweep_list_sizes(c: Code, radii: list[int]) -> list[tuple[int, Word]]:
     lo_size, hi_size = q ** (n // 2), q**hi
     words = c.array()
     size = len(words)
-    # distances never exceed n, so thresholds up to n + 1 fit the dtype
+    # distances never exceed n, so r + 1 <= n + 1 fits the dtype
     dist_dtype = np.min_scalar_type(n + 1)
     count_dtype = np.min_scalar_type(size)
-    thresholds = [min(max(r + 1, 0), n + 1) for r in radii]
     # codeword blocks leave room for at least _MIN_PREFIXES prefixes per
     # block, so recomputing the low table per block stays cheap
     word_block = min(size, max(1, _BLOCK_ELEMENTS // (_MIN_PREFIXES * lo_size)))
@@ -216,10 +211,10 @@ def _sweep_list_sizes(c: Code, radii: list[int]) -> list[tuple[int, Word]]:
     lo_table = None
     if word_block == size:
         lo_table = _distance_table(q, 0, lo_size, words[:, hi:], dist_dtype)
-    leads = [caps.LexFirst() for _ in radii]
+    lead = caps.LexFirst()
     for h0 in range(0, hi_size, prefix_block):
         h1 = min(h0 + prefix_block, hi_size)
-        counts = np.zeros((len(radii), (h1 - h0) * lo_size), dtype=count_dtype)
+        counts = np.zeros((h1 - h0) * lo_size, dtype=count_dtype)
         for w0 in range(0, size, word_block):
             block = words[w0:w0 + word_block]
             d_lo = lo_table
@@ -228,11 +223,9 @@ def _sweep_list_sizes(c: Code, radii: list[int]) -> list[tuple[int, Word]]:
             d_hi = _distance_table(q, h0, h1, block[:, :hi], dist_dtype)
             # (words, prefixes, low halves): row-major order is center order
             dists = (d_hi[:, :, None] + d_lo[:, None, :]).reshape(len(block), -1)
-            for ri, t in enumerate(thresholds):
-                counts[ri] += np.add.reduce(dists < t, axis=0, dtype=count_dtype)
-        for lead, row in zip(leads, counts):
-            lead.offer(row, lambda pos: h0 * lo_size + pos)
-    return [(lead.best, _center_word(q, n, lead.witness)) for lead in leads]
+            counts += np.add.reduce(dists < r + 1, axis=0, dtype=count_dtype)
+        lead.offer(counts, lambda pos: h0 * lo_size + pos)
+    return lead.best, _center_word(q, n, lead.witness)
 
 
 def _distance_table(

@@ -33,9 +33,14 @@ def _dimension(q: int, most: int) -> int:
 @st.composite
 def group_codes(draw, most: int = 49, primes=PRIMES):
     """A group code over q in `primes` of 2 to `most` words (q words at
-    least, when q > most)."""
-    kind = draw(st.sampled_from(["span", "reed-solomon", "closure", "quotient"]))
-    q = draw(st.sampled_from(primes))
+    least, when q > most).  The closure of a one-dimensional span can hold
+    q^2 words, so a closure is drawn only over the q with q^2 <= most, and
+    not at all when there is none."""
+    kinds = ["span", "reed-solomon", "closure", "quotient"]
+    if all(q * q > most for q in primes):
+        kinds.remove("closure")
+    kind = draw(st.sampled_from(kinds))
+    q = draw(st.sampled_from([q for q in primes if kind != "closure" or q * q <= most]))
     if kind == "reed-solomon":
         return reed_solomon(q, draw(st.integers(1, min(q, _dimension(q, most)))))
     n = draw(st.integers(1, 8))

@@ -36,6 +36,13 @@ def test_subsets_match_combinations_order(n_items, size):
     assert np.array_equal(rows, oracle.subsets(n_items, size))
 
 
+@pytest.mark.parametrize("n_items, size", [(3, 5), (0, 1)])
+def test_subsets_larger_than_the_items_are_none(n_items, size):
+    rows = subsets(n_items, size)
+    assert rows.dtype == np.int64
+    assert rows.shape == (0, size)
+
+
 @pytest.mark.parametrize("n_items, size", [(6, 0), (6, 1), (6, 3), (6, 6), (9, 4)])
 @pytest.mark.parametrize("first, largest", [(1, 1), (1, 7), (3, 5), (64, 1 << 13)])
 def test_subset_blocks_concatenate_to_subsets(n_items, size, first, largest):

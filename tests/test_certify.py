@@ -822,6 +822,12 @@ _NON_FINITE = [
 ]
 
 
+@pytest.mark.parametrize("m", [np.ones(3), np.ones((2, 2, 2)), 1.0], ids=["1-d", "3-d", "0-d"])
+def test_as_matrix_refuses_other_dimensions(m):
+    with pytest.raises(DomainError, match="^expected a 2-d matrix$"):
+        certify.as_matrix(m)
+
+
 def test_views_certify_as_their_contiguous_copies(spread):
     # a complex128 matrix is read as it is, strides and all, and every
     # report is the one of its contiguous copy

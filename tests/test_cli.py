@@ -717,6 +717,33 @@ class TestExitContract:
         assert (code, out, err) == (2, "", f"error: {reason}\n")
         assert list(tmp_path.iterdir()) == []
 
+    # +-1/2 entries embed a binary code: two equal columns, then one column
+    @pytest.mark.parametrize("cols, reason", [
+        (2, "matrix has duplicate columns"),
+        (1, "matrix has too few columns for the pipeline"),
+    ])
+    def test_rip_ld_refuses_its_code(self, capsys, tmp_path, cols, reason):
+        path = tmp_path / "halves.json"
+        write_matrix(np.full((4, cols), 0.5), path)
+        argv = ["pipeline", "rip-ld", "--matrix", str(path), "--L", "1", "--epsilon", "0.6"]
+        assert run_any(capsys, argv) == (2, "", f"error: {reason}\n")
+
+    def test_float_flag_that_is_no_number(self, capsys, cli_files):
+        argv = ["verify", "list-decode", "--input", str(cli_files / "c.code"),
+                "--rho", "0.5", "--threshold", "abc"]
+        code, out, err = run_any(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(
+            "error: argument --threshold: invalid finite float value: 'abc'\n")
+
+    def test_internal_error_exits_2(self, capsys, cli_files, monkeypatch):
+        # exit 0 and 1 are verdicts, so a certifier's own failure is neither
+        def fail(c, rho):
+            raise RuntimeError("planted")
+        monkeypatch.setattr(cli.listdecode, "list_size_at_radius", fail)
+        argv = ["verify", "list-decode", "--input", str(cli_files / "c.code"), "--rho", "0.5"]
+        assert run_any(capsys, argv) == (2, "", "error: internal RuntimeError: planted\n")
+
     def test_bounds_q_past_the_float_range(self, capsys):
         """gv_rate and h_q take any integer q; the calculators that need q as
         a float refuse it, naming q and the float range."""

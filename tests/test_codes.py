@@ -87,6 +87,15 @@ class TestLinearCodes:
         with pytest.raises(DomainError):
             LinearCode(4, 1, 2, [[1, 1]])
 
+    def test_dimension_past_the_length_rejected(self):
+        with pytest.raises(DomainError, match=r"^need 1 <= k <= n$"):
+            LinearCode(2, 3, 2, [[1, 0], [0, 1], [1, 1]])
+
+    @pytest.mark.parametrize("generator", [[[1, 0, 1]], [[1, 0], [0, 1]], [1, 0, 1, 1]])
+    def test_generator_of_another_shape_rejected(self, generator):
+        with pytest.raises(DomainError, match=r"^generator shape must be \(k, n\)$"):
+            LinearCode(2, 2, 3, generator)
+
     def test_equal_by_value_and_unhashable(self):
         lc = LinearCode(2, 2, 3, [[1, 0, 1], [0, 1, 1]])
         # the generator is kept mod q, so [1, 0, 3] is [1, 0, 1]
@@ -490,6 +499,16 @@ class TestGvConstruction:
             random_linear_code_gv(2, 10, 0.1, seed=0, slack=slack)
         assert str(info.value) == (
             f"rate target gives dimension {k} < 1 for q=2, n=10, delta=0.1")
+
+    def test_spent_retry_budget_is_refused(self, monkeypatch):
+        # seed 9 draws 13 rank-deficient 8 x 8 generators before a full-rank
+        # one.  No real input spends the 200 draws: a draw expects at most
+        # half a word below the target, so the budget is cut to 13 here
+        assert random_linear_code_gv(2, 8, 0.0, 9, slack=0.0).retries == 13
+        monkeypatch.setattr(codes, "_RETRY_BUDGET", 13)
+        with pytest.raises(ConstructionFailedError,
+                           match=r"^no generator met distance 0.0 within 13 tries$"):
+            random_linear_code_gv(2, 8, 0.0, 9, slack=0.0)
 
     def test_zero_slack_samples_at_the_gv_dimension(self):
         # floor((1 - h_2(0.1)) * 10) = 5

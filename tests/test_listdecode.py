@@ -91,12 +91,10 @@ class TestBallPath:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(c=_small_codes())
     def test_matches_chunked_sweep(self, c):
-        # every radius 0..n in one call, plus radii past n and below 0, in
-        # ascending order and again descending, with each radius twice
+        # every radius 0..n, plus radii past n and below 0, one call each
         radii = list(range(-1, c.n + 3))
         want = _chunked_list_sizes(c, radii)
-        assert listdecode._ball_list_sizes(c, radii) == want
-        assert listdecode._ball_list_sizes(c, radii[::-1] + radii) == want[::-1] + want
+        assert [listdecode._ball_list_sizes(c, r) for r in radii] == want
 
     @pytest.mark.parametrize("cost", [0, listdecode._INCREMENT_COST, math.inf])
     @settings(derandomize=True, max_examples=60, deadline=None)
@@ -123,18 +121,45 @@ class TestBallPath:
     def test_dispatch(self, n, size, radius, path):
         rng = np.random.default_rng(n)
         c = Code.from_array(2, rng.integers(0, 2, size=(size, n)))
-        calls = []
-        with pytest.MonkeyPatch.context() as mp:
-            for name in ("_ball_list_sizes", "_sweep_list_sizes"):
-                mp.setattr(listdecode, name, lambda c, radii, name=name:
-                           calls.append(name) or [])
-            list_sizes_at_radii(c, [radius])
-        assert calls == [path]
+        assert _paths_taken(c, [radius]) == [path]
+
+    def test_each_radius_picks_its_own_path(self):
+        # the CI step's GV code, 8 words of length 14: radius 2's balls are
+        # small against the 2^14 centers, radius 7's are not
+        c = enumerate_codewords(random_linear_code_gv(2, 14, 0.2, 1))
+        assert _paths_taken(c, [2, 7]) == ["_ball_list_sizes", "_sweep_list_sizes"]
+        (two,), (seven,) = list_sizes_at_radii(c, [2]), list_sizes_at_radii(c, [7])
+        assert list_sizes_at_radii(c, [2, 7]) == [two, seven]
+        # in the order asked, repeats included
+        assert list_sizes_at_radii(c, [7, 2, 7]) == [seven, two, seven]
 
     def test_counts_past_the_smallest_dtype(self):
         # 300 codewords need uint16 counts, all within radius n of any center
         c = Code(Word(3, t) for t in islice(product(range(3), repeat=6), 300))
-        assert listdecode._ball_list_sizes(c, [6]) == [(300, Word(3, (0,) * 6))]
+        assert listdecode._ball_list_sizes(c, 6) == (300, Word(3, (0,) * 6))
+
+
+def _paths_taken(c, radii):
+    """The path names that list_sizes_at_radii(c, radii) calls, in order."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_ball_list_sizes", "_sweep_list_sizes"):
+            mp.setattr(listdecode, name, lambda c, r, name=name:
+                       calls.append(name) or (0, None))
+        list_sizes_at_radii(c, radii)
+    return calls
+
+
+def _memo(table):
+    """`table`, computed once per distinct argument list."""
+    found = {}
+
+    def memo(q, start, stop, part, dtype):
+        key = (q, start, stop, part.shape, part.dtype.str, part.tobytes(), dtype)
+        if key not in found:
+            found[key] = table(q, start, stop, part, dtype)
+        return found[key]
+    return memo
 
 
 class TestSplitSumSweep:
@@ -147,17 +172,29 @@ class TestSplitSumSweep:
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(c=_small_codes())
     def test_matches_chunked_sweep(self, c, block_elements):
-        # every radius 0..n in one call, plus radii past n and below 0
+        # every radius 0..n, plus radii past n and below 0, one call each
         radii = list(range(-1, c.n + 3))
         want = _chunked_list_sizes(c, radii)
         # 4096 prefixes per block leave room for only a few codewords even at
-        # the default budget, so the word blocks are many there too
+        # the default budget, so the word blocks are many there too.  The
+        # sweep reads _MIN_PREFIXES only through its word block, and the
+        # prefix block and the cached low table follow from the word block,
+        # so values that give one word block run identical sweeps: each word
+        # block runs once.  The tables are a pure function of their
+        # arguments, so the radii after the first read the first's from a memo.
+        lo_size = c.q ** (c.n // 2)
+        word_blocks = set()
         for min_prefixes in (1, listdecode._MIN_PREFIXES, 4096):
+            word_block = min(len(c), max(1, block_elements // (min_prefixes * lo_size)))
+            if word_block in word_blocks:
+                continue
+            word_blocks.add(word_block)
             with pytest.MonkeyPatch.context() as mp:
                 # a tiny block budget puts the worst centers in later blocks
                 mp.setattr(listdecode, "_BLOCK_ELEMENTS", block_elements)
                 mp.setattr(listdecode, "_MIN_PREFIXES", min_prefixes)
-                got = listdecode._sweep_list_sizes(c, radii)
+                mp.setattr(listdecode, "_distance_table", _memo(listdecode._distance_table))
+                got = [listdecode._sweep_list_sizes(c, r) for r in radii]
             assert got == want
 
     # random slices are tested directly below, so one block size will do
@@ -165,11 +202,11 @@ class TestSplitSumSweep:
     @given(c=_small_codes())
     def test_matches_per_coordinate_tables(self, c):
         radii = list(range(-1, c.n + 2))
-        got = listdecode._sweep_list_sizes(c, radii)
+        got = [listdecode._sweep_list_sizes(c, r) for r in radii]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(listdecode, "_distance_table", oracle.distance_table)
             mp.setattr(listdecode, "_center_word", oracle.center_word)
-            assert got == listdecode._sweep_list_sizes(c, radii)
+            assert got == [listdecode._sweep_list_sizes(c, r) for r in radii]
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(data=st.data())
@@ -189,12 +226,13 @@ class TestSplitSumSweep:
     def test_length_one(self, q):
         c = _code(q, (q - 1,), (0,))
         radii = [0, 1, 2]
-        assert listdecode._sweep_list_sizes(c, radii) == _chunked_list_sizes(c, radii)
+        got = [listdecode._sweep_list_sizes(c, r) for r in radii]
+        assert got == _chunked_list_sizes(c, radii)
 
     def test_single_codeword(self):
         c = _code(3, (2, 0, 1, 1, 2))
         radii = list(range(7))
-        got = listdecode._sweep_list_sizes(c, radii)
+        got = [listdecode._sweep_list_sizes(c, r) for r in radii]
         assert got == _chunked_list_sizes(c, radii)
         assert got[0] == (1, Word(3, (2, 0, 1, 1, 2)))
 
@@ -202,12 +240,15 @@ class TestSplitSumSweep:
     def test_full_space_code(self, q, n):
         c = Code(Word(q, t) for t in product(range(q), repeat=n))
         radii = list(range(n + 2))
-        got = listdecode._sweep_list_sizes(c, radii)
+        got = [listdecode._sweep_list_sizes(c, r) for r in radii]
         assert got == _chunked_list_sizes(c, radii)
         assert got[-1] == (q**n, Word(q, (0,) * n))
 
     def test_no_radii(self):
-        assert listdecode._sweep_list_sizes(_code(2, (0, 1)), []) == []
+        # no radius takes a pass, but the center cap is still checked
+        assert list_sizes_at_radii(_code(2, (0, 1)), []) == []
+        with pytest.raises(EnumerationCapError):
+            list_sizes_at_radii(_code(2, (0,) * 40, (1,) * 40), [])
 
     def test_cap_checked_first(self):
         c = _code(2, (0,) * 40, (1,) * 40)
@@ -226,7 +267,8 @@ class TestSplitSumSweep:
         # spheres, ~3.5 MB
         tracemalloc.start()
         try:
-            getattr(listdecode, path)(c, radii)
+            for r in radii:
+                getattr(listdecode, path)(c, r)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

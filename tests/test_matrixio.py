@@ -157,6 +157,20 @@ class TestErrors:
         with pytest.raises(DomainError):
             read_matrix(path)
 
+    @pytest.mark.parametrize("rows", [[[0, 1], [1, 0]], ["01", 10], [None]])
+    def test_binary_rows_that_are_not_strings(self, tmp_path, rows):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"kind": "binary", "rows": rows}))
+        with pytest.raises(DomainError, match="^binary matrix rows must be strings$"):
+            read_matrix(path)
+
+    def test_ragged_complex_entries(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"kind": "complex", "n": 1, "N": 2,
+                                    "entries": [[1, 0], [0]]}))
+        with pytest.raises(DomainError, match="^malformed matrix entries: "):
+            read_matrix(path)
+
     @pytest.mark.parametrize("rows", [[""], ["", ""]])
     def test_zero_width_binary_rows(self, tmp_path, rows):
         path = tmp_path / "bad.json"

@@ -55,6 +55,10 @@ class TestVandermonde:
         with pytest.raises(DomainError, match="finite"):
             vandermonde_matrix(np.array([1e200, 1.0, 2.0]), 3)
 
+    def test_rejects_a_node_array_that_is_no_vector(self):
+        with pytest.raises(DomainError, match="^nodes must be a vector$"):
+            vandermonde_matrix(unit_circle_nodes(4).reshape(2, 2), 2)
+
     @pytest.mark.parametrize("nodes, rows, got", [
         (unit_circle_nodes(4), 0, "4 nodes and 0 rows"),
         (unit_circle_nodes(4), -2, "4 nodes and -2 rows"),
@@ -162,6 +166,13 @@ class TestDecode:
         assert result.success
         assert result.support_found == (2, 5)
         assert np.abs(result.estimate - x).max() <= 1e-9
+
+    @pytest.mark.parametrize("ys", [np.zeros((1, 5)), np.zeros((2, 3)), np.zeros(4)],
+                             ids=["long", "short", "1-d"])
+    def test_measurement_of_the_wrong_length_refused(self, ys):
+        m = vandermonde_matrix(unit_circle_nodes(8), 4)
+        with pytest.raises(DomainError, match="^y must have length 4$"):
+            recovery.cs_decode_batch(m, ys, 1)
 
     def test_inconsistent_measurement_fails_cleanly(self):
         m = vandermonde_matrix(unit_circle_nodes(8), 4)
