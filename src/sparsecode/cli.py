@@ -1,11 +1,12 @@
 """Command-line surface: build constructions, certify properties, plan bounds.
 
-Each command handler returns (report, holds, summary) and prints nothing.
-`main` alone times the command, prints the report as one line of strict JSON
-on stdout and the summary on stderr, and exits: 0 when the property holds,
-1 when it is violated or recovery failed, 2 on a usage or internal error,
-with one `error:` line on stderr and nothing on stdout.  A report holding a
-NaN or an infinity is no JSON and no verdict, so it exits 2.
+Each command handler returns (report, holds, summary), prints nothing and
+catches nothing.  `main` alone times the command, prints the report as one
+line of strict JSON on stdout and the summary on stderr, and exits: 0 when
+the property holds, 1 when it is violated or recovery failed, 2 on a usage
+or internal error, with one `error:` line on stderr and nothing on stdout.
+A report holding a NaN or an infinity is no JSON and no verdict, so it
+exits 2.
 """
 
 from __future__ import annotations
@@ -34,45 +35,39 @@ EXHAUSTIVE_ROUNDTRIP_LIMIT = 10**5
 _ROUNDTRIP_BATCH = 1024
 
 
-def _write_provenance(path: Path, record: dict) -> None:
-    meta = Path(str(path) + ".meta.json")
-    meta.write_text(json.dumps({"tool_version": __version__, **record}) + "\n")
-
-
 # ---------------------------------------------------------------- build
 
 def _cmd_build(args) -> tuple[dict, bool, str]:
+    """Build one kind, write it with the writer for its type (a `Code` to a
+    code file, else a matrix file) and its provenance beside it."""
     out = Path(args.out)
-    record = {"construction": args.kind}
     if args.kind == "gv-code":
         lc = codes.random_linear_code_gv(
             args.q, args.n, args.delta, seed=args.seed, slack=args.slack
         )
-        code = codes.enumerate_codewords(lc)
-        codes.write_code_file(code, out)
-        record.update(q=args.q, n=args.n, delta=args.delta, slack=args.slack,
-                      seed=args.seed, k=lc.k, retries=lc.retries, size=len(code))
+        built = codes.enumerate_codewords(lc)
+        record = dict(q=args.q, n=args.n, delta=args.delta, slack=args.slack,
+                      seed=args.seed, k=lc.k, retries=lc.retries, size=len(built))
     elif args.kind == "rs-code":
-        code = codes.reed_solomon(args.q, args.k)
-        codes.write_code_file(code, out)
-        record.update(q=args.q, k=args.k, size=len(code))
+        built = codes.reed_solomon(args.q, args.k)
+        record = dict(q=args.q, k=args.k, size=len(built))
     elif args.kind in ("sph", "bool"):
         code = codes.read_code_file(args.code)
         normalize = args.kind == "bool" and args.normalize
-        m = sph_code(code) if args.kind == "sph" else bool_code(code, normalize=normalize)
-        matrixio.write_matrix(m, out)
-        record.update(source=str(args.code), normalize=normalize,
-                      rows=int(m.shape[0]), cols=int(m.shape[1]))
+        built = sph_code(code) if args.kind == "sph" else bool_code(code, normalize=normalize)
+        record = dict(source=str(args.code), normalize=normalize,
+                      rows=int(built.shape[0]), cols=int(built.shape[1]))
     elif args.kind == "kautz-singleton":
-        m, prov = group_testing.kautz_singleton(args.q, args.k)
-        matrixio.write_matrix(m, out)
-        record.update(prov)
+        built, record = group_testing.kautz_singleton(args.q, args.k)
     elif args.kind == "vandermonde":
         nodes = recovery.unit_circle_nodes(args.cols)
-        m = recovery.vandermonde_matrix(nodes, args.n)
-        matrixio.write_matrix(m, out)
-        record.update(rows=args.n, cols=args.cols, nodes="unit-circle")
-    _write_provenance(out, record)
+        built = recovery.vandermonde_matrix(nodes, args.n)
+        record = dict(rows=args.n, cols=args.cols, nodes="unit-circle")
+    record = {"construction": args.kind, **record}
+    write = codes.write_code_file if isinstance(built, codes.Code) else matrixio.write_matrix
+    write(built, out)
+    Path(f"{out}.meta.json").write_text(
+        json.dumps({"tool_version": __version__, **record}) + "\n")
     return {"built": args.kind, "out": str(out), **record}, True, f"wrote {args.kind} to {out}"
 
 
@@ -233,12 +228,7 @@ def _cmd_cs_roundtrip(args) -> tuple[dict, bool, str]:
             x = np.zeros(n_cols, dtype=np.complex128)
             for pos in sorted(_draw_support(rng, n_cols, args.L)):
                 x[pos] = complex(rng.normal(), rng.normal())
-            try:
-                ys.append(recovery.cs_encode(m, x))
-            except SparseCodeError:
-                if ys:  # earlier trials are refused first, as when decoded one by one
-                    recovery.cs_decode_batch(m, np.array(ys), args.L)
-                raise
+            ys.append(recovery.cs_encode(m, x))
             xs.append(x)
         for x, result in zip(xs, recovery.cs_decode_batch(m, np.array(ys), args.L)):
             if not result.success:
@@ -369,14 +359,16 @@ def _cmd_pipeline(args) -> tuple[dict, bool, str]:
 # ---------------------------------------------------------------- parser
 
 def _finite_float(text: str) -> float:
-    """A float flag's value; NaN and inf would give a verdict on no number."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
+    """A float flag's value; NaN and inf would give a verdict on no number.
+    argparse turns the ValueError of either refusal into one usage error,
+    `invalid finite float value`, from this function's name."""
+    value = float(text)
     if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"invalid finite float value: {text!r}")
+        raise ValueError(text)
     return value
+
+
+_finite_float.__name__ = "finite float"
 
 
 # each flag's add_argument keywords; a path flag keeps the string as given

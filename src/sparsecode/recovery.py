@@ -83,14 +83,16 @@ def vandermonde_matrix(nodes: np.ndarray, rows: int) -> np.ndarray:
 
 
 def cs_encode(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Linear measurement y = M x."""
+    """Linear measurement y = M x, refused unless the decoder admits it:
+    finite entries and a norm within the float range."""
     m = as_matrix(m)
     x = as_finite(x, "x")
     if x.shape != (m.shape[1],):
         raise DomainError(f"x must have length {m.shape[1]}")
     with np.errstate(over="ignore", invalid="ignore"):
         y = m @ x
-    return as_finite(y, "measurement")
+    _measurement_norms(as_finite(y, "measurement")[None])
+    return y
 
 
 def _norm(v: np.ndarray) -> float:
@@ -104,6 +106,16 @@ def _norm(v: np.ndarray) -> float:
             if math.isfinite(scale):
                 return scale * float(np.linalg.norm(v / scale))
     return plain
+
+
+def _measurement_norms(ys: np.ndarray) -> np.ndarray:
+    """||y|| of each row of finite measurements ys, refused where it
+    overflows: the rule for an admissible measurement, which the encoder and
+    the decoder share (an inf accept would pass every support)."""
+    beta = [_norm(y) for y in ys]
+    if not all(map(math.isfinite, beta)):
+        raise DomainError("measurement norm overflows")
+    return np.array(beta)
 
 
 def _must_solve(m_t: np.ndarray, rows: np.ndarray, ys: np.ndarray, live: np.ndarray,
@@ -221,11 +233,9 @@ def cs_decode_batch(m: np.ndarray, ys: np.ndarray, L: int) -> list[RecoveryResul
         raise DomainError(f"y must have length {n_rows}")
     if not (0 <= L <= n_cols):
         raise DomainError(f"need 0 <= L <= N, got L={L}")
-    beta = np.array([_norm(y) for y in ys])
+    beta = _measurement_norms(ys)
     with np.errstate(over="ignore"):
         col_sq = (m.real**2 + m.imag**2).sum(axis=0)
-    if not np.isfinite(beta).all():  # an inf accept would pass every support
-        raise DomainError("measurement norm overflows")
     accept = DECODE_TOL * (1.0 + beta)
     m_t = m.T.copy()  # row j is column j of m
     results: list[RecoveryResult | None] = [None] * len(ys)

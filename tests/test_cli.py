@@ -14,13 +14,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import sparsecode
-from sparsecode import caps, cli, codes, group_testing
+from sparsecode import caps, cli, codes, group_testing, recovery
 from sparsecode.cli import main
 from sparsecode.codes import Code, read_code_file
 from sparsecode.embeddings import bool_code, sph_code
 from sparsecode.group_testing import kautz_singleton
 from sparsecode.matrixio import read_matrix, write_matrix
-from sparsecode.recovery import unit_circle_nodes, vandermonde_matrix
+from sparsecode.recovery import RecoveryResult, unit_circle_nodes, vandermonde_matrix
 from test_report_json import CODE
 
 
@@ -239,6 +239,30 @@ def test_verify_dispatches_through_its_table():
             or isinstance(node, ast.Constant) and node.value in cli._VERIFY] == []
 
 
+def test_only_main_catches():
+    """Handlers run straight through: a refusal raised anywhere reaches
+    `main`, whose one try turns it into exit 2."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    main_def = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "main")
+    tries = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Try)]
+    assert len(tries) == 1
+    assert tries == [node.lineno for node in ast.walk(main_def) if isinstance(node, ast.Try)]
+
+
+def test_build_writes_once():
+    """`_cmd_build` calls one writer, picked by the built object's type from
+    the two it names once each, and writes the provenance in one call."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    build = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_cmd_build")
+    calls = [getattr(node.func, "id", getattr(node.func, "attr", "")) or ""
+             for node in ast.walk(build) if isinstance(node, ast.Call)]
+    named = [getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(build)]
+    assert sorted(c for c in calls if c.lstrip("_").startswith("write")) == ["write", "write_text"]
+    assert (named.count("write_code_file"), named.count("write_matrix")) == (1, 1)
+
+
 class TestBounds:
     def test_rate_values(self, capsys):
         code, report, _ = run(
@@ -292,6 +316,43 @@ class TestRoundtrips:
         assert code == 0
         assert report["failures"] == 0
         assert report["max_recovery_error"] <= 1e-6
+
+    def test_cs_roundtrip_counts_its_failures(self, capsys, monkeypatch, tmp_path):
+        """A trial the decoder misses is counted, not measured: the error is
+        the largest over the successes alone, and any miss exits 1.  Every
+        second trial is made a miss, far from its x, across two batches."""
+        out = tmp_path / "v.json"
+        write_matrix(vandermonde_matrix(unit_circle_nodes(6), 3), out)
+        encode, decode = recovery.cs_encode, recovery.cs_decode_batch
+        xs, errors = [], []
+
+        def record(m, x):
+            xs.append(x)
+            return encode(m, x)
+
+        def every_second_missed(m, ys, L):
+            results = []
+            for result in decode(m, ys, L):
+                i = len(errors)
+                errors.append(float(np.abs(result.estimate - xs[i]).max()))
+                if i % 2:
+                    result = RecoveryResult(xs[i] + 1.0, result.residual_norm, (),
+                                            result.candidates_tried, False)
+                results.append(result)
+            return results
+
+        monkeypatch.setattr(recovery, "cs_encode", record)
+        monkeypatch.setattr(recovery, "cs_decode_batch", every_second_missed)
+        trials = cli._ROUNDTRIP_BATCH + 9
+        code, report, err = run(capsys, "cs-roundtrip", "--matrix", str(out), "--L", "1",
+                                "--seed", "3", "--trials", str(trials))
+        misses = trials // 2
+        assert len(errors) == trials
+        assert report["failures"] == misses
+        assert report["max_recovery_error"] == max(errors[::2])
+        assert 0.0 < report["max_recovery_error"] <= 1e-6
+        assert code == 1
+        assert err == f"cs-roundtrip: {misses} failures, max error {max(errors[::2]):.2e}\n"
 
 
 def _loop_roundtrips(m, supports):

@@ -149,6 +149,18 @@ class TestEncode:
         with pytest.raises(DomainError, match="^measurement entries must be finite$"):
             cs_encode(np.full((2, 2), 1e308), [10, 0])
 
+    def test_refuses_what_the_decoder_refuses(self):
+        # finite entries, 1.5e308 each, whose norm 3e308 is past the float
+        # range: the decoder's refusal, now the encoder's too
+        with pytest.raises(DomainError, match="^measurement norm overflows$"):
+            cs_encode(np.full((4, 5), 1.5e308), np.eye(5)[0])
+
+    def test_keeps_a_finite_norm_whose_squares_overflow(self):
+        # the plain norm squares 1e200 past the float range; the norm is 1e200
+        y = cs_encode([[1e200, 0], [0, 1]], [1, 0])
+        assert np.array_equal(y, [1e200, 0])
+        assert cs_decode_exhaustive(np.eye(2), y, 1).success
+
 
 class TestDecode:
     def test_zero_measurement(self):
