@@ -219,6 +219,8 @@ def _cmd_cs_roundtrip(args) -> tuple[dict, bool, str]:
     m = matrixio.read_matrix(args.matrix).astype(np.complex128)
     n_cols = m.shape[1]
     _require_order(args.L, n_cols)
+    # the decoder's walk checks its cap now, before any trial is encoded
+    caps.supports(n_cols, args.L)
     rng = np.random.default_rng(args.seed)
     max_err = 0.0
     failures = 0

@@ -2,11 +2,11 @@
 
 All certification is exhaustive over center words: list_sizes_at_radii
 finds, for every one of the q^n centers, the number of codewords in its
-ball, one radius per pass, by one of two paths that give the same bits.
+ball of one radius, by one of two paths that give the same bits.
 The ball path adds the codewords' spheres of weights 0..r into one count
 per center, so each count is exact once they are in, and a center no ball
 reaches counts 0.  The split-sum sweep compares every center with every
-codeword; it only groups the arithmetic into array blocks.  Each radius
+codeword; it only groups the arithmetic into array blocks.  A radius
 takes the ball path where its balls are small against the space and both
 fit the memory bound, and the sweep elsewhere.  Radii are discretized as
 floor(rho * n).  The Johnson-type implication and its weak converse are
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Mapping
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
@@ -66,14 +66,10 @@ class ImplicationReport(Report):
     conclusion_value: float | None
     conclusion_threshold: float | None
     verdict: str
-    detail: Mapping
+    detail: Mapping = field(hash=False)
 
     def __post_init__(self):
         object.__setattr__(self, "detail", MappingProxyType(dict(self.detail)))
-
-    def __hash__(self):
-        return hash(tuple(getattr(self, f.name) for f in fields(self)
-                          if f.name != "detail"))
 
 
 class JohnsonReport(ImplicationReport):
@@ -84,13 +80,13 @@ class ConverseReport(ImplicationReport):
     _property = "johnson-converse"
 
 
-def list_sizes_at_radii(c: Code, radii: list[int]) -> list[tuple[int, Word]]:
-    """Max codeword count of any Hamming ball, for each radius in turn.
+def list_sizes_at_radii(c: Code, r: int) -> tuple[int, Word]:
+    """Max codeword count of any Hamming ball of radius r.
 
-    Returns (max_list_size, first worst center) per radius, over all q^n
-    centers.  The center cap is checked once, before anything is allocated.
+    Returns (max_list_size, first worst center) over all q^n centers.  The
+    center cap is checked before anything is allocated.
 
-    Each radius, clipped to -1..n, takes one pass down the path that its own
+    The radius, clipped to -1..n, takes one pass down the path that its
     element work picks; `_ball_list_sizes` and `_sweep_list_sizes` give the
     same bits.  The ball path makes |C| * V_q(n, r) count increments plus a
     pass over the q^n counts; the sweep makes |C| * q^n distance
@@ -101,14 +97,11 @@ def list_sizes_at_radii(c: Code, radii: list[int]) -> list[tuple[int, Word]]:
     q, n = c.q, c.n
     caps.require(q**n, caps.center_cap(), "centers")
     size = len(c)
-    found = []
-    for r in radii:
-        r = min(max(r, -1), n)
-        volume = sum(math.comb(n, t) * (q - 1) ** t for t in range(r + 1))
-        ball = (max(q**n, size * volume) <= _BLOCK_ELEMENTS
-                and _INCREMENT_COST * size * volume + q**n <= size * q**n)
-        found.append((_ball_list_sizes if ball else _sweep_list_sizes)(c, r))
-    return found
+    r = min(max(r, -1), n)
+    volume = sum(math.comb(n, t) * (q - 1) ** t for t in range(r + 1))
+    ball = (max(q**n, size * volume) <= _BLOCK_ELEMENTS
+            and _INCREMENT_COST * size * volume + q**n <= size * q**n)
+    return (_ball_list_sizes if ball else _sweep_list_sizes)(c, r)
 
 
 def _ball_list_sizes(c: Code, r: int) -> tuple[int, Word]:
@@ -253,7 +246,7 @@ def list_size_at_radius(c: Code, rho: float) -> ListDecodingReport:
     if not (0.0 <= rho <= 1.0):
         raise DomainError(f"radius must lie in [0, 1], got {rho}")
     radius = math.floor(rho * c.n + 1e-12)
-    (size, center), = list_sizes_at_radii(c, [radius])
+    size, center = list_sizes_at_radii(c, radius)
     return ListDecodingReport(rho, radius, size, center, c.q**c.n)
 
 

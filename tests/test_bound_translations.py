@@ -142,11 +142,11 @@ def test_lwise_distance_bounds_the_list_size(path, c):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(c=_codes(24))
 def test_list_size_does_not_fall_with_the_radius(cost, c):
-    # cost 0 sends the call down the ball path, inf down the sweep
+    # cost 0 sends every call down the ball path, inf down the sweep
     radii = list(range(-1, c.n + 2))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(listdecode, "_INCREMENT_COST", cost)
-        sizes = [size for size, _ in listdecode.list_sizes_at_radii(c, radii)]
+        sizes = [listdecode.list_sizes_at_radii(c, r)[0] for r in radii]
     assert sizes == sorted(sizes)
     assert sizes[0] == 0 and sizes[-1] == len(c)
 

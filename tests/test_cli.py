@@ -459,6 +459,16 @@ class TestPipelines:
         assert time.monotonic() - started < 1.0
         assert result == (2, "", "error: 33539156 supports exceed cap 10000000\n")
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_cs_roundtrip_refuses_over_its_cap_before_any_trial(
+            self, capsys, cli_files, monkeypatch, seed):
+        # big.json's trials draw encode refusals, but its 6 supports of
+        # weight <= 1 are refused first
+        monkeypatch.setenv("SPARSECODE_CAP", "1")
+        result = run_any(capsys, ["cs-roundtrip", "--matrix", str(cli_files / "big.json"),
+                                  "--L", "1", "--seed", str(seed), "--trials", "5"])
+        assert result == (2, "", "error: 6 supports exceed cap 1\n")
+
     def test_missing_flags_exit_2(self, capsys):
         code, out, err = run_any(capsys, ["pipeline", "gv-rip"])
         assert (code, out) == (2, "")

@@ -91,7 +91,7 @@ def test_two_wise_distance_is_min_distance(c):
 @given(_binary_codes())
 def test_unique_decoding_radius_holds_one_codeword(c):
     radius = (min_distance(c).absolute - 1) // 2
-    assert list_sizes_at_radii(c, [radius])[0][0] == 1
+    assert list_sizes_at_radii(c, radius)[0] == 1
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

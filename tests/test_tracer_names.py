@@ -36,7 +36,7 @@ CALLS = {
     "certify.rip2_profile": (SPH, 2),
     "certify.flat_rip_constant": (SPH, 1),
     "certify.kernel_injectivity": (SPH, 1),
-    "listdecode.list_sizes_at_radii": (CODE, [0, 1]),
+    "listdecode.list_sizes_at_radii": (CODE, 1),
     "group_testing.verify_disjunct": (BOOL, 1),
     "group_testing.verify_design": (Design(BOOL),),
     "recovery.cs_decode_exhaustive": (VAND, cs_encode(VAND, np.eye(5)[1]), 1),
