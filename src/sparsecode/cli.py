@@ -7,6 +7,10 @@ the property holds, 1 when it is violated or recovery failed, 2 on a usage
 or internal error, with one `error:` line on stderr and nothing on stdout.
 A report holding a NaN or an infinity is no JSON and no verdict, so it
 exits 2.
+
+The group-testing round trips hand their supports to
+`group_testing.recovers` as batches of index rows, which it decides on
+packed column words; this module builds no 0/1 row and sees no word.
 """
 
 from __future__ import annotations
@@ -146,44 +150,40 @@ def _cmd_bounds(args) -> tuple[dict, bool, str]:
 
 # ---------------------------------------------------------------- round trips
 
-def _indicators(n_cols: int, blocks):
-    """Each block of supports, one per row of item indices, as 0/1 rows."""
-    for rows in blocks:
-        x = np.zeros((len(rows), n_cols), dtype=bool)
-        x[np.arange(len(rows))[:, None], rows] = True
-        yield x
-
-
 def _draw_support(rng: np.random.Generator, n_cols: int, L: int) -> np.ndarray:
     """A weight drawn in 0..L, then a support of that weight in range(n_cols)."""
     return rng.choice(n_cols, size=int(rng.integers(0, L + 1)), replace=False)
 
 
 def _random_supports(n_cols: int, L: int, trials: int, seed: int):
-    """`trials` seeded support draws, yielded in batches of 0/1 rows."""
+    """`trials` seeded support draws, yielded in batches of index rows: each
+    draw sorted and padded to width L with n_cols, which names no column."""
     rng = np.random.default_rng(seed)
     for start in range(0, trials, _ROUNDTRIP_BATCH):
-        x = np.zeros((min(_ROUNDTRIP_BATCH, trials - start), n_cols), dtype=bool)
-        for row in x:
-            row[_draw_support(rng, n_cols, L)] = True
-        yield x
+        rows = np.full((min(_ROUNDTRIP_BATCH, trials - start), L), n_cols)
+        for row in rows:
+            support = _draw_support(rng, n_cols, L)
+            row[:len(support)] = support
+        # the padding sorts last
+        rows.sort(axis=1)
+        yield rows
 
 
 def _roundtrips(m: np.ndarray, batches) -> tuple[int, int, list[int] | None]:
-    """Encode, cover-decode and compare each support, a batch at a time.
+    """Encode, cover-decode and compare each support, a batch of index rows
+    at a time (`group_testing.recovers`).
 
     Returns (passed, failed, first failing support).
     """
     passed = failed = 0
+    n_cols = m.shape[1]
     lead = caps.LexFirst()
-    for x in batches:
-        decoded = group_testing.gt_decode_cover(m, group_testing.gt_encode(m, x))
-        ok = (decoded == x).all(axis=1)
+    for rows, ok in group_testing.recovers(m, batches):
         n_ok = int(ok.sum())
         passed += n_ok
-        failed += len(x) - n_ok
+        failed += len(rows) - n_ok
         # a 0/1 score: the lead is the first failure, once there is one
-        lead.offer(~ok, lambda pos: np.flatnonzero(x[pos]).tolist())
+        lead.offer(~ok, lambda pos: [int(c) for c in rows[pos] if c < n_cols])
     return passed, failed, lead.witness if lead.best else None
 
 
@@ -199,7 +199,7 @@ def _cmd_gt_roundtrip(args) -> tuple[dict, bool, str]:
     total = sum(math.comb(n_cols, w) for w in range(args.L + 1))
     if total <= EXHAUSTIVE_ROUNDTRIP_LIMIT:
         mode = "exhaustive"
-        batches = _indicators(n_cols, caps.supports(n_cols, args.L))
+        batches = caps.supports(n_cols, args.L)
     else:
         mode = "random"
         batches = _random_supports(n_cols, args.L, args.trials, args.seed)
@@ -297,7 +297,7 @@ def _cmd_pipeline(args) -> tuple[dict, bool, str]:
         # runs; a larger order is verify_disjunct's to refuse
         walk = caps.supports(n_cols, L) if L < n_cols else ()
         disjunct = group_testing.verify_disjunct(m, L)
-        passed, failed, first_failure = _roundtrips(m, _indicators(n_cols, walk))
+        passed, failed, first_failure = _roundtrips(m, walk)
         report = {
             "property": "pipeline-ks-gt",
             "q": args.q, "k": args.k, "order": L,

@@ -13,6 +13,14 @@ largest intersections fall short is certified in one row of intersections
 instead of C(N-1, L) L-sets, and `subsets_checked` still counts them all;
 `verify_disjunct` gives the proof and when the bound is computed.
 
+The round trips' verdict, `recovers`, runs on the same packed column words
+as the disjunct scan, and both take a set's union from one helper, `_union`.
+The cover decoder returns a support plus every other column inside its
+union, so a support of weight w round-trips iff exactly w columns lie inside
+it: one OR of at most L words and one subset test per column, where
+`gt_encode` and `gt_decode_cover`, kept for single vectors and as the
+oracles, make a float product each.
+
 A design is its incidence matrix and is built only from it, `Design(m)`;
 `design_from_code` is `Design` of the code's Boolean embedding.  Every 0/1
 array made here is bool.
@@ -40,6 +48,9 @@ from .errors import DomainError
 
 # targets per intersection product of the cover bound in verify_disjunct
 _BOUND_BLOCK = 64
+# columns per subset test of `recovers`: with batches of up to 1024 supports,
+# no temporary of a block passes 2^17 words
+_COLUMN_BLOCK = 128
 
 
 class Design:
@@ -166,6 +177,14 @@ def _packed_rows(bits: np.ndarray) -> np.ndarray:
     return packed.view(np.uint64).T
 
 
+def _union(word: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The OR of word[c] over the columns c of each row: one uint64 per row."""
+    union = np.zeros(len(rows), dtype=np.uint64)
+    for col in rows.T:
+        union |= word[col]
+    return union
+
+
 def _unsettled(b: np.ndarray, L: int):
     """Target 0 of the 0/1 matrix b, then each later target that the cover
     bound leaves: those whose L largest intersections with other columns
@@ -231,10 +250,7 @@ def verify_disjunct(m: np.ndarray, L: int) -> DisjunctReport:
             """Whether each L-set of the other columns covers the target."""
             hit = np.ones(len(rows), dtype=bool)
             for word, full_word in zip(words, full):
-                union = np.zeros(len(rows), dtype=np.uint64)
-                for col in rows.T:
-                    union |= word[col]
-                hit &= union == full_word
+                hit &= _union(word, rows) == full_word
             return hit
 
         # every target walks the same blocks of the one table of this shape
@@ -246,6 +262,40 @@ def verify_disjunct(m: np.ndarray, L: int) -> DisjunctReport:
             return DisjunctReport(L, False, (target, tuple(c + (c >= target) for c in chosen)),
                                   checked)
     return DisjunctReport(L, True, None, count)
+
+
+def recovers(m: np.ndarray, batches):
+    """Each batch of supports with whether each one round-trips: encoded by
+    `gt_encode` and cover-decoded by `gt_decode_cover`, it comes back as itself.
+
+    A batch holds one support per row of distinct column indices; a row
+    shorter than the batch's width is padded with N, which names no column.
+    Yields (rows, ok) per batch, ok a bool per row, from words packed once.
+
+    The cover decoder returns every column whose support lies inside the
+    union of the support's columns: the support itself and any other column
+    so covered.  So a support of weight w round-trips iff exactly w columns
+    lie inside that union.  Column N is all zero, so a padded row's union is
+    its support's, and it is left out of the count.  The subset test walks
+    the columns in blocks of _COLUMN_BLOCK, with the supports of a batch as
+    the contiguous inner axis.
+    """
+    b = as_binary(m)
+    n_cols = b.shape[1]
+    # (words, N + 1): each column's tests, then the padding column's none
+    words = _packed_rows(np.pad(b, ((0, 0), (0, 1))))
+    real = words[:, :n_cols, None]
+    for rows in batches:
+        lacks = [~_union(word, rows) for word in words]
+        inside = np.zeros(len(rows), dtype=np.int64)
+        for c0 in range(0, n_cols, _COLUMN_BLOCK):
+            block = real[:, c0:c0 + _COLUMN_BLOCK]
+            held = np.ones((block.shape[1], len(rows)), dtype=bool)
+            for word, lack in zip(block, lacks):
+                held &= (word & lack) == 0
+            # a block has fewer than 2^16 columns
+            inside += held.sum(axis=0, dtype=np.uint16)
+        yield rows, inside == (rows < n_cols).sum(axis=1)
 
 
 def gt_encode(m: np.ndarray, x: np.ndarray) -> np.ndarray:

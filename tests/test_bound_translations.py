@@ -311,7 +311,7 @@ def _disjunct_orders(m, orders):
     n_cols = m.shape[1]
     verdicts = []
     for L in orders:
-        _, failed, _ = cli._roundtrips(m, cli._indicators(n_cols, caps.supports(n_cols, L)))
+        _, failed, _ = cli._roundtrips(m, caps.supports(n_cols, L))
         verdicts.append(verify_disjunct(m, L).disjunct)
         assert (failed == 0) == verdicts[-1], L
     return verdicts

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from itertools import chain, combinations
 from pathlib import Path
 
@@ -373,26 +374,126 @@ def _loop_roundtrips(m, supports):
     return passed, failed, first_failure
 
 
+def _roundtrip_cases():
+    """(matrix, L) pairs: random designs, designs of more than 64 tests (two
+    words per column), an all-zero column, duplicated columns and L = 0."""
+    rng = np.random.default_rng(23)
+    cases = [(kautz_singleton(5, 2)[0], 3), (np.eye(5, dtype=np.int64), 5)]
+    for _ in range(6):
+        m = (rng.random((int(rng.integers(1, 12)), 10)) < 0.35).astype(np.int64)
+        cases.append((m, int(rng.integers(0, 4))))
+    cases += [(kautz_singleton(11, 2)[0], 2),
+              ((rng.random((100, 12)) < 0.08).astype(np.int64), 3)]
+    repeated = (rng.random((9, 8)) < 0.4).astype(np.int64)
+    repeated[:, 3] = 0
+    repeated[:, 6] = repeated[:, 1]
+    cases += [(repeated, L) for L in range(4)]
+    cases += [(kautz_singleton(3, 2)[0], 0), (np.eye(5, dtype=np.int64), 0)]
+    return cases
+
+
+def _exhaustive(n_cols, L):
+    return chain.from_iterable(combinations(range(n_cols), w) for w in range(L + 1))
+
+
+def _encoded_ok(m, rows):
+    """Whether each support of a batch of index rows (padded with N) comes
+    back through gt_encode and gt_decode_cover: the float-product oracle."""
+    x = np.zeros((len(rows), m.shape[1] + 1), dtype=bool)
+    x[np.arange(len(rows))[:, None], rows] = True
+    x = x[:, :-1]
+    return (group_testing.gt_decode_cover(m, group_testing.gt_encode(m, x)) == x).all(axis=1)
+
+
 class TestRoundtripBatches:
     @pytest.mark.parametrize("batch", [1, 7, None])
     def test_exhaustive_matches_per_support_loop(self, monkeypatch, batch):
         if batch is not None:
             monkeypatch.setattr(caps, "_SUPPORT_BLOCK", batch)
-        rng = np.random.default_rng(23)
-        cases = [(kautz_singleton(5, 2)[0], 3), (np.eye(5, dtype=np.int64), 5)]
-        for _ in range(6):
-            m = (rng.random((int(rng.integers(1, 12)), 10)) < 0.35).astype(np.int64)
-            cases.append((m, int(rng.integers(0, 4))))
-        failures = 0
-        for m, L in cases:
+        failures = passes = 0
+        for m, L in _roundtrip_cases():
             n_cols = m.shape[1]
-            supports = chain.from_iterable(combinations(range(n_cols), w)
-                                           for w in range(L + 1))
-            walk = caps.supports(n_cols, L)
-            got = cli._roundtrips(m, cli._indicators(n_cols, walk))
-            assert got == _loop_roundtrips(m, supports)
+            got = cli._roundtrips(m, caps.supports(n_cols, L))
+            assert got == _loop_roundtrips(m, _exhaustive(n_cols, L)), (m.shape, L)
             failures += got[1] > 0
-        assert failures >= 3
+            passes += got[1] == 0
+        assert failures >= 5 and passes >= 3
+
+    @pytest.mark.parametrize("block", [1, 7, None])
+    def test_column_block_changes_no_result(self, monkeypatch, block):
+        """The subset test's column blocks, at 1, 7 and the default, in
+        exhaustive and random mode: no block size moves a count or a witness."""
+        if block is not None:
+            monkeypatch.setattr(group_testing, "_COLUMN_BLOCK", block)
+        # from KS(11,2) on: two words per column, zero and duplicated columns, L = 0
+        for m, L in _roundtrip_cases()[-8:]:
+            n_cols = m.shape[1]
+            assert cli._roundtrips(m, caps.supports(n_cols, L)) == _loop_roundtrips(
+                m, _exhaustive(n_cols, L)), (m.shape, L)
+            rows = list(cli._random_supports(n_cols, L, 300, 5))
+            assert cli._roundtrips(m, rows) == _loop_roundtrips(
+                m, [row[row < n_cols] for batch in rows for row in batch]), (m.shape, L)
+            for batch, ok in group_testing.recovers(m, caps.supports(n_cols, L)):
+                assert np.array_equal(ok, _encoded_ok(m, batch))
+            for batch, ok in group_testing.recovers(m, rows):
+                assert np.array_equal(ok, _encoded_ok(m, batch))
+
+    def test_random_rows_are_padded_at_every_weight(self):
+        """Each random draw is one row, sorted and padded with N to width L,
+        at every weight 0..L; the draws are the seeded ones."""
+        n_cols, L = 25, 6
+        trials = 2 * cli._ROUNDTRIP_BATCH + 5
+        rows = np.concatenate(list(cli._random_supports(n_cols, L, trials, 3)))
+        rng = np.random.default_rng(3)
+        weights = []
+        for row in rows:
+            support = sorted(rng.choice(n_cols, size=int(rng.integers(0, L + 1)), replace=False))
+            weights.append(len(support))
+            assert row.tolist() == support + [n_cols] * (L - len(support))
+        assert set(weights) == set(range(L + 1))
+        m, _ = kautz_singleton(5, 2)
+        got = cli._roundtrips(m, cli._random_supports(n_cols, L, trials, 3))
+        assert got == _loop_roundtrips(m, [row[row < n_cols] for row in rows])
+        assert got[1] > 0
+
+    def test_round_trips_make_no_float_product(self, monkeypatch):
+        """The round trips decode on packed words: with `_counts` refused,
+        both modes still give the per-support loop's counts and witness."""
+        # KS(5,2), and the design with an all-zero and a duplicated column
+        cases = [(kautz_singleton(5, 2)[0], 2, 6), (_roundtrip_cases()[-3][0], 3, 3)]
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a round trip made a float product")
+
+        for module in (codes, group_testing):
+            monkeypatch.setattr(module, "_counts", refused)
+        failures = 0
+        for m, exhaustive_L, random_L in cases:
+            n_cols = m.shape[1]
+            got = cli._roundtrips(m, caps.supports(n_cols, exhaustive_L))
+            assert got == _loop_roundtrips(m, _exhaustive(n_cols, exhaustive_L))
+            rows = list(cli._random_supports(n_cols, random_L, 400, 7))
+            got = cli._roundtrips(m, rows)
+            assert got == _loop_roundtrips(
+                m, [row[row < n_cols] for batch in rows for row in batch])
+            failures += got[1] > 0
+        assert failures == 2
+
+    def test_round_trip_memory_is_blocked(self):
+        """KS(11,3) at L = 1, 1,331 columns over 121 tests: the subset test
+        walks the columns in blocks, so no temporary passes 2^17 words.  The
+        two float products it replaced peaked at 7.9 MiB, and an unblocked
+        test at 13 MiB."""
+        m, _ = kautz_singleton(11, 3)
+        n_cols = m.shape[1]
+        tracemalloc.start()
+        try:
+            got = cli._roundtrips(m, caps.supports(n_cols, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == (n_cols + 1, 0, None)
+        assert peak <= 2 << 20
 
     @pytest.mark.parametrize("batch", [7, None])
     def test_random_mode_keeps_seeded_draws(self, capsys, monkeypatch, tmp_path, batch):

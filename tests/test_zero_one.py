@@ -51,5 +51,6 @@ def test_cli_round_trips_hand_bool_to_every_zero_one_check(tmp_path, monkeypatch
     for argv, exit_code in runs:
         assert cli.main(argv) == exit_code
     capsys.readouterr()
-    assert {what for what, _ in seen} == {"group-testing matrix", "x", "y"}
+    # the round trips decode on packed words and build no x or y
+    assert {what for what, _ in seen} == {"group-testing matrix"}
     assert [(what, dtype) for what, dtype in seen if dtype != bool] == []
