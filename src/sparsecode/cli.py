@@ -8,6 +8,10 @@ or internal error, with one `error:` line on stderr and nothing on stdout.
 A report holding a NaN or an infinity is no JSON and no verdict, so it
 exits 2.
 
+A round trip's sample may refute; a sample that passes confirms nothing
+until its certifier (`verify_disjunct`, `kernel_injectivity`) has run, and
+that certifier's cap refusal reaches `main` like any other.
+
 The group-testing round trips hand their supports to
 `group_testing.recovers` as batches of index rows, which it decides on
 packed column words; this module builds no 0/1 row and sees no word.
@@ -212,7 +216,17 @@ def _cmd_gt_roundtrip(args) -> tuple[dict, bool, str]:
         "failed": failed,
         "first_failure": first_failure,
     }
-    return report, failed == 0, f"gt-roundtrip: {passed} ok, {failed} failed"
+    holds, summary = failed == 0, f"gt-roundtrip: {passed} ok, {failed} failed"
+    if holds and mode == "random":
+        # a sample that passes proves nothing: every support of weight <= L
+        # decodes iff m is L-disjunct, and at L = N iff it is (N-1)-disjunct,
+        # as the support of all N columns leaves none outside it to cover
+        disjunct = group_testing.verify_disjunct(m, min(args.L, n_cols - 1))
+        if not disjunct.disjunct:
+            target, cover = disjunct.witness
+            report["witness"] = [target, list(cover)]
+            holds, summary = False, f"{summary}; not {args.L}-disjunct"
+    return report, holds, summary
 
 
 def _cmd_cs_roundtrip(args) -> tuple[dict, bool, str]:
@@ -244,8 +258,16 @@ def _cmd_cs_roundtrip(args) -> tuple[dict, bool, str]:
         "failures": failures,
         "max_recovery_error": max_err,
     }
-    return (report, failures == 0 and max_err <= 1e-6,
-            f"cs-roundtrip: {failures} failures, max error {max_err:.2e}")
+    holds = failures == 0 and max_err <= 1e-6
+    summary = f"cs-roundtrip: {failures} failures, max error {max_err:.2e}"
+    # a sample that passes proves nothing: every L-sparse vector is recovered
+    # iff every 2L columns are independent.  At L = 0 the sample is complete,
+    # as every draw is the one 0-sparse vector.
+    kernel = certify.kernel_injectivity(m, args.L) if holds and args.L else None
+    if kernel and not kernel.injective:
+        report["witness"] = list(kernel.witness)
+        holds, summary = False, f"{summary}; not injective at L={args.L}"
+    return report, holds, summary
 
 
 # ---------------------------------------------------------------- pipelines
@@ -353,7 +375,7 @@ def _cmd_pipeline(args) -> tuple[dict, bool, str]:
             "measured_rip_constant": rip.alpha,
         }
         ok = report["flat_ok"] and all(s["ok"] for s in bias_stages)
-        ok = ok and johnson.verdict in ("pass", "vacuous", "not-applicable")
+        ok = ok and johnson.verdict != "fail"
     report["pass"] = bool(ok)
     return report, ok, f"pipeline {args.name}: {'pass' if ok else 'VIOLATED'}"
 

@@ -10,8 +10,9 @@ codeword; it only groups the arithmetic into array blocks.  A radius
 takes the ball path where its balls are small against the space and both
 fit the memory bound, and the sweep elsewhere.  Radii are discretized as
 floor(rho * n).  The Johnson-type implication and its weak converse are
-encoded with the explicit constants extracted from their proofs and are
-required to hold with zero counterexamples on every checkable code.
+two readings of one evaluation of the link (`_link`), encoded with the
+explicit constants extracted from their proofs, and are required to hold
+with zero counterexamples on every checkable code.
 """
 
 from __future__ import annotations
@@ -261,6 +262,27 @@ def johnson_inverse_square(epsilon: float) -> float:
     return inverse
 
 
+def _link(c: Code, l_prime: int, epsilon: float, detail: dict, premise, conclusion
+          ) -> tuple[float | None, float | None, str]:
+    """The distance <-> list-size link on binary code c, read one way.
+
+    Returns (the relative L'-wise distance d, the max list size s at radius
+    floor((1/2 - eps) n), the verdict) and records that radius in `detail`.
+    premise(d, s) and conclusion(d, s) are the reading's two predicates.
+    With fewer than L' codewords there is no L'-tuple to take a distance
+    over: d and s are None and the verdict is "not-applicable".
+    """
+    if l_prime > len(c):
+        return None, None, "not-applicable"
+    distance = lwise_distance(c, l_prime).relative
+    report = list_size_at_radius(c, max(0.5 - epsilon, 0.0))
+    size = float(report.max_list_size)
+    detail["radius"] = report.absolute_radius
+    if not premise(distance, size):
+        return distance, size, "vacuous"
+    return distance, size, "pass" if conclusion(distance, size) else "fail"
+
+
 def johnson_check(c: Code, epsilon: float) -> JohnsonReport:
     """Distance-to-list-decoding implication with the proof's constants.
 
@@ -271,27 +293,13 @@ def johnson_check(c: Code, epsilon: float) -> JohnsonReport:
     """
     if c.q != 2:
         raise DomainError("the Johnson-type check applies to binary codes")
-    inverse = johnson_inverse_square(epsilon)
-    l_prime = math.floor(inverse) + 1
-    list_bound = math.floor(inverse)
+    list_bound = math.floor(johnson_inverse_square(epsilon))
     threshold = 0.5 - epsilon**2
-    detail = {"L_prime": l_prime, "epsilon": epsilon}
-    premise = conclusion = None
-    if l_prime > len(c):
-        # fewer codewords than the premise tuple size: the list bound
-        # already dominates the code size, record as not-applicable
-        verdict = "not-applicable"
-    else:
-        premise = lwise_distance(c, l_prime).relative
-        report = list_size_at_radius(c, max(0.5 - epsilon, 0.0))
-        conclusion = float(report.max_list_size)
-        detail["radius"] = report.absolute_radius
-        if not _at_least(premise, threshold):
-            verdict = "vacuous"
-        else:
-            verdict = "pass" if conclusion <= list_bound else "fail"
-    return JohnsonReport(premise, threshold, conclusion, float(list_bound), verdict,
-                         detail)
+    detail = {"L_prime": list_bound + 1, "epsilon": epsilon}
+    distance, size, verdict = _link(c, list_bound + 1, epsilon, detail,
+                                    lambda d, s: _at_least(d, threshold),
+                                    lambda d, s: s <= list_bound)
+    return JohnsonReport(distance, threshold, size, float(list_bound), verdict, detail)
 
 
 def converse_check(c: Code, L: int, epsilon: float) -> ConverseReport:
@@ -299,7 +307,7 @@ def converse_check(c: Code, L: int, epsilon: float) -> ConverseReport:
 
     Premise: every ball of relative radius 1/2 - eps holds fewer than L
     codewords.  Conclusion: the ceil(L/eps)-wise distance is at least
-    1/2 - 2*eps.
+    1/2 - 2*eps.  Both thresholds are None when it is not applicable.
     """
     if c.q != 2:
         raise DomainError("the converse check applies to binary codes")
@@ -313,17 +321,9 @@ def converse_check(c: Code, L: int, epsilon: float) -> ConverseReport:
         raise DomainError(f"need L/epsilon to be a finite float, got epsilon={epsilon}")
     l_prime = math.ceil(L / epsilon)
     detail = {"L": L, "L_prime": l_prime, "epsilon": epsilon}
-    premise = bound = conclusion = threshold = None
-    if l_prime > len(c):
-        verdict = "not-applicable"
-    else:
-        report = list_size_at_radius(c, max(0.5 - epsilon, 0.0))
-        premise, bound = float(report.max_list_size), float(L)
-        detail["radius"] = report.absolute_radius
-        conclusion = lwise_distance(c, l_prime).relative
-        threshold = 0.5 - 2.0 * epsilon
-        if premise >= L:
-            verdict = "vacuous"
-        else:
-            verdict = "pass" if _at_least(conclusion, threshold) else "fail"
-    return ConverseReport(premise, bound, conclusion, threshold, verdict, detail)
+    threshold = 0.5 - 2.0 * epsilon
+    distance, size, verdict = _link(c, l_prime, epsilon, detail, lambda d, s: s < L,
+                                    lambda d, s: _at_least(d, threshold))
+    if verdict == "not-applicable":
+        return ConverseReport(None, None, None, None, verdict, detail)
+    return ConverseReport(size, float(L), distance, threshold, verdict, detail)

@@ -26,6 +26,9 @@ So does the Vandermonde gap check on the whole N x N distance array, which
 the row-blocked pair walk replaced, and the decoder's filter for one
 measurement at a time, one QR of [A_S y] per support, which the filter
 shared by a stack of measurements replaced.
+So do the Johnson-type check and its converse, each with its own
+not-applicable branch, list-size and L'-wise calls and verdict chain, as
+they were before one evaluation of the link served both.
 No library code imports this module.  Builders return the sorted tuple of distinct
 Words, the order the library's Code uses.
 """
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, product
@@ -60,6 +64,12 @@ from sparsecode.errors import (
     SparseCodeError,
 )
 from sparsecode.group_testing import DesignReport, as_binary
+from sparsecode.listdecode import (
+    ConverseReport,
+    JohnsonReport,
+    johnson_inverse_square,
+    list_size_at_radius,
+)
 from sparsecode.recovery import _COND, _QR_MARGIN, NODE_GAP_TOL, RecoveryResult
 from sparsecode.words import Word, is_prime
 
@@ -646,3 +656,57 @@ def nodes_distinct(nodes: np.ndarray) -> bool:
     diffs = np.abs(nodes[:, None] - nodes[None, :])
     np.fill_diagonal(diffs, np.inf)
     return not diffs.min() <= NODE_GAP_TOL
+
+
+def johnson_check(c, epsilon: float) -> JohnsonReport:
+    if c.q != 2:
+        raise DomainError("the Johnson-type check applies to binary codes")
+    inverse = johnson_inverse_square(epsilon)
+    l_prime = math.floor(inverse) + 1
+    list_bound = math.floor(inverse)
+    threshold = 0.5 - epsilon**2
+    detail = {"L_prime": l_prime, "epsilon": epsilon}
+    premise = conclusion = None
+    if l_prime > len(c):
+        verdict = "not-applicable"
+    else:
+        premise = codes.lwise_distance(c, l_prime).relative
+        report = list_size_at_radius(c, max(0.5 - epsilon, 0.0))
+        conclusion = float(report.max_list_size)
+        detail["radius"] = report.absolute_radius
+        if not codes._at_least(premise, threshold):
+            verdict = "vacuous"
+        else:
+            verdict = "pass" if conclusion <= list_bound else "fail"
+    return JohnsonReport(premise, threshold, conclusion, float(list_bound), verdict,
+                         detail)
+
+
+def converse_check(c, L: int, epsilon: float) -> ConverseReport:
+    """The list size is taken before the L'-wise distance."""
+    if c.q != 2:
+        raise DomainError("the converse check applies to binary codes")
+    if not (0.0 < epsilon <= 0.5):
+        raise DomainError("need 0 < epsilon <= 1/2")
+    if L < 1:
+        raise DomainError(f"need L >= 1, got L={L}")
+    if L > sys.float_info.max:
+        raise DomainError(f"need L within the float range, L <= {sys.float_info.max}")
+    if not math.isfinite(L / epsilon):
+        raise DomainError(f"need L/epsilon to be a finite float, got epsilon={epsilon}")
+    l_prime = math.ceil(L / epsilon)
+    detail = {"L": L, "L_prime": l_prime, "epsilon": epsilon}
+    premise = bound = conclusion = threshold = None
+    if l_prime > len(c):
+        verdict = "not-applicable"
+    else:
+        report = list_size_at_radius(c, max(0.5 - epsilon, 0.0))
+        premise, bound = float(report.max_list_size), float(L)
+        detail["radius"] = report.absolute_radius
+        conclusion = codes.lwise_distance(c, l_prime).relative
+        threshold = 0.5 - 2.0 * epsilon
+        if premise >= L:
+            verdict = "vacuous"
+        else:
+            verdict = "pass" if codes._at_least(conclusion, threshold) else "fail"
+    return ConverseReport(premise, bound, conclusion, threshold, verdict, detail)

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import sparsecode
-from sparsecode import caps, cli, codes, group_testing, recovery
+from sparsecode import caps, certify, cli, codes, group_testing, recovery
 from sparsecode.cli import main
 from sparsecode.codes import Code, read_code_file
 from sparsecode.embeddings import bool_code, sph_code
@@ -516,6 +516,80 @@ class TestRoundtripBatches:
         assert failed > 0
 
 
+class TestSampledRoundtripsConfirm:
+    """A sampled round trip may refute; only its certifier confirms."""
+
+    def test_cs_passes_meet_the_kernel_certifier(self, capsys, cli_files):
+        # every trial recovers its vector on 9 of these seeds, yet columns
+        # 0, 1, 3 and 11 are dependent; on the other 7 a wrong support fits
+        witnessed = 0
+        for seed in range(16):
+            code, report, err = run(capsys, "cs-roundtrip", "--matrix",
+                                    str(cli_files / "kernel-trap.json"), "--L", "2",
+                                    "--seed", str(seed))
+            assert code == 1
+            if report["failures"] == 0 and report["max_recovery_error"] <= 1e-6:
+                witnessed += 1
+                assert list(report)[-2:] == ["witness", "elapsed_ms"]
+                assert report["witness"] == [0, 1, 3, 11]
+                assert err.endswith("; not injective at L=2\n")
+            else:
+                assert "witness" not in report
+        assert witnessed == 9
+
+    def test_gt_pass_meets_the_disjunct_certifier(self, capsys, monkeypatch, cli_files):
+        # under the default cap this scan exits 2 (TestExitContract)
+        monkeypatch.setenv("SPARSECODE_CAP", "20000000")
+        code, report, err = run(capsys, "gt-roundtrip", "--matrix",
+                                str(cli_files / "cover-trap.json"), "--L", "4", "--seed", "0")
+        assert (code, strip_elapsed(report), err) == (1, {
+            "property": "gt-roundtrip", "order": 4, "mode": "random", "passed": 1000,
+            "failed": 0, "first_failure": None, "witness": [49, [0, 1, 2, 3]]},
+            "gt-roundtrip: 1000 ok, 0 failed; not 4-disjunct\n")
+
+    def test_every_sampled_pass_goes_through_its_certifier(self, capsys, monkeypatch,
+                                                            cli_files, tmp_path):
+        """With both certifiers planted to raise, each sampled run that exited
+        0 exits 2, and every other run is unchanged: a refuting sample, the
+        exhaustive gt sweep and the cs sample at L = 0, which is complete."""
+        write_matrix(kautz_singleton(7, 2)[0], tmp_path / "ks7.json")
+        write_matrix(np.eye(17, dtype=bool), tmp_path / "eye17.json")
+        runs = {
+            "cs-roundtrip --matrix vand.json --L 1 --seed 0 --trials 3": (0, [1]),
+            "cs-roundtrip --matrix kernel-trap.json --L 1 --seed 0": (0, [1]),
+            "cs-roundtrip --matrix kernel-trap.json --L 2 --seed 0": (1, []),
+            "cs-roundtrip --matrix kernel-trap.json --L 0 --seed 0": (0, []),
+            "gt-roundtrip --matrix ks.json --L 1": (0, []),
+            "gt-roundtrip --matrix ks.json --L 6 --seed 7": (1, []),
+            "gt-roundtrip --matrix ks7.json --L 4 --seed 0": (0, [4]),
+            # the support of all 17 columns leaves none to cover: order 16
+            "gt-roundtrip --matrix eye17.json --L 17 --seed 0 --trials 20": (0, [16]),
+        }
+
+        def argv(line):
+            return [str(cli_files / a) if (cli_files / a).is_file() else
+                    str(tmp_path / a) if (tmp_path / a).is_file() else a for a in line.split()]
+
+        before = {line: run_any(capsys, argv(line)) for line in runs}
+        orders = []
+
+        def planted(m, L):
+            orders.append(L)
+            raise RuntimeError("planted")
+
+        monkeypatch.setattr(certify, "kernel_injectivity", planted)
+        monkeypatch.setattr(group_testing, "verify_disjunct", planted)
+        for line, (want, called) in runs.items():
+            orders.clear()
+            code, out, err = run_any(capsys, argv(line))
+            assert (before[line][0], orders) == (want, called), line
+            if called:
+                assert (code, out, err) == (2, "", "error: internal RuntimeError: planted\n")
+            else:
+                assert (code, strip_elapsed(json.loads(out)), err) == (
+                    want, strip_elapsed(json.loads(before[line][1])), before[line][2])
+
+
 class TestPipelines:
     def test_ks_gt(self, capsys, monkeypatch):
         # design_r comes from kautz_singleton's distance walk; no second walk
@@ -706,7 +780,27 @@ def cli_files(tmp_path_factory):
     write_matrix(np.full((4, 5), 1.5e308), root / "big.json")
     # finite entries whose measurements overflow
     write_matrix(np.full((4, 5), 1.7e308), root / "max.json")
+    write_matrix(_kernel_trap(), root / "kernel-trap.json")
+    write_matrix(_cover_trap(), root / "cover-trap.json")
     return root
+
+
+def _kernel_trap():
+    """A 6 x 12 complex Gaussian whose column 11 is column 0 + column 1, so
+    columns 0, 1, 3 and 11 are dependent: not injective at L = 2."""
+    rng = np.random.default_rng(1)
+    m = rng.normal(size=(6, 12)) + 1j * rng.normal(size=(6, 12))
+    m[:, 11] = m[:, 0] + m[:, 1]
+    return m
+
+
+def _cover_trap():
+    """KS(7,2) and a 50th column on 7 rows that columns 0-3 cover: not
+    4-disjunct, though few random supports of weight <= 4 find it."""
+    ks = kautz_singleton(7, 2)[0]
+    column = np.zeros((ks.shape[0], 1), dtype=bool)
+    column[[7, 8, 9, 10, 14, 16, 18]] = True
+    return np.hstack([ks, column])
 
 
 def run_any(capsys, argv):
@@ -888,6 +982,23 @@ class TestExitContract:
         code, out, err = run_any(capsys, argv)
         assert (code, out, err) == (2, "", f"error: {reason}\n")
         assert list(tmp_path.iterdir()) == []
+
+    # a sample that passes meets its certifier, whose own refusal exits 2:
+    # 79 supports of weight <= 2 fit a cap of 100, 495 kernel subsets do not,
+    # and the disjunct scan's 10,593,800 choices exceed the default cap
+    @pytest.mark.parametrize("argv, cap, reason", [
+        (["cs-roundtrip", "--matrix", "kernel-trap.json", "--L", "2", "--seed", "1"], "100",
+         "495 subsets exceed cap 100"),
+        (["gt-roundtrip", "--matrix", "cover-trap.json", "--L", "4", "--seed", "0"], None,
+         "10593800 choices exceed cap 10000000"),
+    ], ids=["cs-roundtrip", "gt-roundtrip"])
+    def test_certifier_over_its_cap_exits_2(self, capsys, monkeypatch, cli_files, argv, cap,
+                                            reason):
+        monkeypatch.delenv("SPARSECODE_CAP", raising=False)
+        if cap:
+            monkeypatch.setenv("SPARSECODE_CAP", cap)
+        argv = [str(cli_files / a) if (cli_files / a).is_file() else a for a in argv]
+        assert run_any(capsys, argv) == (2, "", f"error: {reason}\n")
 
     # +-1/2 entries embed a binary code: two equal columns, then one column
     @pytest.mark.parametrize("cols, reason", [
@@ -1119,7 +1230,9 @@ class TestCapOverride:
         monkeypatch.setenv("SPARSECODE_CAP", "1")
         code, out, err = run_any(capsys, ["gt-roundtrip", "--matrix", matrix, "--L", "1"])
         assert (code, out, err) == (2, "", "error: 26 supports exceed cap 1\n")
-        # 245,506 supports at L=6: seeded random draws, which are not capped
+        # 245,506 supports at L=6: seeded random draws, which are not capped;
+        # a sample that passes would meet the disjunct scan, which is, but
+        # these 5 draws refute
         code, report, _ = run(capsys, "gt-roundtrip", "--matrix", matrix, "--L", "6",
                               "--trials", "5")
         assert code in (0, 1)

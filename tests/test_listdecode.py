@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -5,12 +6,12 @@ from itertools import islice, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scalar_oracles as oracle
 from scalar_oracles import hamming_distance
-from sparsecode import listdecode
+from sparsecode import codes, listdecode
 from sparsecode.certify import rip2_constant
 from sparsecode.cli import main
 from sparsecode.codes import Code, balance_closure, enumerate_codewords, random_linear_code_gv
@@ -438,6 +439,84 @@ class TestConverse:
         with pytest.raises(DomainError, match=(
                 r"^need L within the float range, L <= 1\.7976931348623157e\+308$")):
             converse_check(_code(2, (0, 0), (1, 1)), L, 0.5)
+
+
+@st.composite
+def _link_codes(draw):
+    """Mostly binary codes of up to 24 distinct words; a ternary one is refused."""
+    q = draw(st.sampled_from([2, 2, 2, 3]))
+    n = draw(st.integers(1, 8))
+    word = st.tuples(*[st.integers(0, q - 1)] * n)
+    return _code(q, *draw(st.lists(word, min_size=1, max_size=24, unique=True)))
+
+
+def _outcome(check, *args):
+    """check(*args)'s report, or its refusal as (type, message)."""
+    try:
+        return check(*args)
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+class TestLinkReadings:
+    """Johnson's check and its converse read one evaluation of the link; the
+    scalar oracles are the two checks as each once wrote it out in full."""
+
+    def test_reports_equal_the_oracles(self):
+        seen = set()
+        cube = _code(2, *product((0, 1), repeat=4))
+
+        # a planted (list size, L'-wise distance) reaches every verdict,
+        # "fail" too, which no code does against the theorems' constants;
+        # the examples are the two fails, then a list size at Johnson's bound
+        # (pass) and at the converse's L (vacuous) and just below it (pass)
+        @settings(derandomize=True, max_examples=400, deadline=None)
+        @given(c=_link_codes(),
+               epsilon=st.sampled_from([1e-320, 1e-160, 0.0, 0.05, 0.1, 0.2, 0.3, 0.5, 0.6,
+                                        0.7, 0.75]),
+               L=st.sampled_from([-1, 0, 1, 2, 3, 5, 10**400]),
+               planted=st.none() | st.tuples(st.integers(0, 6), st.floats(0.0, 1.0)))
+        @example(c=cube, epsilon=0.5, L=-1, planted=(5, 0.5))
+        @example(c=cube, epsilon=0.1, L=1, planted=(0, 0.25))
+        @example(c=cube, epsilon=0.5, L=4, planted=(4, 0.5))
+        @example(c=cube, epsilon=0.5, L=5, planted=(4, 0.5))
+        def compare(c, epsilon, L, planted):
+            size_of, distance_of = list_size_at_radius, codes.lwise_distance
+
+            def planted_size(c, rho):
+                report = size_of(c, rho)
+                return dataclasses.replace(report, max_list_size=planted[0]) if planted else report
+
+            def planted_distance(c, l_prime):
+                report = distance_of(c, l_prime)
+                return dataclasses.replace(report, relative=planted[1]) if planted else report
+
+            with pytest.MonkeyPatch.context() as mp:
+                for module in (listdecode, oracle):
+                    mp.setattr(module, "list_size_at_radius", planted_size)
+                for module in (listdecode, codes):
+                    mp.setattr(module, "lwise_distance", planted_distance)
+                for check, args in (("johnson_check", (c, epsilon)),
+                                    ("converse_check", (c, L, epsilon))):
+                    got = _outcome(getattr(listdecode, check), *args)
+                    assert got == _outcome(getattr(oracle, check), *args)
+                    seen.add((check, "refused" if isinstance(got, tuple) else got.verdict))
+
+        compare()
+        assert seen == {(check, verdict) for check in ("johnson_check", "converse_check")
+                        for verdict in ("not-applicable", "vacuous", "pass", "fail",
+                                        "refused")}
+
+    def test_converse_takes_the_distance_before_the_list_size(self, monkeypatch):
+        # both caps exceeded: the L'-wise distance's refusal comes first,
+        # where the converse once named the center cap
+        monkeypatch.setenv("SPARSECODE_CAP", "1")
+        c = Code.from_array(2, [[0, 0, 0], [0, 1, 1], [1, 1, 0]])
+        with pytest.raises(EnumerationCapError, match="^8 centers exceed cap 1$"):
+            oracle.converse_check(c, 1, 0.5)
+        with pytest.raises(EnumerationCapError,
+                           match="^3 subsets of size 2 exceed cap 1$"):
+            converse_check(c, 1, 0.5)
 
 
 def _rip_ld(capsys, tmp_path, m, L, epsilon):
