@@ -41,6 +41,8 @@ EXHAUSTIVE_ROUNDTRIP_LIMIT = 10**5
 # support draws encoded and decoded per batch in a random round-trip sweep,
 # and cs-roundtrip trials per call of the batch decoder
 _ROUNDTRIP_BATCH = 1024
+# a cs-roundtrip trial whose estimate is off by more than this has failed
+_RECOVERY_TOL = 1e-6
 
 
 # ---------------------------------------------------------------- build
@@ -50,11 +52,9 @@ def _cmd_build(args) -> tuple[dict, bool, str]:
     code file, else a matrix file) and its provenance beside it."""
     out = Path(args.out)
     if args.kind == "gv-code":
-        lc = codes.random_linear_code_gv(
-            args.q, args.n, args.delta, seed=args.seed, slack=args.slack
-        )
+        lc = codes.random_linear_code_gv(args.q, args.n, args.delta, seed=args.seed)
         built = codes.enumerate_codewords(lc)
-        record = dict(q=args.q, n=args.n, delta=args.delta, slack=args.slack,
+        record = dict(q=args.q, n=args.n, delta=args.delta, slack=codes._GV_SLACK,
                       seed=args.seed, k=lc.k, retries=lc.retries, size=len(built))
     elif args.kind == "rs-code":
         built = codes.reed_solomon(args.q, args.k)
@@ -105,7 +105,7 @@ _VERIFY = {
         group_testing.Design(m)).to_dict(), "r", operator.le),
     "list-decode": ("input rho", True, lambda c, a: listdecode.list_size_at_radius(
         c, a.rho).to_dict(), "max_list_size", operator.lt),
-    "lwise-distance": ("input L", True, _lwise_distance, "constant", _at_least),
+    "lwise-distance": ("input L", True, _lwise_distance, "constant", operator.ge),
     "lwise-bias": ("input L", True, lambda c, a: {
         "property": a.property, "order": a.L, "constant": codes.lwise_bias(c, a.L)},
         "constant", _at_most),
@@ -247,10 +247,11 @@ def _cmd_cs_roundtrip(args) -> tuple[dict, bool, str]:
             ys.append(recovery.cs_encode(m, x))
             xs.append(x)
         for x, result in zip(xs, recovery.cs_decode_batch(m, np.array(ys), args.L)):
-            if not result.success:
-                failures += 1
-                continue
-            max_err = max(max_err, float(np.abs(result.estimate - x).max()))
+            if result.success:
+                err = float(np.abs(result.estimate - x).max())
+                max_err = max(max_err, err)
+            # a trial fails on a miss, or on a wrong support that fits y
+            failures += not result.success or err > _RECOVERY_TOL
     report = {
         "property": "cs-roundtrip",
         "order": args.L,
@@ -258,7 +259,7 @@ def _cmd_cs_roundtrip(args) -> tuple[dict, bool, str]:
         "failures": failures,
         "max_recovery_error": max_err,
     }
-    holds = failures == 0 and max_err <= 1e-6
+    holds = failures == 0
     summary = f"cs-roundtrip: {failures} failures, max error {max_err:.2e}"
     # a sample that passes proves nothing: every L-sparse vector is recovered
     # iff every 2L columns are independent.  At L = 0 the sample is complete,
@@ -289,8 +290,7 @@ def _epsilon_floor(L: int) -> tuple[float, bool]:
 
 def _cmd_pipeline(args) -> tuple[dict, bool, str]:
     if args.name == "gv-rip":
-        lc = codes.random_linear_code_gv(
-            args.q, args.n, args.delta, seed=args.seed, slack=args.slack)
+        lc = codes.random_linear_code_gv(args.q, args.n, args.delta, seed=args.seed)
         code = codes.balance_closure(codes.enumerate_codewords(lc))
         quotient = codes.quotient_by_ones(code)
         eps = codes.min_distance_epsilon(code)
@@ -399,7 +399,7 @@ _finite_float.__name__ = "finite float"
 _FLAG_KEYWORDS = {
     **dict.fromkeys(["q", "n", "N", "k", "cols", "L", "r", "n-prime", "seed",
                      "trials"], {"type": int}),
-    **dict.fromkeys(["delta", "slack", "epsilon", "alpha", "rho", "threshold"],
+    **dict.fromkeys(["delta", "epsilon", "alpha", "rho", "threshold"],
                     {"type": _finite_float}),
     "normalize": {"action": "store_true"},
 }
@@ -409,7 +409,7 @@ _FLAG_KEYWORDS = {
 # declares exactly the flags its handler reads, so argparse refuses the rest.
 _COMMANDS = {
     "build": ("construct codes and matrices", _cmd_build, "kind", {
-        "gv-code": ("q n delta seed out", {"slack": 0.1}),
+        "gv-code": ("q n delta seed out", {}),
         "rs-code": ("q k out", {}),
         "sph": ("code out", {}),
         "bool": ("code out", {"normalize": False}),
@@ -430,7 +430,7 @@ _COMMANDS = {
         None: ("matrix L seed", {"trials": 50}),
     }),
     "pipeline": ("end-to-end construction + certification", _cmd_pipeline, "name", {
-        "gv-rip": ("q n delta seed L", {"slack": 0.1}),
+        "gv-rip": ("q n delta seed L", {}),
         "ks-gt": ("q k", {"L": None}),
         "rip-ld": ("matrix L epsilon", {}),
     }),

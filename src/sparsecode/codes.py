@@ -47,6 +47,9 @@ _FLOAT32_TERMS = 1 << 24
 _ABOVE_TOTALS = np.int64(2**62)
 # generator draws random_linear_code_gv tries before it gives up
 _RETRY_BUDGET = 200
+# the fraction random_linear_code_gv shaves off the GV dimension, so that the
+# distance target is reachable within the retry budget
+_GV_SLACK = 0.1
 
 
 def _lex_unique(a: np.ndarray) -> np.ndarray:
@@ -165,8 +168,8 @@ class Report:
 
 
 # The three relations every slack comparison goes through: a verdict's
-# 1e-12 (verify thresholds, Johnson's premise and the converse's conclusion)
-# and a pipeline stage's 1e-9.
+# 1e-12 (the float verify thresholds, Johnson's premise, the converse's
+# conclusion and epsilon_above_floor) and a pipeline stage's 1e-9.
 
 def _at_most(value: float, threshold: float) -> bool:
     return value <= threshold + 1e-12
@@ -542,13 +545,7 @@ def min_distance_epsilon(c: Code) -> float:
     return c.q * (1.0 - delta) - 1.0
 
 
-def random_linear_code_gv(
-    q: int,
-    n: int,
-    delta: float,
-    seed: int,
-    slack: float = 0.1,
-) -> LinearCode:
+def random_linear_code_gv(q: int, n: int, delta: float, seed: int) -> LinearCode:
     """Sample a linear code of relative distance >= delta at near-GV rate.
 
     Rejection sampling with a seeded generator: draw uniform k x n generator
@@ -565,11 +562,7 @@ def random_linear_code_gv(
         raise DomainError(f"need 0 <= delta <= 1 - 1/q, got {delta}")
     if not is_prime(q):
         raise DomainError(f"alphabet size {q} must be prime")
-    if not 0 <= slack < math.inf:  # a negative slack would exceed the GV dimension
-        raise DomainError(f"slack must be finite and >= 0, got {slack}")
-    # slack shaves a fraction off the GV dimension so the distance target
-    # is reachable within a small retry budget
-    k = math.floor((1.0 - q_ary_entropy(q, delta)) * (1.0 - slack) * n)
+    k = math.floor((1.0 - q_ary_entropy(q, delta)) * (1.0 - _GV_SLACK) * n)
     if k < 1:
         raise ConstructionFailedError(
             f"rate target gives dimension {k} < 1 for q={q}, n={n}, delta={delta}"

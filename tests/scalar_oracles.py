@@ -218,15 +218,14 @@ def rank_mod_p(mat: np.ndarray, p: int) -> int:
     return rank
 
 
-def random_linear_code_gv(q: int, n: int, delta: float, seed: int,
-                          slack: float = 0.1) -> LinearCode:
+def random_linear_code_gv(q: int, n: int, delta: float, seed: int) -> LinearCode:
     """The GV sampler as it decided each draw twice: a rank test mod q, then
     the least nonzero weight of the enumerated, sorted code."""
     if not (0 <= delta <= 1 - 1 / q):
         raise DomainError(f"need 0 <= delta <= 1 - 1/q, got {delta}")
     if not is_prime(q):
         raise DomainError(f"alphabet size {q} must be prime")
-    k = math.floor((1.0 - q_ary_entropy(q, delta)) * (1.0 - slack) * n)
+    k = math.floor((1.0 - q_ary_entropy(q, delta)) * (1.0 - codes._GV_SLACK) * n)
     if k < 1:
         raise ConstructionFailedError(
             f"rate target gives dimension {k} < 1 for q={q}, n={n}, delta={delta}"

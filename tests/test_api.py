@@ -7,15 +7,19 @@ import re
 from pathlib import Path
 
 import sparsecode
+from sparsecode import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path(sparsecode.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-# the readers of the public surface: the library itself, the README, the
-# acceptance criteria and the benchmark
-READERS = [*MODULES, ROOT / "README.md", ROOT / "tests" / "test_acceptance.py",
-           *sorted((ROOT / "bench").glob("*.py"))]
+# the Python readers that run the command line: the acceptance criteria and
+# the benchmark
+ARGV_READERS = [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "bench").glob("*.py"))]
+# the readers of the public surface: the library itself, the README and those
+READERS = [*MODULES, ROOT / "README.md", *ARGV_READERS]
 CONSTANT = re.compile(r"^[A-Z][A-Z0-9_]*$")
+# the command lines of the README and of CI
+COMMAND_LINES = [ROOT / "README.md", *sorted((ROOT / ".github" / "workflows").glob("*.yml"))]
 
 
 def _trees():
@@ -181,14 +185,61 @@ def _module_constants():
             if isinstance(t, ast.Name) and CONSTANT.match(t.id.lstrip("_"))}
 
 
-def _fixed_value(node, constants):
-    """The source of a literal, or the name of a module constant; None for
-    anything else."""
+def _passed_flags():
+    """The flags some caller passes to the command line: on a `sparsecode`
+    command line in the README or CI, or in a list of strings (an argv) in
+    the acceptance criteria or the benchmark."""
+    flags = set()
+    for path in COMMAND_LINES:
+        for line in path.read_text().splitlines():
+            if "sparsecode " in line:
+                command = line.partition("sparsecode ")[2]
+                flags |= set(re.findall(r"(?<!\S)--([\w-]+)", command))
+    for path in ARGV_READERS:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.List):
+                flags |= {e.value[2:] for e in node.elts if isinstance(e, ast.Constant)
+                          and isinstance(e.value, str) and e.value.startswith("--")}
+    return flags
+
+
+def _flag_defaults():
+    """`args.<dest>` -> the source of the flag's default, for each flag that
+    no caller passes and that every `cli._COMMANDS` row declaring it leaves
+    optional with that one default: on every real run, that value."""
+    seen = {}
+    for _, _, _, choices in cli._COMMANDS.values():
+        for required, optional in choices.values():
+            for flag in required.split():
+                seen.setdefault(flag, set()).add(None)
+            for flag, default in optional.items():
+                seen.setdefault(flag, set()).add(repr(default))
+    passed = _passed_flags()
+    return {f"args.{flag.replace('-', '_')}": value for flag, (value, *more) in seen.items()
+            if not more and value is not None and flag not in passed}
+
+
+def _fixed_value(node, constants, flag_defaults):
+    """The source of a literal, the name of a module constant, or the default
+    of a flag read as `args.<flag>`; None for anything else."""
     try:
         return repr(ast.literal_eval(node))
     except ValueError:
         pass
+    if ast.unparse(node) in flag_defaults:
+        return flag_defaults[ast.unparse(node)]
     return _name(node) if _name(node) in constants else None
+
+
+def test_a_flag_no_caller_passes_reads_as_its_default():
+    """An `args.<flag>` argument is the flag's one `_COMMANDS` default when
+    no caller passes the flag; a flag some caller passes, or one that a
+    subcommand requires, stays unknown."""
+    defaults = _flag_defaults()
+    assert {"args.seed", "args.L", "args.threshold", "args.q"}.isdisjoint(defaults)
+    assert "normalize" not in _passed_flags() and defaults["args.normalize"] == "False"
+    call = ast.parse("f(args.normalize, args.seed)").body[0].value
+    assert [_fixed_value(a, set(), defaults) for a in call.args] == ["False", None]
 
 
 def test_no_parameter_has_one_value_in_use():
@@ -196,8 +247,9 @@ def test_no_parameter_has_one_value_in_use():
     calls in a library module, a README python block, the acceptance
     criteria or the benchmark, every one of them to the same module constant
     or literal: such a parameter is a knob with one value, which belongs to
-    the function.  A call through `*` or `**` may set any parameter to
-    anything."""
+    the function.  An `args.<flag>` argument sets its flag's `_COMMANDS`
+    default, unless some caller passes the flag.  A call through `*` or `**`
+    may set any parameter to anything."""
     params = {}  # name -> (where, parameters in call order)
     for path in MODULES:
         for node in ast.parse(path.read_text()).body:
@@ -206,15 +258,17 @@ def test_no_parameter_has_one_value_in_use():
                 params[node.name] = (path.name, [a.arg for a in args.posonlyargs
                                                  + args.args + args.kwonlyargs])
 
-    constants = _module_constants()
+    constants, flag_defaults = _module_constants(), _flag_defaults()
     values = {name: {p: [] for p in names} for name, (_, names) in params.items()}
     for name, call in _calls(params):
         names = params[name][1]
         if _through_star(call):
             given = dict.fromkeys(names)
         else:
-            given = dict(zip(names, (_fixed_value(a, constants) for a in call.args)))
-            given.update((k.arg, _fixed_value(k.value, constants)) for k in call.keywords)
+            given = dict(zip(names, (_fixed_value(a, constants, flag_defaults)
+                                     for a in call.args)))
+            given.update((k.arg, _fixed_value(k.value, constants, flag_defaults))
+                         for k in call.keywords)
         for p, value in given.items():
             if p in values[name]:
                 values[name][p].append(value)

@@ -196,7 +196,8 @@ class TestVerify:
 
 # each --threshold property on the inputs of test_report_json, as
 # (argv, [(threshold, exit code)]): at the value it certifies there, and
-# either side of the 1e-12 slack of a float relation
+# either side of the 1e-12 slack of a float relation; lwise-distance's
+# constant is an exact ratio correctly rounded, so it is judged by >= alone
 _BOUNDARIES = [
     *[(argv, [(v, 0), (v - 0.5e-12, 0), (v - 2e-12, 1)]) for argv, v in (
         (["coherence", "--input", "sph.json"], 0.5),
@@ -204,7 +205,7 @@ _BOUNDARIES = [
         (["flat-rip", "--input", "sph.json", "--L", "1"], 0.5),
         (["lwise-bias", "--input", "c.code", "--L", "2"], 0.25))],
     (["lwise-distance", "--input", "c.code", "--L", "3"],
-     [(0.5, 0), (0.5 + 0.5e-12, 0), (0.5 + 2e-12, 1)]),
+     [(0.5, 0), (0.5 + 0.5e-12, 1), (0.5 + 2e-12, 1)]),
     # r <= threshold
     (["design", "--input", "bool.json"], [(3, 0), (2, 1)]),
     # max_list_size < threshold
@@ -228,6 +229,19 @@ def test_verify_relation_at_its_boundary(capsys, report_inputs, argv, threshold,
     flags = [str(report_inputs / a) if a.endswith((".json", ".code")) else a for a in argv[1:]]
     code, report, _ = run(capsys, "verify", argv[0], *flags, "--threshold", repr(threshold))
     assert (code, report["pass"]) == (exit_code, exit_code == 0)
+
+
+@pytest.mark.parametrize("threshold, exit_code", [("0.8", 0), ("0.8000000000005", 1)])
+def test_lwise_distance_is_judged_without_a_slack(capsys, tmp_path, threshold, exit_code):
+    """RS(5,2)'s least 3-wise distance is exactly 4/5, printed as 0.8.  A
+    threshold 5e-13 above it is violated, though the 1e-12 slack of
+    `codes._at_least` once passed it."""
+    rs = tmp_path / "rs.code"
+    run(capsys, "build", "rs-code", "--q", "5", "--k", "2", "--out", str(rs))
+    code, report, _ = run(capsys, "verify", "lwise-distance", "--input", str(rs),
+                          "--L", "3", "--threshold", threshold)
+    assert (code, report["constant"], report["pass"]) == (exit_code, 0.8, exit_code == 0)
+    assert codes._at_least(report["constant"], float(threshold))
 
 
 def test_verify_dispatches_through_its_table():
@@ -354,6 +368,39 @@ class TestRoundtrips:
         assert 0.0 < report["max_recovery_error"] <= 1e-6
         assert code == 1
         assert err == f"cs-roundtrip: {misses} failures, max error {max(errors[::2]):.2e}\n"
+
+    def test_cs_roundtrip_counts_a_wrong_fit(self, capsys, monkeypatch, tmp_path):
+        """A trial that decodes to the wrong vector fails as a miss does: it
+        is counted, and its error is measured.  Every third trial is made to
+        decode 0.5 away from its x, across two batches."""
+        out = tmp_path / "v.json"
+        write_matrix(vandermonde_matrix(unit_circle_nodes(6), 3), out)
+        encode, decode = recovery.cs_encode, recovery.cs_decode_batch
+        xs = []
+
+        def record(m, x):
+            xs.append(x)
+            return encode(m, x)
+
+        def every_third_wrong(m, ys, L):
+            results = []
+            for i, result in enumerate(decode(m, ys, L), len(xs) - len(ys)):
+                if i % 3 == 0:
+                    result = RecoveryResult(xs[i] + 0.5, result.residual_norm,
+                                            result.support_found, result.candidates_tried,
+                                            True)
+                results.append(result)
+            return results
+
+        monkeypatch.setattr(recovery, "cs_encode", record)
+        monkeypatch.setattr(recovery, "cs_decode_batch", every_third_wrong)
+        trials = cli._ROUNDTRIP_BATCH + 9
+        code, report, err = run(capsys, "cs-roundtrip", "--matrix", str(out), "--L", "1",
+                                "--seed", "3", "--trials", str(trials))
+        wrong = len(range(0, trials, 3))
+        assert (code, report["failures"]) == (1, wrong)
+        assert report["max_recovery_error"] == pytest.approx(0.5)
+        assert err == f"cs-roundtrip: {wrong} failures, max error 5.00e-01\n"
 
 
 def _loop_roundtrips(m, supports):
@@ -522,20 +569,24 @@ class TestSampledRoundtripsConfirm:
     def test_cs_passes_meet_the_kernel_certifier(self, capsys, cli_files):
         # every trial recovers its vector on 9 of these seeds, yet columns
         # 0, 1, 3 and 11 are dependent; on the other 7 a wrong support fits
-        witnessed = 0
+        witnessed, wrong_fits = 0, {}
         for seed in range(16):
             code, report, err = run(capsys, "cs-roundtrip", "--matrix",
                                     str(cli_files / "kernel-trap.json"), "--L", "2",
                                     "--seed", str(seed))
             assert code == 1
-            if report["failures"] == 0 and report["max_recovery_error"] <= 1e-6:
+            if report["failures"] == 0:
                 witnessed += 1
+                assert report["max_recovery_error"] <= 1e-6
                 assert list(report)[-2:] == ["witness", "elapsed_ms"]
                 assert report["witness"] == [0, 1, 3, 11]
                 assert err.endswith("; not injective at L=2\n")
             else:
                 assert "witness" not in report
+                wrong_fits[seed] = report["failures"]
         assert witnessed == 9
+        # every trial decodes, so each failure is a wrong support that fits
+        assert wrong_fits == {0: 1, 2: 2, 3: 1, 4: 1, 6: 1, 8: 1, 14: 2}
 
     def test_gt_pass_meets_the_disjunct_certifier(self, capsys, monkeypatch, cli_files):
         # under the default cap this scan exits 2 (TestExitContract)
@@ -848,8 +899,8 @@ class TestExitContract:
         ["bounds", "--q", "2", "--epsilon", "inf"],
         ["bounds", "--q", "2", "--n", "8", "--delta", "nan"],
         ["bounds", "--q", "2", "--alpha", "inf", "--L", "4"],
-        ["build", "gv-code", "--q", "2", "--n", "8", "--delta", "0.2", "--seed", "1",
-         "--slack", "nan", "--out", "out.json"],
+        ["build", "gv-code", "--q", "2", "--n", "8", "--delta", "nan", "--seed", "1",
+         "--out", "out.json"],
         ["pipeline", "gv-rip", "--q", "2", "--n", "8", "--delta", "inf", "--L", "2",
          "--seed", "1"],
     ], ids=lambda argv: " ".join(argv))
@@ -969,12 +1020,6 @@ class TestExitContract:
          "need 0 < epsilon with epsilon^2 < 1/2"),
         (["pipeline", "rip-ld", "--matrix", "vand.json", "--L", "2", "--epsilon", "0"],
          "need 0 < epsilon with epsilon^2 < 1/2"),
-        *[(["build", "gv-code", "--q", "2", "--n", "10", "--delta", "0.1", "--seed", "0",
-            "--out", "out.json", "--slack", slack], f"slack must be finite and >= 0, got {slack}")
-          for slack in ("-5.0", "-0.5")],
-        *[(["pipeline", "gv-rip", "--q", "2", "--n", "10", "--delta", "0.1", "--seed", "0",
-            "--L", "2", "--slack", slack], f"slack must be finite and >= 0, got {slack}")
-          for slack in ("-5.0", "-0.5")],
     ], ids=lambda a: " ".join(a) if isinstance(a, list) else "")
     def test_count_reasons(self, capsys, cli_files, tmp_path, argv, reason):
         argv = [str(cli_files / a) if (cli_files / a).is_file() else
@@ -1038,13 +1083,18 @@ class TestExitContract:
             assert (code, out, err) == (
                 2, "", f"error: {name} needs q within the float range, {limit}\n")
 
-    # each flag here is one another kind reads; these once ran to a verdict
-    # that ignored it
+    # each flag here is one another kind reads (these once ran to a verdict
+    # that ignored it), or --slack: the GV sampler's margin is a constant of
+    # codes, not a flag
     @pytest.mark.parametrize("argv, unread", [
         (["verify", "kernel", "--input", "vand.json", "--L", "1"], ["--threshold", "0.5"]),
         (["verify", "coherence", "--input", "ks.json"], ["--L", "2"]),
         (["build", "sph", "--code", "c.code", "--out", "out.json"], ["--normalize"]),
         (["pipeline", "ks-gt", "--q", "5", "--k", "2"], ["--epsilon", "0.5"]),
+        (["build", "gv-code", "--q", "2", "--n", "8", "--delta", "0.2", "--seed", "1",
+          "--out", "out.json"], ["--slack", "0.1"]),
+        (["pipeline", "gv-rip", "--q", "2", "--n", "8", "--delta", "0.2", "--seed", "1",
+          "--L", "2"], ["--slack", "0.1"]),
     ], ids=lambda a: " ".join(a))
     def test_unread_flag_exits_2(self, capsys, cli_files, tmp_path, argv, unread):
         argv = [str(cli_files / a) if (cli_files / a).is_file() else
@@ -1073,13 +1123,13 @@ _VALUES = {
         ("--N", 0, 8), ("--r", 0, 3), ("--n-prime", 0, 8),
         ("--seed", 0, 3), ("--trials", 0, 4))},
     **{f: _REALS for f in (
-        "--delta", "--epsilon", "--alpha", "--rho", "--threshold", "--slack")},
+        "--delta", "--epsilon", "--alpha", "--rho", "--threshold")},
     # 10^6 columns once reached an internal MemoryError in build vandermonde
     "--cols": st.one_of(st.just("1000000"), st.integers(0, 8).map(str)),
 }
 # argv prefix -> (flags it accepts beside the required ones, flags it requires)
 _COMMANDS = {
-    "build gv-code": (["--slack"], ["--q", "--n", "--delta", "--seed", "--out"]),
+    "build gv-code": ([], ["--q", "--n", "--delta", "--seed", "--out"]),
     "build rs-code": ([], ["--q", "--k", "--out"]),
     "build sph": ([], ["--code", "--out"]),
     "build bool": (["--normalize"], ["--code", "--out"]),
@@ -1094,7 +1144,7 @@ _COMMANDS = {
                 "--epsilon", "--alpha"], []),
     "gt-roundtrip": (["--seed", "--trials"], ["--matrix", "--L"]),
     "cs-roundtrip": (["--trials"], ["--matrix", "--L", "--seed"]),
-    "pipeline gv-rip": (["--slack"], ["--q", "--n", "--delta", "--seed", "--L"]),
+    "pipeline gv-rip": ([], ["--q", "--n", "--delta", "--seed", "--L"]),
     "pipeline ks-gt": (["--L"], ["--q", "--k"]),
     "pipeline rip-ld": ([], ["--matrix", "--L", "--epsilon"]),
 }

@@ -485,34 +485,25 @@ class TestGvConstruction:
         with pytest.raises(DomainError):
             random_linear_code_gv(2, 10, 0.6, seed=0)
 
-    # these once asked for dimension 31 at length 10, built a code above the
-    # GV dimension, or raised a bare ValueError or OverflowError
-    @pytest.mark.parametrize("slack", [-5.0, -0.5, -1e-300, math.nan, math.inf, -math.inf])
-    def test_slack_must_be_finite_and_nonnegative(self, slack):
-        with pytest.raises(DomainError) as info:
-            random_linear_code_gv(2, 10, 0.1, seed=0, slack=slack)
-        assert str(info.value) == f"slack must be finite and >= 0, got {slack}"
-
-    @pytest.mark.parametrize("slack, k", [(1.0, 0), (1.5, -3)])
-    def test_slack_of_one_or_more_leaves_no_dimension(self, slack, k):
+    # delta = 1 - 1/q is admitted so the zero-rate boundary is refused as a
+    # construction failure: the q-ary entropy there is 1, so no dimension is left
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_zero_rate_boundary_leaves_no_dimension(self, q):
+        delta = 1 - 1 / q
         with pytest.raises(ConstructionFailedError) as info:
-            random_linear_code_gv(2, 10, 0.1, seed=0, slack=slack)
+            random_linear_code_gv(q, 10, delta, seed=0)
         assert str(info.value) == (
-            f"rate target gives dimension {k} < 1 for q=2, n=10, delta=0.1")
+            f"rate target gives dimension 0 < 1 for q={q}, n=10, delta={delta}")
 
     def test_spent_retry_budget_is_refused(self, monkeypatch):
-        # seed 9 draws 13 rank-deficient 8 x 8 generators before a full-rank
+        # seed 6 draws 4 rank-deficient 9 x 10 generators before a full-rank
         # one.  No real input spends the 200 draws: a draw expects at most
-        # half a word below the target, so the budget is cut to 13 here
-        assert random_linear_code_gv(2, 8, 0.0, 9, slack=0.0).retries == 13
-        monkeypatch.setattr(codes, "_RETRY_BUDGET", 13)
+        # half a word below the target, so the budget is cut to 4 here
+        assert random_linear_code_gv(2, 10, 0.0, 6).retries == 4
+        monkeypatch.setattr(codes, "_RETRY_BUDGET", 4)
         with pytest.raises(ConstructionFailedError,
-                           match=r"^no generator met distance 0.0 within 13 tries$"):
-            random_linear_code_gv(2, 8, 0.0, 9, slack=0.0)
-
-    def test_zero_slack_samples_at_the_gv_dimension(self):
-        # floor((1 - h_2(0.1)) * 10) = 5
-        assert random_linear_code_gv(2, 10, 0.1, seed=0, slack=0.0).k == 5
+                           match=r"^no generator met distance 0.0 within 4 tries$"):
+            random_linear_code_gv(2, 10, 0.0, 6)
 
     def test_largest_desk_draw_keeps_its_generator(self):
         # k = 18: two draws rejected, the third accepted, as by the message product

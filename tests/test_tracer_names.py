@@ -40,7 +40,7 @@ CALLS = {
     "group_testing.verify_disjunct": (BOOL, 1),
     "group_testing.verify_design": (Design(BOOL),),
     "recovery.cs_decode_exhaustive": (VAND, cs_encode(VAND, np.eye(5)[1]), 1),
-    "codes.random_linear_code_gv": (2, 8, 0.25, 0, 0.1),
+    "codes.random_linear_code_gv": (2, 8, 0.25, 0),
 }
 
 
