@@ -15,6 +15,12 @@ that certifier's cap refusal reaches `main` like any other.
 The group-testing round trips hand their supports to
 `group_testing.recovers` as batches of index rows, which it decides on
 packed column words; this module builds no 0/1 row and sees no word.
+`gt-roundtrip`'s random draws are `rng.integers` then `rng.choice` per
+support, but up to L = 32 a batch of them is computed at once from the
+generator's uint32 words: one Python pass finds where each draw starts,
+and array steps give its weight, Floyd's picks and the words Lemire's
+method rejects, which are skipped.  `cs-roundtrip` draws per trial, as its
+`rng.normal` values come from the same stream between the supports.
 """
 
 from __future__ import annotations
@@ -26,6 +32,8 @@ import math
 import operator
 import sys
 import time
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -81,10 +89,30 @@ def _cmd_build(args) -> tuple[dict, bool, str]:
 
 # ---------------------------------------------------------------- verify
 
+class _Exact(float):
+    """A float that keeps the exact number it rounds: a verdict on an exact
+    value compares those numbers, and a report prints the float."""
+
+    def __new__(cls, value: float, exact: Fraction | Decimal):
+        self = super().__new__(cls, value)
+        self.exact = exact
+        return self
+
+
+def _exact_at_least(value: _Exact, threshold: _Exact) -> bool:
+    """value >= threshold, decided on the exact numbers behind the floats."""
+    return value.exact >= threshold.exact
+
+
 def _lwise_distance(code, args) -> dict:
     rep = codes.lwise_distance(code, args.L)
+    # the witness's total pairwise distance over n * C(L, 2) is the constant
+    # exactly, and the report prints its correctly rounded float
+    words = code.array()[list(rep.witness)]
+    total = int((words[:, None] != words[None]).sum()) // 2
+    exact = Fraction(total, code.n * math.comb(args.L, 2))
     return {"property": args.property, "order": args.L,
-            "constant": rep.relative, "witness": list(rep.witness)}
+            "constant": _Exact(rep.relative, exact), "witness": list(rep.witness)}
 
 
 # property -> (required flags, whether it reads a code file (else a matrix
@@ -105,7 +133,7 @@ _VERIFY = {
         group_testing.Design(m)).to_dict(), "r", operator.le),
     "list-decode": ("input rho", True, lambda c, a: listdecode.list_size_at_radius(
         c, a.rho).to_dict(), "max_list_size", operator.lt),
-    "lwise-distance": ("input L", True, _lwise_distance, "constant", operator.ge),
+    "lwise-distance": ("input L", True, _lwise_distance, "constant", _exact_at_least),
     "lwise-bias": ("input L", True, lambda c, a: {
         "property": a.property, "order": a.L, "constant": codes.lwise_bias(c, a.L)},
         "constant", _at_most),
@@ -161,16 +189,142 @@ def _draw_support(rng: np.random.Generator, n_cols: int, L: int) -> np.ndarray:
 
 def _random_supports(n_cols: int, L: int, trials: int, seed: int):
     """`trials` seeded support draws, yielded in batches of index rows: each
-    draw sorted and padded to width L with n_cols, which names no column."""
+    draw sorted and padded to width L with n_cols, which names no column.
+
+    The draws are `_draw_support(default_rng(seed), n_cols, L)`'s.  Up to
+    L = _BATCH_DRAWS_MAX_L they are computed a batch at a time from the
+    generator's words (`_draw_batch`); above it one numpy call per draw is
+    the faster way to the same rows."""
     rng = np.random.default_rng(seed)
+    words = np.zeros(0, np.uint64)
     for start in range(0, trials, _ROUNDTRIP_BATCH):
         rows = np.full((min(_ROUNDTRIP_BATCH, trials - start), L), n_cols)
-        for row in rows:
-            support = _draw_support(rng, n_cols, L)
-            row[:len(support)] = support
+        if L <= _BATCH_DRAWS_MAX_L:
+            words = _draw_batch(rng.bit_generator, words, rows, n_cols)
+        else:
+            for row in rows:
+                support = _draw_support(rng, n_cols, L)
+                row[:len(support)] = support
         # the padding sorts last
         rows.sort(axis=1)
         yield rows
+
+
+# The largest L drawn a batch at a time.  `_draw_batch`'s cost grows with L,
+# while a numpy call per draw costs about the same at any small L: for 1,024
+# draws on a 2-vCPU x86-64 box (numpy 2.4) the batch took 0.16-0.21 of the
+# calls' time at L = 8, 0.40-0.82 at L = 32, 0.88-0.99 at L = 48 and
+# 1.06-1.35 at L = 64, over N from L to 9,000.
+_BATCH_DRAWS_MAX_L = 32
+_LOW_WORD = np.uint64(0xFFFFFFFF)
+
+
+def _draw_batch(bitgen, words: np.ndarray, rows: np.ndarray, n_cols: int) -> np.ndarray:
+    """Fill each row of `rows` with one draw's support, in Floyd's pick
+    order, from the uint32 words of `bitgen` that `words` continues, and
+    return the words left unread, so the buffer holds about one batch.
+
+    `rng.integers(0, L + 1)` reads the weight w from one word, and
+    `rng.choice(N, w, replace=False)` runs Floyd's algorithm (Bentley and
+    Floyd, CACM 1987), one word per step j = N-w..N-1 in 0..j, then
+    shuffles its w picks, a word for each but the first.  numpy takes a
+    partial Fisher-Yates shuffle instead when N > 10000 and w > N // 50,
+    which no w <= _BATCH_DRAWS_MAX_L reaches."""
+    n, L = rows.shape
+    if not L:
+        # the weight's range is 0: no draw reads a word
+        return words
+    # words a draw of each weight reads when none is rejected
+    cost = (_word_ranges(n_cols, L, np.arange(L + 1)) > 0).sum(axis=1).tolist()
+    done = 0
+    while done < n:
+        todo = n - done
+        # a draw reads at most 2L words when none is rejected; numpy's
+        # next_uint32 reads each 64-bit output's low half, then its high half
+        if len(words) < todo * 2 * L:
+            raw = bitgen.random_raw((todo * 2 * L - len(words) + 1) // 2)
+            words = np.concatenate([words, np.column_stack([raw & _LOW_WORD, raw >> 32]).ravel()])
+        # each draw starts where the one before it stops
+        stream, first, pos = memoryview(words), [], 0
+        for _ in range(todo):
+            first.append(pos)
+            pos += cost[(stream[pos] * (L + 1)) >> 32]
+        first = np.array(first)
+        w = ((words[first] * np.uint64(L + 1)) >> 32).astype(np.int64)
+        values, rejected = _lemire(words[first[:, None] + np.arange(2 * L)],
+                                   _word_ranges(n_cols, L, w))
+        # the draws before the first rejected word read the words assumed;
+        # a rejected word is skipped, so the stream without it is exact
+        bad = np.flatnonzero(rejected)
+        exact = int(bad[0]) // (2 * L) if len(bad) else todo
+        rows[done:done + exact] = _floyd_picks(n_cols, L, values[:exact].astype(np.int64),
+                                               w[:exact])
+        done += exact
+        if exact < todo:
+            words = np.delete(words[first[exact]:], bad[0] % (2 * L))
+        else:
+            words = words[pos:]
+    return words
+
+
+def _lemire(words: np.ndarray, ranges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's bounded draw in 0..r from one uint32 word each (Lemire, ACM
+    TOMACS 2019): the value, and whether the word is rejected, in which case
+    the draw skips it and reads the next.  Range 0 gives 0 and no rejection."""
+    span = ranges + np.uint64(1)
+    scaled = words * span
+    low = scaled & _LOW_WORD
+    # the threshold, 2^32 mod span, is below span: only those words pay the mod
+    rejected = low < span
+    rejected[rejected] = low[rejected] < (1 << 32) % span[rejected]
+    return scaled >> 32, rejected
+
+
+def _word_ranges(n_cols: int, L: int, w: np.ndarray) -> np.ndarray:
+    """The range of each word a draw of each weight w reads, in stream
+    order, padded with 0 to width 2L: L for the weight, N-w..N-1 for
+    Floyd's steps, leaving out range 0, which reads no word, and w-1..1 for
+    the shuffle."""
+    k = np.arange(2 * L)
+    w = w[:, None]
+    steps = w - (w == n_cols)
+    ranges = np.where(k <= steps, n_cols - steps + k - 1,
+                      np.where(k < steps + w, steps + w - k, 0))
+    ranges[:, 0] = L
+    return ranges.astype(np.uint64)
+
+
+def _floyd_picks(n_cols: int, L: int, values: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Floyd's picks from the values of each draw's words (`_word_ranges`),
+    padded with n_cols to width L.
+
+    Step t, of range j_t = N-w+t, reads word 1 + t, or word t where step 0
+    has range 0 (w = N) and gives 0; it picks its value x_t, or j_t if x_t
+    is picked already.  The picks before step t are every earlier x_s and
+    the j_s of each earlier step that repeated, so x_t repeats when an
+    earlier x_s equals it or when it is the j_s of a step s that repeated:
+    a chain of steps, followed here by pointer doubling."""
+    t = np.arange(L)
+    active = t < w[:, None]
+    base = (n_cols - w)[:, None]
+    word = np.maximum(1 + t - (w == n_cols)[:, None], 0)
+    x = np.where(active & (base + t > 0), np.take_along_axis(values, word, axis=1), 0)
+    # the last earlier step with the same value, by a stable sort of each row
+    key = np.where(active, x, -1 - t)
+    order = np.argsort(key, axis=1, kind="stable")
+    ordered = np.take_along_axis(key, order, axis=1)
+    repeated = np.zeros(x.shape, bool)
+    np.put_along_axis(repeated, order[:, 1:], ordered[:, 1:] == ordered[:, :-1], axis=1)
+    # each step's parent is the step s < t with j_s = x_t, else itself
+    parent = np.where(active & (base <= x) & (x < base + t), x - base, t)
+    rows = np.arange(len(x))[:, None]
+    while True:
+        repeated |= repeated[rows, parent]
+        up = parent[rows, parent]
+        if (up == parent).all():
+            break
+        parent = up
+    return np.where(active, np.where(repeated, base + t, x), n_cols)
 
 
 def _roundtrips(m: np.ndarray, batches) -> tuple[int, int, list[int] | None]:
@@ -392,15 +546,22 @@ def _finite_float(text: str) -> float:
     return value
 
 
-_finite_float.__name__ = "finite float"
+def _threshold(text: str) -> _Exact:
+    """--threshold's value: `_finite_float`'s, keeping the decimal its text
+    reads exactly.  Decimal reads it, as Fraction("1e-999999999") would
+    build a billion-digit power of ten."""
+    return _Exact(_finite_float(text), Decimal(text))
+
+
+_finite_float.__name__ = _threshold.__name__ = "finite float"
 
 
 # each flag's add_argument keywords; a path flag keeps the string as given
 _FLAG_KEYWORDS = {
     **dict.fromkeys(["q", "n", "N", "k", "cols", "L", "r", "n-prime", "seed",
                      "trials"], {"type": int}),
-    **dict.fromkeys(["delta", "epsilon", "alpha", "rho", "threshold"],
-                    {"type": _finite_float}),
+    **dict.fromkeys(["delta", "epsilon", "alpha", "rho"], {"type": _finite_float}),
+    "threshold": {"type": _threshold},
     "normalize": {"action": "store_true"},
 }
 

@@ -29,6 +29,8 @@ shared by a stack of measurements replaced.
 So do the Johnson-type check and its converse, each with its own
 not-applicable branch, list-size and L'-wise calls and verdict chain, as
 they were before one evaluation of the link served both.
+So does the random round trip's draw loop, two numpy calls per support,
+which drawing a batch at a time from the generator's words replaced.
 No library code imports this module.  Builders return the sorted tuple of distinct
 Words, the order the library's Code uses.
 """
@@ -709,3 +711,16 @@ def converse_check(c, L: int, epsilon: float) -> ConverseReport:
         else:
             verdict = "pass" if codes._at_least(conclusion, threshold) else "fail"
     return ConverseReport(premise, bound, conclusion, threshold, verdict, detail)
+
+
+def random_supports(n_cols: int, L: int, trials: int, seed: int, batch: int):
+    """`trials` seeded supports, one weight and one `rng.choice` per draw,
+    yielded in batches of index rows, each sorted and padded with n_cols."""
+    rng = np.random.default_rng(seed)
+    for start in range(0, trials, batch):
+        rows = np.full((min(batch, trials - start), L), n_cols)
+        for row in rows:
+            support = rng.choice(n_cols, size=int(rng.integers(0, L + 1)), replace=False)
+            row[:len(support)] = support
+        rows.sort(axis=1)
+        yield rows

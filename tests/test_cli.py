@@ -8,12 +8,14 @@ import time
 import tracemalloc
 from itertools import chain, combinations
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import scalar_oracles as oracle
 import sparsecode
 from sparsecode import caps, certify, cli, codes, group_testing, recovery
 from sparsecode.cli import main
@@ -231,17 +233,42 @@ def test_verify_relation_at_its_boundary(capsys, report_inputs, argv, threshold,
     assert (code, report["pass"]) == (exit_code, exit_code == 0)
 
 
-@pytest.mark.parametrize("threshold, exit_code", [("0.8", 0), ("0.8000000000005", 1)])
+@pytest.mark.parametrize("threshold, exit_code", [
+    ("0.8", 0), ("0.8000000000005", 1), ("0.80000000000000001", 1),
+    ("0.79999999999999999", 0), ("8e-1", 0), ("1e-999999999", 0)])
 def test_lwise_distance_is_judged_without_a_slack(capsys, tmp_path, threshold, exit_code):
     """RS(5,2)'s least 3-wise distance is exactly 4/5, printed as 0.8.  A
     threshold 5e-13 above it is violated, though the 1e-12 slack of
-    `codes._at_least` once passed it."""
+    `codes._at_least` once passed it, and so is one 1e-17 above it, whose
+    double is 0.8's: the verdict reads the exact ratio and the decimal text.
+    The report prints both as floats."""
     rs = tmp_path / "rs.code"
     run(capsys, "build", "rs-code", "--q", "5", "--k", "2", "--out", str(rs))
     code, report, _ = run(capsys, "verify", "lwise-distance", "--input", str(rs),
                           "--L", "3", "--threshold", threshold)
     assert (code, report["constant"], report["pass"]) == (exit_code, 0.8, exit_code == 0)
+    assert report["threshold"] == float(threshold)
     assert codes._at_least(report["constant"], float(threshold))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(text=st.one_of(
+    st.text(),
+    st.from_regex(r"\A\s*[-+]?(\d[\d_]*)?\.?[\d_]*([eE][-+]?[\d_]+)?\s*\Z"),
+    st.floats().map(repr),
+    st.sampled_from(["inf", "-Infinity", "nan", "1e400", "1e-400", " 0.8 ", "1_0.5",
+                     "1__0", "_1", "0.8_", "4/5", "0x10", "\u0660.\u0668", "\uff10.\uff18"])))
+def test_threshold_reads_the_texts_a_float_flag_reads(text):
+    """--threshold accepts and refuses exactly the texts `_finite_float` does,
+    and keeps the double it would give."""
+    try:
+        value = cli._finite_float(text)
+    except ValueError:
+        with pytest.raises(ValueError):
+            cli._threshold(text)
+    else:
+        threshold = cli._threshold(text)
+        assert float(threshold) == value and float(threshold.exact) == value
 
 
 def test_verify_dispatches_through_its_table():
@@ -421,6 +448,34 @@ def _loop_roundtrips(m, supports):
     return passed, failed, first_failure
 
 
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _zero_word_rng(z):
+    """A PCG64 generator whose uint32 word z is 0, in next_uint32 order (each
+    64-bit output's low half, then its high half): seed 0's state, stepped
+    back from an output z // 2 with that half rewritten.  PCG64 steps its
+    128-bit state s to s * multiplier + inc, then outputs the XOR of its
+    halves rotated right by its top 6 bits."""
+    state = np.random.PCG64(0).state
+    s, inc = state["state"]["state"], state["state"]["inc"]
+    mod, word = 1 << 128, (1 << 64) - 1
+    for _ in range(z // 2 + 1):
+        s = (s * _PCG64_MULTIPLIER + inc) % mod
+    rot, high = s >> 122, s >> 64
+    xored = (high ^ s) & word
+    out = ((xored >> rot) | (xored << (64 - rot))) & word
+    out &= ~(0xFFFFFFFF << 32 * (z % 2))
+    s = (high << 64) | ((((out << rot) | (out >> (64 - rot))) & word) ^ high)
+    inverse = pow(_PCG64_MULTIPLIER, -1, mod)
+    for _ in range(z // 2 + 1):
+        s = (s - inc) * inverse % mod
+    state["state"]["state"] = s
+    rng = np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = state
+    return rng
+
+
 def _roundtrip_cases():
     """(matrix, L) pairs: random designs, designs of more than 64 tests (two
     words per column), an all-zero column, duplicated columns and L = 0."""
@@ -502,6 +557,93 @@ class TestRoundtripBatches:
         got = cli._roundtrips(m, cli._random_supports(n_cols, L, trials, 3))
         assert got == _loop_roundtrips(m, [row[row < n_cols] for row in rows])
         assert got[1] > 0
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(n_cols=st.one_of(st.integers(1, 40), st.integers(41, 2**32)), data=st.data(),
+           seed=st.integers(0, 2**32 - 1),
+           batch=st.sampled_from([1, 7, cli._ROUNDTRIP_BATCH]))
+    def test_random_supports_equal_the_draw_loop(self, n_cols, data, seed, batch):
+        """The batch draws are the per-draw loop's rows, batch for batch, on
+        both sides of `_BATCH_DRAWS_MAX_L` and across batch boundaries.
+        Columns near 2^32 make most words of a Floyd step rejected."""
+        L = data.draw(st.integers(0, min(n_cols, cli._BATCH_DRAWS_MAX_L + 8)), label="L")
+        trials = data.draw(st.integers(1, 2 * batch + 3), label="trials")
+        with mock.patch.object(cli, "_ROUNDTRIP_BATCH", batch):
+            got = list(cli._random_supports(n_cols, L, trials, seed))
+        want = list(oracle.random_supports(n_cols, L, trials, seed, batch))
+        assert [rows.tolist() for rows in got] == [rows.tolist() for rows in want]
+
+    @pytest.mark.parametrize("n_cols, L, trials, seed", [
+        (5, 0, 2100, 3),        # L = 0: no draw reads a word
+        (17, 17, 2100, 0),      # L = N: Floyd's first step has range 0
+        (1, 1, 50, 4),
+        (10001, 210, 300, 1),   # w > N // 50: numpy's tail shuffle
+        (10001, 260, 60, 2),
+    ])
+    def test_random_supports_equal_the_draw_loop_at_the_edges(self, n_cols, L, trials, seed):
+        batch = cli._ROUNDTRIP_BATCH
+        got = list(cli._random_supports(n_cols, L, trials, seed))
+        want = list(oracle.random_supports(n_cols, L, trials, seed, batch))
+        assert [rows.tolist() for rows in got] == [rows.tolist() for rows in want]
+
+    def test_a_rejected_word_is_skipped(self, monkeypatch):
+        """Seed 185's 2,000 draws of weight <= 6 in 9,973 columns read one word
+        that Lemire's method rejects, in a Floyd step; seeds 322 and 338 are
+        the only others below 400 that do."""
+        lemire, seen = cli._lemire, []
+
+        def counted(words, ranges):
+            values, rejected = lemire(words, ranges)
+            seen.append(int(rejected.sum()))
+            return values, rejected
+
+        monkeypatch.setattr(cli, "_lemire", counted)
+        got = np.concatenate(list(cli._random_supports(9973, 6, 2000, 185)))
+        want = np.concatenate(list(oracle.random_supports(9973, 6, 2000, 185, 1024)))
+        assert np.array_equal(got, want)
+        # the second batch reads the rejected word, and is drawn again from
+        # the draw that read it, without it
+        assert seen == [0, 1, 0]
+
+    @pytest.mark.parametrize("n_cols", [25, 6])
+    def test_a_rejected_word_is_skipped_in_every_place(self, monkeypatch, n_cols):
+        """Word z of the stream set to 0, which a range r rejects unless r + 1
+        is a power of two, for every z the first draws read: a weight, a
+        Floyd step or a shuffle word, at the first draw or a later one."""
+        lemire, rejected_at = cli._lemire, set()
+
+        def counted(words, ranges):
+            values, rejected = lemire(words, ranges)
+            if rejected.any():
+                rejected_at.add(z)
+            return values, rejected
+
+        monkeypatch.setattr(cli, "_lemire", counted)
+        for z in range(48):
+            monkeypatch.setattr(np.random, "default_rng", lambda seed: _zero_word_rng(z))
+            got = list(cli._random_supports(n_cols, 6, 20, 0))
+            want = list(oracle.random_supports(n_cols, 6, 20, 0, cli._ROUNDTRIP_BATCH))
+            assert [rows.tolist() for rows in got] == [rows.tolist() for rows in want], z
+        # the first weight's word among them, and 33 of 48 for N = 6, whose
+        # ranges below 6 include 1 and 3
+        assert 0 in rejected_at and len(rejected_at) >= 33
+
+    def test_the_draw_buffer_is_one_batch(self):
+        """10^5 draws peak no higher than two batches' (about 1 MiB): the
+        words a batch leaves unread carry over, and none are read ahead."""
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                for _ in cli._random_supports(25, 6, trials, 0):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)
+        two_batches = peak(2 * cli._ROUNDTRIP_BATCH)
+        assert peak(10**5) <= 1.1 * two_batches < 2 << 20
 
     def test_round_trips_make_no_float_product(self, monkeypatch):
         """The round trips decode on packed words: with `_counts` refused,
