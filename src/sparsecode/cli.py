@@ -18,8 +18,9 @@ packed column words; this module builds no 0/1 row and sees no word.
 `gt-roundtrip`'s random draws are `rng.integers` then `rng.choice` per
 support, but up to L = 32 a batch of them is computed at once from the
 generator's uint32 words: one Python pass finds where each draw starts,
-and array steps give its weight, Floyd's picks and the words Lemire's
-method rejects, which are skipped.  `cs-roundtrip` draws per trial, as its
+array steps give its weight, its step values and the words Lemire's
+method rejects, which are skipped, and Floyd's loop runs one step at a
+time across the batch.  `cs-roundtrip` draws per trial, as its
 `rng.normal` values come from the same stream between the supports.
 """
 
@@ -99,9 +100,10 @@ class _Exact(float):
         return self
 
 
-def _exact_at_least(value: _Exact, threshold: _Exact) -> bool:
-    """value >= threshold, decided on the exact numbers behind the floats."""
-    return value.exact >= threshold.exact
+def _exactly(relation):
+    """`relation` decided on exact numbers: an int value is its own, and an
+    `_Exact` value and the threshold compare the numbers behind their floats."""
+    return lambda value, threshold: relation(getattr(value, "exact", value), threshold.exact)
 
 
 def _lwise_distance(code, args) -> dict:
@@ -130,10 +132,10 @@ _VERIFY = {
     "disjunct": ("input L", False, lambda m, a: group_testing.verify_disjunct(m, a.L).to_dict(),
                  "disjunct", None),
     "design": ("input", False, lambda m, a: group_testing.verify_design(
-        group_testing.Design(m)).to_dict(), "r", operator.le),
+        group_testing.Design(m)).to_dict(), "r", _exactly(operator.le)),
     "list-decode": ("input rho", True, lambda c, a: listdecode.list_size_at_radius(
-        c, a.rho).to_dict(), "max_list_size", operator.lt),
-    "lwise-distance": ("input L", True, _lwise_distance, "constant", _exact_at_least),
+        c, a.rho).to_dict(), "max_list_size", _exactly(operator.lt)),
+    "lwise-distance": ("input L", True, _lwise_distance, "constant", _exactly(operator.ge)),
     "lwise-bias": ("input L", True, lambda c, a: {
         "property": a.property, "order": a.L, "constant": codes.lwise_bias(c, a.L)},
         "constant", _at_most),
@@ -212,9 +214,9 @@ def _random_supports(n_cols: int, L: int, trials: int, seed: int):
 
 # The largest L drawn a batch at a time.  `_draw_batch`'s cost grows with L,
 # while a numpy call per draw costs about the same at any small L: for 1,024
-# draws on a 2-vCPU x86-64 box (numpy 2.4) the batch took 0.16-0.21 of the
-# calls' time at L = 8, 0.40-0.82 at L = 32, 0.88-0.99 at L = 48 and
-# 1.06-1.35 at L = 64, over N from L to 9,000.
+# draws on a 2-vCPU x86-64 box (numpy 2.4) the batch took 0.09-0.16 of the
+# calls' time at L = 8, 0.34-0.86 at L = 32, 0.86-0.96 at L = 48 and
+# 1.08-1.34 at L = 64, over N from L to 9,000.
 _BATCH_DRAWS_MAX_L = 32
 _LOW_WORD = np.uint64(0xFFFFFFFF)
 
@@ -299,32 +301,19 @@ def _floyd_picks(n_cols: int, L: int, values: np.ndarray, w: np.ndarray) -> np.n
     padded with n_cols to width L.
 
     Step t, of range j_t = N-w+t, reads word 1 + t, or word t where step 0
-    has range 0 (w = N) and gives 0; it picks its value x_t, or j_t if x_t
-    is picked already.  The picks before step t are every earlier x_s and
-    the j_s of each earlier step that repeated, so x_t repeats when an
-    earlier x_s equals it or when it is the j_s of a step s that repeated:
-    a chain of steps, followed here by pointer doubling."""
+    has range 0 (w = N) and gives 0; it picks its value, or j_t if an
+    earlier step picked that value.  The steps run in Floyd's order, each
+    one across the whole batch."""
     t = np.arange(L)
     active = t < w[:, None]
-    base = (n_cols - w)[:, None]
-    word = np.maximum(1 + t - (w == n_cols)[:, None], 0)
-    x = np.where(active & (base + t > 0), np.take_along_axis(values, word, axis=1), 0)
-    # the last earlier step with the same value, by a stable sort of each row
-    key = np.where(active, x, -1 - t)
-    order = np.argsort(key, axis=1, kind="stable")
-    ordered = np.take_along_axis(key, order, axis=1)
-    repeated = np.zeros(x.shape, bool)
-    np.put_along_axis(repeated, order[:, 1:], ordered[:, 1:] == ordered[:, :-1], axis=1)
-    # each step's parent is the step s < t with j_s = x_t, else itself
-    parent = np.where(active & (base <= x) & (x < base + t), x - base, t)
-    rows = np.arange(len(x))[:, None]
-    while True:
-        repeated |= repeated[rows, parent]
-        up = parent[rows, parent]
-        if (up == parent).all():
-            break
-        parent = up
-    return np.where(active, np.where(repeated, base + t, x), n_cols)
+    j = (n_cols - w)[:, None] + t
+    word = t + (w < n_cols)[:, None]
+    picks = np.where(active, np.where(j > 0, np.take_along_axis(values, word, axis=1), 0),
+                     n_cols)
+    for s in range(1, L):
+        repeated = active[:, s] & (picks[:, :s] == picks[:, s, None]).any(axis=1)
+        picks[repeated, s] = j[repeated, s]
+    return picks
 
 
 def _roundtrips(m: np.ndarray, batches) -> tuple[int, int, list[int] | None]:

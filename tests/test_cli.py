@@ -208,10 +208,13 @@ _BOUNDARIES = [
         (["lwise-bias", "--input", "c.code", "--L", "2"], 0.25))],
     (["lwise-distance", "--input", "c.code", "--L", "3"],
      [(0.5, 0), (0.5 + 0.5e-12, 1), (0.5 + 2e-12, 1)]),
-    # r <= threshold
-    (["design", "--input", "bool.json"], [(3, 0), (2, 1)]),
-    # max_list_size < threshold
-    (["list-decode", "--input", "c.code", "--rho", "0.25"], [(4, 0), (3, 1)]),
+    # r <= threshold, and max_list_size < threshold, on the exact integer
+    # and the threshold's decimal text: each text 1e-17 off the value reads
+    # as the value's double
+    (["design", "--input", "bool.json"],
+     [(3, 0), (2, 1), ("2.99999999999999999", 1), ("3.00000000000000001", 0)]),
+    (["list-decode", "--input", "c.code", "--rho", "0.25"],
+     [(4, 0), (3, 1), ("3.00000000000000001", 0), ("2.99999999999999999", 1)]),
 ]
 
 
@@ -226,10 +229,10 @@ def report_inputs(tmp_path_factory):
 
 @pytest.mark.parametrize("argv, threshold, exit_code", [
     (argv, t, code) for argv, points in _BOUNDARIES for t, code in points],
-    ids=lambda a: a[0] if isinstance(a, list) else repr(a))
+    ids=lambda a: a[0] if isinstance(a, list) else str(a))
 def test_verify_relation_at_its_boundary(capsys, report_inputs, argv, threshold, exit_code):
     flags = [str(report_inputs / a) if a.endswith((".json", ".code")) else a for a in argv[1:]]
-    code, report, _ = run(capsys, "verify", argv[0], *flags, "--threshold", repr(threshold))
+    code, report, _ = run(capsys, "verify", argv[0], *flags, "--threshold", str(threshold))
     assert (code, report["pass"]) == (exit_code, exit_code == 0)
 
 
