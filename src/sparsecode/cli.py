@@ -8,6 +8,11 @@ or internal error, with one `error:` line on stderr and nothing on stdout.
 A report holding a NaN or an infinity is no JSON and no verdict, so it
 exits 2.
 
+`verify`'s exact rows (`design`, `list-decode`, `lwise-distance`) judge
+the number their certifier returns, an int or the L-wise walk's own exact
+ratio (`codes._Exact`), against the decimal of `--threshold`'s text; this
+module recounts nothing.
+
 A round trip's sample may refute; a sample that passes confirms nothing
 until its certifier (`verify_disjunct`, `kernel_injectivity`) has run, and
 that certifier's cap refusal reaches `main` like any other.
@@ -34,7 +39,6 @@ import operator
 import sys
 import time
 from decimal import Decimal
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +46,7 @@ import numpy as np
 from . import __version__
 from . import bounds as bounds_mod
 from . import caps, certify, codes, group_testing, listdecode, matrixio, recovery
-from .codes import _at_least, _at_most, _within
+from .codes import _at_least, _at_most, _Exact, _within
 from .embeddings import bool_code, sph_code, sph_inverse_binary
 from .errors import SparseCodeError
 
@@ -90,16 +94,6 @@ def _cmd_build(args) -> tuple[dict, bool, str]:
 
 # ---------------------------------------------------------------- verify
 
-class _Exact(float):
-    """A float that keeps the exact number it rounds: a verdict on an exact
-    value compares those numbers, and a report prints the float."""
-
-    def __new__(cls, value: float, exact: Fraction | Decimal):
-        self = super().__new__(cls, value)
-        self.exact = exact
-        return self
-
-
 def _exactly(relation):
     """`relation` decided on exact numbers: an int value is its own, and an
     `_Exact` value and the threshold compare the numbers behind their floats."""
@@ -107,14 +101,10 @@ def _exactly(relation):
 
 
 def _lwise_distance(code, args) -> dict:
+    # the walk's relative distance is an `_Exact`: its exact ratio decides
     rep = codes.lwise_distance(code, args.L)
-    # the witness's total pairwise distance over n * C(L, 2) is the constant
-    # exactly, and the report prints its correctly rounded float
-    words = code.array()[list(rep.witness)]
-    total = int((words[:, None] != words[None]).sum()) // 2
-    exact = Fraction(total, code.n * math.comb(args.L, 2))
     return {"property": args.property, "order": args.L,
-            "constant": _Exact(rep.relative, exact), "witness": list(rep.witness)}
+            "constant": rep.relative, "witness": list(rep.witness)}
 
 
 # property -> (required flags, whether it reads a code file (else a matrix

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
+from fractions import Fraction
 from pathlib import Path
 from typing import Iterable
 
@@ -183,13 +184,28 @@ def _within(value: float, bound: float) -> bool:
     return value <= bound + 1e-9
 
 
+class _Exact(float):
+    """A float that keeps the exact number it rounds, a `Fraction` or a
+    `Decimal`, in `exact`: a verdict on an exact value compares those
+    numbers, and a report prints the float.  A copy or a pickle keeps both."""
+
+    def __new__(cls, value: float, exact):
+        self = super().__new__(cls, value)
+        self.exact = exact
+        return self
+
+    def __getnewargs__(self):
+        return float(self), self.exact
+
+
 @dataclass(frozen=True)
 class DistanceReport:
     """Extremal (average) distance with the subset attaining it.
 
     For pairwise minimum distance `absolute` is an integer count; for L-wise
     distance it is the minimal average absolute pairwise distance of an
-    L-set, which may be fractional.  Either way relative = absolute / n.
+    L-set, which may be fractional, and `relative` is an `_Exact` keeping the
+    exact ratio.  Either way relative = absolute / n.
     """
 
     absolute: float
@@ -453,13 +469,15 @@ def lwise_distance(c: Code, L: int) -> DistanceReport:
     The L-set with the least exact total pairwise distance, which is
     n * C(L, 2) times its average relative distance.  The walk cuts the
     prefixes that `_least_total_cut` proves cannot complete to it.
+    `relative` is an `_Exact`: the correctly rounded float of that total
+    over n * C(L, 2), keeping the ratio itself as a `Fraction`.
     """
     _check_lsets(c, L)
     d, group = _pairwise_distances(c), c._is_group()
     least, witness = caps.lex_first_max_pair_sum(d, L, np.negative, group,
                                                  _least_total_cut(d, L, group))
-    rel = -least / (c.n * math.comb(L, 2))
-    return DistanceReport(rel * c.n, rel, witness)
+    exact = Fraction(-least, c.n * math.comb(L, 2))
+    return DistanceReport(float(exact) * c.n, _Exact(float(exact), exact), witness)
 
 
 def lwise_bias(c: Code, L: int) -> float:
@@ -552,9 +570,10 @@ def random_linear_code_gv(q: int, n: int, delta: float, seed: int) -> LinearCode
     matrices until one clears the distance target, on one test of the words
     mG of the q^k - 1 nonzero messages m.  G has full rank iff no nonzero m
     encodes to the zero word, and then the code's minimum distance is its
-    least nonzero weight; so a least weight >= max(delta * n, 1) is exactly
-    "full rank and distance >= delta * n".  The retry count is recorded on
-    the returned LinearCode.
+    least nonzero weight; so a least weight >= max(ceil(delta * n), 1) is
+    exactly "full rank and distance >= delta * n", with delta * n taken
+    exactly for the decimal that delta prints as.  The retry count is
+    recorded on the returned LinearCode.
     """
     # delta == 1 - 1/q is admitted so the zero-rate boundary surfaces as a
     # construction failure (dimension < 1) rather than a range error
@@ -568,7 +587,7 @@ def random_linear_code_gv(q: int, n: int, delta: float, seed: int) -> LinearCode
             f"rate target gives dimension {k} < 1 for q={q}, n={n}, delta={delta}"
         )
     rng = np.random.default_rng(seed)
-    target = max(delta * n - 1e-9, 1)
+    target = max(math.ceil(Fraction(repr(float(delta))) * n), 1)
     for attempt in range(_RETRY_BUDGET):
         g = rng.integers(0, q, size=(k, n))
         if (_span(q, g)[1:] != 0).sum(axis=1).min() >= target:

@@ -41,6 +41,7 @@ from .codes import (
     _forms_group,
     _group_rank,
     _largest_count_pair,
+    min_distance,
     reed_solomon,
 )
 from .embeddings import bool_code
@@ -346,8 +347,7 @@ def kautz_singleton(q: int, k: int) -> tuple[np.ndarray, dict]:
         "q": q,
         "k": k,
         "block_length": code.n,
-        # two words' sets meet where the words agree
-        "min_distance": code.n - _largest_count_pair(matrix, code._is_group())[0],
+        "min_distance": min_distance(code).absolute,
         "rows": int(matrix.shape[0]),
         "cols": int(matrix.shape[1]),
         "guaranteed_disjunct_order": int(guaranteed),

@@ -9,10 +9,12 @@ reaches counts 0.  The split-sum sweep compares every center with every
 codeword; it only groups the arithmetic into array blocks.  A radius
 takes the ball path where its balls are small against the space and both
 fit the memory bound, and the sweep elsewhere.  Radii are discretized as
-floor(rho * n).  The Johnson-type implication and its weak converse are
-two readings of one evaluation of the link (`_link`), encoded with the
-explicit constants extracted from their proofs, and are required to hold
-with zero counterexamples on every checkable code.
+floor(rho * n), taken exactly for the decimal that rho prints as, or for
+the number an `_Exact` rho keeps; the link's radius floors (1/2 - eps) n
+for the decimal that eps prints as.  The Johnson-type implication and its
+weak converse are two readings of one evaluation of the link (`_link`),
+encoded with the explicit constants extracted from their proofs, and are
+required to hold with zero counterexamples on every checkable code.
 """
 
 from __future__ import annotations
@@ -21,12 +23,14 @@ import math
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from decimal import Decimal
+from fractions import Fraction
 from types import MappingProxyType
 
 import numpy as np
 
 from . import caps
-from .codes import Code, Report, _at_least, _counts, _one_hot, lwise_distance
+from .codes import Code, Report, _at_least, _counts, _Exact, _one_hot, lwise_distance
 from .errors import DomainError
 from .words import Word
 
@@ -243,10 +247,15 @@ def _center_word(q: int, n: int, index: int) -> Word:
 
 
 def list_size_at_radius(c: Code, rho: float) -> ListDecodingReport:
-    """Max |ball(x, floor(rho*n)) intersect C| over all centers x."""
+    """Max |ball(x, floor(rho*n)) intersect C| over all centers x.
+
+    rho*n is floored exactly: for the number an `_Exact` rho keeps, else for
+    the decimal that rho prints as.
+    """
     if not (0.0 <= rho <= 1.0):
         raise DomainError(f"radius must lie in [0, 1], got {rho}")
-    radius = math.floor(rho * c.n + 1e-12)
+    num, den = getattr(rho, "exact", Decimal(repr(float(rho)))).as_integer_ratio()
+    radius = num * c.n // den
     size, center = list_sizes_at_radii(c, radius)
     return ListDecodingReport(rho, radius, size, center, c.q**c.n)
 
@@ -275,7 +284,9 @@ def _link(c: Code, l_prime: int, epsilon: float, detail: dict, premise, conclusi
     if l_prime > len(c):
         return None, None, "not-applicable"
     distance = lwise_distance(c, l_prime).relative
-    report = list_size_at_radius(c, max(0.5 - epsilon, 0.0))
+    # the radius floors 1/2 - eps for the decimal eps prints as, clamped at 0
+    half = max(Fraction(1, 2) - Fraction(repr(float(epsilon))), 0)
+    report = list_size_at_radius(c, _Exact(max(0.5 - epsilon, 0.0), half))
     size = float(report.max_list_size)
     detail["radius"] = report.absolute_radius
     if not premise(distance, size):

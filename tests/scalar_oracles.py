@@ -15,7 +15,9 @@ a tuple of int tuples with its conversions to and from 0/1 matrices.  The
 subset certifiers' own loops live here too: the itertools enumerator, and
 RIP-2, flat RIP, kernel injectivity, L-wise distance and bias and the
 exhaustive decoder, each walking every subset and breaking ties by hand,
-as they did before caps took over the walk and the tie-break.
+as they did before caps took over the walk and the tie-break, and the
+exact ratio of an L-set recounted from its words, as `verify
+lwise-distance` counted its witness before the walk's own total served.
 So do the exact counts of 0/1 products that one BLAS kernel now gives: the
 per-coordinate agreement count behind min distance, and the non-BLAS int64
 product behind flat RIP's overlap mask, the design Gram and the OR channel.
@@ -233,7 +235,8 @@ def random_linear_code_gv(q: int, n: int, delta: float, seed: int) -> LinearCode
             f"rate target gives dimension {k} < 1 for q={q}, n={n}, delta={delta}"
         )
     rng = np.random.default_rng(seed)
-    target = delta * n - 1e-9
+    # delta * n exactly, for the decimal delta prints as
+    target = Fraction(str(delta)) * n
     for attempt in range(codes._RETRY_BUDGET):
         g = rng.integers(0, q, size=(k, n))
         if rank_mod_p(g, q) != k:
@@ -241,7 +244,7 @@ def random_linear_code_gv(q: int, n: int, delta: float, seed: int) -> LinearCode
         lc = LinearCode(q, k, n, g, retries=attempt)
         weights = (codes.enumerate_codewords(lc).array() != 0).sum(axis=1)
         weights = weights[weights > 0]
-        if weights.size and weights.min() >= target:
+        if weights.size and int(weights.min()) >= target:
             return lc
     raise ConstructionFailedError(
         f"no generator met distance {delta} within {codes._RETRY_BUDGET} tries"
@@ -582,6 +585,15 @@ def lwise_distance(c, L: int) -> DistanceReport:
     return DistanceReport(rel * c.n, rel, tuple(int(i) for i in idx[pos]))
 
 
+def lwise_ratio(c, witness) -> Fraction:
+    """The exact average relative pairwise distance of the L-set `witness`:
+    its words' total pairwise distance, counted coordinate by coordinate,
+    over n * C(L, 2)."""
+    words = c.array()[list(witness)]
+    total = int((words[:, None] != words[None]).sum()) // 2
+    return Fraction(total, c.n * math.comb(len(witness), 2))
+
+
 def lwise_bias(c, L: int) -> float:
     avgs, _ = avg_subset_distances(c, L)
     return float(np.abs(avgs - 0.5).max())
@@ -659,6 +671,13 @@ def nodes_distinct(nodes: np.ndarray) -> bool:
     return not diffs.min() <= NODE_GAP_TOL
 
 
+def half_radius(epsilon: float) -> codes._Exact:
+    """The relative radius 1/2 - eps, clamped at 0: its float, keeping the
+    exact number for the decimal eps prints as."""
+    return codes._Exact(max(0.5 - epsilon, 0.0),
+                        max(Fraction(1, 2) - Fraction(str(epsilon)), 0))
+
+
 def johnson_check(c, epsilon: float) -> JohnsonReport:
     if c.q != 2:
         raise DomainError("the Johnson-type check applies to binary codes")
@@ -672,7 +691,7 @@ def johnson_check(c, epsilon: float) -> JohnsonReport:
         verdict = "not-applicable"
     else:
         premise = codes.lwise_distance(c, l_prime).relative
-        report = list_size_at_radius(c, max(0.5 - epsilon, 0.0))
+        report = list_size_at_radius(c, half_radius(epsilon))
         conclusion = float(report.max_list_size)
         detail["radius"] = report.absolute_radius
         if not codes._at_least(premise, threshold):
@@ -701,7 +720,7 @@ def converse_check(c, L: int, epsilon: float) -> ConverseReport:
     if l_prime > len(c):
         verdict = "not-applicable"
     else:
-        report = list_size_at_radius(c, max(0.5 - epsilon, 0.0))
+        report = list_size_at_radius(c, half_radius(epsilon))
         premise, bound = float(report.max_list_size), float(L)
         detail["radius"] = report.absolute_radius
         conclusion = codes.lwise_distance(c, l_prime).relative

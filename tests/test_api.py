@@ -304,10 +304,11 @@ def _slack(node) -> bool:
 
 
 def test_every_slack_is_a_named_relation():
-    """Outside `codes._at_most`, `_at_least` and `_within`, no comparison in
-    the library has an operand that adds a small float slack to a value: a
-    verdict with a slack calls one of those three.  Domain checks such as
-    `delta < 1.0 - 1 / q` add no small literal and pass."""
+    """Outside `codes._at_most`, `_at_least` and `_within`, no expression in
+    the library adds a small float slack to a value, in a comparison or
+    anywhere else, such as a radius or a target computed before it is
+    compared: a verdict with a slack calls one of those three.  Domain
+    checks such as `delta < 1.0 - 1 / q` add no small literal and pass."""
     inline = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -315,6 +316,5 @@ def test_every_slack_is_a_named_relation():
                   if path.name == "codes.py" and isinstance(top, ast.FunctionDef)
                   and top.name in RELATIONS for node in ast.walk(top)}
         inline += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                   if isinstance(node, ast.Compare) and id(node) not in exempt
-                   and any(map(_slack, [node.left, *node.comparators]))]
+                   if id(node) not in exempt and _slack(node)]
     assert inline == []

@@ -254,6 +254,43 @@ def test_lwise_distance_is_judged_without_a_slack(capsys, tmp_path, threshold, e
     assert codes._at_least(report["constant"], float(threshold))
 
 
+def test_list_decode_radius_is_floored_exactly(capsys, tmp_path):
+    """On RS(5,2), rho = 0.3999999999999 gives rho n = 1.9999999999995,
+    whose floor is 1: at radius 1 the max list size is 1, below 2.  A slack
+    of 1e-12 once rounded the radius up to 2, whose max list size is 2."""
+    rs = tmp_path / "rs.code"
+    run(capsys, "build", "rs-code", "--q", "5", "--k", "2", "--out", str(rs))
+    code, report, _ = run(capsys, "verify", "list-decode", "--input", str(rs),
+                          "--rho", "0.3999999999999", "--threshold", "2")
+    assert (code, report["absolute_radius"], report["max_list_size"]) == (0, 1, 1)
+
+
+def test_gv_code_meets_its_delta_exactly(capsys, tmp_path):
+    """delta = 0.200000000005 on 20 coordinates asks for distance above 4.
+    A target of delta * n - 1e-9 once accepted seed 2's first draw, of
+    2-wise distance 0.2 at witness [0, 4]; the code built now verifies."""
+    gv = tmp_path / "gv.code"
+    run(capsys, "build", "gv-code", "--q", "2", "--n", "20", "--delta", "0.200000000005",
+        "--seed", "2", "--out", str(gv))
+    code, report, _ = run(capsys, "verify", "lwise-distance", "--input", str(gv),
+                          "--L", "2", "--threshold", "0.200000000005")
+    assert (code, report["constant"]) == (0, 0.25)
+
+
+@pytest.mark.parametrize("threshold, exit_code", [
+    ("0.222222222222222223", 1), ("0.222222222222222221", 0)])
+def test_full_walk_is_judged_on_its_exact_ratio(capsys, tmp_path, threshold, exit_code):
+    """Five binary words that form no group, so the walk is full: the least
+    3-wise distance is exactly 2/9, at [1, 2, 3].  Both texts read as the
+    double of 2/9; the one above 2/9 is violated, the one below holds."""
+    ng = tmp_path / "ng.code"
+    ng.write_text("2 6\n0 0 0 0 0 0\n0 1 1 1 0 0\n0 1 1 1 0 1\n0 1 1 1 1 0\n1 1 1 1 0 0\n")
+    code, report, _ = run(capsys, "verify", "lwise-distance", "--input", str(ng),
+                          "--L", "3", "--threshold", threshold)
+    assert (code, report["witness"], report["threshold"]) == (exit_code, [1, 2, 3], 2 / 9)
+    assert report["constant"] == 2 / 9
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(text=st.one_of(
     st.text(),

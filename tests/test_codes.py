@@ -1,9 +1,14 @@
+import copy
 import math
+import pickle
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsecode import caps, codes
 from sparsecode.codes import (
@@ -31,6 +36,7 @@ from sparsecode.errors import (
     SparseCodeError,
 )
 import scalar_oracles as oracle
+from group_codes import group_codes, random_codes
 from scalar_oracles import (
     bias_of_word,
     broadcast_pairwise_distances,
@@ -461,6 +467,27 @@ class TestMinDistanceEpsilon:
             assert delta >= 1 - (1 + eps) / code.q - 1e-12
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(c=st.one_of(group_codes(most=25), random_codes(most=13, longest=7)))
+def test_lwise_ratio_is_the_witness_recount(c):
+    """The relative L-wise distance keeps the walk's exact ratio: it is the
+    witness's total pairwise distance, recounted from its words, over
+    n * C(L, 2), and the float is that ratio correctly rounded."""
+    for L in range(2, min(5, len(c)) + 1):
+        rep = lwise_distance(c, L)
+        exact = oracle.lwise_ratio(c, rep.witness)
+        assert rep.relative.exact == exact
+        assert float(exact).hex() == rep.relative.hex()
+
+
+def test_exact_values_survive_a_copy_and_a_pickle():
+    """A report holding an `_Exact` copies and pickles with its exact number."""
+    rep = lwise_distance(reed_solomon(5, 2), 3)
+    for twin in (copy.deepcopy(rep), pickle.loads(pickle.dumps(rep))):
+        assert twin == rep
+        assert (type(twin.relative), twin.relative.exact) == (codes._Exact, Fraction(4, 5))
+
+
 class TestGvConstruction:
     def test_desk_scale_sample(self):
         lc = random_linear_code_gv(2, 20, 0.25, seed=1)
@@ -504,6 +531,21 @@ class TestGvConstruction:
         with pytest.raises(ConstructionFailedError,
                            match=r"^no generator met distance 0.0 within 4 tries$"):
             random_linear_code_gv(2, 10, 0.0, 6)
+
+    @pytest.mark.parametrize("q, n, delta", [
+        (2, 20, 0.200000000005), (2, 16, 0.25000000001), (2, 10, 0.3000000000001)])
+    def test_distance_target_is_exact(self, q, n, delta):
+        # delta * n lies within 1e-9 above an integer: a target of
+        # delta * n - 1e-9 accepted a least weight of that integer, below
+        # delta * n, at 8, 2 and 5 of these 40 seeds
+        for seed in range(40):
+            code = enumerate_codewords(random_linear_code_gv(q, n, delta, seed))
+            assert min_distance(code).absolute >= Fraction(repr(delta)) * n
+
+    def test_integer_target_admits_equality(self):
+        # delta * n = 4 exactly: seed 2's first draw has least weight 4
+        lc = random_linear_code_gv(2, 20, 0.2, 2)
+        assert lc.retries == 0 and min_distance(enumerate_codewords(lc)).absolute == 4
 
     def test_largest_desk_draw_keeps_its_generator(self):
         # k = 18: two draws rejected, the third accepted, as by the message product

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 from itertools import islice, product
 
 import numpy as np
@@ -14,7 +15,8 @@ from scalar_oracles import hamming_distance
 from sparsecode import codes, listdecode
 from sparsecode.certify import rip2_constant
 from sparsecode.cli import main
-from sparsecode.codes import Code, balance_closure, enumerate_codewords, random_linear_code_gv
+from sparsecode.codes import (Code, balance_closure, enumerate_codewords,
+                              random_linear_code_gv, reed_solomon)
 from sparsecode.embeddings import sph_code
 from sparsecode.errors import DomainError, EnumerationCapError
 from sparsecode.listdecode import (
@@ -293,7 +295,7 @@ class TestListSize:
                     for _ in range(5)}
             c = _code(2, *rows)
             for rho in (0.0, 0.3, 0.6):
-                radius = math.floor(rho * c.n + 1e-12)
+                radius = math.floor(Fraction(str(rho)) * c.n)
                 assert (
                     list_size_at_radius(c, rho).max_list_size
                     == _naive_list_size(c, radius)
@@ -329,6 +331,36 @@ class TestListSize:
         c = _code(2, tuple([0] * 14), tuple([1] * 14))
         with pytest.raises(EnumerationCapError, match="^16384 centers exceed cap 100$"):
             list_size_at_radius(c, 0.5)
+
+
+class TestExactRadius:
+    """The radius is floor(rho n) exactly, for the decimal rho prints as or
+    for the number an `_Exact` rho keeps.  A slack of 1e-12 once rounded a
+    rho n just below an integer up to it."""
+
+    @pytest.mark.parametrize("rho, radius, size", [
+        (0.3999999999999, 1, 1), (np.float64(0.3999999999999), 1, 1), (0.4, 2, 2)],
+        ids=["float", "float64", "0.4"])
+    def test_rs52_just_below_radius_two(self, rho, radius, size):
+        rep = list_size_at_radius(reed_solomon(5, 2), rho)
+        assert (rep.absolute_radius, rep.max_list_size) == (radius, size)
+
+    def test_a_third_of_twelve(self):
+        # 0.3333333333333333 * 12 = 3.9999999999999996, where the float
+        # product rounds to 4.0
+        c = Code.from_array(2, [[0] * 12, [1] * 12])
+        assert list_size_at_radius(c, 1 / 3).absolute_radius == 3
+        third = codes._Exact(1 / 3, Fraction(1, 3))
+        assert list_size_at_radius(c, third).absolute_radius == 4
+
+    @pytest.mark.parametrize("epsilon, radius", [
+        (0.4, 1), (0.40000000000001, 0), (0.5, 0)])
+    def test_link_floors_half_minus_epsilon_exactly(self, epsilon, radius):
+        # at eps = 0.4 the float (1/2 - eps) n is 0.9999999999999998, and
+        # the exact radius is 1; at 0.40000000000001 it is 0.9999999999999
+        c = Code.from_array(2, np.random.default_rng(5).integers(0, 2, size=(8, 10)))
+        assert johnson_check(c, epsilon).detail["radius"] == radius
+        assert converse_check(c, 1, epsilon).detail["radius"] == radius
 
 
 class TestJohnson:
