@@ -8,10 +8,11 @@ or internal error, with one `error:` line on stderr and nothing on stdout.
 A report holding a NaN or an infinity is no JSON and no verdict, so it
 exits 2.
 
-`verify`'s exact rows (`design`, `list-decode`, `lwise-distance`) judge
-the number their certifier returns, an int or the L-wise walk's own exact
-ratio (`codes._Exact`), against the decimal of `--threshold`'s text; this
-module recounts nothing.
+`--threshold` is read as the `Decimal` of its text.  `verify`'s exact
+rows (`design`, `list-decode`, `lwise-distance`) judge the number their
+certifier returns, an int or the L-wise walk's own exact `Fraction`,
+against that decimal with a plain operator; this module recounts nothing.
+`main` prints every exact number as its float.
 
 A round trip's sample may refute; a sample that passes confirms nothing
 until its certifier (`verify_disjunct`, `kernel_injectivity`) has run, and
@@ -46,7 +47,7 @@ import numpy as np
 from . import __version__
 from . import bounds as bounds_mod
 from . import caps, certify, codes, group_testing, listdecode, matrixio, recovery
-from .codes import _at_least, _at_most, _Exact, _within
+from .codes import _at_most, _decimal, _within
 from .embeddings import bool_code, sph_code, sph_inverse_binary
 from .errors import SparseCodeError
 
@@ -94,14 +95,8 @@ def _cmd_build(args) -> tuple[dict, bool, str]:
 
 # ---------------------------------------------------------------- verify
 
-def _exactly(relation):
-    """`relation` decided on exact numbers: an int value is its own, and an
-    `_Exact` value and the threshold compare the numbers behind their floats."""
-    return lambda value, threshold: relation(getattr(value, "exact", value), threshold.exact)
-
-
 def _lwise_distance(code, args) -> dict:
-    # the walk's relative distance is an `_Exact`: its exact ratio decides
+    # the walk's relative distance is its exact ratio, which the verdict reads
     rep = codes.lwise_distance(code, args.L)
     return {"property": args.property, "order": args.L,
             "constant": rep.relative, "witness": list(rep.witness)}
@@ -122,10 +117,10 @@ _VERIFY = {
     "disjunct": ("input L", False, lambda m, a: group_testing.verify_disjunct(m, a.L).to_dict(),
                  "disjunct", None),
     "design": ("input", False, lambda m, a: group_testing.verify_design(
-        group_testing.Design(m)).to_dict(), "r", _exactly(operator.le)),
+        group_testing.Design(m)).to_dict(), "r", operator.le),
     "list-decode": ("input rho", True, lambda c, a: listdecode.list_size_at_radius(
-        c, a.rho).to_dict(), "max_list_size", _exactly(operator.lt)),
-    "lwise-distance": ("input L", True, _lwise_distance, "constant", _exactly(operator.ge)),
+        c, a.rho).to_dict(), "max_list_size", operator.lt),
+    "lwise-distance": ("input L", True, _lwise_distance, "constant", operator.ge),
     "lwise-bias": ("input L", True, lambda c, a: {
         "property": a.property, "order": a.L, "constant": codes.lwise_bias(c, a.L)},
         "constant", _at_most),
@@ -503,7 +498,9 @@ def _cmd_pipeline(args) -> tuple[dict, bool, str]:
             "epsilon": args.epsilon,
             "epsilon_floor": eps0,
             "epsilon_floor_attainable": attainable,
-            "epsilon_above_floor": attainable and _at_least(args.epsilon, eps0),
+            # eps >= 1/sqrt(floor(L/2) - 1), for the decimal eps prints as
+            "epsilon_above_floor": attainable and (
+                _decimal(args.epsilon) ** 2 * (args.L // 2 - 1) >= 1),
             "johnson": johnson.to_dict(),
             "measured_rip_constant": rip.alpha,
         }
@@ -525,11 +522,12 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _threshold(text: str) -> _Exact:
-    """--threshold's value: `_finite_float`'s, keeping the decimal its text
-    reads exactly.  Decimal reads it, as Fraction("1e-999999999") would
-    build a billion-digit power of ten."""
-    return _Exact(_finite_float(text), Decimal(text))
+def _threshold(text: str) -> Decimal:
+    """--threshold's value: the decimal its text reads, exactly, for each
+    text that `_finite_float` accepts.  Decimal reads it, as
+    Fraction("1e-999999999") would build a billion-digit power of ten."""
+    _finite_float(text)
+    return Decimal(text)
 
 
 _finite_float.__name__ = _threshold.__name__ = "finite float"
@@ -616,8 +614,9 @@ def main(argv: list[str] | None = None) -> int:
         _check_counts(args)
         report, holds, summary = args.func(args)
         report = {**report, "elapsed_ms": round((time.monotonic() - started) * 1000.0, 3)}
-        # a NaN or an infinity is no JSON and no verdict: ValueError, exit 2
-        print(json.dumps(report, allow_nan=False))
+        # an exact number prints as its float; a NaN or an infinity is no
+        # JSON and no verdict: ValueError, exit 2
+        print(json.dumps(report, allow_nan=False, default=float))
         print(summary, file=sys.stderr)
         return 0 if holds else 1
     except (SparseCodeError, OSError) as exc:

@@ -168,34 +168,22 @@ class Report:
         return out
 
 
-# The three relations every slack comparison goes through: a verdict's
-# 1e-12 (the float verify thresholds, Johnson's premise, the converse's
-# conclusion and epsilon_above_floor) and a pipeline stage's 1e-9.
+# The two relations every slack comparison goes through: a float verify
+# row's 1e-12, whose threshold is exact, and a pipeline stage's 1e-9.  An
+# exact number is judged by a plain operator.
 
-def _at_most(value: float, threshold: float) -> bool:
-    return value <= threshold + 1e-12
-
-
-def _at_least(value: float, threshold: float) -> bool:
-    return value >= threshold - 1e-12
+def _at_most(value: float, threshold) -> bool:
+    return value <= float(threshold) + 1e-12
 
 
 def _within(value: float, bound: float) -> bool:
     return value <= bound + 1e-9
 
 
-class _Exact(float):
-    """A float that keeps the exact number it rounds, a `Fraction` or a
-    `Decimal`, in `exact`: a verdict on an exact value compares those
-    numbers, and a report prints the float.  A copy or a pickle keeps both."""
-
-    def __new__(cls, value: float, exact):
-        self = super().__new__(cls, value)
-        self.exact = exact
-        return self
-
-    def __getnewargs__(self):
-        return float(self), self.exact
+def _decimal(x) -> Fraction:
+    """The decimal that the float x prints as, exactly.  float() first, so
+    that a numpy scalar reads as its value and not as `np.float64(...)`."""
+    return Fraction(repr(float(x)))
 
 
 @dataclass(frozen=True)
@@ -204,12 +192,12 @@ class DistanceReport:
 
     For pairwise minimum distance `absolute` is an integer count; for L-wise
     distance it is the minimal average absolute pairwise distance of an
-    L-set, which may be fractional, and `relative` is an `_Exact` keeping the
-    exact ratio.  Either way relative = absolute / n.
+    L-set, which may be fractional.  Either way `relative` is the exact
+    ratio absolute / n, a `Fraction`.
     """
 
     absolute: float
-    relative: float
+    relative: Fraction
     witness: tuple[int, ...]
 
 
@@ -385,7 +373,7 @@ def min_distance(c: Code) -> DistanceReport:
     most, witness = _largest_count_pair(_one_hot(c.q, _symbol_columns(c)),
                                         c._is_group())
     best = c.n - most
-    return DistanceReport(best, best / c.n, witness)
+    return DistanceReport(best, Fraction(best, c.n), witness)
 
 
 def _check_lsets(c: Code, L: int) -> None:
@@ -469,15 +457,15 @@ def lwise_distance(c: Code, L: int) -> DistanceReport:
     The L-set with the least exact total pairwise distance, which is
     n * C(L, 2) times its average relative distance.  The walk cuts the
     prefixes that `_least_total_cut` proves cannot complete to it.
-    `relative` is an `_Exact`: the correctly rounded float of that total
-    over n * C(L, 2), keeping the ratio itself as a `Fraction`.
+    `relative` is that total over n * C(L, 2), exactly, and `absolute` is
+    its correctly rounded float times n.
     """
     _check_lsets(c, L)
     d, group = _pairwise_distances(c), c._is_group()
     least, witness = caps.lex_first_max_pair_sum(d, L, np.negative, group,
                                                  _least_total_cut(d, L, group))
     exact = Fraction(-least, c.n * math.comb(L, 2))
-    return DistanceReport(float(exact) * c.n, _Exact(float(exact), exact), witness)
+    return DistanceReport(float(exact) * c.n, exact, witness)
 
 
 def lwise_bias(c: Code, L: int) -> float:
@@ -559,7 +547,7 @@ def min_distance_epsilon(c: Code) -> float:
     Inverts the distance threshold of the bias reduction; may be negative
     for codes whose distance exceeds 1 - 1/q.
     """
-    delta = min_distance(c).relative
+    delta = float(min_distance(c).relative)
     return c.q * (1.0 - delta) - 1.0
 
 
@@ -587,7 +575,7 @@ def random_linear_code_gv(q: int, n: int, delta: float, seed: int) -> LinearCode
             f"rate target gives dimension {k} < 1 for q={q}, n={n}, delta={delta}"
         )
     rng = np.random.default_rng(seed)
-    target = max(math.ceil(Fraction(repr(float(delta))) * n), 1)
+    target = max(math.ceil(_decimal(delta) * n), 1)
     for attempt in range(_RETRY_BUDGET):
         g = rng.integers(0, q, size=(k, n))
         if (_span(q, g)[1:] != 0).sum(axis=1).min() >= target:

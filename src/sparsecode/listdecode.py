@@ -9,12 +9,14 @@ reaches counts 0.  The split-sum sweep compares every center with every
 codeword; it only groups the arithmetic into array blocks.  A radius
 takes the ball path where its balls are small against the space and both
 fit the memory bound, and the sweep elsewhere.  Radii are discretized as
-floor(rho * n), taken exactly for the decimal that rho prints as, or for
-the number an `_Exact` rho keeps; the link's radius floors (1/2 - eps) n
-for the decimal that eps prints as.  The Johnson-type implication and its
-weak converse are two readings of one evaluation of the link (`_link`),
-encoded with the explicit constants extracted from their proofs, and are
-required to hold with zero counterexamples on every checkable code.
+floor(rho * n), taken exactly for the decimal that rho prints as; the
+link's radius floors (1/2 - eps) n for the decimal that eps prints as.  The
+Johnson-type implication and its weak converse are two readings of one
+evaluation of the link (`_link`), encoded with the explicit constants
+extracted from their proofs, and are required to hold with zero
+counterexamples on every checkable code.  Each reading judges the link's
+exact L'-wise distance against its exact threshold for that decimal eps,
+with no slack, and reports floats.
 """
 
 from __future__ import annotations
@@ -23,14 +25,13 @@ import math
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from decimal import Decimal
 from fractions import Fraction
 from types import MappingProxyType
 
 import numpy as np
 
 from . import caps
-from .codes import Code, Report, _at_least, _counts, _Exact, _one_hot, lwise_distance
+from .codes import Code, Report, _counts, _decimal, _one_hot, lwise_distance
 from .errors import DomainError
 from .words import Word
 
@@ -249,49 +250,48 @@ def _center_word(q: int, n: int, index: int) -> Word:
 def list_size_at_radius(c: Code, rho: float) -> ListDecodingReport:
     """Max |ball(x, floor(rho*n)) intersect C| over all centers x.
 
-    rho*n is floored exactly: for the number an `_Exact` rho keeps, else for
-    the decimal that rho prints as.
+    rho*n is floored exactly, for the decimal that rho prints as.
     """
     if not (0.0 <= rho <= 1.0):
         raise DomainError(f"radius must lie in [0, 1], got {rho}")
-    num, den = getattr(rho, "exact", Decimal(repr(float(rho)))).as_integer_ratio()
-    radius = num * c.n // den
+    radius = math.floor(_decimal(rho) * c.n)
     size, center = list_sizes_at_radii(c, radius)
     return ListDecodingReport(rho, radius, size, center, c.q**c.n)
 
 
-def johnson_inverse_square(epsilon: float) -> float:
-    """1/eps^2 for the Johnson-type check, refusing an eps outside
-    0 < eps^2 < 1/2 or whose 1/eps^2 is not a finite float."""
+def johnson_inverse_square(epsilon: float) -> Fraction:
+    """1/eps^2 for the Johnson-type check, exactly for the decimal that eps
+    prints as, refusing an eps outside 0 < eps^2 < 1/2 or whose float
+    1/eps^2 is not finite."""
     if not (0.0 < epsilon < 1.0 / math.sqrt(2.0)):
         raise DomainError("need 0 < epsilon with epsilon^2 < 1/2")
     inverse = 1.0 / epsilon**2 if epsilon**2 else math.inf
-    if not math.isfinite(inverse):  # floor() takes no infinity
+    if not math.isfinite(inverse):
         raise DomainError(f"need 1/epsilon^2 to be a finite float, got epsilon={epsilon}")
-    return inverse
+    return 1 / _decimal(epsilon) ** 2
 
 
-def _link(c: Code, l_prime: int, epsilon: float, detail: dict, premise, conclusion
+def _link(c: Code, l_prime: int, epsilon: Fraction, detail: dict, premise, conclusion
           ) -> tuple[float | None, float | None, str]:
-    """The distance <-> list-size link on binary code c, read one way.
+    """The distance <-> list-size link on binary code c, read one way, for
+    the exact eps its caller takes.
 
     Returns (the relative L'-wise distance d, the max list size s at radius
-    floor((1/2 - eps) n), the verdict) and records that radius in `detail`.
-    premise(d, s) and conclusion(d, s) are the reading's two predicates.
-    With fewer than L' codewords there is no L'-tuple to take a distance
-    over: d and s are None and the verdict is "not-applicable".
+    floor(max(1/2 - eps, 0) n), the verdict) as floats and records that
+    radius in `detail`.  premise(d, s) and conclusion(d, s) are the
+    reading's two predicates, on the exact d.  With fewer than L' codewords
+    there is no L'-tuple to take a distance over: d and s are None and the
+    verdict is "not-applicable".
     """
     if l_prime > len(c):
         return None, None, "not-applicable"
     distance = lwise_distance(c, l_prime).relative
-    # the radius floors 1/2 - eps for the decimal eps prints as, clamped at 0
-    half = max(Fraction(1, 2) - Fraction(repr(float(epsilon))), 0)
-    report = list_size_at_radius(c, _Exact(max(0.5 - epsilon, 0.0), half))
-    size = float(report.max_list_size)
-    detail["radius"] = report.absolute_radius
-    if not premise(distance, size):
-        return distance, size, "vacuous"
-    return distance, size, "pass" if conclusion(distance, size) else "fail"
+    radius = math.floor(max(Fraction(1, 2) - epsilon, 0) * c.n)
+    size = list_sizes_at_radii(c, radius)[0]
+    detail["radius"] = radius
+    verdict = ("vacuous" if not premise(distance, size)
+               else "pass" if conclusion(distance, size) else "fail")
+    return float(distance), float(size), verdict
 
 
 def johnson_check(c: Code, epsilon: float) -> JohnsonReport:
@@ -300,17 +300,19 @@ def johnson_check(c: Code, epsilon: float) -> JohnsonReport:
     Premise: the L'-wise distance is at least 1/2 - eps^2 for
     L' = floor(1/eps^2) + 1 (monotonicity covers larger tuples).
     Conclusion: no ball of relative radius 1/2 - eps holds more than
-    1/eps^2 codewords.
+    1/eps^2 codewords.  eps is the decimal it prints as, and both are
+    judged exactly; the premise threshold printed is the float 1/2 - eps^2.
     """
     if c.q != 2:
         raise DomainError("the Johnson-type check applies to binary codes")
     list_bound = math.floor(johnson_inverse_square(epsilon))
-    threshold = 0.5 - epsilon**2
     detail = {"L_prime": list_bound + 1, "epsilon": epsilon}
-    distance, size, verdict = _link(c, list_bound + 1, epsilon, detail,
-                                    lambda d, s: _at_least(d, threshold),
+    exact = _decimal(epsilon)
+    distance, size, verdict = _link(c, list_bound + 1, exact, detail,
+                                    lambda d, s: d >= Fraction(1, 2) - exact**2,
                                     lambda d, s: s <= list_bound)
-    return JohnsonReport(distance, threshold, size, float(list_bound), verdict, detail)
+    return JohnsonReport(distance, 0.5 - epsilon**2, size, float(list_bound), verdict,
+                         detail)
 
 
 def converse_check(c: Code, L: int, epsilon: float) -> ConverseReport:
@@ -318,7 +320,9 @@ def converse_check(c: Code, L: int, epsilon: float) -> ConverseReport:
 
     Premise: every ball of relative radius 1/2 - eps holds fewer than L
     codewords.  Conclusion: the ceil(L/eps)-wise distance is at least
-    1/2 - 2*eps.  Both thresholds are None when it is not applicable.
+    1/2 - 2*eps, judged exactly for the decimal that eps prints as; the
+    threshold printed is the float 1/2 - 2*eps, and ceil(L/eps) is taken in
+    floats.  Both thresholds are None when it is not applicable.
     """
     if c.q != 2:
         raise DomainError("the converse check applies to binary codes")
@@ -332,9 +336,9 @@ def converse_check(c: Code, L: int, epsilon: float) -> ConverseReport:
         raise DomainError(f"need L/epsilon to be a finite float, got epsilon={epsilon}")
     l_prime = math.ceil(L / epsilon)
     detail = {"L": L, "L_prime": l_prime, "epsilon": epsilon}
-    threshold = 0.5 - 2.0 * epsilon
-    distance, size, verdict = _link(c, l_prime, epsilon, detail, lambda d, s: s < L,
-                                    lambda d, s: _at_least(d, threshold))
+    exact = _decimal(epsilon)
+    distance, size, verdict = _link(c, l_prime, exact, detail, lambda d, s: s < L,
+                                    lambda d, s: d >= Fraction(1, 2) - 2 * exact)
     if verdict == "not-applicable":
         return ConverseReport(None, None, None, None, verdict, detail)
-    return ConverseReport(size, float(L), distance, threshold, verdict, detail)
+    return ConverseReport(size, float(L), distance, 0.5 - 2.0 * epsilon, verdict, detail)

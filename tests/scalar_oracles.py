@@ -72,7 +72,7 @@ from sparsecode.listdecode import (
     ConverseReport,
     JohnsonReport,
     johnson_inverse_square,
-    list_size_at_radius,
+    list_sizes_at_radii,
 )
 from sparsecode.recovery import _COND, _QR_MARGIN, NODE_GAP_TOL, RecoveryResult
 from sparsecode.words import Word, is_prime
@@ -401,7 +401,7 @@ def _lex_first_max_pair(counts: np.ndarray) -> tuple[int, tuple[int, int]]:
 def min_distance(c) -> DistanceReport:
     t = c.array().T
     most, witness = _lex_first_max_pair(agreements(t, t))
-    return DistanceReport(c.n - most, (c.n - most) / c.n, witness)
+    return DistanceReport(c.n - most, Fraction(c.n - most, c.n), witness)
 
 
 def verify_design(d) -> DesignReport:
@@ -568,21 +568,22 @@ def kernel_injectivity(m: np.ndarray, L: int) -> KernelReport:
     )
 
 
-def avg_subset_distances(c, L: int) -> tuple[np.ndarray, np.ndarray]:
-    """Average relative pairwise distance of every L-subset, in lex order."""
+def subset_totals(c, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Total pairwise distance of every L-subset, in lex order."""
     d = broadcast_pairwise_distances(c.array())
     idx = subsets(len(c), L)
     totals = np.zeros(len(idx), dtype=np.int64)
     for a, b in combinations(range(L), 2):
         totals += d[idx[:, a], idx[:, b]]
-    return totals / (c.n * math.comb(L, 2)), idx
+    return totals, idx
 
 
 def lwise_distance(c, L: int) -> DistanceReport:
-    avgs, idx = avg_subset_distances(c, L)
-    pos = int(np.argmin(avgs))
-    rel = float(avgs[pos])
-    return DistanceReport(rel * c.n, rel, tuple(int(i) for i in idx[pos]))
+    """The lex-first L-set of least total, and its exact ratio."""
+    totals, idx = subset_totals(c, L)
+    pos = int(np.argmin(totals))
+    rel = Fraction(int(totals[pos]), c.n * math.comb(L, 2))
+    return DistanceReport(float(rel) * c.n, rel, tuple(int(i) for i in idx[pos]))
 
 
 def lwise_ratio(c, witness) -> Fraction:
@@ -595,8 +596,8 @@ def lwise_ratio(c, witness) -> Fraction:
 
 
 def lwise_bias(c, L: int) -> float:
-    avgs, _ = avg_subset_distances(c, L)
-    return float(np.abs(avgs - 0.5).max())
+    totals, _ = subset_totals(c, L)
+    return float(np.abs(totals / (c.n * math.comb(L, 2)) - 0.5).max())
 
 
 def cs_decode_exhaustive(m: np.ndarray, y: np.ndarray, L: int,
@@ -671,34 +672,35 @@ def nodes_distinct(nodes: np.ndarray) -> bool:
     return not diffs.min() <= NODE_GAP_TOL
 
 
-def half_radius(epsilon: float) -> codes._Exact:
-    """The relative radius 1/2 - eps, clamped at 0: its float, keeping the
-    exact number for the decimal eps prints as."""
-    return codes._Exact(max(0.5 - epsilon, 0.0),
-                        max(Fraction(1, 2) - Fraction(str(epsilon)), 0))
+def half_radius(c, epsilon: float) -> int:
+    """The absolute radius floor((1/2 - eps) n), clamped at 0, for the
+    decimal eps prints as."""
+    return math.floor(max(Fraction(1, 2) - Fraction(str(epsilon)), 0) * c.n)
 
 
 def johnson_check(c, epsilon: float) -> JohnsonReport:
+    """Premise and list bound for the decimal eps prints as, judged exactly;
+    the refusals are the library's."""
     if c.q != 2:
         raise DomainError("the Johnson-type check applies to binary codes")
-    inverse = johnson_inverse_square(epsilon)
-    l_prime = math.floor(inverse) + 1
-    list_bound = math.floor(inverse)
-    threshold = 0.5 - epsilon**2
+    johnson_inverse_square(epsilon)
+    exact = Fraction(str(epsilon))
+    list_bound = math.floor(1 / exact**2)
+    l_prime = list_bound + 1
     detail = {"L_prime": l_prime, "epsilon": epsilon}
     premise = conclusion = None
     if l_prime > len(c):
         verdict = "not-applicable"
     else:
-        premise = codes.lwise_distance(c, l_prime).relative
-        report = list_size_at_radius(c, half_radius(epsilon))
-        conclusion = float(report.max_list_size)
-        detail["radius"] = report.absolute_radius
-        if not codes._at_least(premise, threshold):
+        distance = codes.lwise_distance(c, l_prime).relative
+        premise = float(distance)
+        detail["radius"] = half_radius(c, epsilon)
+        conclusion = float(list_sizes_at_radii(c, detail["radius"])[0])
+        if distance < Fraction(1, 2) - exact**2:
             verdict = "vacuous"
         else:
             verdict = "pass" if conclusion <= list_bound else "fail"
-    return JohnsonReport(premise, threshold, conclusion, float(list_bound), verdict,
+    return JohnsonReport(premise, 0.5 - epsilon**2, conclusion, float(list_bound), verdict,
                          detail)
 
 
@@ -720,15 +722,15 @@ def converse_check(c, L: int, epsilon: float) -> ConverseReport:
     if l_prime > len(c):
         verdict = "not-applicable"
     else:
-        report = list_size_at_radius(c, half_radius(epsilon))
-        premise, bound = float(report.max_list_size), float(L)
-        detail["radius"] = report.absolute_radius
-        conclusion = codes.lwise_distance(c, l_prime).relative
-        threshold = 0.5 - 2.0 * epsilon
+        detail["radius"] = half_radius(c, epsilon)
+        premise, bound = float(list_sizes_at_radii(c, detail["radius"])[0]), float(L)
+        distance = codes.lwise_distance(c, l_prime).relative
+        conclusion, threshold = float(distance), 0.5 - 2.0 * epsilon
         if premise >= L:
             verdict = "vacuous"
         else:
-            verdict = "pass" if codes._at_least(conclusion, threshold) else "fail"
+            exact = Fraction(str(epsilon))
+            verdict = "pass" if distance >= Fraction(1, 2) - 2 * exact else "fail"
     return ConverseReport(premise, bound, conclusion, threshold, verdict, detail)
 
 

@@ -281,7 +281,7 @@ def test_no_parameter_has_one_value_in_use():
 
 # the relations every slack comparison in the library goes through, each
 # defined at the top level of codes.py
-RELATIONS = ("_at_most", "_at_least", "_within")
+RELATIONS = ("_at_most", "_within")
 
 
 def test_only_report_serialises():
@@ -295,6 +295,19 @@ def test_only_report_serialises():
     assert serialisers == ["codes.py:Report"]
 
 
+def test_no_class_subclasses_a_number():
+    """No class in the library subclasses `float` or `int`.  An exact number
+    is a plain `Fraction` or `Decimal`, judged by a plain operator; a float
+    that carried one hidden would print one number and be judged by
+    another."""
+    numbers = [f"{path.name}:{node.name}" for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ClassDef)
+               and any(isinstance(base, ast.Name) and base.id in ("float", "int")
+                       for base in node.bases)]
+    assert numbers == []
+
+
 def _slack(node) -> bool:
     """Whether an expression is x + c, x - c or c + x for a float literal
     0 < c <= 1e-6."""
@@ -304,11 +317,11 @@ def _slack(node) -> bool:
 
 
 def test_every_slack_is_a_named_relation():
-    """Outside `codes._at_most`, `_at_least` and `_within`, no expression in
-    the library adds a small float slack to a value, in a comparison or
-    anywhere else, such as a radius or a target computed before it is
-    compared: a verdict with a slack calls one of those three.  Domain
-    checks such as `delta < 1.0 - 1 / q` add no small literal and pass."""
+    """Outside `codes._at_most` and `_within`, no expression in the library
+    adds a small float slack to a value, in a comparison or anywhere else,
+    such as a radius or a target computed before it is compared: a verdict
+    with a slack calls one of those two.  Domain checks such as
+    `delta < 1.0 - 1 / q` add no small literal and pass."""
     inline = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())

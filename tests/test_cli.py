@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from decimal import Decimal
 from itertools import chain, combinations
 from pathlib import Path
 from unittest import mock
@@ -241,17 +242,17 @@ def test_verify_relation_at_its_boundary(capsys, report_inputs, argv, threshold,
     ("0.79999999999999999", 0), ("8e-1", 0), ("1e-999999999", 0)])
 def test_lwise_distance_is_judged_without_a_slack(capsys, tmp_path, threshold, exit_code):
     """RS(5,2)'s least 3-wise distance is exactly 4/5, printed as 0.8.  A
-    threshold 5e-13 above it is violated, though the 1e-12 slack of
-    `codes._at_least` once passed it, and so is one 1e-17 above it, whose
-    double is 0.8's: the verdict reads the exact ratio and the decimal text.
-    The report prints both as floats."""
+    threshold 5e-13 above it is violated, though a 1e-12 slack would pass
+    it, and so is one 1e-17 above it, whose double is 0.8's: the verdict
+    reads the exact ratio and the decimal text.  The report prints both as
+    floats."""
     rs = tmp_path / "rs.code"
     run(capsys, "build", "rs-code", "--q", "5", "--k", "2", "--out", str(rs))
     code, report, _ = run(capsys, "verify", "lwise-distance", "--input", str(rs),
                           "--L", "3", "--threshold", threshold)
     assert (code, report["constant"], report["pass"]) == (exit_code, 0.8, exit_code == 0)
     assert report["threshold"] == float(threshold)
-    assert codes._at_least(report["constant"], float(threshold))
+    assert report["constant"] >= float(threshold) - 1e-12
 
 
 def test_list_decode_radius_is_floored_exactly(capsys, tmp_path):
@@ -300,7 +301,8 @@ def test_full_walk_is_judged_on_its_exact_ratio(capsys, tmp_path, threshold, exi
                      "1__0", "_1", "0.8_", "4/5", "0x10", "\u0660.\u0668", "\uff10.\uff18"])))
 def test_threshold_reads_the_texts_a_float_flag_reads(text):
     """--threshold accepts and refuses exactly the texts `_finite_float` does,
-    and keeps the double it would give."""
+    reads each as the decimal of its text, and prints the double
+    `_finite_float` would give."""
     try:
         value = cli._finite_float(text)
     except ValueError:
@@ -308,7 +310,7 @@ def test_threshold_reads_the_texts_a_float_flag_reads(text):
             cli._threshold(text)
     else:
         threshold = cli._threshold(text)
-        assert float(threshold) == value and float(threshold.exact) == value
+        assert threshold == Decimal(text) and float(threshold) == value
 
 
 def test_verify_dispatches_through_its_table():

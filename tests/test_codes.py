@@ -175,7 +175,7 @@ def _full_min_distance(c):
     i, j = np.unravel_index(int(np.argmin(d)), d.shape)
     i, j = (int(i), int(j)) if i < j else (int(j), int(i))
     best = int(d[i, j])
-    return codes.DistanceReport(best, best / c.n, (i, j))
+    return codes.DistanceReport(best, Fraction(best, c.n), (i, j))
 
 
 class TestLwiseDistance:
@@ -470,22 +470,23 @@ class TestMinDistanceEpsilon:
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(c=st.one_of(group_codes(most=25), random_codes(most=13, longest=7)))
 def test_lwise_ratio_is_the_witness_recount(c):
-    """The relative L-wise distance keeps the walk's exact ratio: it is the
+    """The relative L-wise distance is the walk's exact ratio: the
     witness's total pairwise distance, recounted from its words, over
-    n * C(L, 2), and the float is that ratio correctly rounded."""
+    n * C(L, 2), as a `Fraction`; `absolute` is that ratio correctly
+    rounded, times n."""
     for L in range(2, min(5, len(c)) + 1):
         rep = lwise_distance(c, L)
         exact = oracle.lwise_ratio(c, rep.witness)
-        assert rep.relative.exact == exact
-        assert float(exact).hex() == rep.relative.hex()
+        assert (type(rep.relative), rep.relative) == (Fraction, exact)
+        assert rep.absolute.hex() == (float(exact) * c.n).hex()
 
 
 def test_exact_values_survive_a_copy_and_a_pickle():
-    """A report holding an `_Exact` copies and pickles with its exact number."""
+    """A distance report copies and pickles with its exact ratio."""
     rep = lwise_distance(reed_solomon(5, 2), 3)
     for twin in (copy.deepcopy(rep), pickle.loads(pickle.dumps(rep))):
         assert twin == rep
-        assert (type(twin.relative), twin.relative.exact) == (codes._Exact, Fraction(4, 5))
+        assert (type(twin.relative), twin.relative) == (Fraction, Fraction(4, 5))
 
 
 class TestGvConstruction:

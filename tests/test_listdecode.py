@@ -334,9 +334,9 @@ class TestListSize:
 
 
 class TestExactRadius:
-    """The radius is floor(rho n) exactly, for the decimal rho prints as or
-    for the number an `_Exact` rho keeps.  A slack of 1e-12 once rounded a
-    rho n just below an integer up to it."""
+    """The radius is floor(rho n) exactly, for the decimal rho prints as,
+    whatever number type rho is.  A slack of 1e-12 once rounded a rho n
+    just below an integer up to it."""
 
     @pytest.mark.parametrize("rho, radius, size", [
         (0.3999999999999, 1, 1), (np.float64(0.3999999999999), 1, 1), (0.4, 2, 2)],
@@ -350,8 +350,8 @@ class TestExactRadius:
         # product rounds to 4.0
         c = Code.from_array(2, [[0] * 12, [1] * 12])
         assert list_size_at_radius(c, 1 / 3).absolute_radius == 3
-        third = codes._Exact(1 / 3, Fraction(1, 3))
-        assert list_size_at_radius(c, third).absolute_radius == 4
+        # an exact third is read as the decimal its float prints as too
+        assert list_size_at_radius(c, Fraction(1, 3)).absolute_radius == 3
 
     @pytest.mark.parametrize("epsilon, radius", [
         (0.4, 1), (0.40000000000001, 0), (0.5, 0)])
@@ -383,6 +383,19 @@ class TestJohnson:
         with pytest.raises(DomainError, match=(
                 f"^need 1/epsilon\\^2 to be a finite float, got epsilon={epsilon}$")):
             johnson_check(c, epsilon)
+
+    @pytest.mark.parametrize("epsilon, l_prime", [(0.1, 101), (0.2, 26)])
+    def test_l_prime_pins(self, epsilon, l_prime):
+        # floor(1/eps^2) of the float eps gives 100 and 25 at 0.1 and 0.2
+        rep = johnson_check(_code(2, (0, 0), (1, 1)), epsilon)
+        assert (rep.detail["L_prime"], rep.conclusion_threshold) == (l_prime, l_prime - 1)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(epsilon=st.floats(1e-150, 1 / math.sqrt(2), exclude_max=True))
+    def test_l_prime_floors_the_decimal(self, epsilon):
+        """L' = floor(1/eps^2) + 1, exactly for the decimal eps prints as."""
+        rep = johnson_check(_code(2, (0, 0), (1, 1)), epsilon)
+        assert rep.detail["L_prime"] == math.floor(1 / Fraction(repr(epsilon)) ** 2) + 1
 
     def test_small_code_not_applicable(self):
         rep = johnson_check(_code(2, (0, 0), (1, 1)), 0.25)
@@ -513,19 +526,20 @@ class TestLinkReadings:
         @example(c=cube, epsilon=0.5, L=4, planted=(4, 0.5))
         @example(c=cube, epsilon=0.5, L=5, planted=(4, 0.5))
         def compare(c, epsilon, L, planted):
-            size_of, distance_of = list_size_at_radius, codes.lwise_distance
+            size_of, distance_of = listdecode.list_sizes_at_radii, codes.lwise_distance
 
-            def planted_size(c, rho):
-                report = size_of(c, rho)
-                return dataclasses.replace(report, max_list_size=planted[0]) if planted else report
+            def planted_size(c, r):
+                size, center = size_of(c, r)
+                return (planted[0] if planted else size), center
 
             def planted_distance(c, l_prime):
                 report = distance_of(c, l_prime)
-                return dataclasses.replace(report, relative=planted[1]) if planted else report
+                return (dataclasses.replace(report, relative=Fraction(planted[1])) if planted
+                        else report)
 
             with pytest.MonkeyPatch.context() as mp:
                 for module in (listdecode, oracle):
-                    mp.setattr(module, "list_size_at_radius", planted_size)
+                    mp.setattr(module, "list_sizes_at_radii", planted_size)
                 for module in (listdecode, codes):
                     mp.setattr(module, "lwise_distance", planted_distance)
                 for check, args in (("johnson_check", (c, epsilon)),
@@ -551,6 +565,37 @@ class TestLinkReadings:
             converse_check(c, 1, 0.5)
 
 
+class TestExactLinkVerdicts:
+    """Johnson's premise d >= 1/2 - eps^2 and the converse's conclusion
+    d >= 1/2 - 2 eps compare the exact L'-wise distance with the exact
+    threshold for the decimal eps prints as.  A distance planted 1e-13
+    below its threshold fails them, where a 1e-12 slack once let it hold."""
+
+    @pytest.fixture
+    def plant(self, monkeypatch):
+        def plant(relative: Fraction):
+            monkeypatch.setattr(listdecode, "lwise_distance", lambda c, L: codes.DistanceReport(
+                float(relative) * c.n, relative, tuple(range(L))))
+        return plant
+
+    @pytest.mark.parametrize("below, verdict", [(0, "pass"), (Fraction(1, 10**13), "vacuous")])
+    def test_johnson_premise(self, plant, below, verdict):
+        # eps = 0.2: L' = 26 of the 32 words, and 1/2 - eps^2 = 23/50, which
+        # the report prints as the float formula's 0.45999999999999996
+        plant(Fraction(23, 50) - below)
+        rep = johnson_check(_code(2, *product((0, 1), repeat=5)), 0.2)
+        assert (rep.detail["L_prime"], rep.premise_threshold, rep.verdict) == (
+            26, 0.45999999999999996, verdict)
+
+    @pytest.mark.parametrize("below, verdict", [(0, "pass"), (Fraction(1, 10**13), "fail")])
+    def test_converse_conclusion(self, plant, below, verdict):
+        # eps = 0.2, L = 8: a ball of radius 1 holds 7 < 8 of the 64 words,
+        # and 1/2 - 2 eps = 1/10
+        plant(Fraction(1, 10) - below)
+        rep = converse_check(_code(2, *product((0, 1), repeat=6)), 8, 0.2)
+        assert (rep.premise_value, rep.verdict) == (7.0, verdict)
+
+
 def _rip_ld(capsys, tmp_path, m, L, epsilon):
     """`pipeline rip-ld` on m, written to a matrix file: (exit code, report)."""
     path = tmp_path / "m.json"
@@ -572,15 +617,26 @@ _HADAMARD_4 = np.array(
 ).T / 2.0
 
 
+# eight orthonormal +-1/sqrt(8) columns, so L = 8 fits
+_HADAMARD_8 = np.kron(np.kron([[1, 1], [1, -1]], [[1, 1], [1, -1]]),
+                      [[1, 1], [1, -1]]) / math.sqrt(8)
+
+
 class TestEpsilonFloor:
     def test_values(self, capsys, tmp_path):
-        # eight orthonormal +-1/sqrt(8) columns, so L = 8 fits
-        h8 = np.kron(np.kron([[1, 1], [1, -1]], [[1, 1], [1, -1]]), [[1, 1], [1, -1]])
-        code, report = _rip_ld(capsys, tmp_path, h8 / math.sqrt(8), 8, 0.6)
+        code, report = _rip_ld(capsys, tmp_path, _HADAMARD_8, 8, 0.6)
         assert code == 0
         assert report["epsilon_floor"] == pytest.approx(1.0 / math.sqrt(3))
         assert report["epsilon_floor_attainable"] is True
         assert report["epsilon_above_floor"] is True
+
+    @pytest.mark.parametrize("epsilon, above", [
+        ("0.5773502691896257", False), ("0.5773502691896258", True)])
+    def test_floor_is_judged_exactly(self, capsys, tmp_path, epsilon, above):
+        # at L = 8 the floor is 1/sqrt(3) = 0.57735026918962576...: the
+        # first decimal lies below it, though a 1e-12 slack once passed it
+        code, report = _rip_ld(capsys, tmp_path, _HADAMARD_8, 8, epsilon)
+        assert (code, report["epsilon_above_floor"]) == (0, above)
 
     def test_unattainable_for_small_orders(self, capsys, tmp_path):
         _, report = _rip_ld(capsys, tmp_path, _HADAMARD_4, 4, 0.5)

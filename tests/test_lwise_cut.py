@@ -26,7 +26,7 @@ _WALK = 4000
 
 
 def _key(report):
-    return report, report.absolute.hex(), report.relative.hex()
+    return report, report.absolute.hex()
 
 
 def _reports(c: Code, orders, cut_entries: int | None, cut_k: int = 1 << 30) -> list:
