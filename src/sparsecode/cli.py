@@ -18,16 +18,18 @@ A round trip's sample may refute; a sample that passes confirms nothing
 until its certifier (`verify_disjunct`, `kernel_injectivity`) has run, and
 that certifier's cap refusal reaches `main` like any other.
 
-The group-testing round trips hand their supports to
-`group_testing.recovers` as batches of index rows, which it decides on
-packed column words; this module builds no 0/1 row and sees no word.
+Each group-testing round trip is one call of `group_testing.recovers`,
+which takes the supports as batches of index rows and returns the verdict:
+passed, failed and the first failure.  This module builds no 0/1 row,
+sees no word and counts no support.
 `gt-roundtrip`'s random draws are `rng.integers` then `rng.choice` per
 support, but up to L = 32 a batch of them is computed at once from the
 generator's uint32 words: one Python pass finds where each draw starts,
 array steps give its weight, its step values and the words Lemire's
 method rejects, which are skipped, and Floyd's loop runs one step at a
 time across the batch.  `cs-roundtrip` draws per trial, as its
-`rng.normal` values come from the same stream between the supports.
+`rng.normal` values come from the same stream between the supports: one
+call per trial, a real and an imaginary part per column of the support.
 """
 
 from __future__ import annotations
@@ -301,24 +303,6 @@ def _floyd_picks(n_cols: int, L: int, values: np.ndarray, w: np.ndarray) -> np.n
     return picks
 
 
-def _roundtrips(m: np.ndarray, batches) -> tuple[int, int, list[int] | None]:
-    """Encode, cover-decode and compare each support, a batch of index rows
-    at a time (`group_testing.recovers`).
-
-    Returns (passed, failed, first failing support).
-    """
-    passed = failed = 0
-    n_cols = m.shape[1]
-    lead = caps.LexFirst()
-    for rows, ok in group_testing.recovers(m, batches):
-        n_ok = int(ok.sum())
-        passed += n_ok
-        failed += len(rows) - n_ok
-        # a 0/1 score: the lead is the first failure, once there is one
-        lead.offer(~ok, lambda pos: [int(c) for c in rows[pos] if c < n_cols])
-    return passed, failed, lead.witness if lead.best else None
-
-
 def _require_order(L: int, n_cols: int) -> None:
     if not (0 <= L <= n_cols):
         raise SparseCodeError(f"need 0 <= L <= N, got L={L}, N={n_cols}")
@@ -335,7 +319,7 @@ def _cmd_gt_roundtrip(args) -> tuple[dict, bool, str]:
     else:
         mode = "random"
         batches = _random_supports(n_cols, args.L, args.trials, args.seed)
-    passed, failed, first_failure = _roundtrips(m, batches)
+    passed, failed, first_failure = group_testing.recovers(m, batches)
     report = {
         "property": "gt-roundtrip",
         "order": args.L,
@@ -370,8 +354,9 @@ def _cmd_cs_roundtrip(args) -> tuple[dict, bool, str]:
         xs, ys = [], []
         for _ in range(min(_ROUNDTRIP_BATCH, args.trials - start)):
             x = np.zeros(n_cols, dtype=np.complex128)
-            for pos in sorted(_draw_support(rng, n_cols, args.L)):
-                x[pos] = complex(rng.normal(), rng.normal())
+            support = np.sort(_draw_support(rng, n_cols, args.L))
+            # each value's real then imaginary part, in column order
+            x[support] = rng.normal(size=(len(support), 2)).view(np.complex128)[:, 0]
             ys.append(recovery.cs_encode(m, x))
             xs.append(x)
         for x, result in zip(xs, recovery.cs_decode_batch(m, np.array(ys), args.L)):
@@ -447,7 +432,7 @@ def _cmd_pipeline(args) -> tuple[dict, bool, str]:
         # runs; a larger order is verify_disjunct's to refuse
         walk = caps.supports(n_cols, L) if L < n_cols else ()
         disjunct = group_testing.verify_disjunct(m, L)
-        passed, failed, first_failure = _roundtrips(m, walk)
+        passed, failed, first_failure = group_testing.recovers(m, walk)
         report = {
             "property": "pipeline-ks-gt",
             "q": args.q, "k": args.k, "order": L,

@@ -19,7 +19,9 @@ The cover decoder returns a support plus every other column inside its
 union, so a support of weight w round-trips iff exactly w columns lie inside
 it: one OR of at most L words and one subset test per column, where
 `gt_encode` and `gt_decode_cover`, kept for single vectors and as the
-oracles, make a float product each.
+oracles, make a float product each.  `recovers` sweeps every batch of
+supports it is given and returns the counts and the first failure, so a
+caller makes one call per round trip.
 
 A design is its incidence matrix and is built only from it, `Design(m)`;
 `design_from_code` is `Design` of the code's Boolean embedding.  Every 0/1
@@ -265,13 +267,16 @@ def verify_disjunct(m: np.ndarray, L: int) -> DisjunctReport:
     return DisjunctReport(L, True, None, count)
 
 
-def recovers(m: np.ndarray, batches):
-    """Each batch of supports with whether each one round-trips: encoded by
-    `gt_encode` and cover-decoded by `gt_decode_cover`, it comes back as itself.
+def recovers(m: np.ndarray, batches) -> tuple[int, int, list[int] | None]:
+    """The round trips' verdict over batches of supports: (passed, failed,
+    first failing support).  A support passes when, encoded by `gt_encode`
+    and cover-decoded by `gt_decode_cover`, it comes back as itself.
 
     A batch holds one support per row of distinct column indices; a row
     shorter than the batch's width is padded with N, which names no column.
-    Yields (rows, ok) per batch, ok a bool per row, from words packed once.
+    Every batch is decided on words packed once.  The first failure is the
+    first failing row in batch order, taken by `caps.LexFirst` with its
+    padding stripped, or None when every support passes.
 
     The cover decoder returns every column whose support lies inside the
     union of the support's columns: the support itself and any other column
@@ -286,6 +291,8 @@ def recovers(m: np.ndarray, batches):
     # (words, N + 1): each column's tests, then the padding column's none
     words = _packed_rows(np.pad(b, ((0, 0), (0, 1))))
     real = words[:, :n_cols, None]
+    checked = failed = 0
+    lead = caps.LexFirst()
     for rows in batches:
         lacks = [~_union(word, rows) for word in words]
         inside = np.zeros(len(rows), dtype=np.int64)
@@ -296,7 +303,12 @@ def recovers(m: np.ndarray, batches):
                 held &= (word & lack) == 0
             # a block has fewer than 2^16 columns
             inside += held.sum(axis=0, dtype=np.uint16)
-        yield rows, inside == (rows < n_cols).sum(axis=1)
+        fails = inside != (rows < n_cols).sum(axis=1)
+        checked += len(rows)
+        failed += int(fails.sum())
+        # a 0/1 score: the lead is the first failure, once there is one
+        lead.offer(fails, lambda pos: [int(c) for c in rows[pos] if c < n_cols])
+    return checked - failed, failed, lead.witness if lead.best else None
 
 
 def gt_encode(m: np.ndarray, x: np.ndarray) -> np.ndarray:

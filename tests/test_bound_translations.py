@@ -76,11 +76,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from group_codes import group_codes, random_codes
-from sparsecode import caps, cli, listdecode
+from sparsecode import caps, listdecode
 from sparsecode.certify import coherence, kernel_injectivity, rip2_profile
 from sparsecode.codes import Code, lwise_distance, min_distance
 from sparsecode.embeddings import bool_code, sph_code
-from sparsecode.group_testing import kautz_singleton, verify_disjunct
+from sparsecode.group_testing import kautz_singleton, recovers, verify_disjunct
 
 PATHS = pytest.mark.parametrize(
     "path", [listdecode._ball_list_sizes, listdecode._sweep_list_sizes],
@@ -311,7 +311,7 @@ def _disjunct_orders(m, orders):
     n_cols = m.shape[1]
     verdicts = []
     for L in orders:
-        _, failed, _ = cli._roundtrips(m, caps.supports(n_cols, L))
+        _, failed, _ = recovers(m, caps.supports(n_cols, L))
         verdicts.append(verify_disjunct(m, L).disjunct)
         assert (failed == 0) == verdicts[-1], L
     return verdicts

@@ -473,7 +473,7 @@ class TestRoundtrips:
 
 
 def _loop_roundtrips(m, supports):
-    """The per-support loop, kept as the oracle for cli._roundtrips."""
+    """The per-support loop, kept as the oracle for group_testing.recovers."""
     b = m.astype(bool)
     passed = failed = 0
     first_failure = None
@@ -557,7 +557,7 @@ class TestRoundtripBatches:
         failures = passes = 0
         for m, L in _roundtrip_cases():
             n_cols = m.shape[1]
-            got = cli._roundtrips(m, caps.supports(n_cols, L))
+            got = group_testing.recovers(m, caps.supports(n_cols, L))
             assert got == _loop_roundtrips(m, _exhaustive(n_cols, L)), (m.shape, L)
             failures += got[1] > 0
             passes += got[1] == 0
@@ -566,21 +566,36 @@ class TestRoundtripBatches:
     @pytest.mark.parametrize("block", [1, 7, None])
     def test_column_block_changes_no_result(self, monkeypatch, block):
         """The subset test's column blocks, at 1, 7 and the default, in
-        exhaustive and random mode: no block size moves a count or a witness."""
+        exhaustive and random mode: no block size moves a count, a witness
+        or any one support's verdict, alone or in its batch."""
         if block is not None:
             monkeypatch.setattr(group_testing, "_COLUMN_BLOCK", block)
+        # each batch's failures, as `recovers` offers them to its LexFirst
+        offered, offer = [], caps.LexFirst.offer
+
+        def recorded(lead, scores, name):
+            offered.append(scores.copy())
+            offer(lead, scores, name)
+
+        monkeypatch.setattr(caps.LexFirst, "offer", recorded)
         # from KS(11,2) on: two words per column, zero and duplicated columns, L = 0
         for m, L in _roundtrip_cases()[-8:]:
             n_cols = m.shape[1]
-            assert cli._roundtrips(m, caps.supports(n_cols, L)) == _loop_roundtrips(
-                m, _exhaustive(n_cols, L)), (m.shape, L)
+            walk = list(caps.supports(n_cols, L))
             rows = list(cli._random_supports(n_cols, L, 300, 5))
-            assert cli._roundtrips(m, rows) == _loop_roundtrips(
+            offered.clear()
+            assert group_testing.recovers(m, walk) == _loop_roundtrips(
+                m, _exhaustive(n_cols, L)), (m.shape, L)
+            assert group_testing.recovers(m, rows) == _loop_roundtrips(
                 m, [row[row < n_cols] for batch in rows for row in batch]), (m.shape, L)
-            for batch, ok in group_testing.recovers(m, caps.supports(n_cols, L)):
-                assert np.array_equal(ok, _encoded_ok(m, batch))
-            for batch, ok in group_testing.recovers(m, rows):
-                assert np.array_equal(ok, _encoded_ok(m, batch))
+            # support by support in its batch, so no two errors cancel
+            assert [fails.tolist() for fails in offered] == [
+                (~_encoded_ok(m, batch)).tolist() for batch in walk + rows], (m.shape, L)
+            # and each support alone, as a one-row batch
+            for row in chain(*walk, *rows):
+                ok = _encoded_ok(m, row[None])[0]
+                assert group_testing.recovers(m, [row[None]]) == (
+                    (1, 0, None) if ok else (0, 1, row[row < n_cols].tolist())), (m.shape, row)
 
     def test_random_rows_are_padded_at_every_weight(self):
         """Each random draw is one row, sorted and padded with N to width L,
@@ -596,7 +611,7 @@ class TestRoundtripBatches:
             assert row.tolist() == support + [n_cols] * (L - len(support))
         assert set(weights) == set(range(L + 1))
         m, _ = kautz_singleton(5, 2)
-        got = cli._roundtrips(m, cli._random_supports(n_cols, L, trials, 3))
+        got = group_testing.recovers(m, cli._random_supports(n_cols, L, trials, 3))
         assert got == _loop_roundtrips(m, [row[row < n_cols] for row in rows])
         assert got[1] > 0
 
@@ -701,10 +716,10 @@ class TestRoundtripBatches:
         failures = 0
         for m, exhaustive_L, random_L in cases:
             n_cols = m.shape[1]
-            got = cli._roundtrips(m, caps.supports(n_cols, exhaustive_L))
+            got = group_testing.recovers(m, caps.supports(n_cols, exhaustive_L))
             assert got == _loop_roundtrips(m, _exhaustive(n_cols, exhaustive_L))
             rows = list(cli._random_supports(n_cols, random_L, 400, 7))
-            got = cli._roundtrips(m, rows)
+            got = group_testing.recovers(m, rows)
             assert got == _loop_roundtrips(
                 m, [row[row < n_cols] for batch in rows for row in batch])
             failures += got[1] > 0
@@ -719,7 +734,7 @@ class TestRoundtripBatches:
         n_cols = m.shape[1]
         tracemalloc.start()
         try:
-            got = cli._roundtrips(m, caps.supports(n_cols, 1))
+            got = group_testing.recovers(m, caps.supports(n_cols, 1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
