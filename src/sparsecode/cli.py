@@ -23,11 +23,11 @@ which takes the supports as batches of index rows and returns the verdict:
 passed, failed and the first failure.  This module builds no 0/1 row,
 sees no word and counts no support.
 `gt-roundtrip`'s random draws are `rng.integers` then `rng.choice` per
-support, but up to L = 32 a batch of them is computed at once from the
-generator's uint32 words: one Python pass finds where each draw starts,
-array steps give its weight, its step values and the words Lemire's
-method rejects, which are skipped, and Floyd's loop runs one step at a
-time across the batch.  `cs-roundtrip` draws per trial, as its
+support, but up to L = 32 a batch of them is one `rng.integers` call over
+the ranges of the words each draw reads: one Python pass over the coming
+words reads ahead each draw's weight, a wrong one (after a rejected word)
+is drawn again, and Floyd's loop runs one step at a time across the
+batch.  `cs-roundtrip` draws per trial, as its
 `rng.normal` values come from the same stream between the supports: one
 call per trial, a real and an imaginary part per column of the support.
 """
@@ -180,16 +180,15 @@ def _random_supports(n_cols: int, L: int, trials: int, seed: int):
     """`trials` seeded support draws, yielded in batches of index rows: each
     draw sorted and padded to width L with n_cols, which names no column.
 
-    The draws are `_draw_support(default_rng(seed), n_cols, L)`'s.  Up to
-    L = _BATCH_DRAWS_MAX_L they are computed a batch at a time from the
-    generator's words (`_draw_batch`); above it one numpy call per draw is
-    the faster way to the same rows."""
+    The draws are `_draw_support(default_rng(seed), n_cols, L)`'s, and the
+    generator ends where those calls leave it.  Up to L = _BATCH_DRAWS_MAX_L
+    a batch of them takes one `rng.integers` call (`_draw_batch`); above it
+    one numpy call per draw is the faster way to the same rows."""
     rng = np.random.default_rng(seed)
-    words = np.zeros(0, np.uint64)
     for start in range(0, trials, _ROUNDTRIP_BATCH):
         rows = np.full((min(_ROUNDTRIP_BATCH, trials - start), L), n_cols)
         if L <= _BATCH_DRAWS_MAX_L:
-            words = _draw_batch(rng.bit_generator, words, rows, n_cols)
+            _draw_batch(rng, rows, n_cols)
         else:
             for row in rows:
                 support = _draw_support(rng, n_cols, L)
@@ -201,86 +200,76 @@ def _random_supports(n_cols: int, L: int, trials: int, seed: int):
 
 # The largest L drawn a batch at a time.  `_draw_batch`'s cost grows with L,
 # while a numpy call per draw costs about the same at any small L: for 1,024
-# draws on a 2-vCPU x86-64 box (numpy 2.4) the batch took 0.09-0.16 of the
-# calls' time at L = 8, 0.34-0.86 at L = 32, 0.86-0.96 at L = 48 and
-# 1.08-1.34 at L = 64, over N from L to 9,000.
+# draws on a 2-vCPU x86-64 box (numpy 2.4) the batch took 0.11-0.19 of the
+# calls' time at L = 8, 0.45-0.55 at L = 32, 0.69-0.79 at L = 48 and
+# 1.00-1.08 at L = 64, over N from L to 9,000.  It stays 32, though the
+# batch still wins at 48: no workload draws above 32 to show it.
 _BATCH_DRAWS_MAX_L = 32
-_LOW_WORD = np.uint64(0xFFFFFFFF)
 
 
-def _draw_batch(bitgen, words: np.ndarray, rows: np.ndarray, n_cols: int) -> np.ndarray:
+def _draw_batch(rng: np.random.Generator, rows: np.ndarray, n_cols: int) -> None:
     """Fill each row of `rows` with one draw's support, in Floyd's pick
-    order, from the uint32 words of `bitgen` that `words` continues, and
-    return the words left unread, so the buffer holds about one batch.
+    order, leaving `rng` where the draws' own numpy calls would.
 
-    `rng.integers(0, L + 1)` reads the weight w from one word, and
+    `rng.integers(0, L + 1)` reads the weight w from one uint32 word, and
     `rng.choice(N, w, replace=False)` runs Floyd's algorithm (Bentley and
     Floyd, CACM 1987), one word per step j = N-w..N-1 in 0..j, then
     shuffles its w picks, a word for each but the first.  numpy takes a
     partial Fisher-Yates shuffle instead when N > 10000 and w > N // 50,
-    which no w <= _BATCH_DRAWS_MAX_L reaches."""
+    which no w <= _BATCH_DRAWS_MAX_L reaches.  So one `rng.integers` call
+    over the ranges of each draw's words (`_word_ranges`) reads the same
+    words, rejections included, once each draw's weight is known: the
+    weights are read ahead from the coming words, and a batch whose drawn
+    weight differs from one read ahead is drawn again up to that draw."""
     n, L = rows.shape
     if not L:
         # the weight's range is 0: no draw reads a word
-        return words
-    # words a draw of each weight reads when none is rejected
-    cost = (_word_ranges(n_cols, L, np.arange(L + 1)) > 0).sum(axis=1).tolist()
+        return
+    bitgen = rng.bit_generator
+    table = _word_ranges(n_cols, L)
+    cost = (table > 0).sum(axis=1).tolist()
     done = 0
     while done < n:
         todo = n - done
+        state = bitgen.state
         # a draw reads at most 2L words when none is rejected; numpy's
-        # next_uint32 reads each 64-bit output's low half, then its high half
-        if len(words) < todo * 2 * L:
-            raw = bitgen.random_raw((todo * 2 * L - len(words) + 1) // 2)
-            words = np.concatenate([words, np.column_stack([raw & _LOW_WORD, raw >> 32]).ravel()])
-        # each draw starts where the one before it stops
-        stream, first, pos = memoryview(words), [], 0
+        # next_uint32 reads a kept high half first, then each 64-bit output's
+        # low half, then its high half
+        words = bitgen.random_raw(todo * L).astype("<u8", copy=False).view("<u4")
+        if state["has_uint32"]:
+            words = np.insert(words, 0, state["uinteger"])
+        # each draw starts where the one before it stops, if no word is rejected
+        stream, w, pos = memoryview(words), [], 0
         for _ in range(todo):
-            first.append(pos)
-            pos += cost[(stream[pos] * (L + 1)) >> 32]
-        first = np.array(first)
-        w = ((words[first] * np.uint64(L + 1)) >> 32).astype(np.int64)
-        values, rejected = _lemire(words[first[:, None] + np.arange(2 * L)],
-                                   _word_ranges(n_cols, L, w))
-        # the draws before the first rejected word read the words assumed;
-        # a rejected word is skipped, so the stream without it is exact
-        bad = np.flatnonzero(rejected)
-        exact = int(bad[0]) // (2 * L) if len(bad) else todo
-        rows[done:done + exact] = _floyd_picks(n_cols, L, values[:exact].astype(np.int64),
-                                               w[:exact])
-        done += exact
-        if exact < todo:
-            words = np.delete(words[first[exact]:], bad[0] % (2 * L))
-        else:
-            words = words[pos:]
-    return words
+            w.append((stream[pos] * (L + 1)) >> 32)
+            pos += cost[w[-1]]
+        bitgen.state = state
+        values = rng.integers(0, table[w], endpoint=True)
+        wrong = np.flatnonzero(values[:, 0] != w)
+        if len(wrong):
+            # the draws before the first wrong weight read the ranges assumed,
+            # and that draw's weight is exact, as its range is L whatever was
+            # read ahead: those draws are drawn again with it
+            k = int(wrong[0])
+            w = w[:k] + [int(values[k, 0])]
+            bitgen.state = state
+            values = rng.integers(0, table[w], endpoint=True)
+        rows[done:done + len(w)] = _floyd_picks(n_cols, L, values, np.array(w))
+        done += len(w)
 
 
-def _lemire(words: np.ndarray, ranges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's bounded draw in 0..r from one uint32 word each (Lemire, ACM
-    TOMACS 2019): the value, and whether the word is rejected, in which case
-    the draw skips it and reads the next.  Range 0 gives 0 and no rejection."""
-    span = ranges + np.uint64(1)
-    scaled = words * span
-    low = scaled & _LOW_WORD
-    # the threshold, 2^32 mod span, is below span: only those words pay the mod
-    rejected = low < span
-    rejected[rejected] = low[rejected] < (1 << 32) % span[rejected]
-    return scaled >> 32, rejected
-
-
-def _word_ranges(n_cols: int, L: int, w: np.ndarray) -> np.ndarray:
-    """The range of each word a draw of each weight w reads, in stream
-    order, padded with 0 to width 2L: L for the weight, N-w..N-1 for
-    Floyd's steps, leaving out range 0, which reads no word, and w-1..1 for
-    the shuffle."""
+def _word_ranges(n_cols: int, L: int) -> np.ndarray:
+    """One row per weight w in 0..L: the range of each word a draw of weight
+    w reads, in stream order, padded with 0, which reads no word, to width
+    2L.  L for the weight, N-w..N-1 for Floyd's steps, leaving out range 0,
+    and w-1..1 for the shuffle."""
     k = np.arange(2 * L)
-    w = w[:, None]
+    w = np.arange(L + 1)[:, None]
     steps = w - (w == n_cols)
     ranges = np.where(k <= steps, n_cols - steps + k - 1,
                       np.where(k < steps + w, steps + w - k, 0))
     ranges[:, 0] = L
-    return ranges.astype(np.uint64)
+    return ranges
 
 
 def _floyd_picks(n_cols: int, L: int, values: np.ndarray, w: np.ndarray) -> np.ndarray:
