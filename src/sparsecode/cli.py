@@ -12,7 +12,9 @@ exits 2.
 rows (`design`, `list-decode`, `lwise-distance`) judge the number their
 certifier returns, an int or the L-wise walk's own exact `Fraction`,
 against that decimal with a plain operator; this module recounts nothing.
-`main` prints every exact number as its float.
+`main` prints every exact number as its float.  Every float verdict, a
+`verify` row's or a pipeline stage's, is one relation, `_at_most`, which
+holds the library's one slack.
 
 A round trip's sample may refute; a sample that passes confirms nothing
 until its certifier (`verify_disjunct`, `kernel_injectivity`) has run, and
@@ -25,9 +27,9 @@ sees no word and counts no support.
 `gt-roundtrip`'s random draws are `rng.integers` then `rng.choice` per
 support, but up to L = 32 a batch of them is one `rng.integers` call over
 the ranges of the words each draw reads: one Python pass over the coming
-words reads ahead each draw's weight, a wrong one (after a rejected word)
-is drawn again, and Floyd's loop runs one step at a time across the
-batch.  `cs-roundtrip` draws per trial, as its
+words, numpy's own uint32 draws, reads ahead each draw's weight, a wrong
+one (after a rejected word) is drawn again, and Floyd's loop runs one step
+at a time across the batch.  `cs-roundtrip` draws per trial, as its
 `rng.normal` values come from the same stream between the supports: one
 call per trial, a real and an imaginary part per column of the support.
 """
@@ -49,7 +51,7 @@ import numpy as np
 from . import __version__
 from . import bounds as bounds_mod
 from . import caps, certify, codes, group_testing, listdecode, matrixio, recovery
-from .codes import _at_most, _decimal, _within
+from .codes import _decimal
 from .embeddings import bool_code, sph_code, sph_inverse_binary
 from .errors import SparseCodeError
 
@@ -96,6 +98,12 @@ def _cmd_build(args) -> tuple[dict, bool, str]:
 
 
 # ---------------------------------------------------------------- verify
+
+def _at_most(value: float, threshold) -> bool:
+    """A float value against an exact threshold or a float bound, with the
+    library's one slack, 1e-12."""
+    return value <= float(threshold) + 1e-12
+
 
 def _lwise_distance(code, args) -> dict:
     # the walk's relative distance is its exact ratio, which the verdict reads
@@ -232,12 +240,10 @@ def _draw_batch(rng: np.random.Generator, rows: np.ndarray, n_cols: int) -> None
     while done < n:
         todo = n - done
         state = bitgen.state
-        # a draw reads at most 2L words when none is rejected; numpy's
-        # next_uint32 reads a kept high half first, then each 64-bit output's
-        # low half, then its high half
-        words = bitgen.random_raw(todo * L).astype("<u8", copy=False).view("<u4")
-        if state["has_uint32"]:
-            words = np.insert(words, 0, state["uinteger"])
+        # a draw reads at most 2L words when none is rejected; a full-range
+        # uint32 draw takes one word per value, the words numpy's bounded
+        # draws read, over any bit generator
+        words = rng.integers(0, 2**32, size=2 * todo * L, dtype=np.uint32)
         # each draw starts where the one before it stops, if no word is rejected
         stream, w, pos = memoryview(words), [], 0
         for _ in range(todo):
@@ -385,9 +391,8 @@ def _epsilon_floor(L: int) -> tuple[float, bool]:
     half = L // 2
     if half < 2:
         return 1.0, False
-    eps = 1.0 / math.sqrt(half - 1)
-    # the Johnson step additionally needs eps^2 < 1/2
-    return eps, eps < 1.0 / math.sqrt(2.0)
+    # the Johnson step additionally needs eps^2 < 1/2: floor(L/2) - 1 > 2
+    return 1.0 / math.sqrt(half - 1), half >= 4
 
 
 def _cmd_pipeline(args) -> tuple[dict, bool, str]:
@@ -406,10 +411,10 @@ def _cmd_pipeline(args) -> tuple[dict, bool, str]:
             "epsilon": eps,
             "coherence": coh.value,
             "coherence_bound": 2.0 * eps,
-            "coherence_ok": _within(coh.value, 2.0 * eps),
+            "coherence_ok": _at_most(coh.value, 2.0 * eps),
             "rip2_constant": rip.alpha,
             "rip2_bound": 2.0 * args.L * eps,
-            "rip2_ok": _within(rip.alpha, 2.0 * args.L * eps),
+            "rip2_ok": _at_most(rip.alpha, 2.0 * args.L * eps),
         }
         ok = report["coherence_ok"] and report["rip2_ok"]
     elif args.name == "ks-gt":
@@ -458,7 +463,7 @@ def _cmd_pipeline(args) -> tuple[dict, bool, str]:
             predicted = certify.bias_factor_from_flat(order) * flat.constant / order
             bias_stages.append({"L": order, "measured_bias": measured,
                                 "predicted_bound": predicted,
-                                "ok": _within(measured, predicted)})
+                                "ok": _at_most(measured, predicted)})
         eps0, attainable = _epsilon_floor(args.L)
         johnson = listdecode.johnson_check(code, args.epsilon)
         report = {
@@ -467,7 +472,7 @@ def _cmd_pipeline(args) -> tuple[dict, bool, str]:
             "claimed_rip_constant": rip.alpha,
             "flat_constant": flat.constant,
             "flat_predicted_bound": flat_bound,
-            "flat_ok": _within(flat.constant, flat_bound),
+            "flat_ok": _at_most(flat.constant, flat_bound),
             "bias_stages": bias_stages,
             "epsilon": args.epsilon,
             "epsilon_floor": eps0,

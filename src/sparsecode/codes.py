@@ -168,18 +168,6 @@ class Report:
         return out
 
 
-# The two relations every slack comparison goes through: a float verify
-# row's 1e-12, whose threshold is exact, and a pipeline stage's 1e-9.  An
-# exact number is judged by a plain operator.
-
-def _at_most(value: float, threshold) -> bool:
-    return value <= float(threshold) + 1e-12
-
-
-def _within(value: float, bound: float) -> bool:
-    return value <= bound + 1e-9
-
-
 def _decimal(x) -> Fraction:
     """The decimal that the float x prints as, exactly.  float() first, so
     that a numpy scalar reads as its value and not as `np.float64(...)`."""

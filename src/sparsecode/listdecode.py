@@ -261,9 +261,10 @@ def list_size_at_radius(c: Code, rho: float) -> ListDecodingReport:
 
 def johnson_inverse_square(epsilon: float) -> Fraction:
     """1/eps^2 for the Johnson-type check, exactly for the decimal that eps
-    prints as, refusing an eps outside 0 < eps^2 < 1/2 or whose float
-    1/eps^2 is not finite."""
-    if not (0.0 < epsilon < 1.0 / math.sqrt(2.0)):
+    prints as, refusing an eps whose decimal lies outside 0 < eps^2 < 1/2 or
+    whose float 1/eps^2 is not finite."""
+    # 0 < eps < 1 first, so that NaN and inf, which print as no decimal, are refused
+    if not (0 < epsilon < 1 and _decimal(epsilon) ** 2 < Fraction(1, 2)):
         raise DomainError("need 0 < epsilon with epsilon^2 < 1/2")
     inverse = 1.0 / epsilon**2 if epsilon**2 else math.inf
     if not math.isfinite(inverse):

@@ -280,8 +280,8 @@ def test_no_parameter_has_one_value_in_use():
 
 
 # the relations every slack comparison in the library goes through, each
-# defined at the top level of codes.py
-RELATIONS = ("_at_most", "_within")
+# defined at the top level of cli.py
+RELATIONS = ("_at_most",)
 
 
 def test_only_report_serialises():
@@ -317,16 +317,16 @@ def _slack(node) -> bool:
 
 
 def test_every_slack_is_a_named_relation():
-    """Outside `codes._at_most` and `_within`, no expression in the library
-    adds a small float slack to a value, in a comparison or anywhere else,
-    such as a radius or a target computed before it is compared: a verdict
-    with a slack calls one of those two.  Domain checks such as
+    """Outside `cli._at_most`, no expression in the library adds a small
+    float slack to a value, in a comparison or anywhere else, such as a
+    radius or a target computed before it is compared: a verdict with a
+    slack calls that one relation.  Domain checks such as
     `delta < 1.0 - 1 / q` add no small literal and pass."""
     inline = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
         exempt = {id(node) for top in tree.body
-                  if path.name == "codes.py" and isinstance(top, ast.FunctionDef)
+                  if path.name == "cli.py" and isinstance(top, ast.FunctionDef)
                   and top.name in RELATIONS for node in ast.walk(top)}
         inline += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                    if id(node) not in exempt and _slack(node)]

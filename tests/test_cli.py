@@ -1,5 +1,6 @@
 import argparse
 import ast
+import dataclasses
 import json
 import os
 import subprocess
@@ -667,6 +668,38 @@ class TestRoundtripBatches:
         assert [rows.tolist() for rows in got] == [rows.tolist() for rows in want]
         assert made[0].bit_generator.state == made[1].bit_generator.state
 
+    @pytest.mark.parametrize("bit_generator", [
+        np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64, np.random.Philox,
+        np.random.MT19937])
+    @pytest.mark.parametrize("n_cols, L, trials, seed", [
+        (25, 6, 2100, 3),
+        (17, 17, 300, 0),
+        (9973, 6, 2000, 185),
+        (1331, 32, 1100, 1),
+    ])
+    def test_every_bit_generator_gives_the_draw_loop(self, monkeypatch, bit_generator,
+                                                     n_cols, L, trials, seed):
+        """The words read ahead are numpy's own uint32 draws, so over any bit
+        generator the batch draws are the per-draw loop's rows, and the
+        generator ends in the loop's state."""
+        made = []
+
+        def recorded(seed):
+            made.append(np.random.Generator(bit_generator(seed)))
+            return made[-1]
+
+        def plain(state):
+            # a state holds arrays (MT19937's key, Philox's counter), which == cannot judge
+            if isinstance(state, dict):
+                return {k: plain(v) for k, v in state.items()}
+            return state.tolist() if isinstance(state, np.ndarray) else state
+
+        monkeypatch.setattr(np.random, "default_rng", recorded)
+        got = list(cli._random_supports(n_cols, L, trials, seed))
+        want = list(oracle.random_supports(n_cols, L, trials, seed, cli._ROUNDTRIP_BATCH))
+        assert [rows.tolist() for rows in got] == [rows.tolist() for rows in want]
+        assert plain(made[0].bit_generator.state) == plain(made[1].bit_generator.state)
+
     def test_a_rejected_word_is_skipped(self, monkeypatch):
         """Seed 185's 2,000 draws of weight <= 6 in 9,973 columns read one word
         that Lemire's method rejects, in a Floyd step; seeds 322 and 338 are
@@ -907,6 +940,27 @@ class TestPipelines:
         )
         assert code == 0
         assert report["coherence_ok"] and report["rip2_ok"]
+
+    @pytest.mark.parametrize("stage", ["coherence", "rip2"])
+    @pytest.mark.parametrize("above, holds", [(1e-10, False), (1e-13, True)])
+    def test_gv_rip_stage_has_the_one_slack(self, capsys, monkeypatch, stage, above, holds):
+        """A stage planted `above` its bound: 1e-10 over is violated, as a
+        float stage is judged like a float `verify` row, with 1e-12, and
+        1e-13 over holds."""
+        argv = ["pipeline", "gv-rip", "--q", "2", "--n", "14", "--delta", "0.3",
+                "--seed", "5", "--L", "2"]
+        _, report, _ = run(capsys, *argv)
+        bound = report[f"{stage}_bound"]
+        if stage == "coherence":
+            coherence = certify.coherence
+            monkeypatch.setattr(certify, "coherence", lambda m: dataclasses.replace(
+                coherence(m), value=bound + above))
+        else:
+            rip2_constant = certify.rip2_constant
+            monkeypatch.setattr(certify, "rip2_constant", lambda m, L: dataclasses.replace(
+                rip2_constant(m, L), alpha=bound + above))
+        code, planted, _ = run(capsys, *argv)
+        assert (code, planted[f"{stage}_ok"], planted["pass"]) == (int(not holds), holds, holds)
 
     def test_rip_ld_rejects_non_embedding(self, capsys, tmp_path):
         out = tmp_path / "v.json"

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import scalar_oracles as oracle
 from scalar_oracles import hamming_distance
-from sparsecode import codes, listdecode
+from sparsecode import certify, cli, codes, listdecode
 from sparsecode.certify import rip2_constant
 from sparsecode.cli import main
 from sparsecode.codes import (Code, balance_closure, enumerate_codewords,
@@ -370,10 +370,18 @@ class TestJohnson:
 
     def test_degenerate_epsilon_rejected(self):
         c = _code(2, (0, 0, 0, 0), (1, 1, 1, 1))
+        # the decimal 0.7071067811865476 squares to just above 1/2
         with pytest.raises(DomainError):
-            johnson_check(c, 1.0 / math.sqrt(2))
+            johnson_check(c, 0.7071067811865476)
         with pytest.raises(DomainError):
             johnson_check(c, 0.0)
+
+    def test_epsilon_admitted_by_its_decimal(self):
+        """1/sqrt(2)'s double prints as 0.7071067811865475, whose decimal
+        squares to just below 1/2: Johnson admits it, with L' = 3."""
+        c = _code(2, (0, 0, 0, 0), (1, 1, 1, 1))
+        rep = johnson_check(c, 1.0 / math.sqrt(2))
+        assert (rep.detail["L_prime"], rep.verdict) == (3, "not-applicable")
 
     @pytest.mark.parametrize("epsilon", [1e-160, 1e-200])
     def test_epsilon_without_finite_inverse_square_rejected(self, epsilon):
@@ -651,6 +659,15 @@ class TestEpsilonFloor:
                 assert report["johnson"]["L_prime"] <= 8 // 2, hundredths
         assert above >= 13
 
+    def test_attainable_is_the_float_comparison(self):
+        """floor(L/2) >= 4 gives the bool of 1/sqrt(floor(L/2) - 1) <
+        1/sqrt(2) at every L, and the same floor: at floor(L/2) = 3 both
+        sides are the same float."""
+        for L in range(65):
+            half = L // 2
+            eps = 1.0 / math.sqrt(half - 1) if half >= 2 else 1.0
+            assert cli._epsilon_floor(L) == (eps, half >= 2 and eps < 1.0 / math.sqrt(2.0)), L
+
     def test_unattainable_for_small_orders(self, capsys, tmp_path):
         _, report = _rip_ld(capsys, tmp_path, _HADAMARD_4, 4, 0.5)
         assert (report["epsilon_floor"], report["epsilon_floor_attainable"],
@@ -672,6 +689,28 @@ class TestRipToListDecoding:
             ["L", "measured_bias", "predicted_bound", "ok"]]
         assert all(stage["ok"] for stage in report["bias_stages"])
         assert report["johnson"]["verdict"] in ("pass", "vacuous", "not-applicable")
+
+    @pytest.mark.parametrize("stage", ["flat", "bias"])
+    @pytest.mark.parametrize("above, holds", [(1e-10, False), (1e-13, True)])
+    def test_stage_has_the_one_slack(self, capsys, tmp_path, monkeypatch, stage, above,
+                                     holds):
+        """A stage planted `above` its bound, the flat constant or the 2-wise
+        bias: 1e-10 over is violated, as a float stage is judged like a
+        float `verify` row, with 1e-12, and 1e-13 over holds."""
+        m = sph_code(balance_closure(enumerate_codewords(random_linear_code_gv(2, 12, 0.2,
+                                                                               seed=3))))
+        _, report = _rip_ld(capsys, tmp_path, m, 6, 0.5)
+        if stage == "flat":
+            bound, flat_rip_constant = report["flat_predicted_bound"], certify.flat_rip_constant
+            monkeypatch.setattr(certify, "flat_rip_constant", lambda m, L: dataclasses.replace(
+                flat_rip_constant(m, L), constant=bound + above))
+        else:
+            bound, lwise_bias = report["bias_stages"][0]["predicted_bound"], codes.lwise_bias
+            monkeypatch.setattr(codes, "lwise_bias", lambda c, L: bound + above if L == 2
+                                else lwise_bias(c, L))
+        code, planted = _rip_ld(capsys, tmp_path, m, 6, 0.5)
+        ok = planted["flat_ok"] if stage == "flat" else planted["bias_stages"][0]["ok"]
+        assert (code, ok, planted["pass"]) == (int(not holds), holds, holds)
 
     def test_gv_embedding_end_to_end(self, capsys, tmp_path):
         lc = random_linear_code_gv(2, 12, 0.2, seed=3)
