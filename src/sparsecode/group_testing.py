@@ -21,7 +21,11 @@ it: one OR of at most L words and one subset test per column, where
 `gt_encode` and `gt_decode_cover`, kept for single vectors and as the
 oracles, make a float product each.  `recovers` sweeps every batch of
 supports it is given and returns the counts and the first failure, so a
-caller makes one call per round trip.
+caller makes one call per round trip.  It shares the cover bound: a column
+whose w largest intersections with the others fall short of its weight is
+inside the union of no support of weight <= w, so the subset test runs over
+the other columns only, and on a Kautz-Singleton matrix below its order
+over none.
 
 A design is its incidence matrix and is built only from it, `Design(m)`;
 `design_from_code` is `Design` of the code's Boolean embedding.  Every 0/1
@@ -188,6 +192,16 @@ def _union(word: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return union
 
 
+def _largest_others(meets: np.ndarray, t0: int, w: int) -> np.ndarray:
+    """Each row's sum of its w largest entries, in int64, with row i's own
+    column t0 + i read as 0: the most of column t0 + i that w other columns
+    can cover, given its intersections with every column."""
+    rows = np.arange(len(meets))
+    meets[rows, t0 + rows] = 0
+    w = min(w, meets.shape[1])
+    return np.partition(meets, -w, axis=1)[:, meets.shape[1] - w:].astype(np.int64).sum(axis=1)
+
+
 def _unsettled(b: np.ndarray, L: int):
     """Target 0 of the 0/1 matrix b, then each later target that the cover
     bound leaves: those whose L largest intersections with other columns
@@ -198,10 +212,24 @@ def _unsettled(b: np.ndarray, L: int):
         block = b[:, t0:t0 + _BOUND_BLOCK]
         top = 0  # the empty set covers only an empty target
         if L:
-            meets = _counts(block.T, b)
-            meets[np.arange(len(meets)), np.arange(t0, t0 + len(meets))] = 0
-            top = np.partition(meets, -L, axis=1)[:, -L:].astype(np.int64).sum(axis=1)
+            top = _largest_others(_counts(block.T, b), t0, L)
         yield from (t0 + np.flatnonzero(top >= block.sum(axis=0))).tolist()
+
+
+def _open_columns(words: np.ndarray, w: int) -> np.ndarray:
+    """Whether each column of packed words (words, N) is open at width w:
+    its w largest intersections with the other columns reach its weight.
+    The intersections are popcounts, N x N in blocks of columns, so no
+    temporary passes 2^17 words; width 0 needs none."""
+    n_cols = words.shape[1]
+    top = np.zeros(n_cols, dtype=np.int64)
+    step = max(1, (1 << 17) // n_cols)
+    for c0 in range(0, n_cols if w else 0, step):
+        meets = np.zeros((min(step, n_cols - c0), n_cols), dtype=np.int64)
+        for word in words:
+            meets += np.bitwise_count(word[c0:c0 + step, None] & word)
+        top[c0:c0 + step] = _largest_others(meets, c0, w)
+    return top >= np.bitwise_count(words).sum(axis=0, dtype=np.int64)
 
 
 def verify_disjunct(m: np.ndarray, L: int) -> DisjunctReport:
@@ -285,25 +313,49 @@ def recovers(m: np.ndarray, batches) -> tuple[int, int, list[int] | None]:
     its support's, and it is left out of the count.  The subset test walks
     the columns in blocks of _COLUMN_BLOCK, with the supports of a batch as
     the contiguous inner axis.
+
+    The cover bound leaves that test only the open columns.  A column is
+    open at width w when the sum of its w largest intersections with the
+    other columns, top_w(c), reaches its weight, and settled otherwise.
+    Let S be a support of weight <= w and c a settled column outside S:
+    |col_c ∩ ∪S| <= the sum over j in S of |col_c ∩ col_j| <= top_w(c) <
+    |col_c|, so c never lies inside the union.  Every member of S does.  So
+    S fails iff some open column outside S lies inside ∪S, that is iff the
+    open columns inside ∪S outnumber the open columns in S.  A batch's rows
+    have weight at most its width, padded ones included, so one bound per
+    width covers them all.  The bound costs about one subset test of N
+    supports, so a width's bound is built at its first batch of at least N
+    supports and reused; smaller batches test every column.  Width 0 is
+    free: top_0 = 0, so only an empty column is open there.
     """
     b = as_binary(m)
     n_cols = b.shape[1]
     # (words, N + 1): each column's tests, then the padding column's none
     words = _packed_rows(np.pad(b, ((0, 0), (0, 1))))
-    real = words[:, :n_cols, None]
+    # per width: the open columns' words, and which of the N + 1 are open
+    every = words[:, :n_cols, None], np.arange(n_cols + 1) < n_cols
+    bounds = {}
     checked = failed = 0
     lead = caps.LexFirst()
     for rows in batches:
-        lacks = [~_union(word, rows) for word in words]
-        inside = np.zeros(len(rows), dtype=np.int64)
-        for c0 in range(0, n_cols, _COLUMN_BLOCK):
-            block = real[:, c0:c0 + _COLUMN_BLOCK]
-            held = np.ones((block.shape[1], len(rows)), dtype=bool)
-            for word, lack in zip(block, lacks):
-                held &= (word & lack) == 0
-            # a block has fewer than 2^16 columns
-            inside += held.sum(axis=0, dtype=np.uint16)
-        fails = inside != (rows < n_cols).sum(axis=1)
+        width = rows.shape[1]
+        if width not in bounds and (len(rows) >= n_cols or not width):
+            is_open = np.append(_open_columns(words[:, :n_cols], width), False)
+            bounds[width] = words[:, is_open, None], is_open
+        real, is_open = bounds.get(width, every)
+        # with no column open, every support passes
+        fails = np.zeros(len(rows), dtype=bool)
+        if real.shape[1]:
+            lacks = [~_union(word, rows) for word in words]
+            inside = np.zeros(len(rows), dtype=np.int64)
+            for c0 in range(0, real.shape[1], _COLUMN_BLOCK):
+                block = real[:, c0:c0 + _COLUMN_BLOCK]
+                held = np.ones((block.shape[1], len(rows)), dtype=bool)
+                for word, lack in zip(block, lacks):
+                    held &= (word & lack) == 0
+                # a block has fewer than 2^16 columns
+                inside += held.sum(axis=0, dtype=np.uint16)
+            fails = inside != is_open[rows].sum(axis=1)
         checked += len(rows)
         failed += int(fails.sum())
         # a 0/1 score: the lead is the first failure, once there is one

@@ -26,6 +26,7 @@ from sparsecode.embeddings import bool_code, sph_code
 from sparsecode.group_testing import kautz_singleton
 from sparsecode.matrixio import read_matrix, write_matrix
 from sparsecode.recovery import RecoveryResult, unit_circle_nodes, vandermonde_matrix
+from test_group_testing import _bound_designs
 from test_report_json import CODE
 
 
@@ -798,6 +799,51 @@ class TestRoundtripBatches:
             tracemalloc.stop()
         assert got == (n_cols + 1, 0, None)
         assert peak <= 2 << 20
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(m=_bound_designs(), L=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+    def test_open_columns_match_the_per_support_loop(self, m, L, seed):
+        """Designs whose columns the cover bound settles, or just fails to:
+        the exhaustive walk and padded random draws, each in its own batches
+        (of at least N rows, where a width's bound is built) and one row per
+        batch (where none is), give the per-support loop's result."""
+        n_cols = m.shape[1]
+        L = min(L, n_cols)
+        walk = list(caps.supports(n_cols, L))
+        rows = list(cli._random_supports(n_cols, L, n_cols + 40, seed % 1000))
+        want = _loop_roundtrips(m, _exhaustive(n_cols, L))
+        assert group_testing.recovers(m, walk) == want
+        assert group_testing.recovers(m, [row[None] for row in chain(*walk)]) == want
+        want = _loop_roundtrips(m, [row[row < n_cols] for batch in rows for row in batch])
+        assert group_testing.recovers(m, rows) == want
+        assert group_testing.recovers(m, [row[None] for row in chain(*rows)]) == want
+
+    def test_a_column_the_bound_meets_exactly_is_tested(self):
+        """Column 3's support, rows 10-13, is exactly columns 1's and 2's
+        2-bit intersections with it: its two largest intersections sum to
+        its weight, 4, so it is open at width 2, and the support (1, 2)
+        decodes with it.  A bound that settled on equality would pass it."""
+        m = np.zeros((22, 4), dtype=np.int64)
+        m[[0, 1], 0] = 1
+        m[[10, 11, 20], 1] = 1
+        m[[12, 13, 21], 2] = 1
+        m[[10, 11, 12, 13], 3] = 1
+        assert group_testing._open_columns(group_testing._packed_rows(m.astype(bool)),
+                                           2).tolist() == [False, False, False, True]
+        # the 6 supports of width 2 are one batch of N or more rows
+        got = group_testing.recovers(m, caps.supports(4, 2))
+        assert got == (10, 1, [1, 2]) == _loop_roundtrips(m, _exhaustive(4, 2))
+
+    def test_a_design_below_its_order_runs_no_subset_test(self, monkeypatch):
+        """KS(7,2) at L = 3: 3 other columns meet a column's 7 tests in at
+        most 3, so the bound settles every column, and no union is taken."""
+
+        def refused(*args):
+            raise AssertionError("a subset test ran")
+
+        monkeypatch.setattr(group_testing, "_union", refused)
+        m, _ = kautz_singleton(7, 2)
+        assert group_testing.recovers(m, caps.supports(49, 3)) == (19650, 0, None)
 
     @pytest.mark.parametrize("batch", [7, None])
     def test_random_mode_keeps_seeded_draws(self, capsys, monkeypatch, tmp_path, batch):

@@ -31,7 +31,13 @@ import pytest
 
 from sparsecode import caps
 from sparsecode.codes import Code, lwise_distance, min_distance
-from sparsecode.group_testing import Design, verify_design, verify_disjunct
+from sparsecode.group_testing import (
+    Design,
+    _open_columns,
+    _packed_rows,
+    verify_design,
+    verify_disjunct,
+)
 
 FAMILIES = [(q, k) for q in (3, 5, 7, 11, 13) for k in (2, 3)]
 
@@ -82,3 +88,17 @@ def test_disjunct_exactly_below_the_bound(q, k):
     assert orders[0] == 1
     assert [verify_disjunct(m, L).disjunct for L in orders] == [
         L * (k - 1) < q for L in orders]
+
+
+@pytest.mark.parametrize("q, k", FAMILIES)
+def test_the_cover_bound_settles_every_column_below_the_order(q, k):
+    """L other columns meet a column's q points in at most L (k - 1), so
+    while that is below q the round trips' bound leaves no column open.
+    Each KS(q, 2) column meets q (q - 1) others in exactly one point, so at
+    L = q its q largest intersections reach its weight q: every column is
+    open."""
+    words = _packed_rows(kautz_singleton(q, k).astype(bool))
+    for L in range(0, -(-q // (k - 1))):
+        assert not _open_columns(words, L).any(), L
+    if k == 2:
+        assert _open_columns(words, q).all()
