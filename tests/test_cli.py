@@ -801,7 +801,7 @@ class TestRoundtripBatches:
         assert peak <= 2 << 20
 
     @settings(derandomize=True, max_examples=150, deadline=None)
-    @given(m=_bound_designs(), L=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+    @given(m=_bound_designs(), L=st.integers(0, 3), seed=st.integers(0, 999))
     def test_open_columns_match_the_per_support_loop(self, m, L, seed):
         """Designs whose columns the cover bound settles, or just fails to:
         the exhaustive walk and padded random draws, each in its own batches
@@ -810,7 +810,7 @@ class TestRoundtripBatches:
         n_cols = m.shape[1]
         L = min(L, n_cols)
         walk = list(caps.supports(n_cols, L))
-        rows = list(cli._random_supports(n_cols, L, n_cols + 40, seed % 1000))
+        rows = list(cli._random_supports(n_cols, L, n_cols + 40, seed))
         want = _loop_roundtrips(m, _exhaustive(n_cols, L))
         assert group_testing.recovers(m, walk) == want
         assert group_testing.recovers(m, [row[None] for row in chain(*walk)]) == want

@@ -98,7 +98,7 @@ def test_the_cover_bound_settles_every_column_below_the_order(q, k):
     L = q its q largest intersections reach its weight q: every column is
     open."""
     words = _packed_rows(kautz_singleton(q, k).astype(bool))
-    for L in range(0, -(-q // (k - 1))):
+    for L in itertools.takewhile(lambda L: L * (k - 1) < q, itertools.count()):
         assert not _open_columns(words, L).any(), L
     if k == 2:
         assert _open_columns(words, q).all()
