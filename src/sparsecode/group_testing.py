@@ -223,7 +223,7 @@ def _open_columns(words: np.ndarray, w: int) -> np.ndarray:
     temporary passes 2^17 words; width 0 needs none."""
     n_cols = words.shape[1]
     top = np.zeros(n_cols, dtype=np.int64)
-    step = max(1, (1 << 17) // n_cols)
+    step = max(1, (1 << 17) // max(n_cols, 1))
     for c0 in range(0, n_cols if w else 0, step):
         meets = np.zeros((min(step, n_cols - c0), n_cols), dtype=np.int64)
         for word in words:

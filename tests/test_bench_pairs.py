@@ -14,8 +14,8 @@ _SPEC.loader.exec_module(bench_pairs)
 PARENT = [96.0, 97.0, 98.0, 99.0, 100.0, 100.0, 101.0, 102.0, 103.0, 104.0]
 
 
-def judged(change, better="higher", bound=0.25, parent=PARENT):
-    return bench_pairs.verdict(parent, change, better, bound)
+def judged(change, better="higher", bound=0.25, parent=PARENT, failures=(0, 0)):
+    return bench_pairs.verdict(parent, change, better, bound, failures)
 
 
 def test_quartiles_and_summary():
@@ -40,6 +40,13 @@ def test_a_gain_needs_a_median_gap_above_the_iqr():
     # every pair won, but the median moves by 3.5, the parent's IQR
     assert judged([p + 3.5 for p in PARENT])["verdict"] == "parity"
     assert judged([p + 3.6 for p in PARENT])["verdict"] == "gain"
+
+
+def test_a_gain_fails_no_more_than_the_parent():
+    change = [p + 10 for p in PARENT]
+    assert judged(change, failures=(3, 3))["verdict"] == "gain"
+    assert judged(change, failures=(3, 2))["verdict"] == "gain"
+    assert judged(change, failures=(0, 1)) == {"pairs_won": 10, "pairs": 10, "verdict": "parity"}
 
 
 def test_lower_is_better_turns_the_sign():

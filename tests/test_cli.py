@@ -845,6 +845,9 @@ class TestRoundtripBatches:
         m, _ = kautz_singleton(7, 2)
         assert group_testing.recovers(m, caps.supports(49, 3)) == (19650, 0, None)
 
+    def test_a_design_with_no_columns_has_one_empty_support(self):
+        assert group_testing.recovers(np.zeros((3, 0)), caps.supports(0, 0)) == (1, 0, None)
+
     @pytest.mark.parametrize("batch", [7, None])
     def test_random_mode_keeps_seeded_draws(self, capsys, monkeypatch, tmp_path, batch):
         if batch is not None:
